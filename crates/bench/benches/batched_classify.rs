@@ -1,12 +1,12 @@
-//! Batched vs per-item stage-1 classification.
+//! One batch vs batches of one through the single identification path.
 //!
 //! The streaming runtime classifies every completion of an ingest tick
 //! as one batch: forests outermost, fingerprints innermost, so each
 //! packed arena stays cache-resident while the whole batch walks it
-//! (`Identifier::classify_batch`). Per-item classification cycles all
-//! 27 arenas per fingerprint instead. Results are bit-identical
-//! (asserted in sentinel-core's tests); this measures only the
-//! memory-access effect, per batch size.
+//! (`Identifier::classify_batch_in`). Batches of one cycle all 27
+//! arenas per fingerprint instead. Results are bit-identical (asserted
+//! in sentinel-core's tests and `tests/streaming_equivalence.rs`); this
+//! measures only the memory-access effect, per batch size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -37,63 +37,50 @@ fn batched_classify(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_classify");
     for batch in [8usize, 64, 256] {
         let fixed: Vec<&FixedFingerprint> = probes[..batch].iter().map(|(_, f)| f).collect();
-        // The two paths must agree before we time them.
-        let per_item: Vec<Vec<usize>> = fixed.iter().map(|f| identifier.classify(f)).collect();
-        assert_eq!(per_item, identifier.classify_batch(&fixed));
-        group.bench_with_input(BenchmarkId::new("sequential", batch), &fixed, |b, fixed| {
-            b.iter(|| -> Vec<Vec<usize>> { fixed.iter().map(|f| identifier.classify(f)).collect() })
+        // Both sides keep their scratch (contiguous matrix + candidate
+        // pool) warm across ticks, as the runtime's shards do: no heap
+        // allocations at all (pinned by sentinel-core's alloc_batch test).
+        group.bench_with_input(BenchmarkId::new("one_by_one", batch), &fixed, |b, fixed| {
+            let mut scratch = ClassifyScratch::default();
+            b.iter(|| {
+                fixed
+                    .iter()
+                    .map(|&f| identifier.classify_batch_in(&[f], &mut scratch)[0].len())
+                    .sum::<usize>()
+            })
         });
         group.bench_with_input(BenchmarkId::new("batched", batch), &fixed, |b, fixed| {
-            b.iter(|| identifier.classify_batch(fixed))
+            let mut scratch = ClassifyScratch::default();
+            b.iter(|| identifier.classify_batch_in(fixed, &mut scratch).len())
         });
-        // The streaming runtime's steady state: the scratch (contiguous
-        // matrix + candidate pool) stays warm across ticks, so a tick is
-        // one transpose plus the row-blocked kernel walks — no heap
-        // allocations at all (pinned by sentinel-core's alloc_batch test).
-        group.bench_with_input(
-            BenchmarkId::new("batched_warm", batch),
-            &fixed,
-            |b, fixed| {
-                let mut scratch = ClassifyScratch::default();
-                let _ = identifier.classify_batch_in(fixed, &mut scratch);
-                b.iter(|| identifier.classify_batch_in(fixed, &mut scratch).len())
-            },
-        );
     }
     group.finish();
 }
 
 fn batched_identify(c: &mut Criterion) {
-    // End-to-end identification of one ingest tick's completions:
-    // batched stage 1 + sequential stage 2 against the fully per-item
-    // path (stage 2 dominates only for discriminated fingerprints).
+    // End-to-end identification of one ingest tick's completions: one
+    // keyed batch with warm per-shard scratch (what a runtime tick
+    // executes per shard) against the same items as batches of one.
     let devices = catalog();
     let dataset = FingerprintDataset::collect(&devices, 10, 42);
     let identifier = Identifier::train(&dataset, &IdentifierConfig::default());
     let probes = holdout_fingerprints(64);
-    let items: Vec<(&Fingerprint, &FixedFingerprint)> =
-        probes.iter().map(|(full, fixed)| (full, fixed)).collect();
-
-    let mut group = c.benchmark_group("batched_identify");
-    group.bench_function("sequential_64", |b| {
-        b.iter(|| -> Vec<_> {
-            items
-                .iter()
-                .map(|&(full, fixed)| identifier.identify(full, fixed))
-                .collect()
-        })
-    });
-    group.bench_function("batched_64", |b| {
-        b.iter(|| identifier.identify_batch(&items))
-    });
-    // The keyed streaming path with warm per-shard scratch: what one
-    // runtime tick actually executes per shard.
     let keyed: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = probes
         .iter()
         .enumerate()
         .map(|(i, (full, fixed))| (full, fixed, AssessKey::new(i as u64, [i as u8; 6].into())))
         .collect();
-    group.bench_function("keyed_warm_64", |b| {
+
+    let mut group = c.benchmark_group("batched_identify");
+    group.bench_function("one_by_one_64", |b| {
+        b.iter(|| -> Vec<_> {
+            keyed
+                .iter()
+                .map(|&(full, fixed, key)| identifier.identify_keyed(full, fixed, key))
+                .collect()
+        })
+    });
+    group.bench_function("batched_warm_64", |b| {
         let mut scratch = ClassifyScratch::default();
         let mut out = Vec::new();
         b.iter(|| {

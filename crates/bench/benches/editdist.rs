@@ -4,10 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use sentinel_fingerprint::editdist::{
-    levenshtein_distance, osa_distance, osa_distance_bounded, osa_distance_wavefront_with,
-    WavefrontScratch,
-};
+use sentinel_fingerprint::editdist::{levenshtein_distance, osa_distance, osa_distance_bounded};
 use sentinel_fingerprint::{extract, FeatureVector, Fingerprint, SymbolTable};
 use sentinel_netproto::{MacAddr, Packet};
 
@@ -67,21 +64,6 @@ fn interned(c: &mut Criterion) {
         // candidate, abandoned as soon as every band cell exceeds it.
         group.bench_with_input(BenchmarkId::new("bounded_tight", n), &n, |bencher, _| {
             bencher.iter(|| osa_distance_bounded(ia.symbols(), ib.symbols(), exact / 2))
-        });
-        // The wavefront (anti-diagonal) formulation of the same band:
-        // identical Some/None contract, contiguous slice updates per
-        // diagonal instead of a row-major sweep.
-        group.bench_with_input(BenchmarkId::new("wavefront_exact", n), &n, |bencher, _| {
-            let mut scratch = WavefrontScratch::default();
-            bencher.iter(|| {
-                osa_distance_wavefront_with(ia.symbols(), ib.symbols(), exact, &mut scratch)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("wavefront_tight", n), &n, |bencher, _| {
-            let mut scratch = WavefrontScratch::default();
-            bencher.iter(|| {
-                osa_distance_wavefront_with(ia.symbols(), ib.symbols(), exact / 2, &mut scratch)
-            })
         });
     }
     group.finish();

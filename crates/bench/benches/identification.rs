@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use sentinel_core::{FingerprintDataset, Identifier, IdentifierConfig};
+use sentinel_core::{AssessKey, FingerprintDataset, Identifier, IdentifierConfig};
 use sentinel_devicesim::{catalog, Testbed};
 use sentinel_fingerprint::editdist::normalized_distance;
 use sentinel_fingerprint::{extract, FixedFingerprint};
@@ -50,10 +50,12 @@ fn identification(c: &mut Criterion) {
         b.iter(|| normalized_distance(std::hint::black_box(&twin_full), dataset.full(0)))
     });
     group.bench_function("identify_easy_type", |b| {
-        b.iter(|| identifier.identify(std::hint::black_box(&easy_full), &easy_fixed))
+        let key = AssessKey::new(0, easy_trace.mac);
+        b.iter(|| identifier.identify_keyed(std::hint::black_box(&easy_full), &easy_fixed, key))
     });
     group.bench_function("identify_confusable_type", |b| {
-        b.iter(|| identifier.identify(std::hint::black_box(&twin_full), &twin_fixed))
+        let key = AssessKey::new(0, twin_trace.mac);
+        b.iter(|| identifier.identify_keyed(std::hint::black_box(&twin_full), &twin_fixed, key))
     });
     group.finish();
 }

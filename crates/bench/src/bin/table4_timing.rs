@@ -77,9 +77,7 @@ fn main() {
     );
 
     println!(
-        "\nbatched stage 1 (64-fingerprint tick): sequential {} vs batched {} vs warm scratch {}",
-        fmt(&report.batch_classify_sequential),
-        fmt(&report.batch_classify_batched),
+        "\nbatched stage 1 (64-fingerprint tick, warm scratch): {}",
         fmt(&report.batch_classify_warm),
     );
 
@@ -101,11 +99,6 @@ fn main() {
             json_row("all_classifications", &report.all_classifications),
             json_row("discrimination_step", &report.discrimination_step),
             json_row("type_identification", &report.type_identification),
-            json_row(
-                "batch_classify_sequential",
-                &report.batch_classify_sequential,
-            ),
-            json_row("batch_classify_batched", &report.batch_classify_batched),
             json_row("batch_classify_warm", &report.batch_classify_warm),
         ]
         .join(",\n");
@@ -120,18 +113,12 @@ fn main() {
         // for the shared-binned-corpus + arena training path.
         let baseline = "    \"bank_training\": {\"mean_ms\": 227.4, \"note\": \"per-label Dataset copies, per-node allocation\"},\n    \
              \"forest_fit_histogram\": {\"mean_ms\": 9.6, \"note\": \"per-label binning, heap scratch per node\"}";
-        // PR 7 measurements on this machine, the "before" column for the
-        // batch-scratch inference path (per-tick row-pointer vectors and
-        // result allocations; no warm-scratch entry point existed).
-        let inference_baseline = "    \"batch_classify_sequential\": {\"mean_ms\": 0.8441, \"note\": \"per-item classify over 64 probes\"},\n    \
-             \"batch_classify_batched\": {\"mean_ms\": 0.6556, \"note\": \"accepts_batch over a per-call Vec<&[f64]>, fresh result vectors\"}";
         let json = format!(
             "{{\n  \"bench\": \"table4_timing\",\n  \"train_runs\": {train_runs},\n  \
              \"iterations\": {iterations},\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \
              \"discrimination_rate\": {:.4},\n  \"mean_edit_distances\": {:.4},\n  \"steps\": {{\n{body}\n  }},\n  \
              \"training\": {{\n{train_body}\n  }},\n  \
-             \"training_baseline_pr4\": {{\n{baseline}\n  }},\n  \
-             \"inference_baseline_pr7\": {{\n{inference_baseline}\n  }}\n}}\n",
+             \"training_baseline_pr4\": {{\n{baseline}\n  }}\n}}\n",
             report.discrimination_rate, report.mean_edit_distances
         );
         sentinel_bench::results::write_json(path, &json);

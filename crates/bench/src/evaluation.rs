@@ -4,11 +4,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sentinel_core::{FingerprintDataset, Identifier, IdentifierConfig, IdentifyMode};
+use sentinel_core::{
+    AssessKey, ClassifyScratch, FingerprintDataset, Identifier, IdentifierConfig, IdentifyMode,
+};
 use sentinel_devicesim::catalog;
 use sentinel_ml::crossval::stratified_k_fold;
 use sentinel_ml::metrics::ConfusionMatrix;
 use sentinel_ml::{parallel, ForestConfig};
+use sentinel_netproto::MacAddr;
 
 /// Label used for the pseudo-class recording "rejected by every
 /// classifier" predictions.
@@ -190,8 +193,23 @@ pub fn evaluate_on(dataset: &FingerprintDataset, config: &EvalConfig) -> EvalRes
             let train = dataset.subset(&fold.train);
             let identifier =
                 Identifier::train(&train, &config.identifier_config(*rep, nested_threads));
-            for &test_index in &fold.test {
-                let id = identifier.identify(dataset.full(test_index), dataset.fixed(test_index));
+            // One keyed batch per fold; harness key: the probe's corpus
+            // index, no device MAC.
+            let items: Vec<_> = fold
+                .test
+                .iter()
+                .map(|&i| {
+                    let key = AssessKey::new(i as u64, MacAddr::ZERO);
+                    (dataset.full(i), dataset.fixed(i), key)
+                })
+                .collect();
+            let mut identifications = Vec::with_capacity(items.len());
+            identifier.identify_keyed_batch_into(
+                &items,
+                &mut ClassifyScratch::default(),
+                &mut identifications,
+            );
+            for (&test_index, id) in fold.test.iter().zip(identifications) {
                 let predicted = id.label().unwrap_or(unknown);
                 confusion.record(dataset.label(test_index), predicted);
                 total += 1;

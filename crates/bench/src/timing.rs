@@ -1,16 +1,18 @@
 //! Wall-clock timing of the identification stages (Table IV), plus
-//! training throughput and the batched-vs-sequential classification
-//! comparison.
+//! training throughput and the steady-state batched classification
+//! tick.
 
 use std::time::{Duration, Instant};
 
 use sentinel_core::{
-    BankConfig, ClassifierBank, ClassifyScratch, FingerprintDataset, Identifier, IdentifierConfig,
+    AssessKey, BankConfig, ClassifierBank, ClassifyScratch, FingerprintDataset, Identifier,
+    IdentifierConfig,
 };
 use sentinel_devicesim::{catalog, Testbed};
 use sentinel_fingerprint::editdist::normalized_distance;
 use sentinel_fingerprint::{extract, extract_frames, FixedFingerprint};
 use sentinel_ml::{Dataset, RandomForest};
+use sentinel_netproto::MacAddr;
 use sentinel_sdn::stats::Summary;
 
 /// Timing measurements mirroring the rows of Table IV.
@@ -22,27 +24,24 @@ pub struct TimingReport {
     pub one_discrimination: Summary,
     /// Fingerprint extraction from a captured setup trace.
     pub fingerprint_extraction: Summary,
-    /// All 27 classifications of one fingerprint.
+    /// All 27 classifications of one fingerprint (a batch of one
+    /// through [`Identifier::classify_batch_in`], warm scratch).
     pub all_classifications: Summary,
     /// The discrimination step of a full identification (all edit
     /// distances, when triggered).
     pub discrimination_step: Summary,
-    /// Full type identification (classification + discrimination).
+    /// Full type identification (classification + discrimination): one
+    /// [`Identifier::identify_keyed`] call, i.e. a batch of one.
     pub type_identification: Summary,
     /// Mean edit-distance computations per identification.
     pub mean_edit_distances: f64,
     /// Fraction of identifications requiring discrimination.
     pub discrimination_rate: f64,
-    /// All 27 classifications of a 64-fingerprint batch, one
-    /// [`Identifier::classify`] call per item (fingerprint-major).
-    pub batch_classify_sequential: Summary,
-    /// The same batch through [`Identifier::classify_batch`]
-    /// (forest-major) — identical results, cache-friendlier walk.
-    pub batch_classify_batched: Summary,
-    /// The same batch through [`Identifier::classify_batch_in`] with a
-    /// warm [`ClassifyScratch`] — the streaming runtime's steady-state
-    /// shape: one contiguous batch copy, zero per-tick heap
-    /// allocations (pinned by sentinel-core's `alloc_batch` test).
+    /// All 27 classifications of a 64-fingerprint batch through
+    /// [`Identifier::classify_batch_in`] with a warm [`ClassifyScratch`]
+    /// — the streaming runtime's steady-state shape: one contiguous
+    /// batch copy, zero per-tick heap allocations (pinned by
+    /// sentinel-core's `alloc_batch` test).
     pub batch_classify_warm: Summary,
 }
 
@@ -161,8 +160,12 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
     let mut discriminated = 0usize;
     let mut total = 0usize;
     // Holdout fingerprints retained for the batched-classification
-    // comparison after the per-item loop.
+    // tick after the per-item loop.
     let mut batch_probes: Vec<FixedFingerprint> = Vec::new();
+    // Stage-1 scratch, warmed below and reused by every stage-1 row.
+    let mut scratch = ClassifyScratch::default();
+    // Harness key: the probe's index, no device MAC.
+    let key = |run: u64| AssessKey::new(run, MacAddr::ZERO);
 
     // Warm caches and lazy allocations so the first measured iteration
     // is not an outlier.
@@ -170,7 +173,8 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
         let trace = holdout.setup_run(&devices[0].profile, u64::MAX - 1);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let _ = identifier.identify(&full, &fixed);
+        let _ = identifier.identify_keyed(&full, &fixed, key(u64::MAX - 1));
+        let _ = identifier.classify_batch_in(&[&fixed], &mut scratch);
     }
 
     for run in 0..iterations {
@@ -203,7 +207,7 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
 
         // Row: all 27 classifications.
         let start = Instant::now();
-        let candidates = identifier.classify(&fixed);
+        std::hint::black_box(identifier.classify_batch_in(&[&fixed], &mut scratch));
         all_classifications.push(start.elapsed());
 
         // Row: one edit-distance discrimination.
@@ -214,7 +218,7 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
 
         // Rows: discrimination step + full identification.
         let start = Instant::now();
-        let id = identifier.identify(&full, &fixed);
+        let id = identifier.identify_keyed(&full, &fixed, key(run));
         let elapsed = start.elapsed();
         type_identification.push(elapsed);
         total += 1;
@@ -229,37 +233,28 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
                 .unwrap_or(Duration::ZERO);
             discrimination_step.push(elapsed.saturating_sub(classify));
         }
-        let _ = candidates;
         if batch_probes.len() < 64 {
             batch_probes.push(fixed.clone());
         }
     }
 
-    // Batched vs sequential stage-1 classification over one reused
-    // 64-fingerprint batch (the streaming runtime's tick shape): same
-    // candidates either way; only the arena walk order differs.
-    let mut batch_classify_sequential = Vec::new();
-    let mut batch_classify_batched = Vec::new();
+    // Stage-1 classification over one reused 64-fingerprint batch (the
+    // streaming runtime's tick shape), checked once off the clock
+    // against the unpacked bank.
     let mut batch_classify_warm = Vec::new();
     if !batch_probes.is_empty() {
         let refs: Vec<&FixedFingerprint> = batch_probes.iter().collect();
         const BATCH_REPEATS: usize = 24;
-        // Warmed once off the clock, then reused every repeat — the
-        // per-shard scratch a streaming gateway keeps across ticks.
-        let mut scratch = ClassifyScratch::default();
-        let _ = identifier.classify_batch_in(&refs, &mut scratch);
+        let expected: Vec<Vec<usize>> = refs.iter().map(|f| identifier.bank().matches(f)).collect();
+        assert_eq!(
+            identifier.classify_batch_in(&refs, &mut scratch),
+            expected,
+            "batched classification diverged from the unpacked bank"
+        );
         for _ in 0..BATCH_REPEATS {
             let start = Instant::now();
-            let sequential: Vec<Vec<usize>> = refs.iter().map(|f| identifier.classify(f)).collect();
-            batch_classify_sequential.push(start.elapsed());
-            let start = Instant::now();
-            let batched = identifier.classify_batch(&refs);
-            batch_classify_batched.push(start.elapsed());
-            assert_eq!(sequential, batched, "batched classification diverged");
-            let start = Instant::now();
-            let warm = identifier.classify_batch_in(&refs, &mut scratch);
+            std::hint::black_box(identifier.classify_batch_in(&refs, &mut scratch));
             batch_classify_warm.push(start.elapsed());
-            assert_eq!(sequential, warm, "warm-scratch classification diverged");
         }
     }
 
@@ -280,8 +275,6 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
         } else {
             discriminated as f64 / total as f64
         },
-        batch_classify_sequential: Summary::of_durations_ms(&batch_classify_sequential),
-        batch_classify_batched: Summary::of_durations_ms(&batch_classify_batched),
         batch_classify_warm: Summary::of_durations_ms(&batch_classify_warm),
     }
 }

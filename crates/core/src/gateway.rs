@@ -11,6 +11,7 @@ use sentinel_sdn::{EnforcementModule, EnforcementRule, IsolationLevel, OvsSwitch
 
 use crate::identify::AssessKey;
 use crate::report::OnboardingReport;
+use crate::service::AssessScratch;
 use crate::SecurityService;
 
 /// Gateway tuning knobs.
@@ -54,11 +55,14 @@ pub struct SecurityGateway<S> {
     /// Stream sequence counter: every well-formed observed packet
     /// consumes one number (including packets from ignored or already
     /// onboarded MACs; malformed frames consume none). Assessments are
-    /// keyed by `(seq, mac)` under the v2 pinned RNG contract, so a
+    /// keyed by `(seq, mac)` ([`AssessKey`]), so a
     /// gateway fed a packet stream and a sharded `StreamRuntime`
     /// (`sentinel-stream`) fed the same stream derive identical keys —
     /// and identical reports.
     next_seq: u64,
+    /// Warm working memory for the batch-of-one assessment each
+    /// finalize makes.
+    scratch: AssessScratch,
 }
 
 impl<S: SecurityService> SecurityGateway<S> {
@@ -78,6 +82,7 @@ impl<S: SecurityService> SecurityGateway<S> {
             switch: OvsSwitch::lab(),
             module: EnforcementModule::new(),
             next_seq: 0,
+            scratch: AssessScratch::default(),
         }
     }
 
@@ -161,16 +166,20 @@ impl<S: SecurityService> SecurityGateway<S> {
         self.finalize_at(mac, seq)
     }
 
-    /// Assessment + enforcement for a monitored device, keyed by `seq`
-    /// under the v2 pinned RNG contract ([`AssessKey`]).
+    /// Assessment + enforcement for a monitored device, keyed by
+    /// `(seq, mac)` ([`AssessKey`]).
     fn finalize_at(&mut self, mac: MacAddr, seq: u64) -> Option<OnboardingReport> {
         let monitor = self.monitors.remove(&mac)?;
         let setup_packets = monitor.packets;
         let full = monitor.extractor.finish();
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let response = self
-            .service
-            .assess_keyed(&full, &fixed, AssessKey::new(seq, mac));
+        let mut responses = Vec::with_capacity(1);
+        self.service.assess_keyed_batch_into(
+            &[(&full, &fixed, AssessKey::new(seq, mac))],
+            &mut self.scratch,
+            &mut responses,
+        );
+        let response = responses.pop().expect("one item in, one response out");
         let rule = match response.isolation {
             IsolationLevel::Strict => EnforcementRule::strict(mac),
             IsolationLevel::Restricted => {

@@ -12,17 +12,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use sentinel_fingerprint::editdist::{
-    osa_distance_bounded, osa_distance_wavefront_with, WavefrontScratch,
-};
+use sentinel_fingerprint::editdist::osa_distance_bounded;
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint, InternedFingerprint, SymbolTable};
 use sentinel_ml::parallel;
 use sentinel_ml::pinned::PinnedRng;
-use sentinel_ml::sampling::sample_without_replacement;
 use sentinel_ml::{BatchMatrix, PackedForest};
 use sentinel_netproto::MacAddr;
 
@@ -33,17 +28,16 @@ use crate::{BankConfig, ClassifierBank, FingerprintDataset};
 /// stream sequence number of the packet that completed the device's
 /// setup phase, plus the device MAC.
 ///
-/// Keyed identification ([`Identifier::identify_keyed`]) derives its
-/// entire discrimination randomness — reference sampling and tie-breaks
-/// — from `(seed, key)` through the v2 pinned RNG contract
-/// ([`sentinel_ml::pinned`]). The answer is therefore a pure function of
-/// the trained model, the fingerprints and this key: two completions
-/// assess identically no matter which shard, thread or order serves
-/// them, which is what lets a streaming runtime score stage 2 inside
-/// its parallel region. The v1 shared-`StdRng` stream (still behind the
-/// unkeyed [`Identifier::identify`], for evaluation harnesses) is
-/// order-dependent and superseded by this contract on every onboarding
-/// path.
+/// Identification derives its entire discrimination randomness —
+/// reference sampling and tie-breaks — from `(seed, key)` through the
+/// pinned RNG contract ([`sentinel_ml::pinned`]). The answer is
+/// therefore a pure function of the trained model, the fingerprints and
+/// this key: two completions assess identically no matter which shard,
+/// thread, batch or order serves them, which is what lets a streaming
+/// runtime score stage 2 inside its parallel region. Callers with no
+/// stream position pick any fixed key (evaluation harnesses key by test
+/// index; [`crate::IoTSecurityService`]'s direct `assess` uses one
+/// documented constant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AssessKey {
     /// Stream sequence of the completing packet (unique per stream).
@@ -53,6 +47,13 @@ pub struct AssessKey {
 }
 
 impl AssessKey {
+    /// The key of a direct, out-of-stream query
+    /// ([`crate::SecurityService::assess`] on the reference IoTSSP).
+    pub const DIRECT: AssessKey = AssessKey {
+        seq: 0,
+        mac: MacAddr::ZERO,
+    };
+
     /// Builds the key for a completion.
     pub fn new(seq: u64, mac: MacAddr) -> Self {
         AssessKey { seq, mac }
@@ -69,41 +70,6 @@ impl AssessKey {
     /// The pinned per-completion generator for a model seed.
     pub(crate) fn rng(self, seed: u64) -> PinnedRng {
         PinnedRng::from_key(seed, self.seq, self.mac_bits())
-    }
-}
-
-/// Where discrimination draws its randomness from.
-///
-/// `Shared` is the v1 contract: one seeded `StdRng` per identifier,
-/// advanced on every identification, so each answer depends on how many
-/// came before it. `Keyed` is the v2 contract: a [`PinnedRng`] built
-/// per assessment from an [`AssessKey`], so answers are
-/// order-independent. Both draw the same *shape* (one reference
-/// permutation per candidate, at most one tie-break index), only the
-/// streams differ.
-enum Draw<'a> {
-    Shared(&'a Mutex<StdRng>),
-    Keyed(PinnedRng),
-}
-
-impl Draw<'_> {
-    /// Draws `k` references without replacement from `pool`.
-    fn sample(&mut self, pool: &[usize], k: usize) -> Vec<usize> {
-        match self {
-            Draw::Shared(rng) => sample_without_replacement(pool, k, &mut *rng.lock()),
-            Draw::Keyed(rng) => rng.sample_k(pool, k),
-        }
-    }
-
-    /// Draws a tie-break index in `0..n`.
-    fn index(&mut self, n: usize) -> usize {
-        match self {
-            Draw::Shared(rng) => {
-                use rand::Rng;
-                rng.lock().gen_range(0..n)
-            }
-            Draw::Keyed(rng) => rng.index(n),
-        }
     }
 }
 
@@ -165,28 +131,27 @@ impl Default for IdentifierConfig {
 /// Reusable scratch for the batched identification paths.
 ///
 /// Holds the [`BatchMatrix`] batch scratch, the per-forest
-/// acceptance buffer, the per-item candidate pool and the stage-2
-/// wavefront band buffers. A caller that keeps one `ClassifyScratch`
-/// alive across ticks (the streaming runtime holds one per shard)
+/// acceptance buffer and the per-item candidate pool. A caller that
+/// keeps one `ClassifyScratch` alive across ticks (the streaming runtime holds one per shard)
 /// performs **zero per-tick heap allocations** in steady-state batched
 /// classification — pinned by the counting-allocator test
 /// `crates/core/tests/alloc_batch.rs`. The scratch carries no state
 /// between calls, so reuse cannot change any result.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
-    /// Feature-major transpose of the current batch's `F'` rows.
+    /// Contiguous row-major copy of the current batch's `F'` rows (only
+    /// the cache misses when the verdict cache is on).
     matrix: BatchMatrix,
     /// Per-forest acceptance verdicts for the current batch.
     accepted: Vec<bool>,
     /// Per-item candidate label sets; entries are reused across ticks.
     candidates: Vec<Vec<usize>>,
-    /// Diagonal band buffers for stage-2 wavefront edit distances.
-    wavefront: WavefrontScratch,
     /// `F'` bit-pattern buffer for verdict-cache key derivation.
     key: Vec<u64>,
-    /// Batch slots the verdict cache could not answer, in batch order.
+    /// Batch slot of each matrix row: the slots the verdict cache could
+    /// not answer, in batch order (every slot when the cache is off).
     misses: Vec<u32>,
-    /// Routing hash of each miss, aligned with `misses`.
+    /// Routing hash of each miss, aligned with `misses` (cache on only).
     miss_hashes: Vec<u64>,
     /// `(batch slot, miss index)` pairs whose row duplicates an earlier
     /// miss of the same batch — classified once, copied after.
@@ -252,7 +217,9 @@ impl VerdictCache {
     fn new(stamp: u64) -> Self {
         VerdictCache {
             stamp,
-            shards: (0..VERDICT_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..VERDICT_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             hits: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
         }
@@ -260,10 +227,7 @@ impl VerdictCache {
 
     /// The shard/bucket routing hash of one `F'` bit pattern.
     fn row_hash(&self, bits: &[u64]) -> u64 {
-        sentinel_ml::hash::keyed_hash_words(
-            VERDICT_DOMAIN ^ self.stamp,
-            bits.iter().copied(),
-        )
+        sentinel_ml::hash::keyed_hash_words(VERDICT_DOMAIN ^ self.stamp, bits.iter().copied())
     }
 
     /// Copies the cached candidate labels of `bits` into `out` if an
@@ -292,10 +256,13 @@ impl VerdictCache {
     fn insert(&self, hash: u64, row: &[f64], labels: &[usize]) {
         let mut shard = self.shards[(hash % VERDICT_SHARDS as u64) as usize].lock();
         let chain = shard.entry(hash).or_default();
-        if chain
-            .iter()
-            .any(|entry| entry.bits.iter().copied().eq(row.iter().map(|v| v.to_bits())))
-        {
+        if chain.iter().any(|entry| {
+            entry
+                .bits
+                .iter()
+                .copied()
+                .eq(row.iter().map(|v| v.to_bits()))
+        }) {
             return;
         }
         chain.push(CachedVerdict {
@@ -328,15 +295,14 @@ pub struct Identifier {
     /// training time so the OSA inner loop compares integers.
     interned: Vec<Vec<InternedFingerprint>>,
     /// `0..references[label].len()` per label — the sampling pool handed
-    /// to [`sample_without_replacement`], prebuilt so discrimination does
-    /// not allocate it on every identification.
+    /// to [`PinnedRng::sample_k`], prebuilt so discrimination does not
+    /// allocate it on every identification.
     pools: Vec<Vec<usize>>,
     config: IdentifierConfig,
     /// [`IdentifierConfig::threads`] resolved once at assembly —
     /// `effective_threads` consults the environment and the scheduler,
     /// which is far too slow for the per-identification hot path.
     threads: usize,
-    rng: Mutex<StdRng>,
     /// Content-addressed stage-1 verdict cache — `None` (the default)
     /// leaves every batch path exactly on the uncached kernel. Enabled
     /// explicitly via [`Identifier::enable_verdict_cache`] by callers
@@ -451,7 +417,6 @@ impl Identifier {
             .iter()
             .map(|of_type| (0..of_type.len()).collect())
             .collect();
-        let rng = Mutex::new(StdRng::seed_from_u64(config.seed));
         let threads = parallel::effective_threads(config.threads);
         Identifier {
             bank,
@@ -462,7 +427,6 @@ impl Identifier {
             pools,
             threads,
             config,
-            rng,
             verdict_cache: None,
         }
     }
@@ -542,30 +506,8 @@ impl Identifier {
         // The model changed: verdicts computed under the old type set
         // are stale (the new classifier may accept old fingerprints),
         // so an enabled cache restarts empty under the new stamp.
-        if self.verdict_cache.is_some() {
-            self.verdict_cache = Some(VerdictCache::new(self.model_stamp()));
-        }
+        self.enable_verdict_cache(self.verdict_cache.is_some());
         label
-    }
-
-    /// Serializes the trained pipeline as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error from `serde_json`.
-    pub fn to_json_writer<W: std::io::Write>(&self, writer: W) -> Result<(), serde_json::Error> {
-        serde_json::to_writer(writer, &TrainedModel::from(self))
-    }
-
-    /// Restores a pipeline serialized with [`Identifier::to_json_writer`].
-    /// The discrimination RNG restarts from the config seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error from `serde_json`.
-    pub fn from_json_reader<R: std::io::Read>(reader: R) -> Result<Self, serde_json::Error> {
-        let model: TrainedModel = serde_json::from_reader(reader)?;
-        Ok(model.into())
     }
 
     /// Device-type names, indexed by label.
@@ -573,186 +515,79 @@ impl Identifier {
         self.bank.type_names()
     }
 
-    /// Identifies a device from its fingerprints, drawing from the
-    /// shared (order-dependent, v1) discrimination stream. Kept for
-    /// evaluation harnesses and direct service queries; every streaming
-    /// onboarding path goes through [`Identifier::identify_keyed`]
-    /// instead.
-    pub fn identify(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> Identification {
-        self.identify_with(full, fixed, Draw::Shared(&self.rng))
-    }
-
-    /// Identifies a device with the v2 pinned per-completion draw: the
-    /// answer is a pure function of the trained model, the fingerprints
-    /// and `key`, so calls may run concurrently and in any order with
-    /// bit-identical results (see [`AssessKey`]).
+    /// Identifies one device: a batch of one through
+    /// [`Identifier::identify_keyed_batch_into`], so the answer is the
+    /// same pure function of the trained model, the fingerprints and
+    /// `key` (see [`AssessKey`]) that any batch containing the item
+    /// returns for it.
     pub fn identify_keyed(
         &self,
         full: &Fingerprint,
         fixed: &FixedFingerprint,
         key: AssessKey,
     ) -> Identification {
-        self.identify_with(full, fixed, Draw::Keyed(key.rng(self.config.seed)))
+        let mut out = Vec::with_capacity(1);
+        self.identify_keyed_batch_into(
+            &[(full, fixed, key)],
+            &mut ClassifyScratch::default(),
+            &mut out,
+        );
+        out.pop().expect("one item in, one identification out")
     }
 
-    /// The mode dispatch shared by both draw contracts.
-    fn identify_with(
-        &self,
-        full: &Fingerprint,
-        fixed: &FixedFingerprint,
-        mut draw: Draw,
-    ) -> Identification {
-        let mut wavefront = WavefrontScratch::default();
-        match self.config.mode {
-            IdentifyMode::TwoStage => {
-                self.discriminate_with(full, self.classify(fixed), &mut draw, &mut wavefront)
-            }
-            IdentifyMode::RfOnly => self.rf_best(fixed, self.classify(fixed)),
-            IdentifyMode::EditOnly => {
-                let all: Vec<usize> = (0..self.bank.n_types()).collect();
-                let scores = self.dissimilarity_scores(full, &all, &mut draw, &mut wavefront);
-                self.pick_minimum(all, scores, false, &mut draw)
-            }
-        }
-    }
-
-    /// Identifies a whole batch of devices, returning one
-    /// [`Identification`] per item in order — bit-identical to calling
-    /// [`Identifier::identify`] on each item in sequence.
+    /// Identifies a batch of keyed completions — *the* identification
+    /// path. Stage 1 runs batched (forest-major over the packed arenas,
+    /// [`Identifier::classify_batch_in`]); stage 2 builds each item's
+    /// pinned generator from its [`AssessKey`], so nothing depends on
+    /// item order or on how a stream of completions is cut into batches
+    /// — which is what lets a sharded streaming runtime call this
+    /// concurrently on per-shard slices of one tick's completions.
     ///
-    /// Stage 1 is RNG-free, so it runs batched through
-    /// [`Identifier::classify_batch`] (forest-major, cache-friendly);
-    /// stage 2 consumes the discrimination RNG and therefore runs
-    /// strictly sequentially in item order, exactly as the
-    /// per-item path would.
-    pub fn identify_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint)],
-    ) -> Vec<Identification> {
-        match self.config.mode {
-            IdentifyMode::TwoStage | IdentifyMode::RfOnly => {
-                let mut scratch = ClassifyScratch::default();
-                let n = self.classify_into(items.iter().map(|&(_, f)| f.as_slice()), &mut scratch);
-                debug_assert_eq!(n, items.len());
-                items
-                    .iter()
-                    .enumerate()
-                    .map(|(index, &(full, fixed))| {
-                        let candidates = scratch.candidates[index].clone();
-                        match self.config.mode {
-                            IdentifyMode::TwoStage => {
-                                let mut draw = Draw::Shared(&self.rng);
-                                self.discriminate_with(
-                                    full,
-                                    candidates,
-                                    &mut draw,
-                                    &mut scratch.wavefront,
-                                )
-                            }
-                            _ => self.rf_best(fixed, candidates),
-                        }
-                    })
-                    .collect()
-            }
-            // Edit-only has no stage 1 to batch.
-            IdentifyMode::EditOnly => items
-                .iter()
-                .map(|&(full, fixed)| self.identify(full, fixed))
-                .collect(),
-        }
-    }
-
-    /// Identifies a whole batch of keyed completions — bit-identical to
-    /// calling [`Identifier::identify_keyed`] on each item, in any
-    /// order. Stage 1 runs batched (forest-major over the packed
-    /// arenas); stage 2 builds each item's pinned generator from its
-    /// [`AssessKey`], so unlike [`Identifier::identify_batch`] nothing
-    /// here depends on item order — which is what lets a sharded
-    /// streaming runtime call this concurrently on per-shard slices of
-    /// one tick's completions.
-    pub fn identify_keyed_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
-    ) -> Vec<Identification> {
-        let mut scratch = ClassifyScratch::default();
-        let mut out = Vec::with_capacity(items.len());
-        self.identify_keyed_batch_into(items, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`Identifier::identify_keyed_batch`] into caller-owned buffers:
-    /// identifications are **appended** to `out` (the shared batch-entry
-    /// contract — the caller owns and clears `out`), and all stage-1 and
-    /// stage-2 working memory comes from `scratch`, so a caller that
-    /// keeps both warm across ticks (the streaming runtime's shards)
-    /// rebuilds nothing per tick.
+    /// Identifications are **appended** to `out` (the shared batch-entry
+    /// contract — the caller owns and clears `out`), and stage-1 working
+    /// memory comes from `scratch`, so a caller that keeps both warm
+    /// across ticks (the streaming runtime's shards) rebuilds nothing
+    /// per tick.
     pub fn identify_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
         scratch: &mut ClassifyScratch,
         out: &mut Vec<Identification>,
     ) {
-        match self.config.mode {
-            IdentifyMode::TwoStage | IdentifyMode::RfOnly => {
-                let n = self.classify_into(items.iter().map(|&(_, f, _)| f.as_slice()), scratch);
-                debug_assert_eq!(n, items.len());
-                for (index, &(full, fixed, key)) in items.iter().enumerate() {
-                    let candidates = scratch.candidates[index].clone();
-                    let identification = match self.config.mode {
-                        IdentifyMode::TwoStage => {
-                            let mut draw = Draw::Keyed(key.rng(self.config.seed));
-                            self.discriminate_with(
-                                full,
-                                candidates,
-                                &mut draw,
-                                &mut scratch.wavefront,
-                            )
-                        }
-                        _ => self.rf_best(fixed, candidates),
-                    };
-                    out.push(identification);
+        let mode = self.config.mode;
+        // Edit-only has no stage 1: every type is a candidate.
+        if mode != IdentifyMode::EditOnly {
+            let n = self.classify_into(items.iter().map(|&(_, f, _)| f.as_slice()), scratch);
+            debug_assert_eq!(n, items.len());
+        }
+        for (index, &(full, fixed, key)) in items.iter().enumerate() {
+            let mut rng = key.rng(self.config.seed);
+            out.push(match mode {
+                IdentifyMode::TwoStage => {
+                    self.discriminate(full, scratch.candidates[index].clone(), &mut rng)
                 }
-            }
-            // Edit-only has no stage 1 to batch.
-            IdentifyMode::EditOnly => out.extend(
-                items
-                    .iter()
-                    .map(|&(full, fixed, key)| self.identify_keyed(full, fixed, key)),
-            ),
+                IdentifyMode::RfOnly => self.rf_best(fixed, scratch.candidates[index].clone()),
+                // Scoring every type is not a stage-1 multiple match.
+                IdentifyMode::EditOnly => Identification {
+                    discriminated: false,
+                    ..self.discriminate(full, (0..self.bank.n_types()).collect(), &mut rng)
+                },
+            });
         }
     }
 
-    /// Stage-1 classification: labels of every per-type classifier that
-    /// accepts the fingerprint, via the packed prediction arenas
-    /// (identical to [`ClassifierBank::matches`], faster).
-    pub fn classify(&self, fixed: &FixedFingerprint) -> Vec<usize> {
-        self.packed
-            .iter()
-            .enumerate()
-            .filter(|(_, forest)| forest.accepts(fixed.as_slice()))
-            .map(|(label, _)| label)
-            .collect()
-    }
-
-    /// Stage-1 classification of a whole batch: per-item candidate label
-    /// sets, identical to calling [`Identifier::classify`] on each item.
+    /// Stage-1 classification of a whole batch into caller-owned
+    /// scratch: per-item candidate label sets, identical to
+    /// [`ClassifierBank::matches`] on each item.
     ///
-    /// The loop order is inverted relative to the per-item path —
-    /// *forests outermost, fingerprints innermost* — so each packed
-    /// arena is walked by every fingerprint back-to-back while it is
-    /// cache-resident, instead of all 27 arenas being cycled through per
-    /// fingerprint. Labels are visited in increasing order, so each
-    /// item's candidate vector is pushed in exactly the per-item order.
-    pub fn classify_batch(&self, fixed: &[&FixedFingerprint]) -> Vec<Vec<usize>> {
-        let mut scratch = ClassifyScratch::default();
-        self.classify_batch_in(fixed, &mut scratch).to_vec()
-    }
-
-    /// [`Identifier::classify_batch`] into caller-owned scratch: the
-    /// batch is transposed into the scratch's [`BatchMatrix`] and walked
-    /// by the row-blocked kernel; the returned slice borrows the
-    /// scratch's candidate pool (one entry per item, in order). With a
-    /// warm scratch this makes zero heap allocations.
+    /// The batch is copied into the scratch's row-major [`BatchMatrix`]
+    /// and the loop runs *forests outermost, fingerprints innermost*
+    /// ([`PackedForest::accepts_rows`]), so each packed arena is walked
+    /// by every fingerprint back-to-back while it is cache-resident,
+    /// instead of all 27 arenas being cycled through per fingerprint.
+    /// Labels are visited in increasing order. The returned slice
+    /// borrows the scratch's candidate pool (one entry per item, in
+    /// order); with a warm scratch this makes zero heap allocations.
     pub fn classify_batch_in<'s>(
         &self,
         fixed: &[&FixedFingerprint],
@@ -762,58 +597,24 @@ impl Identifier {
         &scratch.candidates[..n]
     }
 
-    /// The kernel-backed stage 1 shared by every batch path: fills the
-    /// scratch matrix straight from a row iterator (no intermediate
-    /// row-pointer vector), walks each packed arena over the whole
-    /// batch, and leaves item `i`'s candidate labels in
-    /// `scratch.candidates[i]`. Returns the batch size.
+    /// Stage 1 behind every batch path: copies the rows the verdict
+    /// cache cannot answer (all of them when it is off) into the scratch
+    /// matrix, walks each packed arena over that dense miss matrix, and
+    /// leaves item `i`'s candidate labels in `scratch.candidates[i]`.
+    /// Returns the batch size.
+    ///
+    /// The cache is bit-transparent: hits replay labels that an earlier
+    /// identical `F'` row produced (entries compare full bit patterns,
+    /// and labels are always emitted in increasing order), and in-batch
+    /// duplicates are classified once and copied.
     fn classify_into<'a, I>(&self, rows: I, scratch: &mut ClassifyScratch) -> usize
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        if let Some(cache) = &self.verdict_cache {
-            return self.classify_into_cached(cache, rows, scratch);
-        }
-        scratch.matrix.fill(rows);
-        let n = scratch.matrix.rows();
-        if scratch.candidates.len() < n {
-            scratch.candidates.resize_with(n, Vec::new);
-        }
-        for slot in scratch.candidates.iter_mut().take(n) {
-            slot.clear();
-        }
-        for (label, forest) in self.packed.iter().enumerate() {
-            scratch.accepted.clear();
-            forest.accepts_rows(&scratch.matrix, &mut scratch.accepted);
-            for (slot, &ok) in scratch.candidates.iter_mut().zip(&scratch.accepted) {
-                if ok {
-                    slot.push(label);
-                }
-            }
-        }
-        n
-    }
-
-    /// The verdict-cached stage-1 kernel. Bit-identical to the uncached
-    /// path: cache hits replay labels that an earlier identical `F'`
-    /// row produced (entries compare full bit patterns, and both paths
-    /// emit labels in increasing order), in-batch duplicates are
-    /// classified once and copied, and only genuinely new rows walk the
-    /// forests — packed into a dense miss matrix so the row-blocked
-    /// kernels keep their batch advantage.
-    fn classify_into_cached<'a, I>(
-        &self,
-        cache: &VerdictCache,
-        rows: I,
-        scratch: &mut ClassifyScratch,
-    ) -> usize
     where
         I: IntoIterator<Item = &'a [f64]>,
         I::IntoIter: ExactSizeIterator,
     {
         let rows = rows.into_iter();
         let n = rows.len();
+        let cache = self.verdict_cache.as_ref();
         let ClassifyScratch {
             matrix,
             accepted,
@@ -823,7 +624,6 @@ impl Identifier {
             miss_hashes,
             aliases,
             pending,
-            ..
         } = scratch;
         if candidates.len() < n {
             candidates.resize_with(n, Vec::new);
@@ -836,56 +636,53 @@ impl Identifier {
         for (index, cells) in rows.enumerate() {
             let slot = &mut candidates[index];
             slot.clear();
-            key.clear();
-            key.extend(cells.iter().map(|value| value.to_bits()));
-            let hash = cache.row_hash(key);
-            if cache.lookup_into(hash, key, slot) {
-                continue;
-            }
-            // In-batch dedup: a row equal to an earlier miss of this
-            // batch is classified once and its labels copied afterwards.
-            // A routing-hash collision (equal hash, different bits)
-            // falls through to its own miss slot; `pending` keeps
-            // pointing at the first miss, so a collided row merely
-            // loses its dedup shortcut — never its correct verdict.
-            match pending.entry(hash) {
-                Entry::Occupied(first) => {
-                    let miss = *first.get();
-                    let earlier = matrix.row(miss as usize);
-                    if earlier
-                        .iter()
-                        .map(|value| value.to_bits())
-                        .eq(key.iter().copied())
-                    {
-                        aliases.push((index as u32, miss));
-                        continue;
+            if let Some(cache) = cache {
+                key.clear();
+                key.extend(cells.iter().map(|value| value.to_bits()));
+                let hash = cache.row_hash(key);
+                if cache.lookup_into(hash, key, slot) {
+                    continue;
+                }
+                // In-batch dedup: a row equal to an earlier miss of this
+                // batch is classified once and its labels copied
+                // afterwards. A routing-hash collision (equal hash,
+                // different bits) falls through to its own miss slot;
+                // `pending` keeps pointing at the first miss, so a
+                // collided row merely loses its dedup shortcut — never
+                // its correct verdict.
+                match pending.entry(hash) {
+                    Entry::Occupied(first) => {
+                        let miss = *first.get();
+                        let earlier = matrix.row(miss as usize).iter().map(|v| v.to_bits());
+                        if earlier.eq(key.iter().copied()) {
+                            aliases.push((index as u32, miss));
+                            continue;
+                        }
                     }
-                    matrix.push_row(cells);
-                    misses.push(index as u32);
-                    miss_hashes.push(hash);
+                    Entry::Vacant(vacant) => {
+                        vacant.insert(misses.len() as u32);
+                    }
                 }
-                Entry::Vacant(vacant) => {
-                    vacant.insert(misses.len() as u32);
-                    matrix.push_row(cells);
-                    misses.push(index as u32);
-                    miss_hashes.push(hash);
-                }
+                miss_hashes.push(hash);
             }
+            matrix.push_row(cells);
+            misses.push(index as u32);
         }
-        // Forest pass over the dense miss matrix, scattering each
-        // accepted label back to the miss's batch slot (labels visited
-        // in increasing order = per-item candidate order).
+        // Forest pass over the miss matrix, scattering each accepted
+        // label back to the miss's batch slot (labels visited in
+        // increasing order = per-item candidate order).
         if !misses.is_empty() {
             for (label, forest) in self.packed.iter().enumerate() {
                 accepted.clear();
                 forest.accepts_rows(matrix, accepted);
-                for (miss, &ok) in accepted.iter().enumerate() {
+                for (&slot, &ok) in misses.iter().zip(accepted.iter()) {
                     if ok {
-                        candidates[misses[miss] as usize].push(label);
+                        candidates[slot as usize].push(label);
                     }
                 }
             }
         }
+        let Some(cache) = cache else { return n };
         // Publish fresh verdicts, then resolve in-batch aliases. An
         // alias's source slot always precedes it in the batch, so the
         // split borrow below is well-formed.
@@ -907,66 +704,61 @@ impl Identifier {
         self.packed[label].accepts(fixed.as_slice())
     }
 
-    /// Stage 2 of the two-stage pipeline, given the stage-1 candidate
-    /// set (from [`Identifier::classify`] or a batched run).
-    fn discriminate_with(
+    /// Stage 2: scores `full` against sampled references of every
+    /// candidate type and picks the least dissimilar one. An empty
+    /// candidate set is an unknown device-type and draws nothing.
+    ///
+    /// A single acceptance still gets its dissimilarity checked: a
+    /// barely-over-threshold classifier can accept traffic that shares
+    /// nothing with the type's references, and the score is what
+    /// exposes that (see `max_dissimilarity`).
+    fn discriminate(
         &self,
         full: &Fingerprint,
         candidates: Vec<usize>,
-        draw: &mut Draw,
-        wavefront: &mut WavefrontScratch,
+        rng: &mut PinnedRng,
     ) -> Identification {
-        match candidates.len() {
-            0 => Identification {
-                outcome: Outcome::Unknown,
-                candidates,
-                discriminated: false,
-                scores: Vec::new(),
-            },
-            // A single acceptance still gets its dissimilarity checked:
-            // a barely-over-threshold classifier can accept traffic that
-            // shares nothing with the type's references, and the score
-            // is what exposes that (see `max_dissimilarity`).
-            1 => {
-                let scores = self.dissimilarity_scores(full, &candidates, draw, wavefront);
-                self.pick_minimum(candidates, scores, false, draw)
-            }
-            _ => {
-                let scores = self.dissimilarity_scores(full, &candidates, draw, wavefront);
-                self.pick_minimum(candidates, scores, true, draw)
-            }
+        if candidates.is_empty() {
+            return self.decided(None, candidates, false, Vec::new());
         }
+        let discriminated = candidates.len() > 1;
+        let scores = self.dissimilarity_scores(full, &candidates, rng);
+        self.pick_minimum(candidates, scores, discriminated, rng)
     }
 
     /// Confidence-based tie-break over a stage-1 candidate set (the
     /// `RfOnly` ablation's second half).
     fn rf_best(&self, fixed: &FixedFingerprint, candidates: Vec<usize>) -> Identification {
-        if candidates.is_empty() {
-            return Identification {
-                outcome: Outcome::Unknown,
-                candidates,
-                discriminated: false,
-                scores: Vec::new(),
-            };
-        }
-        let best = candidates
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                self.bank
-                    .confidence(a, fixed)
-                    .partial_cmp(&self.bank.confidence(b, fixed))
-                    .expect("finite confidences")
-            })
-            .expect("nonempty candidates");
-        Identification {
-            outcome: Outcome::Identified {
-                label: best,
-                name: self.type_names()[best].clone(),
+        let best = candidates.iter().copied().max_by(|&a, &b| {
+            self.bank
+                .confidence(a, fixed)
+                .partial_cmp(&self.bank.confidence(b, fixed))
+                .expect("finite confidences")
+        });
+        self.decided(best, candidates, false, Vec::new())
+    }
+
+    /// Wraps a decision — the winning label, or `None` for an unknown
+    /// device-type — and its evidence into an [`Identification`].
+    fn decided(
+        &self,
+        winner: Option<usize>,
+        candidates: Vec<usize>,
+        discriminated: bool,
+        scores: Vec<f64>,
+    ) -> Identification {
+        let outcome = match winner {
+            Some(label) => Outcome::Identified {
+                label,
+                name: self.type_names()[label].clone(),
             },
+            None => Outcome::Unknown,
+        };
+        Identification {
+            outcome,
             candidates,
-            discriminated: false,
-            scores: Vec::new(),
+            discriminated,
+            scores,
         }
     }
 
@@ -985,14 +777,13 @@ impl Identifier {
         &self,
         full: &Fingerprint,
         candidates: &[usize],
-        draw: &mut Draw,
-        wavefront: &mut WavefrontScratch,
+        rng: &mut PinnedRng,
     ) -> Vec<f64> {
         // Reference sampling stays sequential, in candidate order, so
         // the draw stream is identical for every thread count.
         let chosen: Vec<Vec<usize>> = candidates
             .iter()
-            .map(|&label| draw.sample(&self.pools[label], self.config.references_per_type))
+            .map(|&label| rng.sample_k(&self.pools[label], self.config.references_per_type))
             .collect();
         let probe = self.symbols.project(full);
         let threads = self.threads.min(candidates.len());
@@ -1006,7 +797,7 @@ impl Identifier {
             let mut best = f64::INFINITY;
             let mut scores = Vec::with_capacity(candidates.len());
             for (slot, &label) in candidates.iter().enumerate() {
-                let score = self.score_candidate(&probe, label, &chosen[slot], best, wavefront);
+                let score = self.score_candidate(&probe, label, &chosen[slot], best);
                 best = best.min(score);
                 scores.push(score);
             }
@@ -1017,28 +808,15 @@ impl Identifier {
             // can differ from the sequential path's (looser cutoff),
             // but the tie set — exact scores within 1e-12 of the
             // minimum — is provably the same, so the identified label
-            // and the RNG stream are too. Each worker closure keeps its
-            // own wavefront band buffers (scratch carries no state, so
-            // per-thread scratch cannot change any distance).
-            let first =
-                self.score_candidate(&probe, candidates[0], &chosen[0], f64::INFINITY, wavefront);
+            // and the RNG stream are too.
+            let first = self.score_candidate(&probe, candidates[0], &chosen[0], f64::INFINITY);
             let mut scores = vec![first];
             scores.extend(parallel::map_indexed(candidates.len() - 1, threads, |i| {
-                let mut local = WavefrontScratch::default();
-                self.score_candidate(&probe, candidates[i + 1], &chosen[i + 1], first, &mut local)
+                self.score_candidate(&probe, candidates[i + 1], &chosen[i + 1], first)
             }));
             scores
         }
     }
-
-    /// Shortest sequence length at which [`score_candidate`] switches
-    /// from the row-major banded DP to the anti-diagonal wavefront —
-    /// below this, the row sweep's band stays L1-resident and wins
-    /// (`editdist_interned` bench); both formulations share one exact
-    /// `Some`/`None` contract, so the dispatch cannot change a score.
-    ///
-    /// [`score_candidate`]: Identifier::score_candidate
-    const WAVEFRONT_MIN: usize = 64;
 
     /// Scores one candidate type against its sampled references,
     /// abandoning early once the score provably exceeds `best + 1e-12`.
@@ -1051,7 +829,6 @@ impl Identifier {
         label: usize,
         chosen: &[usize],
         best: f64,
-        wavefront: &mut WavefrontScratch,
     ) -> f64 {
         let refs = &self.interned[label];
         let mut sum = 0.0;
@@ -1063,7 +840,7 @@ impl Identifier {
             }
             // Band bound: the full `longest` when no cutoff is active
             // (an OSA distance never exceeds the longer length, so the
-            // wavefront then always resolves), else the remaining
+            // band then always resolves), else the remaining
             // normalized-distance budget before the score leaves the
             // tie tolerance around `best`, rescaled to edit operations.
             let bound = if !best.is_finite() {
@@ -1076,17 +853,7 @@ impl Identifier {
                     ((budget * longest as f64).floor() as usize).min(longest)
                 }
             };
-            // Same band, same Some/None contract, two sweep orders: the
-            // row-major banded DP keeps its whole band in L1 for short
-            // fingerprints, while the anti-diagonal wavefront amortizes
-            // its ring-buffer setup only once sequences are long enough
-            // (the `editdist_interned` bench is the measured crossover).
-            let distance = if longest >= Self::WAVEFRONT_MIN {
-                osa_distance_wavefront_with(probe.symbols(), reference.symbols(), bound, wavefront)
-            } else {
-                osa_distance_bounded(probe.symbols(), reference.symbols(), bound)
-            };
-            match distance {
+            match osa_distance_bounded(probe.symbols(), reference.symbols(), bound) {
                 Some(distance) => sum += distance as f64 / longest as f64,
                 None => {
                     // distance >= bound + 1, so this partial sum is a
@@ -1104,7 +871,7 @@ impl Identifier {
         candidates: Vec<usize>,
         scores: Vec<f64>,
         discriminated: bool,
-        draw: &mut Draw,
+        rng: &mut PinnedRng,
     ) -> Identification {
         let minimum = scores.iter().copied().fold(f64::INFINITY, f64::min);
         // Identical-firmware types can produce exactly tied dissimilarity
@@ -1119,7 +886,7 @@ impl Identifier {
         let best = if tied.len() == 1 {
             tied[0]
         } else {
-            tied[draw.index(tied.len())]
+            tied[rng.index(tied.len())]
         };
         // Even the best candidate must actually resemble its own
         // references: a winner whose mean normalized distance exceeds
@@ -1130,23 +897,13 @@ impl Identifier {
             .config
             .references_per_type
             .min(self.references[best].len());
-        if minimum > self.config.max_dissimilarity * effective_refs as f64 {
-            return Identification {
-                outcome: Outcome::Unknown,
-                candidates,
-                discriminated,
-                scores,
-            };
-        }
-        Identification {
-            outcome: Outcome::Identified {
-                label: best,
-                name: self.type_names()[best].clone(),
-            },
+        let cutoff = self.config.max_dissimilarity * effective_refs as f64;
+        self.decided(
+            (minimum <= cutoff).then_some(best),
             candidates,
             discriminated,
             scores,
-        }
+        )
     }
 }
 
@@ -1168,6 +925,15 @@ mod tests {
         }
     }
 
+    /// One direct identification (any fixed key serves a unit test).
+    fn identify(
+        identifier: &Identifier,
+        full: &Fingerprint,
+        fixed: &FixedFingerprint,
+    ) -> Identification {
+        identifier.identify_keyed(full, fixed, AssessKey::DIRECT)
+    }
+
     fn train_on_three() -> (Identifier, FingerprintDataset) {
         let devices: Vec<_> = catalog().into_iter().take(3).collect();
         let dataset = FingerprintDataset::collect(&devices, 8, 5);
@@ -1187,7 +953,7 @@ mod tests {
                 let trace = testbed.setup_run(&device.profile, run);
                 let full = extract(&trace.packets);
                 let fixed = FixedFingerprint::from_fingerprint(&full);
-                let id = identifier.identify(&full, &fixed);
+                let id = identify(&identifier, &full, &fixed);
                 total += 1;
                 if id.label() == Some(label) {
                     correct += 1;
@@ -1229,7 +995,7 @@ mod tests {
         let trace = Testbed::new(1).setup_run(&odd, 0);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let id = identifier.identify(&full, &fixed);
+        let id = identify(&identifier, &full, &fixed);
         assert_eq!(id.outcome, Outcome::Unknown, "got {id:?}");
     }
 
@@ -1241,76 +1007,9 @@ mod tests {
         let trace = Testbed::new(77).setup_run(&devices[1].profile, 0);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let id = identifier.identify(&full, &fixed);
+        let id = identify(&identifier, &full, &fixed);
         assert_eq!(id.label(), Some(1));
         assert_eq!(id.candidates.len(), 3, "edit-only scores every type");
-    }
-
-    #[test]
-    fn model_json_roundtrip_preserves_behaviour() {
-        let (identifier, dataset) = train_on_three();
-        let mut buf = Vec::new();
-        identifier.to_json_writer(&mut buf).unwrap();
-        let restored = Identifier::from_json_reader(buf.as_slice()).unwrap();
-        // Identical predictions on the training corpus (RNG restarts from
-        // the same seed, so even tie-breaks agree).
-        for i in 0..dataset.len() {
-            let a = identifier_fresh_identify(&identifier, &dataset, i);
-            let b = identifier_fresh_identify(&restored, &dataset, i);
-            assert_eq!(a.candidates, b.candidates, "sample {i}");
-        }
-    }
-
-    fn identifier_fresh_identify(
-        identifier: &Identifier,
-        dataset: &FingerprintDataset,
-        i: usize,
-    ) -> Identification {
-        identifier.identify(dataset.full(i), dataset.fixed(i))
-    }
-
-    /// Collects (full, fixed) probe pairs: held-out runs of the three
-    /// trained types plus the training corpus itself, so the batch mixes
-    /// zero-, one- and many-candidate stage-1 outcomes.
-    fn probe_pairs(dataset: &FingerprintDataset) -> Vec<(Fingerprint, FixedFingerprint)> {
-        let devices: Vec<_> = catalog().into_iter().take(3).collect();
-        let testbed = Testbed::new(123);
-        let mut probes: Vec<(Fingerprint, FixedFingerprint)> = devices
-            .iter()
-            .flat_map(|device| (0..3).map(|run| testbed.setup_run(&device.profile, run)))
-            .map(|trace| {
-                let full = extract(&trace.packets);
-                let fixed = FixedFingerprint::from_fingerprint(&full);
-                (full, fixed)
-            })
-            .collect();
-        probes.extend(
-            (0..dataset.len()).map(|i| (dataset.full(i).clone(), dataset.fixed(i).clone())),
-        );
-        probes
-    }
-
-    #[test]
-    fn batched_identification_is_bit_identical_to_sequential() {
-        // Two identically-trained identifiers (each with its own fresh
-        // discrimination RNG): one identifies per item in order, the
-        // other in one batch. Every Identification — outcome, candidate
-        // set, and stage-2 scores — must agree bit-for-bit.
-        for mode in [IdentifyMode::TwoStage, IdentifyMode::RfOnly] {
-            let devices: Vec<_> = catalog().into_iter().take(3).collect();
-            let dataset = FingerprintDataset::collect(&devices, 8, 5);
-            let sequential = Identifier::train(&dataset, &fast_config(mode));
-            let batched = Identifier::train(&dataset, &fast_config(mode));
-            let probes = probe_pairs(&dataset);
-            let items: Vec<(&Fingerprint, &FixedFingerprint)> =
-                probes.iter().map(|(full, fixed)| (full, fixed)).collect();
-            let one_by_one: Vec<Identification> = items
-                .iter()
-                .map(|&(full, fixed)| sequential.identify(full, fixed))
-                .collect();
-            let in_batch = batched.identify_batch(&items);
-            assert_eq!(one_by_one, in_batch, "mode {mode:?}");
-        }
     }
 
     #[test]
@@ -1352,23 +1051,25 @@ mod tests {
         let trace = testbed.setup_run(&devices[3].profile, 0);
         let probe = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&probe);
-        assert_eq!(incremental.identify(&probe, &fixed).label(), Some(3));
+        assert_eq!(identify(&incremental, &probe, &fixed).label(), Some(3));
     }
 
     #[test]
-    fn classify_batch_matches_classify_per_item() {
+    fn classify_batch_matches_the_unpacked_bank_per_item() {
         let (identifier, dataset) = train_on_three();
         let fixed: Vec<&FixedFingerprint> = (0..dataset.len()).map(|i| dataset.fixed(i)).collect();
-        let batch = identifier.classify_batch(&fixed);
+        let mut scratch = ClassifyScratch::default();
+        let batch = identifier.classify_batch_in(&fixed, &mut scratch);
+        assert_eq!(batch.len(), fixed.len());
         for (i, candidates) in batch.iter().enumerate() {
-            assert_eq!(candidates, &identifier.classify(fixed[i]), "item {i}");
+            assert_eq!(candidates, &identifier.bank().matches(fixed[i]), "item {i}");
         }
     }
 
     #[test]
     fn scores_are_bounded_by_reference_count() {
         let (identifier, dataset) = train_on_three();
-        let id = identifier.identify(dataset.full(0), dataset.fixed(0));
+        let id = identify(&identifier, dataset.full(0), dataset.fixed(0));
         for score in &id.scores {
             assert!((0.0..=5.0).contains(score));
         }

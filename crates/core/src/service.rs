@@ -19,12 +19,13 @@ use crate::{FingerprintDataset, Identifier, IdentifierConfig};
 ///
 /// Wraps the identifier's [`ClassifyScratch`] plus the intermediate
 /// identification buffer, so a caller that keeps one `AssessScratch` per
-/// worker (the streaming runtime holds one per shard) assesses batch
-/// after batch without rebuilding any per-tick state. Scratch carries no
-/// state between calls; reuse cannot change any response.
+/// worker (the streaming runtime holds one per shard, a gateway one for
+/// its batch-of-one finalizes) assesses batch after batch without
+/// rebuilding any per-tick state. Scratch carries no state between
+/// calls; reuse cannot change any response.
 #[derive(Debug, Default)]
 pub struct AssessScratch {
-    /// Stage-1/stage-2 working memory for the identifier.
+    /// Stage-1 working memory for the identifier.
     classify: ClassifyScratch,
     /// Identifications of the current batch, drained into responses.
     identifications: Vec<Identification>,
@@ -34,73 +35,35 @@ pub struct AssessScratch {
 ///
 /// The paper's gateways reach the IoTSSP over the network (optionally
 /// via Tor); in-process implementations stand in for that RPC.
+///
+/// Assessment has one path: [`SecurityService::assess_keyed_batch_into`].
+/// A stateless stub implements only [`SecurityService::assess`] and
+/// inherits a batch that answers item by item; a real service overrides
+/// the batch and defines `assess` through it. The single-item and
+/// owned-vector forms are provided wrappers nobody overrides.
 pub trait SecurityService {
-    /// Identifies a fingerprint and returns the enforcement decision.
+    /// Identifies one fingerprint outside any packet stream and returns
+    /// the enforcement decision. Must be a pure function of the trained
+    /// state and the arguments: asking twice, or in a different order,
+    /// gives the same response.
     fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse;
 
-    /// Assesses a whole batch of fingerprints, returning one response
-    /// per item in order.
+    /// Keyed batch assessment into caller-owned buffers: one response
+    /// per item, **appended** to `out` (the shared batch-entry contract
+    /// — the caller owns and clears `out`), all per-batch working memory
+    /// drawn from `scratch`.
     ///
-    /// Must be observably equivalent to calling
-    /// [`SecurityService::assess`] on each item in sequence — the
-    /// default implementation does exactly that. Implementations may
-    /// override it to batch the RNG-free parts of the pipeline (the
-    /// reference IoTSSP pushes all stage-1 classifications through one
-    /// forest at a time); any stateful part must still run in item
-    /// order.
-    fn assess_batch(&self, items: &[(&Fingerprint, &FixedFingerprint)]) -> Vec<ServiceResponse> {
-        items
-            .iter()
-            .map(|&(full, fixed)| self.assess(full, fixed))
-            .collect()
-    }
-
-    /// Assesses one fingerprint under the v2 pinned RNG contract: every
-    /// random decision is drawn from a generator keyed by `key`, so the
-    /// response is a pure function of `(trained state, fingerprints,
-    /// key)` — independent of call order, interleaving, or which thread
-    /// serves it. This is what lets a sharded streaming runtime assess
-    /// completions concurrently and still produce bit-identical output
-    /// at every thread count.
+    /// Every random decision for an item is drawn from a generator keyed
+    /// by that item's [`AssessKey`], so each response is a pure function
+    /// of `(trained state, fingerprints, key)` — independent of call
+    /// order, interleaving, batch boundaries, or which thread serves it.
+    /// This is what lets a sharded streaming runtime assess completions
+    /// concurrently and still produce bit-identical output at every
+    /// thread count.
     ///
-    /// The default delegates to [`SecurityService::assess`], which is
-    /// only correct for services whose `assess` is already a pure
-    /// function of its arguments (stateless stubs). Services with
-    /// order-dependent internal state (like the reference IoTSSP's
-    /// shared v1 discrimination RNG) must override this with a genuinely
-    /// keyed path.
-    fn assess_keyed(
-        &self,
-        full: &Fingerprint,
-        fixed: &FixedFingerprint,
-        key: AssessKey,
-    ) -> ServiceResponse {
-        let _ = key;
-        self.assess(full, fixed)
-    }
-
-    /// Keyed batch assessment: one response per item, each observably
-    /// equivalent to [`SecurityService::assess_keyed`] with that item's
-    /// key. Because every item carries its own key, the batch boundary
-    /// carries no information — splitting a batch across shards must not
-    /// change any response.
-    fn assess_keyed_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
-    ) -> Vec<ServiceResponse> {
-        items
-            .iter()
-            .map(|&(full, fixed, key)| self.assess_keyed(full, fixed, key))
-            .collect()
-    }
-
-    /// [`SecurityService::assess_keyed_batch`] into caller-owned
-    /// buffers: responses are **appended** to `out` (the shared
-    /// batch-entry contract — the caller owns and clears `out`), and
-    /// implementations draw all per-batch working memory from `scratch`.
-    /// Must produce exactly the responses of
-    /// [`SecurityService::assess_keyed_batch`]; the default delegates
-    /// per item and ignores the scratch.
+    /// The default answers each item with [`SecurityService::assess`]
+    /// and ignores keys and scratch — correct exactly because `assess`
+    /// is pure.
     fn assess_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
@@ -111,8 +74,32 @@ pub trait SecurityService {
         out.extend(
             items
                 .iter()
-                .map(|&(full, fixed, key)| self.assess_keyed(full, fixed, key)),
+                .map(|&(full, fixed, _)| self.assess(full, fixed)),
         );
+    }
+
+    /// [`SecurityService::assess_keyed_batch_into`] with fresh scratch,
+    /// returning the responses. Not meant to be overridden.
+    fn assess_keyed_batch(
+        &self,
+        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
+    ) -> Vec<ServiceResponse> {
+        let mut out = Vec::with_capacity(items.len());
+        self.assess_keyed_batch_into(items, &mut AssessScratch::default(), &mut out);
+        out
+    }
+
+    /// Assesses one keyed completion: a batch of one. Not meant to be
+    /// overridden.
+    fn assess_keyed(
+        &self,
+        full: &Fingerprint,
+        fixed: &FixedFingerprint,
+        key: AssessKey,
+    ) -> ServiceResponse {
+        self.assess_keyed_batch(&[(full, fixed, key)])
+            .pop()
+            .expect("one item in, one response out")
     }
 }
 
@@ -121,26 +108,6 @@ pub trait SecurityService {
 impl<S: SecurityService + ?Sized> SecurityService for &S {
     fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse {
         (**self).assess(full, fixed)
-    }
-
-    fn assess_batch(&self, items: &[(&Fingerprint, &FixedFingerprint)]) -> Vec<ServiceResponse> {
-        (**self).assess_batch(items)
-    }
-
-    fn assess_keyed(
-        &self,
-        full: &Fingerprint,
-        fixed: &FixedFingerprint,
-        key: AssessKey,
-    ) -> ServiceResponse {
-        (**self).assess_keyed(full, fixed, key)
-    }
-
-    fn assess_keyed_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
-    ) -> Vec<ServiceResponse> {
-        (**self).assess_keyed_batch(items)
     }
 
     fn assess_keyed_batch_into(
@@ -175,9 +142,8 @@ impl IoTSecurityService {
         Self::train_with_vulndb(dataset, config, StaticVulnDb::with_known_iot_advisories())
     }
 
-    /// Wraps an already-trained identifier (e.g. restored with
-    /// [`crate::Identifier::from_json_reader`]) with the built-in
-    /// advisory database.
+    /// Wraps an already-trained identifier (e.g. reassembled from a
+    /// [`crate::TrainedModel`]) with the built-in advisory database.
     pub fn from_identifier(identifier: crate::Identifier) -> Self {
         Self::from_parts(identifier, StaticVulnDb::with_known_iot_advisories())
     }
@@ -262,53 +228,18 @@ impl IoTSecurityService {
 }
 
 impl SecurityService for IoTSecurityService {
+    /// The keyed path under [`AssessKey::DIRECT`]: a direct query has no
+    /// stream position, so every one draws from the same fixed key and
+    /// the response depends on nothing but the model and the
+    /// fingerprints.
     fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse {
-        self.respond(self.identifier.identify(full, fixed))
+        self.assess_keyed(full, fixed, AssessKey::DIRECT)
     }
 
-    /// Batched assessment: stage-1 classification runs forest-major over
-    /// the whole batch ([`Identifier::identify_batch`]); discrimination
-    /// and the vulnerability lookups stay in item order, so the
-    /// responses are bit-identical to per-item [`Self::assess`] calls.
-    fn assess_batch(&self, items: &[(&Fingerprint, &FixedFingerprint)]) -> Vec<ServiceResponse> {
-        self.identifier
-            .identify_batch(items)
-            .into_iter()
-            .map(|identification| self.respond(identification))
-            .collect()
-    }
-
-    /// Keyed assessment under the v2 pinned RNG contract
-    /// ([`Identifier::identify_keyed`]): the shared v1 discrimination
-    /// RNG is bypassed entirely, so concurrent callers neither contend
-    /// on it nor perturb each other's draws.
-    fn assess_keyed(
-        &self,
-        full: &Fingerprint,
-        fixed: &FixedFingerprint,
-        key: AssessKey,
-    ) -> ServiceResponse {
-        self.respond(self.identifier.identify_keyed(full, fixed, key))
-    }
-
-    /// Keyed batched assessment: stage-1 runs forest-major over the
-    /// whole batch, stage-2 draws from each item's own keyed generator —
-    /// bit-identical to per-item [`Self::assess_keyed`] calls at any
-    /// batch split.
-    fn assess_keyed_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
-    ) -> Vec<ServiceResponse> {
-        let mut scratch = AssessScratch::default();
-        let mut out = Vec::with_capacity(items.len());
-        self.assess_keyed_batch_into(items, &mut scratch, &mut out);
-        out
-    }
-
-    /// The scratch-backed keyed batch: stage 1 goes through the
-    /// row-blocked kernel over the scratch's batch matrix,
-    /// stage 2 through its wavefront band buffers — zero per-tick
-    /// allocations once the scratch is warm, bit-identical responses.
+    /// Stage 1 runs forest-major over the scratch's batch matrix, stage
+    /// 2 draws from each item's own keyed generator, then the
+    /// vulnerability lookup per item — zero per-tick stage-1 allocations
+    /// once the scratch is warm.
     fn assess_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
@@ -392,25 +323,6 @@ mod tests {
         let response = service.assess(&full, &fixed);
         assert_eq!(response.identification.outcome, Outcome::Unknown);
         assert_eq!(response.isolation, IsolationLevel::Strict);
-    }
-
-    #[test]
-    fn assess_batch_is_bit_identical_to_sequential_assess() {
-        // Two identically-trained services (fresh discrimination RNGs):
-        // responses from one batched call must equal per-item calls in
-        // order, including isolation decisions and whitelists.
-        let sequential = fast_service(3);
-        let batched = fast_service(3);
-        let probes: Vec<(Fingerprint, FixedFingerprint)> = (0..3)
-            .flat_map(|device| (0..3).map(move |run| fingerprints_of(device, run)))
-            .collect();
-        let items: Vec<(&Fingerprint, &FixedFingerprint)> =
-            probes.iter().map(|(full, fixed)| (full, fixed)).collect();
-        let one_by_one: Vec<ServiceResponse> = items
-            .iter()
-            .map(|&(full, fixed)| sequential.assess(full, fixed))
-            .collect();
-        assert_eq!(one_by_one, batched.assess_batch(&items));
     }
 
     #[test]

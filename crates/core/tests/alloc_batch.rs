@@ -3,8 +3,8 @@
 //! batch matrix, the per-forest verdict buffer and the
 //! per-item candidate pool — every subsequent
 //! [`Identifier::classify_batch_in`] tick over a same-shaped batch must
-//! perform **zero** heap allocations. This pins the satellite contract
-//! behind the row-blocked kernel: the streaming runtime's shards hold
+//! perform **zero** heap allocations. This pins the contract behind
+//! the caller-owned scratch: the streaming runtime's shards hold
 //! one scratch each and classify tick after tick without touching the
 //! allocator.
 //!
@@ -72,7 +72,7 @@ fn steady_state_batched_classification_does_not_allocate() {
     assert_eq!(baseline.len(), fixed.len());
 
     // Steady state: refilling the matrix and re-walking every packed
-    // arena through the row-blocked kernel must not touch the heap.
+    // arena over it must not touch the heap.
     let before = allocations();
     for _ in 0..8 {
         let candidates = identifier.classify_batch_in(&fixed, &mut scratch);

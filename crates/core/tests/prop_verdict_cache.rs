@@ -8,7 +8,9 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use sentinel_core::{BankConfig, FingerprintDataset, Identifier, IdentifierConfig};
+use sentinel_core::{
+    BankConfig, ClassifyScratch, FingerprintDataset, Identifier, IdentifierConfig,
+};
 use sentinel_devicesim::catalog;
 use sentinel_fingerprint::{FeatureVector, Fingerprint, FixedFingerprint};
 use sentinel_ml::ForestConfig;
@@ -65,10 +67,7 @@ fn fingerprint(spec: &[(u8, u32)]) -> Fingerprint {
 }
 
 fn specs() -> impl Strategy<Value = Vec<Vec<(u8, u32)>>> {
-    proptest::collection::vec(
-        proptest::collection::vec((0u8..3, 1u32..20), 1..6),
-        1..10,
-    )
+    proptest::collection::vec(proptest::collection::vec((0u8..3, 1u32..20), 1..6), 1..10)
 }
 
 proptest! {
@@ -101,15 +100,16 @@ proptest! {
             .collect();
         let refs: Vec<&FixedFingerprint> = fixed.iter().collect();
 
-        let fresh = plain.classify_batch(&refs);
+        let mut scratch = ClassifyScratch::default();
+        let fresh = plain.classify_batch_in(&refs, &mut scratch).to_vec();
         let (hits_before, _) = cached.verdict_cache_stats();
-        let first = cached.classify_batch(&refs);
+        let first = cached.classify_batch_in(&refs, &mut scratch).to_vec();
         prop_assert_eq!(&first, &fresh, "cached pass 1 diverged from fresh classify");
 
         // Pass 2 over the same rows: every row must be a cache hit and
         // the verdicts must not drift.
         let (hits_mid, lookups_mid) = cached.verdict_cache_stats();
-        let second = cached.classify_batch(&refs);
+        let second = cached.classify_batch_in(&refs, &mut scratch).to_vec();
         let (hits_after, lookups_after) = cached.verdict_cache_stats();
         prop_assert_eq!(&second, &fresh, "cache replay drifted");
         prop_assert_eq!(lookups_after - lookups_mid, refs.len() as u64);

@@ -135,147 +135,6 @@ pub fn osa_distance_bounded<T: PartialEq>(a: &[T], b: &[T], bound: usize) -> Opt
     (distance <= bound).then_some(distance)
 }
 
-/// Reusable buffers for [`osa_distance_wavefront_with`]: the five
-/// rotating diagonal slices of the anti-diagonal DP.
-///
-/// A caller scoring one probe against many references holds one scratch
-/// and amortizes the buffer allocations across the whole candidate set;
-/// the scratch carries no data between calls, so reuse cannot change
-/// any result.
-#[derive(Debug, Default, Clone)]
-pub struct WavefrontScratch {
-    ring: [Vec<u32>; 5],
-}
-
-/// Banded OSA distance computed wavefront-style (by anti-diagonals).
-///
-/// Exactly the contract of [`osa_distance_bounded`] — `Some(d)` iff the
-/// OSA distance is `d <= bound`, `None` otherwise — but the DP is
-/// evaluated one anti-diagonal `d = i + j` at a time. Cells of one
-/// diagonal have **no dependency on each other** (deletion/insertion
-/// read diagonal `d-1`, substitution `d-2`, transposition `d-4`), so
-/// each band diagonal is a contiguous slice update over independent
-/// `u32` cells instead of a serial row scan. The band bounds
-/// (`|i - j| <= bound`), the unreachable-region early exit and the
-/// returned distances are identical to the scalar code, so scores and
-/// tie-break order downstream cannot change.
-///
-/// ```
-/// use sentinel_fingerprint::editdist::osa_distance_wavefront;
-///
-/// assert_eq!(osa_distance_wavefront(b"kitten", b"sitting", 3), Some(3));
-/// assert_eq!(osa_distance_wavefront(b"kitten", b"sitting", 2), None);
-/// assert_eq!(osa_distance_wavefront(b"ca", b"ac", 1), Some(1));
-/// assert_eq!(osa_distance_wavefront::<u8>(&[], &[], 0), Some(0));
-/// ```
-pub fn osa_distance_wavefront<T: PartialEq>(a: &[T], b: &[T], bound: usize) -> Option<usize> {
-    osa_distance_wavefront_with(a, b, bound, &mut WavefrontScratch::default())
-}
-
-/// [`osa_distance_wavefront`] with caller-owned scratch buffers.
-pub fn osa_distance_wavefront_with<T: PartialEq>(
-    a: &[T],
-    b: &[T],
-    bound: usize,
-    scratch: &mut WavefrontScratch,
-) -> Option<usize> {
-    let (n, m) = (a.len(), b.len());
-    if n.abs_diff(m) > bound {
-        return None;
-    }
-    if n == 0 {
-        return Some(m); // m <= bound by the length check above
-    }
-    if m == 0 {
-        return Some(n);
-    }
-    // Index the diagonal buffers by the shorter side (OSA is symmetric).
-    if n > m {
-        return osa_distance_wavefront_with(b, a, bound, scratch);
-    }
-    // The DP value at (n, m) is at most max(n, m) (substitute the
-    // overlap, insert the excess), so a wider band cannot change the
-    // result; clamping also keeps the cells inside `u32`.
-    let band = bound.min(m);
-    if band >= u32::MAX as usize - 1 {
-        // Degenerate astronomically-long input: fall back to the
-        // scalar band rather than overflow the u32 cells.
-        return osa_distance_bounded(a, b, bound);
-    }
-    let inf = band as u32 + 1;
-    for buffer in &mut scratch.ring {
-        buffer.clear();
-        buffer.resize(n + 1, inf);
-    }
-    // Each ring slot holds one diagonal, indexed by row `i`; `written`
-    // tracks which cells a slot's previous diagonal touched so recycling
-    // resets exactly those back to `inf`.
-    let mut written: [(usize, usize); 5] = [(1, 0); 5];
-    scratch.ring[0][0] = 0; // D(0, 0)
-    written[0] = (0, 0);
-    let total = n + m;
-    // How many consecutive diagonals have been entirely unreachable.
-    // The farthest dependency reaches back four diagonals
-    // (transposition), so four all-`inf` diagonals in a row are a wall
-    // no alignment path can cross.
-    let mut dry = 0usize;
-    for d in 1..=total {
-        // Band cells on this diagonal: |2i - d| <= band, intersected
-        // with the matrix (0 <= i <= n, 0 <= d - i <= m).
-        let lo_band = if d > band { (d - band).div_ceil(2) } else { 0 };
-        let lo = lo_band.max(d.saturating_sub(m));
-        let hi = ((d + band) / 2).min(n).min(d);
-        let slot = d % 5;
-        let mut cur = std::mem::take(&mut scratch.ring[slot]);
-        let (stale_lo, stale_hi) = written[slot];
-        if stale_lo <= stale_hi {
-            for cell in &mut cur[stale_lo..=stale_hi] {
-                *cell = inf;
-            }
-        }
-        let prev1 = &scratch.ring[(d + 4) % 5]; // diagonal d-1
-        let prev2 = &scratch.ring[(d + 3) % 5]; // diagonal d-2
-        let prev4 = &scratch.ring[(d + 1) % 5]; // diagonal d-4
-        let mut diag_min = inf;
-        if lo == 0 {
-            // Column j = d: delete nothing, insert all of b[..d].
-            cur[0] = d as u32;
-            diag_min = d as u32;
-        }
-        if hi == d {
-            // Row i = d: delete all of a[..d].
-            cur[d] = d as u32;
-            diag_min = diag_min.min(d as u32);
-        }
-        for i in lo.max(1)..=hi.min(d - 1) {
-            let j = d - i;
-            let (ai, bj) = (&a[i - 1], &b[j - 1]);
-            let cost = u32::from(ai != bj);
-            let mut best = (prev1[i - 1] + 1) // deletion
-                .min(prev1[i] + 1) // insertion
-                .min(prev2[i - 1] + cost); // substitution
-            if i > 1 && j > 1 && *ai == b[j - 2] && a[i - 2] == *bj {
-                best = best.min(prev4[i - 2] + 1); // transposition
-            }
-            let best = best.min(inf);
-            cur[i] = best;
-            diag_min = diag_min.min(best);
-        }
-        scratch.ring[slot] = cur;
-        written[slot] = (lo, hi);
-        if diag_min >= inf {
-            dry += 1;
-            if dry >= 4 {
-                return None;
-            }
-        } else {
-            dry = 0;
-        }
-    }
-    let distance = scratch.ring[total % 5][n];
-    (distance <= band as u32).then_some(distance as usize)
-}
-
 /// Plain Levenshtein distance (no transposition).
 ///
 /// Unlike the OSA distance, this is a true metric (satisfies the triangle
@@ -397,76 +256,6 @@ mod tests {
         // insert 'n', then transpose the disjoint "ca" -> "ac".
         assert_eq!(osa_distance(b"a cat", b"an act"), 2);
         assert_eq!(levenshtein_distance(b"flaw", b"lawn"), 2);
-    }
-
-    #[test]
-    fn wavefront_matches_bounded_on_known_vectors() {
-        let cases: [(&[u8], &[u8]); 7] = [
-            (b"kitten", b"sitting"),
-            (b"ca", b"abc"),
-            (b"a cat", b"an act"),
-            (b"abcdef", b"abcdef"),
-            (b"", b"xyz"),
-            (b"ca", b"ac"),
-            (b"flaw", b"lawn"),
-        ];
-        for (a, b) in cases {
-            for bound in 0..=8 {
-                assert_eq!(
-                    osa_distance_wavefront(a, b, bound),
-                    osa_distance_bounded(a, b, bound),
-                    "{:?} vs {:?} at bound {bound}",
-                    a,
-                    b
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wavefront_matches_bounded_on_generated_sequences() {
-        // A deterministic sweep over symbol sequences with repeats (so
-        // transpositions and matches fire), all lengths 0..=12, and
-        // bounds spanning never/exactly/always reachable.
-        let seq = |seed: usize, len: usize| -> Vec<u32> {
-            (0..len)
-                .map(|i| ((seed * 7 + i * i + i / 3) % 5) as u32)
-                .collect()
-        };
-        let mut scratch = WavefrontScratch::default();
-        for sa in 0..6 {
-            for sb in 0..6 {
-                for la in 0..=12 {
-                    for lb in 0..=12 {
-                        let a = seq(sa, la);
-                        let b = seq(sb + 11, lb);
-                        for bound in [0, 1, 2, 3, 5, 8, 13, 24] {
-                            assert_eq!(
-                                osa_distance_wavefront_with(&a, &b, bound, &mut scratch),
-                                osa_distance_bounded(&a, &b, bound),
-                                "seeds ({sa},{sb}) lens ({la},{lb}) bound {bound}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wavefront_scratch_reuse_is_stateless() {
-        let mut scratch = WavefrontScratch::default();
-        // A long call first, then short ones: leftovers must not leak.
-        let long_a: Vec<u32> = (0..40).map(|i| i % 7).collect();
-        let long_b: Vec<u32> = (0..37).map(|i| (i * 3) % 7).collect();
-        let first = osa_distance_wavefront_with(&long_a, &long_b, 30, &mut scratch);
-        assert_eq!(first, osa_distance_bounded(&long_a, &long_b, 30));
-        for bound in 0..4 {
-            assert_eq!(
-                osa_distance_wavefront_with(b"ca", b"ac", bound, &mut scratch),
-                osa_distance_bounded(b"ca", b"ac", bound)
-            );
-        }
     }
 
     #[test]

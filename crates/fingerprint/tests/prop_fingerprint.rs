@@ -3,10 +3,7 @@
 
 use proptest::prelude::*;
 
-use sentinel_fingerprint::editdist::{
-    levenshtein_distance, osa_distance, osa_distance_bounded, osa_distance_wavefront_with,
-    WavefrontScratch,
-};
+use sentinel_fingerprint::editdist::{levenshtein_distance, osa_distance, osa_distance_bounded};
 use sentinel_fingerprint::{
     extract, FeatureVector, Fingerprint, FixedFingerprint, PortClass, SymbolTable, FEATURE_COUNT,
 };
@@ -74,24 +71,6 @@ proptest! {
                 exact
             ),
         }
-    }
-
-    #[test]
-    fn wavefront_agrees_with_scalar_band(a in symbols(), b in symbols(), bound in 0usize..30) {
-        // The anti-diagonal formulation must be indistinguishable from
-        // the scalar row-major band: same Some/None verdict, same
-        // distance — which pins every downstream score and tie-break.
-        let mut scratch = WavefrontScratch::default();
-        prop_assert_eq!(
-            osa_distance_wavefront_with(&a, &b, bound, &mut scratch),
-            osa_distance_bounded(&a, &b, bound)
-        );
-        // Scratch reuse across a second (differently-sized) call must
-        // not leak state.
-        prop_assert_eq!(
-            osa_distance_wavefront_with(&b, &a, bound, &mut scratch),
-            osa_distance_bounded(&b, &a, bound)
-        );
     }
 
     #[test]

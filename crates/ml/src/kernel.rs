@@ -1,60 +1,22 @@
-//! Row-blocked, data-parallel inference kernels over [`PackedForest`]
-//! arenas.
+//! The contiguous batch scratch the packed-forest batch entries read.
 //!
-//! The per-row batch entry ([`PackedForest::accepts_batch`]) already
-//! fixes the *inter-forest* access pattern — one arena is walked by
-//! every row back-to-back — but each row still chases pointers through
-//! the tree alone, and every caller rebuilds a `Vec<&[f64]>` of row
-//! pointers per tick. The kernels in this module fix the *intra-forest*
-//! pattern:
+//! [`BatchMatrix`] copies a batch once into one reusable **row-major**
+//! buffer (`values[row * features + feature]`): no per-tick row-pointer
+//! vectors, and the backing allocation is retained across refills.
+//! [`PackedForest::accepts_rows`] then runs the five-tree lockstep walk
+//! over each contiguous row while one forest's arena stays cached
+//! across the whole batch. (Row-major is the measured layout: tree
+//! paths diverge after the first split, so a feature-major transpose
+//! scatters reads just as much and costs a strided copy on top.)
 //!
-//! * [`BatchMatrix`] copies a batch once into one reusable contiguous
-//!   **row-major** scratch (`values[row * features + feature]`) —
-//!   no per-tick row-pointer vectors, no per-row slice indirection,
-//!   and the backing allocation is retained across refills. (A
-//!   feature-major transpose was measured too: tree paths diverge
-//!   after the first split, so column reads scatter just like row
-//!   reads, and the strided transpose itself cost more than a row
-//!   copy — row-major won on the 276-feature fingerprint corpus.)
-//! * The block walk advances `R` rows through one tree in lockstep over
-//!   `u32` lane/cursor vectors with branchless child selection
-//!   (`kids[usize::from(value > threshold)]`), so the independent node
-//!   loads overlap and the lane loop is autovectorization-friendly over
-//!   both the `Wide` and `Narrow` arenas. Lanes that reach a leaf vote
-//!   immediately and are compacted out, so a block walks at each lane's
-//!   own depth, not the deepest lane's.
-//! * Votes accumulate in per-row packed `u32` counters, and the
-//!   mathematically-decided early exit of the scalar path is kept
-//!   **per lane**: after every tree, rows whose verdict is already
-//!   mathematically decided (vote count at the majority threshold, or
-//!   unable to reach it even by winning every remaining tree) are
-//!   compacted out of the active set. Each row therefore walks *exactly*
-//!   the trees the scalar [`PackedForest::accepts`] would walk, its
-//!   counter freezes at the same value, and the final verdicts are
-//!   bit-identical.
-//!
-//! [`PackedForest`]: crate::PackedForest
-//! [`PackedForest::accepts`]: crate::PackedForest::accepts
-//! [`PackedForest::accepts_batch`]: crate::PackedForest::accepts_batch
-
-use crate::packed::ArenaNode;
-
-/// Recommended rows per block for the `_blocked` entry points
-/// ([`PackedForest::accepts_rows_blocked`]): wide enough that per-lane
-/// compaction bookkeeping amortizes across many in-flight walks
-/// (32 lanes measured fastest in the `forest_kernels` sweep), while
-/// the lane/cursor vectors still fit comfortably in L1.
-///
-/// [`PackedForest::accepts_rows_blocked`]: crate::PackedForest::accepts_rows_blocked
-pub const BLOCK: usize = 32;
+//! [`PackedForest::accepts_rows`]: crate::PackedForest::accepts_rows
 
 /// A reusable contiguous copy of one batch of rows.
 ///
-/// `fill` copies a batch in once per tick; the kernels then read
-/// `value(feature, row)` without per-row slice indirection. The
-/// backing allocation is retained across refills, so a steady-state
-/// caller that holds a `BatchMatrix` performs no per-tick heap
-/// allocations.
+/// `fill` copies a batch in once per tick; the forest walks then read
+/// each [`BatchMatrix::row`] as one contiguous slice. The backing
+/// allocation is retained across refills, so a steady-state caller
+/// that holds a `BatchMatrix` performs no per-tick heap allocations.
 #[derive(Debug, Default, Clone)]
 pub struct BatchMatrix {
     /// Row-major values: `values[row * features + feature]`.
@@ -126,13 +88,6 @@ impl BatchMatrix {
         self.rows == 0
     }
 
-    /// The value of `feature` for `row`.
-    #[inline]
-    pub fn value(&self, feature: usize, row: usize) -> f64 {
-        debug_assert!(row < self.rows, "row {row} out of {}", self.rows);
-        self.values[row * self.features + feature]
-    }
-
     /// The full feature row at `row`.
     #[inline]
     pub fn row(&self, row: usize) -> &[f64] {
@@ -170,168 +125,18 @@ impl BatchMatrix {
     }
 }
 
-/// Walks the `active` lanes (matrix-row offsets from `base`) through
-/// the tree rooted at `root` in lockstep, calling `vote(lane, class)`
-/// the moment a lane reaches its leaf. Leaf-bound lanes are compacted
-/// out each level, so the walk narrows to the lanes still descending
-/// instead of re-checking finished ones until the deepest lane lands.
-#[inline]
-fn walk_block<N: ArenaNode, const R: usize>(
-    nodes: &[N],
-    root: u32,
-    matrix: &BatchMatrix,
-    base: usize,
-    active: &[u32],
-    mut vote: impl FnMut(usize, u32),
-) {
-    let mut lanes = [0u32; R];
-    lanes[..active.len()].copy_from_slice(active);
-    let mut cursors = [root; R];
-    let mut walking = active.len();
-    while walking > 0 {
-        let mut keep = 0usize;
-        for slot in 0..walking {
-            let lane = lanes[slot];
-            let me = cursors[slot];
-            let node = &nodes[me as usize];
-            let (next, advanced) = node.step(me, |feature| {
-                matrix.value(feature as usize, base + lane as usize)
-            });
-            if advanced {
-                lanes[keep] = lane;
-                cursors[keep] = next;
-                keep += 1;
-            } else {
-                vote(lane as usize, node.class());
-            }
-        }
-        walking = keep;
-    }
-}
-
-/// Blocked binary acceptance: appends one verdict per matrix row to
-/// `out`, bit-identical to the scalar `accepts_in` per row.
-pub(crate) fn accepts_rows_in<N: ArenaNode, const R: usize>(
-    nodes: &[N],
-    roots: &[u32],
-    matrix: &BatchMatrix,
-    out: &mut Vec<bool>,
-) {
-    let n = roots.len();
-    // Ties go to class 0, so class 1 needs a strict majority.
-    let needed = (n / 2 + 1) as u32;
-    let rows = matrix.rows();
-    let mut base = 0usize;
-    while base < rows {
-        let live = R.min(rows - base);
-        let mut ones = [0u32; R];
-        let mut active = [0u32; R];
-        for (lane, slot) in active.iter_mut().enumerate().take(live) {
-            *slot = lane as u32;
-        }
-        let mut undecided = live;
-        for (walked, &root) in roots.iter().enumerate() {
-            {
-                let ones = &mut ones;
-                walk_block::<N, R>(
-                    nodes,
-                    root,
-                    matrix,
-                    base,
-                    &active[..undecided],
-                    |lane, class| {
-                        ones[lane] += u32::from(class == 1);
-                    },
-                );
-            }
-            // Per-lane mathematically-decided early exit — the scalar
-            // rule, applied by compacting decided lanes out of the
-            // active set: a lane at the majority threshold stays there,
-            // and a lane that cannot reach it even by winning every
-            // remaining tree never will. Each lane therefore walks
-            // exactly the trees the scalar path walks, and its counter
-            // freezes at the scalar value.
-            let remaining = (n - walked - 1) as u32;
-            let mut keep = 0usize;
-            for slot in 0..undecided {
-                let lane = active[slot];
-                let o = ones[lane as usize];
-                if o < needed && o + remaining >= needed {
-                    active[keep] = lane;
-                    keep += 1;
-                }
-            }
-            undecided = keep;
-            if undecided == 0 {
-                break;
-            }
-        }
-        out.extend(ones.iter().take(live).map(|&o| o >= needed));
-        base += live;
-    }
-}
-
-/// Blocked majority vote: appends one class per matrix row to `out`,
-/// bit-identical to the scalar `predict_in` per row (argmax with ties
-/// to the lowest class; no early exit, matching the scalar path).
-pub(crate) fn predict_rows_in<N: ArenaNode, const R: usize>(
-    nodes: &[N],
-    roots: &[u32],
-    n_classes: usize,
-    matrix: &BatchMatrix,
-    out: &mut Vec<usize>,
-) {
-    let rows = matrix.rows();
-    // `n_classes` is not a compile-time constant, so the per-row vote
-    // counters live in one reusable table instead of on the stack.
-    let mut votes = vec![0u32; n_classes.max(1) * R];
-    let mut base = 0usize;
-    let mut active = [0u32; R];
-    for (lane, slot) in active.iter_mut().enumerate() {
-        *slot = lane as u32;
-    }
-    while base < rows {
-        let live = R.min(rows - base);
-        votes.iter_mut().for_each(|v| *v = 0);
-        for &root in roots {
-            let votes = &mut votes;
-            walk_block::<N, R>(nodes, root, matrix, base, &active[..live], |lane, class| {
-                votes[lane * n_classes + class as usize] += 1;
-            });
-        }
-        for lane in 0..live {
-            out.push(argmax_u32(&votes[lane * n_classes..(lane + 1) * n_classes]));
-        }
-        base += live;
-    }
-}
-
-/// `argmax` with ties to the lowest index — the same contract as the
-/// scalar vote counter, over the kernels' packed `u32` counters.
-fn argmax_u32(votes: &[u32]) -> usize {
-    let mut best = 0usize;
-    for (class, &count) in votes.iter().enumerate().skip(1) {
-        if count > votes[best] {
-            best = class;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn matrix_transposes_feature_major() {
+    fn matrix_keeps_rows_in_order() {
         let rows: [&[f64]; 3] = [&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]];
         let matrix = BatchMatrix::from_rows(rows);
         assert_eq!(matrix.rows(), 3);
         assert_eq!(matrix.features(), 2);
         for (r, row) in rows.iter().enumerate() {
-            for (f, &cell) in row.iter().enumerate() {
-                assert_eq!(matrix.value(f, r), cell);
-            }
+            assert_eq!(matrix.row(r), *row);
         }
     }
 
@@ -344,7 +149,7 @@ mod tests {
         let narrow: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64; 8]).collect();
         matrix.fill(narrow.iter().map(Vec::as_slice));
         assert_eq!(matrix.rows(), 4);
-        assert_eq!(matrix.value(0, 3), 3.0);
+        assert_eq!(matrix.row(3)[0], 3.0);
     }
 
     #[test]
@@ -359,12 +164,5 @@ mod tests {
     fn ragged_rows_panic() {
         let rows: [&[f64]; 2] = [&[1.0, 2.0], &[3.0]];
         let _ = BatchMatrix::from_rows(rows);
-    }
-
-    #[test]
-    fn argmax_ties_to_lowest() {
-        assert_eq!(argmax_u32(&[3, 3, 1]), 0);
-        assert_eq!(argmax_u32(&[1, 5, 5]), 1);
-        assert_eq!(argmax_u32(&[0]), 0);
     }
 }

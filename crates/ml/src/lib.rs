@@ -15,8 +15,8 @@
 //! * [`metrics`] — accuracy, confusion matrices, precision/recall.
 //! * [`packed`] — a contiguous, lockstep-walked prediction arena over a
 //!   fitted forest (identical results, hot-path speed).
-//! * [`kernel`] — row-blocked data-parallel batch kernels over the
-//!   packed arenas, fed by a reusable contiguous [`BatchMatrix`].
+//! * [`kernel`] — the reusable contiguous [`BatchMatrix`] the packed
+//!   arenas' batch entries read.
 //! * [`parallel`] — deterministic fork/join helpers (ordered merges,
 //!   `SENTINEL_THREADS` thread-count resolution).
 //! * [`sampling`] — bootstrap and without-replacement sampling.
@@ -47,9 +47,9 @@
 
 pub mod binning;
 pub mod crossval;
-pub mod hash;
 mod data;
 mod forest;
+pub mod hash;
 pub mod kernel;
 pub mod metrics;
 pub mod packed;

@@ -20,7 +20,7 @@
 //! are identical.
 
 use crate::forest::RandomForest;
-use crate::kernel::{self, BatchMatrix};
+use crate::kernel::BatchMatrix;
 use crate::tree::{argmax, LEAF};
 
 /// One wide arena node: a split (`feature != u32::MAX`) routes on
@@ -65,18 +65,12 @@ struct NarrowNode {
     kids: [u32; 2],
 }
 
-/// A node the lockstep walks (per-row and row-blocked) can traverse.
-pub(crate) trait ArenaNode: Copy {
+/// A node the tree-lockstep walk can traverse.
+trait ArenaNode: Copy {
     /// The next arena index for `row`, or `None` at a leaf.
     fn advance(&self, row: &[f64]) -> Option<u32>;
     /// The majority class (meaningful at leaves).
     fn class(&self) -> u32;
-    /// One kernel step: fetches this node's split value through `fetch`
-    /// and returns `(next_cursor, advanced)`. Leaves return themselves
-    /// (`me`, `false`), so a finished lane idles in place while the rest
-    /// of its block keeps walking. Child selection is branchless —
-    /// `kids[usize::from(value > threshold)]`.
-    fn step(&self, me: u32, fetch: impl FnOnce(u32) -> f64) -> (u32, bool);
 }
 
 impl ArenaNode for PackedNode {
@@ -92,15 +86,6 @@ impl ArenaNode for PackedNode {
     fn class(&self) -> u32 {
         self.kids[1]
     }
-
-    #[inline]
-    fn step(&self, me: u32, fetch: impl FnOnce(u32) -> f64) -> (u32, bool) {
-        if self.feature == LEAF {
-            return (me, false);
-        }
-        let value = fetch(self.feature);
-        (self.kids[usize::from(value > self.threshold)], true)
-    }
 }
 
 impl ArenaNode for NarrowNode {
@@ -115,18 +100,6 @@ impl ArenaNode for NarrowNode {
     #[inline]
     fn class(&self) -> u32 {
         self.kids[1]
-    }
-
-    #[inline]
-    fn step(&self, me: u32, fetch: impl FnOnce(u32) -> f64) -> (u32, bool) {
-        if self.feature == LEAF16 {
-            return (me, false);
-        }
-        let value = fetch(u32::from(self.feature));
-        (
-            self.kids[usize::from(value > f64::from(self.threshold))],
-            true,
-        )
     }
 }
 
@@ -271,51 +244,18 @@ impl PackedForest {
         }
     }
 
-    /// Binary acceptance over a whole batch of rows, **appended** to
-    /// `out`.
-    ///
-    /// Each verdict is exactly [`PackedForest::accepts`] on that row;
-    /// the point of the batch entry is the memory-access pattern: one
-    /// forest's arena is walked by every row back-to-back, so when the
-    /// caller loops *forests outermost and fingerprints innermost* (the
-    /// identification bank's batched stage 1), the arena the rows share
-    /// stays cache-resident across the batch instead of being evicted by
-    /// the other 26 forests between every pair of visits.
-    ///
-    /// Like every batch entry point, this appends into the caller-owned
-    /// buffer without clearing or shrinking it: the caller clears `out`
-    /// between ticks, so steady-state batching reuses one allocation
-    /// instead of handing a fresh vector to every call.
-    pub fn accepts_batch(&self, rows: &[&[f64]], out: &mut Vec<bool>) {
-        if self.n_classes != 2 {
-            out.extend(rows.iter().map(|row| self.predict(row) == 1));
-            return;
-        }
-        // One arena dispatch per batch, not per row.
-        match &self.arena {
-            Arena::Wide(nodes) => {
-                out.extend(rows.iter().map(|row| accepts_in(nodes, &self.roots, row)));
-            }
-            Arena::Narrow(nodes) => {
-                out.extend(rows.iter().map(|row| accepts_in(nodes, &self.roots, row)));
-            }
-        }
-    }
-
     /// Binary acceptance over a [`BatchMatrix`] batch, **appended** to
     /// `out` — one verdict per matrix row, bit-identical to
     /// [`PackedForest::accepts`] on that row. Appends without clearing,
     /// like every batch entry point; the caller owns (and clears) `out`.
     ///
     /// Each contiguous matrix row runs through the tree-lockstep walk
-    /// (five trees in flight per row, the probe row L1-resident, the
-    /// arena cached across rows) — measured faster on the 276-feature
-    /// fingerprint corpus than the row-blocked kernel
-    /// ([`PackedForest::accepts_rows_blocked`]), which walks rows in
-    /// lockstep through one tree at a time and pays per-tree compaction
-    /// for its finer-grained early exit. The blocked kernel stays as
-    /// the shape for tiny arenas or batches that outgrow cache; both
-    /// are pinned bit-identical to the scalar path.
+    /// (five trees in flight per row, the probe row L1-resident). The
+    /// point of the batch entry is the memory-access pattern: one
+    /// forest's arena is walked by every row back-to-back, so a caller
+    /// that loops *forests outermost, rows innermost* keeps the arena
+    /// cache-resident across the batch instead of cycling every forest
+    /// per row.
     pub fn accepts_rows(&self, matrix: &BatchMatrix, out: &mut Vec<bool>) {
         if self.n_classes != 2 {
             out.extend((0..matrix.rows()).map(|r| self.predict(matrix.row(r)) == 1));
@@ -336,32 +276,6 @@ impl PackedForest {
         }
     }
 
-    /// The row-blocked lockstep kernel (see [`crate::kernel`]) with an
-    /// explicit rows-per-block `R`: blocks of rows walk each tree in
-    /// lockstep with branchless child selection, votes live in per-row
-    /// packed counters, and the mathematically-decided early exit
-    /// compacts decided lanes out per tree. Bit-identical to
-    /// [`PackedForest::accepts_rows`]; a bench/test hook for sweeping
-    /// block sizes.
-    #[doc(hidden)]
-    pub fn accepts_rows_blocked<const R: usize>(&self, matrix: &BatchMatrix, out: &mut Vec<bool>) {
-        if self.n_classes != 2 {
-            // Multiclass fallback mirrors `accepts`: verdict is
-            // `predict == 1`. Not allocation-free; the bank's one-vs-rest
-            // forests are always binary.
-            let mut classes = Vec::with_capacity(matrix.rows());
-            self.predict_rows_blocked::<R>(matrix, &mut classes);
-            out.extend(classes.into_iter().map(|class| class == 1));
-            return;
-        }
-        match &self.arena {
-            Arena::Wide(nodes) => kernel::accepts_rows_in::<_, R>(nodes, &self.roots, matrix, out),
-            Arena::Narrow(nodes) => {
-                kernel::accepts_rows_in::<_, R>(nodes, &self.roots, matrix, out)
-            }
-        }
-    }
-
     /// Majority-vote class over a [`BatchMatrix`] batch, **appended**
     /// to `out` — one class per matrix row, bit-identical to
     /// [`PackedForest::predict`] on that row (argmax with ties to the
@@ -370,21 +284,6 @@ impl PackedForest {
     /// [`PackedForest::accepts_rows`].
     pub fn predict_rows(&self, matrix: &BatchMatrix, out: &mut Vec<usize>) {
         out.extend((0..matrix.rows()).map(|r| self.predict(matrix.row(r))));
-    }
-
-    /// The row-blocked prediction kernel with an explicit rows-per-block
-    /// `R` — bit-identical to [`PackedForest::predict_rows`]; a
-    /// bench/test hook for sweeping block sizes.
-    #[doc(hidden)]
-    pub fn predict_rows_blocked<const R: usize>(&self, matrix: &BatchMatrix, out: &mut Vec<usize>) {
-        match &self.arena {
-            Arena::Wide(nodes) => {
-                kernel::predict_rows_in::<_, R>(nodes, &self.roots, self.n_classes, matrix, out)
-            }
-            Arena::Narrow(nodes) => {
-                kernel::predict_rows_in::<_, R>(nodes, &self.roots, self.n_classes, matrix, out)
-            }
-        }
     }
 
     /// Whether the arena uses the narrow 16-byte encoding.
@@ -537,11 +436,10 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_matches_scalar_on_both_arenas() {
+    fn batch_entry_matches_scalar_on_both_arenas() {
         // Integer features → narrow arena; widened() forces the wide
-        // arena over the same trees. Both kernels, at several block
-        // sizes and batch sizes (incl. ragged tails), must equal the
-        // scalar verdicts row for row.
+        // arena over the same trees. Both, at several batch sizes, must
+        // equal the scalar verdicts row for row.
         let data = dataset(140, 9, 2);
         let forest = RandomForest::fit(&data, &ForestConfig::default().with_trees(25).with_seed(7));
         let packed = PackedForest::from_forest(&forest);
@@ -562,14 +460,11 @@ mod tests {
             let mut wide_out = Vec::new();
             wide.accepts_rows(&matrix, &mut wide_out);
             assert_eq!(wide_out, scalar, "wide kernel, batch {take}");
-            let mut blocked = Vec::new();
-            packed.accepts_rows_blocked::<3>(&matrix, &mut blocked);
-            assert_eq!(blocked, scalar, "block size 3, batch {take}");
         }
     }
 
     #[test]
-    fn blocked_predict_matches_scalar_multiclass() {
+    fn batch_predict_matches_scalar_multiclass() {
         let data = dataset(120, 8, 3);
         let forest = RandomForest::fit(&data, &ForestConfig::default().with_trees(21).with_seed(3));
         let packed = PackedForest::from_forest(&forest);
@@ -592,13 +487,16 @@ mod tests {
         let forest = RandomForest::fit(&data, &ForestConfig::default().with_trees(9).with_seed(4));
         let packed = PackedForest::from_forest(&forest);
         let rows: Vec<&[f64]> = (0..8).map(|i| data.row(i)).collect();
-        let mut out = vec![true];
-        packed.accepts_batch(&rows, &mut out);
-        assert_eq!(out.len(), 9, "accepts_batch must append, not clear");
         let matrix = BatchMatrix::from_rows(rows.iter().copied());
+        let mut out = vec![true];
+        packed.accepts_rows(&matrix, &mut out);
+        assert_eq!(out.len(), 9, "accepts_rows must append, not clear");
         packed.accepts_rows(&matrix, &mut out);
         assert_eq!(out.len(), 17, "accepts_rows must append, not clear");
         assert_eq!(out[1..9], out[9..17], "appended verdicts agree");
+        let mut classes = vec![7];
+        packed.predict_rows(&matrix, &mut classes);
+        assert_eq!(classes.len(), 9, "predict_rows must append, not clear");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! handful of exact-sized output-array allocations — zero per-node
 //! allocations in split search, leaf construction or partitioning.
 //! The same audit covers the inference side: steady-state batched
-//! classification through the row-blocked kernel (a warm
+//! classification through `accepts_rows` (a warm
 //! [`BatchMatrix`] plus verdict buffer) must allocate nothing at all.
 //!
 //! This lives in its own integration-test binary because a
@@ -141,7 +141,7 @@ fn steady_state_tree_fits_do_not_allocate_per_node() {
 
     // Steady state, batched classification: after one warm-up tick has
     // sized the batch matrix and the verdict buffer, refill +
-    // row-blocked kernel walks must not touch the heap at all.
+    // `accepts_rows` walks must not touch the heap at all.
     let mut binary = Dataset::new(12);
     let mut row = [0.0f64; 12];
     for i in 0..240usize {

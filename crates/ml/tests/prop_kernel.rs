@@ -1,10 +1,9 @@
-//! Three-way differential property tests for the row-blocked inference
-//! kernels: on random forests and random batches, the scalar per-row
-//! walk (`accepts` / `predict`), the blocked kernel over the narrow
-//! 16-byte arena, and the same kernel over the widened 24-byte arena
-//! must agree bit-for-bit — for every verdict, every class, every block
-//! size, and every batch size from 1 to 64 (including batches that
-//! don't divide the block).
+//! Three-way differential property tests for the packed-forest batch
+//! entries: on random forests and random batches, the scalar per-row
+//! walk (`accepts` / `predict`), the matrix batch entry
+//! (`accepts_rows` / `predict_rows`) over the narrow 16-byte arena, and
+//! the same entry over the widened 24-byte arena must agree bit-for-bit
+//! — for every verdict, every class and every batch size from 1 to 64.
 
 use proptest::prelude::*;
 
@@ -52,7 +51,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn blocked_accepts_matches_scalar_on_both_arenas(
+    fn accepts_rows_matches_scalar_on_both_arenas(
         seed in any::<u64>(),
         rows in 20usize..60,
         features in 1usize..9,
@@ -67,29 +66,16 @@ proptest! {
         let mut matrix = BatchMatrix::new();
         matrix.fill((0..batch).map(|i| data.row(i % rows)));
         let scalar: Vec<bool> = (0..batch).map(|i| packed.accepts(data.row(i % rows))).collect();
-        for (blocked, wide) in [
-            {
-                let mut b = Vec::new();
-                packed.accepts_rows_blocked::<4>(&matrix, &mut b);
-                let mut w = Vec::new();
-                widened.accepts_rows_blocked::<4>(&matrix, &mut w);
-                (b, w)
-            },
-            {
-                let mut b = Vec::new();
-                packed.accepts_rows_blocked::<8>(&matrix, &mut b);
-                let mut w = Vec::new();
-                widened.accepts_rows_blocked::<8>(&matrix, &mut w);
-                (b, w)
-            },
-        ] {
-            prop_assert_eq!(&blocked, &scalar, "blocked kernel vs scalar");
-            prop_assert_eq!(&wide, &scalar, "widened arena vs scalar");
-        }
+        let mut narrow = Vec::new();
+        packed.accepts_rows(&matrix, &mut narrow);
+        prop_assert_eq!(&narrow, &scalar, "batch entry vs scalar");
+        let mut wide = Vec::new();
+        widened.accepts_rows(&matrix, &mut wide);
+        prop_assert_eq!(&wide, &scalar, "widened arena vs scalar");
     }
 
     #[test]
-    fn blocked_predict_matches_scalar_on_both_arenas(
+    fn predict_rows_matches_scalar_on_both_arenas(
         seed in any::<u64>(),
         rows in 20usize..60,
         features in 1usize..9,
@@ -102,15 +88,12 @@ proptest! {
         let mut matrix = BatchMatrix::new();
         matrix.fill((0..batch).map(|i| data.row(i % rows)));
         let scalar: Vec<usize> = (0..batch).map(|i| packed.predict(data.row(i % rows))).collect();
-        let mut blocked = Vec::new();
-        packed.predict_rows_blocked::<8>(&matrix, &mut blocked);
-        prop_assert_eq!(&blocked, &scalar, "blocked kernel vs scalar");
+        let mut narrow = Vec::new();
+        packed.predict_rows(&matrix, &mut narrow);
+        prop_assert_eq!(&narrow, &scalar, "batch entry vs scalar");
         let mut wide = Vec::new();
-        widened.predict_rows_blocked::<8>(&matrix, &mut wide);
+        widened.predict_rows(&matrix, &mut wide);
         prop_assert_eq!(&wide, &scalar, "widened arena vs scalar");
-        let mut odd = Vec::new();
-        packed.predict_rows_blocked::<3>(&matrix, &mut odd);
-        prop_assert_eq!(&odd, &scalar, "odd block size vs scalar");
     }
 
     #[test]
@@ -120,8 +103,8 @@ proptest! {
         features in 1usize..7,
         classes in 2usize..4,
     ) {
-        // The unpacked forest, the packed scalar walk and the blocked
-        // kernel are three implementations of one function.
+        // The unpacked forest, the packed scalar walk and the packed
+        // batch entry are three implementations of one function.
         let data = dataset(seed, rows, features, classes, true);
         let (forest, packed, _) = forests(&data, seed);
         let mut matrix = BatchMatrix::new();

@@ -112,8 +112,8 @@ impl StreamConfig {
 /// One shard's state: its bounded session table, the set of MACs it
 /// has already onboarded (whose steady-state traffic is skipped), and
 /// the warm assessment scratch its in-shard keyed batch assessments
-/// reuse tick after tick (kernel batch matrix, wavefront band buffers —
-/// zero per-tick allocations once warm).
+/// reuse tick after tick (stage-1 batch matrix and candidate pool —
+/// zero per-tick stage-1 allocations once warm).
 #[derive(Debug)]
 struct Shard {
     table: SessionTable,

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Identify against a service trained on the whole catalog.
     let dataset = FingerprintDataset::collect(&devices, 20, 42);
     let identifier = Identifier::train(&dataset, &IdentifierConfig::default());
-    let id = identifier.identify(&full, &fixed);
+    let id = identifier.identify_keyed(&full, &fixed, AssessKey::new(0, trace.mac));
     println!("identification from pcap: {id}");
 
     std::fs::remove_file(&path)?;

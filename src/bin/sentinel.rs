@@ -4,10 +4,8 @@
 //! sentinel devices                          list the device-type catalog
 //! sentinel simulate <device> <out.pcap>     export a simulated setup capture
 //! sentinel fingerprint <capture.pcap>       print the capture's fingerprint
-//! sentinel train <model.json>               train and persist the identifier
-//!          [--save <model.snap>]            (also/instead: binary snapshot)
+//! sentinel train --save <model.snap>        train and persist a binary snapshot
 //! sentinel identify <capture.pcap>          identify the device-type + verdict
-//!          [--model <model.json>]           (reusing a persisted identifier)
 //!          [--load <model.snap>]            (booting from a binary snapshot)
 //! sentinel stream <capture.pcap>            stream an interleaved capture through
 //!          [--capacity N] [--threads N]     the bounded onboarding runtime
@@ -16,17 +14,14 @@
 //!
 //! `identify` and `stream` train the IoT Security Service on the
 //! built-in catalog (20 setup runs per type, seed 42 — override with
-//! `--runs`/`--seed`) unless `--model` points at a persisted identifier
-//! or `--load` points at a binary snapshot (`sentinel-snapshot` format;
-//! written by `train --save`). Snapshot boot skips training entirely and
+//! `--runs`/`--seed`) unless `--load` points at a binary snapshot
+//! (`sentinel-snapshot` format; written by `train --save`). Snapshot boot skips training entirely and
 //! restores a service that assesses bit-identically to the trained one.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sentinel_core::{
-    FingerprintDataset, Identifier, IoTSecurityService, SecurityService, ServiceConfig,
-};
+use sentinel_core::{FingerprintDataset, IoTSecurityService, SecurityService, ServiceConfig};
 use sentinel_devicesim::{catalog, interleave, Testbed};
 use sentinel_fingerprint::{extract, FixedFingerprint, FEATURE_NAMES};
 use sentinel_netproto::pcap::PcapReader;
@@ -41,7 +36,6 @@ fn main() -> ExitCode {
     let mut seed: u64 = 42;
     let mut run: u64 = 0;
     let mut standby = false;
-    let mut model: Option<String> = None;
     let mut save: Option<String> = None;
     let mut load: Option<String> = None;
     let mut capacity: usize = 4096;
@@ -55,7 +49,6 @@ fn main() -> ExitCode {
             "--seed" => seed = parse_flag(iter.next(), "--seed"),
             "--run" => run = parse_flag(iter.next(), "--run"),
             "--standby" => standby = true,
-            "--model" => model = iter.next().cloned(),
             "--save" => save = iter.next().cloned(),
             "--load" => load = iter.next().cloned(),
             "--capacity" => capacity = parse_flag(iter.next(), "--capacity"),
@@ -74,18 +67,11 @@ fn main() -> ExitCode {
         Some("simulate") => simulate(&positional[1..], run, seed, standby),
         Some("fingerprint") => fingerprint(&positional[1..]),
         Some("train") => train(&positional[1..], runs, seed, save.as_deref()),
-        Some("identify") => identify(
-            &positional[1..],
-            runs,
-            seed,
-            model.as_deref(),
-            load.as_deref(),
-        ),
+        Some("identify") => identify(&positional[1..], runs, seed, load.as_deref()),
         Some("stream") => stream(
             &positional[1..],
             runs,
             seed,
-            model.as_deref(),
             load.as_deref(),
             capacity,
             threads,
@@ -94,13 +80,13 @@ fn main() -> ExitCode {
         ),
         _ => {
             eprintln!(
-                "usage: sentinel <devices|simulate|fingerprint|identify|stream> …\n\
+                "usage: sentinel <devices|simulate|fingerprint|train|identify|stream> …\n\
                  \n  sentinel devices\
                  \n  sentinel simulate <device> <out.pcap> [--run N] [--seed S] [--standby]\
                  \n  sentinel fingerprint <capture.pcap>\
-                 \n  sentinel train [model.json] [--save model.snap] [--runs N] [--seed S]\
-                 \n  sentinel identify <capture.pcap> [--model model.json | --load model.snap] [--runs N] [--seed S]\
-                 \n  sentinel stream <capture.pcap> [--model model.json | --load model.snap] [--capacity N] [--threads N]\
+                 \n  sentinel train --save model.snap [--runs N] [--seed S]\
+                 \n  sentinel identify <capture.pcap> [--load model.snap] [--runs N] [--seed S]\
+                 \n  sentinel stream <capture.pcap> [--load model.snap] [--capacity N] [--threads N]\
                  \n  sentinel stream --simulate N [--stagger-ms M] [--capacity N] [--threads N]"
             );
             return ExitCode::from(2);
@@ -201,40 +187,27 @@ fn train(
     seed: u64,
     save: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let json_path = match (args, save) {
-        ([path], _) => Some(path.as_str()),
-        ([], Some(_)) => None,
-        _ => return Err("usage: sentinel train [model.json] [--save model.snap]".into()),
+    let ([], Some(snap_path)) = (args, save) else {
+        return Err("usage: sentinel train --save <model.snap>".into());
     };
-    eprintln!("training the identifier ({runs} runs/type, seed {seed})…");
-    let devices = catalog();
-    let dataset = FingerprintDataset::collect(&devices, runs, seed);
-    let identifier = Identifier::train(&dataset, &Default::default());
-    if let Some(out_path) = json_path {
-        let file = std::fs::File::create(out_path)?;
-        identifier.to_json_writer(std::io::BufWriter::new(file))?;
-        println!(
-            "wrote trained model ({} device-types) to {out_path}",
-            identifier.type_names().len()
-        );
-    }
-    if let Some(snap_path) = save {
-        let service = IoTSecurityService::from_identifier(identifier);
-        let snapshot = Snapshot::of_service(&service);
-        snapshot.save(snap_path)?;
-        let bytes = std::fs::metadata(snap_path)?.len();
-        println!(
-            "wrote binary snapshot ({} device-types, {bytes} bytes) to {snap_path}",
-            service.identifier().type_names().len()
-        );
-    }
+    eprintln!("training the IoT Security Service ({runs} runs/type, seed {seed})…");
+    let service = train_service(runs, seed);
+    Snapshot::of_service(&service).save(snap_path)?;
+    let bytes = std::fs::metadata(snap_path)?.len();
+    println!(
+        "wrote binary snapshot ({} device-types, {bytes} bytes) to {snap_path}",
+        service.identifier().type_names().len()
+    );
     Ok(())
 }
 
-/// Boots from a binary snapshot, loads a persisted JSON identifier, or
-/// trains the service on the catalog.
+fn train_service(runs: u64, seed: u64) -> IoTSecurityService {
+    let dataset = FingerprintDataset::collect(&catalog(), runs, seed);
+    IoTSecurityService::train(&dataset, &ServiceConfig::default())
+}
+
+/// Boots from a binary snapshot, or trains the service on the catalog.
 fn build_service(
-    model: Option<&str>,
     load: Option<&str>,
     runs: u64,
     seed: u64,
@@ -243,23 +216,8 @@ fn build_service(
         eprintln!("booting from snapshot {snap_path}…");
         return Ok(IoTSecurityService::from_snapshot(snap_path)?);
     }
-    match model {
-        Some(model_path) => {
-            eprintln!("loading trained model from {model_path}…");
-            let file = std::fs::File::open(model_path)?;
-            let identifier = Identifier::from_json_reader(std::io::BufReader::new(file))?;
-            Ok(IoTSecurityService::from_identifier(identifier))
-        }
-        None => {
-            eprintln!("training the IoT Security Service ({runs} runs/type, seed {seed})…");
-            let devices = catalog();
-            let dataset = FingerprintDataset::collect(&devices, runs, seed);
-            Ok(IoTSecurityService::train(
-                &dataset,
-                &ServiceConfig::default(),
-            ))
-        }
-    }
+    eprintln!("training the IoT Security Service ({runs} runs/type, seed {seed})…");
+    Ok(train_service(runs, seed))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -267,14 +225,13 @@ fn stream(
     args: &[String],
     runs: u64,
     seed: u64,
-    model: Option<&str>,
     load: Option<&str>,
     capacity: usize,
     threads: usize,
     simulate: Option<usize>,
     stagger_ms: u64,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let service = build_service(model, load, runs, seed)?;
+    let service = build_service(load, runs, seed)?;
     let config = StreamConfig {
         max_sessions: capacity,
         threads,
@@ -322,14 +279,13 @@ fn identify(
     args: &[String],
     runs: u64,
     seed: u64,
-    model: Option<&str>,
     load: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let [path] = args else {
         return Err("usage: sentinel identify <capture.pcap>".into());
     };
     let packets = read_capture(path)?;
-    let service = build_service(model, load, runs, seed)?;
+    let service = build_service(load, runs, seed)?;
     let full = extract(&packets);
     let fixed = FixedFingerprint::from_fingerprint(&full);
     let response = service.assess(&full, &fixed);

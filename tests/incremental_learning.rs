@@ -5,6 +5,7 @@
 use iot_sentinel::devicesim::{catalog, DeviceProfile, Phase, RawDest, Testbed};
 use iot_sentinel::fingerprint::{extract, FixedFingerprint};
 use iot_sentinel::ml::ForestConfig;
+use iot_sentinel::netproto::MacAddr;
 use iot_sentinel::prelude::*;
 
 fn fast_bank_config() -> BankConfig {
@@ -96,7 +97,12 @@ fn truly_novel_traffic_is_flagged_unknown() {
         let trace = testbed.setup_run(&plc, run);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        if identifier.identify(&full, &fixed).label().is_none() {
+        let key = AssessKey::new(run, MacAddr::ZERO);
+        if identifier
+            .identify_keyed(&full, &fixed, key)
+            .label()
+            .is_none()
+        {
             unknown += 1;
         }
     }

@@ -5,10 +5,11 @@
 //! gateways onboarding each device's trace alone — at thread counts
 //! 1, 2, 4 and 8, over both the packet and raw-frame ingest paths.
 //!
-//! Under the v2 pinned RNG contract every assessment is keyed by
-//! `(seq, mac)`, so one *shared, stateful* service instance must answer
-//! bit-identically no matter how many runtimes (or threads) consult it;
-//! a proptest pins that per-completion contract at the service level.
+//! Every assessment is keyed by `(seq, mac)`, so one *shared* service
+//! instance must answer bit-identically no matter how many runtimes (or
+//! threads) consult it, however the completions are cut into batches —
+//! a single item being a batch of one. A parameterised case and a
+//! proptest pin that per-completion contract at the service level.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -17,9 +18,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use iot_sentinel::core::{
-    AssessKey, BankConfig, FingerprintDataset, Identifier, IdentifierConfig, IoTSecurityService,
-    OnboardingReport, SecurityGateway, SecurityService, ServiceConfig, ServiceResponse,
-    TrainedModel,
+    AssessKey, AssessScratch, BankConfig, FingerprintDataset, Identifier, IdentifierConfig,
+    IdentifyMode, IoTSecurityService, OnboardingReport, SecurityGateway, SecurityService,
+    ServiceResponse, TrainedModel,
 };
 use iot_sentinel::devicesim::{catalog, interleave, SetupTrace, Testbed};
 use iot_sentinel::fingerprint::{extract, Fingerprint, FixedFingerprint};
@@ -33,30 +34,36 @@ use iot_sentinel::stream::{StreamConfig, StreamRuntime};
 ///
 /// `references_per_type` covers the whole 8-run training pool so stage-2
 /// discrimination always scores against every reference: the *set* of
-/// references (and therefore the decision) no longer depends on how many
-/// identifications the shared service has served before — only the
-/// floating-point summation order of the scores does.
-fn trained_model(train_runs: u64) -> TrainedModel {
-    let devices = catalog();
-    let dataset = FingerprintDataset::collect(&devices, train_runs, 42);
-    let config = ServiceConfig {
-        identifier: IdentifierConfig {
-            bank: BankConfig {
-                forest: ForestConfig::default().with_trees(25),
-                ..BankConfig::default()
-            },
-            references_per_type: train_runs as usize,
-            ..IdentifierConfig::default()
-        },
-    };
-    TrainedModel::from(&Identifier::train(&dataset, &config.identifier))
+/// references (and therefore the decision) does not depend on the
+/// assessment key — only the floating-point summation order of the
+/// scores does — which lets a trace onboarded alone (different stream
+/// positions, different keys) be compared with the interleaved stream.
+fn trained_model() -> TrainedModel {
+    trained_model_with(IdentifierConfig {
+        references_per_type: 8,
+        ..IdentifierConfig::default()
+    })
 }
 
-/// Reassembles the snapshot into an independent service instance. Under
-/// the v2 keyed contract the streaming/gateway paths never touch the
-/// shared v1 discrimination RNG, so two instances of the same model are
-/// interchangeable — the separate instances here just mirror the
-/// deployment shape (one IoTSSP per site).
+/// Trains on 8 runs of the whole catalog with 25-tree forests; `config`
+/// supplies everything but the bank.
+fn trained_model_with(config: IdentifierConfig) -> TrainedModel {
+    let dataset = FingerprintDataset::collect(&catalog(), 8, 42);
+    let config = IdentifierConfig {
+        bank: BankConfig {
+            forest: ForestConfig::default().with_trees(25),
+            ..BankConfig::default()
+        },
+        ..config
+    };
+    TrainedModel::from(&Identifier::train(&dataset, &config))
+}
+
+/// Reassembles the snapshot into an independent service instance.
+/// Assessment is a pure function of the model, the fingerprints and the
+/// key, so two instances of the same model are interchangeable — the
+/// separate instances here just mirror the deployment shape (one IoTSSP
+/// per site).
 fn fresh_service(model: &TrainedModel) -> IoTSecurityService {
     IoTSecurityService::from_identifier(Identifier::from(model.clone()))
 }
@@ -102,7 +109,7 @@ fn sequential_baseline(service: &IoTSecurityService, stream: &[Packet]) -> Vec<O
 
 #[test]
 fn interleaved_stream_is_bit_identical_to_a_sequential_gateway() {
-    let model = trained_model(8);
+    let model = trained_model();
     let traces = concurrent_traces(24);
     // A 9 ms stagger shifts every trace's packets over a common
     // timeline, so dozens of setups are in flight at once.
@@ -122,7 +129,7 @@ fn interleaved_stream_is_bit_identical_to_a_sequential_gateway() {
             .run(MemorySource::new(stream.clone()))
             .expect("in-memory source cannot fail");
         // Same reports, same decision order, bit for bit — scores
-        // included. (Under the v2 contract both sides key every draw by
+        // included. (Both sides key every draw by
         // `(seq, mac)`, so full equality also proves the runtime and
         // the gateway assign identical stream sequence numbers.)
         assert_eq!(
@@ -143,7 +150,7 @@ fn interleaved_stream_is_bit_identical_to_a_sequential_gateway() {
 
 #[test]
 fn interleaved_stream_matches_onboarding_each_trace_alone() {
-    let model = trained_model(8);
+    let model = trained_model();
     let service = fresh_service(&model);
     let traces = concurrent_traces(24);
 
@@ -229,7 +236,7 @@ fn streaming_identifies_and_isolates_like_the_paper() {
     // Sanity on decision *quality*, not just equivalence: with the full
     // catalog trained, the overwhelming majority of streamed setups must
     // be identified, and at least one vulnerable type must be isolated.
-    let service = fresh_service(&trained_model(8));
+    let service = fresh_service(&trained_model());
     let traces = concurrent_traces(27);
     let stream = interleave(&traces, Duration::from_millis(9));
     let mut runtime = StreamRuntime::new(&service);
@@ -255,14 +262,12 @@ fn streaming_identifies_and_isolates_like_the_paper() {
 
 #[test]
 fn one_stateful_service_is_bit_identical_across_threads_and_paths() {
-    // The strongest form of the v2 contract: ONE service instance —
-    // carrying its (now bypassed) v1 RNG state and serving every run in
-    // sequence — must produce bit-identical reports AND stats at thread
-    // counts 1/2/4/8 and over both the decoded-packet and raw-frame
-    // ingest paths. Under the v1 contract this was impossible: each
-    // assessment advanced the shared RNG, so merely *running twice*
-    // changed the answers.
-    let model = trained_model(8);
+    // The strongest form of the keyed contract: ONE service instance,
+    // serving every run in sequence, must produce bit-identical reports
+    // AND stats at thread counts 1/2/4/8 and over both the
+    // decoded-packet and raw-frame ingest paths — running twice must not
+    // change an answer.
+    let model = trained_model();
     let service = fresh_service(&model);
     let traces = concurrent_traces(24);
     let stream = interleave(&traces, Duration::from_millis(9));
@@ -307,92 +312,108 @@ fn one_stateful_service_is_bit_identical_across_threads_and_paths() {
     }
 }
 
-/// Forces the per-item scalar path: implements only the itemwise
-/// assessment methods, so the trait's *default* batch implementations
-/// loop item by item — stage 1 through the scalar lockstep tree walk
-/// (`PackedForest::accepts`), never the row-blocked kernel over the
-/// contiguous batch matrix. Running a full stream through this
-/// wrapper and through the direct service (whose batch overrides route
-/// everything through the data-parallel kernels) pins
-/// kernels-on == kernels-off end to end.
-struct ScalarPathService<'a>(&'a IoTSecurityService);
+/// `(full, fixed, key)` probes from `n` held-out setups, keyed like a
+/// stream would key them.
+fn keyed_probe_set(n: usize) -> Vec<(Fingerprint, FixedFingerprint, AssessKey)> {
+    concurrent_traces(n)
+        .iter()
+        .enumerate()
+        .map(|(i, trace)| {
+            let full = extract(&trace.packets);
+            let fixed = FixedFingerprint::from_fingerprint(&full);
+            (full, fixed, AssessKey::new(1000 + 17 * i as u64, trace.mac))
+        })
+        .collect()
+}
 
-impl SecurityService for ScalarPathService<'_> {
-    fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse {
-        self.0.assess(full, fixed)
-    }
-
-    fn assess_keyed(
-        &self,
-        full: &Fingerprint,
-        fixed: &FixedFingerprint,
-        key: AssessKey,
-    ) -> ServiceResponse {
-        self.0.assess_keyed(full, fixed, key)
+#[test]
+fn single_item_batch_and_into_forms_agree_at_every_size_and_split() {
+    // Identification has one path, so its three call shapes must be one
+    // function: `assess_keyed(x, k)` == `assess_keyed_batch(&[x…])[i]`
+    // == `assess_keyed_batch_into` over any two-way split of the batch
+    // with one reused scratch — at batch sizes 1, 7 and 64, in every
+    // pipeline mode.
+    let probes = keyed_probe_set(64);
+    for mode in [
+        IdentifyMode::TwoStage,
+        IdentifyMode::RfOnly,
+        IdentifyMode::EditOnly,
+    ] {
+        let service = fresh_service(&trained_model_with(IdentifierConfig {
+            mode,
+            ..IdentifierConfig::default()
+        }));
+        let one_by_one: Vec<ServiceResponse> = probes
+            .iter()
+            .map(|(full, fixed, key)| service.assess_keyed(full, fixed, *key))
+            .collect();
+        let mut scratch = AssessScratch::default();
+        let mut out = Vec::new();
+        for size in [1usize, 7, 64] {
+            let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = probes[..size]
+                .iter()
+                .map(|(full, fixed, key)| (full, fixed, *key))
+                .collect();
+            assert_eq!(
+                service.assess_keyed_batch(&items),
+                one_by_one[..size],
+                "{mode:?}: batch of {size} diverged from batches of one"
+            );
+            for split in 0..=size {
+                out.clear();
+                service.assess_keyed_batch_into(&items[..split], &mut scratch, &mut out);
+                service.assess_keyed_batch_into(&items[split..], &mut scratch, &mut out);
+                assert_eq!(
+                    out,
+                    one_by_one[..size],
+                    "{mode:?}: batch of {size} split at {split} diverged"
+                );
+            }
+        }
     }
 }
 
 #[test]
-fn kernel_batched_runtime_matches_per_item_scalar_path() {
-    // The whole-stack kernel differential: the same interleaved stream,
-    // once through the batched kernels (row-blocked stage 1 in-shard)
-    // and once through the per-item scalar walks, must yield byte-equal
-    // reports and stats — at thread counts 1/2/4/8 and over both the
-    // decoded-packet and raw-frame ingest paths.
-    let model = trained_model(8);
-    let service = fresh_service(&model);
-    let traces = concurrent_traces(24);
-    let stream = interleave(&traces, Duration::from_millis(9));
+fn direct_assess_is_pure_and_history_independent() {
+    // `assess` is the keyed path under one fixed key: asking about a
+    // TP-Link twin (stage 2 samples references and may break a tie),
+    // then about 50 unrelated probes, then about the twin again must
+    // return byte-equal responses, and an identically trained service
+    // with a different call history must agree with both.
+    let model = trained_model_with(IdentifierConfig::default());
+    let (service, other) = (fresh_service(&model), fresh_service(&model));
+    let devices = catalog();
+    let twin = devices
+        .iter()
+        .find(|d| d.info.identifier == "TP-LinkPlugHS110")
+        .expect("catalog has the TP-Link twins");
+    let fingerprints = |trace: &SetupTrace| {
+        let full = extract(&trace.packets);
+        let fixed = FixedFingerprint::from_fingerprint(&full);
+        (full, fixed)
+    };
+    let bytes = |response: &ServiceResponse| serde_json::to_vec(response).unwrap();
+    // A held-out twin run both TP-Link classifiers accept, scouted on a
+    // third instance so the two under test start with no history.
+    let scout = fresh_service(&model);
+    let testbed = Testbed::new(0x71);
+    let (twin_full, twin_fixed) = (900..940)
+        .map(|run| fingerprints(&testbed.setup_run(&twin.profile, run)))
+        .find(|(full, fixed)| scout.assess(full, fixed).identification.discriminated)
+        .expect("some twin run reaches stage 2");
 
-    let mut baseline: Option<Vec<OnboardingReport>> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let config = StreamConfig {
-            threads,
-            ..StreamConfig::default()
-        };
-        let mut kernel = StreamRuntime::with_config(&service, config.clone());
-        let kernel_reports = kernel
-            .run(MemorySource::new(stream.clone()))
-            .expect("in-memory source cannot fail");
-        let mut scalar = StreamRuntime::with_config(ScalarPathService(&service), config.clone());
-        let scalar_reports = scalar
-            .run(MemorySource::new(stream.clone()))
-            .expect("in-memory source cannot fail");
-        assert_eq!(
-            kernel_reports, scalar_reports,
-            "kernel path diverged from the per-item scalar path at {threads} threads"
-        );
-        assert_eq!(
-            kernel.stats(),
-            scalar.stats(),
-            "stats diverged between kernel and scalar paths at {threads} threads"
-        );
-
-        let mut kernel_frames = StreamRuntime::with_config(&service, config.clone());
-        let kernel_frame_reports = kernel_frames
-            .run_frames(MemoryFrameSource::from_packets(&stream))
-            .expect("in-memory source cannot fail");
-        let mut scalar_frames = StreamRuntime::with_config(ScalarPathService(&service), config);
-        let scalar_frame_reports = scalar_frames
-            .run_frames(MemoryFrameSource::from_packets(&stream))
-            .expect("in-memory source cannot fail");
-        assert_eq!(
-            kernel_frame_reports, scalar_frame_reports,
-            "frame-path kernels diverged from scalar at {threads} threads"
-        );
-        assert_eq!(
-            kernel_frame_reports, kernel_reports,
-            "frame path diverged from packet path at {threads} threads"
-        );
-
-        match &baseline {
-            None => baseline = Some(kernel_reports),
-            Some(reports) => assert_eq!(
-                &kernel_reports, reports,
-                "reports diverged at {threads} threads"
-            ),
-        }
+    let first = service.assess(&twin_full, &twin_fixed);
+    for trace in concurrent_traces(50) {
+        let (full, fixed) = fingerprints(&trace);
+        service.assess(&full, &fixed);
     }
+    let again = service.assess(&twin_full, &twin_fixed);
+    assert_eq!(bytes(&again), bytes(&first), "answer drifted with history");
+    assert_eq!(
+        bytes(&other.assess(&twin_full, &twin_fixed)),
+        bytes(&first),
+        "identically trained services disagree"
+    );
 }
 
 /// Cross-boot equivalence (the snapshot subsystem's load-path claim):
@@ -404,7 +425,7 @@ fn kernel_batched_runtime_matches_per_item_scalar_path() {
 fn snapshot_booted_runtime_streams_bit_identically() {
     use iot_sentinel::snapshot::{Snapshot, SnapshotBoot};
 
-    let model = trained_model(8);
+    let model = trained_model();
     let fresh = fresh_service(&model);
     let path = std::env::temp_dir().join(format!(
         "sentinel-streaming-equivalence-{}.snap",
@@ -459,17 +480,8 @@ struct KeyedProbes {
 fn keyed_probes() -> &'static KeyedProbes {
     static PROBES: OnceLock<KeyedProbes> = OnceLock::new();
     PROBES.get_or_init(|| {
-        let service = fresh_service(&trained_model(8));
-        let traces = concurrent_traces(6);
-        let probes: Vec<(Fingerprint, FixedFingerprint, AssessKey)> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, trace)| {
-                let full = extract(&trace.packets);
-                let fixed = FixedFingerprint::from_fingerprint(&full);
-                (full, fixed, AssessKey::new(1000 + 17 * i as u64, trace.mac))
-            })
-            .collect();
+        let service = fresh_service(&trained_model());
+        let probes = keyed_probe_set(6);
         let baseline = probes
             .iter()
             .map(|(full, fixed, key)| service.assess_keyed(full, fixed, *key))

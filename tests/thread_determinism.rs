@@ -3,9 +3,10 @@
 //! the exact sequential path, for every worker count.
 
 use sentinel_bench::evaluation::{evaluate, EvalConfig};
-use sentinel_core::{FingerprintDataset, Identifier, IdentifierConfig, Outcome};
+use sentinel_core::{AssessKey, FingerprintDataset, Identifier, IdentifierConfig, Outcome};
 use sentinel_devicesim::{catalog, Testbed};
 use sentinel_fingerprint::{extract, FixedFingerprint};
+use sentinel_netproto::MacAddr;
 
 fn identifier_config(threads: usize) -> IdentifierConfig {
     let mut config = IdentifierConfig {
@@ -15,6 +16,11 @@ fn identifier_config(threads: usize) -> IdentifierConfig {
     config.bank.threads = threads;
     config.bank.forest.threads = threads;
     config
+}
+
+/// Harness key of probe `i`: its index, no device MAC.
+fn probe_key(i: usize) -> AssessKey {
+    AssessKey::new(i as u64, MacAddr::ZERO)
 }
 
 /// Same seed, thread counts 1 / 2 / 8: every holdout fingerprint gets
@@ -38,8 +44,9 @@ fn identification_is_identical_for_every_thread_count() {
         let identifier = Identifier::train(&dataset, &identifier_config(1));
         probes
             .iter()
-            .map(|(full, fixed)| {
-                let id = identifier.identify(full, fixed);
+            .enumerate()
+            .map(|(i, (full, fixed))| {
+                let id = identifier.identify_keyed(full, fixed, probe_key(i));
                 (id.outcome, id.candidates.clone(), id.discriminated)
             })
             .collect()
@@ -48,7 +55,7 @@ fn identification_is_identical_for_every_thread_count() {
     for threads in [2, 8] {
         let identifier = Identifier::train(&dataset, &identifier_config(threads));
         for (i, (full, fixed)) in probes.iter().enumerate() {
-            let id = identifier.identify(full, fixed);
+            let id = identifier.identify_keyed(full, fixed, probe_key(i));
             let (outcome, candidates, discriminated) = &baseline[i];
             assert_eq!(
                 &id.outcome, outcome,
