@@ -127,11 +127,13 @@ fn main() {
     println!(
         "\nnote: absolute times differ by ~1000x (Rust vs the paper's Java/Weka stack, and\n\
          our simulated setup traces are shorter than real captures, which shrinks the\n\
-         quadratic edit-distance cost). The reproduced pipeline-level properties are:\n\
+         edit-distance cost). The reproduced pipeline-level properties are:\n\
          identification completes in well under a second; discrimination is needed only\n\
          for a minority of fingerprints and over few candidate types; and edit-distance\n\
-         cost grows quadratically with fingerprint length while classification stays\n\
-         near-constant (see `cargo bench -p sentinel-bench --bench editdist`), which is\n\
-         the paper's argument for classifying first and discriminating second."
+         cost grows with fingerprint length — quadratically for the textbook DP, per\n\
+         reference column and 64-symbol probe word for the bit-parallel kernel the\n\
+         identifier runs — while classification stays near-constant (see `cargo bench\n\
+         -p sentinel-bench --bench editdist`), which is the paper's argument for\n\
+         classifying first and discriminating second."
     );
 }

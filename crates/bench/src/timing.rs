@@ -9,8 +9,8 @@ use sentinel_core::{
     IdentifierConfig,
 };
 use sentinel_devicesim::{catalog, Testbed};
-use sentinel_fingerprint::editdist::normalized_distance;
-use sentinel_fingerprint::{extract, extract_frames, FixedFingerprint};
+use sentinel_fingerprint::editdist::OsaScratch;
+use sentinel_fingerprint::{extract, extract_frames, FixedFingerprint, SymbolTable};
 use sentinel_ml::{Dataset, RandomForest};
 use sentinel_netproto::MacAddr;
 use sentinel_sdn::stats::Summary;
@@ -20,7 +20,9 @@ use sentinel_sdn::stats::Summary;
 pub struct TimingReport {
     /// One Random Forest classification.
     pub one_classification: Summary,
-    /// One edit-distance discrimination (distance to one reference).
+    /// One edit-distance discrimination as the identifier runs it: the
+    /// probe projected onto the training corpus's symbol table, loaded
+    /// into the bit-parallel kernel and compared with one reference.
     pub one_discrimination: Summary,
     /// Fingerprint extraction from a captured setup trace.
     pub fingerprint_extraction: Summary,
@@ -166,6 +168,15 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
     let mut scratch = ClassifyScratch::default();
     // Harness key: the probe's index, no device MAC.
     let key = |run: u64| AssessKey::new(run, MacAddr::ZERO);
+    // Stage 2's view of the corpus for the one-discrimination row: every
+    // training fingerprint interned, the first one kept as the reference.
+    let mut symbols = SymbolTable::new();
+    let reference = symbols.intern(dataset.full(0));
+    for i in 1..dataset.len() {
+        symbols.intern(dataset.full(i));
+    }
+    let mut probe = Vec::new();
+    let mut osa = OsaScratch::new();
 
     // Warm caches and lazy allocations so the first measured iteration
     // is not an outlier.
@@ -211,9 +222,14 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
         all_classifications.push(start.elapsed());
 
         // Row: one edit-distance discrimination.
-        let reference = dataset.full(0);
         let start = Instant::now();
-        let _ = normalized_distance(&full, reference);
+        probe.clear();
+        symbols.project_into(&full, &mut probe);
+        let longest = full.len().max(reference.len());
+        std::hint::black_box(
+            osa.load(&probe, symbols.len() + 1)
+                .distance_bounded(reference.symbols(), longest),
+        );
         one_discrimination.push(start.elapsed());
 
         // Rows: discrimination step + full identification.

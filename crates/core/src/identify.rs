@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use sentinel_fingerprint::editdist::osa_distance_bounded;
+use sentinel_fingerprint::editdist::{OsaPattern, OsaScratch};
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint, InternedFingerprint, SymbolTable};
-use sentinel_ml::parallel;
 use sentinel_ml::pinned::PinnedRng;
 use sentinel_ml::{BatchMatrix, PackedForest};
 use sentinel_netproto::MacAddr;
@@ -108,10 +107,11 @@ pub struct IdentifierConfig {
     /// below this; traffic that shares nothing with a type's references
     /// scores 1.0 per reference.
     pub max_dissimilarity: f64,
-    /// Worker threads for stage-2 candidate scoring (`0` = auto via
-    /// `SENTINEL_THREADS` / available parallelism, `1` = the exact
-    /// sequential path). Reference sampling and tie-breaking always run
-    /// sequentially, so the identified label is thread-count-invariant.
+    /// No longer consulted: identification has one, sequential, path
+    /// (stage 2 used to fan candidate scoring out over this many
+    /// workers, which made `Identification::scores` depend on the
+    /// thread count). The field stays only because snapshot format v1
+    /// encodes it; it goes with the next snapshot version.
     pub threads: usize,
 }
 
@@ -130,13 +130,19 @@ impl Default for IdentifierConfig {
 
 /// Reusable scratch for the batched identification paths.
 ///
-/// Holds the [`BatchMatrix`] batch scratch, the per-forest
-/// acceptance buffer and the per-item candidate pool. A caller that
-/// keeps one `ClassifyScratch` alive across ticks (the streaming runtime holds one per shard)
-/// performs **zero per-tick heap allocations** in steady-state batched
-/// classification — pinned by the counting-allocator test
-/// `crates/core/tests/alloc_batch.rs`. The scratch carries no state
-/// between calls, so reuse cannot change any result.
+/// Holds stage 1's [`BatchMatrix`], per-forest acceptance buffer and
+/// per-item candidate pool, and stage 2's probe symbols, sampled
+/// reference indices and bit-parallel kernel memory (the probe's match
+/// masks and per-word column state, [`OsaScratch`]). A caller that
+/// keeps one `ClassifyScratch` alive across ticks (the streaming
+/// runtime holds one per shard) performs **zero heap allocations** in
+/// steady-state batched classification, and steady-state
+/// identification allocates only what each [`Identification`] owns —
+/// its candidates, scores and type name, however many candidates and
+/// references stage 2 compares. Both are pinned by the
+/// counting-allocator tests in `crates/core/tests/alloc_batch.rs`. The
+/// scratch carries no state between calls (the mask table is zeroed
+/// again after every item), so reuse cannot change any result.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
     /// Contiguous row-major copy of the current batch's `F'` rows (only
@@ -158,6 +164,13 @@ pub struct ClassifyScratch {
     aliases: Vec<(u32, u32)>,
     /// In-batch dedup index: routing hash → first miss with that hash.
     pending: HashMap<u64, u32>,
+    /// Stage 2: the current item's probe, projected to symbol ids.
+    probe: Vec<u32>,
+    /// Stage 2: reference indices sampled for the candidate being scored.
+    chosen: Vec<usize>,
+    /// Stage 2: the probe's match masks (built once per item, not per
+    /// reference) and the kernel's per-word state.
+    osa: OsaScratch,
 }
 
 /// Domain tag of the verdict cache's shard-routing hash family.
@@ -292,17 +305,13 @@ pub struct Identifier {
     /// Packet columns of every reference, interned to `u32` symbols.
     symbols: SymbolTable,
     /// Interned views of `references` (same shape), precomputed at
-    /// training time so the OSA inner loop compares integers.
+    /// training time so the stage-2 kernel looks masks up by integer.
     interned: Vec<Vec<InternedFingerprint>>,
     /// `0..references[label].len()` per label — the sampling pool handed
-    /// to [`PinnedRng::sample_k`], prebuilt so discrimination does not
-    /// allocate it on every identification.
+    /// to [`PinnedRng::sample_k_into`], prebuilt so discrimination does
+    /// not allocate it on every identification.
     pools: Vec<Vec<usize>>,
     config: IdentifierConfig,
-    /// [`IdentifierConfig::threads`] resolved once at assembly —
-    /// `effective_threads` consults the environment and the scheduler,
-    /// which is far too slow for the per-identification hot path.
-    threads: usize,
     /// Content-addressed stage-1 verdict cache — `None` (the default)
     /// leaves every batch path exactly on the uncached kernel. Enabled
     /// explicitly via [`Identifier::enable_verdict_cache`] by callers
@@ -417,7 +426,6 @@ impl Identifier {
             .iter()
             .map(|of_type| (0..of_type.len()).collect())
             .collect();
-        let threads = parallel::effective_threads(config.threads);
         Identifier {
             bank,
             packed,
@@ -425,7 +433,6 @@ impl Identifier {
             symbols,
             interned,
             pools,
-            threads,
             config,
             verdict_cache: None,
         }
@@ -544,10 +551,10 @@ impl Identifier {
     /// concurrently on per-shard slices of one tick's completions.
     ///
     /// Identifications are **appended** to `out` (the shared batch-entry
-    /// contract — the caller owns and clears `out`), and stage-1 working
-    /// memory comes from `scratch`, so a caller that keeps both warm
-    /// across ticks (the streaming runtime's shards) rebuilds nothing
-    /// per tick.
+    /// contract — the caller owns and clears `out`), and the working
+    /// memory of both stages comes from `scratch`, so a caller that
+    /// keeps both warm across ticks (the streaming runtime's shards)
+    /// allocates only what the appended [`Identification`]s own.
     pub fn identify_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
@@ -564,13 +571,14 @@ impl Identifier {
             let mut rng = key.rng(self.config.seed);
             out.push(match mode {
                 IdentifyMode::TwoStage => {
-                    self.discriminate(full, scratch.candidates[index].clone(), &mut rng)
+                    let candidates = scratch.candidates[index].clone();
+                    self.discriminate(full, candidates, &mut rng, scratch)
                 }
                 IdentifyMode::RfOnly => self.rf_best(fixed, scratch.candidates[index].clone()),
                 // Scoring every type is not a stage-1 multiple match.
                 IdentifyMode::EditOnly => Identification {
                     discriminated: false,
-                    ..self.discriminate(full, (0..self.bank.n_types()).collect(), &mut rng)
+                    ..self.discriminate(full, (0..self.bank.n_types()).collect(), &mut rng, scratch)
                 },
             });
         }
@@ -624,6 +632,7 @@ impl Identifier {
             miss_hashes,
             aliases,
             pending,
+            ..
         } = scratch;
         if candidates.len() < n {
             candidates.resize_with(n, Vec::new);
@@ -717,12 +726,13 @@ impl Identifier {
         full: &Fingerprint,
         candidates: Vec<usize>,
         rng: &mut PinnedRng,
+        scratch: &mut ClassifyScratch,
     ) -> Identification {
         if candidates.is_empty() {
             return self.decided(None, candidates, false, Vec::new());
         }
         let discriminated = candidates.len() > 1;
-        let scores = self.dissimilarity_scores(full, &candidates, rng);
+        let scores = self.dissimilarity_scores(full, &candidates, rng, scratch);
         self.pick_minimum(candidates, scores, discriminated, rng)
     }
 
@@ -766,56 +776,42 @@ impl Identifier {
     /// reference fingerprints of each candidate type (the paper's
     /// `s_i ∈ [0, 5]`).
     ///
-    /// Distances run over interned symbol sequences and carry a
-    /// best-so-far cutoff: once some candidate scored `B`, any other
-    /// candidate abandons its banded DP as soon as its score provably
-    /// exceeds `B + 1e-12` (the tie tolerance), recording a certified
-    /// lower bound instead of the exact score. The winning label is
-    /// unaffected — a pruned candidate can never reach the tie set —
-    /// and the winner's own score is always exact.
+    /// The probe is the kernel's pattern: its match masks are built once
+    /// here and every sampled reference of every candidate streams past
+    /// them as a text. Distances carry a best-so-far cutoff: once some
+    /// candidate scored `B`, any later candidate abandons a comparison
+    /// as soon as its score provably exceeds `B + 1e-12` (the tie
+    /// tolerance), recording a certified lower bound instead of the
+    /// exact score. The winning label is unaffected — a pruned candidate
+    /// can never reach the tie set — and the winner's own score is
+    /// always exact. Candidates are scored in order, so the cutoff, and
+    /// with it every recorded lower bound, is the same on every run.
     fn dissimilarity_scores(
         &self,
         full: &Fingerprint,
         candidates: &[usize],
         rng: &mut PinnedRng,
+        scratch: &mut ClassifyScratch,
     ) -> Vec<f64> {
-        // Reference sampling stays sequential, in candidate order, so
-        // the draw stream is identical for every thread count.
-        let chosen: Vec<Vec<usize>> = candidates
-            .iter()
-            .map(|&label| rng.sample_k(&self.pools[label], self.config.references_per_type))
-            .collect();
-        let probe = self.symbols.project(full);
-        let threads = self.threads.min(candidates.len());
-        // Fan out only when the candidate set is large enough to repay a
-        // thread-spawn (a scoped fork/join costs tens of µs — more than
-        // discriminating a whole vendor family sequentially). Ordinary
-        // identifications over ≤ a few candidates always run inline;
-        // `fig6_scaling`-sized sweeps over hundreds of types fan out.
-        if threads <= 1 || candidates.len() < 16 {
-            // Sequential: the cutoff tightens after every candidate.
-            let mut best = f64::INFINITY;
-            let mut scores = Vec::with_capacity(candidates.len());
-            for (slot, &label) in candidates.iter().enumerate() {
-                let score = self.score_candidate(&probe, label, &chosen[slot], best);
-                best = best.min(score);
-                scores.push(score);
-            }
-            scores
-        } else {
-            // Parallel: the first candidate fixes the cutoff and the
-            // rest race against it independently. Pruned lower bounds
-            // can differ from the sequential path's (looser cutoff),
-            // but the tie set — exact scores within 1e-12 of the
-            // minimum — is provably the same, so the identified label
-            // and the RNG stream are too.
-            let first = self.score_candidate(&probe, candidates[0], &chosen[0], f64::INFINITY);
-            let mut scores = vec![first];
-            scores.extend(parallel::map_indexed(candidates.len() - 1, threads, |i| {
-                self.score_candidate(&probe, candidates[i + 1], &chosen[i + 1], first)
-            }));
-            scores
+        let ClassifyScratch {
+            probe, chosen, osa, ..
+        } = scratch;
+        probe.clear();
+        self.symbols.project_into(full, probe);
+        // The table's ids plus the one id unseen columns project to.
+        let mut pattern = osa.load(probe, self.symbols.len() + 1);
+        let mut best = f64::INFINITY;
+        let mut scores = Vec::with_capacity(candidates.len());
+        for &label in candidates {
+            // Scoring draws nothing, so sampling candidate by candidate
+            // consumes the generator exactly as sampling all up front.
+            chosen.clear();
+            rng.sample_k_into(&self.pools[label], self.config.references_per_type, chosen);
+            let score = self.score_candidate(&mut pattern, label, chosen, best);
+            best = best.min(score);
+            scores.push(score);
         }
+        scores
     }
 
     /// Scores one candidate type against its sampled references,
@@ -825,7 +821,7 @@ impl Identifier {
     /// `best + 1e-12 < lb <= true score` when pruned.
     fn score_candidate(
         &self,
-        probe: &InternedFingerprint,
+        probe: &mut OsaPattern<'_>,
         label: usize,
         chosen: &[usize],
         best: f64,
@@ -838,9 +834,9 @@ impl Identifier {
             if longest == 0 {
                 continue; // two empty fingerprints: distance 0
             }
-            // Band bound: the full `longest` when no cutoff is active
-            // (an OSA distance never exceeds the longer length, so the
-            // band then always resolves), else the remaining
+            // Distance bound: the full `longest` when no cutoff is
+            // active (an OSA distance never exceeds the longer length,
+            // so the kernel then always resolves), else the remaining
             // normalized-distance budget before the score leaves the
             // tie tolerance around `best`, rescaled to edit operations.
             let bound = if !best.is_finite() {
@@ -853,7 +849,7 @@ impl Identifier {
                     ((budget * longest as f64).floor() as usize).min(longest)
                 }
             };
-            match osa_distance_bounded(probe.symbols(), reference.symbols(), bound) {
+            match probe.distance_bounded(reference.symbols(), bound) {
                 Some(distance) => sum += distance as f64 / longest as f64,
                 None => {
                     // distance >= bound + 1, so this partial sum is a
@@ -877,17 +873,16 @@ impl Identifier {
         // Identical-firmware types can produce exactly tied dissimilarity
         // scores; break ties uniformly so neither twin is systematically
         // preferred.
-        let tied: Vec<usize> = candidates
+        let is_tied = |score: f64| score <= minimum + 1e-12;
+        let tied = scores.iter().filter(|&&score| is_tied(score)).count();
+        let pick = if tied == 1 { 0 } else { rng.index(tied) };
+        let best = candidates
             .iter()
             .zip(&scores)
-            .filter(|(_, &s)| s <= minimum + 1e-12)
-            .map(|(&c, _)| c)
-            .collect();
-        let best = if tied.len() == 1 {
-            tied[0]
-        } else {
-            tied[rng.index(tied.len())]
-        };
+            .filter(|(_, &score)| is_tied(score))
+            .map(|(&candidate, _)| candidate)
+            .nth(pick)
+            .expect("the minimum itself is in the tie set");
         // Even the best candidate must actually resemble its own
         // references: a winner whose mean normalized distance exceeds
         // the cutoff is traffic the classifiers should not have

@@ -17,15 +17,18 @@ use crate::{FingerprintDataset, Identifier, IdentifierConfig};
 
 /// Reusable working memory for [`SecurityService::assess_keyed_batch_into`].
 ///
-/// Wraps the identifier's [`ClassifyScratch`] plus the intermediate
+/// Wraps the identifier's [`ClassifyScratch`] (stage 1's batch matrix,
+/// verdict buffer and candidate pool; stage 2's probe symbols, sampled
+/// reference indices, mask table and kernel state) plus the intermediate
 /// identification buffer, so a caller that keeps one `AssessScratch` per
 /// worker (the streaming runtime holds one per shard, a gateway one for
 /// its batch-of-one finalizes) assesses batch after batch without
-/// rebuilding any per-tick state. Scratch carries no state between
-/// calls; reuse cannot change any response.
+/// rebuilding any per-tick state: once warm, neither stage allocates
+/// working memory, only what each response owns. Scratch carries no
+/// state between calls; reuse cannot change any response.
 #[derive(Debug, Default)]
 pub struct AssessScratch {
-    /// Stage-1 working memory for the identifier.
+    /// Stage-1 and stage-2 working memory for the identifier.
     classify: ClassifyScratch,
     /// Identifications of the current batch, drained into responses.
     identifications: Vec<Identification>,
@@ -237,9 +240,10 @@ impl SecurityService for IoTSecurityService {
     }
 
     /// Stage 1 runs forest-major over the scratch's batch matrix, stage
-    /// 2 draws from each item's own keyed generator, then the
-    /// vulnerability lookup per item — zero per-tick stage-1 allocations
-    /// once the scratch is warm.
+    /// 2 draws from each item's own keyed generator and scores out of
+    /// the same scratch, then the vulnerability lookup per item — once
+    /// the scratch is warm, the only allocations are the ones each
+    /// response owns.
     fn assess_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],

@@ -1,26 +1,31 @@
-//! Counting-allocator audit of steady-state batched classification:
-//! after one warm-up tick has sized the [`ClassifyScratch`] — the
-//! batch matrix, the per-forest verdict buffer and the
-//! per-item candidate pool — every subsequent
-//! [`Identifier::classify_batch_in`] tick over a same-shaped batch must
-//! perform **zero** heap allocations. This pins the contract behind
-//! the caller-owned scratch: the streaming runtime's shards hold
-//! one scratch each and classify tick after tick without touching the
-//! allocator.
+//! Counting-allocator audit of steady-state batched identification:
+//! after one warm-up tick has sized the [`ClassifyScratch`] — stage 1's
+//! batch matrix, per-forest verdict buffer and per-item candidate pool,
+//! stage 2's probe symbols, sampled reference indices, mask table and
+//! kernel state — every subsequent [`Identifier::classify_batch_in`]
+//! tick over a same-shaped batch must perform **zero** heap
+//! allocations, and every [`Identifier::identify_keyed_batch_into`]
+//! tick only the ones its `Identification`s own. This pins the contract
+//! behind the caller-owned scratch: the streaming runtime's shards hold
+//! one scratch each and assess tick after tick without touching the
+//! allocator for working memory.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide: any neighbouring test running
-//! concurrently would perturb the counter.
+//! concurrently would perturb the counter — which is also why the two
+//! audits below are one `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sentinel_core::{
-    BankConfig, ClassifyScratch, FingerprintDataset, Identifier, IdentifierConfig,
+    AssessKey, BankConfig, ClassifyScratch, FingerprintDataset, Identification, Identifier,
+    IdentifierConfig,
 };
-use sentinel_devicesim::catalog;
-use sentinel_fingerprint::FixedFingerprint;
+use sentinel_devicesim::{catalog, confusable_groups, Testbed};
+use sentinel_fingerprint::{extract, Fingerprint, FixedFingerprint};
 use sentinel_ml::ForestConfig;
+use sentinel_netproto::MacAddr;
 
 /// Passes everything through to [`System`], counting every allocation
 /// and reallocation (deallocations are free and uncounted).
@@ -52,7 +57,12 @@ fn allocations() -> usize {
 }
 
 #[test]
-fn steady_state_batched_classification_does_not_allocate() {
+fn steady_state_batches_allocate_only_what_identifications_own() {
+    batched_classification_does_not_allocate();
+    stage_two_allocates_per_identification_not_per_comparison();
+}
+
+fn batched_classification_does_not_allocate() {
     let devices: Vec<_> = catalog().into_iter().take(3).collect();
     let dataset = FingerprintDataset::collect(&devices, 8, 5);
     let config = IdentifierConfig {
@@ -87,4 +97,91 @@ fn steady_state_batched_classification_does_not_allocate() {
     // And scratch reuse must not have drifted any verdict.
     let again = identifier.classify_batch_in(&fixed, &mut scratch).to_vec();
     assert_eq!(again, baseline, "warm-path candidates must not drift");
+}
+
+/// Stage 2 over the Table III confusable families (D-Link, TP-Link,
+/// Edimax, Smarter): most probes are accepted by several sibling
+/// classifiers, so discrimination runs `candidates × references_per_type`
+/// edit distances per item — none of which may reach the allocator.
+fn stage_two_allocates_per_identification_not_per_comparison() {
+    // The ledger's model: the whole catalog, 10 runs per type, 25 trees.
+    let dataset = FingerprintDataset::collect(&catalog(), 10, 42);
+    let config = IdentifierConfig {
+        bank: BankConfig {
+            forest: ForestConfig::default().with_trees(25),
+            ..BankConfig::default()
+        },
+        ..IdentifierConfig::default()
+    };
+    let identifier = Identifier::train(&dataset, &config);
+
+    // Held-out runs: a different campaign seed than the training set.
+    let holdout = Testbed::new(99);
+    let family: Vec<&str> = confusable_groups().into_iter().flatten().collect();
+    let probes: Vec<(Fingerprint, FixedFingerprint)> = catalog()
+        .iter()
+        .filter(|device| family.contains(&device.info.identifier))
+        .flat_map(|device| (0..4).map(|run| holdout.setup_run(&device.profile, run)))
+        .map(|trace| {
+            let full = extract(&trace.packets);
+            let fixed = FixedFingerprint::from_fingerprint(&full);
+            (full, fixed)
+        })
+        .collect();
+    let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = probes
+        .iter()
+        .enumerate()
+        .map(|(i, (full, fixed))| (full, fixed, AssessKey::new(i as u64, MacAddr::ZERO)))
+        .collect();
+
+    // Each item against a cold scratch of its own: the drift reference.
+    let cold: Vec<Identification> = items
+        .iter()
+        .map(|&(full, fixed, key)| identifier.identify_keyed(full, fixed, key))
+        .collect();
+    let comparisons: usize = cold
+        .iter()
+        .map(|id| id.candidates.len() * config.references_per_type)
+        .sum();
+    assert!(
+        cold.iter().filter(|id| id.discriminated).count() * 2 >= cold.len(),
+        "the confusable families should discriminate on most probes: {:?}",
+        cold.iter()
+            .map(|id| id.candidates.len())
+            .collect::<Vec<_>>()
+    );
+    // What an `Identification` owns: its candidate set and its scores
+    // (both empty, hence unallocated, when no classifier accepted) and
+    // the identified type's name.
+    let owned: usize = cold
+        .iter()
+        .map(|id| match (id.candidates.is_empty(), id.label()) {
+            (true, _) => 0,
+            (false, None) => 2,
+            (false, Some(_)) => 3,
+        })
+        .sum();
+
+    let mut scratch = ClassifyScratch::default();
+    let mut out = Vec::with_capacity(items.len());
+    identifier.identify_keyed_batch_into(&items, &mut scratch, &mut out);
+    assert_eq!(out, cold, "batched identification differs from per-item");
+
+    for tick in 0..4 {
+        out.clear();
+        let before = allocations();
+        identifier.identify_keyed_batch_into(&items, &mut scratch, &mut out);
+        let spent = allocations() - before;
+        assert_eq!(
+            spent,
+            owned,
+            "tick {tick}: {spent} allocations for {} items whose identifications own {owned} \
+             ({comparisons} reference comparisons must contribute none)",
+            items.len()
+        );
+        assert_eq!(
+            out, cold,
+            "tick {tick}: warm scratch drifted an identification"
+        );
+    }
 }

@@ -3,21 +3,88 @@
 //! The OSA inner loop compares packet columns (23-feature
 //! [`FeatureVector`]s) once per DP cell. Interning maps every distinct
 //! column to a compact `u32` symbol id so the O(n·m) loop compares two
-//! integers instead of two structs. Reference fingerprints are interned
+//! integers instead of two structs — and the bit-parallel kernel can
+//! index its match masks by symbol. Reference fingerprints are interned
 //! once at training time; probes are projected against the frozen table
 //! at identification time.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{FeatureVector, Fingerprint};
+
+/// Word-folding FNV-style hasher for the frozen table: one xor-multiply
+/// per field of the derived `FeatureVector` hash instead of SipHash
+/// rounds — the lookup runs once per probe column on the identification
+/// hot path.
+///
+/// Unkeyed, so only safe where an adversary cannot choose the *stored*
+/// keys: [`SymbolTable::ids`] is inserted into from the training corpus
+/// alone ([`SymbolTable::project_into`] never grows it, and stores a
+/// probe's unseen columns nowhere), so hostile probe columns can probe
+/// a chain but not lengthen one.
+#[derive(Debug, Clone, Copy)]
+struct FoldHasher(u64);
+
+impl Default for FoldHasher {
+    fn default() -> Self {
+        FoldHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl FoldHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply only carries upwards; fold the well-mixed high
+        // half down so the table's bucket index (low bits) sees it.
+        self.0 ^ (self.0 >> 32)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.fold(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, value: u8) {
+        self.fold(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, value: u16) {
+        self.fold(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.fold(u64::from(value));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, value: usize) {
+        self.fold(value as u64);
+    }
+}
 
 /// A fingerprint whose packet columns have been replaced by `u32`
 /// symbol ids from a [`SymbolTable`].
 ///
-/// Two interned fingerprints from the same table (or a table and its
-/// [`SymbolTable::project`]ion) have equal symbols at a position iff the
-/// original feature vectors are equal, so any distance over the symbol
-/// slices equals the distance over the original vector slices.
+/// Two fingerprints interned by the same table have equal symbols at a
+/// position iff the original feature vectors are equal, and so do an
+/// interned fingerprint and a [`SymbolTable::project`]ion, so any edit
+/// distance over those symbol slices equals the distance over the
+/// original vector slices. (Two *projections* are not comparable with
+/// each other: every column the table has not seen projects to the same
+/// id.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedFingerprint {
     symbols: Vec<u32>,
@@ -44,7 +111,7 @@ impl InternedFingerprint {
 /// symbol ids.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    ids: HashMap<FeatureVector, u32>,
+    ids: HashMap<FeatureVector, u32, BuildHasherDefault<FoldHasher>>,
 }
 
 impl SymbolTable {
@@ -84,9 +151,16 @@ impl SymbolTable {
     }
 
     /// Maps `fingerprint` onto this table *without* growing it: vectors
-    /// already interned keep their id, unseen vectors get consistent
-    /// fresh ids past the table (so they compare unequal to every
-    /// interned symbol, and equal among themselves within this call).
+    /// already interned keep their id, and every unseen vector gets the
+    /// one id just past the table, [`SymbolTable::len`].
+    ///
+    /// One id serves all unseen columns because an edit distance
+    /// between a projection and an interned fingerprint only ever asks
+    /// whether a probe column equals a *reference* column — never
+    /// whether two probe columns equal each other — and an unseen column
+    /// equals none. So the projection needs no side table, touches the
+    /// heap only for its output, and gives distances equal to those
+    /// over the original vectors.
     ///
     /// This is the identification-time path: probes are projected
     /// against the frozen training-time table, keeping `&self` so
@@ -101,23 +175,15 @@ impl SymbolTable {
     /// **appended** without clearing (the shared batch-entry contract:
     /// the caller owns and clears `out`, so steady-state projection
     /// reuses one allocation).
-    ///
-    /// The side table for unseen vectors is only materialized when a
-    /// probe actually contains one — a probe of a known device type
-    /// usually hits the frozen table for every column and projects
-    /// without touching the heap.
     pub fn project_into(&self, fingerprint: &Fingerprint, out: &mut Vec<u32>) {
-        let base = u32::try_from(self.ids.len()).expect("fewer than 2^32 distinct packet columns");
-        let mut fresh: Option<HashMap<&FeatureVector, u32>> = None;
-        out.extend(fingerprint.vectors().iter().map(|vector| {
-            if let Some(&id) = self.ids.get(vector) {
-                id
-            } else {
-                let fresh = fresh.get_or_insert_with(HashMap::new);
-                let next = base + u32::try_from(fresh.len()).expect("fresh ids fit in u32");
-                *fresh.entry(vector).or_insert(next)
-            }
-        }));
+        let unseen =
+            u32::try_from(self.ids.len()).expect("fewer than 2^32 distinct packet columns");
+        out.extend(
+            fingerprint
+                .vectors()
+                .iter()
+                .map(|vector| self.ids.get(vector).copied().unwrap_or(unseen)),
+        );
     }
 }
 
@@ -156,16 +222,10 @@ mod tests {
         let before = table.len();
         let probe = table.project(&fp(&[2, 9, 8, 9]));
         assert_eq!(table.len(), before);
-        // Seen vector keeps its id; unseen ones get fresh ids past the
-        // table, consistent within the projection.
+        // A seen vector keeps its id; every unseen one gets the id
+        // just past the table.
         assert!(probe.symbols()[0] < before as u32);
-        assert!(probe.symbols()[1] >= before as u32);
-        assert_eq!(
-            probe.symbols()[1],
-            probe.symbols()[3],
-            "repeated unseen vector"
-        );
-        assert_ne!(probe.symbols()[1], probe.symbols()[2]);
+        assert_eq!(probe.symbols()[1..], [before as u32; 3]);
     }
 
     #[test]
@@ -173,7 +233,9 @@ mod tests {
         let mut table = SymbolTable::new();
         let reference = fp(&[1, 2, 3, 4, 5]);
         let interned = table.intern(&reference);
-        let probe = fp(&[1, 9, 3, 4]);
+        // Unseen columns, distinct (9, 8) and repeated (9, 9), beside
+        // seen ones in transposed order (4, 3).
+        let probe = fp(&[1, 9, 8, 4, 3, 9, 9]);
         let projected = table.project(&probe);
         assert_eq!(
             osa_distance(projected.symbols(), interned.symbols()),

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use sentinel_fingerprint::editdist::{levenshtein_distance, osa_distance, osa_distance_bounded};
+use sentinel_fingerprint::editdist::{levenshtein_distance, osa_distance, OsaScratch};
 use sentinel_fingerprint::{
     extract, FeatureVector, Fingerprint, FixedFingerprint, PortClass, SymbolTable, FEATURE_COUNT,
 };
@@ -11,6 +11,62 @@ use sentinel_netproto::{MacAddr, Packet};
 
 fn symbols() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..6, 0..24)
+}
+
+/// Symbol sequences that cross the kernel's 64-row word boundaries:
+/// lengths 0..=200 — half of them pinned to 63/64/65 and 127/128/129 —
+/// over a 2–6-symbol alphabet.
+fn long_symbols() -> impl Strategy<Value = Vec<u32>> {
+    let length = prop_oneof![
+        0usize..=200,
+        (0usize..6).prop_map(|i| [63, 64, 65, 127, 128, 129][i]),
+    ];
+    (2u32..=6, length)
+        .prop_flat_map(|(alphabet, length)| proptest::collection::vec(0..alphabet, length))
+}
+
+/// A sequence and a copy with some adjacent pairs swapped — transposition
+/// sites anywhere, including across a word boundary (rows 63|64, 127|128).
+fn swapped_pair() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
+    (
+        long_symbols(),
+        proptest::collection::vec(any::<usize>(), 0..6),
+    )
+        .prop_map(|(a, sites)| {
+            let mut b = a.clone();
+            if b.len() >= 2 {
+                for site in sites {
+                    let i = site % (b.len() - 1);
+                    b.swap(i, i + 1);
+                }
+            }
+            (a, b)
+        })
+}
+
+/// The kernel against the reference DP for one pair, pattern `a`, at the
+/// bounds that matter: 0, just below, exactly at and above the true
+/// distance. `Some(d)` iff `d <= bound`, never a false early exit; and
+/// the mask table is all-zero again once the pattern is dropped.
+fn assert_kernel_contract(scratch: &mut OsaScratch, a: &[u32], b: &[u32]) {
+    let exact = osa_distance(a, b);
+    let longest = a.len().max(b.len());
+    let mut pattern = scratch.load(a, 6);
+    for bound in [0, exact.saturating_sub(1), exact, longest, usize::MAX] {
+        assert_eq!(
+            pattern.distance_bounded(b, bound),
+            (exact <= bound).then_some(exact),
+            "m = {}, n = {}, bound = {bound}",
+            a.len(),
+            b.len(),
+        );
+    }
+    drop(pattern);
+    assert!(
+        scratch.is_clear(),
+        "mask bits left behind by a {}-symbol pattern",
+        a.len()
+    );
 }
 
 fn vectors(max: usize) -> impl Strategy<Value = Vec<FeatureVector>> {
@@ -54,9 +110,14 @@ proptest! {
 
     #[test]
     fn osa_bounded_agrees_with_exact(a in symbols(), b in symbols(), bound in 0usize..30) {
+        let (a, b): (Vec<u32>, Vec<u32>) = (
+            a.into_iter().map(u32::from).collect(),
+            b.into_iter().map(u32::from).collect(),
+        );
         let exact = osa_distance(&a, &b);
-        match osa_distance_bounded(&a, &b, bound) {
-            // Within the bound the banded DP must reproduce the exact
+        let mut scratch = OsaScratch::new();
+        match scratch.load(&a, 6).distance_bounded(&b, bound) {
+            // Within the bound the kernel must reproduce the exact
             // distance bit-for-bit.
             Some(d) => {
                 prop_assert_eq!(d, exact);
@@ -71,6 +132,24 @@ proptest! {
                 exact
             ),
         }
+        prop_assert!(scratch.is_clear());
+    }
+
+    #[test]
+    fn kernel_agrees_with_exact_across_word_boundaries(
+        a in long_symbols(),
+        b in long_symbols(),
+        swapped in swapped_pair(),
+    ) {
+        // One scratch through the whole sequence, both orientations, so
+        // the table is re-laid-out between word counts: a stale bit from
+        // an earlier pattern would corrupt a later distance.
+        let mut scratch = OsaScratch::new();
+        assert_kernel_contract(&mut scratch, &a, &b);
+        assert_kernel_contract(&mut scratch, &b, &a);
+        assert_kernel_contract(&mut scratch, &swapped.0, &swapped.1);
+        assert_kernel_contract(&mut scratch, &swapped.1, &swapped.0);
+        assert_kernel_contract(&mut scratch, &a, &swapped.1);
     }
 
     #[test]
@@ -82,19 +161,20 @@ proptest! {
         let mut table = SymbolTable::new();
         let ia = table.intern(&fa);
         let ib = table.project(&fb);
-        prop_assert_eq!(
-            osa_distance(ia.symbols(), ib.symbols()),
-            osa_distance(fa.vectors(), fb.vectors())
-        );
-        // And the bounded variant agrees on the interned views: the
-        // distance never exceeds the longer length, so that bound is
-        // always sufficient.
-        let exact = osa_distance(ia.symbols(), ib.symbols());
+        let exact = osa_distance(fa.vectors(), fb.vectors());
+        prop_assert_eq!(osa_distance(ia.symbols(), ib.symbols()), exact);
+        // And the kernel agrees on the interned views, the projected
+        // probe (unseen columns on the id past the table) as the pattern: the distance
+        // never exceeds the longer length, so that bound always resolves.
         let longest = fa.len().max(fb.len());
+        let mut scratch = OsaScratch::new();
         prop_assert_eq!(
-            osa_distance_bounded(ia.symbols(), ib.symbols(), longest),
+            scratch
+                .load(ib.symbols(), table.len() + 1)
+                .distance_bounded(ia.symbols(), longest),
             Some(exact)
         );
+        prop_assert!(scratch.is_clear());
     }
 
     #[test]

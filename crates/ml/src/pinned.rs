@@ -97,13 +97,25 @@ impl PinnedRng {
     /// deterministic draw ROADMAP item 5b asks for), versus the v1
     /// contract's full shuffle of the whole pool.
     pub fn sample_k<T: Copy>(&mut self, pool: &[T], k: usize) -> Vec<T> {
-        let mut items = pool.to_vec();
-        let k = k.min(items.len());
+        let mut sample = Vec::with_capacity(pool.len());
+        self.sample_k_into(pool, k, &mut sample);
+        sample
+    }
+
+    /// [`PinnedRng::sample_k`] **appended** to a caller-owned buffer
+    /// without clearing it (the shared batch-entry contract), so a warm
+    /// buffer samples without touching the heap. This is the one
+    /// implementation of the pinned sampling order: the pool is copied
+    /// behind `out`'s existing elements, shuffled there, and cut back to
+    /// the `k` drawn slots.
+    pub fn sample_k_into<T: Copy>(&mut self, pool: &[T], k: usize, out: &mut Vec<T>) {
+        let start = out.len();
+        out.extend_from_slice(pool);
+        let k = k.min(pool.len());
         for i in 0..k {
-            self.sample_step(&mut items, i);
+            self.sample_step(&mut out[start..], i);
         }
-        items.truncate(k);
-        items
+        out.truncate(start + k);
     }
 
     /// One step of the pinned partial Fisher–Yates, in place: swaps slot
@@ -178,6 +190,15 @@ mod tests {
         let mut sample = rng.sample_k(&pool, 9);
         sample.sort_unstable();
         assert_eq!(sample, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn sample_k_into_appends_the_same_sample() {
+        let pool: Vec<usize> = (0..12).collect();
+        let mut out = vec![99];
+        PinnedRng::from_key(4, 5, 6).sample_k_into(&pool, 5, &mut out);
+        assert_eq!(out[0], 99, "appended after the sentinel");
+        assert_eq!(out[1..], PinnedRng::from_key(4, 5, 6).sample_k(&pool, 5));
     }
 
     #[test]

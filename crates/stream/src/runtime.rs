@@ -112,8 +112,9 @@ impl StreamConfig {
 /// One shard's state: its bounded session table, the set of MACs it
 /// has already onboarded (whose steady-state traffic is skipped), and
 /// the warm assessment scratch its in-shard keyed batch assessments
-/// reuse tick after tick (stage-1 batch matrix and candidate pool —
-/// zero per-tick stage-1 allocations once warm).
+/// reuse tick after tick (stage-1 batch matrix and candidate pool,
+/// stage-2 probe symbols and mask table — once warm, assessment
+/// allocates only what each response owns).
 #[derive(Debug)]
 struct Shard {
     table: SessionTable,

@@ -3,13 +3,16 @@
 //! the exact sequential path, for every worker count.
 
 use sentinel_bench::evaluation::{evaluate, EvalConfig};
-use sentinel_core::{AssessKey, FingerprintDataset, Identifier, IdentifierConfig, Outcome};
+use sentinel_core::{
+    AssessKey, FingerprintDataset, Identification, Identifier, IdentifierConfig, IdentifyMode,
+};
 use sentinel_devicesim::{catalog, Testbed};
 use sentinel_fingerprint::{extract, FixedFingerprint};
 use sentinel_netproto::MacAddr;
 
-fn identifier_config(threads: usize) -> IdentifierConfig {
+fn identifier_config(mode: IdentifyMode, threads: usize) -> IdentifierConfig {
     let mut config = IdentifierConfig {
+        mode,
         threads,
         ..IdentifierConfig::default()
     };
@@ -24,51 +27,43 @@ fn probe_key(i: usize) -> AssessKey {
 }
 
 /// Same seed, thread counts 1 / 2 / 8: every holdout fingerprint gets
-/// the identical outcome, candidate set and discrimination flag.
+/// the identical [`Identification`] — outcome, candidate set,
+/// discrimination flag *and* dissimilarity scores, which every
+/// `OnboardingReport` serialises. The `EditOnly` case scores 18
+/// candidates per probe, the size at which stage 2 used to fan out and
+/// record thread-count-dependent lower bounds.
 #[test]
 fn identification_is_identical_for_every_thread_count() {
-    let devices: Vec<_> = catalog().into_iter().take(8).collect();
-    let dataset = FingerprintDataset::collect(&devices, 8, 11);
-    let holdout = Testbed::new(11 ^ 0x5eed);
-    let probes: Vec<_> = (0..16u64)
-        .map(|run| {
-            let device = &devices[(run as usize) % devices.len()];
-            let trace = holdout.setup_run(&device.profile, run);
-            let full = extract(&trace.packets);
-            let fixed = FixedFingerprint::from_fingerprint(&full);
-            (full, fixed)
-        })
-        .collect();
-
-    let baseline: Vec<(Outcome, Vec<usize>, bool)> = {
-        let identifier = Identifier::train(&dataset, &identifier_config(1));
-        probes
-            .iter()
-            .enumerate()
-            .map(|(i, (full, fixed))| {
-                let id = identifier.identify_keyed(full, fixed, probe_key(i));
-                (id.outcome, id.candidates.clone(), id.discriminated)
+    for (mode, types) in [(IdentifyMode::TwoStage, 8), (IdentifyMode::EditOnly, 18)] {
+        let devices: Vec<_> = catalog().into_iter().take(types).collect();
+        let dataset = FingerprintDataset::collect(&devices, 8, 11);
+        let holdout = Testbed::new(11 ^ 0x5eed);
+        let probes: Vec<_> = (0..16u64)
+            .map(|run| {
+                let device = &devices[(run as usize) % devices.len()];
+                let trace = holdout.setup_run(&device.profile, run);
+                let full = extract(&trace.packets);
+                let fixed = FixedFingerprint::from_fingerprint(&full);
+                (full, fixed)
             })
-            .collect()
-    };
+            .collect();
+        let identify_all = |threads: usize| -> Vec<Identification> {
+            let identifier = Identifier::train(&dataset, &identifier_config(mode, threads));
+            probes
+                .iter()
+                .enumerate()
+                .map(|(i, (full, fixed))| identifier.identify_keyed(full, fixed, probe_key(i)))
+                .collect()
+        };
 
-    for threads in [2, 8] {
-        let identifier = Identifier::train(&dataset, &identifier_config(threads));
-        for (i, (full, fixed)) in probes.iter().enumerate() {
-            let id = identifier.identify_keyed(full, fixed, probe_key(i));
-            let (outcome, candidates, discriminated) = &baseline[i];
-            assert_eq!(
-                &id.outcome, outcome,
-                "probe {i} diverged at {threads} threads"
-            );
-            assert_eq!(
-                &id.candidates, candidates,
-                "probe {i} diverged at {threads} threads"
-            );
-            assert_eq!(
-                id.discriminated, *discriminated,
-                "probe {i} diverged at {threads} threads"
-            );
+        let baseline = identify_all(1);
+        for threads in [2, 8] {
+            for (i, id) in identify_all(threads).iter().enumerate() {
+                assert_eq!(
+                    id, &baseline[i],
+                    "{mode:?} probe {i} diverged at {threads} threads"
+                );
+            }
         }
     }
 }
