@@ -7,7 +7,7 @@ use std::time::Duration;
 use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_fingerprint::{FeatureExtractor, FixedFingerprint};
 use sentinel_netproto::{MacAddr, Packet, ParseError, RawFeatures, Timestamp};
-use sentinel_sdn::{EnforcementModule, EnforcementRule, IsolationLevel, OvsSwitch, SwitchDecision};
+use sentinel_sdn::{EnforcementModule, OvsSwitch, SwitchDecision};
 
 use crate::identify::AssessKey;
 use crate::report::OnboardingReport;
@@ -180,14 +180,7 @@ impl<S: SecurityService> SecurityGateway<S> {
             &mut responses,
         );
         let response = responses.pop().expect("one item in, one response out");
-        let rule = match response.isolation {
-            IsolationLevel::Strict => EnforcementRule::strict(mac),
-            IsolationLevel::Restricted => {
-                EnforcementRule::restricted(mac, response.permitted_endpoints.iter().copied())
-            }
-            IsolationLevel::Trusted => EnforcementRule::trusted(mac),
-        };
-        self.module.install_rule(rule);
+        self.module.install_rule(response.rule_for(mac));
         let report = OnboardingReport {
             mac,
             setup_packets,
@@ -266,7 +259,7 @@ mod tests {
     use sentinel_devicesim::{catalog, Testbed};
     use sentinel_fingerprint::Fingerprint;
     use sentinel_netproto::Timestamp;
-    use sentinel_sdn::FlowAction;
+    use sentinel_sdn::{FlowAction, IsolationLevel};
     use std::net::Ipv4Addr;
 
     /// A service stub with a scripted response, for gateway-logic tests.

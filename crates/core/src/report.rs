@@ -6,7 +6,7 @@ use std::net::IpAddr;
 use serde::{Deserialize, Serialize};
 
 use sentinel_netproto::MacAddr;
-use sentinel_sdn::IsolationLevel;
+use sentinel_sdn::{EnforcementRule, IsolationLevel};
 
 /// The outcome of a device-type identification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,6 +77,21 @@ pub struct ServiceResponse {
     /// the device (vulnerable type with an uncontrollable external
     /// channel) and the user must remove it.
     pub user_notification: Option<String>,
+}
+
+impl ServiceResponse {
+    /// The enforcement rule this verdict calls for on device `mac` — the
+    /// one place an isolation level becomes a rule, shared by the batch
+    /// gateway and the streaming runtime.
+    pub fn rule_for(&self, mac: MacAddr) -> EnforcementRule {
+        match self.isolation {
+            IsolationLevel::Strict => EnforcementRule::strict(mac),
+            IsolationLevel::Restricted => {
+                EnforcementRule::restricted(mac, self.permitted_endpoints.iter().copied())
+            }
+            IsolationLevel::Trusted => EnforcementRule::trusted(mac),
+        }
+    }
 }
 
 /// The gateway-side record of a completed device onboarding.

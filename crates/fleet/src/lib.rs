@@ -66,7 +66,5 @@ mod stats;
 pub mod workload;
 
 pub use config::FleetConfig;
-pub use sim::{
-    roamer_route, run_fleet, run_fleet_with_metrics, run_home, FleetReport, HomeOutcome,
-};
-pub use stats::{FleetMetrics, FleetStats};
+pub use sim::{roamer_route, run_fleet, run_home, FleetReport, HomeOutcome};
+pub use stats::FleetStats;

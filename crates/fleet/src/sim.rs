@@ -41,7 +41,6 @@ use sentinel_sdn::topology::Topology;
 use sentinel_sdn::{Destination, EnforcementModule};
 use sentinel_stream::{apply_onboarding, Completion, StreamRuntime, StreamStats};
 
-use crate::stats::FleetMetrics;
 use crate::workload::{is_roam_origin, roam_destination, HomeWorkload};
 use crate::{FleetConfig, FleetStats};
 
@@ -198,17 +197,6 @@ fn remote_probe_ip() -> IpAddr {
 /// is bit-identical at any thread count, any assessment batch size, and
 /// for any home-evaluation order.
 pub fn run_fleet<S: SecurityService + Sync>(service: &S, config: &FleetConfig) -> FleetReport {
-    run_fleet_with_metrics(service, config).0
-}
-
-/// [`run_fleet`] plus run-shape metrics (assessment rows and batches).
-/// The metrics describe scheduling, not results: they are reported
-/// separately precisely because the [`FleetReport`] must stay
-/// byte-identical across every execution shape.
-pub fn run_fleet_with_metrics<S: SecurityService + Sync>(
-    service: &S,
-    config: &FleetConfig,
-) -> (FleetReport, FleetMetrics) {
     let devices = catalog();
     let threads = effective_threads(config.threads);
 
@@ -280,15 +268,10 @@ pub fn run_fleet_with_metrics<S: SecurityService + Sync>(
     for outcome in &outcomes {
         stats.absorb(outcome);
     }
-    let report = FleetReport {
+    FleetReport {
         stats,
         homes: outcomes,
-    };
-    let metrics = FleetMetrics {
-        assess_rows: rows as u64,
-        assess_batches: batches as u64,
-    };
-    (report, metrics)
+    }
 }
 
 /// Simulates one home network end to end — the single-home composition

@@ -33,7 +33,7 @@ pub struct FleetStats {
     /// Frames rejected by the lenient decoder.
     pub frames_malformed: u64,
     /// Frames the wire scanner punted to the full decoder
-    /// (`NeedsDecode`). The fleet soak asserts this stays zero.
+    /// (`NeedsDecode`); zero on simulator traffic (`fleet_determinism`).
     pub frames_decoded: u64,
     /// Highest per-home resident-session peak (max, not sum).
     pub max_home_peak_resident: usize,
@@ -101,35 +101,6 @@ impl FleetStats {
             return 0.0;
         }
         self.cache_hits as f64 / self.cache_lookups as f64
-    }
-}
-
-/// Shape metrics of one fleet run's assessment pass — how the work was
-/// scheduled, not what it computed.
-///
-/// Kept **outside** [`crate::FleetReport`] on purpose: batch shape
-/// varies with [`crate::FleetConfig::assess_batch_rows`] while the
-/// report must stay byte-identical across every execution shape, so
-/// these numbers ride the separate return of
-/// [`crate::run_fleet_with_metrics`] (the fleet soak emits them next to
-/// its timing data).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FleetMetrics {
-    /// Completions assessed across the whole fleet.
-    pub assess_rows: u64,
-    /// Keyed batch calls those rows were chunked into.
-    pub assess_batches: u64,
-}
-
-impl FleetMetrics {
-    /// Mean assessed rows per batch call — the amortization the
-    /// cross-gateway pooling bought (the inline per-home loop averaged
-    /// single-digit rows per call).
-    pub fn rows_per_batch(&self) -> f64 {
-        if self.assess_batches == 0 {
-            return 0.0;
-        }
-        self.assess_rows as f64 / self.assess_batches as f64
     }
 }
 

@@ -59,10 +59,7 @@ pub fn keyed_hash_words(domain: u64, words: impl IntoIterator<Item = u64>) -> u6
 /// This is how a trained model's reference corpus is stamped: the
 /// stamp changes whenever any reference fingerprint's symbols change,
 /// a sequence is added or removed, or the grouping shifts.
-pub fn symbol_set_hash<'a>(
-    domain: u64,
-    sequences: impl IntoIterator<Item = &'a [u32]>,
-) -> u64 {
+pub fn symbol_set_hash<'a>(domain: u64, sequences: impl IntoIterator<Item = &'a [u32]>) -> u64 {
     let mut hash = keyed_hash(domain, []);
     for sequence in sequences {
         hash = keyed_hash(

@@ -139,7 +139,7 @@ impl<R: Read> PcapReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError::Io`] on a short or failed read mid-record.
+    /// Same contract as [`Self::read_raw_into`].
     pub fn read_raw(&mut self) -> Result<Option<(Timestamp, Vec<u8>)>, ParseError> {
         let mut frame = Vec::new();
         Ok(self
@@ -155,14 +155,21 @@ impl<R: Read> PcapReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError::Io`] on a short or failed read mid-record.
+    /// Returns [`ParseError::Truncated`] when the capture ends inside a
+    /// record header (only a record boundary is a clean end of stream)
+    /// and [`ParseError::Io`] on a short or failed read of the frame.
     pub fn read_raw_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError> {
         frame.clear();
         let mut record = [0u8; 16];
-        match self.inner.read_exact(&mut record) {
-            Ok(()) => {}
-            Err(err) if err.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(err) => return Err(err.into()),
+        let mut filled = 0;
+        while filled < record.len() {
+            match self.inner.read(&mut record[filled..]) {
+                Ok(0) if filled == 0 => return Ok(None),
+                Ok(0) => return Err(ParseError::truncated("pcap record header", 16, filled)),
+                Ok(n) => filled += n,
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err.into()),
+            }
         }
         let read_u32 = |bytes: &[u8]| {
             let arr: [u8; 4] = bytes.try_into().expect("slice of 4");
@@ -284,6 +291,21 @@ mod tests {
         assert!(matches!(
             reader.read_packet().unwrap_err(),
             ParseError::Io(_)
+        ));
+    }
+
+    #[test]
+    fn capture_ending_inside_a_record_header_is_an_error_not_eof() {
+        let mut buf = Vec::new();
+        let mut writer = PcapWriter::new(&mut buf).unwrap();
+        writer.write_packet(&sample_packets()[0]).unwrap();
+        writer.finish().unwrap();
+        buf.extend_from_slice(&[0u8; 7]);
+        let mut reader = PcapReader::new(buf.as_slice()).unwrap();
+        assert!(reader.read_packet().unwrap().is_some());
+        assert!(matches!(
+            reader.read_packet().unwrap_err(),
+            ParseError::Truncated { got: 7, .. }
         ));
     }
 

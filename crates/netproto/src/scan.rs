@@ -92,16 +92,12 @@ impl RawFeatures {
     }
 
     /// Extracts features from a raw frame: wire scan on the fast path,
-    /// full decode when the scanner cannot certify the frame.
+    /// full decode when the scanner cannot certify the frame
+    /// ([`WireScan::scan_or_decode`] without the path flag).
     ///
     /// Errors exactly when `Packet::parse` errors.
     pub fn from_frame(frame: &[u8]) -> Result<Self, ParseError> {
-        match WireScan::scan(frame) {
-            ScanOutcome::Features(raw) => Ok(raw),
-            ScanOutcome::Malformed | ScanOutcome::NeedsDecode => {
-                Packet::parse(frame, Timestamp::ZERO).map(|p| RawFeatures::from_packet(&p))
-            }
-        }
+        WireScan::scan_or_decode(frame).map(|(raw, _)| raw)
     }
 }
 
@@ -140,6 +136,29 @@ impl WireScan {
             Ok(raw) => ScanOutcome::Features(raw),
             Err(Fail::Malformed) => ScanOutcome::Malformed,
             Err(Fail::NeedsDecode) => ScanOutcome::NeedsDecode,
+        }
+    }
+
+    /// The one scan → decode fallback: the scanner's features when it
+    /// certifies `frame`, otherwise whatever the owning decoder
+    /// ([`Packet::parse`]) makes of it. The flag is `true` when the
+    /// features came from the decoder (the scanner answered
+    /// [`ScanOutcome::NeedsDecode`]).
+    ///
+    /// A frame the scanner calls malformed goes through the decoder too,
+    /// for its error value — no more work than a `NeedsDecode` frame
+    /// already costs.
+    ///
+    /// # Errors
+    ///
+    /// Errors exactly when `Packet::parse` errors, with its error.
+    #[inline]
+    pub fn scan_or_decode(frame: &[u8]) -> Result<(RawFeatures, bool), ParseError> {
+        match Self::scan(frame) {
+            ScanOutcome::Features(raw) => Ok((raw, false)),
+            ScanOutcome::Malformed | ScanOutcome::NeedsDecode => {
+                Packet::parse(frame, Timestamp::ZERO).map(|p| (RawFeatures::from_packet(&p), true))
+            }
         }
     }
 }

@@ -1,174 +1,46 @@
-//! Packet-stream abstraction for continuous capture ingestion.
+//! Frame-stream abstraction for continuous capture ingestion.
 //!
 //! The batch pipeline reads a whole capture into a `Vec<Packet>` before
 //! doing anything with it. Streaming consumers (the `sentinel-stream`
-//! onboarding runtime) instead pull packets one at a time through
-//! [`PacketSource`], so a multi-gigabyte capture — or a live tap — never
-//! has to be resident in memory. [`PcapReader`](crate::pcap::PcapReader)
-//! implements the trait directly, and [`MemorySource`] adapts an
-//! in-memory packet list (e.g. a simulated interleaved workload).
+//! onboarding runtime) instead pull timestamped raw frames through
+//! [`FrameSource`], so a multi-gigabyte capture — or a live tap — never
+//! has to be resident in memory, and no [`Packet`] is built for a frame
+//! the wire scanner ([`crate::WireScan`]) can certify.
+//! [`PcapReader`](crate::pcap::PcapReader) implements the trait directly,
+//! and [`MemoryFrameSource`] serves an in-memory frame list — or, through
+//! [`MemoryFrameSource::from_packets`], encodes a packet list (e.g. a
+//! simulated interleaved workload) for it.
 
 use std::io::Read;
 
 use crate::pcap::PcapReader;
 use crate::{Packet, ParseError, Timestamp};
 
-/// A pull-based source of capture packets in timestamp order.
-///
-/// Implementations yield `Ok(None)` exactly once, at end of stream;
-/// callers must not poll past it.
-pub trait PacketSource {
-    /// Produces the next packet, or `None` when the stream is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] if the underlying capture is truncated
-    /// or malformed.
-    fn next_packet(&mut self) -> Result<Option<Packet>, ParseError>;
-
-    /// Drains up to `max` packets into `buf` (appended), returning how
-    /// many were read. A return of `0` with an empty error means end of
-    /// stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ParseError`] from [`Self::next_packet`];
-    /// packets read before the error remain in `buf`.
-    fn fill_batch(&mut self, buf: &mut Vec<Packet>, max: usize) -> Result<usize, ParseError> {
-        let mut read = 0;
-        while read < max {
-            match self.next_packet()? {
-                Some(packet) => {
-                    buf.push(packet);
-                    read += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(read)
-    }
-}
-
-impl<R: Read> PacketSource for PcapReader<R> {
-    fn next_packet(&mut self) -> Result<Option<Packet>, ParseError> {
-        self.read_packet()
-    }
-}
-
-impl<S: PacketSource + ?Sized> PacketSource for &mut S {
-    fn next_packet(&mut self) -> Result<Option<Packet>, ParseError> {
-        (**self).next_packet()
-    }
-}
-
-/// A [`PacketSource`] over an in-memory packet list, in order.
-///
-/// ```
-/// use sentinel_netproto::stream::{MemorySource, PacketSource};
-/// use sentinel_netproto::{MacAddr, Packet};
-///
-/// let mut source = MemorySource::new(vec![Packet::dhcp_discover(MacAddr::ZERO, 1, 0)]);
-/// assert!(source.next_packet().unwrap().is_some());
-/// assert!(source.next_packet().unwrap().is_none());
-/// ```
-#[derive(Debug, Clone)]
-pub struct MemorySource {
-    packets: std::vec::IntoIter<Packet>,
-}
-
-impl MemorySource {
-    /// Creates a source that yields `packets` front to back.
-    pub fn new(packets: Vec<Packet>) -> Self {
-        MemorySource {
-            packets: packets.into_iter(),
-        }
-    }
-
-    /// Packets not yet yielded.
-    pub fn remaining(&self) -> usize {
-        self.packets.len()
-    }
-}
-
-impl PacketSource for MemorySource {
-    fn next_packet(&mut self) -> Result<Option<Packet>, ParseError> {
-        Ok(self.packets.next())
-    }
-}
-
 /// A pull-based source of timestamped **raw frames** in capture order.
 ///
-/// This is the zero-copy counterpart of [`PacketSource`]: consumers that
-/// only need Table I features (the streaming onboarding runtime) take the
-/// undecoded bytes and run the wire scanner
-/// ([`crate::WireScan`]) over them, so the hot path never builds a
-/// [`Packet`]. Frames are *not* validated here — a malformed frame is the
-/// consumer's decision (the runtime counts and skips it).
+/// Frames are *not* validated here — a malformed frame is the consumer's
+/// decision (the runtime counts and skips it).
 pub trait FrameSource {
-    /// Produces the next raw frame, or `None` at end of stream.
+    /// Produces the next raw frame into `frame` (cleared and overwritten,
+    /// reusing its capacity where the source supports it), returning the
+    /// frame's timestamp — or `None` at end of stream. File-backed
+    /// sources read in place ([`PcapReader::read_raw_into`]), making
+    /// replay allocation-free.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] if the underlying capture container
     /// (e.g. a pcap record header) is truncated — frame *contents* are
     /// never inspected.
-    fn next_frame(&mut self) -> Result<Option<(Timestamp, Vec<u8>)>, ParseError>;
+    fn next_frame_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError>;
 
-    /// Produces the next raw frame into `frame` (cleared and overwritten,
-    /// reusing its capacity where the source supports it), returning the
-    /// frame's timestamp — or `None` at end of stream.
-    ///
-    /// The default moves [`Self::next_frame`]'s buffer into `frame`;
-    /// file-backed sources override it to read in place
-    /// ([`PcapReader::read_raw_into`]), making replay allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::next_frame`].
-    fn next_frame_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError> {
-        match self.next_frame()? {
-            Some((timestamp, bytes)) => {
-                *frame = bytes;
-                Ok(Some(timestamp))
-            }
-            None => {
-                frame.clear();
-                Ok(None)
-            }
-        }
-    }
-
-    /// Drains up to `max` frames into `buf` (appended), returning how
-    /// many were read. A return of `0` means end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ParseError`] from [`Self::next_frame`];
-    /// frames read before the error remain in `buf`.
-    fn fill_frames(
-        &mut self,
-        buf: &mut Vec<(Timestamp, Vec<u8>)>,
-        max: usize,
-    ) -> Result<usize, ParseError> {
-        let mut read = 0;
-        while read < max {
-            match self.next_frame()? {
-                Some(frame) => {
-                    buf.push(frame);
-                    read += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(read)
-    }
-
-    /// Like [`Self::fill_frames`], but **overwrites** `buf` in place —
-    /// each retained slot's `Vec<u8>` keeps its capacity and is refilled
+    /// Reads up to `max` frames, **overwriting** `buf` in place — each
+    /// retained slot's `Vec<u8>` keeps its capacity and is refilled
     /// through [`Self::next_frame_into`], then `buf` is truncated to the
-    /// number of frames read. Batch replay loops that call this with the
-    /// same `buf` every round stop allocating once the buffers have
-    /// grown to the capture's frame sizes.
+    /// number of frames read (returned; `0` means end of stream). Batch
+    /// replay loops that call this with the same `buf` every round stop
+    /// allocating once the buffers have grown to the capture's frame
+    /// sizes.
     ///
     /// # Errors
     ///
@@ -184,26 +56,17 @@ pub trait FrameSource {
             if read >= max {
                 break Ok(read);
             }
-            if read < buf.len() {
-                let (slot_ts, slot) = &mut buf[read];
-                match self.next_frame_into(slot) {
-                    Ok(Some(timestamp)) => {
-                        *slot_ts = timestamp;
-                        read += 1;
-                    }
-                    Ok(None) => break Ok(read),
-                    Err(err) => break Err(err),
+            if read == buf.len() {
+                buf.push((Timestamp::ZERO, Vec::new()));
+            }
+            let (slot_ts, slot) = &mut buf[read];
+            match self.next_frame_into(slot) {
+                Ok(Some(timestamp)) => {
+                    *slot_ts = timestamp;
+                    read += 1;
                 }
-            } else {
-                let mut frame = Vec::new();
-                match self.next_frame_into(&mut frame) {
-                    Ok(Some(timestamp)) => {
-                        buf.push((timestamp, frame));
-                        read += 1;
-                    }
-                    Ok(None) => break Ok(read),
-                    Err(err) => break Err(err),
-                }
+                Ok(None) => break Ok(read),
+                Err(err) => break Err(err),
             }
         };
         buf.truncate(read);
@@ -212,26 +75,30 @@ pub trait FrameSource {
 }
 
 impl<R: Read> FrameSource for PcapReader<R> {
-    fn next_frame(&mut self) -> Result<Option<(Timestamp, Vec<u8>)>, ParseError> {
-        self.read_raw()
-    }
-
     fn next_frame_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError> {
         self.read_raw_into(frame)
     }
 }
 
 impl<S: FrameSource + ?Sized> FrameSource for &mut S {
-    fn next_frame(&mut self) -> Result<Option<(Timestamp, Vec<u8>)>, ParseError> {
-        (**self).next_frame()
-    }
-
     fn next_frame_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError> {
         (**self).next_frame_into(frame)
     }
 }
 
 /// A [`FrameSource`] over an in-memory frame list, in order.
+///
+/// ```
+/// use sentinel_netproto::stream::{FrameSource, MemoryFrameSource};
+/// use sentinel_netproto::{MacAddr, Packet};
+///
+/// let packet = Packet::dhcp_discover(MacAddr::ZERO, 1, 0);
+/// let mut source = MemoryFrameSource::from_packets(std::slice::from_ref(&packet));
+/// let mut frame = Vec::new();
+/// assert_eq!(source.next_frame_into(&mut frame).unwrap(), Some(packet.timestamp));
+/// assert_eq!(frame, packet.encode());
+/// assert!(source.next_frame_into(&mut frame).unwrap().is_none());
+/// ```
 #[derive(Debug, Clone)]
 pub struct MemoryFrameSource {
     frames: std::vec::IntoIter<(Timestamp, Vec<u8>)>,
@@ -246,7 +113,8 @@ impl MemoryFrameSource {
     }
 
     /// Encodes `packets` to wire frames up front (outside any measured
-    /// hot path) and serves them.
+    /// hot path) and serves them — the adapter for callers that hold
+    /// decoded [`Packet`]s.
     pub fn from_packets(packets: &[Packet]) -> Self {
         MemoryFrameSource::new(packets.iter().map(|p| (p.timestamp, p.encode())).collect())
     }
@@ -258,8 +126,17 @@ impl MemoryFrameSource {
 }
 
 impl FrameSource for MemoryFrameSource {
-    fn next_frame(&mut self) -> Result<Option<(Timestamp, Vec<u8>)>, ParseError> {
-        Ok(self.frames.next())
+    fn next_frame_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError> {
+        match self.frames.next() {
+            Some((timestamp, bytes)) => {
+                *frame = bytes;
+                Ok(Some(timestamp))
+            }
+            None => {
+                frame.clear();
+                Ok(None)
+            }
+        }
     }
 }
 
@@ -276,55 +153,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn memory_source_yields_in_order_then_none() {
-        let packets = sample();
-        let mut source = MemorySource::new(packets.clone());
-        for expected in &packets {
-            assert_eq!(source.next_packet().unwrap().as_ref(), Some(expected));
-        }
-        assert!(source.next_packet().unwrap().is_none());
-        assert_eq!(source.remaining(), 0);
-    }
-
-    #[test]
-    fn pcap_reader_is_a_source() {
-        let packets = sample();
-        let mut buf = Vec::new();
-        let mut writer = PcapWriter::new(&mut buf).unwrap();
-        for packet in &packets {
-            writer.write_packet(packet).unwrap();
-        }
-        writer.finish().unwrap();
-        let mut reader = PcapReader::new(buf.as_slice()).unwrap();
-        let mut out = Vec::new();
-        while let Some(packet) = reader.next_packet().unwrap() {
-            out.push(packet);
-        }
-        assert_eq!(out, packets);
-    }
-
-    #[test]
-    fn fill_batch_respects_max_and_eof() {
-        let mut source = MemorySource::new(sample());
-        let mut buf = Vec::new();
-        assert_eq!(source.fill_batch(&mut buf, 3).unwrap(), 3);
-        assert_eq!(source.fill_batch(&mut buf, 3).unwrap(), 2);
-        assert_eq!(source.fill_batch(&mut buf, 3).unwrap(), 0);
-        assert_eq!(buf.len(), 5);
-    }
-
-    #[test]
-    fn memory_frame_source_yields_encoded_frames_in_order() {
-        let packets = sample();
-        let mut source = MemoryFrameSource::from_packets(&packets);
-        for expected in &packets {
-            let (ts, frame) = source.next_frame().unwrap().unwrap();
-            assert_eq!(ts, expected.timestamp);
-            assert_eq!(frame, expected.encode());
-        }
-        assert!(source.next_frame().unwrap().is_none());
-        assert_eq!(source.remaining(), 0);
+    fn frames_of(packets: &[Packet]) -> Vec<(Timestamp, Vec<u8>)> {
+        packets.iter().map(|p| (p.timestamp, p.encode())).collect()
     }
 
     fn pcap_of(packets: &[Packet]) -> Vec<u8> {
@@ -338,28 +168,44 @@ mod tests {
     }
 
     #[test]
-    fn refill_frames_reuses_buffers_and_matches_fill_frames() {
+    fn memory_frame_source_yields_encoded_frames_in_order() {
+        let packets = sample();
+        let mut source = MemoryFrameSource::from_packets(&packets);
+        let mut frame = Vec::new();
+        for expected in &packets {
+            let ts = source.next_frame_into(&mut frame).unwrap().unwrap();
+            assert_eq!(ts, expected.timestamp);
+            assert_eq!(frame, expected.encode());
+        }
+        assert!(source.next_frame_into(&mut frame).unwrap().is_none());
+        assert!(frame.is_empty());
+        assert_eq!(source.remaining(), 0);
+    }
+
+    #[test]
+    fn refill_frames_respects_max_reuses_the_batch_and_ends_empty() {
         let packets = sample();
         let capture = pcap_of(&packets);
-        // Reference: plain fill_frames over the whole capture.
-        let mut expected = Vec::new();
-        PcapReader::new(capture.as_slice())
-            .unwrap()
-            .fill_frames(&mut expected, usize::MAX)
-            .unwrap();
-        // Refill in rounds of 2 into one reused batch.
-        let mut reader = PcapReader::new(capture.as_slice()).unwrap();
-        let mut batch = Vec::new();
-        let mut streamed = Vec::new();
-        loop {
-            if reader.refill_frames(&mut batch, 2).unwrap() == 0 {
-                break;
+        for source in [
+            &mut PcapReader::new(capture.as_slice()).unwrap() as &mut dyn FrameSource,
+            &mut MemoryFrameSource::from_packets(&packets),
+        ] {
+            // Refill in rounds of 2 into one reused batch.
+            let mut batch = Vec::new();
+            let mut streamed = Vec::new();
+            let mut rounds = Vec::new();
+            loop {
+                let read = source.refill_frames(&mut batch, 2).unwrap();
+                assert_eq!(batch.len(), read);
+                if read == 0 {
+                    break;
+                }
+                rounds.push(read);
+                streamed.extend(batch.iter().cloned());
             }
-            assert!(batch.len() <= 2);
-            streamed.extend(batch.iter().cloned());
+            assert_eq!(rounds, [2, 2, 1]);
+            assert_eq!(streamed, frames_of(&packets));
         }
-        assert_eq!(streamed, expected);
-        assert!(batch.is_empty(), "final refill truncates to zero");
     }
 
     #[test]
@@ -382,23 +228,5 @@ mod tests {
         }
         assert!(reader.next_frame_into(&mut frame).unwrap().is_none());
         assert!(frame.is_empty());
-    }
-
-    #[test]
-    fn pcap_reader_is_a_frame_source() {
-        let packets = sample();
-        let mut buf = Vec::new();
-        let mut writer = PcapWriter::new(&mut buf).unwrap();
-        for packet in &packets {
-            writer.write_packet(packet).unwrap();
-        }
-        writer.finish().unwrap();
-        let mut reader = PcapReader::new(buf.as_slice()).unwrap();
-        let mut frames = Vec::new();
-        assert_eq!(reader.fill_frames(&mut frames, 16).unwrap(), 5);
-        for (packet, (ts, frame)) in packets.iter().zip(&frames) {
-            assert_eq!(*ts, packet.timestamp);
-            assert_eq!(*frame, packet.encode());
-        }
     }
 }

@@ -1,27 +1,31 @@
 //! `sentinel-stream`: bounded-memory streaming onboarding for
 //! interleaved multi-device traffic.
 //!
-//! The paper's Security Gateway (Sect. III-A, V) onboards devices one at
-//! a time from a buffered capture. A production gateway instead watches
-//! one continuous, interleaved stream in which hundreds of devices may
-//! be mid-setup simultaneously. This crate provides that runtime:
+//! The paper's Security Gateway (Sect. III-A, V) fingerprints the first
+//! packets a new MAC sends, as they appear on the wire. A production
+//! gateway watches one continuous, interleaved stream in which hundreds
+//! of devices may be mid-setup simultaneously. This crate provides that
+//! runtime, and raw frames are its only ingest unit:
 //!
-//! * [`Session`] — per-device setup monitoring that feeds packets
-//!   straight into the incremental feature extractor, so raw packets are
-//!   never retained; per-session memory is bounded by the detector's
-//!   packet cap (plus an optional byte cap).
+//! * [`StreamRuntime`] — pulls timestamped raw Ethernet frames from a
+//!   [`FrameSource`] ([`StreamRuntime::run_frames`]; or takes batches
+//!   directly through [`StreamRuntime::ingest_frames`] /
+//!   [`StreamRuntime::ingest_frames_deferred`]), runs the single-pass
+//!   wire scanner (`sentinel_netproto::scan`) over each — the owning
+//!   decoder only sees the frames the scanner cannot certify —
+//!   demultiplexes by source MAC across fixed virtual shards, runs
+//!   setup-end detection (idle gap, packet cap, byte cap), and drives
+//!   each completed setup through the same assess → enforce path as the
+//!   batch gateway. Decisions are bit-identical to onboarding each
+//!   device alone, at any thread count and batch size. Callers that
+//!   hold decoded packets (simulator streams) encode them once through
+//!   [`MemoryFrameSource::from_packets`].
+//! * [`Session`] — per-device setup monitoring that feeds each frame's
+//!   features straight into the incremental feature extractor, so raw
+//!   frames are never retained; per-session memory is bounded by the
+//!   detector's packet cap (plus an optional byte cap).
 //! * [`SessionTable`] — a capacity-bounded table with deterministic
 //!   LRU shedding as the explicit overflow policy.
-//! * [`StreamRuntime`] — demultiplexes a [`PacketSource`] by source MAC
-//!   across fixed virtual shards, runs setup-end detection (idle gap,
-//!   packet cap, byte cap), and drives each completed setup through the
-//!   same assess → enforce path as the batch gateway. Decisions are
-//!   bit-identical to onboarding each device alone, at any thread count
-//!   and batch size. [`StreamRuntime::run_frames`] is the zero-copy hot
-//!   path: it ingests a [`FrameSource`] of raw Ethernet frames through
-//!   the single-pass wire scanner (`sentinel_netproto::scan`) and never
-//!   constructs a packet for a frame the scanner can certify, with
-//!   identical reports and stats.
 //! * [`StreamStats`] — the counters an operator needs: throughput,
 //!   session lifecycle, shedding, peak concurrency, outcome mix.
 //!
@@ -30,8 +34,7 @@
 //! ```
 //! use sentinel_core::{FingerprintDataset, IoTSecurityService, ServiceConfig};
 //! use sentinel_devicesim::{catalog, interleave, Testbed};
-//! use sentinel_netproto::stream::MemorySource;
-//! use sentinel_stream::{StreamConfig, StreamRuntime};
+//! use sentinel_stream::{MemoryFrameSource, StreamConfig, StreamRuntime};
 //! use std::time::Duration;
 //!
 //! // Train the IoTSSP once.
@@ -47,9 +50,10 @@
 //! let stream = interleave(&traces, Duration::from_millis(25));
 //!
 //! let mut runtime = StreamRuntime::with_config(service, StreamConfig::default());
-//! let reports = runtime.run(MemorySource::new(stream)).unwrap();
+//! let reports = runtime.run_frames(MemoryFrameSource::from_packets(&stream)).unwrap();
 //! assert_eq!(reports.len(), 5);
 //! assert_eq!(runtime.stats().sessions_completed(), 5);
+//! assert_eq!(runtime.stats().frames_decoded, 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,4 +69,4 @@ pub use session::{CompletionReason, Session, SessionEvent};
 pub use stats::StreamStats;
 pub use table::{Admission, SessionTable};
 
-pub use sentinel_netproto::stream::{FrameSource, MemoryFrameSource, MemorySource, PacketSource};
+pub use sentinel_netproto::stream::{FrameSource, MemoryFrameSource};

@@ -1,18 +1,22 @@
 //! The sharded streaming onboarding runtime.
 //!
-//! [`StreamRuntime`] consumes one interleaved packet stream carrying
-//! many concurrent device setups, demultiplexes it per source MAC into
-//! bounded [`Session`] state machines, and drives every completed setup
-//! phase through the full assess → enforce path of the batch gateway.
+//! [`StreamRuntime`] consumes one interleaved stream of raw Ethernet
+//! frames carrying many concurrent device setups. Each frame goes
+//! through the certified wire scan ([`WireScan::scan_or_decode`] — the
+//! owning decoder runs only for frames the scanner cannot certify) and
+//! its [`RawFeatures`](sentinel_netproto::RawFeatures) are offered to a
+//! bounded per-source-MAC [`Session`] state machine; every completed
+//! setup phase is driven through the full assess → enforce path of the
+//! batch gateway.
 //!
 //! # Determinism
 //!
-//! Packets are sharded by a fixed FNV hash of the source MAC over
+//! Frames are sharded by a fixed FNV hash of the source MAC over
 //! [`StreamConfig::shards`] *virtual* shards — a number independent of
 //! the worker count — and shards are processed with the same
 //! deterministic fork/join ([`sentinel_ml::parallel::map_indexed`]) used
-//! by the training pipeline. All of a device's packets land in one
-//! shard, each shard's state evolves only with its own packet
+//! by the training pipeline. All of a device's frames land in one
+//! shard, each shard's state evolves only with its own frame
 //! subsequence, and completions are merged back in global stream order,
 //! so every decision (fingerprint, identification, isolation level,
 //! eviction choice) is bit-identical at any `SENTINEL_THREADS` setting
@@ -23,7 +27,7 @@
 //! Shards do not stop at fingerprinting: each shard *assesses* its own
 //! completions inside the parallel pass — batched stage-1
 //! classification over the packed arenas plus stage-2 edit-distance
-//! discrimination — through [`SecurityService::assess_keyed_batch`].
+//! discrimination — through [`SecurityService::assess_keyed_batch_into`].
 //! That is sound because keyed assessment is a pure function of
 //! `(trained model, fingerprints, key)` under the v2 pinned RNG
 //! contract ([`sentinel_core::AssessKey`]): every random draw comes
@@ -45,11 +49,9 @@ use sentinel_core::{
 use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint};
 use sentinel_ml::parallel::{effective_threads, map_indexed};
-use sentinel_netproto::stream::{FrameSource, PacketSource};
-use sentinel_netproto::{
-    MacAddr, Packet, ParseError, RawFeatures, ScanOutcome, Timestamp, WireScan,
-};
-use sentinel_sdn::{EnforcementModule, EnforcementRule, IsolationLevel, OvsSwitch, SwitchDecision};
+use sentinel_netproto::stream::FrameSource;
+use sentinel_netproto::{MacAddr, Packet, ParseError, Timestamp, WireScan};
+use sentinel_sdn::{EnforcementModule, IsolationLevel, OvsSwitch, SwitchDecision};
 
 use crate::session::{CompletionReason, Session, SessionEvent};
 use crate::stats::StreamStats;
@@ -76,7 +78,7 @@ pub struct StreamConfig {
     /// Worker threads: `0` = auto (`SENTINEL_THREADS` or the machine),
     /// `1` = exact sequential path.
     pub threads: usize,
-    /// Packets pulled from the source per ingest round. Purely a
+    /// Frames pulled from the source per ingest round. Purely a
     /// throughput knob: results are identical for any batch size.
     pub batch_size: usize,
 }
@@ -135,8 +137,8 @@ struct Shard {
 /// call with byte-identical results. Only enforcement-rule installation
 /// and report emission must happen in `(seq, mac)` order.
 pub struct Completion {
-    /// Stream sequence of the packet that closed the session (for gap
-    /// and cap completions) or of its last absorbed packet (flush).
+    /// Stream sequence of the frame that closed the session (for gap
+    /// and cap completions) or of its last absorbed frame (flush).
     pub seq: u64,
     /// The completing device's MAC address.
     pub mac: MacAddr,
@@ -164,11 +166,9 @@ struct ShardOutcome {
     /// Keyed service responses, aligned one-to-one with `completions`
     /// (filled by the shard's in-parallel assessment pass).
     responses: Vec<ServiceResponse>,
-    /// Items that counted as stream input: everything the shard saw
-    /// except frames the wire scanner rejected — so
-    /// [`StreamStats::packets_in`] agrees between the packet and frame
-    /// paths on equivalent traffic, and `frames_malformed` is the sole
-    /// malformed counter.
+    /// Frames that counted as stream input: everything the shard saw
+    /// except frames the decoder would reject — those show up in
+    /// `malformed` only.
     packets: u64,
     opened: u64,
     evicted: u64,
@@ -180,6 +180,21 @@ struct ShardOutcome {
     resident: usize,
 }
 
+impl ShardOutcome {
+    /// Adds this shard's ingest counters to `stats` and returns its
+    /// resident-session count (summed across shards, that is the
+    /// round's candidate for the peak).
+    fn merge_counters(&self, stats: &mut StreamStats) -> usize {
+        stats.packets_in += self.packets;
+        stats.sessions_opened += self.opened;
+        stats.sessions_evicted += self.evicted;
+        stats.packets_ignored += self.ignored;
+        stats.frames_malformed += self.malformed;
+        stats.frames_decoded += self.decoded;
+        self.resident
+    }
+}
+
 /// Per-session feature-arena pre-allocation: the detector's packet cap,
 /// clamped so a pathological configuration cannot make every open
 /// session reserve unbounded memory up front.
@@ -188,57 +203,18 @@ fn session_capacity(detector: &SetupDetector) -> usize {
 }
 
 impl Shard {
-    /// Processes this shard's slice of one ingest batch. `items` carries
-    /// `(stream seq, index into batch)` pairs — the indirection lets the
-    /// runtime reuse its bucket allocations across batches instead of
-    /// borrowing the batch in per-call buckets.
+    /// Sessionizes this shard's slice of one ingest batch — the one
+    /// admit → offer → complete loop. `items` carries `(stream seq,
+    /// index into batch)` pairs — the indirection lets the runtime reuse
+    /// its bucket allocations across batches instead of borrowing the
+    /// batch in per-call buckets.
+    ///
+    /// Each frame is scanned on the borrowed slice, so the hot path
+    /// never constructs a [`Packet`]; decisions and state transitions
+    /// are bit-identical to the sequential decode-path gateway. Frames
+    /// the lenient decoder would reject are counted and skipped instead
+    /// of aborting the stream.
     fn process(
-        &mut self,
-        items: &[(u64, u32)],
-        batch: &[Packet],
-        config: &StreamConfig,
-    ) -> ShardOutcome {
-        let mut out = ShardOutcome {
-            packets: items.len() as u64,
-            ..ShardOutcome::default()
-        };
-        for &(seq, index) in items {
-            let packet = &batch[index as usize];
-            let mac = packet.src_mac();
-            if config.ignored.contains(&mac) || self.onboarded.contains(&mac) {
-                out.ignored += 1;
-                continue;
-            }
-            if !self.table.contains(mac) {
-                let session =
-                    Session::open_sized(seq, packet.timestamp, session_capacity(&config.detector));
-                if let Admission::Shed(..) = self.table.admit(mac, session) {
-                    out.evicted += 1;
-                }
-                out.opened += 1;
-            }
-            let session = self.table.get_mut(mac).expect("admitted above");
-            let event = session.offer(packet, seq, &config.detector, config.session_byte_cap);
-            let reason = match event {
-                SessionEvent::Absorbed => continue,
-                SessionEvent::GapComplete => CompletionReason::IdleGap,
-                SessionEvent::CapComplete(reason) => reason,
-            };
-            let session = self.table.remove(mac).expect("was resident");
-            out.completions.push(complete(mac, seq, session, reason));
-            self.onboarded.insert(mac);
-        }
-        out.resident = self.table.len();
-        out
-    }
-
-    /// The zero-copy twin of [`Shard::process`]: each raw frame goes
-    /// through the wire scanner ([`RawFeatures::from_frame`]) on the
-    /// borrowed slice, so the hot path never constructs a [`Packet`].
-    /// Decisions and state transitions are bit-identical to the decode
-    /// path; frames the lenient decoder would reject are counted and
-    /// skipped instead of aborting the stream.
-    fn process_frames(
         &mut self,
         items: &[(u64, u32)],
         batch: &[(Timestamp, Vec<u8>)],
@@ -248,32 +224,20 @@ impl Shard {
         for &(seq, index) in items {
             let (timestamp, frame) = &batch[index as usize];
             let timestamp = *timestamp;
-            let frame = frame.as_slice();
             let mac = MacAddr::new(frame[6..12].try_into().expect("bucketed frames hold a MAC"));
             if config.ignored.contains(&mac) || self.onboarded.contains(&mac) {
                 out.ignored += 1;
                 continue;
             }
-            // Match the scanner's verdict directly (instead of the
-            // `RawFeatures::from_frame` convenience) so `NeedsDecode`
-            // fallbacks are observable: the fleet soak asserts the
-            // certified fast path covers its whole workload.
-            let raw = match WireScan::scan(frame) {
-                ScanOutcome::Features(raw) => raw,
-                ScanOutcome::Malformed => {
+            let raw = match WireScan::scan_or_decode(frame) {
+                Ok((raw, decoded)) => {
+                    out.decoded += u64::from(decoded);
+                    raw
+                }
+                Err(_) => {
                     out.malformed += 1;
                     continue;
                 }
-                ScanOutcome::NeedsDecode => match Packet::parse(frame, timestamp) {
-                    Ok(packet) => {
-                        out.decoded += 1;
-                        RawFeatures::from_packet(&packet)
-                    }
-                    Err(_) => {
-                        out.malformed += 1;
-                        continue;
-                    }
-                },
             };
             if !self.table.contains(mac) {
                 let session =
@@ -284,7 +248,7 @@ impl Shard {
                 out.opened += 1;
             }
             let session = self.table.get_mut(mac).expect("admitted above");
-            let event = session.offer_raw(
+            let event = session.offer(
                 &raw,
                 timestamp,
                 seq,
@@ -300,7 +264,7 @@ impl Shard {
             out.completions.push(complete(mac, seq, session, reason));
             self.onboarded.insert(mac);
         }
-        // Scan-rejected frames never counted as stream input.
+        // Rejected frames never counted as stream input.
         out.packets = items.len() as u64 - out.malformed;
         out.resident = self.table.len();
         out
@@ -334,41 +298,45 @@ fn complete(mac: MacAddr, seq: u64, session: Session, reason: CompletionReason) 
     }
 }
 
-/// Keyed assessment of one shard's completions, run *inside* the
-/// parallel shard pass: stage-1 is batched forest-major over the
-/// shard's whole tick, stage-2 draws from each completion's own
+/// The parallel pass of one inline round: `step` advances each shard
+/// (sessionize a batch, or flush), then the shard assesses its own
+/// completions before the join — stage-1 batched forest-major over the
+/// shard's whole tick, stage-2 drawing from each completion's own
 /// `(seq, mac)`-keyed generator. Pure per item (v2 pinned RNG
-/// contract), so concurrent shards cannot perturb each other.
-/// The shard's warm [`AssessScratch`] backs the service's batched
-/// kernels; responses are appended to `responses` (empty tick ⇒ no
-/// work, no allocation).
-fn assess_completions<S: SecurityService>(
+/// contract), so concurrent shards cannot perturb each other. The
+/// shard's warm [`AssessScratch`] backs the service's batched kernels
+/// (empty tick ⇒ no work, no allocation).
+fn run_shards<S: SecurityService + Sync>(
+    shards: &[Mutex<Shard>],
     service: &S,
-    completions: &[Completion],
-    scratch: &mut AssessScratch,
-    responses: &mut Vec<ServiceResponse>,
-) {
-    if completions.is_empty() {
-        return;
-    }
-    let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = completions
-        .iter()
-        .map(|c| (&c.full, &c.fixed, AssessKey::new(c.seq, c.mac)))
-        .collect();
-    service.assess_keyed_batch_into(&items, scratch, responses);
+    threads: usize,
+    step: impl Fn(usize, &mut Shard) -> ShardOutcome + Sync,
+) -> Vec<ShardOutcome> {
+    map_indexed(shards.len(), effective_threads(threads), |s| {
+        let mut shard = shards[s].lock();
+        let mut outcome = step(s, &mut shard);
+        if !outcome.completions.is_empty() {
+            let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = outcome
+                .completions
+                .iter()
+                .map(|c| (&c.full, &c.fixed, c.assess_key()))
+                .collect();
+            service.assess_keyed_batch_into(&items, &mut shard.scratch, &mut outcome.responses);
+        }
+        outcome
+    })
 }
 
 /// The stats-and-enforcement tail of onboarding one assessed device:
-/// records the completion in `stats`, builds the enforcement rule the
-/// response's isolation level calls for, installs it into `module`, and
+/// records the completion in `stats`, installs the enforcement rule the
+/// response calls for ([`ServiceResponse::rule_for`]) into `module`, and
 /// returns the onboarding report.
 ///
 /// This is the exact finalize path of [`StreamRuntime`]'s own ingest
-/// loop (its `onboard` delegates here), exposed so a caller that
-/// deferred assessment ([`StreamRuntime::ingest_frames_deferred`]) can
-/// replay the identical serial tail against its own stats and
-/// enforcement state — same counters, same rule cache transitions,
-/// byte for byte.
+/// loop, exposed so a caller that deferred assessment
+/// ([`StreamRuntime::ingest_frames_deferred`]) can replay the identical
+/// serial tail against its own stats and enforcement state — same
+/// counters, same rule cache transitions, byte for byte.
 pub fn apply_onboarding(
     stats: &mut StreamStats,
     module: &mut EnforcementModule,
@@ -380,21 +348,12 @@ pub fn apply_onboarding(
         Outcome::Identified { .. } => stats.identified += 1,
         Outcome::Unknown => stats.unknown += 1,
     }
-    let rule = match response.isolation {
-        IsolationLevel::Strict => {
-            stats.strict += 1;
-            EnforcementRule::strict(completion.mac)
-        }
-        IsolationLevel::Restricted => {
-            stats.restricted += 1;
-            EnforcementRule::restricted(completion.mac, response.permitted_endpoints.iter().copied())
-        }
-        IsolationLevel::Trusted => {
-            stats.trusted += 1;
-            EnforcementRule::trusted(completion.mac)
-        }
-    };
-    module.install_rule(rule);
+    match response.isolation {
+        IsolationLevel::Strict => stats.strict += 1,
+        IsolationLevel::Restricted => stats.restricted += 1,
+        IsolationLevel::Trusted => stats.trusted += 1,
+    }
+    module.install_rule(response.rule_for(completion.mac));
     OnboardingReport {
         mac: completion.mac,
         setup_packets: completion.setup_packets,
@@ -465,43 +424,22 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         }
     }
 
-    /// Consumes the whole source, then flushes the remaining sessions.
-    /// Returns every onboarding report, in decision order.
+    /// Consumes a whole frame source in [`StreamConfig::batch_size`]
+    /// rounds of [`StreamRuntime::ingest_frames`], then flushes the
+    /// remaining sessions. Returns every onboarding report, in decision
+    /// order.
     ///
-    /// # Errors
-    ///
-    /// Propagates source [`ParseError`]s (e.g. a truncated capture);
-    /// devices onboarded before the error remain onboarded.
-    pub fn run<P: PacketSource>(
-        &mut self,
-        mut source: P,
-    ) -> Result<Vec<OnboardingReport>, ParseError> {
-        let mut reports = Vec::new();
-        let mut batch: Vec<Packet> = Vec::with_capacity(self.config.batch_size);
-        loop {
-            batch.clear();
-            if source.fill_batch(&mut batch, self.config.batch_size.max(1))? == 0 {
-                break;
-            }
-            reports.extend(self.ingest(&batch));
-        }
-        reports.extend(self.flush());
-        Ok(reports)
-    }
-
-    /// Consumes a whole **frame** source through the zero-copy scan path,
-    /// then flushes. Produces exactly the reports [`StreamRuntime::run`]
-    /// would on the decoded stream, but never constructs a [`Packet`] for
-    /// a frame the wire scanner can certify.
-    ///
-    /// Unlike [`StreamRuntime::run`], malformed frames do not abort the
-    /// stream: they are counted in [`StreamStats::frames_malformed`] and
-    /// skipped, which is what a live tap needs.
+    /// Malformed frames do not abort the stream: they are counted in
+    /// [`StreamStats::frames_malformed`] and skipped, which is what a
+    /// live tap needs.
     ///
     /// # Errors
     ///
     /// Propagates capture-container errors from the source (e.g. a
-    /// truncated pcap record header).
+    /// truncated pcap record header) without flushing; frames read
+    /// before the error were ingested, so devices onboarded before it
+    /// remain onboarded (their reports stay in
+    /// [`StreamRuntime::reports`]).
     pub fn run_frames<F: FrameSource>(
         &mut self,
         mut source: F,
@@ -512,46 +450,33 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         // buffers have grown to the capture's frame sizes.
         let mut batch: Vec<(Timestamp, Vec<u8>)> = Vec::with_capacity(self.config.batch_size);
         loop {
-            if source.refill_frames(&mut batch, self.config.batch_size.max(1))? == 0 {
+            let refill = source.refill_frames(&mut batch, self.config.batch_size.max(1));
+            // On a container error `batch` holds the frames read before
+            // it; at end of stream it is empty.
+            if !batch.is_empty() {
+                reports.extend(self.ingest_frames(&batch));
+            }
+            if refill? == 0 {
                 break;
             }
-            reports.extend(self.ingest_frames(&batch));
         }
         reports.extend(self.flush());
         Ok(reports)
     }
 
-    /// Ingests one batch of interleaved raw frames (the zero-copy twin of
-    /// [`StreamRuntime::ingest`]), returning the devices whose setup
-    /// phase completed inside it (in stream order). Frames too short to
-    /// carry an Ethernet header are counted as malformed and skipped —
-    /// they consume no stream sequence number and are excluded from
-    /// [`StreamStats::packets_in`], so frame-path stats agree with the
-    /// packet path on equivalent traffic.
+    /// Ingests one batch of interleaved raw frames, returning the
+    /// devices whose setup phase completed inside it (in stream order).
+    /// Frames too short to carry an Ethernet header are counted as
+    /// malformed and skipped — they consume no stream sequence number
+    /// and are excluded from [`StreamStats::packets_in`], so stats and
+    /// assessment keys agree with a sequential gateway fed only the
+    /// well-formed frames.
     pub fn ingest_frames(&mut self, frames: &[(Timestamp, Vec<u8>)]) -> Vec<OnboardingReport> {
-        self.bucket(frames.iter().map(|(_, frame)| {
-            (frame.len() >= 14)
-                .then(|| MacAddr::new(frame[6..12].try_into().expect("checked length")))
-        }));
-        let shard_count = self.shards.len();
-        let threads = effective_threads(self.config.threads);
-        let outcomes = {
-            let shards = &self.shards;
-            let config = &self.config;
-            let buckets = &self.buckets;
-            let service = &self.service;
-            map_indexed(shard_count, threads, |s| {
-                let mut shard = shards[s].lock();
-                let mut outcome = shard.process_frames(&buckets[s], frames, config);
-                assess_completions(
-                    service,
-                    &outcome.completions,
-                    &mut shard.scratch,
-                    &mut outcome.responses,
-                );
-                outcome
-            })
-        };
+        self.bucket(frames);
+        let (config, buckets) = (&self.config, &self.buckets);
+        let outcomes = run_shards(&self.shards, &self.service, config.threads, |s, shard| {
+            shard.process(&buckets[s], frames, config)
+        });
         self.absorb(outcomes, true)
     }
 
@@ -577,21 +502,14 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         frames: &[(Timestamp, Vec<u8>)],
         out: &mut Vec<Completion>,
     ) -> usize {
-        self.bucket(frames.iter().map(|(_, frame)| {
-            (frame.len() >= 14)
-                .then(|| MacAddr::new(frame[6..12].try_into().expect("checked length")))
-        }));
+        self.bucket(frames);
         let start = out.len();
         let mut resident = 0usize;
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            let outcome = shard.get_mut().process_frames(&self.buckets[s], frames, &self.config);
-            self.stats.packets_in += outcome.packets;
-            self.stats.sessions_opened += outcome.opened;
-            self.stats.sessions_evicted += outcome.evicted;
-            self.stats.packets_ignored += outcome.ignored;
-            self.stats.frames_malformed += outcome.malformed;
-            self.stats.frames_decoded += outcome.decoded;
-            resident += outcome.resident;
+            let outcome = shard
+                .get_mut()
+                .process(&self.buckets[s], frames, &self.config);
+            resident += outcome.merge_counters(&mut self.stats);
             out.extend(outcome.completions);
         }
         self.stats.peak_resident_sessions = self.stats.peak_resident_sessions.max(resident);
@@ -639,45 +557,21 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         self.next_seq = 0;
     }
 
-    /// Ingests one batch of interleaved packets, returning the devices
-    /// whose setup phase completed inside it (in stream order).
-    pub fn ingest(&mut self, packets: &[Packet]) -> Vec<OnboardingReport> {
-        self.bucket(packets.iter().map(|p| Some(p.src_mac())));
-        let shard_count = self.shards.len();
-        let threads = effective_threads(self.config.threads);
-        let outcomes = {
-            let shards = &self.shards;
-            let config = &self.config;
-            let buckets = &self.buckets;
-            let service = &self.service;
-            map_indexed(shard_count, threads, |s| {
-                let mut shard = shards[s].lock();
-                let mut outcome = shard.process(&buckets[s], packets, config);
-                assess_completions(
-                    service,
-                    &outcome.completions,
-                    &mut shard.scratch,
-                    &mut outcome.responses,
-                );
-                outcome
-            })
-        };
-        self.absorb(outcomes, true)
-    }
-
-    /// The shared shard-assignment pre-pass behind both ingest paths:
-    /// one tight, cache-friendly FNV sweep computes every item's shard
+    /// The shard-assignment pre-pass of both ingest entry points: one
+    /// tight, cache-friendly FNV sweep computes every frame's shard
     /// before any bucket is touched, then refills the per-shard
-    /// `(stream seq, batch index)` buckets in stream order. `None`
-    /// items (frames too short to carry an Ethernet header) are counted
-    /// malformed and consume no sequence number, keeping frame-path
-    /// stats and assessment keys aligned with the packet path.
-    fn bucket(&mut self, macs: impl Iterator<Item = Option<MacAddr>>) {
+    /// `(stream seq, batch index)` buckets in stream order. Frames too
+    /// short to carry an Ethernet header are counted malformed and
+    /// consume no sequence number.
+    fn bucket(&mut self, frames: &[(Timestamp, Vec<u8>)]) {
         let shard_count = self.shards.len();
         self.shard_ids.clear();
-        self.shard_ids.extend(macs.map(|mac| match mac {
-            Some(mac) => shard_of(mac, shard_count) as u32,
-            None => u32::MAX,
+        self.shard_ids.extend(frames.iter().map(|(_, frame)| {
+            if frame.len() < 14 {
+                return u32::MAX;
+            }
+            let mac = MacAddr::new(frame[6..12].try_into().expect("checked length"));
+            shard_of(mac, shard_count) as u32
         }));
         for bucket in &mut self.buckets {
             bucket.clear();
@@ -697,49 +591,30 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// Finalizes every in-flight session (end of stream), in the order
     /// the sessions were opened.
     pub fn flush(&mut self) -> Vec<OnboardingReport> {
-        let shard_count = self.shards.len();
-        let threads = effective_threads(self.config.threads);
-        let outcomes = {
-            let shards = &self.shards;
-            let service = &self.service;
-            map_indexed(shard_count, threads, |s| {
-                let mut shard = shards[s].lock();
-                let mut outcome = shard.flush();
-                assess_completions(
-                    service,
-                    &outcome.completions,
-                    &mut shard.scratch,
-                    &mut outcome.responses,
-                );
-                outcome
-            })
-        };
+        let threads = self.config.threads;
+        let outcomes = run_shards(&self.shards, &self.service, threads, |_, shard| {
+            shard.flush()
+        });
         self.absorb(outcomes, false)
     }
 
-    /// The serial tail of an ingest round: merges per-shard stats,
+    /// The serial tail of an inline round: merges per-shard stats,
     /// sorts the already-assessed completions into deterministic
     /// `(seq, mac)` stream order, and installs each device's
     /// enforcement rule.
     ///
     /// Assessment already happened *inside* the parallel shard pass
-    /// ([`assess_completions`]); because every response was drawn under
-    /// the v2 keyed RNG contract, sorting the `(completion, response)`
-    /// pairs afterwards yields exactly what a sequential gateway
-    /// consuming the same interleaved stream would produce, at every
-    /// thread count. Only rule installation and report emission — which
-    /// mutate the shared SDN module — remain ordered and serial.
+    /// ([`run_shards`]); because every response was drawn under the v2
+    /// keyed RNG contract, sorting the `(completion, response)` pairs
+    /// afterwards yields exactly what a sequential gateway consuming
+    /// the same interleaved stream would produce, at every thread
+    /// count. Only rule installation and report emission — which mutate
+    /// the shared SDN module — remain ordered and serial.
     fn absorb(&mut self, outcomes: Vec<ShardOutcome>, track_peak: bool) -> Vec<OnboardingReport> {
         let mut resident = 0usize;
         let mut assessed: Vec<(Completion, ServiceResponse)> = Vec::new();
         for outcome in outcomes {
-            self.stats.packets_in += outcome.packets;
-            self.stats.sessions_opened += outcome.opened;
-            self.stats.sessions_evicted += outcome.evicted;
-            self.stats.packets_ignored += outcome.ignored;
-            self.stats.frames_malformed += outcome.malformed;
-            self.stats.frames_decoded += outcome.decoded;
-            resident += outcome.resident;
+            resident += outcome.merge_counters(&mut self.stats);
             debug_assert_eq!(outcome.completions.len(), outcome.responses.len());
             assessed.extend(outcome.completions.into_iter().zip(outcome.responses));
         }
@@ -749,17 +624,13 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         assessed.sort_by_key(|(c, _)| (c.seq, c.mac));
         assessed
             .into_iter()
-            .map(|(completion, response)| self.onboard(completion, response))
+            .map(|(completion, response)| {
+                let report =
+                    apply_onboarding(&mut self.stats, &mut self.module, &completion, response);
+                self.reports.insert(completion.mac, report.clone());
+                report
+            })
             .collect()
-    }
-
-    /// Installs one assessed device's enforcement rule and records its
-    /// report — the gateway's finalize path (the assessment itself
-    /// already ran in-shard during the parallel pass).
-    fn onboard(&mut self, completion: Completion, response: ServiceResponse) -> OnboardingReport {
-        let report = apply_onboarding(&mut self.stats, &mut self.module, &completion, response);
-        self.reports.insert(completion.mac, report.clone());
-        report
     }
 
     /// Forwards or drops a packet according to the installed enforcement
@@ -825,7 +696,7 @@ mod tests {
     use sentinel_core::{Identification, ServiceResponse};
     use sentinel_devicesim::{catalog, interleave, Testbed};
     use sentinel_fingerprint::Fingerprint;
-    use sentinel_netproto::stream::{MemoryFrameSource, MemorySource};
+    use sentinel_netproto::stream::MemoryFrameSource;
     use std::time::Duration;
 
     /// Scripted service: labels every fingerprint by its packet-column
@@ -853,13 +724,27 @@ mod tests {
         }
     }
 
+    const STUB: StubService = StubService {
+        isolation: IsolationLevel::Trusted,
+    };
+
     fn runtime(config: StreamConfig) -> StreamRuntime<StubService> {
-        StreamRuntime::with_config(
-            StubService {
-                isolation: IsolationLevel::Trusted,
-            },
-            config,
-        )
+        StreamRuntime::with_config(STUB, config)
+    }
+
+    /// Streams `packets` the way every caller that holds decoded packets
+    /// does: encoded once, then through the frame path.
+    fn run_packets(
+        runtime: &mut StreamRuntime<StubService>,
+        packets: &[Packet],
+    ) -> Vec<OnboardingReport> {
+        runtime
+            .run_frames(MemoryFrameSource::from_packets(packets))
+            .unwrap()
+    }
+
+    fn frames_of(packets: &[Packet]) -> Vec<(Timestamp, Vec<u8>)> {
+        packets.iter().map(|p| (p.timestamp, p.encode())).collect()
     }
 
     fn traces(n: usize) -> Vec<sentinel_devicesim::SetupTrace> {
@@ -880,7 +765,7 @@ mod tests {
         let traces = traces(12);
         let stream = interleave(&traces, Duration::from_millis(20));
         let mut runtime = runtime(StreamConfig::default());
-        let reports = runtime.run(MemorySource::new(stream)).unwrap();
+        let reports = run_packets(&mut runtime, &stream);
         assert_eq!(reports.len(), 12);
         for trace in &traces {
             let report = runtime.report(trace.mac).expect("onboarded");
@@ -898,37 +783,16 @@ mod tests {
         assert_eq!(stats.sessions_opened, 12);
         assert_eq!(stats.sessions_completed(), 12);
         assert_eq!(stats.sessions_evicted, 0);
+        assert_eq!(stats.frames_malformed, 0);
+        assert_eq!(stats.frames_decoded, 0);
         assert!(stats.peak_resident_sessions >= 2, "setups overlapped");
-    }
-
-    #[test]
-    fn frame_path_matches_packet_path_bit_identically() {
-        let traces = traces(10);
-        let stream = interleave(&traces, Duration::from_millis(5));
-        for &(threads, batch_size) in &[(1usize, 7usize), (2, 1024), (8, 64)] {
-            let config = StreamConfig {
-                threads,
-                batch_size,
-                ..StreamConfig::default()
-            };
-            let mut decoded = runtime(config.clone());
-            let decoded_reports = decoded.run(MemorySource::new(stream.clone())).unwrap();
-            let mut scanned = runtime(config);
-            let scanned_reports = scanned
-                .run_frames(MemoryFrameSource::from_packets(&stream))
-                .unwrap();
-            assert_eq!(scanned_reports, decoded_reports, "threads={threads}");
-            assert_eq!(scanned.stats(), decoded.stats(), "threads={threads}");
-            assert_eq!(scanned.stats().frames_malformed, 0);
-        }
     }
 
     #[test]
     fn malformed_frames_are_counted_and_skipped_not_fatal() {
         let traces = traces(2);
         let stream = interleave(&traces, Duration::from_millis(5));
-        let mut frames: Vec<(Timestamp, Vec<u8>)> =
-            stream.iter().map(|p| (p.timestamp, p.encode())).collect();
+        let mut frames = frames_of(&stream);
         // A runt (no Ethernet header) and a truncated IPv4 frame.
         frames.insert(0, (Timestamp::ZERO, vec![0xab; 9]));
         let mut truncated = stream[0].encode();
@@ -940,22 +804,21 @@ mod tests {
         let stats = runtime.stats();
         assert_eq!(stats.frames_malformed, 2);
         // Malformed frames are not stream input: `packets_in` counts
-        // exactly the frames the packet path would have seen.
+        // exactly the well-formed frames.
         assert_eq!(stats.packets_in, stream.len() as u64);
     }
 
     #[test]
-    fn frame_stats_agree_with_packet_stats_despite_malformed_frames() {
-        // Injecting malformed frames into the frame path must leave every
-        // stat (and every report) identical to the packet path over the
-        // clean stream — malformed frames consume no sequence number and
-        // show up only in `frames_malformed`.
+    fn injected_malformed_frames_change_only_the_malformed_counter() {
+        // Injecting malformed frames must leave every other stat (and
+        // every report) identical to the clean stream — malformed frames
+        // consume no sequence number and show up only in
+        // `frames_malformed`.
         let traces = traces(6);
         let stream = interleave(&traces, Duration::from_millis(5));
-        let mut decoded = runtime(StreamConfig::default());
-        let decoded_reports = decoded.run(MemorySource::new(stream.clone())).unwrap();
-        let mut frames: Vec<(Timestamp, Vec<u8>)> =
-            stream.iter().map(|p| (p.timestamp, p.encode())).collect();
+        let mut clean = runtime(StreamConfig::default());
+        let clean_reports = run_packets(&mut clean, &stream);
+        let mut frames = frames_of(&stream);
         // A runt up front, a truncated IPv4 frame early (before its
         // device onboards), and a runt at the tail.
         frames.insert(0, (Timestamp::ZERO, vec![0xcd; 5]));
@@ -963,12 +826,12 @@ mod tests {
         truncated.truncate(16);
         frames.insert(4, (stream[1].timestamp, truncated));
         frames.push((stream.last().unwrap().timestamp, vec![0xee; 13]));
-        let mut scanned = runtime(StreamConfig::default());
-        let scanned_reports = scanned.run_frames(MemoryFrameSource::new(frames)).unwrap();
-        assert_eq!(scanned_reports, decoded_reports);
-        let mut expected = decoded.stats().clone();
+        let mut dirty = runtime(StreamConfig::default());
+        let dirty_reports = dirty.run_frames(MemoryFrameSource::new(frames)).unwrap();
+        assert_eq!(dirty_reports, clean_reports);
+        let mut expected = clean.stats().clone();
         expected.frames_malformed += 3;
-        assert_eq!(scanned.stats(), &expected);
+        assert_eq!(dirty.stats(), &expected);
     }
 
     #[test]
@@ -983,7 +846,7 @@ mod tests {
                     batch_size,
                     ..StreamConfig::default()
                 });
-                let reports = runtime.run(MemorySource::new(stream.clone())).unwrap();
+                let reports = run_packets(&mut runtime, &stream);
                 (reports, runtime.stats().clone())
             })
             .collect();
@@ -1003,7 +866,7 @@ mod tests {
             max_sessions: 2,
             ..StreamConfig::default()
         });
-        runtime.run(MemorySource::new(stream)).unwrap();
+        run_packets(&mut runtime, &stream);
         let stats = runtime.stats();
         assert!(stats.sessions_evicted > 0, "overflow must shed: {stats}");
         assert!(stats.peak_resident_sessions <= 2);
@@ -1021,7 +884,7 @@ mod tests {
             ignored: vec![traces[0].mac],
             ..StreamConfig::default()
         });
-        let reports = runtime.run(MemorySource::new(stream)).unwrap();
+        let reports = run_packets(&mut runtime, &stream);
         assert_eq!(reports.len(), 1);
         assert!(runtime.report(traces[0].mac).is_none());
         assert_eq!(
@@ -1044,7 +907,7 @@ mod tests {
             stream.push(late);
         }
         let mut runtime = runtime(StreamConfig::default());
-        let reports = runtime.run(MemorySource::new(stream)).unwrap();
+        let reports = run_packets(&mut runtime, &stream);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].setup_packets, trace.packets.len());
         let stats = runtime.stats();
@@ -1060,9 +923,7 @@ mod tests {
             session_byte_cap: 64,
             ..StreamConfig::default()
         });
-        let reports = runtime
-            .run(MemorySource::new(traces[0].packets.clone()))
-            .unwrap();
+        let reports = run_packets(&mut runtime, &traces[0].packets);
         assert_eq!(reports.len(), 1);
         assert!(reports[0].setup_packets < traces[0].packets.len());
         assert_eq!(runtime.stats().completed_byte_cap, 1);

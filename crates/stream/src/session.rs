@@ -1,15 +1,15 @@
 //! Per-device onboarding session state machines.
 //!
 //! A [`Session`] is the streaming replacement for the batch gateway's
-//! raw packet buffer: it feeds every observed packet straight into an
-//! incremental [`FeatureExtractor`] and keeps only the growing feature
-//! matrix plus a handful of counters, so memory per monitored device is
-//! bounded by the identification window (the detector's packet cap)
-//! instead of the device's chattiness.
+//! raw packet buffer: it feeds every observed frame's [`RawFeatures`]
+//! straight into an incremental [`FeatureExtractor`] and keeps only the
+//! growing feature matrix plus a handful of counters, so memory per
+//! monitored device is bounded by the identification window (the
+//! detector's packet cap) instead of the device's chattiness.
 
 use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_fingerprint::{FeatureExtractor, Fingerprint};
-use sentinel_netproto::{Packet, RawFeatures, Timestamp};
+use sentinel_netproto::{RawFeatures, Timestamp};
 
 /// Why a session stopped collecting packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,34 +73,17 @@ impl Session {
         }
     }
 
-    /// Offers one packet (stream sequence `seq`) to the session.
+    /// Offers one frame's wire-scanned features (stream sequence `seq`)
+    /// to the session.
     ///
     /// The decision mirrors `SecurityGateway::observe` bit for bit: the
-    /// idle-gap check runs *before* the packet is absorbed (the packet
+    /// idle-gap check runs *before* the frame is absorbed (the frame
     /// that reveals the gap is steady-state traffic, not setup), the
     /// packet cap *after*. The byte cap is a streaming-only extension and
-    /// is disabled when set to `u64::MAX`.
+    /// is disabled when set to `u64::MAX`; `raw.packet_size` is the
+    /// frame's re-encoded wire length, so byte accounting is
+    /// bit-identical to the decode path.
     pub fn offer(
-        &mut self,
-        packet: &Packet,
-        seq: u64,
-        detector: &SetupDetector,
-        byte_cap: u64,
-    ) -> SessionEvent {
-        self.offer_raw(
-            &RawFeatures::from_packet(packet),
-            packet.timestamp,
-            seq,
-            detector,
-            byte_cap,
-        )
-    }
-
-    /// Offers one wire-scanned frame record to the session (the zero-copy
-    /// fast path). Identical decision logic and state transitions as
-    /// [`Session::offer`]: `raw.packet_size` is the frame's wire length,
-    /// so byte accounting is bit-identical to the decode path.
-    pub fn offer_raw(
         &mut self,
         raw: &RawFeatures,
         timestamp: Timestamp,
@@ -167,7 +150,7 @@ impl Session {
 mod tests {
     use super::*;
     use sentinel_fingerprint::extract;
-    use sentinel_netproto::MacAddr;
+    use sentinel_netproto::{MacAddr, Packet};
     use std::time::Duration;
 
     fn packets(n: u32, gap_millis: u64) -> Vec<Packet> {
@@ -177,6 +160,18 @@ mod tests {
             .collect()
     }
 
+    /// Offers `packet` the way the runtime does: encoded, then scanned.
+    fn offer(
+        session: &mut Session,
+        packet: &Packet,
+        seq: u64,
+        detector: &SetupDetector,
+        byte_cap: u64,
+    ) -> SessionEvent {
+        let raw = RawFeatures::from_frame(&packet.encode()).expect("valid frame");
+        session.offer(&raw, packet.timestamp, seq, detector, byte_cap)
+    }
+
     #[test]
     fn incremental_fingerprint_matches_batch_extract() {
         let packets = packets(10, 50);
@@ -184,7 +179,7 @@ mod tests {
         let mut session = Session::open(0, packets[0].timestamp);
         for (i, packet) in packets.iter().enumerate() {
             assert_eq!(
-                session.offer(packet, i as u64, &detector, u64::MAX),
+                offer(&mut session, packet, i as u64, &detector, u64::MAX),
                 SessionEvent::Absorbed
             );
         }
@@ -198,12 +193,12 @@ mod tests {
         let burst = packets(4, 100);
         let mut session = Session::open(0, burst[0].timestamp);
         for (i, packet) in burst.iter().enumerate() {
-            session.offer(packet, i as u64, &detector, u64::MAX);
+            offer(&mut session, packet, i as u64, &detector, u64::MAX);
         }
         let mut late = burst[0].clone();
         late.timestamp = burst.last().unwrap().timestamp + Duration::from_secs(30);
         assert_eq!(
-            session.offer(&late, 99, &detector, u64::MAX),
+            offer(&mut session, &late, 99, &detector, u64::MAX),
             SessionEvent::GapComplete
         );
         // The gap packet must not be in the fingerprint.
@@ -216,15 +211,15 @@ mod tests {
         let burst = packets(5, 10);
         let mut session = Session::open(0, burst[0].timestamp);
         assert_eq!(
-            session.offer(&burst[0], 0, &detector, u64::MAX),
+            offer(&mut session, &burst[0], 0, &detector, u64::MAX),
             SessionEvent::Absorbed
         );
         assert_eq!(
-            session.offer(&burst[1], 1, &detector, u64::MAX),
+            offer(&mut session, &burst[1], 1, &detector, u64::MAX),
             SessionEvent::Absorbed
         );
         assert_eq!(
-            session.offer(&burst[2], 2, &detector, u64::MAX),
+            offer(&mut session, &burst[2], 2, &detector, u64::MAX),
             SessionEvent::CapComplete(CompletionReason::PacketCap)
         );
     }
@@ -236,7 +231,7 @@ mod tests {
         let cap = burst[0].wire_len() as u64; // first packet already hits it
         let mut session = Session::open(0, burst[0].timestamp);
         assert_eq!(
-            session.offer(&burst[0], 0, &detector, cap),
+            offer(&mut session, &burst[0], 0, &detector, cap),
             SessionEvent::CapComplete(CompletionReason::ByteCap)
         );
         assert!(session.bytes() >= cap);

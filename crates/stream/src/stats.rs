@@ -15,17 +15,16 @@ use crate::session::CompletionReason;
 /// levels.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamStats {
-    /// Packets consumed from the source.
+    /// Well-formed frames consumed from the source.
     pub packets_in: u64,
     /// Packets skipped: ignored MACs or devices already onboarded.
     pub packets_ignored: u64,
-    /// Raw frames the frame-ingest path dropped because even the lenient
-    /// decoder would reject them. Always zero on the decoded-packet path.
+    /// Raw frames dropped because even the lenient decoder would reject
+    /// them (or too short to carry an Ethernet header).
     pub frames_malformed: u64,
     /// Raw frames the wire scanner could not certify (`NeedsDecode`)
-    /// that fell back to the full decoder. Always zero on the
-    /// decoded-packet path; the fleet soak asserts it stays zero on the
-    /// frame path too.
+    /// that fell back to the full decoder; zero on simulator traffic
+    /// (`fleet_determinism`, `scan_fastpath`).
     pub frames_decoded: u64,
     /// Sessions opened (a shed device re-opening counts again).
     pub sessions_opened: u64,

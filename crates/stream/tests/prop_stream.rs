@@ -1,5 +1,6 @@
-//! Property tests: the streaming session path must be indistinguishable
-//! from batch extraction, for arbitrary packet sequences.
+//! Property tests: the streaming session path (wire-scanned frames) must
+//! be indistinguishable from batch extraction of the decoded packets, for
+//! arbitrary packet sequences.
 
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -8,7 +9,7 @@ use proptest::prelude::*;
 
 use sentinel_fingerprint::extract;
 use sentinel_fingerprint::setup::SetupDetector;
-use sentinel_netproto::{AppPayload, MacAddr, Packet, Timestamp};
+use sentinel_netproto::{AppPayload, MacAddr, Packet, RawFeatures, Timestamp};
 use sentinel_stream::{Session, SessionEvent};
 
 /// One step of an arbitrary device conversation.
@@ -69,6 +70,17 @@ fn open_detector() -> SetupDetector {
     SetupDetector::new(usize::MAX, Duration::from_secs(1 << 40), usize::MAX)
 }
 
+/// Offers `packet` the way the runtime does: encoded, then scanned.
+fn offer(
+    session: &mut Session,
+    packet: &Packet,
+    seq: usize,
+    detector: &SetupDetector,
+) -> SessionEvent {
+    let raw = RawFeatures::from_frame(&packet.encode()).expect("valid frame");
+    session.offer(&raw, packet.timestamp, seq as u64, detector, u64::MAX)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -82,7 +94,7 @@ proptest! {
         let mut session = Session::open(0, Timestamp::ZERO);
         for (seq, packet) in packets.iter().enumerate() {
             prop_assert_eq!(
-                session.offer(packet, seq as u64, &detector, u64::MAX),
+                offer(&mut session, packet, seq, &detector),
                 SessionEvent::Absorbed
             );
         }
@@ -97,7 +109,7 @@ proptest! {
         let detector = open_detector();
         let mut session = Session::open(0, Timestamp::ZERO);
         for (seq, packet) in packets.iter().enumerate() {
-            session.offer(packet, seq as u64, &detector, u64::MAX);
+            offer(&mut session, packet, seq, &detector);
         }
         let wire: u64 = packets.iter().map(|p| p.wire_len() as u64).sum();
         prop_assert_eq!(session.bytes(), wire);
@@ -114,7 +126,7 @@ proptest! {
         let mut absorbed = 0;
         for (seq, packet) in packets.iter().enumerate() {
             absorbed += 1;
-            match session.offer(packet, seq as u64, &detector, u64::MAX) {
+            match offer(&mut session, packet, seq, &detector) {
                 SessionEvent::Absorbed => {}
                 SessionEvent::CapComplete(_) => break,
                 SessionEvent::GapComplete => unreachable!("gap disabled"),

@@ -1,8 +1,9 @@
 //! Streaming onboarding: eight devices join the network *at the same
-//! time*, their setup traffic arriving as one interleaved packet stream.
-//! The bounded streaming runtime demultiplexes it per device, detects
-//! each setup phase's end on the fly, and drives every device through
-//! assess → enforce — with decisions bit-identical to the batch gateway.
+//! time*, their setup traffic arriving as one interleaved stream of raw
+//! frames. The bounded streaming runtime scans each frame in place,
+//! demultiplexes per device, detects each setup phase's end on the fly,
+//! and drives every device through assess → enforce — with decisions
+//! bit-identical to the batch gateway.
 //!
 //! ```text
 //! cargo run --release --example streaming_onboarding
@@ -12,7 +13,7 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use iot_sentinel::devicesim::{catalog, interleave, Testbed};
-use iot_sentinel::netproto::stream::MemorySource;
+use iot_sentinel::netproto::stream::MemoryFrameSource;
 use iot_sentinel::netproto::{AppPayload, MacAddr, Packet, Timestamp};
 use iot_sentinel::prelude::*;
 use iot_sentinel::sdn::FlowAction;
@@ -26,7 +27,9 @@ fn main() {
 
     // Eight different devices are unboxed within two seconds of each
     // other; `interleave` merges their setup traces into the single
-    // packet sequence the gateway's mirror port would actually see.
+    // packet sequence the gateway's mirror port would actually see, and
+    // `MemoryFrameSource::from_packets` encodes it to wire frames — the
+    // runtime's only ingest unit.
     let testbed = Testbed::new(7);
     let traces: Vec<_> = (0..8)
         .map(|i| testbed.setup_run(&devices[i * 3].profile, 1))
@@ -50,7 +53,7 @@ fn main() {
         },
     );
     let reports = runtime
-        .run(MemorySource::new(stream))
+        .run_frames(MemoryFrameSource::from_packets(&stream))
         .expect("in-memory stream");
     for report in &reports {
         println!("{report}");

@@ -25,7 +25,7 @@ use sentinel_core::{FingerprintDataset, IoTSecurityService, SecurityService, Ser
 use sentinel_devicesim::{catalog, interleave, Testbed};
 use sentinel_fingerprint::{extract, FixedFingerprint, FEATURE_NAMES};
 use sentinel_netproto::pcap::PcapReader;
-use sentinel_netproto::stream::MemorySource;
+use sentinel_netproto::stream::{FrameSource, MemoryFrameSource};
 use sentinel_snapshot::{Snapshot, SnapshotBoot};
 use sentinel_stream::{StreamConfig, StreamRuntime};
 
@@ -238,7 +238,12 @@ fn stream(
         ..StreamConfig::default()
     };
     let mut runtime = StreamRuntime::with_config(service, config);
-    let reports = match simulate {
+    // One ingest path for both inputs: raw frames through the wire
+    // scanner, never decoding a Packet for certifiable frames (and never
+    // aborting on malformed ones — a live tap's semantics). A capture
+    // replays through one reused buffer; the simulator's packets are
+    // encoded once up front.
+    let mut source: Box<dyn FrameSource> = match simulate {
         Some(n) => {
             let devices = catalog();
             let testbed = Testbed::new(seed ^ 0x57ea);
@@ -254,20 +259,17 @@ fn stream(
                 n,
                 packets.len()
             );
-            runtime.run(MemorySource::new(packets))?
+            Box::new(MemoryFrameSource::from_packets(&packets))
         }
         None => {
             let [path] = args else {
                 return Err("usage: sentinel stream <capture.pcap> (or --simulate N)".into());
             };
             eprintln!("streaming {path}…");
-            // The zero-copy frame path: raw records replay through one
-            // reused buffer and the wire scanner, never decoding a
-            // Packet for certifiable frames (and never aborting on
-            // malformed ones — a live tap's semantics).
-            runtime.run_frames(PcapReader::new(std::fs::File::open(path)?)?)?
+            Box::new(PcapReader::new(std::fs::File::open(path)?)?)
         }
     };
+    let reports = runtime.run_frames(&mut *source)?;
     for report in &reports {
         println!("{report}");
     }

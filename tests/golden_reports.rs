@@ -20,7 +20,7 @@ use iot_sentinel::core::{
 use iot_sentinel::devicesim::{catalog, interleave, SetupTrace, Testbed};
 use iot_sentinel::fleet::{run_fleet, FleetConfig};
 use iot_sentinel::ml::ForestConfig;
-use iot_sentinel::netproto::stream::MemorySource;
+use iot_sentinel::netproto::stream::MemoryFrameSource;
 use iot_sentinel::stream::{StreamConfig, StreamRuntime};
 
 /// Compares `actual` with the checked-in fixture `name`, rewriting the
@@ -75,7 +75,7 @@ fn onboarding_reports_match_the_checked_in_bytes() {
         },
     );
     let reports = runtime
-        .run(MemorySource::new(stream))
+        .run_frames(MemoryFrameSource::from_packets(&stream))
         .expect("in-memory source cannot fail");
     assert_eq!(reports.len(), traces.len(), "every device must onboard");
     assert_matches_fixture(

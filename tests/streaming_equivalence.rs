@@ -3,7 +3,9 @@
 //! batch `SecurityGateway` reaches — bit-identical against a sequential
 //! gateway consuming the same stream, and decision-identical against
 //! gateways onboarding each device's trace alone — at thread counts
-//! 1, 2, 4 and 8, over both the packet and raw-frame ingest paths.
+//! 1, 2, 4 and 8. The runtime ingests raw frames through the wire scan;
+//! the gateway observes owned `Packet`s, so every comparison here is
+//! also the end-to-end scan-vs-decode differential.
 //!
 //! Every assessment is keyed by `(seq, mac)`, so one *shared* service
 //! instance must answer bit-identically no matter how many runtimes (or
@@ -12,6 +14,7 @@
 //! proptest pin that per-completion contract at the service level.
 
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -25,8 +28,9 @@ use iot_sentinel::core::{
 use iot_sentinel::devicesim::{catalog, interleave, SetupTrace, Testbed};
 use iot_sentinel::fingerprint::{extract, Fingerprint, FixedFingerprint};
 use iot_sentinel::ml::{ForestConfig, PinnedRng};
-use iot_sentinel::netproto::stream::{MemoryFrameSource, MemorySource};
-use iot_sentinel::netproto::{MacAddr, Packet};
+use iot_sentinel::netproto::pcap::{PcapReader, PcapWriter};
+use iot_sentinel::netproto::stream::MemoryFrameSource;
+use iot_sentinel::netproto::{AppPayload, MacAddr, Packet, ParseError, ScanOutcome, WireScan};
 use iot_sentinel::sdn::IsolationLevel;
 use iot_sentinel::stream::{StreamConfig, StreamRuntime};
 
@@ -126,7 +130,7 @@ fn interleaved_stream_is_bit_identical_to_a_sequential_gateway() {
             },
         );
         let reports = runtime
-            .run(MemorySource::new(stream.clone()))
+            .run_frames(MemoryFrameSource::from_packets(&stream))
             .expect("in-memory source cannot fail");
         // Same reports, same decision order, bit for bit — scores
         // included. (Both sides key every draw by
@@ -184,7 +188,7 @@ fn interleaved_stream_matches_onboarding_each_trace_alone() {
             },
         );
         let reports = runtime
-            .run(MemorySource::new(stream.clone()))
+            .run_frames(MemoryFrameSource::from_packets(&stream))
             .expect("in-memory source cannot fail");
         assert_eq!(reports.len(), traces.len());
 
@@ -241,7 +245,7 @@ fn streaming_identifies_and_isolates_like_the_paper() {
     let stream = interleave(&traces, Duration::from_millis(9));
     let mut runtime = StreamRuntime::new(&service);
     runtime
-        .run(MemorySource::new(stream))
+        .run_frames(MemoryFrameSource::from_packets(&stream))
         .expect("in-memory source cannot fail");
     let stats = runtime.stats();
     assert_eq!(stats.sessions_completed(), 27);
@@ -264,52 +268,137 @@ fn streaming_identifies_and_isolates_like_the_paper() {
 fn one_stateful_service_is_bit_identical_across_threads_and_paths() {
     // The strongest form of the keyed contract: ONE service instance,
     // serving every run in sequence, must produce bit-identical reports
-    // AND stats at thread counts 1/2/4/8 and over both the
-    // decoded-packet and raw-frame ingest paths — running twice must not
-    // change an answer.
+    // AND stats at thread counts 1/2/4/8, and those reports must be the
+    // ones the decode-path sequential gateway draws from the same
+    // instance — running again must not change an answer.
     let model = trained_model();
     let service = fresh_service(&model);
     let traces = concurrent_traces(24);
     let stream = interleave(&traces, Duration::from_millis(9));
+    let decoded = sequential_baseline(&service, &stream);
 
-    let mut baseline: Option<(Vec<OnboardingReport>, iot_sentinel::stream::StreamStats)> = None;
+    let mut baseline: Option<iot_sentinel::stream::StreamStats> = None;
     for threads in [1usize, 2, 4, 8] {
-        let config = StreamConfig {
-            threads,
-            ..StreamConfig::default()
-        };
-        let mut packets = StreamRuntime::with_config(&service, config.clone());
-        let packet_reports = packets
-            .run(MemorySource::new(stream.clone()))
-            .expect("in-memory source cannot fail");
-        let mut frames = StreamRuntime::with_config(&service, config);
-        let frame_reports = frames
+        let mut runtime = StreamRuntime::with_config(
+            &service,
+            StreamConfig {
+                threads,
+                ..StreamConfig::default()
+            },
+        );
+        let reports = runtime
             .run_frames(MemoryFrameSource::from_packets(&stream))
             .expect("in-memory source cannot fail");
         assert_eq!(
-            frame_reports, packet_reports,
-            "frame path diverged from packet path at {threads} threads"
+            reports, decoded,
+            "scan path diverged from the decode path at {threads} threads"
         );
+        assert_eq!(runtime.stats().frames_decoded, 0);
+        let stats = baseline.get_or_insert_with(|| runtime.stats().clone());
         assert_eq!(
-            frames.stats(),
-            packets.stats(),
-            "frame stats diverged at {threads} threads"
+            runtime.stats(),
+            stats,
+            "stats diverged at {threads} threads"
         );
-        match &baseline {
-            None => baseline = Some((packet_reports, packets.stats().clone())),
-            Some((reports, stats)) => {
-                assert_eq!(
-                    &packet_reports, reports,
-                    "reports diverged at {threads} threads"
-                );
-                assert_eq!(
-                    packets.stats(),
-                    stats,
-                    "stats diverged at {threads} threads"
-                );
-            }
-        }
     }
+    assert_eq!(
+        sequential_baseline(&service, &stream),
+        decoded,
+        "the shared service answered differently the second time"
+    );
+}
+
+#[test]
+fn scanner_punted_frame_takes_the_decode_fallback_and_matches_the_gateway() {
+    let service = fresh_service(&trained_model());
+    let trace = &concurrent_traces(1)[0];
+    // A DNS response whose answer name is a compression pointer — valid,
+    // but the scanner does not follow it (`NeedsDecode`; the frame of
+    // `scan.rs`'s `compressed_dns_needs_decode`) — sent by the device
+    // mid-setup.
+    let mut dns = vec![0u8; 12];
+    dns[5] = 1; // one question
+    dns[7] = 1; // one answer
+    dns.extend_from_slice(&[3, b'f', b'o', b'o', 0, 0, 1, 0, 1]); // question
+    dns.extend_from_slice(&[0xc0, 12]); // answer name: pointer
+    dns.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 1, 2, 3, 4]);
+    let at = trace.packets.len() / 2;
+    let timestamp = trace.packets[at].timestamp;
+    let punted = Packet::udp_ipv4(
+        timestamp,
+        trace.mac,
+        trace.packets[at].dst_mac(),
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(10, 0, 0, 2),
+        53,
+        49_000,
+        AppPayload::Raw(dns.into()),
+    )
+    .encode();
+    assert_eq!(WireScan::scan(&punted), ScanOutcome::NeedsDecode);
+    let mut frames: Vec<_> = trace
+        .packets
+        .iter()
+        .map(|p| (p.timestamp, p.encode()))
+        .collect();
+    frames.insert(at, (timestamp, punted));
+    // The decode-path reference sees every frame through the owning decoder.
+    let decoded: Vec<Packet> = frames
+        .iter()
+        .map(|(ts, frame)| Packet::parse(frame, *ts).expect("valid frame"))
+        .collect();
+
+    let mut runtime = StreamRuntime::new(&service);
+    let reports = runtime
+        .run_frames(MemoryFrameSource::new(frames))
+        .expect("in-memory source cannot fail");
+    assert_eq!(reports, sequential_baseline(&service, &decoded));
+    assert_eq!(reports[0].setup_packets, trace.packets.len() + 1);
+    let stats = runtime.stats();
+    assert_eq!(stats.frames_decoded, 1);
+    assert_eq!(stats.frames_malformed, 0);
+    assert_eq!(stats.packets_in, decoded.len() as u64);
+}
+
+#[test]
+fn container_error_propagates_and_keeps_what_was_onboarded_before_it() {
+    let service = fresh_service(&trained_model());
+    let traces = concurrent_traces(2);
+    // Device 0 sets up and goes quiet; its keep-alive a minute later
+    // closes the session. Device 1 joins after that and is mid-setup
+    // when the capture is cut inside its last record's 16-byte header.
+    let mut stream = interleave(&traces, Duration::from_secs(120));
+    let mut keep_alive = traces[0].packets[0].clone();
+    keep_alive.timestamp = traces[0].packets.last().unwrap().timestamp + Duration::from_secs(60);
+    stream.insert(traces[0].packets.len(), keep_alive);
+    let mut capture = Vec::new();
+    let mut writer = PcapWriter::new(&mut capture).expect("in-memory write");
+    for packet in &stream {
+        writer.write_packet(packet).expect("in-memory write");
+    }
+    writer.finish().expect("in-memory write");
+    capture.truncate(capture.len() - stream.last().unwrap().encode().len() - 9);
+
+    // The default 1024-frame batch holds the whole capture: the frames
+    // read before the error must still be ingested.
+    let mut runtime = StreamRuntime::new(&service);
+    let err = runtime
+        .run_frames(PcapReader::new(capture.as_slice()).expect("intact global header"))
+        .expect_err("the capture ends inside a record header");
+    assert!(matches!(err, ParseError::Truncated { got: 7, .. }), "{err}");
+    let expected = &sequential_baseline(&service, &stream[..stream.len() - 1])[0];
+    assert_eq!(runtime.report(traces[0].mac), Some(expected));
+    assert_eq!(
+        runtime.enforcement().level_of(traces[0].mac),
+        expected.response.isolation
+    );
+    assert!(runtime.enforcement().cache().get(traces[0].mac).is_some());
+    // Nothing was flushed: device 1 is still mid-setup.
+    let stats = runtime.stats();
+    assert_eq!(stats.packets_in, stream.len() as u64 - 1);
+    assert_eq!((stats.completed_idle_gap, stats.completed_flush), (1, 0));
+    assert!(runtime.report(traces[1].mac).is_none());
+    assert_eq!(runtime.resident_sessions(), 1);
 }
 
 /// `(full, fixed, key)` probes from `n` held-out setups, keyed like a
@@ -450,7 +539,7 @@ fn snapshot_booted_runtime_streams_bit_identically() {
             },
         );
         let reports = runtime
-            .run(MemorySource::new(stream.clone()))
+            .run_frames(MemoryFrameSource::from_packets(&stream))
             .expect("in-memory source cannot fail");
         assert_eq!(
             reports, baseline,
