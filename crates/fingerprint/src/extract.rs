@@ -43,6 +43,14 @@ impl FeatureExtractor {
         }
     }
 
+    /// Forgets every packet and destination seen so far while keeping
+    /// both allocations, so one extractor can serve a second device
+    /// without touching the heap.
+    pub fn clear(&mut self) {
+        self.dst_ip_order.clear();
+        self.vectors.clear();
+    }
+
     /// Extracts the features of `packet` and appends them.
     ///
     /// Returns the extracted vector for callers that want to observe it.
@@ -167,6 +175,26 @@ mod tests {
         // An ARP probe must not consume a counter slot.
         let first_ip = udp_to(Ipv4Addr::new(10, 0, 0, 9), 80, 1);
         assert_eq!(extractor.push(&first_ip).dst_ip_counter, 1);
+    }
+
+    #[test]
+    fn cleared_extractor_behaves_like_a_new_one_and_keeps_its_arena() {
+        let packets = [
+            udp_to(Ipv4Addr::new(192, 168, 0, 1), 53, 0),
+            udp_to(Ipv4Addr::new(52, 1, 2, 3), 443, 1),
+        ];
+        let mut extractor = FeatureExtractor::with_capacity(8);
+        for packet in &packets {
+            extractor.push(packet);
+        }
+        let arena = extractor.vectors.as_ptr();
+        extractor.clear();
+        assert_eq!(extractor.packet_count(), 0);
+        // The destination counter starts over: the second address of the
+        // first run is the first of this one.
+        assert_eq!(extractor.push(&packets[1]).dst_ip_counter, 1);
+        assert_eq!(extractor.vectors.as_ptr(), arena, "arena was reallocated");
+        assert_eq!(extractor.finish(), extract(&packets[1..]));
     }
 
     #[test]

@@ -14,6 +14,9 @@ const VERSION_MAJOR: u16 = 2;
 const VERSION_MINOR: u16 = 4;
 const LINKTYPE_ETHERNET: u32 = 1;
 const SNAPLEN: u32 = 65535;
+/// The most a capture's stated snaplen can raise the per-record length
+/// limit to (libpcap's `MAXIMUM_SNAPLEN`): the header is input too.
+const MAX_SNAPLEN: u32 = 262_144;
 
 /// Writes packets to a pcap capture stream.
 ///
@@ -99,6 +102,10 @@ impl<W: Write> PcapWriter<W> {
 pub struct PcapReader<R> {
     inner: R,
     big_endian: bool,
+    /// Longest record accepted: the capture's snaplen, but at least the
+    /// classic 65 535 (some writers understate it) and at most
+    /// [`MAX_SNAPLEN`].
+    max_record: u32,
 }
 
 impl<R: Read> PcapReader<R> {
@@ -132,7 +139,11 @@ impl<R: Read> PcapReader<R> {
         if linktype != LINKTYPE_ETHERNET {
             return Err(ParseError::invalid("pcap", format!("link type {linktype}")));
         }
-        Ok(PcapReader { inner, big_endian })
+        Ok(PcapReader {
+            inner,
+            big_endian,
+            max_record: read_u32(&header[16..20]).clamp(SNAPLEN, MAX_SNAPLEN),
+        })
     }
 
     /// Reads the next raw frame, or `None` at end of stream.
@@ -156,8 +167,11 @@ impl<R: Read> PcapReader<R> {
     /// # Errors
     ///
     /// Returns [`ParseError::Truncated`] when the capture ends inside a
-    /// record header (only a record boundary is a clean end of stream)
-    /// and [`ParseError::Io`] on a short or failed read of the frame.
+    /// record header (only a record boundary is a clean end of stream),
+    /// [`ParseError::Invalid`] when a record claims more bytes than the
+    /// capture's snaplen allows (checked before any buffer grows, so a
+    /// hostile 16-byte header cannot demand gigabytes) and
+    /// [`ParseError::Io`] on a short or failed read of the frame.
     pub fn read_raw_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError> {
         frame.clear();
         let mut record = [0u8; 16];
@@ -181,8 +195,12 @@ impl<R: Read> PcapReader<R> {
         };
         let secs = read_u32(&record[0..4]);
         let micros = read_u32(&record[4..8]);
-        let incl_len = read_u32(&record[8..12]) as usize;
-        frame.resize(incl_len, 0);
+        let incl_len = read_u32(&record[8..12]);
+        if incl_len > self.max_record {
+            let reason = format!("{incl_len} captured bytes, limit {}", self.max_record);
+            return Err(ParseError::invalid("pcap record", reason));
+        }
+        frame.resize(incl_len as usize, 0);
         self.inner.read_exact(frame)?;
         Ok(Some(Timestamp::from_pcap_parts(secs, micros)))
     }
@@ -307,6 +325,45 @@ mod tests {
             reader.read_packet().unwrap_err(),
             ParseError::Truncated { got: 7, .. }
         ));
+    }
+
+    #[test]
+    fn oversized_record_length_is_rejected_before_any_buffer_grows() {
+        // A hostile header is input too: stating a 4 GiB snaplen must not
+        // lift the limit.
+        for snaplen in [SNAPLEN, u32::MAX] {
+            let mut buf = Vec::new();
+            PcapWriter::new(&mut buf).unwrap().finish().unwrap();
+            buf[16..20].copy_from_slice(&snaplen.to_le_bytes());
+            buf.extend_from_slice(&[0u8; 8]); // timestamp
+            buf.extend_from_slice(&u32::MAX.to_le_bytes()); // incl_len
+            buf.extend_from_slice(&u32::MAX.to_le_bytes()); // orig_len
+            let mut reader = PcapReader::new(buf.as_slice()).unwrap();
+            let mut frame = Vec::with_capacity(64);
+            let capacity = frame.capacity();
+            assert!(matches!(
+                reader.read_raw_into(&mut frame).unwrap_err(),
+                ParseError::Invalid {
+                    layer: "pcap record",
+                    ..
+                }
+            ));
+            assert_eq!(frame.capacity(), capacity, "buffer grew before the check");
+        }
+    }
+
+    #[test]
+    fn record_as_long_as_the_stated_snaplen_is_read() {
+        // A capture may state a snaplen above the classic 65 535.
+        let frame = vec![0xabu8; 70_000];
+        let mut buf = Vec::new();
+        let mut writer = PcapWriter::new(&mut buf).unwrap();
+        writer.write_raw(Timestamp::ZERO, &frame).unwrap();
+        writer.finish().unwrap();
+        assert!(PcapReader::new(buf.as_slice()).unwrap().read_raw().is_err());
+        buf[16..20].copy_from_slice(&70_000u32.to_le_bytes());
+        let read = PcapReader::new(buf.as_slice()).unwrap().read_raw().unwrap();
+        assert_eq!(read, Some((Timestamp::ZERO, frame)));
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   features straight into the incremental feature extractor, so raw
 //!   frames are never retained; per-session memory is bounded by the
 //!   detector's packet cap (plus an optional byte cap).
-//! * [`SessionTable`] — a capacity-bounded table with deterministic
-//!   LRU shedding as the explicit overflow policy.
+//! * [`SessionTable`] — a capacity-bounded session slab behind a one-probe
+//!   MAC index, with deterministic LRU shedding (the victim's slot is
+//!   re-opened in place) as the explicit overflow policy.
 //! * [`StreamStats`] — the counters an operator needs: throughput,
 //!   session lifecycle, shedding, peak concurrency, outcome mix.
 //!
@@ -67,6 +68,6 @@ mod table;
 pub use runtime::{apply_onboarding, Completion, StreamConfig, StreamRuntime};
 pub use session::{CompletionReason, Session, SessionEvent};
 pub use stats::StreamStats;
-pub use table::{Admission, SessionTable};
+pub use table::{Probe, SessionTable};
 
 pub use sentinel_netproto::stream::{FrameSource, MemoryFrameSource};

@@ -13,14 +13,15 @@
 //!
 //! Frames are sharded by a fixed FNV hash of the source MAC over
 //! [`StreamConfig::shards`] *virtual* shards — a number independent of
-//! the worker count — and shards are processed with the same
-//! deterministic fork/join ([`sentinel_ml::parallel::map_indexed`]) used
-//! by the training pipeline. All of a device's frames land in one
-//! shard, each shard's state evolves only with its own frame
-//! subsequence, and completions are merged back in global stream order,
-//! so every decision (fingerprint, identification, isolation level,
-//! eviction choice) is bit-identical at any `SENTINEL_THREADS` setting
-//! and for any ingest batch size.
+//! the worker count — and the shards a batch touches are processed, in
+//! ascending order, with the same deterministic fork/join
+//! ([`sentinel_ml::parallel::map_indexed`]) as training; an ingest call
+//! costs what its frames cost, not what the shard count costs. All of a
+//! device's frames land in one shard, each shard's state evolves only
+//! with its own frame subsequence, and completions are merged back in
+//! global stream order, so every decision (fingerprint, identification,
+//! isolation level, eviction choice) is bit-identical at any
+//! `SENTINEL_THREADS` setting and for any ingest batch size.
 //!
 //! # Shard-end-to-end assessment
 //!
@@ -39,7 +40,7 @@
 //! the shared SDN module and must stay ordered, but is trivially cheap
 //! next to classification.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
@@ -55,7 +56,7 @@ use sentinel_sdn::{EnforcementModule, IsolationLevel, OvsSwitch, SwitchDecision}
 
 use crate::session::{CompletionReason, Session, SessionEvent};
 use crate::stats::StreamStats;
-use crate::table::{Admission, SessionTable};
+use crate::table::{Probe, SessionTable};
 
 /// Tuning knobs of the streaming runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,8 +112,8 @@ impl StreamConfig {
     }
 }
 
-/// One shard's state: its bounded session table, the set of MACs it
-/// has already onboarded (whose steady-state traffic is skipped), and
+/// One shard's state: its bounded session table (which also remembers
+/// the MACs it has onboarded, whose steady-state traffic is skipped) and
 /// the warm assessment scratch its in-shard keyed batch assessments
 /// reuse tick after tick (stage-1 batch matrix and candidate pool,
 /// stage-2 probe symbols and mask table — once warm, assessment
@@ -120,7 +121,6 @@ impl StreamConfig {
 #[derive(Debug)]
 struct Shard {
     table: SessionTable,
-    onboarded: HashSet<MacAddr>,
     scratch: AssessScratch,
 }
 
@@ -177,37 +177,30 @@ struct ShardOutcome {
     /// Frames the scanner punted on (`NeedsDecode`) that went through
     /// the full decoder instead of the zero-copy fast path.
     decoded: u64,
-    resident: usize,
+    /// Resident sessions after the round, minus before it.
+    resident_change: isize,
 }
 
 impl ShardOutcome {
-    /// Adds this shard's ingest counters to `stats` and returns its
-    /// resident-session count (summed across shards, that is the
-    /// round's candidate for the peak).
-    fn merge_counters(&self, stats: &mut StreamStats) -> usize {
+    /// Adds this shard's ingest counters to `stats` and moves the
+    /// runtime's running `resident` count by the shard's change.
+    fn merge_counters(&self, stats: &mut StreamStats, resident: &mut usize) {
         stats.packets_in += self.packets;
         stats.sessions_opened += self.opened;
         stats.sessions_evicted += self.evicted;
         stats.packets_ignored += self.ignored;
         stats.frames_malformed += self.malformed;
         stats.frames_decoded += self.decoded;
-        self.resident
+        *resident = resident.wrapping_add_signed(self.resident_change);
     }
-}
-
-/// Per-session feature-arena pre-allocation: the detector's packet cap,
-/// clamped so a pathological configuration cannot make every open
-/// session reserve unbounded memory up front.
-fn session_capacity(detector: &SetupDetector) -> usize {
-    detector.max_packets.min(1024)
 }
 
 impl Shard {
     /// Sessionizes this shard's slice of one ingest batch — the one
-    /// admit → offer → complete loop. `items` carries `(stream seq,
-    /// index into batch)` pairs — the indirection lets the runtime reuse
-    /// its bucket allocations across batches instead of borrowing the
-    /// batch in per-call buckets.
+    /// probe → open → offer → complete loop, one hash probe per frame.
+    /// `items` carries `(stream seq, index into batch)` pairs — the
+    /// indirection lets the runtime reuse its bucket allocations across
+    /// batches instead of borrowing the batch in per-call buckets.
     ///
     /// Each frame is scanned on the borrowed slice, so the hot path
     /// never constructs a [`Packet`]; decisions and state transitions
@@ -220,15 +213,22 @@ impl Shard {
         batch: &[(Timestamp, Vec<u8>)],
         config: &StreamConfig,
     ) -> ShardOutcome {
+        let before = self.table.len();
         let mut out = ShardOutcome::default();
         for &(seq, index) in items {
             let (timestamp, frame) = &batch[index as usize];
             let timestamp = *timestamp;
             let mac = MacAddr::new(frame[6..12].try_into().expect("bucketed frames hold a MAC"));
-            if config.ignored.contains(&mac) || self.onboarded.contains(&mac) {
-                out.ignored += 1;
-                continue;
-            }
+            // An ignored MAC never opens a session, so it is never
+            // resident: the list is only consulted for unknown MACs.
+            let resident = match self.table.probe(mac) {
+                Probe::Resident(slot) => Some(slot),
+                Probe::Absent if !config.ignored.contains(&mac) => None,
+                Probe::Absent | Probe::Onboarded => {
+                    out.ignored += 1;
+                    continue;
+                }
+            };
             let raw = match WireScan::scan_or_decode(frame) {
                 Ok((raw, decoded)) => {
                     out.decoded += u64::from(decoded);
@@ -239,16 +239,13 @@ impl Shard {
                     continue;
                 }
             };
-            if !self.table.contains(mac) {
-                let session =
-                    Session::open_sized(seq, timestamp, session_capacity(&config.detector));
-                if let Admission::Shed(..) = self.table.admit(mac, session) {
-                    out.evicted += 1;
-                }
+            let slot = resident.unwrap_or_else(|| {
+                let (slot, shed) = self.table.open(mac, seq, timestamp);
                 out.opened += 1;
-            }
-            let session = self.table.get_mut(mac).expect("admitted above");
-            let event = session.offer(
+                out.evicted += u64::from(shed.is_some());
+                slot
+            });
+            let event = self.table.session_mut(slot).offer(
                 &raw,
                 timestamp,
                 seq,
@@ -260,13 +257,12 @@ impl Shard {
                 SessionEvent::GapComplete => CompletionReason::IdleGap,
                 SessionEvent::CapComplete(reason) => reason,
             };
-            let session = self.table.remove(mac).expect("was resident");
+            let session = self.table.complete(slot);
             out.completions.push(complete(mac, seq, session, reason));
-            self.onboarded.insert(mac);
         }
         // Rejected frames never counted as stream input.
         out.packets = items.len() as u64 - out.malformed;
-        out.resident = self.table.len();
+        out.resident_change = self.table.len() as isize - before as isize;
         out
     }
 
@@ -276,8 +272,8 @@ impl Shard {
             let seq = session.last_seq();
             out.completions
                 .push(complete(mac, seq, session, CompletionReason::Flush));
-            self.onboarded.insert(mac);
         }
+        out.resident_change = -(out.completions.len() as isize);
         out
     }
 }
@@ -296,35 +292,6 @@ fn complete(mac: MacAddr, seq: u64, session: Session, reason: CompletionReason) 
         full,
         fixed,
     }
-}
-
-/// The parallel pass of one inline round: `step` advances each shard
-/// (sessionize a batch, or flush), then the shard assesses its own
-/// completions before the join — stage-1 batched forest-major over the
-/// shard's whole tick, stage-2 drawing from each completion's own
-/// `(seq, mac)`-keyed generator. Pure per item (v2 pinned RNG
-/// contract), so concurrent shards cannot perturb each other. The
-/// shard's warm [`AssessScratch`] backs the service's batched kernels
-/// (empty tick ⇒ no work, no allocation).
-fn run_shards<S: SecurityService + Sync>(
-    shards: &[Mutex<Shard>],
-    service: &S,
-    threads: usize,
-    step: impl Fn(usize, &mut Shard) -> ShardOutcome + Sync,
-) -> Vec<ShardOutcome> {
-    map_indexed(shards.len(), effective_threads(threads), |s| {
-        let mut shard = shards[s].lock();
-        let mut outcome = step(s, &mut shard);
-        if !outcome.completions.is_empty() {
-            let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = outcome
-                .completions
-                .iter()
-                .map(|c| (&c.full, &c.fixed, c.assess_key()))
-                .collect();
-            service.assess_keyed_batch_into(&items, &mut shard.scratch, &mut outcome.responses);
-        }
-        outcome
-    })
 }
 
 /// The stats-and-enforcement tail of onboarding one assessed device:
@@ -383,9 +350,15 @@ pub struct StreamRuntime<S> {
     reports: HashMap<MacAddr, OnboardingReport>,
     stats: StreamStats,
     next_seq: u64,
+    /// Sessions resident across all shards: a running count moved by each
+    /// visited shard's change, so no call has to ask the other shards.
+    resident: usize,
     /// Per-shard `(stream seq, batch index)` buckets, hoisted out of the
     /// ingest calls so their allocations are reused across batches.
     buckets: Vec<Vec<(u64, u32)>>,
+    /// The shards the current batch put at least one frame in, ascending:
+    /// the only shards an ingest call visits, the only buckets it clears.
+    touched: Vec<u32>,
     /// Scratch for the FNV shard-assignment pre-pass (`u32::MAX` marks a
     /// frame too short to carry an Ethernet header).
     shard_ids: Vec<u32>,
@@ -401,11 +374,14 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     pub fn with_config(service: S, config: StreamConfig) -> Self {
         let shard_count = config.shards.max(1);
         let per_shard = config.shard_capacity();
+        // Per-session feature-arena pre-allocation: the detector's packet
+        // cap, clamped so a pathological configuration cannot make every
+        // open session reserve unbounded memory up front.
+        let arena = config.detector.max_packets.min(1024);
         let shards = (0..shard_count)
             .map(|_| {
                 Mutex::new(Shard {
-                    table: SessionTable::new(per_shard),
-                    onboarded: HashSet::new(),
+                    table: SessionTable::new(per_shard, arena),
                     scratch: AssessScratch::default(),
                 })
             })
@@ -419,7 +395,9 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
             reports: HashMap::new(),
             stats: StreamStats::default(),
             next_seq: 0,
+            resident: 0,
             buckets: (0..shard_count).map(|_| Vec::new()).collect(),
+            touched: Vec::new(),
             shard_ids: Vec::new(),
         }
     }
@@ -473,11 +451,10 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// well-formed frames.
     pub fn ingest_frames(&mut self, frames: &[(Timestamp, Vec<u8>)]) -> Vec<OnboardingReport> {
         self.bucket(frames);
-        let (config, buckets) = (&self.config, &self.buckets);
-        let outcomes = run_shards(&self.shards, &self.service, config.threads, |s, shard| {
-            shard.process(&buckets[s], frames, config)
+        let outcomes = self.run_shards(&self.touched, |s, shard| {
+            shard.process(&self.buckets[s], frames, &self.config)
         });
-        self.absorb(outcomes, true)
+        self.absorb(outcomes)
     }
 
     /// Ingests one batch of interleaved raw frames **without assessing**
@@ -493,10 +470,11 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// ingest-side counter behave exactly as in
     /// [`StreamRuntime::ingest_frames`]; only assessment, rule
     /// installation and report emission are left to the caller (see
-    /// [`apply_onboarding`]). Shards are walked serially through
-    /// `&mut` access — no lock traffic, no per-call outcome
+    /// [`apply_onboarding`]). The touched shards are walked serially
+    /// through `&mut` access — no lock traffic, no per-call outcome
     /// collection — so a warm runtime makes **zero heap allocations**
-    /// on a steady-state tick (no new sessions, no completions).
+    /// on a tick without completions, whether it is steady state or a
+    /// full table shedding for a storm of new MACs.
     pub fn ingest_frames_deferred(
         &mut self,
         frames: &[(Timestamp, Vec<u8>)],
@@ -504,15 +482,13 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     ) -> usize {
         self.bucket(frames);
         let start = out.len();
-        let mut resident = 0usize;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let outcome = shard
-                .get_mut()
-                .process(&self.buckets[s], frames, &self.config);
-            resident += outcome.merge_counters(&mut self.stats);
+        for &s in &self.touched {
+            let shard = self.shards[s as usize].get_mut();
+            let outcome = shard.process(&self.buckets[s as usize], frames, &self.config);
+            outcome.merge_counters(&mut self.stats, &mut self.resident);
             out.extend(outcome.completions);
         }
-        self.stats.peak_resident_sessions = self.stats.peak_resident_sessions.max(resident);
+        self.track_peak();
         // Unstable sort: `seq` is unique per completion, so the order is
         // total and stability is irrelevant — and unlike the stable
         // sort, this never allocates.
@@ -528,15 +504,17 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         let start = out.len();
         for shard in self.shards.iter_mut() {
             let outcome = shard.get_mut().flush();
+            outcome.merge_counters(&mut self.stats, &mut self.resident);
             out.extend(outcome.completions);
         }
+        self.track_peak();
         out[start..].sort_unstable_by_key(|c| (c.seq, c.mac));
         out.len() - start
     }
 
     /// Returns the runtime to its freshly-constructed state while
-    /// keeping every allocation warm: session tables, shard buckets,
-    /// assessment scratch and the onboarded-MAC sets retain their
+    /// keeping every allocation warm: session tables (slab and MAC
+    /// index), shard buckets and assessment scratch retain their
     /// capacity but drop all contents; enforcement module, switch,
     /// reports, stats and the sequence counter start over.
     ///
@@ -546,10 +524,9 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// tests — without re-paying table and scratch growth each time.
     pub fn reset(&mut self) {
         for shard in self.shards.iter_mut() {
-            let shard = shard.get_mut();
-            shard.table.clear();
-            shard.onboarded.clear();
+            shard.get_mut().table.clear();
         }
+        self.resident = 0;
         self.module = EnforcementModule::new();
         self.switch = OvsSwitch::lab();
         self.reports.clear();
@@ -559,10 +536,11 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
 
     /// The shard-assignment pre-pass of both ingest entry points: one
     /// tight, cache-friendly FNV sweep computes every frame's shard
-    /// before any bucket is touched, then refills the per-shard
-    /// `(stream seq, batch index)` buckets in stream order. Frames too
-    /// short to carry an Ethernet header are counted malformed and
-    /// consume no sequence number.
+    /// before any bucket is touched, then empties the buckets the
+    /// previous batch used and refills the per-shard `(stream seq,
+    /// batch index)` buckets in stream order, noting which shards this
+    /// batch touches. Frames too short to carry an Ethernet header are
+    /// counted malformed and consume no sequence number.
     fn bucket(&mut self, frames: &[(Timestamp, Vec<u8>)]) {
         let shard_count = self.shards.len();
         self.shard_ids.clear();
@@ -573,8 +551,8 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
             let mac = MacAddr::new(frame[6..12].try_into().expect("checked length"));
             shard_of(mac, shard_count) as u32
         }));
-        for bucket in &mut self.buckets {
-            bucket.clear();
+        for shard in self.touched.drain(..) {
+            self.buckets[shard as usize].clear();
         }
         let mut seq = self.next_seq;
         for (i, &shard) in self.shard_ids.iter().enumerate() {
@@ -582,20 +560,54 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
                 self.stats.frames_malformed += 1;
                 continue;
             }
-            self.buckets[shard as usize].push((seq, i as u32));
+            let bucket = &mut self.buckets[shard as usize];
+            if bucket.is_empty() {
+                self.touched.push(shard);
+            }
+            bucket.push((seq, i as u32));
             seq += 1;
         }
         self.next_seq = seq;
+        self.touched.sort_unstable();
     }
 
     /// Finalizes every in-flight session (end of stream), in the order
     /// the sessions were opened.
     pub fn flush(&mut self) -> Vec<OnboardingReport> {
-        let threads = self.config.threads;
-        let outcomes = run_shards(&self.shards, &self.service, threads, |_, shard| {
-            shard.flush()
-        });
-        self.absorb(outcomes, false)
+        let all: Vec<u32> = (0..self.shards.len() as u32).collect();
+        let outcomes = self.run_shards(&all, |_, shard| shard.flush());
+        self.absorb(outcomes)
+    }
+
+    /// The parallel pass of one inline round: `step` advances each shard
+    /// `visit` names (sessionize a batch, or flush), then the shard
+    /// assesses its own completions before the join — stage-1 batched
+    /// forest-major over the shard's whole tick, stage-2 drawing from
+    /// each completion's own `(seq, mac)`-keyed generator. Pure per item
+    /// (v2 pinned RNG contract), so concurrent shards cannot perturb
+    /// each other. The shard's warm [`AssessScratch`] backs the
+    /// service's batched kernels (empty tick ⇒ no work, no allocation).
+    fn run_shards(
+        &self,
+        visit: &[u32],
+        step: impl Fn(usize, &mut Shard) -> ShardOutcome + Sync,
+    ) -> Vec<ShardOutcome> {
+        let threads = effective_threads(self.config.threads);
+        map_indexed(visit.len(), threads, |i| {
+            let s = visit[i] as usize;
+            let mut shard = self.shards[s].lock();
+            let mut outcome = step(s, &mut shard);
+            if !outcome.completions.is_empty() {
+                let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = outcome
+                    .completions
+                    .iter()
+                    .map(|c| (&c.full, &c.fixed, c.assess_key()))
+                    .collect();
+                let service = &self.service;
+                service.assess_keyed_batch_into(&items, &mut shard.scratch, &mut outcome.responses);
+            }
+            outcome
+        })
     }
 
     /// The serial tail of an inline round: merges per-shard stats,
@@ -604,23 +616,20 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// enforcement rule.
     ///
     /// Assessment already happened *inside* the parallel shard pass
-    /// ([`run_shards`]); because every response was drawn under the v2
+    /// ([`Self::run_shards`]); because every response was drawn under the v2
     /// keyed RNG contract, sorting the `(completion, response)` pairs
     /// afterwards yields exactly what a sequential gateway consuming
     /// the same interleaved stream would produce, at every thread
     /// count. Only rule installation and report emission — which mutate
     /// the shared SDN module — remain ordered and serial.
-    fn absorb(&mut self, outcomes: Vec<ShardOutcome>, track_peak: bool) -> Vec<OnboardingReport> {
-        let mut resident = 0usize;
+    fn absorb(&mut self, outcomes: Vec<ShardOutcome>) -> Vec<OnboardingReport> {
         let mut assessed: Vec<(Completion, ServiceResponse)> = Vec::new();
         for outcome in outcomes {
-            resident += outcome.merge_counters(&mut self.stats);
+            outcome.merge_counters(&mut self.stats, &mut self.resident);
             debug_assert_eq!(outcome.completions.len(), outcome.responses.len());
             assessed.extend(outcome.completions.into_iter().zip(outcome.responses));
         }
-        if track_peak {
-            self.stats.peak_resident_sessions = self.stats.peak_resident_sessions.max(resident);
-        }
+        self.track_peak();
         assessed.sort_by_key(|(c, _)| (c.seq, c.mac));
         assessed
             .into_iter()
@@ -656,7 +665,15 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
 
     /// Sessions currently resident across all shards.
     pub fn resident_sessions(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().table.len()).sum()
+        self.resident
+    }
+
+    /// Ends every ingest and flush call: the running count must equal
+    /// what the shards hold, and is the call's candidate for the peak.
+    fn track_peak(&mut self) {
+        let held = |shard: &Mutex<Shard>| shard.lock().table.len();
+        debug_assert_eq!(self.resident, self.shards.iter().map(held).sum::<usize>());
+        self.stats.peak_resident_sessions = self.stats.peak_resident_sessions.max(self.resident);
     }
 
     /// The runtime configuration.
@@ -874,6 +891,142 @@ mod tests {
             stats.sessions_opened,
             stats.sessions_completed() + stats.sessions_evicted
         );
+    }
+
+    /// One setup-phase frame of the `n`-th test device, `micros` into
+    /// the capture (far inside the idle gap of its neighbours).
+    fn frame_of(n: u8, micros: u64) -> (Timestamp, Vec<u8>) {
+        let packet = Packet::dhcp_discover(MacAddr::new([2, 0, 0, 0, 0, n]), 7, micros);
+        (packet.timestamp, packet.encode())
+    }
+
+    /// What shard 0's table holds for the `n`-th test device.
+    fn probe_of(runtime: &StreamRuntime<StubService>, n: u8) -> Probe {
+        let table = &runtime.shards[0].lock().table;
+        table.probe(MacAddr::new([2, 0, 0, 0, 0, n]))
+    }
+
+    /// One shard with two slots, both taken: device 1 (least recently
+    /// active), then device 2.
+    fn full_two_slot_runtime() -> StreamRuntime<StubService> {
+        let mut runtime = runtime(StreamConfig {
+            shards: 1,
+            max_sessions: 2,
+            ..StreamConfig::default()
+        });
+        runtime.ingest_frames(&[frame_of(1, 0), frame_of(2, 10)]);
+        assert_eq!(runtime.resident_sessions(), 2);
+        runtime
+    }
+
+    #[test]
+    fn readmission_of_a_resident_mac_at_capacity_sheds_nobody() {
+        // Regression (PR 9): a full table seeing the next frame of a
+        // device that is already mid-setup must not treat it as a new
+        // admission and shed an innocent LRU neighbour.
+        let mut runtime = full_two_slot_runtime();
+        let before = runtime.stats().clone();
+        for (n, micros) in [(2, 20), (1, 30), (2, 40)] {
+            runtime.ingest_frames(&[frame_of(n, micros)]);
+            let stats = runtime.stats();
+            assert_eq!(stats.sessions_opened, before.sessions_opened);
+            assert_eq!(stats.sessions_evicted, 0);
+            assert_eq!(runtime.resident_sessions(), 2);
+            assert!(matches!(probe_of(&runtime, 1), Probe::Resident(_)));
+            assert!(matches!(probe_of(&runtime, 2), Probe::Resident(_)));
+        }
+        assert_eq!(runtime.flush().len(), 2);
+        assert_eq!(runtime.stats().packets_in, 5);
+    }
+
+    #[test]
+    fn readmission_after_shedding_opens_once_and_evicts_once() {
+        // The roaming shape: a device whose session was shed re-appears
+        // at the same gateway. It is a newcomer again — exactly one
+        // open, exactly one eviction, never two.
+        let mut runtime = full_two_slot_runtime();
+        runtime.ingest_frames(&[frame_of(3, 20)]);
+        assert_eq!(probe_of(&runtime, 1), Probe::Absent, "LRU device shed");
+        let stats = runtime.stats();
+        assert_eq!((stats.sessions_opened, stats.sessions_evicted), (3, 1));
+
+        runtime.ingest_frames(&[frame_of(1, 30)]);
+        let stats = runtime.stats();
+        assert_eq!((stats.sessions_opened, stats.sessions_evicted), (4, 2));
+        assert_eq!(runtime.resident_sessions(), 2);
+        assert_eq!(probe_of(&runtime, 2), Probe::Absent, "device 2 was LRU");
+        assert!(matches!(probe_of(&runtime, 1), Probe::Resident(_)));
+        assert!(matches!(probe_of(&runtime, 3), Probe::Resident(_)));
+    }
+
+    #[test]
+    fn sessions_are_conserved_after_every_call_at_any_batch_size() {
+        // ROADMAP 4a: opened − evicted − completed == resident, checked
+        // against the O(1) running count after every call (debug builds
+        // also check it against the shards' own tables inside the call).
+        let traces = traces(10);
+        let mut stream = frames_of(&interleave(&traces, Duration::from_millis(5)));
+        // Keep-alives long after setup close four sessions by idle gap,
+        // so completions happen mid-stream and not only at the flush.
+        let end = stream.last().unwrap().0;
+        for (i, trace) in traces.iter().take(4).enumerate() {
+            let late = end + Duration::from_secs(60 + i as u64);
+            stream.push((late, trace.packets[0].encode()));
+        }
+        let outputs: Vec<_> = [1usize, 7, 1024]
+            .iter()
+            .map(|&batch| {
+                // Two shards, four slots each: the table also sheds.
+                let mut runtime = runtime(StreamConfig {
+                    shards: 2,
+                    max_sessions: 8,
+                    ..StreamConfig::default()
+                });
+                let mut reports = Vec::new();
+                let conserved = |runtime: &StreamRuntime<StubService>, done: usize| {
+                    let stats = runtime.stats();
+                    assert_eq!(stats.sessions_completed(), done as u64);
+                    assert_eq!(
+                        stats.sessions_opened - stats.sessions_evicted - done as u64,
+                        runtime.resident_sessions() as u64,
+                        "batch {batch}: {stats}"
+                    );
+                    assert!(runtime.resident_sessions() <= stats.peak_resident_sessions);
+                };
+                for chunk in stream.chunks(batch) {
+                    reports.extend(runtime.ingest_frames(chunk));
+                    conserved(&runtime, reports.len());
+                }
+                assert!(!reports.is_empty(), "idle gaps complete mid-stream");
+                reports.extend(runtime.flush());
+                conserved(&runtime, reports.len());
+                assert_eq!(runtime.resident_sessions(), 0);
+                let mut stats = runtime.stats().clone();
+                assert!(stats.sessions_evicted > 0 && stats.peak_resident_sessions <= 8);
+                // Sampled per call, so it depends on where calls end.
+                stats.peak_resident_sessions = 0;
+                (reports, stats)
+            })
+            .collect();
+        assert_eq!(outputs[1], outputs[0]);
+        assert_eq!(outputs[2], outputs[0]);
+    }
+
+    #[test]
+    fn deferred_ingest_keeps_the_same_running_count() {
+        let traces = traces(6);
+        let stream = frames_of(&interleave(&traces, Duration::from_millis(5)));
+        let mut inline = runtime(StreamConfig::default());
+        let mut deferred = runtime(StreamConfig::default());
+        let mut completions = Vec::new();
+        for chunk in stream.chunks(16) {
+            inline.ingest_frames(chunk);
+            deferred.ingest_frames_deferred(chunk, &mut completions);
+            assert_eq!(deferred.resident_sessions(), inline.resident_sessions());
+        }
+        assert_eq!(deferred.stats(), inline.stats());
+        deferred.flush_deferred(&mut completions);
+        assert_eq!((deferred.resident_sessions(), completions.len()), (0, 6));
     }
 
     #[test]

@@ -73,6 +73,16 @@ impl Session {
         }
     }
 
+    /// Starts this session over for another device at stream sequence
+    /// `seq`, keeping the feature arena: a full table re-opens its LRU
+    /// victim's slot in place, so shedding never touches the allocator.
+    pub fn reopen(&mut self, seq: u64, now: Timestamp) {
+        let mut fresh = Session::open(seq, now);
+        std::mem::swap(&mut fresh.extractor, &mut self.extractor);
+        fresh.extractor.clear();
+        *self = fresh;
+    }
+
     /// Offers one frame's wire-scanned features (stream sequence `seq`)
     /// to the session.
     ///
@@ -185,6 +195,26 @@ mod tests {
         }
         assert_eq!(session.packets(), 10);
         assert_eq!(session.finish(), extract(&packets));
+    }
+
+    #[test]
+    fn reopened_session_is_indistinguishable_from_a_fresh_one() {
+        let first = packets(6, 50);
+        let second = packets(3, 20);
+        let detector = SetupDetector::default();
+        let mut session = Session::open_sized(0, first[0].timestamp, 8);
+        for (i, packet) in first.iter().enumerate() {
+            offer(&mut session, packet, i as u64, &detector, u64::MAX);
+        }
+        session.reopen(40, second[0].timestamp);
+        assert_eq!((session.packets(), session.bytes()), (0, 0));
+        assert_eq!((session.opened_seq(), session.last_seq()), (40, 40));
+        assert_eq!(session.first_seen(), second[0].timestamp);
+        for (i, packet) in second.iter().enumerate() {
+            offer(&mut session, packet, 40 + i as u64, &detector, u64::MAX);
+        }
+        assert_eq!(session.last_seq(), 42);
+        assert_eq!(session.finish(), extract(&second));
     }
 
     #[test]

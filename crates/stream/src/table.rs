@@ -1,50 +1,55 @@
-//! Capacity-bounded session table with deterministic LRU shedding.
+//! Capacity-bounded session slab with deterministic LRU shedding.
+//!
+//! One `MAC → u32` index answers in a single hash probe everything the
+//! ingest loop asks about a frame's source: unknown, mid-setup (the value
+//! is its slot in the dense slab) or onboarded (the `ONBOARDED` sentinel).
 
 use std::collections::HashMap;
 
-use sentinel_netproto::MacAddr;
+use sentinel_netproto::{MacAddr, Timestamp};
 
 use crate::session::Session;
 
-/// A bounded `MAC → Session` table.
+/// Index value of an onboarded MAC; [`SessionTable::new`] keeps every
+/// slot below it.
+const ONBOARDED: u32 = u32::MAX;
+
+/// What [`SessionTable::probe`] found for a MAC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// No session and not onboarded: never seen, or shed since.
+    Absent,
+    /// Mid-setup, in this slot (until the next `open` or `complete`).
+    Resident(usize),
+    /// Its setup phase completed here: steady-state traffic is skipped.
+    Onboarded,
+}
+
+/// A bounded table of in-flight sessions, plus the MACs already onboarded.
 ///
 /// Admission policy: a new session is always admitted; when the table is
 /// full, the least-recently-active session is shed first (oldest
-/// `last_seq`, ties broken by MAC so the choice never depends on hash
-/// iteration order). Shedding is the explicit overflow policy of the
-/// streaming runtime — the shed device simply re-enters monitoring if it
-/// keeps talking.
+/// `last_seq`, ties broken by MAC — a total order, so the choice cannot
+/// depend on where sessions sit in the slab). Shedding is the explicit
+/// overflow policy of the streaming runtime — the shed device simply
+/// re-enters monitoring if it keeps talking.
 #[derive(Debug, Default)]
 pub struct SessionTable {
     capacity: usize,
-    sessions: HashMap<MacAddr, Session>,
-}
-
-/// The outcome of [`SessionTable::admit`].
-///
-/// Re-admitting a MAC that already has an in-flight session is a real
-/// caller shape (a roaming device re-appearing at the same gateway), so
-/// it is an explicit variant rather than a `debug_assert!`: the old
-/// session is replaced in place and returned, no innocent LRU victim is
-/// shed, and the resident count is unchanged.
-#[derive(Debug)]
-pub enum Admission {
-    /// The session was admitted into free capacity.
-    Admitted,
-    /// The table was full; the least-recently-active session was shed to
-    /// make room.
-    Shed(MacAddr, Session),
-    /// `mac` already had an in-flight session, which was replaced in
-    /// place and is returned here.
-    Replaced(Session),
+    /// Feature slots pre-allocated per session.
+    arena: usize,
+    index: HashMap<MacAddr, u32>,
+    slab: Vec<(MacAddr, Session)>,
 }
 
 impl SessionTable {
-    /// Creates a table holding at most `capacity` concurrent sessions.
-    pub fn new(capacity: usize) -> Self {
+    /// Creates a table holding at most `capacity` concurrent sessions,
+    /// each opened with `arena` feature slots pre-allocated.
+    pub fn new(capacity: usize, arena: usize) -> Self {
         SessionTable {
-            capacity: capacity.max(1),
-            sessions: HashMap::new(),
+            capacity: capacity.clamp(1, ONBOARDED as usize),
+            arena,
+            ..SessionTable::default()
         }
     }
 
@@ -55,172 +60,172 @@ impl SessionTable {
 
     /// Resident session count.
     pub fn len(&self) -> usize {
-        self.sessions.len()
+        self.slab.len()
     }
 
     /// Whether no sessions are resident.
     pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
+        self.slab.is_empty()
     }
 
-    /// Mutable access to an in-flight session.
-    pub fn get_mut(&mut self, mac: MacAddr) -> Option<&mut Session> {
-        self.sessions.get_mut(&mac)
+    /// The resident sessions, in slot order (which carries no meaning).
+    pub fn sessions(&self) -> &[(MacAddr, Session)] {
+        &self.slab
     }
 
-    /// Whether `mac` has an in-flight session.
-    pub fn contains(&self, mac: MacAddr) -> bool {
-        self.sessions.contains_key(&mac)
+    /// Mutable access to the session in `slot`.
+    pub fn session_mut(&mut self, slot: usize) -> &mut Session {
+        &mut self.slab[slot].1
     }
 
-    /// Admits a new session, shedding the least-recently-active one
-    /// first if the table is full. Re-admitting a MAC with an in-flight
-    /// session replaces it in place (see [`Admission::Replaced`]) —
-    /// nothing else is shed and the resident count is unchanged.
-    pub fn admit(&mut self, mac: MacAddr, session: Session) -> Admission {
-        if let std::collections::hash_map::Entry::Occupied(mut resident) = self.sessions.entry(mac)
-        {
-            return Admission::Replaced(resident.insert(session));
+    /// The one hash probe a frame costs.
+    pub fn probe(&self, mac: MacAddr) -> Probe {
+        match self.index.get(&mac) {
+            None => Probe::Absent,
+            Some(&ONBOARDED) => Probe::Onboarded,
+            Some(&slot) => Probe::Resident(slot as usize),
         }
-        // Shed before inserting so the incoming session can never be its
-        // own victim, no matter how stale its sequence number is.
-        let shed = if self.sessions.len() >= self.capacity {
-            self.shed_lru()
+    }
+
+    /// Opens a session for `mac`, which [`probe`](Self::probe) just
+    /// reported [`Probe::Absent`] (anything else is a caller bug and
+    /// panics). Returns its slot and, if the table was full, the MAC shed
+    /// to make room: the victim's slot is re-opened in place
+    /// ([`Session::reopen`]), so a full table admits without allocating
+    /// and the newcomer can never be its own victim.
+    pub fn open(&mut self, mac: MacAddr, seq: u64, now: Timestamp) -> (usize, Option<MacAddr>) {
+        let (slot, shed) = if self.slab.len() < self.capacity {
+            let session = Session::open_sized(seq, now, self.arena);
+            self.slab.push((mac, session));
+            (self.slab.len() - 1, None)
         } else {
-            None
+            let slot = (0..self.slab.len())
+                .min_by_key(|&slot| (self.slab[slot].1.last_seq(), self.slab[slot].0))
+                .expect("capacity is at least one");
+            let (resident, session) = &mut self.slab[slot];
+            self.index.remove(resident);
+            session.reopen(seq, now);
+            (slot, Some(std::mem::replace(resident, mac)))
         };
-        self.sessions.insert(mac, session);
-        match shed {
-            Some((victim, old)) => Admission::Shed(victim, old),
-            None => Admission::Admitted,
+        let indexed = self.index.insert(mac, slot as u32);
+        assert!(indexed.is_none(), "open() of {mac}, already {indexed:?}");
+        (slot, shed)
+    }
+
+    /// Takes the session out of `slot` because its setup phase completed
+    /// and marks its MAC onboarded; the last session moves into the slot.
+    pub fn complete(&mut self, slot: usize) -> Session {
+        let (mac, session) = self.slab.swap_remove(slot);
+        if let Some((moved, _)) = self.slab.get(slot) {
+            self.index.insert(*moved, slot as u32);
         }
+        self.index.insert(mac, ONBOARDED);
+        session
     }
 
-    /// Removes and returns a session (on completion).
-    pub fn remove(&mut self, mac: MacAddr) -> Option<Session> {
-        self.sessions.remove(&mac)
-    }
-
-    /// Drops every resident session while keeping the table's
-    /// allocation warm — the pooled-runtime reset path
-    /// ([`crate::StreamRuntime::reset`]).
+    /// Forgets every session and onboarded MAC, keeping both allocations
+    /// warm — the pooled-runtime reset path ([`crate::StreamRuntime::reset`]).
     pub fn clear(&mut self) {
-        self.sessions.clear();
+        self.index.clear();
+        self.slab.clear();
     }
 
-    /// Drains every resident session, ordered by when it was opened
-    /// (then MAC), for deterministic end-of-stream flushing.
+    /// Completes every resident session at once (end of stream): drains
+    /// them ordered by when each was opened (then MAC), all onboarded.
     pub fn drain_ordered(&mut self) -> Vec<(MacAddr, Session)> {
-        let mut drained: Vec<(MacAddr, Session)> = self.sessions.drain().collect();
+        // Every indexed MAC is drained here or was onboarded before.
+        self.index.values_mut().for_each(|slot| *slot = ONBOARDED);
+        let mut drained: Vec<(MacAddr, Session)> = self.slab.drain(..).collect();
         drained.sort_by_key(|(mac, session)| (session.opened_seq(), *mac));
         drained
-    }
-
-    fn shed_lru(&mut self) -> Option<(MacAddr, Session)> {
-        let victim = self
-            .sessions
-            .iter()
-            .min_by_key(|(mac, session)| (session.last_seq(), **mac))
-            .map(|(mac, _)| *mac)?;
-        self.sessions.remove(&victim).map(|s| (victim, s))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sentinel_netproto::Timestamp;
 
     fn mac(n: u8) -> MacAddr {
         MacAddr::new([0, 0, 0, 0, 0, n])
     }
 
+    fn open(table: &mut SessionTable, m: u8, seq: u64) -> (usize, Option<MacAddr>) {
+        table.open(mac(m), seq, Timestamp::ZERO)
+    }
+
     #[test]
-    fn admits_until_capacity_then_sheds_lru() {
-        let mut table = SessionTable::new(2);
-        assert!(matches!(
-            table.admit(mac(1), Session::open(10, Timestamp::ZERO)),
-            Admission::Admitted
-        ));
-        assert!(matches!(
-            table.admit(mac(2), Session::open(20, Timestamp::ZERO)),
-            Admission::Admitted
-        ));
-        // mac(1) has the oldest activity (last_seq 10) and is shed.
-        let Admission::Shed(shed, session) =
-            table.admit(mac(3), Session::open(30, Timestamp::ZERO))
-        else {
-            panic!("table full: expected a shed");
-        };
-        assert_eq!(shed, mac(1));
-        assert_eq!(session.opened_seq(), 10);
+    fn admits_until_capacity_then_reopens_the_lru_slot_in_place() {
+        let mut table = SessionTable::new(2, 4);
+        assert_eq!(open(&mut table, 1, 10), (0, None));
+        assert_eq!(open(&mut table, 2, 20), (1, None));
+        // mac(1) has the oldest activity (last_seq 10): it is shed and
+        // mac(3) takes over its slot.
+        assert_eq!(open(&mut table, 3, 30), (0, Some(mac(1))));
         assert_eq!(table.len(), 2);
-        assert!(table.contains(mac(2)) && table.contains(mac(3)));
+        assert_eq!(table.probe(mac(1)), Probe::Absent);
+        assert_eq!(table.probe(mac(2)), Probe::Resident(1));
+        assert_eq!(table.probe(mac(3)), Probe::Resident(0));
+        let (resident, session) = &table.sessions()[0];
+        assert_eq!(*resident, mac(3));
+        assert_eq!((session.opened_seq(), session.packets()), (30, 0));
     }
 
     #[test]
-    fn lru_ties_break_by_mac() {
-        let mut table = SessionTable::new(2);
-        table.admit(mac(9), Session::open(5, Timestamp::ZERO));
-        table.admit(mac(4), Session::open(5, Timestamp::ZERO));
-        let Admission::Shed(shed, _) = table.admit(mac(7), Session::open(6, Timestamp::ZERO))
-        else {
-            panic!("table full: expected a shed");
-        };
-        assert_eq!(shed, mac(4), "equal last_seq resolves to the smaller MAC");
-    }
-
-    #[test]
-    fn drain_ordered_is_open_order() {
-        let mut table = SessionTable::new(8);
-        for (seq, m) in [(30u64, 3u8), (10, 1), (20, 2)] {
-            table.admit(mac(m), Session::open(seq, Timestamp::ZERO));
+    fn lru_ties_break_by_mac_wherever_the_sessions_sit() {
+        for order in [[9, 4], [4, 9]] {
+            let mut table = SessionTable::new(2, 4);
+            for m in order {
+                open(&mut table, m, 5);
+            }
+            let (_, shed) = open(&mut table, 7, 6);
+            assert_eq!(shed, Some(mac(4)), "equal last_seq → the smaller MAC");
         }
-        let order: Vec<MacAddr> = table.drain_ordered().into_iter().map(|(m, _)| m).collect();
-        assert_eq!(order, vec![mac(1), mac(2), mac(3)]);
-        assert!(table.is_empty());
     }
 
     #[test]
-    fn readmission_replaces_in_place_without_shedding() {
-        // Regression: a full table re-admitting a MAC that already has an
-        // in-flight session must replace that session in place — not shed
-        // an innocent LRU victim and silently overwrite. Roaming devices
-        // in the fleet sim are exactly this caller shape.
-        let mut table = SessionTable::new(2);
-        table.admit(mac(1), Session::open(20, Timestamp::ZERO));
-        table.admit(mac(2), Session::open(10, Timestamp::ZERO));
-        // mac(2) is the LRU victim candidate; re-admitting mac(1) must
-        // not touch it.
-        let outcome = table.admit(mac(1), Session::open(30, Timestamp::ZERO));
-        assert!(
-            table.contains(mac(2)),
-            "innocent LRU victim shed on re-admission: {outcome:?}"
-        );
-        assert_eq!(table.len(), 2);
-        let Admission::Replaced(old) = outcome else {
-            panic!("expected the stale session back, got {outcome:?}");
-        };
-        assert_eq!(old.opened_seq(), 20);
-        assert_eq!(
-            table.get_mut(mac(1)).unwrap().opened_seq(),
-            30,
-            "fresh session is the resident one"
-        );
-    }
-
-    #[test]
-    fn readmission_below_capacity_still_replaces() {
-        let mut table = SessionTable::new(8);
-        table.admit(mac(1), Session::open(1, Timestamp::ZERO));
-        let outcome = table.admit(mac(1), Session::open(2, Timestamp::ZERO));
-        assert!(matches!(outcome, Admission::Replaced(_)));
+    fn completion_fixes_up_the_moved_slot_and_marks_the_mac_onboarded() {
+        let mut table = SessionTable::new(4, 4);
+        for (m, seq) in [(1, 10), (2, 20), (3, 30)] {
+            open(&mut table, m, seq);
+        }
+        assert_eq!(table.complete(0).opened_seq(), 10);
+        assert_eq!(table.probe(mac(1)), Probe::Onboarded);
+        // The last session moved into the freed slot.
+        assert_eq!(table.probe(mac(3)), Probe::Resident(0));
+        assert_eq!(table.probe(mac(2)), Probe::Resident(1));
+        // Completing the last slot moves nothing.
+        assert_eq!(table.complete(1).opened_seq(), 20);
+        assert_eq!(table.probe(mac(3)), Probe::Resident(0));
         assert_eq!(table.len(), 1);
     }
 
     #[test]
+    #[should_panic(expected = "open() of")]
+    fn opening_a_resident_mac_is_a_caller_bug() {
+        let mut table = SessionTable::new(2, 4);
+        open(&mut table, 1, 1);
+        open(&mut table, 1, 2);
+    }
+
+    #[test]
+    fn drain_ordered_is_open_order_and_onboards_everyone() {
+        let mut table = SessionTable::new(8, 4);
+        for (seq, m) in [(30u64, 3u8), (10, 1), (20, 2)] {
+            open(&mut table, m, seq);
+        }
+        let order: Vec<MacAddr> = table.drain_ordered().into_iter().map(|(m, _)| m).collect();
+        assert_eq!(order, vec![mac(1), mac(2), mac(3)]);
+        assert!(table.is_empty());
+        assert!((1..=3).all(|m| table.probe(mac(m)) == Probe::Onboarded));
+        table.clear();
+        assert_eq!(table.probe(mac(1)), Probe::Absent);
+    }
+
+    #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let table = SessionTable::new(0);
+        let mut table = SessionTable::new(0, 4);
         assert_eq!(table.capacity(), 1);
+        assert_eq!(open(&mut table, 1, 1), (0, None));
+        assert_eq!(open(&mut table, 2, 2), (0, Some(mac(1))));
     }
 }

@@ -8,6 +8,12 @@
 //! its homes' devices streams tick after tick without touching the
 //! allocator.
 //!
+//! The same holds for the opposite extreme, a storm of new MACs against
+//! a full session table: every first frame sheds the LRU session and
+//! re-opens its slot in place, arena included, so shedding costs no
+//! allocation either (second phase of the one test — a counting global
+//! allocator cannot share its process with a parallel test).
+//!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide.
 
@@ -16,6 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sentinel_core::{FingerprintDataset, IoTSecurityService, ServiceConfig};
 use sentinel_devicesim::{catalog, Testbed};
+use sentinel_netproto::{MacAddr, Packet, Timestamp};
 use sentinel_stream::{StreamConfig, StreamRuntime};
 
 /// Passes everything through to [`System`], counting every allocation
@@ -48,7 +55,7 @@ fn allocations() -> usize {
 }
 
 #[test]
-fn steady_state_deferred_ticks_do_not_allocate() {
+fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
     let devices: Vec<_> = catalog().into_iter().take(3).collect();
     let dataset = FingerprintDataset::collect(&devices, 8, 5);
     let service = IoTSecurityService::train(&dataset, &ServiceConfig::default());
@@ -97,4 +104,44 @@ fn steady_state_deferred_ticks_do_not_allocate() {
         (frames.len() * 9) as u64,
         "replayed frames must be counted as ingested"
     );
+
+    // Shed churn: first frames of never-seen MACs. The first 64 fill
+    // both shards' four slots and churn them long enough for each MAC
+    // index to reach its steady size (residents are removed and inserted
+    // one for one, so it stops growing once the table is full).
+    let first_frame = |n: u32| -> (Timestamp, Vec<u8>) {
+        let [_, a, b, c] = n.to_be_bytes();
+        let packet = Packet::dhcp_discover(MacAddr::new([2, 0, 0, a, b, c]), n, 1_000_000);
+        (packet.timestamp, packet.encode())
+    };
+    let storm: Vec<_> = (0..64 + 512).map(first_frame).collect();
+    let (fill, churn) = storm.split_at(64);
+    runtime.ingest_frames_deferred(fill, &mut completions);
+    assert_eq!(runtime.resident_sessions(), 8, "table must be full");
+    let opened = runtime.stats().sessions_opened;
+
+    // From here every frame opens a session by shedding one: alone in
+    // its call (the live-tap shape) or in a batch, no allocation. At the
+    // parent commit this was one 4 KiB feature arena per open.
+    let before = allocations();
+    let (alone, batched) = churn.split_at(256);
+    for frame in alone {
+        runtime.ingest_frames_deferred(std::slice::from_ref(frame), &mut completions);
+    }
+    for batch in batched.chunks(16) {
+        runtime.ingest_frames_deferred(batch, &mut completions);
+    }
+    let spent = allocations() - before;
+    assert_eq!(spent, 0, "shedding 512 sessions allocated {spent} times");
+    let stats = runtime.stats();
+    assert_eq!(stats.sessions_opened - opened, 512);
+    assert_eq!(stats.sessions_evicted, stats.sessions_opened - 1 - 8);
+    assert_eq!(runtime.resident_sessions(), 8);
+    assert!(completions.is_empty(), "one-frame sessions never complete");
+    // What still allocates is the *completion* path, once per onboarded
+    // device and by design: a finished session's arena is not copied but
+    // moved into the `Fingerprint` the `Completion` hands out (with `F'`
+    // built beside it), so it leaves the table for good and the session
+    // that later takes the freed slot allocates a new one. Keeping spare
+    // arenas instead was measured and rejected (DESIGN §9.3).
 }
