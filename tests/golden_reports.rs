@@ -21,6 +21,7 @@ use iot_sentinel::devicesim::{catalog, interleave, SetupTrace, Testbed};
 use iot_sentinel::fleet::{run_fleet, FleetConfig};
 use iot_sentinel::ml::ForestConfig;
 use iot_sentinel::netproto::stream::MemoryFrameSource;
+use iot_sentinel::snapshot::Snapshot;
 use iot_sentinel::stream::{StreamConfig, StreamRuntime};
 
 /// Compares `actual` with the checked-in fixture `name`, rewriting the
@@ -104,5 +105,36 @@ fn fleet_report_matches_the_checked_in_bytes() {
     assert_matches_fixture(
         "golden_fleet_report.json",
         &serde_json::to_vec(&report).unwrap(),
+    );
+}
+
+/// A fresh fit, pinned: the first 8 catalog types trained on 6 runs
+/// with 15-tree forests at fixed seeds, encoded as a snapshot. The
+/// fixture was blessed while the sorted-scan split search was still a
+/// public forest fit asserted equal to the binned one on fingerprint
+/// data, so it carries "exact == binned" forward for the bank's real
+/// corpus; `golden_v1.snap` is built from hand-made stumps and pins no
+/// training. The snapshot is 28 KiB, so the bytes themselves are
+/// checked in.
+#[test]
+fn trained_model_matches_the_checked_in_bytes() {
+    let devices: Vec<_> = catalog().into_iter().take(8).collect();
+    let dataset = FingerprintDataset::collect(&devices, 6, 42);
+    let config = ServiceConfig {
+        identifier: IdentifierConfig {
+            bank: BankConfig {
+                forest: ForestConfig::default().with_trees(15).with_seed(7),
+                seed: 11,
+                threads: 1,
+                ..BankConfig::default()
+            },
+            seed: 5,
+            ..IdentifierConfig::default()
+        },
+    };
+    let service = IoTSecurityService::train(&dataset, &config);
+    assert_matches_fixture(
+        "golden_trained_model.snap",
+        &Snapshot::of_service(&service).encode(),
     );
 }
