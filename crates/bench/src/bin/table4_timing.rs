@@ -83,11 +83,9 @@ fn main() {
 
     let training = timing::measure_training(train_runs, seed, threads, train_samples);
     println!(
-        "training: 27-forest bank {}; one forest histogram {} vs exact scan {}; \
-         incremental add_type {}",
+        "training: 27-forest bank {}; one forest {}; incremental add_type {}",
         fmt(&training.bank_training),
         fmt(&training.forest_fit_histogram),
-        fmt(&training.forest_fit_exact),
         fmt(&training.incremental_add_type),
     );
 
@@ -105,7 +103,6 @@ fn main() {
         let train_body = [
             json_row("bank_training", &training.bank_training),
             json_row("forest_fit_histogram", &training.forest_fit_histogram),
-            json_row("forest_fit_exact", &training.forest_fit_exact),
             json_row("incremental_add_type", &training.incremental_add_type),
         ]
         .join(",\n");

@@ -47,16 +47,14 @@ pub struct TimingReport {
     pub batch_classify_warm: Summary,
 }
 
-/// Training-throughput measurements: the full classifier bank and the
-/// split-search ablation (histogram vs exact — bit-identical forests).
+/// Training-throughput measurements: the full classifier bank, one of
+/// its forests, and the incremental add of one type.
 #[derive(Debug, Clone)]
 pub struct TrainingReport {
-    /// Full 27-forest bank training (histogram split search).
+    /// Full 27-forest bank training.
     pub bank_training: Summary,
-    /// One per-type forest fit via the histogram path.
+    /// One per-type forest fit.
     pub forest_fit_histogram: Summary,
-    /// One per-type forest fit via the exact sorted-scan reference.
-    pub forest_fit_exact: Summary,
     /// Incrementally adding the 27th type to a 26-type bank (the
     /// paper's "new classifier without relearning" operation).
     pub incremental_add_type: Summary,
@@ -64,9 +62,8 @@ pub struct TrainingReport {
 
 /// Measures training throughput on the same corpus shape as
 /// [`measure`]: `samples` timed trainings of the full bank, plus
-/// `samples` single-forest fits through each split-search path (on a
-/// real one-vs-rest slice of the fingerprint data, sequential so the
-/// per-forest node cost is what's compared).
+/// `samples` sequential single-forest fits on a real one-vs-rest slice
+/// of the fingerprint data.
 pub fn measure_training(
     train_runs: u64,
     seed: u64,
@@ -98,14 +95,10 @@ pub fn measure_training(
     }
     let forest_config = config.forest.clone().with_threads(1);
     let mut forest_fit_histogram = Vec::with_capacity(samples);
-    let mut forest_fit_exact = Vec::with_capacity(samples);
     for _ in 0..samples {
         let start = Instant::now();
         std::hint::black_box(RandomForest::fit(&binary, &forest_config));
         forest_fit_histogram.push(start.elapsed());
-        let start = Instant::now();
-        std::hint::black_box(RandomForest::fit_exact(&binary, &forest_config));
-        forest_fit_exact.push(start.elapsed());
     }
     // Incremental onboarding: train once on 26 types, then time only
     // the `add_type` of the 27th (the bank clone happens off the clock).
@@ -127,7 +120,6 @@ pub fn measure_training(
     TrainingReport {
         bank_training: Summary::of_durations_ms(&bank_training),
         forest_fit_histogram: Summary::of_durations_ms(&forest_fit_histogram),
-        forest_fit_exact: Summary::of_durations_ms(&forest_fit_exact),
         incremental_add_type: Summary::of_durations_ms(&incremental_add_type),
     }
 }

@@ -344,24 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_training_matches_exact_on_fingerprint_data() {
-        // The histogram split search must reproduce the exact sorted-scan
-        // reference bit-for-bit on real 276-dimensional `F'` data, at
-        // every thread count (the bank trains through the histogram path).
-        let data = dataset();
-        let mut training = Dataset::new(data.fixed(0).dimensions());
-        for i in 0..data.len() {
-            training.push(data.fixed(i).as_slice(), data.label(i));
-        }
-        let config = ForestConfig::default().with_trees(25).with_threads(1);
-        let exact = RandomForest::fit_exact(&training, &config);
-        for threads in [1, 2, 8] {
-            let binned = RandomForest::fit(&training, &config.clone().with_threads(threads));
-            assert_eq!(exact, binned, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
     fn trained_bank_is_identical_for_every_thread_count() {
         let data = dataset();
         let sequential = ClassifierBank::train(

@@ -1,28 +1,31 @@
 //! Feature pre-binning for histogram-based split finding.
 //!
-//! Exact CART split search sorts each node's feature column on every
-//! visit — `O(n log n)` per candidate feature per node, the dominant
-//! cost of forest training. The histogram trick (LightGBM-lineage, but
-//! applied losslessly here) observes that a feature's *distinct values*
-//! are fixed for the whole dataset: sort each column **once**, assign
-//! every cell its rank among the column's unique values, and a node's
-//! split search becomes a counting pass over the node rows plus a
-//! cumulative sweep over the (few) distinct values — no per-node sort.
+//! A CART split search that sorts each node's feature column pays
+//! `O(n log n)` per candidate feature per node. The histogram trick
+//! (LightGBM-lineage, but applied losslessly here) observes that a
+//! feature's *distinct values* are fixed for the whole corpus: sort each
+//! column **once**, assign every cell its rank among the column's unique
+//! values, and a node's split search becomes a counting pass over the
+//! node rows plus a cumulative sweep over the (few) distinct values — no
+//! per-node sort.
 //!
 //! Table I features are small-cardinality (bits, port classes, one
 //! bounded counter, one packet-size column), so the sweep touches a
-//! handful of bins where the exact scan touched every sample. The sweep
+//! handful of bins where a sorted scan touches every sample. The sweep
 //! is **exact**, not approximate: bins are the feature's actual distinct
 //! values, candidate thresholds are the same midpoints between
-//! *adjacent values present in the node* that the sorted scan would
+//! *adjacent values present in the node* that a sorted scan would
 //! probe, and left/right class counts are the same integers — so the
-//! chosen split, and therefore the fitted tree, is bit-identical (see
-//! `tests/prop_histogram.rs` for the differential property tests).
+//! chosen split, and therefore the fitted tree, is bit-identical to the
+//! sorted-scan oracle's (`tree/sorted_scan.rs`, test-only). Bins absent
+//! from a node are empty in its histogram and skipped, so one binning of
+//! a whole corpus serves every index view trained over it.
 
 use crate::Dataset;
 
-/// A column-major binned view of a [`Dataset`], built once per forest
-/// fit and shared read-only across all tree fits (and worker threads).
+/// A column-major binned view of a [`Dataset`], built once per corpus
+/// and shared read-only across every forest, tree fit and worker thread
+/// that trains over it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedDataset {
     /// Bin code of every cell, column-major: `codes[f * n_rows + i]` is
@@ -99,8 +102,8 @@ impl BinnedDataset {
         self.max_bins
     }
 
-    /// Number of rows of the dataset these bins were built from (view
-    /// fits assert their corpus matches).
+    /// Number of rows of the dataset these bins were built from (a fit
+    /// asserts its corpus matches).
     pub fn n_rows(&self) -> usize {
         self.n_rows
     }

@@ -1,5 +1,10 @@
 //! Random Forest (Breiman, 2001): bagged CART trees with per-split
 //! feature subsampling.
+//!
+//! [`RandomForest::fit_view`] is the one forest fit: bootstrap samples
+//! and per-tree seeds are drawn sequentially, then every tree is grown
+//! by [`DecisionTree::fit_view_in`] over the same corpus and the same
+//! [`BinnedDataset`], one warm [`FitArena`] per worker thread.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,22 +100,6 @@ impl ForestConfig {
     }
 }
 
-/// Where a forest's training rows, labels and bins come from.
-enum FitMode<'a> {
-    /// All of `data`, split-searched over bins built from it here.
-    Binned,
-    /// All of `data`, exact sorted-scan reference path.
-    Exact,
-    /// A shared-corpus view: train on `rows` (distinct indices into the
-    /// corpus) with `labels[k]` as row `rows[k]`'s class, over `bins`
-    /// built once from the full corpus.
-    View {
-        bins: &'a BinnedDataset,
-        rows: &'a [usize],
-        labels: &'a [usize],
-    },
-}
-
 /// A trained Random Forest classifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
@@ -122,38 +111,27 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits a forest on `data`.
-    ///
-    /// Split search runs over pre-binned feature columns (built once per
-    /// fit, shared read-only by every tree and worker thread) with
-    /// cumulative histogram sweeps — bit-identical trees to the exact
-    /// sorted-scan path ([`RandomForest::fit_exact`]), at a fraction of
-    /// the node cost for the small-cardinality Table I features.
+    /// Fits a forest on all rows of `data` with its own labels: bins
+    /// `data` and calls [`RandomForest::fit_view`] with every row in
+    /// view.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or `config.n_trees` is zero.
     pub fn fit(data: &Dataset, config: &ForestConfig) -> Self {
-        Self::fit_inner(data, config, FitMode::Binned)
-    }
-
-    /// Fits a forest with the exact per-node sorted-scan split search —
-    /// the reference implementation [`RandomForest::fit`] must match
-    /// bit-for-bit (kept for differential tests and benchmarks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty or `config.n_trees` is zero.
-    pub fn fit_exact(data: &Dataset, config: &ForestConfig) -> Self {
-        Self::fit_inner(data, config, FitMode::Exact)
+        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
+        let rows: Vec<usize> = (0..data.len()).collect();
+        let bins = BinnedDataset::build(data);
+        Self::fit_view(data, &bins, &rows, data.labels(), config)
     }
 
     /// Fits a forest over a *view* of a shared corpus: `rows` selects
     /// distinct rows of `data`, `labels[k]` is the class of row
     /// `rows[k]`, and split search runs over `bins` built **once** from
-    /// the full corpus (shared read-only by every view that trains over
-    /// it — the one-vs-rest bank trains 27 forests against a single
-    /// binned design matrix this way).
+    /// the full corpus (shared read-only by every tree, every worker
+    /// thread and every view that trains over it — the one-vs-rest bank
+    /// trains 27 forests against a single binned design matrix this
+    /// way).
     ///
     /// Lossless versus copying the view into its own `Dataset` and
     /// calling [`RandomForest::fit`]: corpus bins absent from a node
@@ -164,7 +142,8 @@ impl RandomForest {
     /// # Panics
     ///
     /// Panics if the view is empty, `rows` and `labels` disagree in
-    /// length, or `bins` was not built from `data`.
+    /// length, `config.n_trees` is zero, or `bins` was not built from
+    /// `data` (see [`DecisionTree::fit_view_in`]).
     pub fn fit_view(
         data: &Dataset,
         bins: &BinnedDataset,
@@ -172,26 +151,11 @@ impl RandomForest {
         labels: &[usize],
         config: &ForestConfig,
     ) -> Self {
-        Self::fit_inner(data, config, FitMode::View { bins, rows, labels })
-    }
-
-    fn fit_inner(data: &Dataset, config: &ForestConfig, mode: FitMode<'_>) -> Self {
-        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
         assert!(config.n_trees > 0, "a forest needs at least one tree");
-        let (n, n_classes) = match &mode {
-            FitMode::View { bins, rows, labels } => {
-                assert_eq!(rows.len(), labels.len(), "every view row needs a label");
-                assert!(!rows.is_empty(), "cannot fit a forest on an empty view");
-                assert_eq!(
-                    bins.n_rows(),
-                    data.len(),
-                    "bins must be built from this corpus"
-                );
-                (rows.len(), labels.iter().max().map_or(0, |&m| m + 1))
-            }
-            _ => (data.len(), data.n_classes()),
-        };
-        let n_classes = n_classes.max(2);
+        assert_eq!(rows.len(), labels.len(), "every view row needs a label");
+        assert!(!rows.is_empty(), "cannot fit a forest on an empty view");
+        let n = rows.len();
+        let n_classes = labels.iter().max().map_or(0, |&m| m + 1).max(2);
         let tree_config = TreeConfig {
             max_depth: config.max_depth,
             min_samples_split: config.min_samples_split,
@@ -200,33 +164,24 @@ impl RandomForest {
         };
         let mut rng = StdRng::seed_from_u64(config.seed);
         // Draw every tree's bootstrap sample and seed sequentially from
-        // the forest RNG first — the exact stream of the sequential
-        // implementation — then fit the (now fully determined) trees on
-        // worker threads. Each tree gets an independent stream so
-        // feature shuffling cannot correlate across trees. All samples
-        // live back to back in one flat buffer (positions `0..n` into
-        // the training view).
+        // the forest RNG first, then fit the (now fully determined)
+        // trees on worker threads. Each tree gets an independent stream
+        // so feature shuffling cannot correlate across trees. All
+        // samples live back to back in one flat buffer (positions
+        // `0..n` into the view).
         let mut samples: Vec<usize> = Vec::with_capacity(n * config.n_trees);
         let mut seeds: Vec<u64> = Vec::with_capacity(config.n_trees);
         for _ in 0..config.n_trees {
             bootstrap_indices_into(n, &mut rng, &mut samples);
             seeds.push(rng.gen());
         }
-        let owned_bins = matches!(mode, FitMode::Binned).then(|| BinnedDataset::build(data));
-        // View fits look labels up by corpus row id during tree
-        // building; scatter the view labels into a dense per-row array
-        // once per forest (rows outside the view are never read — the
-        // bootstrap only draws view rows).
-        let row_labels: Option<Vec<usize>> = match &mode {
-            FitMode::View { rows, labels, .. } => {
-                let mut by_row = vec![0usize; data.len()];
-                for (&row, &label) in rows.iter().zip(labels.iter()) {
-                    by_row[row] = label;
-                }
-                Some(by_row)
-            }
-            _ => None,
-        };
+        // Trees look labels up by corpus row id; scatter the view labels
+        // into a dense per-row array once per forest (rows outside the
+        // view are never read — the bootstrap only draws view rows).
+        let mut row_labels = vec![0usize; data.len()];
+        for (&row, &label) in rows.iter().zip(labels) {
+            row_labels[row] = label;
+        }
         let threads = parallel::effective_threads(config.threads);
         // One scratch arena per worker thread, warm across all the
         // trees that worker claims (`FitArena` is pure scratch, so the
@@ -234,49 +189,27 @@ impl RandomForest {
         let fitted: Vec<(DecisionTree, Vec<(usize, usize)>)> =
             parallel::map_indexed_init(config.n_trees, threads, FitArena::new, |arena, t| {
                 let positions = &samples[t * n..(t + 1) * n];
-                // Per-tree candidate draws live on the v2 pinned
-                // contract, keyed by (forest seed, tree index, per-tree
-                // seed word) — the per-tree seed still comes from the
-                // forest-level StdRng stream above, so bootstrap
-                // sampling is untouched and streams stay independent
-                // across trees.
+                // Per-tree candidate draws are pinned, keyed by (forest
+                // seed, tree index, per-tree seed word) — the seed word
+                // comes from the forest-level stream above, so streams
+                // stay independent across trees.
                 let mut tree_rng = PinnedRng::from_key(config.seed, t as u64, seeds[t]);
-                let tree = match &mode {
-                    FitMode::View { bins, rows, .. } => {
-                        // Map bootstrap positions to corpus row ids in
-                        // the arena's staging buffer.
-                        let mut sample = std::mem::take(&mut arena.sample);
-                        sample.clear();
-                        sample.extend(positions.iter().map(|&p| rows[p]));
-                        let labels = row_labels.as_deref().expect("view fit scattered labels");
-                        let tree = DecisionTree::fit_view_in(
-                            data,
-                            bins,
-                            &sample,
-                            labels,
-                            n_classes,
-                            &tree_config,
-                            &mut tree_rng,
-                            arena,
-                        );
-                        arena.sample = sample;
-                        tree
-                    }
-                    FitMode::Binned => {
-                        let bins = owned_bins.as_ref().expect("binned fit built bins");
-                        DecisionTree::fit_binned_in(
-                            data,
-                            bins,
-                            positions,
-                            &tree_config,
-                            &mut tree_rng,
-                            arena,
-                        )
-                    }
-                    FitMode::Exact => {
-                        DecisionTree::fit_in(data, positions, &tree_config, &mut tree_rng, arena)
-                    }
-                };
+                // Map bootstrap positions to corpus row ids in the
+                // arena's staging buffer.
+                let mut sample = std::mem::take(&mut arena.sample);
+                sample.clear();
+                sample.extend(positions.iter().map(|&p| rows[p]));
+                let tree = DecisionTree::fit_view_in(
+                    data,
+                    bins,
+                    &sample,
+                    &row_labels,
+                    n_classes,
+                    &tree_config,
+                    &mut tree_rng,
+                    arena,
+                );
+                arena.sample = sample;
                 // Out-of-bag votes: each tree votes on the samples its
                 // bootstrap missed, giving a free generalization
                 // estimate (Breiman 2001).
@@ -288,20 +221,10 @@ impl RandomForest {
                 }
                 let oob: Vec<(usize, usize)> = (0..n)
                     .filter(|&p| !in_bag[p])
-                    .map(|p| {
-                        let row = match &mode {
-                            FitMode::View { rows, .. } => data.row(rows[p]),
-                            _ => data.row(p),
-                        };
-                        (p, tree.predict(row))
-                    })
+                    .map(|p| (p, tree.predict(data.row(rows[p]))))
                     .collect();
                 (tree, oob)
             });
-        let truth = |p: usize| match &mode {
-            FitMode::View { labels, .. } => labels[p],
-            _ => data.label(p),
-        };
         let mut oob_votes = vec![vec![0usize; n_classes]; n];
         let mut trees = Vec::with_capacity(config.n_trees);
         for (tree, oob) in fitted {
@@ -312,12 +235,12 @@ impl RandomForest {
         }
         let mut correct = 0usize;
         let mut voted = 0usize;
-        for (i, votes) in oob_votes.iter().enumerate() {
+        for (votes, &truth) in oob_votes.iter().zip(labels) {
             if votes.iter().sum::<usize>() == 0 {
                 continue;
             }
             voted += 1;
-            if argmax(votes) == truth(i) {
+            if argmax(votes) == truth {
                 correct += 1;
             }
         }

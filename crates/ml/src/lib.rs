@@ -5,12 +5,16 @@
 //! thin, this crate implements the required pieces from scratch:
 //!
 //! * [`Dataset`] — a dense design matrix with integer class labels.
-//! * [`binning`] — lossless per-column pre-binning for histogram-based
-//!   split finding (bit-identical trees, no per-node sorting).
+//! * [`binning`] — lossless per-column pre-binning of a corpus, built
+//!   once and shared by every fit over it (no per-node sorting).
 //! * [`DecisionTree`] — CART with Gini impurity and per-split random
-//!   feature subsampling.
+//!   feature subsampling. [`DecisionTree::fit_view_in`] is the one
+//!   training implementation: an index view of a binned corpus, fitted
+//!   out of a caller-owned [`FitArena`].
 //! * [`RandomForest`] — bagged trees with majority vote and class
-//!   probabilities.
+//!   probabilities; [`RandomForest::fit_view`] is the one forest fit,
+//!   [`RandomForest::fit`] the wrapper that bins a dataset and views
+//!   all of it.
 //! * [`crossval`] — stratified k-fold cross-validation splits.
 //! * [`metrics`] — accuracy, confusion matrices, precision/recall.
 //! * [`packed`] — a contiguous, lockstep-walked prediction arena over a

@@ -1,4 +1,14 @@
 //! CART decision trees with Gini impurity.
+//!
+//! Training has one implementation: [`DecisionTree::fit_view_in`] grows
+//! a tree over an index view of a corpus — labels looked up by corpus
+//! row, bin codes by corpus column ([`crate::binning`]) — out of a
+//! caller-owned [`FitArena`]. Every node walks its candidate features
+//! once and hands each splittable one to one of two histogram sweeps
+//! (per-class counts, or two classes packed into one `u32` per bin).
+//! The per-node sorted scan those sweeps must reproduce bit for bit is
+//! the test oracle in `tree/sorted_scan.rs`, compiled under
+//! `#[cfg(test)]` only.
 
 use serde::{Deserialize, Serialize};
 
@@ -99,14 +109,14 @@ pub struct TreeParts {
 ///
 /// Every buffer the build recursion needs per node — the partitioned
 /// row-index working set, the candidate-feature list, the class-count
-/// vectors of the node and of the split sweep, the exact scan's sorted
-/// column and the histogram sweep's bin counts — is borrowed from here
-/// instead of freshly allocated, so a warm arena makes
-/// `DecisionTree::build` perform **zero heap allocations per node**
-/// (pinned by `tests/alloc_arena.rs`). The arena also remembers the
-/// largest tree it has produced and pre-reserves the next tree's
-/// node arrays accordingly: steady-state, a whole tree fit costs one
-/// exact-sized allocation per output array and nothing else.
+/// vectors of the node and of the split sweep, and the histogram
+/// sweep's bin counts — is borrowed from here instead of freshly
+/// allocated, so a warm arena makes `DecisionTree::build` perform
+/// **zero heap allocations per node** (pinned by
+/// `tests/alloc_arena.rs`). The arena also remembers the largest tree
+/// it has produced and pre-reserves the next tree's node arrays
+/// accordingly: steady-state, a whole tree fit costs one exact-sized
+/// allocation per output array and nothing else.
 ///
 /// Forest fitting hands each worker thread its own arena
 /// (`parallel::map_indexed_init`), reused across all trees that worker
@@ -116,7 +126,8 @@ pub struct TreeParts {
 pub struct FitArena {
     /// The in-place row-index buffer the recursion partitions.
     work: Vec<usize>,
-    /// Bootstrap-sample staging for view-mapped forest fits.
+    /// Bootstrap-sample staging for forest fits (view positions mapped
+    /// to corpus rows).
     pub(crate) sample: Vec<usize>,
     /// Per-tree in-bag flags for out-of-bag accounting.
     pub(crate) in_bag: Vec<bool>,
@@ -131,12 +142,10 @@ pub struct FitArena {
     /// sequential stream instead of re-gathering `labels[i]` per row
     /// per feature.
     node_labels: Vec<u32>,
-    /// Left/right class counts swept by the split search.
+    /// Left/right class counts swept by the generic split sweep.
     left_counts: Vec<usize>,
     right_counts: Vec<usize>,
-    /// `(value, label)` pairs for the exact sorted-scan search.
-    column: Vec<(f64, usize)>,
-    /// Histogram scratch for the binned search.
+    /// Histogram scratch for the sweeps.
     hist: HistScratch,
     /// Per-depth bitmask stack of features known constant within the
     /// node (one `(n_features + 63) / 64`-word frame per depth). A
@@ -150,6 +159,10 @@ pub struct FitArena {
     /// largest tree fitted so far, used to size the next tree's arrays.
     max_nodes: usize,
     max_leaf_slots: usize,
+    /// Routes the split search of fits out of this arena to the
+    /// sorted-scan oracle (`tree/sorted_scan.rs`).
+    #[cfg(test)]
+    sorted_scan: bool,
 }
 
 impl FitArena {
@@ -160,127 +173,60 @@ impl FitArena {
     }
 }
 
-/// Per-fit split-search inputs threaded through the build recursion:
-/// the training rows, the optional pre-binned columns, the optional
-/// per-corpus-row label overrides, and the scratch arena.
+/// Per-fit inputs threaded through the build recursion: the corpus
+/// rows (partitioning reads raw values), their bin codes by column,
+/// the class of every corpus row, and the scratch arena.
 struct FitContext<'a> {
     data: &'a Dataset,
-    bins: Option<&'a BinnedDataset>,
-    /// Shared-corpus one-vs-rest views override the dataset's labels:
-    /// `relabel[i]` is the class of corpus row `i` (`None` = use
-    /// `data.label(i)`).
-    relabel: Option<&'a [usize]>,
+    bins: &'a BinnedDataset,
+    labels: &'a [usize],
     arena: &'a mut FitArena,
 }
 
-/// The label of corpus row `i` under an optional view relabeling.
-#[inline]
-fn label_of(data: &Dataset, relabel: Option<&[usize]>, i: usize) -> usize {
-    match relabel {
-        Some(labels) => labels[i],
-        None => data.label(i),
-    }
-}
-
 impl DecisionTree {
-    /// Fits a tree on `data` using all rows.
+    /// Fits a tree on all rows of `data` with its own labels: bins
+    /// `data` and calls [`DecisionTree::fit_view_in`] with every row in
+    /// view and a fresh arena.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty.
     pub fn fit(data: &Dataset, config: &TreeConfig, rng: &mut PinnedRng) -> Self {
+        let bins = BinnedDataset::build(data);
         let indices: Vec<usize> = (0..data.len()).collect();
-        Self::fit_on(data, &indices, config, rng)
+        Self::fit_view_in(
+            data,
+            &bins,
+            &indices,
+            data.labels(),
+            data.n_classes(),
+            config,
+            rng,
+            &mut FitArena::new(),
+        )
     }
 
-    /// Fits a tree on the rows selected by `indices` (used for bootstrap
-    /// bagging; indices may repeat) with the exact sorted-scan split
-    /// search.
+    /// Fits a tree over a *view* of a corpus: `indices` selects
+    /// (possibly repeated, bootstrap-style) rows of `data`, the class of
+    /// corpus row `i` is `labels[i]` — one of `n_classes` — and split
+    /// search sweeps the histograms of `bins`, built **once** from the
+    /// full corpus. Every working buffer comes from `arena`, so repeated
+    /// fits reuse them.
+    ///
+    /// The binning is lossless — bins are each feature's actual distinct
+    /// values — and corpus bins absent from a node are empty in its
+    /// histogram, which the sweeps skip. So the probed thresholds, their
+    /// order, the left/right counts, the candidate budget and the RNG
+    /// stream are those of a per-node sorted scan over the view's rows
+    /// copied into a `Dataset` of their own (pinned against that scan
+    /// by the unit tests in `tree/sorted_scan.rs`, and against the
+    /// materialized copy by `tests/prop_histogram.rs`).
     ///
     /// # Panics
     ///
-    /// Panics if `indices` is empty.
-    pub fn fit_on(
-        data: &Dataset,
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut PinnedRng,
-    ) -> Self {
-        Self::fit_in(data, indices, config, rng, &mut FitArena::new())
-    }
-
-    /// [`DecisionTree::fit_on`] with a caller-provided scratch arena, so
-    /// repeated fits reuse every working buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty.
-    pub fn fit_in(
-        data: &Dataset,
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut PinnedRng,
-        arena: &mut FitArena,
-    ) -> Self {
-        Self::fit_inner(data, None, None, indices, config, rng, arena)
-    }
-
-    /// Fits a tree like [`DecisionTree::fit_on`], but finds splits with
-    /// cumulative histogram sweeps over the pre-binned columns in `bins`
-    /// (which must have been built from this `data`). The binning is
-    /// lossless — bins are the feature's actual distinct values — so the
-    /// fitted tree is **bit-identical** to [`DecisionTree::fit_on`] with
-    /// the same RNG state; only the per-node cost changes, from
-    /// `O(n log n)` sorting to `O(n + bins)` counting per candidate
-    /// feature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty.
-    pub fn fit_binned(
-        data: &Dataset,
-        bins: &BinnedDataset,
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut PinnedRng,
-    ) -> Self {
-        Self::fit_binned_in(data, bins, indices, config, rng, &mut FitArena::new())
-    }
-
-    /// [`DecisionTree::fit_binned`] with a caller-provided scratch
-    /// arena, so repeated fits reuse every working buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty.
-    pub fn fit_binned_in(
-        data: &Dataset,
-        bins: &BinnedDataset,
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut PinnedRng,
-        arena: &mut FitArena,
-    ) -> Self {
-        Self::fit_inner(data, Some(bins), None, indices, config, rng, arena)
-    }
-
-    /// Fits a tree over a *view* of a shared corpus: `indices` selects
-    /// (possibly repeated, bootstrap-style) rows of `data`, but the
-    /// class of row `i` is `labels[i]` — a per-corpus-row relabeling
-    /// with `n_classes` classes — and split search runs over `bins`
-    /// built **once** from the full corpus.
-    ///
-    /// Lossless versus copying the view's rows into their own `Dataset`
-    /// and calling [`DecisionTree::fit_binned`]: corpus bins absent
-    /// from a node are empty in its histogram, and the sweep already
-    /// skips empty bins, so the probed thresholds, their order, the
-    /// left/right counts, the candidate budget and the RNG stream are
-    /// all identical (pinned by `tests/prop_histogram.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or `labels` is shorter than the
-    /// corpus.
+    /// Panics if `indices` is empty, `bins` was not built from `data`
+    /// (row or feature count differs), `labels` is shorter than the
+    /// corpus, or a row in `indices` has a label `>= max(n_classes, 2)`.
     #[allow(clippy::too_many_arguments)]
     pub fn fit_view_in(
         data: &Dataset,
@@ -292,32 +238,20 @@ impl DecisionTree {
         rng: &mut PinnedRng,
         arena: &mut FitArena,
     ) -> Self {
+        assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
+        assert!(
+            bins.n_rows() == data.len() && bins.n_features() == data.n_features(),
+            "bins must be built from this corpus"
+        );
         assert!(
             labels.len() >= data.len(),
             "every corpus row needs a view label"
         );
-        Self::fit_inner(
-            data,
-            Some(bins),
-            Some((labels, n_classes)),
-            indices,
-            config,
-            rng,
-            arena,
-        )
-    }
-
-    fn fit_inner(
-        data: &Dataset,
-        bins: Option<&BinnedDataset>,
-        relabel: Option<(&[usize], usize)>,
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut PinnedRng,
-        arena: &mut FitArena,
-    ) -> Self {
-        assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        let n_classes = relabel.map_or_else(|| data.n_classes(), |(_, c)| c).max(2);
+        let n_classes = n_classes.max(2);
+        assert!(
+            indices.iter().all(|&i| labels[i] < n_classes),
+            "view label out of range"
+        );
         // Exact-size the output arrays from the arena's high-water
         // marks: after the first (warm-up) fit, a tree fit allocates
         // only these seven arrays.
@@ -338,7 +272,7 @@ impl DecisionTree {
             let mut ctx = FitContext {
                 data,
                 bins,
-                relabel: relabel.map(|(labels, _)| labels),
+                labels,
                 arena: &mut *arena,
             };
             tree.build(&mut ctx, &mut work, 0, config, rng);
@@ -584,10 +518,9 @@ impl DecisionTree {
         config: &TreeConfig,
         rng: &mut PinnedRng,
     ) -> usize {
-        let data = ctx.data;
-        let relabel = ctx.relabel;
         let n = indices.len();
         {
+            let view_labels = ctx.labels;
             let FitArena {
                 node_counts: counts,
                 node_labels: labels,
@@ -597,7 +530,7 @@ impl DecisionTree {
             counts.resize(self.n_classes, 0);
             labels.clear();
             labels.extend(indices.iter().map(|&i| {
-                let label = label_of(data, relabel, i);
+                let label = view_labels[i];
                 counts[label] += 1;
                 u32::try_from(label).expect("class id fits u32")
             }));
@@ -613,26 +546,30 @@ impl DecisionTree {
         // parent's discoveries (the root starts empty). The second
         // child re-copies the parent frame, so a sibling subtree's
         // discoveries never leak across.
-        if ctx.bins.is_some() {
-            let words = data.n_features().div_ceil(64);
-            let masks = &mut ctx.arena.constant_masks;
-            let end = (depth + 1) * words;
-            if masks.len() < end {
-                masks.resize(end, 0);
-            }
-            if depth == 0 {
-                masks[..words].fill(0);
-            } else {
-                masks.copy_within((depth - 1) * words..depth * words, depth * words);
-            }
+        let words = ctx.bins.n_features().div_ceil(64);
+        let masks = &mut ctx.arena.constant_masks;
+        let end = (depth + 1) * words;
+        if masks.len() < end {
+            masks.resize(end, 0);
         }
-        let split = match ctx.bins {
-            Some(_) => self.best_split_hist(ctx, indices, depth, config, rng),
-            None => self.best_split(ctx, indices, config, rng),
+        if depth == 0 {
+            masks[..words].fill(0);
+        } else {
+            masks.copy_within((depth - 1) * words..depth * words, depth * words);
+        }
+        // The one seam: a unit test's arena can route the search to the
+        // sorted-scan oracle. No other build uses the label.
+        #[allow(unused_labels)]
+        let split = 'search: {
+            #[cfg(test)]
+            if ctx.arena.sorted_scan {
+                break 'search self.best_split_sorted_scan(ctx, indices, config, rng);
+            }
+            self.best_split(ctx, indices, depth, config, rng)
         };
         match split {
             Some((feature, threshold, weighted_child_gini)) => {
-                let split_at = partition(data, indices, feature, threshold);
+                let split_at = partition(ctx.data, indices, feature, threshold);
                 if split_at < config.min_samples_leaf
                     || n - split_at < config.min_samples_leaf
                     || split_at == 0
@@ -680,33 +617,43 @@ impl DecisionTree {
         id
     }
 
-    /// Finds the `(feature, threshold)` minimizing weighted Gini impurity
-    /// over the candidate features, or `None` if no split improves.
+    /// Finds the `(feature, threshold, weighted child Gini)` minimizing
+    /// weighted Gini impurity over the node's candidate features, or
+    /// `None` if no candidate can split.
+    ///
+    /// This is the candidate walk, written once: draw a feature, skip it
+    /// if it cannot split this node, otherwise charge it to the budget
+    /// and hand it to a sweep. The sweep counts the node's rows into the
+    /// feature's per-bin class histogram and probes the midpoints
+    /// between adjacent distinct values *present in the node* (empty
+    /// bins between them are skipped, so the midpoint spans them just as
+    /// a sort would), in ascending order, under a strict-improvement
+    /// tolerance — exactly what a sorted scan of the node's column
+    /// evaluates, at `O(n + bins)` per candidate instead of
+    /// `O(n log n)`.
     fn best_split(
         &self,
         ctx: &mut FitContext<'_>,
         indices: &[usize],
+        depth: usize,
         config: &TreeConfig,
         rng: &mut PinnedRng,
     ) -> Option<(usize, f64, f64)> {
-        let data = ctx.data;
-        let FitArena {
-            candidates,
-            node_counts,
-            node_labels,
-            left_counts,
-            right_counts,
-            column,
-            ..
-        } = &mut *ctx.arena;
-        let n_features = data.n_features();
-        candidates.clear();
-        candidates.extend(0..n_features);
+        let bins = ctx.bins;
+        let arena = &mut *ctx.arena;
+        let n_features = bins.n_features();
+        arena.candidates.clear();
+        arena.candidates.extend(0..n_features);
         let subsample = config.n_candidate_features.is_some();
         let limit = match config.n_candidate_features {
             Some(k) => k.max(1).min(n_features),
             None => n_features,
         };
+        let mask_frame = depth * n_features.div_ceil(64);
+        // Two classes (every one-vs-rest bank classifier) with node
+        // counts that fit 16 bits take the packed-counter sweep — same
+        // counts, same splits, fewer operations per row.
+        let packed = self.n_classes == 2 && indices.len() < (1 << 16);
         // Take the best split even at zero Gini gain (as CART splitters
         // do): greedy strict-improvement search cannot learn XOR-shaped
         // concepts whose first split is gain-free. Purity, depth and
@@ -716,314 +663,44 @@ impl DecisionTree {
         // like scikit-learn, keep drawing until `limit` splittable
         // features were examined or the feature set is exhausted.
         let mut examined = 0usize;
-        // `node_counts` already holds this node's class counts (read-only
-        // here: `build` reuses them after the search).
-        let parent_counts: &[usize] = node_counts;
-        left_counts.clear();
-        left_counts.resize(self.n_classes, 0);
-        right_counts.clear();
-        right_counts.resize(self.n_classes, 0);
         for slot in 0..n_features {
             if examined >= limit {
                 break;
             }
-            // The v2 candidate draw: one `sample_step` per *inspected*
-            // slot — the lazy form of `PinnedRng::sample_k`, consuming
-            // exactly one pinned draw per slot actually looked at (the
-            // v1 contract shuffled the whole pool up front). Constant
-            // features still `continue` without touching `examined`, so
-            // they cost a draw but never a budget slot — and because
-            // every fit path makes identical constant-skip decisions,
-            // the draw streams stay bit-identical across paths.
+            // One `sample_step` per *inspected* slot — the lazy form of
+            // `PinnedRng::sample_k`, consuming exactly one pinned draw
+            // per slot actually looked at. A skipped feature costs a
+            // draw but never a budget slot, and the skip decisions
+            // below are the sorted scan's "first value == last value",
+            // so the draw stream matches the oracle's.
             let feature = if subsample {
-                rng.sample_step(candidates, slot)
+                rng.sample_step(&mut arena.candidates, slot)
             } else {
-                candidates[slot]
+                arena.candidates[slot]
             };
-            column.clear();
-            column.extend(
-                indices
-                    .iter()
-                    .zip(node_labels.iter())
-                    .map(|(&i, &label)| (data.row(i)[feature], label as usize)),
-            );
-            column.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
-            let total = column.len();
-            if column[0].0 == column[total - 1].0 {
-                continue; // constant feature: no threshold exists
-            }
-            examined += 1;
-            left_counts.fill(0);
-            right_counts.copy_from_slice(parent_counts);
-            for pos in 0..total - 1 {
-                let (value, label) = column[pos];
-                left_counts[label] += 1;
-                right_counts[label] -= 1;
-                let next_value = column[pos + 1].0;
-                if value == next_value {
-                    continue; // cannot split between equal values
-                }
-                let n_left = pos + 1;
-                let n_right = total - n_left;
-                let weighted = (n_left as f64 * gini(left_counts, n_left)
-                    + n_right as f64 * gini(right_counts, n_right))
-                    / total as f64;
-                if best.is_none_or(|(g, _, _)| weighted + 1e-12 < g) {
-                    best = Some((weighted, feature, (value + next_value) / 2.0));
-                }
-            }
-        }
-        best.map(|(weighted, feature, threshold)| (feature, threshold, weighted))
-    }
-
-    /// The histogram twin of [`DecisionTree::best_split`]: instead of
-    /// sorting the node's column per candidate feature, count the node's
-    /// rows into per-bin class histograms (bins = the feature's distinct
-    /// values, pre-computed in `bins`) and sweep the bins cumulatively.
-    ///
-    /// The sweep probes exactly the thresholds the sorted scan would —
-    /// midpoints between adjacent distinct values *present in the node*
-    /// (empty bins between them are skipped, so the midpoint spans them
-    /// just as the sort would) — with identical left/right class counts,
-    /// in the same ascending order, under the same strict-improvement
-    /// tolerance. Constant-in-node features are skipped without counting
-    /// against the candidate budget, exactly like the exact scan, so the
-    /// RNG stream and the returned split are bit-identical.
-    fn best_split_hist(
-        &self,
-        ctx: &mut FitContext<'_>,
-        indices: &[usize],
-        depth: usize,
-        config: &TreeConfig,
-        rng: &mut PinnedRng,
-    ) -> Option<(usize, f64, f64)> {
-        // Binary problems (every one-vs-rest bank classifier) take the
-        // packed-counter fill — same counts, same splits, fewer ops.
-        if self.n_classes == 2 && indices.len() < (1 << 16) {
-            return self.best_split_hist_binary(ctx, indices, depth, config, rng);
-        }
-        let data = ctx.data;
-        let bins = ctx.bins.expect("histogram split search needs bins");
-        let FitArena {
-            candidates,
-            node_counts,
-            node_labels,
-            left_counts,
-            right_counts,
-            hist: scratch,
-            constant_masks,
-            ..
-        } = &mut *ctx.arena;
-        let n_features = data.n_features();
-        candidates.clear();
-        candidates.extend(0..n_features);
-        let subsample = config.n_candidate_features.is_some();
-        let limit = match config.n_candidate_features {
-            Some(k) => k.max(1).min(n_features),
-            None => n_features,
-        };
-        let words = n_features.div_ceil(64);
-        let mask = &mut constant_masks[depth * words..(depth + 1) * words];
-        let total = indices.len();
-        let n_classes = self.n_classes;
-        // `node_counts` already holds this node's class counts (read-only
-        // here: `build` reuses them after the search).
-        let parent_counts: &[usize] = node_counts;
-        let mut best: Option<(f64, usize, f64)> = None;
-        let mut examined = 0usize;
-        left_counts.clear();
-        left_counts.resize(n_classes, 0);
-        right_counts.clear();
-        right_counts.resize(n_classes, 0);
-        for slot in 0..n_features {
-            if examined >= limit {
-                break;
-            }
-            // One pinned `sample_step` draw per inspected slot; see
-            // `best_split` — the skip decisions below match the exact
-            // scan's, so the draw stream is identical across paths.
-            let feature = if subsample {
-                rng.sample_step(candidates, slot)
-            } else {
-                candidates[slot]
-            };
-            let n_bins = bins.n_bins(feature);
-            if n_bins <= 1 {
+            if bins.n_bins(feature) <= 1 {
                 continue; // globally constant feature: no threshold exists
             }
-            // A feature constant *within the node* does not count
-            // against the candidate budget — the exact scan's
-            // `column[0] == column[total - 1]` check. Ancestor-constant
-            // features skip via the mask; otherwise an early-exit scan
+            // Constant *within the node*: features an ancestor found
+            // constant skip via the mask; otherwise an early-exit scan
             // for a second distinct code decides (and records) it,
             // without paying for a histogram fill.
             let bit = 1u64 << (feature % 64);
-            if mask[feature / 64] & bit != 0 {
+            let mask = &mut arena.constant_masks[mask_frame + feature / 64];
+            if *mask & bit != 0 {
                 continue;
             }
             let codes = bins.column(feature);
             let first = codes[indices[0]];
             if indices[1..].iter().all(|&i| codes[i] == first) {
-                mask[feature / 64] |= bit;
+                *mask |= bit;
                 continue;
             }
             examined += 1;
-            let hist = scratch.zeroed(n_bins, n_classes);
-            for (&i, &label) in indices.iter().zip(node_labels.iter()) {
-                hist[codes[i] as usize * n_classes + label as usize] += 1;
-            }
-            let hist: &[u32] = hist;
-            let values = bins.bin_values(feature);
-            left_counts.fill(0);
-            right_counts.copy_from_slice(parent_counts);
-            let mut n_left = 0usize;
-            let mut prev_value = 0.0f64;
-            let mut started = false;
-            for b in 0..n_bins {
-                let bin = &hist[b * n_classes..(b + 1) * n_classes];
-                let bin_total: usize = bin.iter().map(|&c| c as usize).sum();
-                if bin_total == 0 {
-                    continue;
-                }
-                let value = values[b];
-                if started {
-                    // Left holds every present value below `value`; the
-                    // candidate threshold is the same midpoint the sorted
-                    // scan evaluates between adjacent present values.
-                    let n_right = total - n_left;
-                    let weighted = (n_left as f64 * gini(left_counts, n_left)
-                        + n_right as f64 * gini(right_counts, n_right))
-                        / total as f64;
-                    if best.is_none_or(|(g, _, _)| weighted + 1e-12 < g) {
-                        best = Some((weighted, feature, (prev_value + value) / 2.0));
-                    }
-                }
-                for (class, &count) in bin.iter().enumerate() {
-                    left_counts[class] += count as usize;
-                    right_counts[class] -= count as usize;
-                }
-                n_left += bin_total;
-                prev_value = value;
-                started = true;
-            }
-        }
-        best.map(|(weighted, feature, threshold)| (feature, threshold, weighted))
-    }
-
-    /// [`DecisionTree::best_split_hist`] specialized to two classes —
-    /// the shape of every one-vs-rest bank classifier, and the hottest
-    /// loop of bank training.
-    ///
-    /// Each bin's two class counts are packed into one `u32` (total in
-    /// the low half, class-1 count in the high half; sound because the
-    /// caller guarantees `indices.len() < 2^16`), so the per-row fill is
-    /// a single gather + increment over a half-sized histogram. The
-    /// counts unpacked in the sweep are the same integers the generic
-    /// fill produces, the sweep feeds them through the same [`gini`]
-    /// arithmetic via the same `left/right_counts` buffers, and the RNG
-    /// consumption is identical — so the chosen split is bit-identical
-    /// (covered by the same differential proptests).
-    fn best_split_hist_binary(
-        &self,
-        ctx: &mut FitContext<'_>,
-        indices: &[usize],
-        depth: usize,
-        config: &TreeConfig,
-        rng: &mut PinnedRng,
-    ) -> Option<(usize, f64, f64)> {
-        let data = ctx.data;
-        let bins = ctx.bins.expect("histogram split search needs bins");
-        let FitArena {
-            candidates,
-            node_counts,
-            node_labels,
-            left_counts,
-            right_counts,
-            hist: scratch,
-            constant_masks,
-            ..
-        } = &mut *ctx.arena;
-        let n_features = data.n_features();
-        candidates.clear();
-        candidates.extend(0..n_features);
-        let subsample = config.n_candidate_features.is_some();
-        let limit = match config.n_candidate_features {
-            Some(k) => k.max(1).min(n_features),
-            None => n_features,
-        };
-        let words = n_features.div_ceil(64);
-        let mask = &mut constant_masks[depth * words..(depth + 1) * words];
-        let total = indices.len();
-        let parent_counts: &[usize] = node_counts;
-        let mut best: Option<(f64, usize, f64)> = None;
-        let mut examined = 0usize;
-        left_counts.clear();
-        left_counts.resize(2, 0);
-        right_counts.clear();
-        right_counts.resize(2, 0);
-        for slot in 0..n_features {
-            if examined >= limit {
-                break;
-            }
-            // One pinned `sample_step` draw per inspected slot; see
-            // `best_split`.
-            let feature = if subsample {
-                rng.sample_step(candidates, slot)
+            if packed {
+                arena.sweep_packed(bins, feature, indices, &mut best);
             } else {
-                candidates[slot]
-            };
-            let n_bins = bins.n_bins(feature);
-            if n_bins <= 1 {
-                continue; // globally constant feature: no threshold exists
-            }
-            // Constant-in-node features do not count against the
-            // candidate budget, like the exact scan; see
-            // `best_split_hist` for the mask + early-exit scheme.
-            let bit = 1u64 << (feature % 64);
-            if mask[feature / 64] & bit != 0 {
-                continue;
-            }
-            let codes = bins.column(feature);
-            let first = codes[indices[0]];
-            if indices[1..].iter().all(|&i| codes[i] == first) {
-                mask[feature / 64] |= bit;
-                continue;
-            }
-            examined += 1;
-            let hist = scratch.zeroed(n_bins, 1);
-            for (&i, &label) in indices.iter().zip(node_labels.iter()) {
-                hist[codes[i] as usize] += 1 + (label << 16);
-            }
-            let hist: &[u32] = hist;
-            let values = bins.bin_values(feature);
-            left_counts.fill(0);
-            right_counts.copy_from_slice(parent_counts);
-            let mut n_left = 0usize;
-            let mut prev_value = 0.0f64;
-            let mut started = false;
-            for (b, &packed) in hist.iter().enumerate() {
-                if packed == 0 {
-                    continue;
-                }
-                let bin_total = (packed & 0xFFFF) as usize;
-                let ones = (packed >> 16) as usize;
-                let value = values[b];
-                if started {
-                    let n_right = total - n_left;
-                    let weighted = (n_left as f64 * gini(left_counts, n_left)
-                        + n_right as f64 * gini(right_counts, n_right))
-                        / total as f64;
-                    if best.is_none_or(|(g, _, _)| weighted + 1e-12 < g) {
-                        best = Some((weighted, feature, (prev_value + value) / 2.0));
-                    }
-                }
-                left_counts[0] += bin_total - ones;
-                left_counts[1] += ones;
-                right_counts[0] -= bin_total - ones;
-                right_counts[1] -= ones;
-                n_left += bin_total;
-                prev_value = value;
-                started = true;
+                arena.sweep_generic(bins, feature, indices, &mut best);
             }
         }
         best.map(|(weighted, feature, threshold)| (feature, threshold, weighted))
@@ -1050,6 +727,120 @@ impl DecisionTree {
             }
         }
         importances
+    }
+}
+
+impl FitArena {
+    /// The generic fill + sweep of one candidate `feature`: counts the
+    /// node's rows into an `n_bins × n_classes` histogram, then walks
+    /// the bins cumulatively, offering `best` the midpoint before every
+    /// present bin but the first.
+    fn sweep_generic(
+        &mut self,
+        bins: &BinnedDataset,
+        feature: usize,
+        indices: &[usize],
+        best: &mut Option<(f64, usize, f64)>,
+    ) {
+        let FitArena {
+            node_counts: parent_counts,
+            node_labels,
+            left_counts,
+            right_counts,
+            hist: scratch,
+            ..
+        } = self;
+        let n_classes = parent_counts.len();
+        let total = indices.len();
+        let codes = bins.column(feature);
+        let values = bins.bin_values(feature);
+        let hist = scratch.zeroed(values.len(), n_classes);
+        for (&i, &label) in indices.iter().zip(node_labels.iter()) {
+            hist[codes[i] as usize * n_classes + label as usize] += 1;
+        }
+        left_counts.clear();
+        left_counts.resize(n_classes, 0);
+        right_counts.clear();
+        right_counts.extend_from_slice(parent_counts);
+        let mut n_left = 0usize;
+        let mut prev_value = 0.0f64;
+        for (bin, &value) in hist.chunks_exact(n_classes).zip(values) {
+            let bin_total: usize = bin.iter().map(|&c| c as usize).sum();
+            if bin_total == 0 {
+                continue;
+            }
+            if n_left > 0 {
+                // Left holds every present value below `value`; the
+                // candidate threshold is the midpoint a sorted scan
+                // evaluates between adjacent present values.
+                let n_right = total - n_left;
+                let weighted = (n_left as f64 * gini(left_counts, n_left)
+                    + n_right as f64 * gini(right_counts, n_right))
+                    / total as f64;
+                if best.is_none_or(|(g, _, _)| weighted + 1e-12 < g) {
+                    *best = Some((weighted, feature, (prev_value + value) / 2.0));
+                }
+            }
+            for (class, &count) in bin.iter().enumerate() {
+                left_counts[class] += count as usize;
+                right_counts[class] -= count as usize;
+            }
+            n_left += bin_total;
+            prev_value = value;
+        }
+    }
+
+    /// [`FitArena::sweep_generic`] for two classes and fewer than 2^16
+    /// rows — the shape of every one-vs-rest bank classifier, and the
+    /// hottest loop of bank training.
+    ///
+    /// Each bin's two counts are packed into one `u32` (total in the low
+    /// half, class-1 count in the high half; neither can exceed the
+    /// node's row count, so neither overflows its half), making the
+    /// per-row fill a single gather + increment over a half-sized
+    /// histogram. The counts unpacked in the sweep are the integers the
+    /// generic fill produces and go through the same [`gini`]
+    /// arithmetic, so the chosen split is bit-identical.
+    fn sweep_packed(
+        &mut self,
+        bins: &BinnedDataset,
+        feature: usize,
+        indices: &[usize],
+        best: &mut Option<(f64, usize, f64)>,
+    ) {
+        let total = indices.len();
+        let codes = bins.column(feature);
+        let values = bins.bin_values(feature);
+        let hist = self.hist.zeroed(values.len(), 1);
+        for (&i, &label) in indices.iter().zip(self.node_labels.iter()) {
+            hist[codes[i] as usize] += 1 + (label << 16);
+        }
+        let mut left = [0usize; 2];
+        let mut right = [self.node_counts[0], self.node_counts[1]];
+        let mut n_left = 0usize;
+        let mut prev_value = 0.0f64;
+        for (&packed, &value) in hist.iter().zip(values) {
+            if packed == 0 {
+                continue;
+            }
+            let bin_total = (packed & 0xFFFF) as usize;
+            let ones = (packed >> 16) as usize;
+            if n_left > 0 {
+                let n_right = total - n_left;
+                let weighted = (n_left as f64 * gini(&left, n_left)
+                    + n_right as f64 * gini(&right, n_right))
+                    / total as f64;
+                if best.is_none_or(|(g, _, _)| weighted + 1e-12 < g) {
+                    *best = Some((weighted, feature, (prev_value + value) / 2.0));
+                }
+            }
+            left[0] += bin_total - ones;
+            left[1] += ones;
+            right[0] -= bin_total - ones;
+            right[1] -= ones;
+            n_left += bin_total;
+            prev_value = value;
+        }
     }
 }
 
@@ -1090,6 +881,9 @@ pub(crate) fn argmax(values: &[usize]) -> usize {
         .map(|(i, _)| i)
         .unwrap_or(0)
 }
+
+#[cfg(test)]
+mod sorted_scan;
 
 #[cfg(test)]
 mod tests {
@@ -1239,6 +1033,50 @@ mod tests {
         data.push(&[3.0, 4.0], 1);
         let tree = DecisionTree::fit(&data, &TreeConfig::default(), &mut rng());
         assert_eq!(tree.feature_importances(2), vec![0.0, 0.0]);
+    }
+
+    /// Fits `data`'s rows over `bins`, as a view labeled by `labels`.
+    fn fit_view(data: &Dataset, bins: &BinnedDataset, labels: &[usize]) -> DecisionTree {
+        let indices: Vec<usize> = (0..data.len()).collect();
+        DecisionTree::fit_view_in(
+            data,
+            bins,
+            &indices,
+            labels,
+            2,
+            &TreeConfig::default(),
+            &mut rng(),
+            &mut FitArena::new(),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "bins must be built from this corpus")]
+    fn bins_of_a_longer_dataset_are_rejected() {
+        let data = xor_dataset();
+        let mut longer = xor_dataset();
+        longer.push(&[2.0, 2.0], 0);
+        let _ = fit_view(&data, &BinnedDataset::build(&longer), data.labels());
+    }
+
+    #[test]
+    #[should_panic(expected = "bins must be built from this corpus")]
+    fn bins_of_a_wider_dataset_are_rejected() {
+        let data = xor_dataset();
+        let mut wider = Dataset::new(3);
+        for i in 0..data.len() {
+            wider.push(&[0.0, 1.0, i as f64], 0);
+        }
+        let _ = fit_view(&data, &BinnedDataset::build(&wider), data.labels());
+    }
+
+    #[test]
+    #[should_panic(expected = "view label out of range")]
+    fn out_of_range_view_label_is_rejected() {
+        let data = xor_dataset();
+        let mut labels = data.labels().to_vec();
+        labels[7] = 2;
+        let _ = fit_view(&data, &BinnedDataset::build(&data), &labels);
     }
 
     #[test]

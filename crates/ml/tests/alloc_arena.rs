@@ -82,61 +82,32 @@ fn steady_state_tree_fits_do_not_allocate_per_node() {
     };
     let mut arena = FitArena::new();
 
+    let fit = |arena: &mut FitArena| {
+        DecisionTree::fit_view_in(
+            &data,
+            &bins,
+            &indices,
+            &labels,
+            2,
+            &config,
+            &mut PinnedRng::from_key(9, 0, 0),
+            arena,
+        )
+    };
+
     // Warm-up: stretches every scratch buffer and records the
     // high-water marks that pre-size the output arrays.
-    let warm_binned = DecisionTree::fit_binned_in(
-        &data,
-        &bins,
-        &indices,
-        &config,
-        &mut PinnedRng::from_key(9, 0, 0),
-        &mut arena,
-    );
-    let warm_view = DecisionTree::fit_view_in(
-        &data,
-        &bins,
-        &indices,
-        &labels,
-        2,
-        &config,
-        &mut PinnedRng::from_key(9, 0, 0),
-        &mut arena,
-    );
+    let warm = fit(&mut arena);
 
-    // Steady state, histogram path: identical fit, warm arena.
+    // Steady state (the classifier bank's hot loop): identical fit,
+    // warm arena.
     let before = allocations();
-    let again = DecisionTree::fit_binned_in(
-        &data,
-        &bins,
-        &indices,
-        &config,
-        &mut PinnedRng::from_key(9, 0, 0),
-        &mut arena,
-    );
+    let again = fit(&mut arena);
     let spent = allocations() - before;
-    assert_eq!(warm_binned, again, "arena reuse must not change the fit");
+    assert_eq!(warm, again, "arena reuse must not change the fit");
     assert!(
         spent <= STEADY_STATE_BUDGET,
-        "histogram fit allocated {spent} times in steady state (budget {STEADY_STATE_BUDGET})"
-    );
-
-    // Steady state, corpus-view path (the classifier bank's hot loop).
-    let before = allocations();
-    let again = DecisionTree::fit_view_in(
-        &data,
-        &bins,
-        &indices,
-        &labels,
-        2,
-        &config,
-        &mut PinnedRng::from_key(9, 0, 0),
-        &mut arena,
-    );
-    let spent = allocations() - before;
-    assert_eq!(warm_view, again, "arena reuse must not change the fit");
-    assert!(
-        spent <= STEADY_STATE_BUDGET,
-        "view fit allocated {spent} times in steady state (budget {STEADY_STATE_BUDGET})"
+        "tree fit allocated {spent} times in steady state (budget {STEADY_STATE_BUDGET})"
     );
 
     // Steady state, batched classification: after one warm-up tick has
