@@ -124,6 +124,19 @@ pub enum DhcpOption {
 }
 
 impl DhcpOption {
+    /// Encoded length: code byte, length byte, data.
+    fn encoded_len(&self) -> usize {
+        2 + match self {
+            DhcpOption::MessageType(_) => 1,
+            DhcpOption::RequestedIp(_) | DhcpOption::ServerId(_) => 4,
+            DhcpOption::ParameterRequestList(params) => params.len(),
+            DhcpOption::HostName(text) | DhcpOption::VendorClassId(text) => text.len(),
+            DhcpOption::ClientId(_) => 7,
+            DhcpOption::MaxMessageSize(_) => 2,
+            DhcpOption::Other { data, .. } => data.len(),
+        }
+    }
+
     fn encode(&self, buf: &mut impl BufMut) {
         match self {
             DhcpOption::MessageType(t) => {
@@ -326,11 +339,14 @@ impl DhcpMessage {
         }
     }
 
-    /// Wire length of the encoded message.
+    /// Wire length of the encoded message: the fixed BOOTP portion,
+    /// plus — for DHCP — the cookie, every option and the end marker.
     pub fn wire_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
+        if !self.dhcp {
+            return FIXED_LEN;
+        }
+        let options: usize = self.options.iter().map(DhcpOption::encoded_len).sum();
+        FIXED_LEN + MAGIC_COOKIE.len() + options + 1
     }
 
     /// Parses a DHCP/BOOTP message.
@@ -423,6 +439,39 @@ mod tests {
         let parsed = DhcpMessage::parse(&buf).unwrap();
         assert_eq!(parsed.message_type(), Some(DhcpMessageType::Request));
         assert_eq!(parsed, msg);
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length() {
+        let mut every_option = DhcpMessage::request(
+            mac(),
+            9,
+            Ipv4Addr::new(192, 168, 0, 33),
+            Ipv4Addr::new(192, 168, 0, 1),
+        );
+        every_option.options.extend([
+            DhcpOption::ParameterRequestList(vec![1, 3, 6, 15, 28]),
+            DhcpOption::HostName("EdimaxPlug".into()),
+            DhcpOption::VendorClassId(String::new()),
+            DhcpOption::MaxMessageSize(1500),
+            DhcpOption::Other {
+                code: 43,
+                data: vec![7; 19],
+            },
+        ]);
+        // BOOTP ignores its options on the wire: no cookie, no end marker.
+        let mut bootp_with_options = every_option.clone();
+        bootp_with_options.dhcp = false;
+        for msg in [
+            DhcpMessage::discover(mac(), 1),
+            DhcpMessage::bootp_request(mac(), 2),
+            every_option,
+            bootp_with_options,
+        ] {
+            let mut buf = Vec::new();
+            msg.encode(&mut buf);
+            assert_eq!(msg.wire_len(), buf.len(), "{msg:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@ use crate::ParseError;
 /// Length of the DNS message header.
 pub const HEADER_LEN: usize = 12;
 
+/// The shortest question on the wire: the root name, type and class.
+const MIN_QUESTION_LEN: usize = 5;
+
 /// DNS record type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RecordType {
@@ -137,6 +140,17 @@ impl ResourceRecord {
             RecordData::Raw(_) => RecordType::Other(0),
         }
     }
+
+    /// Encoded length of the record data (the `rdlength` field).
+    fn rdata_len(&self) -> usize {
+        match &self.data {
+            RecordData::A(_) => 4,
+            RecordData::Aaaa(_) => 16,
+            RecordData::Ptr(name) => name_len(name),
+            RecordData::Txt(strings) => strings.iter().map(|s| 1 + s.len()).sum(),
+            RecordData::Raw(bytes) => bytes.len(),
+        }
+    }
 }
 
 /// A DNS or mDNS message.
@@ -244,22 +258,35 @@ impl DnsMessage {
             buf.put_u16(rr.rtype().to_u16());
             buf.put_u16(if rr.cache_flush { 0x8001 } else { 0x0001 });
             buf.put_u32(rr.ttl);
-            let mut data = Vec::new();
+            buf.put_u16(rr.rdata_len() as u16);
             match &rr.data {
-                RecordData::A(ip) => data.extend_from_slice(&ip.octets()),
-                RecordData::Aaaa(ip) => data.extend_from_slice(&ip.octets()),
-                RecordData::Ptr(name) => encode_name(name, &mut data),
+                RecordData::A(ip) => buf.put_slice(&ip.octets()),
+                RecordData::Aaaa(ip) => buf.put_slice(&ip.octets()),
+                RecordData::Ptr(name) => encode_name(name, buf),
                 RecordData::Txt(strings) => {
                     for s in strings {
-                        data.put_u8(s.len() as u8);
-                        data.extend_from_slice(s.as_bytes());
+                        buf.put_u8(s.len() as u8);
+                        buf.put_slice(s.as_bytes());
                     }
                 }
-                RecordData::Raw(bytes) => data.extend_from_slice(bytes),
+                RecordData::Raw(bytes) => buf.put_slice(bytes),
             }
-            buf.put_u16(data.len() as u16);
-            buf.put_slice(&data);
         }
+    }
+
+    /// Wire length of the encoded message: header, questions (name +
+    /// type + class) and records (name + type, class, ttl and rdlength +
+    /// data).
+    pub fn wire_len(&self) -> usize {
+        let questions: usize = self.questions.iter().map(|q| name_len(&q.name) + 4).sum();
+        let records: usize = self
+            .answers
+            .iter()
+            .chain(&self.authorities)
+            .chain(&self.additionals)
+            .map(|rr| name_len(&rr.name) + 10 + rr.rdata_len())
+            .sum();
+        HEADER_LEN + questions + records
     }
 
     /// Encodes into a fresh byte vector.
@@ -281,11 +308,14 @@ impl DnsMessage {
         }
         let id = u16::from_be_bytes([bytes[0], bytes[1]]);
         let flags = u16::from_be_bytes([bytes[2], bytes[3]]);
-        let counts: Vec<usize> = (0..4)
-            .map(|i| u16::from_be_bytes([bytes[4 + 2 * i], bytes[5 + 2 * i]]) as usize)
-            .collect();
+        let counts: [usize; 4] = std::array::from_fn(|i| {
+            u16::from_be_bytes([bytes[4 + 2 * i], bytes[5 + 2 * i]]) as usize
+        });
         let mut offset = HEADER_LEN;
-        let mut questions = Vec::with_capacity(counts[0]);
+        // The count is the sender's claim; reserve only what the bytes
+        // that actually arrived can hold.
+        let body = bytes.len() - HEADER_LEN;
+        let mut questions = Vec::with_capacity(counts[0].min(body / MIN_QUESTION_LEN));
         for _ in 0..counts[0] {
             let (name, next) = parse_name(bytes, offset)?;
             if bytes.len() < next + 4 {
@@ -322,8 +352,14 @@ impl DnsMessage {
     }
 }
 
+/// The labels [`encode_name`] writes: empty ones (a trailing or doubled
+/// dot, the bare root) are skipped.
+fn labels(name: &str) -> impl Iterator<Item = &str> {
+    name.split('.').filter(|l| !l.is_empty())
+}
+
 fn encode_name(name: &str, buf: &mut impl BufMut) {
-    for label in name.split('.').filter(|l| !l.is_empty()) {
+    for label in labels(name) {
         debug_assert!(label.len() < 64, "dns label too long: {label}");
         buf.put_u8(label.len() as u8);
         buf.put_slice(label.as_bytes());
@@ -331,8 +367,14 @@ fn encode_name(name: &str, buf: &mut impl BufMut) {
     buf.put_u8(0);
 }
 
+/// Encoded length of `name`: names are written uncompressed, so a length
+/// byte per label plus the root terminator.
+fn name_len(name: &str) -> usize {
+    labels(name).map(|label| 1 + label.len()).sum::<usize>() + 1
+}
+
 fn parse_name(bytes: &[u8], mut offset: usize) -> Result<(String, usize), ParseError> {
-    let mut labels = Vec::new();
+    let mut name = String::new();
     let mut end = None; // offset after the name at the *original* position
     let mut hops = 0;
     loop {
@@ -342,7 +384,7 @@ fn parse_name(bytes: &[u8], mut offset: usize) -> Result<(String, usize), ParseE
         match len {
             0 => {
                 let after = offset + 1;
-                return Ok((labels.join("."), end.unwrap_or(after)));
+                return Ok((name, end.unwrap_or(after)));
             }
             l if l & 0xc0 == 0xc0 => {
                 let &next = bytes
@@ -362,10 +404,12 @@ fn parse_name(bytes: &[u8], mut offset: usize) -> Result<(String, usize), ParseE
                 let label = bytes
                     .get(start..stop)
                     .ok_or_else(|| ParseError::truncated("dns name", stop, bytes.len()))?;
-                labels.push(
+                if !name.is_empty() {
+                    name.push('.');
+                }
+                name.push_str(
                     std::str::from_utf8(label)
-                        .map_err(|_| ParseError::invalid("dns name", "label not utf-8"))?
-                        .to_owned(),
+                        .map_err(|_| ParseError::invalid("dns name", "label not utf-8"))?,
                 );
                 offset = stop;
             }
@@ -480,6 +524,42 @@ mod tests {
         assert_eq!(parsed, msg);
         assert!(parsed.authoritative);
         assert_eq!(parsed.id, 0);
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length() {
+        let record = |name: &str, data| ResourceRecord {
+            name: name.into(),
+            ttl: 120,
+            cache_flush: false,
+            data,
+        };
+        let every_record = DnsMessage {
+            questions: vec![Question::ptr("_hap._tcp.local")],
+            authorities: vec![record("", RecordData::Raw(vec![1, 2, 3]))],
+            additionals: vec![record(
+                "bridge.local",
+                RecordData::Aaaa("fe80::1".parse().unwrap()),
+            )],
+            ..DnsMessage::mdns_announcement([
+                record("bridge.local", RecordData::A(Ipv4Addr::new(10, 0, 0, 1))),
+                record("_hap._tcp.local", RecordData::Ptr("bridge.local.".into())),
+                record(
+                    "txt.local",
+                    RecordData::Txt(vec!["md=Bridge".into(), "".into()]),
+                ),
+                record("empty.local", RecordData::Txt(Vec::new())),
+            ])
+        };
+        // Names `encode_name` writes with fewer labels than they have dots.
+        let odd_names = ["", ".", "..", "a.b.", ".a..b", "cloud.example"];
+        let messages = odd_names
+            .into_iter()
+            .map(|name| DnsMessage::query(1, [Question::a(name)]))
+            .chain([every_record, DnsMessage::query(2, [])]);
+        for msg in messages {
+            assert_eq!(msg.wire_len(), msg.to_bytes().len(), "{msg:?}");
+        }
     }
 
     #[test]

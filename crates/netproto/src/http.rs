@@ -134,42 +134,49 @@ impl HttpMessage {
     /// Appends the serialized message to `buf`.
     pub fn encode(&self, buf: &mut impl BufMut) {
         match self {
-            HttpMessage::Request {
-                method,
-                target,
-                headers,
-                body,
-            } => {
+            HttpMessage::Request { method, target, .. } => {
                 buf.put_slice(method.as_str().as_bytes());
                 buf.put_slice(b" ");
                 buf.put_slice(target.as_bytes());
-                buf.put_slice(b" HTTP/1.1\r\n");
-                for (name, value) in headers {
-                    buf.put_slice(name.as_bytes());
-                    buf.put_slice(b": ");
-                    buf.put_slice(value.as_bytes());
-                    buf.put_slice(b"\r\n");
-                }
-                buf.put_slice(b"\r\n");
-                buf.put_slice(body);
+                buf.put_slice(REQUEST_LINE_TAIL);
             }
-            HttpMessage::Response {
-                status,
-                reason,
-                headers,
-                body,
-            } => {
-                buf.put_slice(format!("HTTP/1.1 {status} {reason}\r\n").as_bytes());
-                for (name, value) in headers {
-                    buf.put_slice(name.as_bytes());
-                    buf.put_slice(b": ");
-                    buf.put_slice(value.as_bytes());
-                    buf.put_slice(b"\r\n");
-                }
-                buf.put_slice(b"\r\n");
-                buf.put_slice(body);
+            HttpMessage::Response { status, reason, .. } => {
+                buf.put_slice(STATUS_LINE_HEAD);
+                let (digits, start) = status_digits(*status);
+                buf.put_slice(&digits[start..]);
+                buf.put_slice(b" ");
+                buf.put_slice(reason.as_bytes());
+                buf.put_slice(CRLF);
             }
         }
+        for (name, value) in self.headers() {
+            buf.put_slice(name.as_bytes());
+            buf.put_slice(HEADER_SEPARATOR);
+            buf.put_slice(value.as_bytes());
+            buf.put_slice(CRLF);
+        }
+        buf.put_slice(CRLF);
+        buf.put_slice(self.body());
+    }
+
+    /// Wire length of the serialized message: start line, header lines,
+    /// the blank line and the body.
+    pub fn wire_len(&self) -> usize {
+        let start_line = match self {
+            HttpMessage::Request { method, target, .. } => {
+                method.as_str().len() + 1 + target.len() + REQUEST_LINE_TAIL.len()
+            }
+            HttpMessage::Response { status, reason, .. } => {
+                let (digits, start) = status_digits(*status);
+                STATUS_LINE_HEAD.len() + (digits.len() - start) + 1 + reason.len() + CRLF.len()
+            }
+        };
+        let headers: usize = self
+            .headers()
+            .iter()
+            .map(|(name, value)| name.len() + HEADER_SEPARATOR.len() + value.len() + CRLF.len())
+            .sum();
+        start_line + headers + CRLF.len() + self.body().len()
     }
 
     /// Encodes into a fresh byte vector.
@@ -235,6 +242,27 @@ impl HttpMessage {
     }
 }
 
+const CRLF: &[u8] = b"\r\n";
+const HEADER_SEPARATOR: &[u8] = b": ";
+const REQUEST_LINE_TAIL: &[u8] = b" HTTP/1.1\r\n";
+const STATUS_LINE_HEAD: &[u8] = b"HTTP/1.1 ";
+
+/// The decimal digits of `status`, right-aligned in the array: they are
+/// `digits[start..]`, with no sign and no padding.
+fn status_digits(status: u16) -> ([u8; 5], usize) {
+    let mut digits = [b'0'; 5];
+    let mut start = digits.len();
+    let mut rest = status;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            return (digits, start);
+        }
+    }
+}
+
 fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -268,6 +296,52 @@ mod tests {
             body: Bytes::from_static(b"<xml/>"),
         };
         assert_eq!(HttpMessage::parse(&msg.to_bytes()).unwrap(), msg);
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length() {
+        // One to five status digits, with and without reason and body.
+        let responses = [7u16, 99, 100, 65_535].map(|status| HttpMessage::Response {
+            status,
+            reason: if status < 100 { "" } else { "Odd Status" }.into(),
+            headers: vec![
+                ("Server".into(), "lighttpd".into()),
+                ("X".into(), "".into()),
+            ],
+            body: Bytes::from(vec![b'x'; status as usize % 9]),
+        });
+        let requests = [
+            HttpMessage::get("fw.vendor.example", "/check?v=1.2"),
+            HttpMessage::post("api.example", "/register", b"id=42".as_slice()),
+            HttpMessage::Request {
+                method: Method::Other("PATCH".into()),
+                target: "*".into(),
+                headers: Vec::new(),
+                body: Bytes::new(),
+            },
+        ];
+        for msg in responses.into_iter().chain(requests) {
+            assert_eq!(msg.wire_len(), msg.to_bytes().len(), "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn status_line_carries_plain_decimal_digits() {
+        // What `format!("HTTP/1.1 {status} {reason}\r\n")` used to write.
+        for (status, line) in [
+            (0u16, "HTTP/1.1 0 OK\r\n\r\n"),
+            (7, "HTTP/1.1 7 OK\r\n\r\n"),
+            (404, "HTTP/1.1 404 OK\r\n\r\n"),
+            (65_535, "HTTP/1.1 65535 OK\r\n\r\n"),
+        ] {
+            let msg = HttpMessage::Response {
+                status,
+                reason: "OK".into(),
+                headers: Vec::new(),
+                body: Bytes::new(),
+            };
+            assert_eq!(msg.to_bytes(), line.as_bytes());
+        }
     }
 
     #[test]

@@ -177,29 +177,36 @@ impl Ipv4Header {
     }
 
     /// Appends the header bytes to `buf`, computing length and checksum for
-    /// a payload of `payload_len` bytes.
+    /// a payload of `payload_len` bytes. The checksum is summed over the
+    /// fields before anything is written, so the header goes straight
+    /// into `buf` with no staging copy.
     pub fn encode(&self, buf: &mut impl BufMut, payload_len: usize) {
         let header_len = self.header_len();
-        let mut raw = Vec::with_capacity(header_len);
-        raw.put_u8(0x40 | (header_len / 4) as u8);
-        raw.put_u8(self.dscp_ecn);
-        raw.put_u16((header_len + payload_len) as u16);
-        raw.put_u16(self.identification);
-        raw.put_u16(if self.dont_fragment { 0x4000 } else { 0 });
-        raw.put_u8(self.ttl);
-        raw.put_u8(self.protocol.to_u8());
-        raw.put_u16(0); // checksum placeholder
-        raw.put_slice(&self.src.octets());
-        raw.put_slice(&self.dst.octets());
+        let mut fixed = [0u8; MIN_HEADER_LEN];
+        fixed[0] = 0x40 | (header_len / 4) as u8;
+        fixed[1] = self.dscp_ecn;
+        fixed[2..4].copy_from_slice(&((header_len + payload_len) as u16).to_be_bytes());
+        fixed[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        fixed[6] = if self.dont_fragment { 0x40 } else { 0 };
+        fixed[8] = self.ttl;
+        fixed[9] = self.protocol.to_u8();
+        fixed[12..16].copy_from_slice(&self.src.octets());
+        fixed[16..20].copy_from_slice(&self.dst.octets());
+        // The end-of-options padding is zeros and adds nothing to the sum.
+        let mut sum = ChecksumSink::default();
+        sum.put_slice(&fixed);
         for opt in &self.options {
-            opt.encode(&mut raw);
+            opt.encode(&mut sum);
         }
-        while raw.len() < header_len {
-            raw.put_u8(0); // end-of-options padding to 32-bit boundary
+        fixed[10..12].copy_from_slice(&sum.checksum().to_be_bytes());
+        buf.put_slice(&fixed);
+        for opt in &self.options {
+            opt.encode(buf);
         }
-        let checksum = internet_checksum(&raw);
-        raw[10..12].copy_from_slice(&checksum.to_be_bytes());
-        buf.put_slice(&raw);
+        let options: usize = self.options.iter().map(Ipv4Option::encoded_len).sum();
+        for _ in MIN_HEADER_LEN + options..header_len {
+            buf.put_u8(0); // end-of-options padding to 32-bit boundary
+        }
     }
 
     /// Parses a header, returning it and the payload slice delimited by the
@@ -298,10 +305,47 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     if let [last] = chunks.remainder() {
         sum += (*last as u32) << 8;
     }
+    fold_checksum(sum)
+}
+
+/// Folds the carries of a 16-bit one's-complement sum and complements it.
+fn fold_checksum(mut sum: u32) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
     !(sum as u16)
+}
+
+/// The RFC 1071 sum of whatever an encoder writes into it, so a header's
+/// checksum can be known before the header is written anywhere.
+#[derive(Default)]
+struct ChecksumSink {
+    sum: u32,
+    /// The high byte of a 16-bit word whose low byte has not arrived.
+    pending: Option<u8>,
+}
+
+impl ChecksumSink {
+    fn checksum(self) -> u16 {
+        fold_checksum(self.sum + self.pending.map_or(0, |last| (last as u32) << 8))
+    }
+}
+
+impl BufMut for ChecksumSink {
+    fn put_slice(&mut self, mut data: &[u8]) {
+        if let (Some(high), [low, rest @ ..]) = (self.pending, data) {
+            self.sum += u16::from_be_bytes([high, *low]) as u32;
+            self.pending = None;
+            data = rest;
+        }
+        let mut words = data.chunks_exact(2);
+        for word in &mut words {
+            self.sum += u16::from_be_bytes([word[0], word[1]]) as u32;
+        }
+        if let [last] = words.remainder() {
+            self.pending = Some(*last);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -382,6 +426,25 @@ mod tests {
         // RFC 1071 example data.
         let data = [0x00u8, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         assert_eq!(internet_checksum(&data), !0xddf2);
+    }
+
+    #[test]
+    fn checksum_sink_agrees_however_the_bytes_arrive() {
+        // Odd and even lengths, cut into three writes at every pair of
+        // positions: a word may straddle any write boundary.
+        let data = [0x45u8, 0x00, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7, 0x94];
+        for len in [8, 9] {
+            let data = &data[..len];
+            for first in 0..=len {
+                for second in first..=len {
+                    let mut sink = ChecksumSink::default();
+                    sink.put_slice(&data[..first]);
+                    sink.put_slice(&data[first..second]);
+                    sink.put_slice(&data[second..]);
+                    assert_eq!(sink.checksum(), internet_checksum(data), "{first} {second}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! The layered packet model and its wire codec.
+//!
+//! Every layer knows its own encoded length (`wire_len()` /
+//! `header_len()` / a `*_LEN` constant), so [`Packet::wire_len`] is a
+//! sum and [`Packet::encode_into`] is one pass: the frame's length is
+//! worked out first and every length field is written from it before the
+//! layer it describes is encoded, straight into the caller's buffer.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -57,9 +63,15 @@ impl AppPayload {
 
     /// Encoded length in bytes.
     pub fn wire_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
+        match self {
+            AppPayload::Dhcp(m) => m.wire_len(),
+            AppPayload::Dns(m) => m.wire_len(),
+            AppPayload::Http(m) => m.wire_len(),
+            AppPayload::Tls(r) => r.wire_len(),
+            AppPayload::Ntp(_) => crate::ntp::PACKET_LEN,
+            AppPayload::Raw(bytes) => bytes.len(),
+            AppPayload::Empty => 0,
+        }
     }
 
     /// Parses a payload based on the transport port pair, falling back to
@@ -174,6 +186,40 @@ impl Transport {
         match self {
             Transport::Tcp { payload, .. } | Transport::Udp { payload, .. } => Some(payload),
             _ => None,
+        }
+    }
+
+    /// Encoded length in bytes: the IP payload length.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            Transport::Tcp { header, payload } => header.header_len() + payload.wire_len(),
+            Transport::Udp { payload, .. } => crate::udp::HEADER_LEN + payload.wire_len(),
+            Transport::Icmp(msg) => msg.wire_len(),
+            Transport::Icmpv6(msg) => msg.wire_len(),
+            Transport::Other { payload, .. } => payload.len(),
+        }
+    }
+
+    /// Appends the segment bytes to `buf`. `len` is the segment's own
+    /// [`wire_len`](Self::wire_len), which the caller has already worked
+    /// out for the IP header; `v6` is the address pair of the enclosing
+    /// IPv6 header, which the ICMPv6 checksum covers.
+    fn encode(&self, buf: &mut impl BufMut, len: usize, v6: Option<(Ipv6Addr, Ipv6Addr)>) {
+        match self {
+            Transport::Tcp { header, payload } => {
+                header.encode(buf);
+                payload.encode(buf);
+            }
+            Transport::Udp { header, payload } => {
+                header.encode(buf, len - crate::udp::HEADER_LEN);
+                payload.encode(buf);
+            }
+            Transport::Icmp(msg) => msg.encode(buf),
+            Transport::Icmpv6(msg) => {
+                let (src, dst) = v6.unwrap_or((Ipv6Addr::UNSPECIFIED, Ipv6Addr::UNSPECIFIED));
+                msg.encode(buf, src, dst);
+            }
+            Transport::Other { payload, .. } => buf.put_slice(payload),
         }
     }
 }
@@ -322,30 +368,43 @@ impl Packet {
     }
 
     /// Total frame length on the wire, in bytes — the Table I `Size`
-    /// feature.
+    /// feature, and what a flow's byte counter adds per packet. Summed
+    /// from the lengths every layer knows about itself: exactly the
+    /// length of [`Packet::encode`]'s output, with no buffer, checksum
+    /// or allocation behind it.
     pub fn wire_len(&self) -> usize {
-        self.encode().len()
+        let body = match &self.body {
+            PacketBody::Arp(_) => crate::arp::PACKET_LEN,
+            PacketBody::Eapol(eapol) => eapol.wire_len(),
+            PacketBody::Llc { payload, .. } => crate::llc::HEADER_LEN + payload.len(),
+            PacketBody::Ipv4 { header, transport } => header.header_len() + transport.wire_len(),
+            PacketBody::Ipv6 { header, transport } => header.header_len() + transport.wire_len(),
+            PacketBody::Other { payload, .. } => payload.len(),
+        };
+        crate::ethernet::HEADER_LEN + body
     }
 
     /// Encodes the packet to wire bytes (Ethernet frame, no FCS).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(128);
+        let mut buf = Vec::new();
         self.encode_into(&mut buf);
         buf
     }
 
-    /// Encodes into a caller-owned buffer (cleared first), so a caller
-    /// replaying many packets can reuse one allocation per frame slot
-    /// instead of allocating a fresh `Vec` per packet. Produces exactly
-    /// the bytes of [`Packet::encode`].
+    /// Encodes into a caller-owned buffer (cleared first) in one pass.
+    /// The frame's length is worked out once, reserved up front — at
+    /// most one allocation, none once the buffer has seen a frame this
+    /// long — and handed down: every length field on the way (LLC
+    /// length, IP total length, UDP length) is what remains of it at
+    /// that layer. Produces exactly the bytes of [`Packet::encode`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let body_len = self.wire_len() - crate::ethernet::HEADER_LEN;
         buf.clear();
+        buf.reserve(crate::ethernet::HEADER_LEN + body_len);
         let ethertype = match &self.body {
             PacketBody::Arp(_) => EtherType::Arp,
             PacketBody::Eapol(_) => EtherType::Eapol,
-            PacketBody::Llc { header: _, payload } => {
-                EtherType::Length((crate::llc::HEADER_LEN + payload.len()) as u16)
-            }
+            PacketBody::Llc { .. } => EtherType::Length(body_len as u16),
             PacketBody::Ipv4 { .. } => EtherType::Ipv4,
             PacketBody::Ipv6 { .. } => EtherType::Ipv6,
             PacketBody::Other { ethertype, .. } => EtherType::from_u16(*ethertype),
@@ -358,20 +417,19 @@ impl Packet {
                 header.encode(buf);
                 buf.put_slice(payload);
             }
-            PacketBody::Ipv4 { header, transport } => TRANSPORT_SCRATCH.with(|cell| {
-                let (body, nested) = &mut *cell.borrow_mut();
-                encode_transport(transport, None, body, nested);
-                header.encode(buf, body.len());
-                buf.put_slice(body);
-            }),
-            PacketBody::Ipv6 { header, transport } => TRANSPORT_SCRATCH.with(|cell| {
-                let (body, nested) = &mut *cell.borrow_mut();
-                encode_transport(transport, Some((header.src, header.dst)), body, nested);
-                header.encode(buf, body.len());
-                buf.put_slice(body);
-            }),
+            PacketBody::Ipv4 { header, transport } => {
+                let transport_len = body_len - header.header_len();
+                header.encode(buf, transport_len);
+                transport.encode(buf, transport_len, None);
+            }
+            PacketBody::Ipv6 { header, transport } => {
+                let transport_len = body_len - header.header_len();
+                header.encode(buf, transport_len);
+                transport.encode(buf, transport_len, Some((header.src, header.dst)));
+            }
             PacketBody::Other { payload, .. } => buf.put_slice(payload),
         }
+        debug_assert_eq!(buf.len(), crate::ethernet::HEADER_LEN + body_len);
     }
 
     /// Parses a packet from wire bytes.
@@ -540,46 +598,6 @@ impl Packet {
             TcpHeader::syn(src_port, dst_port, 0),
             AppPayload::Empty,
         )
-    }
-}
-
-thread_local! {
-    /// Per-thread transport-encode scratch: the IP body (its length must
-    /// be known before the IP header can be written) and the nested UDP
-    /// payload (same, for the UDP length field). Reused across packets so
-    /// bulk encoders ([`Packet::encode_into`] in a replay loop) allocate
-    /// nothing per packet.
-    static TRANSPORT_SCRATCH: std::cell::RefCell<(Vec<u8>, Vec<u8>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// Encodes `transport` into `buf` (cleared first). `scratch` is a second
-/// buffer for the UDP-payload length pre-pass; neither application
-/// encoder recurses into this function, so the two borrows never nest.
-fn encode_transport(
-    transport: &Transport,
-    v6: Option<(Ipv6Addr, Ipv6Addr)>,
-    buf: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
-) {
-    buf.clear();
-    match transport {
-        Transport::Tcp { header, payload } => {
-            header.encode(buf);
-            payload.encode(buf);
-        }
-        Transport::Udp { header, payload } => {
-            scratch.clear();
-            payload.encode(scratch);
-            header.encode(buf, scratch.len());
-            buf.put_slice(scratch);
-        }
-        Transport::Icmp(msg) => msg.encode(buf),
-        Transport::Icmpv6(msg) => {
-            let (src, dst) = v6.unwrap_or((Ipv6Addr::UNSPECIFIED, Ipv6Addr::UNSPECIFIED));
-            msg.encode(buf, src, dst);
-        }
-        Transport::Other { payload, .. } => buf.put_slice(payload),
     }
 }
 
@@ -759,8 +777,71 @@ mod tests {
 
     #[test]
     fn wire_len_matches_encoding() {
-        let packet = Packet::dhcp_discover(mac(9), 3, 0);
-        assert_eq!(packet.wire_len(), packet.encode().len());
+        let payloads = [
+            AppPayload::Dhcp(DhcpMessage::discover(mac(9), 3)),
+            AppPayload::Dns(DnsMessage::query(9, [Question::a("cloud.example")])),
+            AppPayload::Http(HttpMessage::get("fw.vendor.example", "/check")),
+            AppPayload::Tls(TlsRecord::client_hello(160)),
+            AppPayload::Ntp(NtpPacket::client_request(7)),
+            AppPayload::Raw(Bytes::from_static(b"proprietary")),
+            AppPayload::Empty,
+        ];
+        for payload in payloads {
+            let mut buf = Vec::new();
+            payload.encode(&mut buf);
+            assert_eq!(payload.wire_len(), buf.len(), "{payload:?}");
+            // Under UDP (length field from the payload) and under TCP
+            // with options that need NOP padding.
+            let mut tcp = TcpHeader::new(49200, 4000, TcpFlags::ACK);
+            tcp.options = vec![0x03, 0x03, 0x07];
+            let (src_ip, dst_ip) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+            for packet in [
+                Packet::udp_ipv4(
+                    Timestamp::ZERO,
+                    mac(9),
+                    mac(0),
+                    src_ip,
+                    dst_ip,
+                    4000,
+                    4001,
+                    payload.clone(),
+                ),
+                Packet::tcp_ipv4(
+                    Timestamp::ZERO,
+                    mac(9),
+                    mac(0),
+                    src_ip,
+                    dst_ip,
+                    tcp,
+                    payload.clone(),
+                ),
+            ] {
+                assert_eq!(packet.wire_len(), packet.encode().len(), "{packet:?}");
+            }
+        }
+        let v6 = |header: Ipv6Header| {
+            Packet::new(
+                Timestamp::ZERO,
+                mac(9),
+                mac(0),
+                PacketBody::Ipv6 {
+                    header,
+                    transport: Transport::Icmpv6(Icmpv6Message::mld2_report(2)),
+                },
+            )
+        };
+        let (src, dst): (Ipv6Addr, Ipv6Addr) =
+            ("fe80::1".parse().unwrap(), "ff02::16".parse().unwrap());
+        for packet in [
+            Packet::arp_probe(Timestamp::ZERO, mac(9), Ipv4Addr::new(10, 0, 0, 1)),
+            Packet::eapol_key(Timestamp::ZERO, mac(9), mac(0), 1),
+            v6(Ipv6Header::new(src, dst, IpProtocol::Icmpv6)),
+            v6(Ipv6Header::new(src, dst, IpProtocol::Icmpv6)
+                .with_hop_by_hop(crate::ipv6::HopByHopOption::RouterAlert(0))
+                .with_atomic_fragment(7)),
+        ] {
+            assert_eq!(packet.wire_len(), packet.encode().len(), "{packet:?}");
+        }
     }
 
     #[test]

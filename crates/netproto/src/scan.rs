@@ -19,11 +19,12 @@
 //! `tests/scan_equivalence.rs`.
 //!
 //! The subtle part is `packet_size`: the decode path reports
-//! `Packet::wire_len()`, the length of the *re-encoded* frame, which
-//! drops trailing garbage, dropped padding options and other
-//! non-canonical wiggle room. The scanner therefore computes the
-//! re-encoded length arithmetically while walking, instead of trusting
-//! `frame.len()`.
+//! `Packet::wire_len()`, the length the decoded packet *re-encodes* to,
+//! which drops trailing garbage, dropped padding options and other
+//! non-canonical wiggle room. Both sides reach that number by the same
+//! arithmetic and neither encodes anything: `wire_len()` sums the
+//! lengths each decoded layer knows about itself, and the scanner sums
+//! the same terms while walking, instead of trusting `frame.len()`.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 

@@ -136,6 +136,7 @@ proptest! {
     #[test]
     fn packet_wire_roundtrip(packet in packet_strategy()) {
         let bytes = packet.encode();
+        prop_assert_eq!(packet.wire_len(), bytes.len());
         let parsed = Packet::parse(&bytes, packet.timestamp).expect("well-formed packet");
         prop_assert_eq!(parsed, packet);
     }

@@ -30,6 +30,10 @@ use sentinel_netproto::{
 /// The differential invariant, checked on arbitrary bytes.
 fn check_equivalence(frame: &[u8]) {
     let decoded = Packet::parse(frame, Timestamp::ZERO);
+    if let Ok(packet) = &decoded {
+        // `packet_size` is this length; it is computed, never measured.
+        assert_eq!(packet.wire_len(), packet.encode().len(), "on {frame:02x?}");
+    }
     match WireScan::scan(frame) {
         ScanOutcome::Features(raw) => {
             let packet = decoded.as_ref().unwrap_or_else(|e| {

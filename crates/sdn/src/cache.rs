@@ -29,6 +29,7 @@ pub struct RuleCache {
     lookups: u64,
     hits: u64,
     clock: u64,
+    generation: u64,
 }
 
 impl std::fmt::Debug for RuleCache {
@@ -51,6 +52,7 @@ impl RuleCache {
     /// previous rule if one existed.
     pub fn insert(&mut self, rule: EnforcementRule) -> Option<EnforcementRule> {
         self.clock += 1;
+        self.generation += 1;
         self.entries
             .insert(
                 rule.mac,
@@ -84,7 +86,20 @@ impl RuleCache {
 
     /// Removes the rule for `mac` (a device leaving the network).
     pub fn remove(&mut self, mac: MacAddr) -> Option<EnforcementRule> {
-        self.entries.remove(&mac).map(|e| e.rule)
+        let removed = self.entries.remove(&mac)?;
+        self.generation += 1;
+        Some(removed.rule)
+    }
+
+    /// A counter that moves whenever the rule set changes
+    /// ([`insert`](Self::insert), [`remove`](Self::remove),
+    /// [`evict_to`](Self::evict_to)). Whoever caches a decision derived
+    /// from these rules — the switch's flow table — remembers the
+    /// generation it decided under and discards its cache when this
+    /// differs, so a changed or departed rule reaches flows that were
+    /// already installed.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The number of cached rules.
@@ -120,7 +135,8 @@ impl RuleCache {
     }
 
     /// Approximate memory footprint of the cache in bytes (the Fig. 6c
-    /// quantity).
+    /// quantity): the rules and their per-entry bookkeeping, not the
+    /// cache-wide counters.
     pub fn memory_bytes(&self) -> usize {
         self.entries
             .values()
@@ -237,6 +253,30 @@ mod tests {
         assert!(evicted_macs.contains(&mac(3)));
         assert!(cache.get(mac(0)).is_some());
         assert!(cache.get(mac(1)).is_some());
+    }
+
+    #[test]
+    fn generation_moves_exactly_when_the_rule_set_does() {
+        let mut cache = RuleCache::new();
+        let mut last = cache.generation();
+        let mut moved = |cache: &RuleCache| {
+            std::mem::replace(&mut last, cache.generation()) != cache.generation()
+        };
+        cache.insert(EnforcementRule::strict(mac(1)));
+        assert!(moved(&cache), "insert");
+        cache.insert(EnforcementRule::trusted(mac(1)));
+        assert!(moved(&cache), "replace");
+        cache.insert(EnforcementRule::strict(mac(2)));
+        assert!(moved(&cache));
+        cache.lookup(mac(1));
+        cache.get(mac(2));
+        cache.remove(mac(9));
+        cache.evict_to(2);
+        assert!(!moved(&cache), "reads, absent removals, no-op evictions");
+        cache.evict_to(1);
+        assert!(moved(&cache), "eviction");
+        cache.remove(mac(1));
+        assert!(moved(&cache), "remove");
     }
 
     #[test]

@@ -137,15 +137,30 @@ impl EnforcementModule {
 
     /// Decides whether a flow from `src` to `dst` is permitted.
     pub fn decide(&mut self, src: MacAddr, dst: Destination) -> Verdict {
-        let src_level = self
-            .cache
-            .lookup(src)
-            .map_or(self.default_level, |r| r.level);
-        let src_overlay = Overlay::for_level(src_level);
+        self.decide_flow(src, dst, None)
+    }
+
+    /// Decides a packet given the local subnet, classifying its
+    /// destination first. This is the flow-granular path: on top of the
+    /// endpoint decision it applies the rule's optional remote-port
+    /// filter (Sect. III-C.2).
+    pub fn decide_packet(&mut self, packet: &Packet, subnet: Ipv4Addr, mask_bits: u8) -> Verdict {
+        let dst = Destination::of_packet(packet, subnet, mask_bits);
+        self.decide_flow(packet.src_mac(), dst, Some(packet))
+    }
+
+    /// The decision behind both entry points. The source device's rule
+    /// is read once — the one counted [`RuleCache::lookup`] of a
+    /// packet-in — and level, endpoint whitelist and port filter all come
+    /// off that borrow. `packet` is absent when only endpoints are known,
+    /// and then no port filter applies.
+    fn decide_flow(&mut self, src: MacAddr, dst: Destination, packet: Option<&Packet>) -> Verdict {
+        let rule = self.cache.lookup(src);
+        let src_level = rule.map_or(self.default_level, |r| r.level);
         match dst {
             Destination::Device(dst_mac) => {
                 let dst_overlay = self.overlay_of(dst_mac);
-                if src_overlay.reachable(dst_overlay) {
+                if Overlay::for_level(src_level).reachable(dst_overlay) {
                     Verdict::Allow
                 } else {
                     Verdict::Deny(DenyReason::CrossOverlay)
@@ -155,41 +170,25 @@ impl EnforcementModule {
             // construction (the switch only replicates to same-overlay
             // ports), so it is always permitted.
             Destination::LocalBroadcast => Verdict::Allow,
-            Destination::Internet(ip) => match src_level {
-                IsolationLevel::Trusted => Verdict::Allow,
-                IsolationLevel::Strict => Verdict::Deny(DenyReason::InternetBlocked),
-                IsolationLevel::Restricted => {
-                    let permitted = self
-                        .cache
-                        .get(src)
-                        .is_some_and(|rule| rule.permits_remote(ip));
-                    if permitted {
-                        Verdict::Allow
-                    } else {
-                        Verdict::Deny(DenyReason::EndpointNotPermitted)
+            Destination::Internet(ip) => {
+                let endpoint_ok = match src_level {
+                    IsolationLevel::Trusted => true,
+                    IsolationLevel::Strict => {
+                        return Verdict::Deny(DenyReason::InternetBlocked);
                     }
+                    IsolationLevel::Restricted => rule.is_some_and(|r| r.permits_remote(ip)),
+                };
+                let port_ok = match (rule, packet) {
+                    (Some(rule), Some(packet)) => rule.permits_remote_port(packet.dst_port()),
+                    _ => true,
+                };
+                if endpoint_ok && port_ok {
+                    Verdict::Allow
+                } else {
+                    Verdict::Deny(DenyReason::EndpointNotPermitted)
                 }
-            },
-        }
-    }
-
-    /// Decides a packet given the local subnet, classifying its
-    /// destination first. This is the flow-granular path: on top of the
-    /// endpoint decision it applies the rule's optional remote-port
-    /// filter (Sect. III-C.2).
-    pub fn decide_packet(&mut self, packet: &Packet, subnet: Ipv4Addr, mask_bits: u8) -> Verdict {
-        let dst = Destination::of_packet(packet, subnet, mask_bits);
-        let verdict = self.decide(packet.src_mac(), dst);
-        if let (Verdict::Allow, Destination::Internet(_)) = (verdict, dst) {
-            let port_ok = self
-                .cache
-                .get(packet.src_mac())
-                .is_none_or(|rule| rule.permits_remote_port(packet.dst_port()));
-            if !port_ok {
-                return Verdict::Deny(DenyReason::EndpointNotPermitted);
             }
         }
-        verdict
     }
 }
 

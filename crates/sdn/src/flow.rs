@@ -3,14 +3,17 @@
 //! The switch caches a per-flow verdict after the controller decides it,
 //! so only the first packet of each flow pays the packet-in round trip —
 //! "for any given flow, there is only one matching enforcement rule"
-//! (Sect. V).
+//! (Sect. V). A packet costs one [`FlowKey`] and one probe of the table
+//! whether it hits or misses ([`FlowTable::switch`]).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::IpAddr;
 
 use serde::{Deserialize, Serialize};
 
 use sentinel_netproto::{MacAddr, Packet, Timestamp};
+
+use crate::SwitchDecision;
 
 /// The exact-match key identifying a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -69,28 +72,44 @@ impl FlowTable {
         Self::default()
     }
 
-    /// Installs (or replaces) an entry.
-    pub fn install(&mut self, key: FlowKey, action: FlowAction, now: Timestamp) {
-        self.entries.insert(
-            key,
-            FlowEntry {
-                action,
-                packets: 0,
-                bytes: 0,
-                last_used: now,
-            },
-        );
-    }
-
-    /// Matches a packet, updating counters. Returns the entry's action,
-    /// or `None` on a table miss.
-    pub fn apply(&mut self, packet: &Packet) -> Option<FlowAction> {
-        let key = FlowKey::of(packet);
-        let entry = self.entries.get_mut(&key)?;
-        entry.packets += 1;
-        entry.bytes += packet.wire_len() as u64;
-        entry.last_used = packet.timestamp;
-        Some(entry.action)
+    /// Switches one packet with a single probe of the table. A hit
+    /// bumps the flow's counters and applies its cached action; a miss
+    /// asks `decide` (the packet-in to the controller) and installs the
+    /// flow with this packet already counted.
+    ///
+    /// `bytes` counts [`Packet::wire_len`], which is arithmetic: a
+    /// switched packet is never re-encoded.
+    pub fn switch(
+        &mut self,
+        packet: &Packet,
+        decide: impl FnOnce() -> FlowAction,
+    ) -> SwitchDecision {
+        let bytes = packet.wire_len() as u64;
+        match self.entries.entry(FlowKey::of(packet)) {
+            Entry::Occupied(mut flow) => {
+                let flow = flow.get_mut();
+                flow.packets += 1;
+                flow.bytes += bytes;
+                flow.last_used = packet.timestamp;
+                SwitchDecision {
+                    action: flow.action,
+                    packet_in: false,
+                }
+            }
+            Entry::Vacant(slot) => {
+                let action = decide();
+                slot.insert(FlowEntry {
+                    action,
+                    packets: 1,
+                    bytes,
+                    last_used: packet.timestamp,
+                });
+                SwitchDecision {
+                    action,
+                    packet_in: true,
+                }
+            }
+        }
     }
 
     /// The action installed for `key`, without counter updates.
@@ -113,6 +132,11 @@ impl FlowTable {
         self.entries.is_empty()
     }
 
+    /// Removes every flow, keeping the table's capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Removes entries idle since before `now - idle`, returning how many
     /// were expired.
     pub fn expire_idle(&mut self, now: Timestamp, idle: std::time::Duration) -> usize {
@@ -132,16 +156,30 @@ mod tests {
         Packet::dhcp_discover(MacAddr::new([0, 0, 0, 0, 0, last]), 1, t)
     }
 
+    fn never() -> FlowAction {
+        panic!("a resident flow must not be decided again")
+    }
+
     #[test]
     fn miss_then_hit() {
         let mut table = FlowTable::new();
         let p = packet(1, 0);
-        assert_eq!(table.apply(&p), None);
-        table.install(FlowKey::of(&p), FlowAction::Forward, p.timestamp);
-        assert_eq!(table.apply(&p), Some(FlowAction::Forward));
-        let (packets, bytes) = table.counters(&FlowKey::of(&p)).unwrap();
-        assert_eq!(packets, 1);
-        assert_eq!(bytes, p.wire_len() as u64);
+        let miss = table.switch(&p, || FlowAction::Forward);
+        assert_eq!((miss.action, miss.packet_in), (FlowAction::Forward, true));
+        let hit = table.switch(&p, never);
+        assert_eq!((hit.action, hit.packet_in), (FlowAction::Forward, false));
+        assert_eq!(table.action(&FlowKey::of(&p)), Some(FlowAction::Forward));
+    }
+
+    #[test]
+    fn counters_include_the_packet_that_installed_the_flow() {
+        let mut table = FlowTable::new();
+        let p = packet(1, 0);
+        let len = p.wire_len() as u64;
+        table.switch(&p, || FlowAction::Forward);
+        assert_eq!(table.counters(&FlowKey::of(&p)), Some((1, len)));
+        table.switch(&p, never);
+        assert_eq!(table.counters(&FlowKey::of(&p)), Some((2, 2 * len)));
     }
 
     #[test]
@@ -149,9 +187,10 @@ mod tests {
         let mut table = FlowTable::new();
         let a = packet(1, 0);
         let b = packet(2, 0);
-        table.install(FlowKey::of(&a), FlowAction::Drop, a.timestamp);
-        assert_eq!(table.apply(&b), None);
-        assert_eq!(table.apply(&a), Some(FlowAction::Drop));
+        table.switch(&a, || FlowAction::Drop);
+        assert!(table.switch(&b, || FlowAction::Forward).packet_in);
+        assert_eq!(table.switch(&a, never).action, FlowAction::Drop);
+        assert_eq!(table.len(), 2);
     }
 
     #[test]
@@ -159,12 +198,18 @@ mod tests {
         let mut table = FlowTable::new();
         let early = packet(1, 0);
         let late = packet(2, 30_000_000);
-        table.install(FlowKey::of(&early), FlowAction::Forward, early.timestamp);
-        table.install(FlowKey::of(&late), FlowAction::Forward, late.timestamp);
+        table.switch(&early, || FlowAction::Forward);
+        table.switch(&late, || FlowAction::Forward);
         let expired = table.expire_idle(Timestamp::from_secs(40), Duration::from_secs(20));
         assert_eq!(expired, 1);
         assert_eq!(table.len(), 1);
         assert!(table.action(&FlowKey::of(&late)).is_some());
+        // A hit refreshes the flow's idle clock.
+        table.switch(&packet(2, 50_000_000), never);
+        assert_eq!(
+            table.expire_idle(Timestamp::from_secs(60), Duration::from_secs(20)),
+            0
+        );
     }
 
     #[test]

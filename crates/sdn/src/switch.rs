@@ -1,11 +1,17 @@
 //! An Open vSwitch-style software switch: exact-match flow cache with
 //! packet-in escalation to the enforcement module.
+//!
+//! Per packet: one [`FlowKey`](crate::FlowKey), one probe of the flow
+//! table, and — on a miss only — one read of the source device's rule.
+//! Cached flows are decisions derived from the rule set, so the switch
+//! remembers the [`RuleCache::generation`](crate::RuleCache::generation)
+//! they were decided under and starts the table over when it has moved.
 
 use std::net::Ipv4Addr;
 
 use sentinel_netproto::Packet;
 
-use crate::{EnforcementModule, FlowAction, FlowKey, FlowTable, Verdict};
+use crate::{EnforcementModule, FlowAction, FlowTable, Verdict};
 
 /// What the switch did with a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +31,8 @@ pub struct SwitchDecision {
 #[derive(Debug)]
 pub struct OvsSwitch {
     table: FlowTable,
+    /// The rule-cache generation every flow in `table` was decided under.
+    rules_generation: u64,
     filtering: bool,
     subnet: Ipv4Addr,
     mask_bits: u8,
@@ -38,6 +46,7 @@ impl OvsSwitch {
     pub fn new(subnet: Ipv4Addr, mask_bits: u8) -> Self {
         OvsSwitch {
             table: FlowTable::new(),
+            rules_generation: 0,
             filtering: true,
             subnet,
             mask_bits,
@@ -63,8 +72,17 @@ impl OvsSwitch {
     }
 
     /// Processes one packet: flow-table hit applies the cached action;
-    /// a miss raises a packet-in to `controller`, installs the resulting
-    /// flow, and applies it.
+    /// a miss raises a packet-in to `controller` and installs the
+    /// resulting flow, this packet counted.
+    ///
+    /// A flow only stands for the rules it was decided under. When the
+    /// controller's rule set has changed since (a device onboarded,
+    /// re-assessed, removed or evicted) the whole table is dropped and
+    /// every live flow is decided again on its next packet. That costs
+    /// one `u64` compare per packet and, per rule change, one in-process
+    /// re-decision per live flow (on the order of 0.1 µs over a hit) — a
+    /// rule changes once or twice in a device's lifetime, so there is no
+    /// per-MAC index to keep coherent instead.
     pub fn process(
         &mut self,
         packet: &Packet,
@@ -77,25 +95,20 @@ impl OvsSwitch {
                 packet_in: false,
             };
         }
-        if let Some(action) = self.table.apply(packet) {
-            return SwitchDecision {
-                action,
-                packet_in: false,
-            };
+        let generation = controller.cache().generation();
+        if generation != self.rules_generation {
+            self.table.clear();
+            self.rules_generation = generation;
         }
-        self.packet_ins += 1;
-        let verdict = controller.decide_packet(packet, self.subnet, self.mask_bits);
-        let action = match verdict {
-            Verdict::Allow => FlowAction::Forward,
-            Verdict::Deny(_) => FlowAction::Drop,
-        };
-        self.table
-            .install(FlowKey::of(packet), action, packet.timestamp);
-        self.table.apply(packet);
-        SwitchDecision {
-            action,
-            packet_in: true,
-        }
+        let (subnet, mask_bits) = (self.subnet, self.mask_bits);
+        let decision = self.table.switch(packet, || {
+            match controller.decide_packet(packet, subnet, mask_bits) {
+                Verdict::Allow => FlowAction::Forward,
+                Verdict::Deny(_) => FlowAction::Drop,
+            }
+        });
+        self.packet_ins += u64::from(decision.packet_in);
+        decision
     }
 
     /// The flow table (for inspection and expiry policies).
@@ -170,6 +183,30 @@ mod tests {
         let again = switch.process(&remote_packet(mac(2), 10), &mut controller);
         assert_eq!(again.action, FlowAction::Drop);
         assert!(!again.packet_in);
+    }
+
+    #[test]
+    fn rule_change_reaches_flows_already_cached() {
+        let mut switch = OvsSwitch::lab();
+        let mut controller = EnforcementModule::new();
+        let packet = |t| remote_packet(mac(4), t);
+        // Talks before it is onboarded: dropped under the strict default.
+        assert_eq!(
+            switch.process(&packet(0), &mut controller).action,
+            FlowAction::Drop
+        );
+        controller.install_rule(EnforcementRule::trusted(mac(4)));
+        let onboarded = switch.process(&packet(1), &mut controller);
+        assert_eq!(onboarded.action, FlowAction::Forward);
+        assert!(onboarded.packet_in, "the stale flow was decided again");
+        assert!(!switch.process(&packet(2), &mut controller).packet_in);
+        // The device leaves; whoever wears its MAC next is a stranger.
+        controller.remove_rule(mac(4));
+        assert_eq!(
+            switch.process(&packet(3), &mut controller).action,
+            FlowAction::Drop
+        );
+        assert_eq!(switch.table().len(), 1);
     }
 
     #[test]

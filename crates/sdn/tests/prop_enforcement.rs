@@ -8,8 +8,8 @@ use std::net::{IpAddr, Ipv4Addr};
 use sentinel_netproto::{AppPayload, MacAddr, Packet, Timestamp};
 use sentinel_sdn::overlay::Overlay;
 use sentinel_sdn::{
-    Destination, EnforcementModule, EnforcementRule, FlowAction, IsolationLevel, OvsSwitch,
-    RuleCache, Verdict,
+    Destination, EnforcementModule, EnforcementRule, FlowAction, FlowKey, IsolationLevel,
+    OvsSwitch, RuleCache, Verdict,
 };
 
 fn mac_strategy() -> impl Strategy<Value = MacAddr> {
@@ -35,6 +35,55 @@ fn rule_for(mac: MacAddr, level: IsolationLevel, whitelist: &[IpAddr]) -> Enforc
         IsolationLevel::Restricted => EnforcementRule::restricted(mac, whitelist.iter().copied()),
         IsolationLevel::Trusted => EnforcementRule::trusted(mac),
     }
+}
+
+/// One step of the switch-coherence walk: a packet through the switch,
+/// or a change to the rule set between packets.
+#[derive(Debug, Clone)]
+enum Step {
+    /// To another device (`Ok`) or to `52.1.1.x` on the Internet (`Err`).
+    Packet {
+        src: MacAddr,
+        dst: Result<MacAddr, u8>,
+        dst_port: u16,
+    },
+    Install {
+        mac: MacAddr,
+        level: IsolationLevel,
+        tls_only: bool,
+    },
+    Remove(MacAddr),
+    EvictTo(usize),
+}
+
+fn packet_step_strategy() -> impl Strategy<Value = Step> {
+    let dst = prop_oneof![mac_strategy().prop_map(Ok), (1u8..4).prop_map(Err)];
+    let dst_port = prop_oneof![Just(443u16), Just(23u16)];
+    (mac_strategy(), dst, dst_port).prop_map(|(src, dst, dst_port)| Step::Packet {
+        src,
+        dst,
+        dst_port,
+    })
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let install =
+        (mac_strategy(), level_strategy(), any::<bool>()).prop_map(|(mac, level, tls_only)| {
+            Step::Install {
+                mac,
+                level,
+                tls_only,
+            }
+        });
+    // Packets outnumber rule changes, so flows live long enough to go stale.
+    prop_oneof![
+        packet_step_strategy(),
+        packet_step_strategy(),
+        packet_step_strategy(),
+        install,
+        mac_strategy().prop_map(Step::Remove),
+        (0usize..8).prop_map(Step::EvictTo),
+    ]
 }
 
 proptest! {
@@ -105,39 +154,59 @@ proptest! {
         );
     }
 
-    /// The switch's cached decision always equals the controller's
-    /// verdict, and re-processing never raises a second packet-in.
+    /// The switch's decision always equals the controller's verdict
+    /// under the rules in force *now* — however rules were installed,
+    /// replaced, removed or evicted since the flow was first cached —
+    /// and a flow raises exactly one packet-in per rule-set generation.
     #[test]
-    fn switch_cache_is_coherent(
-        level in level_strategy(),
-        dst_last_octet in 1u8..255,
-        port in 1024u16..60000,
-    ) {
-        let mac = MacAddr::new([2, 0, 0, 0, 0, 5]);
+    fn switch_cache_is_coherent(steps in proptest::collection::vec(step_strategy(), 1..64)) {
+        let subnet = Ipv4Addr::new(192, 168, 0, 0);
+        let whitelist = [IpAddr::V4(Ipv4Addr::new(52, 1, 1, 1))];
         let mut module = EnforcementModule::new();
-        module.install_rule(rule_for(mac, level, &[]));
         let mut switch = OvsSwitch::lab();
-        let packet = Packet::udp_ipv4(
-            Timestamp::ZERO,
-            mac,
-            MacAddr::new([2, 9, 9, 9, 9, 9]),
-            Ipv4Addr::new(192, 168, 0, 50),
-            Ipv4Addr::new(52, 1, 1, dst_last_octet),
-            port,
-            443,
-            AppPayload::Empty,
-        );
-        let verdict = module.decide_packet(&packet, Ipv4Addr::new(192, 168, 0, 0), 24);
-        let first = switch.process(&packet, &mut module);
-        let second = switch.process(&packet, &mut module);
-        prop_assert!(first.packet_in);
-        prop_assert!(!second.packet_in);
-        prop_assert_eq!(first.action, second.action);
-        let expected = match verdict {
-            Verdict::Allow => FlowAction::Forward,
-            Verdict::Deny(_) => FlowAction::Drop,
-        };
-        prop_assert_eq!(first.action, expected);
+        // Flows decided since the rule set last changed.
+        let mut decided = std::collections::HashSet::new();
+        for (i, step) in steps.into_iter().enumerate() {
+            let rules_changed = match step {
+                Step::Packet { src, dst, dst_port } => {
+                    let (dst_mac, dst_ip) = match dst {
+                        Ok(mac) => (mac, Ipv4Addr::new(192, 168, 0, 60 + mac.octets()[5])),
+                        Err(last) => (MacAddr::new([2, 9, 9, 9, 9, 9]), Ipv4Addr::new(52, 1, 1, last)),
+                    };
+                    let packet = Packet::udp_ipv4(
+                        Timestamp::from_micros(i as u64),
+                        src,
+                        dst_mac,
+                        Ipv4Addr::new(192, 168, 0, 50 + src.octets()[5]),
+                        dst_ip,
+                        50_000,
+                        dst_port,
+                        AppPayload::Empty,
+                    );
+                    let expected = match module.decide_packet(&packet, subnet, 24) {
+                        Verdict::Allow => FlowAction::Forward,
+                        Verdict::Deny(_) => FlowAction::Drop,
+                    };
+                    let first = switch.process(&packet, &mut module);
+                    let second = switch.process(&packet, &mut module);
+                    prop_assert_eq!(first.action, expected, "step {}", i);
+                    prop_assert_eq!(first.packet_in, decided.insert(FlowKey::of(&packet)));
+                    prop_assert!(!second.packet_in);
+                    prop_assert_eq!(second.action, expected);
+                    false
+                }
+                Step::Install { mac, level, tls_only } => {
+                    let rule = rule_for(mac, level, &whitelist);
+                    module.install_rule(if tls_only { rule.with_port_filter([443]) } else { rule });
+                    true
+                }
+                Step::Remove(mac) => module.remove_rule(mac).is_some(),
+                Step::EvictTo(max_rules) => !module.cache_mut().evict_to(max_rules).is_empty(),
+            };
+            if rules_changed {
+                decided.clear();
+            }
+        }
     }
 
     /// Rule-cache bookkeeping: size and memory track inserts/removes for

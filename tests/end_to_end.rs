@@ -195,6 +195,50 @@ fn idle_flows_expire_and_rule_cache_can_evict() {
 }
 
 #[test]
+fn rule_changes_reach_flows_the_gateway_already_cached() {
+    let mut gateway = SecurityGateway::new(trained_service());
+    let hue = Testbed::new(784).setup_run(&catalog()[4].profile, 0); // trusted
+    let packet = outbound(hue.mac, hue.device_ip, Ipv4Addr::new(52, 10, 10, 10));
+
+    // The device talks before it is identified: strict default, cached.
+    assert_eq!(gateway.enforce(&packet).action, FlowAction::Drop);
+    assert_eq!(gateway.enforce(&packet).action, FlowAction::Drop);
+
+    for setup_packet in &hue.packets {
+        gateway.observe(setup_packet);
+    }
+    let report = gateway.finalize(hue.mac).expect("monitored");
+    assert_eq!(report.response.isolation, IsolationLevel::Trusted);
+    assert_eq!(gateway.enforce(&packet).action, FlowAction::Forward);
+    assert!(!gateway.enforce(&packet).packet_in, "decided once, cached");
+
+    // It leaves; its MAC must not keep its Internet access.
+    gateway.remove_device(hue.mac);
+    assert_eq!(gateway.enforce(&packet).action, FlowAction::Drop);
+}
+
+#[test]
+fn rule_changes_reach_flows_the_stream_runtime_already_cached() {
+    let service = trained_service();
+    let mut runtime = iot_sentinel::stream::StreamRuntime::new(&service);
+    let hue = Testbed::new(784).setup_run(&catalog()[4].profile, 0); // trusted
+    let packet = outbound(hue.mac, hue.device_ip, Ipv4Addr::new(52, 10, 10, 10));
+
+    assert_eq!(runtime.enforce(&packet).action, FlowAction::Drop);
+    assert_eq!(runtime.enforce(&packet).action, FlowAction::Drop);
+
+    runtime.ingest_frames(&hue.frames());
+    runtime.flush();
+    let report = runtime.report(hue.mac).expect("onboarded");
+    assert_eq!(report.response.isolation, IsolationLevel::Trusted);
+    assert_eq!(runtime.enforce(&packet).action, FlowAction::Forward);
+    assert!(!runtime.enforce(&packet).packet_in, "decided once, cached");
+
+    runtime.enforcement_mut().remove_rule(hue.mac);
+    assert_eq!(runtime.enforce(&packet).action, FlowAction::Drop);
+}
+
+#[test]
 fn port_filter_restricts_protocols_to_vendor_cloud() {
     // Tighten a restricted device's rule to TLS-only and verify the data
     // plane honours it (Sect. III-C.2 flow-granular filtering).
