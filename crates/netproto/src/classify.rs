@@ -6,12 +6,18 @@
 //! ICMPv6, EAPoL), 2 transport-layer (TCP, UDP) and 8 application-layer
 //! (HTTP, HTTPS, DHCP, BOOTP, SSDP, DNS, MDNS, NTP). A packet can set
 //! several bits at once (a DHCPDISCOVER sets IP, UDP, DHCP and BOOTP).
+//!
+//! [`classify`] reads the bits off a decoded [`Packet`]; the wire scan
+//! ([`crate::scan`]) sets them while walking. The application-layer bit
+//! has one definition for both, `app_protocol`: the codec that accepted
+//! the payload and the port pair decide it, and a payload no codec
+//! accepted (raw bytes, or none) falls back to the ports alone.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::packet::{AppPayload, Packet, PacketBody, Transport};
+use crate::packet::{AppCodec, AppPayload, Packet, PacketBody, Transport};
 use crate::ports;
 
 /// One of the 16 protocols tracked by the Table I fingerprint features.
@@ -216,67 +222,54 @@ fn classify_transport(transport: &Transport, set: &mut ProtocolSet) {
         Transport::Icmpv6(_) => set.insert(Protocol::Icmpv6),
         Transport::Tcp { header, payload } => {
             set.insert(Protocol::Tcp);
-            classify_app(payload, header.src_port, header.dst_port, false, set);
+            classify_app(payload, (header.src_port, header.dst_port), false, set);
         }
         Transport::Udp { header, payload } => {
             set.insert(Protocol::Udp);
-            classify_app(payload, header.src_port, header.dst_port, true, set);
+            classify_app(payload, (header.src_port, header.dst_port), true, set);
         }
         Transport::Other { .. } => {}
     }
 }
 
-fn classify_app(
-    payload: &AppPayload,
-    src_port: u16,
-    dst_port: u16,
-    udp: bool,
-    set: &mut ProtocolSet,
-) {
-    let port_is = |p: u16| src_port == p || dst_port == p;
-    match payload {
-        AppPayload::Dhcp(msg) => {
-            set.insert(Protocol::Bootp);
-            if msg.is_dhcp() {
-                set.insert(Protocol::Dhcp);
-            }
-        }
-        AppPayload::Dns(_) => {
-            if udp && port_is(ports::MDNS) {
-                set.insert(Protocol::Mdns);
-            } else {
-                set.insert(Protocol::Dns);
-            }
-        }
-        AppPayload::Http(_) => {
-            if udp && port_is(ports::SSDP) {
-                set.insert(Protocol::Ssdp);
-            } else {
-                set.insert(Protocol::Http);
-            }
-        }
-        AppPayload::Tls(_) => set.insert(Protocol::Https),
-        AppPayload::Ntp(_) => set.insert(Protocol::Ntp),
-        AppPayload::Raw(_) | AppPayload::Empty => {
-            // No parsed payload: fall back to port-based classification so
-            // that e.g. a bare SYN to :443 still counts as HTTPS intent.
-            if port_is(ports::HTTP) || port_is(ports::HTTP_ALT) {
-                set.insert(Protocol::Http);
-            } else if port_is(ports::HTTPS) {
-                set.insert(Protocol::Https);
-            } else if port_is(ports::DNS) {
-                set.insert(Protocol::Dns);
-            } else if udp && port_is(ports::MDNS) {
-                set.insert(Protocol::Mdns);
-            } else if udp && port_is(ports::SSDP) {
-                set.insert(Protocol::Ssdp);
-            } else if udp && port_is(ports::NTP) {
-                set.insert(Protocol::Ntp);
-            } else if udp && (port_is(ports::DHCP_SERVER) || port_is(ports::DHCP_CLIENT)) {
-                set.insert(Protocol::Bootp);
-            }
-        }
+fn classify_app(payload: &AppPayload, ports: (u16, u16), udp: bool, set: &mut ProtocolSet) {
+    if matches!(payload, AppPayload::Dhcp(msg) if msg.is_dhcp()) {
+        set.insert(Protocol::Dhcp);
     }
+    set.extend(app_protocol(payload.codec(), ports, udp));
+}
+
+/// The application-layer indicator of a TCP/UDP payload — for both
+/// parsers: `parsed` is the codec that accepted the payload, `None` when
+/// it stayed raw bytes or is empty. (A DHCP message with the magic
+/// cookie sets [`Protocol::Dhcp`] besides; its callers add that.)
+pub(crate) fn app_protocol(
+    parsed: Option<AppCodec>,
+    (src_port, dst_port): (u16, u16),
+    udp: bool,
+) -> Option<Protocol> {
+    let port_is = |p: u16| src_port == p || dst_port == p;
+    Some(match parsed {
+        Some(AppCodec::Dhcp) => Protocol::Bootp,
+        Some(AppCodec::Dns) if udp && port_is(ports::MDNS) => Protocol::Mdns,
+        Some(AppCodec::Dns) => Protocol::Dns,
+        Some(AppCodec::Http) if udp && port_is(ports::SSDP) => Protocol::Ssdp,
+        Some(AppCodec::Http) => Protocol::Http,
+        Some(AppCodec::Tls) => Protocol::Https,
+        Some(AppCodec::Ntp) => Protocol::Ntp,
+        // No parsed payload: fall back to port-based classification so
+        // that e.g. a bare SYN to :443 still counts as HTTPS intent.
+        None if port_is(ports::HTTP) || port_is(ports::HTTP_ALT) => Protocol::Http,
+        None if port_is(ports::HTTPS) => Protocol::Https,
+        None if port_is(ports::DNS) => Protocol::Dns,
+        None if udp && port_is(ports::MDNS) => Protocol::Mdns,
+        None if udp && port_is(ports::SSDP) => Protocol::Ssdp,
+        None if udp && port_is(ports::NTP) => Protocol::Ntp,
+        None if udp && (port_is(ports::DHCP_SERVER) || port_is(ports::DHCP_CLIENT)) => {
+            Protocol::Bootp
+        }
+        None => return None,
+    })
 }
 
 #[cfg(test)]

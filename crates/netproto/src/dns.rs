@@ -113,8 +113,15 @@ pub enum RecordData {
     Ptr(String),
     /// Free-form text strings.
     Txt(Vec<String>),
-    /// Uninterpreted bytes.
-    Raw(Vec<u8>),
+    /// The data of a record this crate does not model (SRV, CNAME, NS,
+    /// …, or an address record of the wrong length), with its wire type
+    /// so the record re-encodes as what it was.
+    Raw {
+        /// The record type on the wire.
+        rtype: RecordType,
+        /// The record data, verbatim.
+        data: Vec<u8>,
+    },
 }
 
 /// A DNS resource record.
@@ -126,7 +133,7 @@ pub struct ResourceRecord {
     pub ttl: u32,
     /// Cache-flush bit (mDNS).
     pub cache_flush: bool,
-    /// Record data (type is implied by the variant).
+    /// Record data (the variant implies, or carries, the type).
     pub data: RecordData,
 }
 
@@ -137,7 +144,7 @@ impl ResourceRecord {
             RecordData::Aaaa(_) => RecordType::Aaaa,
             RecordData::Ptr(_) => RecordType::Ptr,
             RecordData::Txt(_) => RecordType::Txt,
-            RecordData::Raw(_) => RecordType::Other(0),
+            RecordData::Raw { rtype, .. } => *rtype,
         }
     }
 
@@ -148,7 +155,7 @@ impl ResourceRecord {
             RecordData::Aaaa(_) => 16,
             RecordData::Ptr(name) => name_len(name),
             RecordData::Txt(strings) => strings.iter().map(|s| 1 + s.len()).sum(),
-            RecordData::Raw(bytes) => bytes.len(),
+            RecordData::Raw { data, .. } => data.len(),
         }
     }
 }
@@ -269,7 +276,7 @@ impl DnsMessage {
                         buf.put_slice(s.as_bytes());
                     }
                 }
-                RecordData::Raw(bytes) => buf.put_slice(bytes),
+                RecordData::Raw { data, .. } => buf.put_slice(data),
             }
         }
     }
@@ -278,13 +285,17 @@ impl DnsMessage {
     /// type + class) and records (name + type, class, ttl and rdlength +
     /// data).
     pub fn wire_len(&self) -> usize {
-        let questions: usize = self.questions.iter().map(|q| name_len(&q.name) + 4).sum();
+        let questions: usize = self
+            .questions
+            .iter()
+            .map(|q| name_len(&q.name) + QUESTION_FIELDS_LEN)
+            .sum();
         let records: usize = self
             .answers
             .iter()
             .chain(&self.authorities)
             .chain(&self.additionals)
-            .map(|rr| name_len(&rr.name) + 10 + rr.rdata_len())
+            .map(|rr| name_len(&rr.name) + RECORD_FIELDS_LEN + rr.rdata_len())
             .sum();
         HEADER_LEN + questions + records
     }
@@ -303,14 +314,9 @@ impl DnsMessage {
     /// Returns [`ParseError::Truncated`] or [`ParseError::Invalid`] on
     /// malformed input.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ParseError::truncated("dns", HEADER_LEN, bytes.len()));
-        }
+        let counts = section_counts(bytes)?;
         let id = u16::from_be_bytes([bytes[0], bytes[1]]);
         let flags = u16::from_be_bytes([bytes[2], bytes[3]]);
-        let counts: [usize; 4] = std::array::from_fn(|i| {
-            u16::from_be_bytes([bytes[4 + 2 * i], bytes[5 + 2 * i]]) as usize
-        });
         let mut offset = HEADER_LEN;
         // The count is the sender's claim; reserve only what the bytes
         // that actually arrived can hold.
@@ -318,17 +324,13 @@ impl DnsMessage {
         let mut questions = Vec::with_capacity(counts[0].min(body / MIN_QUESTION_LEN));
         for _ in 0..counts[0] {
             let (name, next) = parse_name(bytes, offset)?;
-            if bytes.len() < next + 4 {
-                return Err(ParseError::truncated("dns question", next + 4, bytes.len()));
-            }
-            let qtype = RecordType::from_u16(u16::from_be_bytes([bytes[next], bytes[next + 1]]));
-            let qclass = u16::from_be_bytes([bytes[next + 2], bytes[next + 3]]);
+            let (qtype, qclass) = question_fields(bytes, next)?;
             questions.push(Question {
                 name,
                 qtype,
                 unicast_response: qclass & 0x8000 != 0,
             });
-            offset = next + 4;
+            offset = next + QUESTION_FIELDS_LEN;
         }
         let mut sections: [Vec<ResourceRecord>; 3] = Default::default();
         for (section, &count) in sections.iter_mut().zip(&counts[1..]) {
@@ -367,115 +369,211 @@ fn encode_name(name: &str, buf: &mut impl BufMut) {
     buf.put_u8(0);
 }
 
-/// Encoded length of `name`: names are written uncompressed, so a length
-/// byte per label plus the root terminator.
-fn name_len(name: &str) -> usize {
-    labels(name).map(|label| 1 + label.len()).sum::<usize>() + 1
+/// Encoded length of the labels of `name`: a length byte and the text.
+fn labels_len(name: &str) -> usize {
+    labels(name).map(|label| 1 + label.len()).sum()
 }
 
-fn parse_name(bytes: &[u8], mut offset: usize) -> Result<(String, usize), ParseError> {
-    let mut name = String::new();
-    let mut end = None; // offset after the name at the *original* position
+/// Encoded length of `name`: names are written uncompressed, so the
+/// labels plus the root terminator.
+fn name_len(name: &str) -> usize {
+    labels_len(name) + 1
+}
+
+/// The four section counts of a message at least a header long.
+fn section_counts(bytes: &[u8]) -> Result<[usize; 4], ParseError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(ParseError::truncated("dns", HEADER_LEN, bytes.len()));
+    }
+    Ok(std::array::from_fn(|i| {
+        u16::from_be_bytes([bytes[4 + 2 * i], bytes[5 + 2 * i]]) as usize
+    }))
+}
+
+/// Walks the name at `offset`, following RFC 1035 compression pointers
+/// (at most 16 of them, which bounds any loop) and handing every label
+/// to `label`. Returns the offset after the name at its *original*
+/// position — after the first pointer, when there is one.
+fn walk_name<'a>(
+    bytes: &'a [u8],
+    mut offset: usize,
+    mut label: impl FnMut(&'a str),
+) -> Result<usize, ParseError> {
+    let mut end = None;
     let mut hops = 0;
     loop {
         let &len = bytes
             .get(offset)
             .ok_or_else(|| ParseError::truncated("dns name", offset + 1, bytes.len()))?;
         match len {
-            0 => {
-                let after = offset + 1;
-                return Ok((name, end.unwrap_or(after)));
-            }
+            0 => return Ok(end.unwrap_or(offset + 1)),
             l if l & 0xc0 == 0xc0 => {
                 let &next = bytes
                     .get(offset + 1)
                     .ok_or_else(|| ParseError::truncated("dns name", offset + 2, bytes.len()))?;
-                let pointer = (((l & 0x3f) as usize) << 8) | next as usize;
                 end.get_or_insert(offset + 2);
                 hops += 1;
                 if hops > 16 {
                     return Err(ParseError::invalid("dns name", "compression loop"));
                 }
-                offset = pointer;
+                offset = (((l & 0x3f) as usize) << 8) | next as usize;
             }
             l if l < 64 => {
                 let start = offset + 1;
                 let stop = start + l as usize;
-                let label = bytes
+                let text = bytes
                     .get(start..stop)
                     .ok_or_else(|| ParseError::truncated("dns name", stop, bytes.len()))?;
-                if !name.is_empty() {
-                    name.push('.');
-                }
-                name.push_str(
-                    std::str::from_utf8(label)
+                label(
+                    std::str::from_utf8(text)
                         .map_err(|_| ParseError::invalid("dns name", "label not utf-8"))?,
                 );
                 offset = stop;
             }
-            l => {
-                return Err(ParseError::invalid("dns name", format!("label length {l}")));
-            }
+            _ => return Err(ParseError::invalid("dns name", "reserved label kind")),
         }
     }
 }
 
-fn parse_record(bytes: &[u8], offset: usize) -> Result<(ResourceRecord, usize), ParseError> {
-    let (name, next) = parse_name(bytes, offset)?;
-    if bytes.len() < next + 10 {
-        return Err(ParseError::truncated("dns record", next + 10, bytes.len()));
+/// The name at `offset` as a dotted string, and the offset after it.
+fn parse_name(bytes: &[u8], offset: usize) -> Result<(String, usize), ParseError> {
+    let mut name = String::new();
+    let next = walk_name(bytes, offset, |label| {
+        if !name.is_empty() {
+            name.push('.');
+        }
+        name.push_str(label);
+    })?;
+    Ok((name, next))
+}
+
+/// The length the name at `offset` re-encodes to — [`name_len`] of what
+/// [`parse_name`] returns, without building it: a wire label may itself
+/// hold dots, which the dotted string cannot tell from separators — and
+/// the offset after it.
+fn scan_name(bytes: &[u8], offset: usize) -> Result<(usize, usize), ParseError> {
+    let mut len = 1;
+    let next = walk_name(bytes, offset, |label| {
+        // Only a label with dots in it needs splitting to be measured.
+        len += if label.contains('.') {
+            labels_len(label)
+        } else {
+            1 + label.len()
+        };
+    })?;
+    Ok((len, next))
+}
+
+/// Length of the fixed fields after a question's name: type and class.
+const QUESTION_FIELDS_LEN: usize = 4;
+/// Length of the fixed fields after a record's name: type, class, TTL
+/// and data length.
+const RECORD_FIELDS_LEN: usize = 10;
+
+/// The `(type, class)` after a question's name, which ends at `at`.
+fn question_fields(bytes: &[u8], at: usize) -> Result<(RecordType, u16), ParseError> {
+    let end = at + QUESTION_FIELDS_LEN;
+    if bytes.len() < end {
+        return Err(ParseError::truncated("dns question", end, bytes.len()));
     }
-    let rtype = RecordType::from_u16(u16::from_be_bytes([bytes[next], bytes[next + 1]]));
-    let rclass = u16::from_be_bytes([bytes[next + 2], bytes[next + 3]]);
-    let ttl = u32::from_be_bytes([
-        bytes[next + 4],
-        bytes[next + 5],
-        bytes[next + 6],
-        bytes[next + 7],
-    ]);
-    let rdlen = u16::from_be_bytes([bytes[next + 8], bytes[next + 9]]) as usize;
-    let data_start = next + 10;
-    let data_end = data_start + rdlen;
+    let qtype = RecordType::from_u16(u16::from_be_bytes([bytes[at], bytes[at + 1]]));
+    Ok((qtype, u16::from_be_bytes([bytes[at + 2], bytes[at + 3]])))
+}
+
+/// The `(type, class, ttl, offset of the data, data)` after a record's
+/// name, which ends at `at`.
+fn record_fields(
+    bytes: &[u8],
+    at: usize,
+) -> Result<(RecordType, u16, u32, usize, &[u8]), ParseError> {
+    let data_start = at + RECORD_FIELDS_LEN;
+    if bytes.len() < data_start {
+        return Err(ParseError::truncated("dns record", data_start, bytes.len()));
+    }
+    let rtype = RecordType::from_u16(u16::from_be_bytes([bytes[at], bytes[at + 1]]));
+    let rclass = u16::from_be_bytes([bytes[at + 2], bytes[at + 3]]);
+    let ttl = u32::from_be_bytes([bytes[at + 4], bytes[at + 5], bytes[at + 6], bytes[at + 7]]);
+    let data_end = data_start + u16::from_be_bytes([bytes[at + 8], bytes[at + 9]]) as usize;
     let rdata = bytes
         .get(data_start..data_end)
         .ok_or_else(|| ParseError::truncated("dns record", data_end, bytes.len()))?;
-    let data = match rtype {
-        RecordType::A if rdlen == 4 => {
-            RecordData::A(Ipv4Addr::new(rdata[0], rdata[1], rdata[2], rdata[3]))
-        }
-        RecordType::Aaaa if rdlen == 16 => {
+    Ok((rtype, rclass, ttl, data_start, rdata))
+}
+
+/// Walks TXT record data, handing each length-prefixed string to `string`.
+fn walk_txt<'a>(mut rest: &'a [u8], mut string: impl FnMut(&'a str)) -> Result<(), ParseError> {
+    while let Some(&len) = rest.first() {
+        let stop = 1 + len as usize;
+        let chunk = rest
+            .get(1..stop)
+            .ok_or_else(|| ParseError::invalid("dns txt", "string overruns rdata"))?;
+        string(
+            std::str::from_utf8(chunk).map_err(|_| ParseError::invalid("dns txt", "not utf-8"))?,
+        );
+        rest = &rest[stop..];
+    }
+    Ok(())
+}
+
+fn parse_record(bytes: &[u8], offset: usize) -> Result<(ResourceRecord, usize), ParseError> {
+    let (name, next) = parse_name(bytes, offset)?;
+    let (rtype, rclass, ttl, data_start, rdata) = record_fields(bytes, next)?;
+    let data = match (rtype, rdata) {
+        (RecordType::A, &[a, b, c, d]) => RecordData::A(Ipv4Addr::new(a, b, c, d)),
+        (RecordType::Aaaa, _) if rdata.len() == 16 => {
             let octets: [u8; 16] = rdata.try_into().expect("slice of 16");
             RecordData::Aaaa(Ipv6Addr::from(octets))
         }
-        RecordType::Ptr => RecordData::Ptr(parse_name(bytes, data_start)?.0),
-        RecordType::Txt => {
+        // The name may be (or end in) a pointer out of the record data.
+        (RecordType::Ptr, _) => RecordData::Ptr(parse_name(bytes, data_start)?.0),
+        (RecordType::Txt, _) => {
             let mut strings = Vec::new();
-            let mut rest = rdata;
-            while let Some(&len) = rest.first() {
-                let stop = 1 + len as usize;
-                let chunk = rest
-                    .get(1..stop)
-                    .ok_or_else(|| ParseError::invalid("dns txt", "string overruns rdata"))?;
-                strings.push(
-                    std::str::from_utf8(chunk)
-                        .map_err(|_| ParseError::invalid("dns txt", "not utf-8"))?
-                        .to_owned(),
-                );
-                rest = &rest[stop..];
-            }
+            walk_txt(rdata, |s| strings.push(s.to_owned()))?;
             RecordData::Txt(strings)
         }
-        _ => RecordData::Raw(rdata.to_vec()),
-    };
-    Ok((
-        ResourceRecord {
-            name,
-            ttl,
-            cache_flush: rclass & 0x8000 != 0,
-            data,
+        _ => RecordData::Raw {
+            rtype,
+            data: rdata.to_vec(),
         },
-        data_end,
-    ))
+    };
+    let record = ResourceRecord {
+        name,
+        ttl,
+        cache_flush: rclass & 0x8000 != 0,
+        data,
+    };
+    Ok((record, data_start + rdata.len()))
+}
+
+/// The length a message re-encodes to — [`DnsMessage::wire_len`] of what
+/// [`DnsMessage::parse`] returns, failing exactly when it fails —
+/// without building the message. Names are re-encoded uncompressed from
+/// their labels and whatever follows the last record is dropped, so this
+/// is not the input's length; every other field keeps its size.
+pub(crate) fn encoded_len(bytes: &[u8]) -> Result<usize, ParseError> {
+    let counts = section_counts(bytes)?;
+    let (mut offset, mut len) = (HEADER_LEN, HEADER_LEN);
+    for _ in 0..counts[0] {
+        let (name, next) = scan_name(bytes, offset)?;
+        question_fields(bytes, next)?;
+        offset = next + QUESTION_FIELDS_LEN;
+        len += name + QUESTION_FIELDS_LEN;
+    }
+    for _ in 0..counts[1] + counts[2] + counts[3] {
+        let (name, next) = scan_name(bytes, offset)?;
+        let (rtype, _, _, data_start, rdata) = record_fields(bytes, next)?;
+        let data = match rtype {
+            RecordType::Ptr => scan_name(bytes, data_start)?.0,
+            RecordType::Txt => {
+                walk_txt(rdata, |_| {})?;
+                rdata.len()
+            }
+            _ => rdata.len(),
+        };
+        offset = data_start + rdata.len();
+        len += name + RECORD_FIELDS_LEN + data;
+    }
+    Ok(len)
 }
 
 #[cfg(test)]
@@ -536,7 +634,13 @@ mod tests {
         };
         let every_record = DnsMessage {
             questions: vec![Question::ptr("_hap._tcp.local")],
-            authorities: vec![record("", RecordData::Raw(vec![1, 2, 3]))],
+            authorities: vec![record(
+                "",
+                RecordData::Raw {
+                    rtype: RecordType::Srv,
+                    data: vec![1, 2, 3],
+                },
+            )],
             additionals: vec![record(
                 "bridge.local",
                 RecordData::Aaaa("fe80::1".parse().unwrap()),
@@ -582,6 +686,32 @@ mod tests {
             msg.answers[0].data,
             RecordData::A(Ipv4Addr::new(10, 0, 0, 1))
         );
+    }
+
+    #[test]
+    fn unmodelled_records_keep_their_type_through_a_roundtrip() {
+        // An SRV (33) and an `A` whose data is five bytes long: both are
+        // kept as raw data, and used to re-encode as type 0.
+        let mut bytes = vec![0, 1, 0x80, 0, 0, 0, 0, 2, 0, 0, 0, 0];
+        bytes.extend_from_slice(&[4, b'_', b's', b'v', b'c', 0]);
+        bytes.extend_from_slice(&[0, 33, 0, 1, 0, 0, 0, 60, 0, 8]);
+        bytes.extend_from_slice(&[0, 0, 0, 0, 0x1f, 0x90, 1, 0]);
+        bytes.extend_from_slice(&[4, b'h', b'o', b's', b't', 0]);
+        bytes.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 60, 0, 5, 1, 2, 3, 4, 5]);
+        let msg = DnsMessage::parse(&bytes).unwrap();
+        assert_eq!(
+            msg.answers[0].data,
+            RecordData::Raw {
+                rtype: RecordType::Srv,
+                data: vec![0, 0, 0, 0, 0x1f, 0x90, 1, 0],
+            }
+        );
+        assert!(matches!(
+            &msg.answers[1].data,
+            RecordData::Raw { rtype: RecordType::A, data } if data.len() == 5
+        ));
+        assert_eq!(msg.to_bytes(), bytes);
+        assert_eq!(DnsMessage::parse(&msg.to_bytes()).unwrap(), msg);
     }
 
     #[test]

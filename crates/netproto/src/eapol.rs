@@ -118,22 +118,26 @@ impl EapolPacket {
     /// Returns [`ParseError::Truncated`] if the header or the body length
     /// it declares exceed the input.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ParseError::truncated("eapol", HEADER_LEN, bytes.len()));
-        }
-        let version = bytes[0];
-        let packet_type = EapolType::from_u8(bytes[1]);
-        let body_len = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
-        let total = HEADER_LEN + body_len;
-        if bytes.len() < total {
-            return Err(ParseError::truncated("eapol", total, bytes.len()));
-        }
+        let total = check(bytes)?;
         Ok(EapolPacket {
-            version,
-            packet_type,
+            version: bytes[0],
+            packet_type: EapolType::from_u8(bytes[1]),
             body: Bytes::copy_from_slice(&bytes[HEADER_LEN..total]),
         })
     }
+}
+
+/// Validates the header and the declared body length, returning the
+/// frame's length (header + body; anything after it is not the frame's).
+pub(crate) fn check(bytes: &[u8]) -> Result<usize, ParseError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(ParseError::truncated("eapol", HEADER_LEN, bytes.len()));
+    }
+    let total = HEADER_LEN + u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
+    if bytes.len() < total {
+        return Err(ParseError::truncated("eapol", total, bytes.len()));
+    }
+    Ok(total)
 }
 
 #[cfg(test)]

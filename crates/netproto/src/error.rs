@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::fmt;
 
 /// Error returned when decoding a packet (or one of its layers) from wire
@@ -21,8 +22,11 @@ pub enum ParseError {
     Invalid {
         /// Which protocol layer was being decoded.
         layer: &'static str,
-        /// Human-readable reason the bytes were rejected.
-        reason: String,
+        /// Human-readable reason the bytes were rejected. Every
+        /// frame-level check passes a `&'static str`, so rejecting a
+        /// frame allocates nothing; only per-file errors (pcap headers,
+        /// MAC strings) format an owned reason.
+        reason: Cow<'static, str>,
     },
     /// The pcap file magic number was not recognized.
     BadPcapMagic(u32),
@@ -31,13 +35,18 @@ pub enum ParseError {
 }
 
 impl ParseError {
-    /// Convenience constructor for [`ParseError::Truncated`].
+    /// Convenience constructor for [`ParseError::Truncated`]. Cold: the
+    /// checks that call it sit on the wire scan's hot path, and rejecting
+    /// is the rare outcome — this keeps error construction out of it.
+    #[cold]
     pub(crate) fn truncated(layer: &'static str, needed: usize, got: usize) -> Self {
         ParseError::Truncated { layer, needed, got }
     }
 
-    /// Convenience constructor for [`ParseError::Invalid`].
-    pub(crate) fn invalid(layer: &'static str, reason: impl Into<String>) -> Self {
+    /// Convenience constructor for [`ParseError::Invalid`]; cold like
+    /// [`ParseError::truncated`].
+    #[cold]
+    pub(crate) fn invalid(layer: &'static str, reason: impl Into<Cow<'static, str>>) -> Self {
         ParseError::Invalid {
             layer,
             reason: reason.into(),

@@ -163,20 +163,21 @@ impl HttpMessage {
     /// the blank line and the body.
     pub fn wire_len(&self) -> usize {
         let start_line = match self {
-            HttpMessage::Request { method, target, .. } => {
-                method.as_str().len() + 1 + target.len() + REQUEST_LINE_TAIL.len()
-            }
-            HttpMessage::Response { status, reason, .. } => {
-                let (digits, start) = status_digits(*status);
-                STATUS_LINE_HEAD.len() + (digits.len() - start) + 1 + reason.len() + CRLF.len()
-            }
+            HttpMessage::Request { method, target, .. } => StartLine::Request {
+                method: method.as_str(),
+                target,
+            },
+            HttpMessage::Response { status, reason, .. } => StartLine::Response {
+                status: *status,
+                reason,
+            },
         };
         let headers: usize = self
             .headers()
             .iter()
-            .map(|(name, value)| name.len() + HEADER_SEPARATOR.len() + value.len() + CRLF.len())
+            .map(|(name, value)| header_len(name, value))
             .sum();
-        start_line + headers + CRLF.len() + self.body().len()
+        start_line.wire_len() + headers + CRLF.len() + self.body().len()
     }
 
     /// Encodes into a fresh byte vector.
@@ -193,22 +194,39 @@ impl HttpMessage {
     /// Returns [`ParseError::Invalid`] if no CRLFCRLF head terminator is
     /// found or the start line is malformed.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        let head_end = find_head_end(bytes)
-            .ok_or_else(|| ParseError::invalid("http", "missing header terminator"))?;
-        let head = std::str::from_utf8(&bytes[..head_end])
-            .map_err(|_| ParseError::invalid("http", "head not utf-8"))?;
-        let body = Bytes::copy_from_slice(&bytes[head_end + 4..]);
-        let mut lines = head.split("\r\n");
-        let start = lines
-            .next()
-            .ok_or_else(|| ParseError::invalid("http", "empty message"))?;
         let mut headers = Vec::new();
-        for line in lines {
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| ParseError::invalid("http", format!("bad header line {line:?}")))?;
-            headers.push((name.trim().to_owned(), value.trim().to_owned()));
-        }
+        let (start, body) = split_head(bytes, |name, value| {
+            headers.push((name.to_owned(), value.to_owned()));
+        })?;
+        let body = Bytes::copy_from_slice(body);
+        Ok(match StartLine::parse(start)? {
+            StartLine::Request { method, target } => HttpMessage::Request {
+                method: Method::from_token(method),
+                target: target.to_owned(),
+                headers,
+                body,
+            },
+            StartLine::Response { status, reason } => HttpMessage::Response {
+                status,
+                reason: reason.to_owned(),
+                headers,
+                body,
+            },
+        })
+    }
+}
+
+/// The modeled pieces of a start line, as parsed and as re-encoded.
+enum StartLine<'a> {
+    Request { method: &'a str, target: &'a str },
+    Response { status: u16, reason: &'a str },
+}
+
+impl<'a> StartLine<'a> {
+    /// A status line is `HTTP/1.x`, a code `u16` parses and an optional
+    /// reason; a request line is at least three tokens, the third an
+    /// `HTTP/` version (further tokens are dropped).
+    fn parse(start: &'a str) -> Result<Self, ParseError> {
         if let Some(rest) = start
             .strip_prefix("HTTP/1.1 ")
             .or_else(|| start.strip_prefix("HTTP/1.0 "))
@@ -216,30 +234,70 @@ impl HttpMessage {
             let (code, reason) = rest.split_once(' ').unwrap_or((rest, ""));
             let status = code
                 .parse()
-                .map_err(|_| ParseError::invalid("http", format!("bad status {code:?}")))?;
-            Ok(HttpMessage::Response {
-                status,
-                reason: reason.to_owned(),
-                headers,
-                body,
-            })
-        } else {
-            let mut parts = start.split(' ');
-            let (method, target, version) = (parts.next(), parts.next(), parts.next());
-            match (method, target, version) {
-                (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/") => Ok(HttpMessage::Request {
-                    method: Method::from_token(m),
-                    target: t.to_owned(),
-                    headers,
-                    body,
-                }),
-                _ => Err(ParseError::invalid(
-                    "http",
-                    format!("bad start line {start:?}"),
-                )),
+                .map_err(|_| ParseError::invalid("http", "bad status code"))?;
+            return Ok(StartLine::Response { status, reason });
+        }
+        let mut parts = start.split(' ');
+        match (parts.next(), parts.next(), parts.next()) {
+            (Some(method), Some(target), Some(version)) if version.starts_with("HTTP/") => {
+                Ok(StartLine::Request { method, target })
+            }
+            _ => Err(ParseError::invalid("http", "bad start line")),
+        }
+    }
+
+    /// Length of the line [`HttpMessage::encode`] writes, CRLF included:
+    /// always version 1.1, the status in plain decimal digits.
+    fn wire_len(&self) -> usize {
+        match self {
+            StartLine::Request { method, target } => {
+                method.len() + 1 + target.len() + REQUEST_LINE_TAIL.len()
+            }
+            StartLine::Response { status, reason } => {
+                let (digits, start) = status_digits(*status);
+                STATUS_LINE_HEAD.len() + (digits.len() - start) + 1 + reason.len() + CRLF.len()
             }
         }
     }
+}
+
+/// Length of the header line [`HttpMessage::encode`] writes for a field.
+fn header_len(name: &str, value: &str) -> usize {
+    name.len() + HEADER_SEPARATOR.len() + value.len() + CRLF.len()
+}
+
+/// Splits a message at its blank line into `(start line, body)`, handing
+/// every header field — name and value trimmed, as they are kept and
+/// re-encoded — to `header`.
+fn split_head<'a>(
+    bytes: &'a [u8],
+    mut header: impl FnMut(&'a str, &'a str),
+) -> Result<(&'a str, &'a [u8]), ParseError> {
+    let head_end = find_head_end(bytes)
+        .ok_or_else(|| ParseError::invalid("http", "missing header terminator"))?;
+    let head = std::str::from_utf8(&bytes[..head_end])
+        .map_err(|_| ParseError::invalid("http", "head not utf-8"))?;
+    let mut lines = head.split("\r\n");
+    let start = lines.next().unwrap_or_default();
+    for line in lines {
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| ParseError::invalid("http", "header line without a colon"))?;
+        header(name.trim(), value.trim());
+    }
+    Ok((start, &bytes[head_end + 4..]))
+}
+
+/// The length a message re-encodes to — [`HttpMessage::wire_len`] of
+/// what [`HttpMessage::parse`] returns, failing exactly when it fails —
+/// without building the message. Not the input's length: padding around
+/// header names and values, a non-1.1 version, a missing reason phrase's
+/// space and a status written with a sign or leading zeros all re-encode
+/// differently.
+pub(crate) fn encoded_len(bytes: &[u8]) -> Result<usize, ParseError> {
+    let mut headers = 0;
+    let (start, body) = split_head(bytes, |name, value| headers += header_len(name, value))?;
+    Ok(StartLine::parse(start)?.wire_len() + headers + CRLF.len() + body.len())
 }
 
 const CRLF: &[u8] = b"\r\n";

@@ -110,12 +110,7 @@ impl IcmpMessage {
     /// Returns [`ParseError::Truncated`] on short input and
     /// [`ParseError::Invalid`] on checksum mismatch.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ParseError::truncated("icmp", HEADER_LEN, bytes.len()));
-        }
-        if internet_checksum(bytes) != 0 {
-            return Err(ParseError::invalid("icmp", "checksum mismatch"));
-        }
+        check(bytes)?;
         Ok(IcmpMessage {
             icmp_type: IcmpType::from_u8(bytes[0]),
             code: bytes[1],
@@ -123,6 +118,17 @@ impl IcmpMessage {
             payload: Bytes::copy_from_slice(&bytes[HEADER_LEN..]),
         })
     }
+}
+
+/// Validates the header length and the checksum over the whole message.
+pub(crate) fn check(bytes: &[u8]) -> Result<(), ParseError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(ParseError::truncated("icmp", HEADER_LEN, bytes.len()));
+    }
+    if internet_checksum(bytes) != 0 {
+        return Err(ParseError::invalid("icmp", "checksum mismatch"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -138,15 +138,22 @@ impl Icmpv6Message {
     ///
     /// Returns [`ParseError::Truncated`] on short input.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ParseError::truncated("icmpv6", HEADER_LEN, bytes.len()));
-        }
+        check(bytes)?;
         Ok(Icmpv6Message {
             icmp_type: Icmpv6Type::from_u8(bytes[0]),
             code: bytes[1],
             body: Bytes::copy_from_slice(&bytes[HEADER_LEN..]),
         })
     }
+}
+
+/// Validates the header length (the checksum needs the pseudo-header
+/// and is not verified).
+pub(crate) fn check(bytes: &[u8]) -> Result<(), ParseError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(ParseError::truncated("icmpv6", HEADER_LEN, bytes.len()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -95,12 +95,27 @@ impl Ipv4Option {
         }
     }
 
+    /// The option [`walk_options`] reports as `(kind, data)`.
+    fn from_wire(kind: u8, data: &[u8]) -> Self {
+        match (kind, data) {
+            (END_OF_OPTIONS, _) => Ipv4Option::EndOfOptions,
+            (NOP, _) => Ipv4Option::Nop,
+            (ROUTER_ALERT, &[high, low]) => {
+                Ipv4Option::RouterAlert(u16::from_be_bytes([high, low]))
+            }
+            _ => Ipv4Option::Other {
+                kind,
+                data: data.to_vec(),
+            },
+        }
+    }
+
     fn encode(&self, buf: &mut impl BufMut) {
         match self {
-            Ipv4Option::EndOfOptions => buf.put_u8(0),
-            Ipv4Option::Nop => buf.put_u8(1),
+            Ipv4Option::EndOfOptions => buf.put_u8(END_OF_OPTIONS),
+            Ipv4Option::Nop => buf.put_u8(NOP),
             Ipv4Option::RouterAlert(value) => {
-                buf.put_u8(148);
+                buf.put_u8(ROUTER_ALERT);
                 buf.put_u8(4);
                 buf.put_u16(*value);
             }
@@ -172,8 +187,7 @@ impl Ipv4Header {
 
     /// Length of the encoded header in bytes (options padded to 32 bits).
     pub fn header_len(&self) -> usize {
-        let opts: usize = self.options.iter().map(Ipv4Option::encoded_len).sum();
-        MIN_HEADER_LEN + opts.div_ceil(4) * 4
+        padded_header_len(self.options.iter().map(Ipv4Option::encoded_len).sum())
     }
 
     /// Appends the header bytes to `buf`, computing length and checksum for
@@ -218,54 +232,87 @@ impl Ipv4Header {
     /// header or the declared total length, and [`ParseError::Invalid`] for
     /// a bad version, IHL, or checksum.
     pub fn parse(bytes: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if bytes.len() < MIN_HEADER_LEN {
-            return Err(ParseError::truncated("ipv4", MIN_HEADER_LEN, bytes.len()));
-        }
-        let version = bytes[0] >> 4;
-        if version != 4 {
-            return Err(ParseError::invalid("ipv4", format!("version {version}")));
-        }
-        let ihl = (bytes[0] & 0x0f) as usize * 4;
-        if ihl < MIN_HEADER_LEN {
-            return Err(ParseError::invalid("ipv4", format!("ihl {ihl} < 20")));
-        }
-        if bytes.len() < ihl {
-            return Err(ParseError::truncated("ipv4", ihl, bytes.len()));
-        }
-        if internet_checksum(&bytes[..ihl]) != 0 {
-            return Err(ParseError::invalid("ipv4", "header checksum mismatch"));
-        }
-        let total_len = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
-        if total_len < ihl || bytes.len() < total_len {
-            return Err(ParseError::truncated("ipv4", total_len, bytes.len()));
-        }
+        let (ihl, total_len) = check(bytes)?;
         let flags_frag = u16::from_be_bytes([bytes[6], bytes[7]]);
-        let options = parse_options(&bytes[MIN_HEADER_LEN..ihl])?;
+        let mut options = Vec::new();
+        walk_options(&bytes[MIN_HEADER_LEN..ihl], |kind, data| {
+            options.push(Ipv4Option::from_wire(kind, data));
+        })?;
         let header = Ipv4Header {
             dscp_ecn: bytes[1],
             identification: u16::from_be_bytes([bytes[4], bytes[5]]),
             dont_fragment: flags_frag & 0x4000 != 0,
             ttl: bytes[8],
-            protocol: IpProtocol::from_u8(bytes[9]),
+            protocol: protocol(bytes),
             src: Ipv4Addr::new(bytes[12], bytes[13], bytes[14], bytes[15]),
-            dst: Ipv4Addr::new(bytes[16], bytes[17], bytes[18], bytes[19]),
+            dst: dst(bytes),
             options,
         };
         Ok((header, &bytes[ihl..total_len]))
     }
 }
 
-fn parse_options(mut bytes: &[u8]) -> Result<Vec<Ipv4Option>, ParseError> {
-    let mut options = Vec::new();
+const END_OF_OPTIONS: u8 = 0;
+const NOP: u8 = 1;
+const ROUTER_ALERT: u8 = 148;
+
+/// Length of a header whose options encode to `options` bytes: the
+/// options area is padded to a 32-bit boundary.
+fn padded_header_len(options: usize) -> usize {
+    MIN_HEADER_LEN + options.div_ceil(4) * 4
+}
+
+/// Validates the fixed header — version, IHL, checksum, total length —
+/// and returns `(header length, total length)`, both within `bytes`.
+pub(crate) fn check(bytes: &[u8]) -> Result<(usize, usize), ParseError> {
+    if bytes.len() < MIN_HEADER_LEN {
+        return Err(ParseError::truncated("ipv4", MIN_HEADER_LEN, bytes.len()));
+    }
+    if bytes[0] >> 4 != 4 {
+        return Err(ParseError::invalid("ipv4", "version is not 4"));
+    }
+    let ihl = (bytes[0] & 0x0f) as usize * 4;
+    if ihl < MIN_HEADER_LEN {
+        return Err(ParseError::invalid("ipv4", "ihl below 20 bytes"));
+    }
+    if bytes.len() < ihl {
+        return Err(ParseError::truncated("ipv4", ihl, bytes.len()));
+    }
+    if internet_checksum(&bytes[..ihl]) != 0 {
+        return Err(ParseError::invalid("ipv4", "header checksum mismatch"));
+    }
+    let total_len = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
+    if total_len < ihl || bytes.len() < total_len {
+        return Err(ParseError::truncated("ipv4", total_len, bytes.len()));
+    }
+    Ok((ihl, total_len))
+}
+
+/// The payload protocol of a header [`check`] accepted.
+pub(crate) fn protocol(header: &[u8]) -> IpProtocol {
+    IpProtocol::from_u8(header[9])
+}
+
+/// The destination address of a header [`check`] accepted.
+pub(crate) fn dst(header: &[u8]) -> Ipv4Addr {
+    Ipv4Addr::new(header[16], header[17], header[18], header[19])
+}
+
+/// Walks an options area, reporting each option as `(kind, data)`.
+/// End-of-options is reported once and ends the walk (what follows it is
+/// padding); a NOP has no data.
+fn walk_options<'a>(
+    mut bytes: &'a [u8],
+    mut option: impl FnMut(u8, &'a [u8]),
+) -> Result<(), ParseError> {
     while let Some(&kind) = bytes.first() {
         match kind {
-            0 => {
-                // End-of-options: remaining bytes are padding; record once.
-                options.push(Ipv4Option::EndOfOptions);
+            END_OF_OPTIONS => {
+                option(kind, &[]);
                 break;
             }
-            1 => {
-                options.push(Ipv4Option::Nop);
+            NOP => {
+                option(kind, &[]);
                 bytes = &bytes[1..];
             }
             _ => {
@@ -274,25 +321,33 @@ fn parse_options(mut bytes: &[u8]) -> Result<Vec<Ipv4Option>, ParseError> {
                 }
                 let len = bytes[1] as usize;
                 if len < 2 || bytes.len() < len {
-                    return Err(ParseError::invalid(
-                        "ipv4 option",
-                        format!("option {kind} length {len}"),
-                    ));
+                    return Err(ParseError::invalid("ipv4 option", "bad option length"));
                 }
-                let option = if kind == 148 && len == 4 {
-                    Ipv4Option::RouterAlert(u16::from_be_bytes([bytes[2], bytes[3]]))
-                } else {
-                    Ipv4Option::Other {
-                        kind,
-                        data: bytes[2..len].to_vec(),
-                    }
-                };
-                options.push(option);
+                option(kind, &bytes[2..len]);
                 bytes = &bytes[len..];
             }
         }
     }
-    Ok(options)
+    Ok(())
+}
+
+/// What the feature scan reads off the options of a `header` [`check`]
+/// accepted: `(re-encoded header length, padding seen, router alert
+/// seen)`, by the rules of [`Ipv4Option::from_wire`] and
+/// [`Ipv4Header::header_len`].
+pub(crate) fn scan_options(header: &[u8]) -> Result<(usize, bool, bool), ParseError> {
+    let (mut len, mut padding, mut router_alert) = (0, false, false);
+    walk_options(&header[MIN_HEADER_LEN..], |kind, data| match kind {
+        END_OF_OPTIONS | NOP => {
+            padding = true;
+            len += 1;
+        }
+        _ => {
+            router_alert |= kind == ROUTER_ALERT && data.len() == 2;
+            len += 2 + data.len();
+        }
+    })?;
+    Ok((padded_header_len(len), padding, router_alert))
 }
 
 /// RFC 1071 internet checksum over `data`.

@@ -23,6 +23,13 @@ const HOP_BY_HOP: u8 = 0;
 /// Next-header value for the Fragment extension header (RFC 8200 §4.5).
 const FRAGMENT: u8 = 44;
 
+/// Length of the Fragment extension header.
+const FRAGMENT_LEN: usize = 8;
+
+const PAD1: u8 = 0;
+const PADN: u8 = 1;
+const ROUTER_ALERT: u8 = 5;
+
 /// An option inside a Hop-by-Hop extension header.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum HopByHopOption {
@@ -61,18 +68,33 @@ impl HopByHopOption {
         }
     }
 
+    /// The option [`walk_hbh_options`] reports as `(kind, data)`.
+    fn from_wire(kind: u8, data: &[u8]) -> Self {
+        match (kind, data) {
+            (PAD1, _) => HopByHopOption::Pad1,
+            (PADN, _) => HopByHopOption::PadN(data.len() as u8),
+            (ROUTER_ALERT, &[high, low]) => {
+                HopByHopOption::RouterAlert(u16::from_be_bytes([high, low]))
+            }
+            _ => HopByHopOption::Other {
+                kind,
+                data: data.to_vec(),
+            },
+        }
+    }
+
     fn encode(&self, buf: &mut impl BufMut) {
         match self {
-            HopByHopOption::Pad1 => buf.put_u8(0),
+            HopByHopOption::Pad1 => buf.put_u8(PAD1),
             HopByHopOption::PadN(n) => {
-                buf.put_u8(1);
+                buf.put_u8(PADN);
                 buf.put_u8(*n);
                 for _ in 0..*n {
                     buf.put_u8(0);
                 }
             }
             HopByHopOption::RouterAlert(value) => {
-                buf.put_u8(5);
+                buf.put_u8(ROUTER_ALERT);
                 buf.put_u8(2);
                 buf.put_u16(*value);
             }
@@ -155,29 +177,17 @@ impl Ipv6Header {
     }
 
     fn hbh_len(&self) -> usize {
-        if self.hop_by_hop.is_empty() {
-            return 0;
-        }
-        let opts: usize = self
-            .hop_by_hop
-            .iter()
-            .map(HopByHopOption::encoded_len)
-            .sum();
-        // 2 fixed bytes + options, rounded up to a multiple of 8.
-        (2 + opts).div_ceil(8) * 8
-    }
-
-    fn frag_len(&self) -> usize {
-        if self.atomic_fragment.is_some() {
-            8
-        } else {
-            0
-        }
+        hbh_header_len(
+            self.hop_by_hop
+                .iter()
+                .map(HopByHopOption::encoded_len)
+                .sum(),
+        )
     }
 
     /// Length of the encoded header including any extension headers.
     pub fn header_len(&self) -> usize {
-        HEADER_LEN + self.hbh_len() + self.frag_len()
+        HEADER_LEN + self.hbh_len() + fragment_len(self.atomic_fragment)
     }
 
     /// Appends the header (and extension header) bytes for a payload of
@@ -185,7 +195,7 @@ impl Ipv6Header {
     /// recommended order: Hop-by-Hop first, then Fragment.
     pub fn encode(&self, buf: &mut impl BufMut, payload_len: usize) {
         let hbh_len = self.hbh_len();
-        let frag_len = self.frag_len();
+        let frag_len = fragment_len(self.atomic_fragment);
         // Next-header chain: fixed header → hop-by-hop → fragment → transport.
         let after_hbh = if frag_len > 0 {
             FRAGMENT
@@ -228,128 +238,174 @@ impl Ipv6Header {
     /// Returns [`ParseError::Truncated`] or [`ParseError::Invalid`] on
     /// malformed input.
     pub fn parse(bytes: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ParseError::truncated("ipv6", HEADER_LEN, bytes.len()));
-        }
+        let (protocol, hbh_options, atomic_fragment, payload) = check(bytes)?;
         let first = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        if first >> 28 != 6 {
-            return Err(ParseError::invalid(
-                "ipv6",
-                format!("version {}", first >> 28),
-            ));
-        }
-        let payload_len = u16::from_be_bytes([bytes[4], bytes[5]]) as usize;
-        let mut next_header = bytes[6];
-        let total = HEADER_LEN + payload_len;
-        if bytes.len() < total {
-            return Err(ParseError::truncated("ipv6", total, bytes.len()));
-        }
         let src: [u8; 16] = bytes[8..24].try_into().expect("slice of 16");
-        let dst: [u8; 16] = bytes[24..40].try_into().expect("slice of 16");
-        let mut offset = HEADER_LEN;
         let mut hop_by_hop = Vec::new();
-        if next_header == HOP_BY_HOP {
-            if bytes.len() < offset + 2 {
-                return Err(ParseError::truncated(
-                    "ipv6 hop-by-hop",
-                    offset + 2,
-                    bytes.len(),
-                ));
-            }
-            next_header = bytes[offset];
-            let ext_len = (bytes[offset + 1] as usize + 1) * 8;
-            if bytes.len() < offset + ext_len {
-                return Err(ParseError::truncated(
-                    "ipv6 hop-by-hop",
-                    offset + ext_len,
-                    bytes.len(),
-                ));
-            }
-            // The extension header must fit inside the declared payload,
-            // or the payload slice below would be inverted.
-            if offset + ext_len > total {
-                return Err(ParseError::invalid(
-                    "ipv6 hop-by-hop",
-                    format!("extension length {ext_len} exceeds payload {payload_len}"),
-                ));
-            }
-            hop_by_hop = parse_hbh_options(&bytes[offset + 2..offset + ext_len])?;
-            offset += ext_len;
-        }
-        let mut atomic_fragment = None;
-        if next_header == FRAGMENT && offset + 8 <= total {
-            // Consume the fragment header only for a canonical atomic
-            // fragment (reserved bytes zero, offset 0, M clear) —
-            // anything else stays `Other(44)` with the header verbatim
-            // in the payload, so re-encoding is byte-stable.
-            let reserved = bytes[offset + 1];
-            let offset_flags = u16::from_be_bytes([bytes[offset + 2], bytes[offset + 3]]);
-            if reserved == 0 && offset_flags == 0 {
-                next_header = bytes[offset];
-                atomic_fragment = Some(u32::from_be_bytes([
-                    bytes[offset + 4],
-                    bytes[offset + 5],
-                    bytes[offset + 6],
-                    bytes[offset + 7],
-                ]));
-                offset += 8;
-            }
-        }
+        walk_hbh_options(hbh_options, |kind, data| {
+            hop_by_hop.push(HopByHopOption::from_wire(kind, data));
+        })?;
         let header = Ipv6Header {
             traffic_class: ((first >> 20) & 0xff) as u8,
             flow_label: first & 0xfffff,
             hop_limit: bytes[7],
-            protocol: IpProtocol::from_u8(next_header),
+            protocol,
             src: Ipv6Addr::from(src),
-            dst: Ipv6Addr::from(dst),
+            dst: dst(bytes),
             hop_by_hop,
             atomic_fragment,
         };
-        Ok((header, &bytes[offset..total]))
+        Ok((header, payload))
     }
 }
 
-fn parse_hbh_options(mut bytes: &[u8]) -> Result<Vec<HopByHopOption>, ParseError> {
-    let mut options = Vec::new();
-    let mut trailing_pad1 = 0usize;
-    while let Some(&kind) = bytes.first() {
-        match kind {
-            0 => {
-                trailing_pad1 += 1;
-                bytes = &bytes[1..];
-            }
-            _ => {
-                // A non-pad option after Pad1 bytes: record interior Pad1s.
-                for _ in 0..trailing_pad1 {
-                    options.push(HopByHopOption::Pad1);
-                }
-                trailing_pad1 = 0;
-                if bytes.len() < 2 {
-                    return Err(ParseError::truncated("ipv6 option", 2, bytes.len()));
-                }
-                let len = bytes[1] as usize;
-                if bytes.len() < 2 + len {
-                    return Err(ParseError::invalid(
-                        "ipv6 option",
-                        format!("option {kind} length {len}"),
-                    ));
-                }
-                let option = match (kind, len) {
-                    (1, n) => HopByHopOption::PadN(n as u8),
-                    (5, 2) => HopByHopOption::RouterAlert(u16::from_be_bytes([bytes[2], bytes[3]])),
-                    _ => HopByHopOption::Other {
-                        kind,
-                        data: bytes[2..2 + len].to_vec(),
-                    },
-                };
-                options.push(option);
-                bytes = &bytes[2 + len..];
-            }
+/// Length of a Hop-by-Hop header whose options encode to `options`
+/// bytes (none: no header): 2 fixed bytes + options, rounded up to a
+/// multiple of 8.
+fn hbh_header_len(options: usize) -> usize {
+    if options == 0 {
+        return 0;
+    }
+    (2 + options).div_ceil(8) * 8
+}
+
+/// What [`check`] reads off a datagram: `(transport protocol,
+/// hop-by-hop options area, atomic fragment identification, payload)`.
+type Checked<'a> = (IpProtocol, &'a [u8], Option<u32>, &'a [u8]);
+
+/// Validates the fixed header and the extension chain this crate models
+/// (Hop-by-Hop, then an atomic Fragment). The options area is empty
+/// without a Hop-by-Hop header and is not walked here
+/// ([`walk_hbh_options`]).
+pub(crate) fn check(bytes: &[u8]) -> Result<Checked<'_>, ParseError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(ParseError::truncated("ipv6", HEADER_LEN, bytes.len()));
+    }
+    if bytes[0] >> 4 != 6 {
+        return Err(ParseError::invalid("ipv6", "version is not 6"));
+    }
+    let payload_len = u16::from_be_bytes([bytes[4], bytes[5]]) as usize;
+    let mut next_header = bytes[6];
+    let total = HEADER_LEN + payload_len;
+    if bytes.len() < total {
+        return Err(ParseError::truncated("ipv6", total, bytes.len()));
+    }
+    let mut offset = HEADER_LEN;
+    let mut hbh_options: &[u8] = &[];
+    if next_header == HOP_BY_HOP {
+        if bytes.len() < offset + 2 {
+            return Err(ParseError::truncated(
+                "ipv6 hop-by-hop",
+                offset + 2,
+                bytes.len(),
+            ));
+        }
+        next_header = bytes[offset];
+        let ext_len = (bytes[offset + 1] as usize + 1) * 8;
+        if bytes.len() < offset + ext_len {
+            return Err(ParseError::truncated(
+                "ipv6 hop-by-hop",
+                offset + ext_len,
+                bytes.len(),
+            ));
+        }
+        // The extension header must fit inside the declared payload,
+        // or the payload slice below would be inverted.
+        if offset + ext_len > total {
+            return Err(ParseError::invalid(
+                "ipv6 hop-by-hop",
+                "extension header exceeds the payload length",
+            ));
+        }
+        hbh_options = &bytes[offset + 2..offset + ext_len];
+        offset += ext_len;
+    }
+    let mut atomic_fragment = None;
+    if next_header == FRAGMENT && offset + FRAGMENT_LEN <= total {
+        // Consume the fragment header only for a canonical atomic
+        // fragment (reserved bytes zero, offset 0, M clear) —
+        // anything else stays `Other(44)` with the header verbatim
+        // in the payload, so re-encoding is byte-stable.
+        let reserved = bytes[offset + 1];
+        let offset_flags = u16::from_be_bytes([bytes[offset + 2], bytes[offset + 3]]);
+        if reserved == 0 && offset_flags == 0 {
+            next_header = bytes[offset];
+            atomic_fragment = Some(u32::from_be_bytes([
+                bytes[offset + 4],
+                bytes[offset + 5],
+                bytes[offset + 6],
+                bytes[offset + 7],
+            ]));
+            offset += FRAGMENT_LEN;
         }
     }
-    // Trailing Pad1 bytes are alignment filler added by `encode`, not
-    // semantic options, so they are dropped for roundtrip stability.
-    Ok(options)
+    let protocol = IpProtocol::from_u8(next_header);
+    Ok((
+        protocol,
+        hbh_options,
+        atomic_fragment,
+        &bytes[offset..total],
+    ))
+}
+
+/// The destination address of a header [`check`] accepted.
+pub(crate) fn dst(header: &[u8]) -> Ipv6Addr {
+    let octets: [u8; 16] = header[24..40].try_into().expect("slice of 16");
+    Ipv6Addr::from(octets)
+}
+
+/// Walks a Hop-by-Hop options area, reporting each option as `(kind,
+/// data)`. Pad1 bytes are reported only when another option follows
+/// them: a trailing run is alignment filler added by `encode`, not
+/// semantic options, and is dropped for roundtrip stability.
+fn walk_hbh_options<'a>(
+    mut bytes: &'a [u8],
+    mut option: impl FnMut(u8, &'a [u8]),
+) -> Result<(), ParseError> {
+    let mut pending_pad1 = 0usize;
+    while let Some(&kind) = bytes.first() {
+        if kind == PAD1 {
+            pending_pad1 += 1;
+            bytes = &bytes[1..];
+            continue;
+        }
+        for _ in 0..std::mem::take(&mut pending_pad1) {
+            option(PAD1, &[]);
+        }
+        if bytes.len() < 2 {
+            return Err(ParseError::truncated("ipv6 option", 2, bytes.len()));
+        }
+        let len = bytes[1] as usize;
+        if bytes.len() < 2 + len {
+            return Err(ParseError::invalid("ipv6 option", "bad option length"));
+        }
+        option(kind, &bytes[2..2 + len]);
+        bytes = &bytes[2 + len..];
+    }
+    Ok(())
+}
+
+/// What the feature scan reads off the extension chain [`check`]
+/// returned: `(re-encoded header length, padding seen, router alert
+/// seen)`, by the rules of [`HopByHopOption::from_wire`] and
+/// [`Ipv6Header::header_len`].
+pub(crate) fn scan_options(
+    hbh_options: &[u8],
+    atomic_fragment: Option<u32>,
+) -> Result<(usize, bool, bool), ParseError> {
+    let (mut len, mut padding, mut router_alert) = (0, false, false);
+    walk_hbh_options(hbh_options, |kind, data| {
+        padding |= kind == PAD1 || kind == PADN;
+        router_alert |= kind == ROUTER_ALERT && data.len() == 2;
+        len += if kind == PAD1 { 1 } else { 2 + data.len() };
+    })?;
+    let header_len = HEADER_LEN + hbh_header_len(len) + fragment_len(atomic_fragment);
+    Ok((header_len, padding, router_alert))
+}
+
+/// Length an atomic Fragment extension header adds to the header.
+fn fragment_len(atomic_fragment: Option<u32>) -> usize {
+    atomic_fragment.map_or(0, |_| FRAGMENT_LEN)
 }
 
 #[cfg(test)]

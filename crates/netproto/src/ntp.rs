@@ -102,7 +102,7 @@ impl NtpPacket {
         }
         let version = (bytes[0] >> 3) & 0x07;
         if !(1..=4).contains(&version) {
-            return Err(ParseError::invalid("ntp", format!("version {version}")));
+            return Err(ParseError::invalid("ntp", "version outside 1-4"));
         }
         Ok(NtpPacket {
             version,

@@ -5,6 +5,14 @@
 //! sum and [`Packet::encode_into`] is one pass: the frame's length is
 //! worked out first and every length field is written from it before the
 //! layer it describes is encoded, straight into the caller's buffer.
+//!
+//! [`Packet::parse`] is the owning decoder. It shares every validity
+//! check with the feature scan ([`crate::scan`]): each codec module's
+//! `parse` is written over the module's own non-allocating `check` /
+//! `walk_*` functions, which the scanner calls too, and the application
+//! codec for a TCP/UDP payload is chosen in one place for both
+//! (`AppCodec::select`: the port table, then a TLS sniff). Ingest never
+//! calls `parse`; the data plane, corpus collection and the CLI do.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -78,56 +86,66 @@ impl AppPayload {
     /// [`AppPayload::Raw`] when the protocol suggested by the ports does
     /// not parse.
     pub fn parse(bytes: &[u8], src_port: u16, dst_port: u16) -> Self {
-        Self::parse_with(bytes, src_port, dst_port, &Bytes::copy_from_slice)
-    }
-
-    /// The payload parser with an injectable `raw` constructor, so
-    /// [`Packet::parse_bytes`] can slice the original frame buffer
-    /// instead of copying into the `Raw` fallback.
-    fn parse_with(
-        bytes: &[u8],
-        src_port: u16,
-        dst_port: u16,
-        raw: &dyn Fn(&[u8]) -> Bytes,
-    ) -> Self {
         if bytes.is_empty() {
             return AppPayload::Empty;
         }
-        let port_is = |p: u16| src_port == p || dst_port == p;
-        let parsed = if port_is(ports::DHCP_SERVER) || port_is(ports::DHCP_CLIENT) {
-            DhcpMessage::parse(bytes).map(AppPayload::Dhcp).ok()
-        } else if port_is(ports::DNS) || port_is(ports::MDNS) {
-            DnsMessage::parse(bytes).map(AppPayload::Dns).ok()
-        } else if port_is(ports::SSDP) || port_is(ports::HTTP) || port_is(ports::HTTP_ALT) {
-            HttpMessage::parse(bytes).map(AppPayload::Http).ok()
-        } else if port_is(ports::HTTPS) {
-            TlsRecord::parse(bytes).map(AppPayload::Tls).ok()
-        } else if port_is(ports::NTP) {
-            NtpPacket::parse(bytes).map(AppPayload::Ntp).ok()
-        } else if looks_like_tls(bytes) {
-            // Vendors run TLS on non-standard ports (the paper's traffic
-            // contains e.g. port-4000 and port-8443 TLS); detect it
-            // structurally so the HTTPS feature still fires.
-            TlsRecord::parse(bytes).map(AppPayload::Tls).ok()
-        } else {
-            None
+        let parsed = match AppCodec::select(bytes, src_port, dst_port) {
+            Some(AppCodec::Dhcp) => DhcpMessage::parse(bytes).map(AppPayload::Dhcp).ok(),
+            Some(AppCodec::Dns) => DnsMessage::parse(bytes).map(AppPayload::Dns).ok(),
+            Some(AppCodec::Http) => HttpMessage::parse(bytes).map(AppPayload::Http).ok(),
+            Some(AppCodec::Tls) => TlsRecord::parse(bytes).map(AppPayload::Tls).ok(),
+            Some(AppCodec::Ntp) => NtpPacket::parse(bytes).map(AppPayload::Ntp).ok(),
+            None => None,
         };
-        parsed.unwrap_or_else(|| AppPayload::Raw(raw(bytes)))
+        parsed.unwrap_or_else(|| AppPayload::Raw(Bytes::copy_from_slice(bytes)))
+    }
+
+    /// The codec that parsed this payload; `None` for `Raw` and `Empty`.
+    pub(crate) fn codec(&self) -> Option<AppCodec> {
+        match self {
+            AppPayload::Dhcp(_) => Some(AppCodec::Dhcp),
+            AppPayload::Dns(_) => Some(AppCodec::Dns),
+            AppPayload::Http(_) => Some(AppCodec::Http),
+            AppPayload::Tls(_) => Some(AppCodec::Tls),
+            AppPayload::Ntp(_) => Some(AppCodec::Ntp),
+            AppPayload::Raw(_) | AppPayload::Empty => None,
+        }
     }
 }
 
-/// Strict structural check for a single well-formed TLS record: valid
-/// content type, a TLS version byte pair, and a length field matching the
-/// remaining bytes exactly.
-fn looks_like_tls(bytes: &[u8]) -> bool {
-    if bytes.len() < crate::tls::HEADER_LEN {
-        return false;
+/// The application codecs a TCP/UDP payload can be handed to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AppCodec {
+    Dhcp,
+    Dns,
+    Http,
+    Tls,
+    Ntp,
+}
+
+impl AppCodec {
+    /// The one dispatch both parsers use: the codec the port pair names,
+    /// else TLS when the payload looks like a record. A payload its codec
+    /// then rejects — or that selects none — stays raw bytes.
+    pub(crate) fn select(bytes: &[u8], src_port: u16, dst_port: u16) -> Option<Self> {
+        let port_is = |p: u16| src_port == p || dst_port == p;
+        if port_is(ports::DHCP_SERVER) || port_is(ports::DHCP_CLIENT) {
+            Some(AppCodec::Dhcp)
+        } else if port_is(ports::DNS) || port_is(ports::MDNS) {
+            Some(AppCodec::Dns)
+        } else if port_is(ports::SSDP) || port_is(ports::HTTP) || port_is(ports::HTTP_ALT) {
+            Some(AppCodec::Http)
+        } else if port_is(ports::HTTPS) {
+            Some(AppCodec::Tls)
+        } else if port_is(ports::NTP) {
+            Some(AppCodec::Ntp)
+        } else {
+            // Vendors run TLS on non-standard ports (the paper's traffic
+            // contains e.g. port-4000 and port-8443 TLS); detect it
+            // structurally so the HTTPS feature still fires.
+            crate::tls::looks_like_tls(bytes).then_some(AppCodec::Tls)
+        }
     }
-    let declared = u16::from_be_bytes([bytes[3], bytes[4]]) as usize;
-    (20..=23).contains(&bytes[0])
-        && bytes[1] == 3
-        && bytes[2] <= 4
-        && crate::tls::HEADER_LEN + declared == bytes.len()
 }
 
 /// A transport-layer segment inside an IP datagram.
@@ -440,26 +458,6 @@ impl Packet {
     /// Unknown protocols at any layer degrade gracefully to `Other`/`Raw`
     /// variants instead of failing.
     pub fn parse(bytes: &[u8], timestamp: Timestamp) -> Result<Self, ParseError> {
-        Self::parse_inner(bytes, timestamp, &Bytes::copy_from_slice)
-    }
-
-    /// Parses a packet from a shared frame buffer, **slicing** `frame`
-    /// for every uninterpreted-payload variant (`AppPayload::Raw`, LLC,
-    /// unknown EtherTypes, unknown IP protocols) instead of copying it.
-    /// The resulting packet shares the frame's allocation.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Packet::parse`].
-    pub fn parse_bytes(frame: &Bytes, timestamp: Timestamp) -> Result<Self, ParseError> {
-        Self::parse_inner(frame, timestamp, &|subset| frame.slice_ref(subset))
-    }
-
-    fn parse_inner(
-        bytes: &[u8],
-        timestamp: Timestamp,
-        raw: &dyn Fn(&[u8]) -> Bytes,
-    ) -> Result<Self, ParseError> {
         let (eth, rest) = EthernetHeader::parse(bytes)?;
         let body = match eth.ethertype {
             EtherType::Arp => PacketBody::Arp(ArpPacket::parse(rest)?),
@@ -468,22 +466,22 @@ impl Packet {
                 let (header, payload) = LlcHeader::parse(rest)?;
                 PacketBody::Llc {
                     header,
-                    payload: raw(payload),
+                    payload: Bytes::copy_from_slice(payload),
                 }
             }
             EtherType::Ipv4 => {
                 let (header, payload) = Ipv4Header::parse(rest)?;
-                let transport = parse_transport(header.protocol, payload, raw)?;
+                let transport = parse_transport(header.protocol, payload)?;
                 PacketBody::Ipv4 { header, transport }
             }
             EtherType::Ipv6 => {
                 let (header, payload) = Ipv6Header::parse(rest)?;
-                let transport = parse_transport(header.protocol, payload, raw)?;
+                let transport = parse_transport(header.protocol, payload)?;
                 PacketBody::Ipv6 { header, transport }
             }
             EtherType::Other(ethertype) => PacketBody::Other {
                 ethertype,
-                payload: raw(rest),
+                payload: Bytes::copy_from_slice(rest),
             },
         };
         Ok(Packet {
@@ -601,33 +599,23 @@ impl Packet {
     }
 }
 
-fn parse_transport(
-    protocol: IpProtocol,
-    bytes: &[u8],
-    raw: &dyn Fn(&[u8]) -> Bytes,
-) -> Result<Transport, ParseError> {
+fn parse_transport(protocol: IpProtocol, bytes: &[u8]) -> Result<Transport, ParseError> {
     Ok(match protocol {
         IpProtocol::Tcp => {
             let (header, payload) = TcpHeader::parse(bytes)?;
-            let app = AppPayload::parse_with(payload, header.src_port, header.dst_port, raw);
-            Transport::Tcp {
-                header,
-                payload: app,
-            }
+            let payload = AppPayload::parse(payload, header.src_port, header.dst_port);
+            Transport::Tcp { header, payload }
         }
         IpProtocol::Udp => {
             let (header, payload) = UdpHeader::parse(bytes)?;
-            let app = AppPayload::parse_with(payload, header.src_port, header.dst_port, raw);
-            Transport::Udp {
-                header,
-                payload: app,
-            }
+            let payload = AppPayload::parse(payload, header.src_port, header.dst_port);
+            Transport::Udp { header, payload }
         }
         IpProtocol::Icmp => Transport::Icmp(IcmpMessage::parse(bytes)?),
         IpProtocol::Icmpv6 => Transport::Icmpv6(Icmpv6Message::parse(bytes)?),
         other => Transport::Other {
             protocol: other.to_u8(),
-            payload: raw(bytes),
+            payload: Bytes::copy_from_slice(bytes),
         },
     })
 }
@@ -655,42 +643,6 @@ mod tests {
     #[test]
     fn dhcp_discover_roundtrip() {
         roundtrip(&Packet::dhcp_discover(mac(1), 42, 1000));
-    }
-
-    #[test]
-    fn parse_bytes_matches_parse_and_slices_raw_payloads() {
-        let raw_payload = AppPayload::Raw(Bytes::copy_from_slice(&[0x80; 24]));
-        let candidates = vec![
-            Packet::udp_ipv4(
-                Timestamp::ZERO,
-                mac(1),
-                mac(2),
-                Ipv4Addr::new(10, 0, 0, 1),
-                Ipv4Addr::new(10, 0, 0, 2),
-                4000,
-                4001,
-                raw_payload,
-            ),
-            Packet::new(
-                Timestamp::ZERO,
-                mac(3),
-                mac(4),
-                PacketBody::Other {
-                    ethertype: 0x9100,
-                    payload: Bytes::copy_from_slice(&[7, 7, 7]),
-                },
-            ),
-            Packet::dhcp_discover(mac(5), 42, 1000),
-        ];
-        for packet in candidates {
-            let frame = Bytes::from(packet.encode());
-            let sliced = Packet::parse_bytes(&frame, packet.timestamp).expect("parse");
-            assert_eq!(
-                sliced,
-                Packet::parse(&frame, packet.timestamp).expect("parse")
-            );
-            assert_eq!(sliced, packet);
-        }
     }
 
     #[test]

@@ -163,23 +163,11 @@ impl TcpHeader {
     /// Returns [`ParseError::Truncated`] or [`ParseError::Invalid`] on
     /// malformed input.
     pub fn parse(bytes: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if bytes.len() < MIN_HEADER_LEN {
-            return Err(ParseError::truncated("tcp", MIN_HEADER_LEN, bytes.len()));
-        }
-        let data_offset = (bytes[12] >> 4) as usize * 4;
-        if data_offset < MIN_HEADER_LEN {
-            return Err(ParseError::invalid(
-                "tcp",
-                format!("data offset {data_offset}"),
-            ));
-        }
-        if bytes.len() < data_offset {
-            return Err(ParseError::truncated("tcp", data_offset, bytes.len()));
-        }
+        let (src_port, dst_port, data_offset) = check(bytes)?;
         Ok((
             TcpHeader {
-                src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
-                dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
+                src_port,
+                dst_port,
                 seq: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
                 ack: u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
                 flags: TcpFlags::from_bits(bytes[13]),
@@ -189,6 +177,26 @@ impl TcpHeader {
             &bytes[data_offset..],
         ))
     }
+}
+
+/// Validates the fixed header and the data offset, returning `(source
+/// port, destination port, data offset)`. The offset is a multiple of 4
+/// within `bytes`, so the raw options re-encode to the length they came
+/// with.
+pub(crate) fn check(bytes: &[u8]) -> Result<(u16, u16, usize), ParseError> {
+    if bytes.len() < MIN_HEADER_LEN {
+        return Err(ParseError::truncated("tcp", MIN_HEADER_LEN, bytes.len()));
+    }
+    let data_offset = (bytes[12] >> 4) as usize * 4;
+    if data_offset < MIN_HEADER_LEN {
+        return Err(ParseError::invalid("tcp", "data offset below 20 bytes"));
+    }
+    if bytes.len() < data_offset {
+        return Err(ParseError::truncated("tcp", data_offset, bytes.len()));
+    }
+    let src_port = u16::from_be_bytes([bytes[0], bytes[1]]);
+    let dst_port = u16::from_be_bytes([bytes[2], bytes[3]]);
+    Ok((src_port, dst_port, data_offset))
 }
 
 #[cfg(test)]

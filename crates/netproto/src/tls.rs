@@ -105,20 +105,35 @@ impl TlsRecord {
     /// Returns [`ParseError::Truncated`] if the header or declared payload
     /// length exceed the input.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ParseError::truncated("tls", HEADER_LEN, bytes.len()));
-        }
-        let length = u16::from_be_bytes([bytes[3], bytes[4]]) as usize;
-        let total = HEADER_LEN + length;
-        if bytes.len() < total {
-            return Err(ParseError::truncated("tls", total, bytes.len()));
-        }
+        let total = check(bytes)?;
         Ok(TlsRecord {
             content_type: ContentType::from_u8(bytes[0]),
             version: u16::from_be_bytes([bytes[1], bytes[2]]),
             payload: Bytes::copy_from_slice(&bytes[HEADER_LEN..total]),
         })
     }
+}
+
+/// Validates the header and the declared payload length, returning the
+/// record's length (header + payload; trailing bytes are not the record's).
+pub(crate) fn check(bytes: &[u8]) -> Result<usize, ParseError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(ParseError::truncated("tls", HEADER_LEN, bytes.len()));
+    }
+    let total = HEADER_LEN + u16::from_be_bytes([bytes[3], bytes[4]]) as usize;
+    if bytes.len() < total {
+        return Err(ParseError::truncated("tls", total, bytes.len()));
+    }
+    Ok(total)
+}
+
+/// Strict structural sniff for a single well-formed TLS record on a port
+/// that does not imply TLS: a valid content type, a TLS version byte
+/// pair, and a length field matching the remaining bytes exactly.
+pub(crate) fn looks_like_tls(bytes: &[u8]) -> bool {
+    // The first three bytes turn almost every other payload away before
+    // the length check has an error to build.
+    matches!(bytes, [20..=23, 3, 0..=4, ..]) && check(bytes) == Ok(bytes.len())
 }
 
 #[cfg(test)]

