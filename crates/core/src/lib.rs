@@ -1,20 +1,19 @@
 //! IoT Sentinel core: automated device-type identification and security
 //! enforcement (the paper's primary contribution).
 //!
-//! The crate wires the substrates together into the two components of
-//! Fig. 1:
+//! Of the two components of Fig. 1 this crate is the service side:
 //!
-//! * **[`SecurityGateway`]** — monitors traffic of newly connected
-//!   devices, detects the end of the setup phase, extracts fingerprints
-//!   and enforces the isolation level returned by the security service
-//!   through the SDN switch.
 //! * **[`IoTSecurityService`]** — the IoTSSP backend: a
 //!   [`ClassifierBank`] with one binary Random Forest per known
 //!   device-type, edit-distance discrimination between multiple matches
 //!   (Sect. IV-B), and a vulnerability assessment that maps device-types
 //!   to isolation levels (Sect. III-B).
+//! * The **Security Gateway** — monitoring newly connected devices,
+//!   detecting the end of the setup phase, fingerprinting and enforcing
+//!   the returned isolation level — is `sentinel_stream::StreamRuntime`,
+//!   which consults this crate through the [`SecurityService`] trait.
 //!
-//! # End-to-end example
+//! # Example
 //!
 //! ```no_run
 //! use sentinel_core::prelude::*;
@@ -25,14 +24,12 @@
 //! let dataset = FingerprintDataset::collect(&devices, 20, 42);
 //! let service = IoTSecurityService::train(&dataset, &ServiceConfig::default());
 //!
-//! // A new device joins the user's network.
-//! let gateway = &mut SecurityGateway::new(service);
+//! // A gateway sends the fingerprints of a new device's setup traffic.
 //! let trace = Testbed::new(7).setup_run(&devices[0].profile, 99);
-//! for packet in &trace.packets {
-//!     gateway.observe(packet);
-//! }
-//! let report = gateway.finalize(trace.mac).expect("device was monitored");
-//! println!("{report}");
+//! let full = extract(&trace.packets);
+//! let fixed = FixedFingerprint::from_fingerprint(&full);
+//! let response = service.assess(&full, &fixed);
+//! println!("{} -> {}", response.identification, response.isolation);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +37,6 @@
 
 mod bank;
 mod dataset;
-mod gateway;
 mod identify;
 pub mod migration;
 pub mod report;
@@ -49,7 +45,6 @@ pub mod vulndb;
 
 pub use bank::{BankConfig, ClassifierBank};
 pub use dataset::FingerprintDataset;
-pub use gateway::{GatewayConfig, SecurityGateway};
 pub use identify::{
     AssessKey, ClassifyScratch, Identifier, IdentifierConfig, IdentifyMode, TrainedModel,
 };
@@ -68,8 +63,8 @@ pub mod prelude {
     pub use crate::vulndb::{CveRecord, StaticVulnDb, VulnerabilityDatabase};
     pub use crate::{
         AssessKey, AssessScratch, BankConfig, ClassifierBank, ClassifyScratch, FingerprintDataset,
-        GatewayConfig, Identifier, IdentifierConfig, IdentifyMode, IoTSecurityService,
-        SecurityGateway, SecurityService, ServiceConfig,
+        Identifier, IdentifierConfig, IdentifyMode, IoTSecurityService, SecurityService,
+        ServiceConfig,
     };
     pub use sentinel_fingerprint::{extract, Fingerprint, FixedFingerprint};
     pub use sentinel_sdn::{EnforcementRule, IsolationLevel};

@@ -21,11 +21,11 @@ use crate::{FingerprintDataset, Identifier, IdentifierConfig};
 /// verdict buffer and candidate pool; stage 2's probe symbols, sampled
 /// reference indices, mask table and kernel state) plus the intermediate
 /// identification buffer, so a caller that keeps one `AssessScratch` per
-/// worker (the streaming runtime holds one per shard, a gateway one for
-/// its batch-of-one finalizes) assesses batch after batch without
-/// rebuilding any per-tick state: once warm, neither stage allocates
-/// working memory, only what each response owns. Scratch carries no
-/// state between calls; reuse cannot change any response.
+/// worker (a gateway holds one for the keyed batch of each ingest round,
+/// the fleet one per assessment worker) assesses batch after batch
+/// without rebuilding any per-tick state: once warm, neither stage
+/// allocates working memory, only what each response owns. Scratch
+/// carries no state between calls; reuse cannot change any response.
 #[derive(Debug, Default)]
 pub struct AssessScratch {
     /// Stage-1 and stage-2 working memory for the identifier.
@@ -34,7 +34,8 @@ pub struct AssessScratch {
     identifications: Vec<Identification>,
 }
 
-/// Anything a [`crate::SecurityGateway`] can consult about a new device.
+/// Anything a Security Gateway (`sentinel_stream::StreamRuntime`) can
+/// consult about a new device.
 ///
 /// The paper's gateways reach the IoTSSP over the network (optionally
 /// via Tor); in-process implementations stand in for that RPC.
@@ -106,8 +107,8 @@ pub trait SecurityService {
     }
 }
 
-/// One trained service can back several gateways (or a gateway and a
-/// streaming runtime) at once by handing each a shared reference.
+/// One trained service can back several gateways at once by handing
+/// each a shared reference.
 impl<S: SecurityService + ?Sized> SecurityService for &S {
     fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse {
         (**self).assess(full, fixed)

@@ -3,13 +3,13 @@
 //! The gateway records packets from a newly-seen MAC address "during its
 //! setup phase. The end of the setup phase can be automatically
 //! identified by a decrease in the rate of packets sent" (Sect. IV-A).
-//! This module implements that detector: the setup phase ends at the
-//! first sufficiently long transmission gap (rate collapse) after a
-//! minimum number of packets, bounded by a hard packet cap.
+//! [`SetupDetector`] holds that rule's parameters: the setup phase ends
+//! at the first sufficiently long transmission gap (rate collapse) after
+//! a minimum number of packets, bounded by a hard packet cap. The rule
+//! itself is applied frame by frame in one place, `Session::offer` of
+//! `sentinel-stream`.
 
 use std::time::Duration;
-
-use sentinel_netproto::{Packet, Timestamp};
 
 /// Configurable detector for the end of a device's setup phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,87 +44,5 @@ impl SetupDetector {
             idle_gap,
             max_packets,
         }
-    }
-
-    /// Returns the number of leading packets that belong to the setup
-    /// phase, based on their timestamps.
-    pub fn setup_len(&self, timestamps: &[Timestamp]) -> usize {
-        let cap = timestamps.len().min(self.max_packets);
-        for i in 1..cap {
-            if i >= self.min_packets
-                && timestamps[i].saturating_since(timestamps[i - 1]) >= self.idle_gap
-            {
-                return i;
-            }
-        }
-        cap
-    }
-
-    /// Splits a capture into its setup-phase prefix and the remainder.
-    pub fn split<'a>(&self, packets: &'a [Packet]) -> (&'a [Packet], &'a [Packet]) {
-        let timestamps: Vec<Timestamp> = packets.iter().map(|p| p.timestamp).collect();
-        packets.split_at(self.setup_len(&timestamps))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ts(millis: &[u64]) -> Vec<Timestamp> {
-        millis.iter().map(|&m| Timestamp::from_millis(m)).collect()
-    }
-
-    #[test]
-    fn detects_rate_collapse() {
-        let detector = SetupDetector::new(3, Duration::from_secs(5), 100);
-        // Dense setup burst, then 30 s of silence before keep-alives.
-        let timestamps = ts(&[0, 100, 200, 300, 400, 30_400, 60_400]);
-        assert_eq!(detector.setup_len(&timestamps), 5);
-    }
-
-    #[test]
-    fn ignores_gaps_before_min_packets() {
-        let detector = SetupDetector::new(4, Duration::from_secs(5), 100);
-        // A long pause after 2 packets (device rebooting mid-setup).
-        let timestamps = ts(&[0, 100, 20_100, 20_200, 20_300, 60_000]);
-        assert_eq!(detector.setup_len(&timestamps), 5);
-    }
-
-    #[test]
-    fn caps_at_max_packets() {
-        let detector = SetupDetector::new(2, Duration::from_secs(60), 4);
-        let timestamps = ts(&[0, 10, 20, 30, 40, 50]);
-        assert_eq!(detector.setup_len(&timestamps), 4);
-    }
-
-    #[test]
-    fn no_gap_means_all_packets() {
-        let detector = SetupDetector::default();
-        let timestamps = ts(&[0, 500, 1_000, 1_500]);
-        assert_eq!(detector.setup_len(&timestamps), 4);
-    }
-
-    #[test]
-    fn empty_capture() {
-        assert_eq!(SetupDetector::default().setup_len(&[]), 0);
-    }
-
-    #[test]
-    fn split_partitions_packets() {
-        use sentinel_netproto::MacAddr;
-        let mac = MacAddr::new([3, 3, 3, 3, 3, 3]);
-        let packets = vec![
-            Packet::dhcp_discover(mac, 1, 0),
-            Packet::dhcp_discover(mac, 2, 100_000),
-            Packet::dhcp_discover(mac, 3, 200_000),
-            Packet::dhcp_discover(mac, 4, 300_000),
-            Packet::dhcp_discover(mac, 5, 400_000),
-            Packet::dhcp_discover(mac, 6, 60_000_000),
-        ];
-        let detector = SetupDetector::default();
-        let (setup, rest) = detector.split(&packets);
-        assert_eq!(setup.len(), 5);
-        assert_eq!(rest.len(), 1);
     }
 }

@@ -40,9 +40,8 @@ pub struct FleetConfig {
     /// Base seed of the whole fleet derivation.
     pub seed: u64,
     /// Fleet-level worker threads (`0` = auto via `SENTINEL_THREADS`).
-    /// Parallelism is *across* homes; each home's gateway runs its
-    /// single-threaded exact path, so fleet results are independent of
-    /// this setting.
+    /// Parallelism is *across* homes — a gateway itself ingests
+    /// serially — and fleet results are independent of this setting.
     pub threads: usize,
     /// Session-table capacity of each home gateway.
     pub max_sessions_per_home: usize,
@@ -80,13 +79,10 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// The per-home gateway configuration derived from the fleet knobs.
-    /// Home gateways always run `threads: 1` — the exact sequential
-    /// path — because fleet parallelism is across homes.
     pub fn stream_config(&self) -> StreamConfig {
         StreamConfig {
             max_sessions: self.max_sessions_per_home.max(1),
             shards: self.shards_per_home.max(1),
-            threads: 1,
             ..StreamConfig::default()
         }
     }

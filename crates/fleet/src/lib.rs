@@ -22,8 +22,8 @@
 //!
 //! # Determinism
 //!
-//! A home's workload is a pure function of `(config, home index)`, each
-//! home gateway runs the exact single-threaded streaming path, and the
+//! A home's workload is a pure function of `(config, home index)`, a
+//! gateway ingests its frames serially in stream order, and the
 //! v2 keyed RNG contract makes every assessment a pure function of
 //! `(model, fingerprints, key)`. Fleet parallelism is *across* homes
 //! via deterministic fork/join, so a run is bit-identical for any

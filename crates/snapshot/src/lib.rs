@@ -1,17 +1,17 @@
 //! Model persistence for IoT Sentinel: versioned, checksummed binary
-//! snapshots of a trained gateway, for instant boot.
+//! snapshots of a trained IoT Security Service, for instant boot.
 //!
 //! Training the 27-classifier bank takes on the order of a hundred
 //! milliseconds per run *per gateway*; a fleet of access gateways
 //! booting from the same model should pay that cost once, centrally.
-//! This crate serializes everything a [`SecurityGateway`] needs — the
+//! This crate serializes everything a gateway's service needs — the
 //! stage-1 Random Forest bank (every tree's structure-of-arrays
 //! content), the stage-2 reference fingerprints (interned: a pool of
 //! distinct feature vectors plus id sequences), the identifier
 //! configuration, and the vulnerability-database tier — into one
 //! compact file, and restores it to a bit-identical service: the same
 //! [`AssessKey`](sentinel_core::AssessKey)ed assessment against the
-//! loaded gateway and the originally trained one produces the same
+//! loaded service and the originally trained one produces the same
 //! bytes of report.
 //!
 //! # Container format (version 1)
@@ -42,11 +42,14 @@
 //!
 //! # Boot path
 //!
+//! A gateway boots by handing the restored service to its runtime:
+//! `StreamRuntime::new(IoTSecurityService::from_snapshot(path)?)`.
+//!
 //! ```no_run
-//! use sentinel_core::{IoTSecurityService, SecurityGateway};
+//! use sentinel_core::IoTSecurityService;
 //! use sentinel_snapshot::SnapshotBoot;
 //!
-//! let gateway = SecurityGateway::<IoTSecurityService>::from_snapshot("sentinel.snap")?;
+//! let service = IoTSecurityService::from_snapshot("sentinel.snap")?;
 //! # Ok::<(), sentinel_snapshot::SnapshotError>(())
 //! ```
 
@@ -57,7 +60,7 @@ use std::fmt;
 use std::path::Path;
 
 use sentinel_core::vulndb::StaticVulnDb;
-use sentinel_core::{Identifier, IoTSecurityService, SecurityGateway, TrainedModel};
+use sentinel_core::{Identifier, IoTSecurityService, TrainedModel};
 
 mod codec;
 pub mod hash;
@@ -146,7 +149,7 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// A serializable image of a trained gateway: the identifier model
+/// A serializable image of a trained service: the identifier model
 /// plus the vulnerability-database tier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
@@ -326,13 +329,5 @@ pub trait SnapshotBoot: Sized {
 impl SnapshotBoot for IoTSecurityService {
     fn from_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         Ok(Snapshot::load(path)?.into_service())
-    }
-}
-
-impl SnapshotBoot for SecurityGateway<IoTSecurityService> {
-    fn from_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        Ok(SecurityGateway::new(IoTSecurityService::from_snapshot(
-            path,
-        )?))
     }
 }

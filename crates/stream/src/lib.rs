@@ -1,11 +1,12 @@
-//! `sentinel-stream`: bounded-memory streaming onboarding for
-//! interleaved multi-device traffic.
+//! `sentinel-stream`: the Security Gateway — bounded-memory streaming
+//! onboarding for interleaved multi-device traffic.
 //!
 //! The paper's Security Gateway (Sect. III-A, V) fingerprints the first
 //! packets a new MAC sends, as they appear on the wire. A production
 //! gateway watches one continuous, interleaved stream in which hundreds
-//! of devices may be mid-setup simultaneously. This crate provides that
-//! runtime, and raw frames are its only ingest unit:
+//! of devices may be mid-setup simultaneously. This crate is that
+//! gateway — the only one in the workspace — and raw frames are its only
+//! ingest unit:
 //!
 //! * [`StreamRuntime`] — pulls timestamped raw Ethernet frames from a
 //!   [`FrameSource`] ([`StreamRuntime::run_frames`]; or takes batches
@@ -14,12 +15,13 @@
 //!   wire scanner (`sentinel_netproto::scan`) over each — it certifies
 //!   every frame the owning decoder accepts, so ingest never decodes —
 //!   demultiplexes by source MAC across fixed virtual shards, runs
-//!   setup-end detection (idle gap, packet cap, byte cap), and drives
-//!   each completed setup through the same assess → enforce path as the
-//!   batch gateway. Decisions are bit-identical to onboarding each
-//!   device alone, at any thread count and batch size. Callers that
-//!   hold decoded packets (simulator streams) encode them once through
-//!   [`MemoryFrameSource::from_packets`].
+//!   setup-end detection (idle gap, packet cap, byte cap), assesses
+//!   each round's completed setups as one keyed batch against the IoT
+//!   Security Service and enforces the verdicts through the SDN switch.
+//!   Decisions are those of onboarding each device alone, at any batch
+//!   size. Callers that hold decoded packets (simulator streams) encode
+//!   them once through [`MemoryFrameSource::from_packets`];
+//!   [`StreamRuntime::remove_device`] forgets a device that left.
 //! * [`Session`] — per-device setup monitoring that feeds each frame's
 //!   features straight into the incremental feature extractor, so raw
 //!   frames are never retained; per-session memory is bounded by the

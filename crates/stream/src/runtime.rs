@@ -1,4 +1,5 @@
-//! The sharded streaming onboarding runtime.
+//! The sharded streaming onboarding runtime: the paper's Security
+//! Gateway (Sect. III-A, V).
 //!
 //! [`StreamRuntime`] consumes one interleaved stream of raw Ethernet
 //! frames carrying many concurrent device setups. Each frame goes
@@ -6,50 +7,43 @@
 //! frame the owning decoder accepts, so the decoder never runs here) and
 //! its [`RawFeatures`](sentinel_netproto::RawFeatures) are offered to a
 //! bounded per-source-MAC [`Session`] state machine; every completed
-//! setup phase is driven through the full assess → enforce path of the
-//! batch gateway.
+//! setup phase is assessed by the IoT Security Service and its isolation
+//! level enforced through the SDN switch.
+//!
+//! # One round, three passes
+//!
+//! An ingest call is *sessionize → one keyed batch → serial install*:
+//! [`StreamRuntime::ingest_frames_deferred`] walks the shards the batch
+//! touched and collects the setups that completed;
+//! [`SecurityService::assess_keyed_batch_into`] assesses all of them in
+//! one call out of the runtime's warm [`AssessScratch`]; and
+//! [`apply_onboarding`] installs each rule and emits each report in
+//! `(seq, mac)` stream order. A caller pooling many gateways (the fleet
+//! simulator) runs the first and last pass per gateway and the middle
+//! one once for all of them.
 //!
 //! # Determinism
 //!
 //! Frames are sharded by a fixed FNV hash of the source MAC over
-//! [`StreamConfig::shards`] *virtual* shards — a number independent of
-//! the worker count — and the shards a batch touches are processed, in
-//! ascending order, with the same deterministic fork/join
-//! ([`sentinel_ml::parallel::map_indexed`]) as training; an ingest call
-//! costs what its frames cost, not what the shard count costs. All of a
-//! device's frames land in one shard, each shard's state evolves only
-//! with its own frame subsequence, and completions are merged back in
-//! global stream order, so every decision (fingerprint, identification,
-//! isolation level, eviction choice) is bit-identical at any
-//! `SENTINEL_THREADS` setting and for any ingest batch size.
-//!
-//! # Shard-end-to-end assessment
-//!
-//! Shards do not stop at fingerprinting: each shard *assesses* its own
-//! completions inside the parallel pass — batched stage-1
-//! classification over the packed arenas plus stage-2 edit-distance
-//! discrimination — through [`SecurityService::assess_keyed_batch_into`].
-//! That is sound because keyed assessment is a pure function of
-//! `(trained model, fingerprints, key)` under the v2 pinned RNG
-//! contract ([`sentinel_core::AssessKey`]): every random draw comes
-//! from a generator keyed by `(seq, mac)`, so no shard's answers
-//! depend on what any other shard (or thread) is doing. Only the
-//! serial tail remains after the join: merging per-shard stats,
-//! sorting assessed completions into `(seq, mac)` stream order, and
-//! installing enforcement rules / emitting reports — work that mutates
-//! the shared SDN module and must stay ordered, but is trivially cheap
-//! next to classification.
+//! [`StreamConfig::shards`] *virtual* shards, and the shards a batch
+//! touches are visited in ascending order; an ingest call costs what its
+//! frames cost, not what the shard count costs. All of a device's frames
+//! land in one shard, each shard's state evolves only with its own frame
+//! subsequence, and completions are merged back in global stream order.
+//! Keyed assessment is a pure function of `(trained model, fingerprints,
+//! key)` under the v2 pinned RNG contract ([`sentinel_core::AssessKey`]):
+//! every random draw comes from a generator keyed by `(seq, mac)`. So
+//! every decision (fingerprint, identification, isolation level, eviction
+//! choice) is bit-identical for any ingest batch size and however the
+//! completions are cut into assessment batches.
 
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
 
 use sentinel_core::{
     AssessKey, AssessScratch, OnboardingReport, Outcome, SecurityService, ServiceResponse,
 };
 use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint};
-use sentinel_ml::parallel::{effective_threads, map_indexed};
 use sentinel_netproto::stream::FrameSource;
 use sentinel_netproto::{MacAddr, Packet, ParseError, ScanOutcome, Timestamp, WireScan};
 use sentinel_sdn::{EnforcementModule, IsolationLevel, OvsSwitch, SwitchDecision};
@@ -61,7 +55,7 @@ use crate::table::{Probe, SessionTable};
 /// Tuning knobs of the streaming runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamConfig {
-    /// Setup-phase end detection (same semantics as the batch gateway).
+    /// Setup-phase end detection ([`Session::offer`] applies it).
     pub detector: SetupDetector,
     /// Hosts whose traffic is never monitored.
     pub ignored: Vec<MacAddr>,
@@ -69,15 +63,15 @@ pub struct StreamConfig {
     /// The effective bound is [`StreamConfig::effective_capacity`]
     /// (rounded up to a whole number of per-shard slots).
     pub max_sessions: usize,
-    /// Number of virtual shards. Determinism across thread counts only
-    /// requires this to be *fixed*, not related to the worker count;
-    /// workers claim shards dynamically.
+    /// Number of virtual shards: each holds its own bounded session
+    /// table, so an LRU victim scan covers one shard's slots only.
     pub shards: usize,
-    /// Hard per-session wire-byte cap (`u64::MAX` disables it, which
-    /// keeps streaming decisions identical to the batch gateway's).
+    /// Hard per-session wire-byte cap (`u64::MAX` disables it, leaving
+    /// the detector's idle gap and packet cap as the only window rule).
     pub session_byte_cap: u64,
-    /// Worker threads: `0` = auto (`SENTINEL_THREADS` or the machine),
-    /// `1` = exact sequential path.
+    /// Not consulted: one gateway ingests serially, cores are spent
+    /// across gateways by `FleetConfig::threads`. Kept because the frozen
+    /// benchmark sets it.
     pub threads: usize,
     /// Frames pulled from the source per ingest round. Purely a
     /// throughput knob: results are identical for any batch size.
@@ -113,15 +107,10 @@ impl StreamConfig {
 }
 
 /// One shard's state: its bounded session table (which also remembers
-/// the MACs it has onboarded, whose steady-state traffic is skipped) and
-/// the warm assessment scratch its in-shard keyed batch assessments
-/// reuse tick after tick (stage-1 batch matrix and candidate pool,
-/// stage-2 probe symbols and mask table — once warm, assessment
-/// allocates only what each response owns).
+/// the MACs it has onboarded, whose steady-state traffic is skipped).
 #[derive(Debug)]
 struct Shard {
     table: SessionTable,
-    scratch: AssessScratch,
 }
 
 /// A finished setup phase, queued for assessment and in-order
@@ -130,12 +119,11 @@ struct Shard {
 /// The `(seq, mac)` pair is both the deterministic merge key and the
 /// assessment key: keyed assessment ([`AssessKey`]) makes the service's
 /// answer a pure function of the trained model, the fingerprints and
-/// this key, so shards can consult the service concurrently without the
-/// answers depending on shard scheduling — and, equally, so a caller
-/// can *defer* assessment entirely ([`StreamRuntime::ingest_frames_deferred`])
-/// and batch completions from many gateways through one keyed service
-/// call with byte-identical results. Only enforcement-rule installation
-/// and report emission must happen in `(seq, mac)` order.
+/// this key, so a caller can *defer* assessment entirely
+/// ([`StreamRuntime::ingest_frames_deferred`]) and batch completions
+/// from many gateways through one keyed service call with byte-identical
+/// results. Only enforcement-rule installation and report emission must
+/// happen in `(seq, mac)` order.
 pub struct Completion {
     /// Stream sequence of the frame that closed the session (for gap
     /// and cap completions) or of its last absorbed frame (flush).
@@ -163,9 +151,6 @@ impl Completion {
 #[derive(Default)]
 struct ShardOutcome {
     completions: Vec<Completion>,
-    /// Keyed service responses, aligned one-to-one with `completions`
-    /// (filled by the shard's in-parallel assessment pass).
-    responses: Vec<ServiceResponse>,
     /// Frames that counted as stream input: everything the shard saw
     /// except frames the decoder would reject — those show up in
     /// `malformed` only.
@@ -199,10 +184,8 @@ impl Shard {
     /// batches instead of borrowing the batch in per-call buckets.
     ///
     /// Each frame is scanned on the borrowed slice, so the hot path
-    /// never constructs a [`Packet`]; decisions and state transitions
-    /// are bit-identical to the sequential decode-path gateway. Frames
-    /// the lenient decoder would reject are counted and skipped instead
-    /// of aborting the stream.
+    /// never constructs a [`Packet`]. Frames the lenient decoder would
+    /// reject are counted and skipped instead of aborting the stream.
     fn process(
         &mut self,
         items: &[(u64, u32)],
@@ -268,8 +251,7 @@ impl Shard {
     }
 }
 
-/// Finalizes one session into its fingerprints (`F` and `F'`). Pure —
-/// safe to run inside the parallel shard pass.
+/// Finalizes one session into its fingerprints (`F` and `F'`).
 fn complete(mac: MacAddr, seq: u64, session: Session, reason: CompletionReason) -> Completion {
     let setup_packets = session.packets();
     let full = session.finish();
@@ -289,9 +271,9 @@ fn complete(mac: MacAddr, seq: u64, session: Session, reason: CompletionReason) 
 /// response calls for ([`ServiceResponse::rule_for`]) into `module`, and
 /// returns the onboarding report.
 ///
-/// This is the exact finalize path of [`StreamRuntime`]'s own ingest
-/// loop, exposed so a caller that deferred assessment
-/// ([`StreamRuntime::ingest_frames_deferred`]) can replay the identical
+/// This is the last pass of [`StreamRuntime::ingest_frames`] itself,
+/// exposed so a caller that deferred assessment
+/// ([`StreamRuntime::ingest_frames_deferred`]) can run the identical
 /// serial tail against its own stats and enforcement state — same
 /// counters, same rule cache transitions, byte for byte.
 pub fn apply_onboarding(
@@ -319,7 +301,7 @@ pub fn apply_onboarding(
 }
 
 /// FNV-1a shard assignment: fixed, hasher-independent, so shard
-/// membership never varies across runs, platforms or thread counts.
+/// membership never varies across runs or platforms.
 fn shard_of(mac: MacAddr, shards: usize) -> usize {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in mac.octets() {
@@ -334,7 +316,12 @@ fn shard_of(mac: MacAddr, shards: usize) -> usize {
 pub struct StreamRuntime<S> {
     service: S,
     config: StreamConfig,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Shard>,
+    /// Warm working memory of the one keyed batch each round assesses
+    /// (stage-1 batch matrix and candidate pool, stage-2 probe symbols
+    /// and mask table — once warm, assessment allocates only what each
+    /// response owns).
+    scratch: AssessScratch,
     module: EnforcementModule,
     switch: OvsSwitch,
     reports: HashMap<MacAddr, OnboardingReport>,
@@ -354,7 +341,7 @@ pub struct StreamRuntime<S> {
     shard_ids: Vec<u32>,
 }
 
-impl<S: SecurityService + Sync> StreamRuntime<S> {
+impl<S: SecurityService> StreamRuntime<S> {
     /// Creates a runtime backed by `service` with default configuration.
     pub fn new(service: S) -> Self {
         Self::with_config(service, StreamConfig::default())
@@ -369,17 +356,15 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         // open session reserve unbounded memory up front.
         let arena = config.detector.max_packets.min(1024);
         let shards = (0..shard_count)
-            .map(|_| {
-                Mutex::new(Shard {
-                    table: SessionTable::new(per_shard, arena),
-                    scratch: AssessScratch::default(),
-                })
+            .map(|_| Shard {
+                table: SessionTable::new(per_shard, arena),
             })
             .collect();
         StreamRuntime {
             service,
             config,
             shards,
+            scratch: AssessScratch::default(),
             module: EnforcementModule::new(),
             switch: OvsSwitch::lab(),
             reports: HashMap::new(),
@@ -437,14 +422,11 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// Frames too short to carry an Ethernet header are counted as
     /// malformed and skipped — they consume no stream sequence number
     /// and are excluded from [`StreamStats::packets_in`], so stats and
-    /// assessment keys agree with a sequential gateway fed only the
-    /// well-formed frames.
+    /// assessment keys are those of the stream without them.
     pub fn ingest_frames(&mut self, frames: &[(Timestamp, Vec<u8>)]) -> Vec<OnboardingReport> {
-        self.bucket(frames);
-        let outcomes = self.run_shards(&self.touched, |s, shard| {
-            shard.process(&self.buckets[s], frames, &self.config)
-        });
-        self.absorb(outcomes)
+        let mut completions = Vec::new();
+        self.ingest_frames_deferred(frames, &mut completions);
+        self.onboard(&completions)
     }
 
     /// Ingests one batch of interleaved raw frames **without assessing**
@@ -460,11 +442,9 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// ingest-side counter behave exactly as in
     /// [`StreamRuntime::ingest_frames`]; only assessment, rule
     /// installation and report emission are left to the caller (see
-    /// [`apply_onboarding`]). The touched shards are walked serially
-    /// through `&mut` access — no lock traffic, no per-call outcome
-    /// collection — so a warm runtime makes **zero heap allocations**
-    /// on a tick without completions, whether it is steady state or a
-    /// full table shedding for a storm of new MACs.
+    /// [`apply_onboarding`]). A warm runtime makes **zero heap
+    /// allocations** on a tick without completions, whether it is
+    /// steady state or a full table shedding for a storm of new MACs.
     pub fn ingest_frames_deferred(
         &mut self,
         frames: &[(Timestamp, Vec<u8>)],
@@ -473,7 +453,7 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         self.bucket(frames);
         let start = out.len();
         for &s in &self.touched {
-            let shard = self.shards[s as usize].get_mut();
+            let shard = &mut self.shards[s as usize];
             let outcome = shard.process(&self.buckets[s as usize], frames, &self.config);
             outcome.merge_counters(&mut self.stats, &mut self.resident);
             out.extend(outcome.completions);
@@ -493,7 +473,7 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     pub fn flush_deferred(&mut self, out: &mut Vec<Completion>) -> usize {
         let start = out.len();
         for shard in self.shards.iter_mut() {
-            let outcome = shard.get_mut().flush();
+            let outcome = shard.flush();
             outcome.merge_counters(&mut self.stats, &mut self.resident);
             out.extend(outcome.completions);
         }
@@ -514,7 +494,7 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// tests — without re-paying table and scratch growth each time.
     pub fn reset(&mut self) {
         for shard in self.shards.iter_mut() {
-            shard.get_mut().table.clear();
+            shard.table.clear();
         }
         self.resident = 0;
         self.module = EnforcementModule::new();
@@ -564,72 +544,57 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// Finalizes every in-flight session (end of stream), in the order
     /// the sessions were opened.
     pub fn flush(&mut self) -> Vec<OnboardingReport> {
-        let all: Vec<u32> = (0..self.shards.len() as u32).collect();
-        let outcomes = self.run_shards(&all, |_, shard| shard.flush());
-        self.absorb(outcomes)
+        let mut completions = Vec::new();
+        self.flush_deferred(&mut completions);
+        self.onboard(&completions)
     }
 
-    /// The parallel pass of one inline round: `step` advances each shard
-    /// `visit` names (sessionize a batch, or flush), then the shard
-    /// assesses its own completions before the join — stage-1 batched
-    /// forest-major over the shard's whole tick, stage-2 drawing from
-    /// each completion's own `(seq, mac)`-keyed generator. Pure per item
-    /// (v2 pinned RNG contract), so concurrent shards cannot perturb
-    /// each other. The shard's warm [`AssessScratch`] backs the
-    /// service's batched kernels (empty tick ⇒ no work, no allocation).
-    fn run_shards(
-        &self,
-        visit: &[u32],
-        step: impl Fn(usize, &mut Shard) -> ShardOutcome + Sync,
-    ) -> Vec<ShardOutcome> {
-        let threads = effective_threads(self.config.threads);
-        map_indexed(visit.len(), threads, |i| {
-            let s = visit[i] as usize;
-            let mut shard = self.shards[s].lock();
-            let mut outcome = step(s, &mut shard);
-            if !outcome.completions.is_empty() {
-                let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = outcome
-                    .completions
-                    .iter()
-                    .map(|c| (&c.full, &c.fixed, c.assess_key()))
-                    .collect();
-                let service = &self.service;
-                service.assess_keyed_batch_into(&items, &mut shard.scratch, &mut outcome.responses);
-            }
-            outcome
-        })
-    }
-
-    /// The serial tail of an inline round: merges per-shard stats,
-    /// sorts the already-assessed completions into deterministic
-    /// `(seq, mac)` stream order, and installs each device's
-    /// enforcement rule.
-    ///
-    /// Assessment already happened *inside* the parallel shard pass
-    /// ([`Self::run_shards`]); because every response was drawn under the v2
-    /// keyed RNG contract, sorting the `(completion, response)` pairs
-    /// afterwards yields exactly what a sequential gateway consuming
-    /// the same interleaved stream would produce, at every thread
-    /// count. Only rule installation and report emission — which mutate
-    /// the shared SDN module — remain ordered and serial.
-    fn absorb(&mut self, outcomes: Vec<ShardOutcome>) -> Vec<OnboardingReport> {
-        let mut assessed: Vec<(Completion, ServiceResponse)> = Vec::new();
-        for outcome in outcomes {
-            outcome.merge_counters(&mut self.stats, &mut self.resident);
-            debug_assert_eq!(outcome.completions.len(), outcome.responses.len());
-            assessed.extend(outcome.completions.into_iter().zip(outcome.responses));
+    /// The second and third pass of a round: assesses the call's
+    /// completions (already in `(seq, mac)` stream order) as one keyed
+    /// batch — stage-1 batched forest-major over all of them, stage-2
+    /// drawing from each completion's own `(seq, mac)`-keyed generator —
+    /// then installs each device's enforcement rule and records its
+    /// report, in that order. No completions ⇒ no work, no allocation.
+    fn onboard(&mut self, completions: &[Completion]) -> Vec<OnboardingReport> {
+        if completions.is_empty() {
+            return Vec::new();
         }
-        self.track_peak();
-        assessed.sort_by_key(|(c, _)| (c.seq, c.mac));
-        assessed
-            .into_iter()
+        let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = completions
+            .iter()
+            .map(|c| (&c.full, &c.fixed, c.assess_key()))
+            .collect();
+        let mut responses = Vec::with_capacity(items.len());
+        self.service
+            .assess_keyed_batch_into(&items, &mut self.scratch, &mut responses);
+        debug_assert_eq!(completions.len(), responses.len());
+        completions
+            .iter()
+            .zip(responses)
             .map(|(completion, response)| {
                 let report =
-                    apply_onboarding(&mut self.stats, &mut self.module, &completion, response);
+                    apply_onboarding(&mut self.stats, &mut self.module, completion, response);
                 self.reports.insert(completion.mac, report.clone());
                 report
             })
             .collect()
+    }
+
+    /// Forgets a device entirely (it left the network): its in-flight
+    /// session or its onboarded mark, its enforcement rule and its
+    /// report. If the MAC shows up again it is a newcomer — monitored,
+    /// fingerprinted and assessed afresh, which is what a device that
+    /// returns with new firmware (a new device-type) needs. A session
+    /// dropped mid-setup counts as one [`StreamStats::sessions_evicted`]
+    /// (the operator shed it), so `opened − evicted − completed ==
+    /// resident` keeps holding. An unknown MAC is a no-op.
+    pub fn remove_device(&mut self, mac: MacAddr) {
+        let shard = shard_of(mac, self.shards.len());
+        if self.shards[shard].table.forget(mac) {
+            self.stats.sessions_evicted += 1;
+            self.resident -= 1;
+        }
+        self.reports.remove(&mac);
+        self.module.remove_rule(mac);
     }
 
     /// Forwards or drops a packet according to the installed enforcement
@@ -661,7 +626,7 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
     /// Ends every ingest and flush call: the running count must equal
     /// what the shards hold, and is the call's candidate for the peak.
     fn track_peak(&mut self) {
-        let held = |shard: &Mutex<Shard>| shard.lock().table.len();
+        let held = |shard: &Shard| shard.table.len();
         debug_assert_eq!(self.resident, self.shards.iter().map(held).sum::<usize>());
         self.stats.peak_resident_sessions = self.stats.peak_resident_sessions.max(self.resident);
     }
@@ -704,6 +669,8 @@ mod tests {
     use sentinel_devicesim::{catalog, interleave, Testbed};
     use sentinel_fingerprint::Fingerprint;
     use sentinel_netproto::stream::MemoryFrameSource;
+    use sentinel_sdn::FlowAction;
+    use std::net::Ipv4Addr;
     use std::time::Duration;
 
     /// Scripted service: labels every fingerprint by its packet-column
@@ -841,14 +808,13 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_for_any_thread_count_and_batch_size() {
+    fn results_are_identical_for_any_batch_size() {
         let traces = traces(10);
         let stream = interleave(&traces, Duration::from_millis(5));
-        let outputs: Vec<_> = [(1usize, 7usize), (2, 1024), (8, 64)]
+        let outputs: Vec<_> = [1usize, 7, 1024]
             .iter()
-            .map(|&(threads, batch_size)| {
+            .map(|&batch_size| {
                 let mut runtime = runtime(StreamConfig {
-                    threads,
                     batch_size,
                     ..StreamConfig::default()
                 });
@@ -891,8 +857,9 @@ mod tests {
 
     /// What shard 0's table holds for the `n`-th test device.
     fn probe_of(runtime: &StreamRuntime<StubService>, n: u8) -> Probe {
-        let table = &runtime.shards[0].lock().table;
-        table.probe(MacAddr::new([2, 0, 0, 0, 0, n]))
+        runtime.shards[0]
+            .table
+            .probe(MacAddr::new([2, 0, 0, 0, 0, n]))
     }
 
     /// One shard with two slots, both taken: device 1 (least recently
@@ -948,6 +915,17 @@ mod tests {
         assert!(matches!(probe_of(&runtime, 3), Probe::Resident(_)));
     }
 
+    /// `opened − evicted − completed == resident`, and never above the peak.
+    fn assert_conserved(runtime: &StreamRuntime<StubService>) {
+        let stats = runtime.stats();
+        assert_eq!(
+            stats.sessions_opened - stats.sessions_evicted - stats.sessions_completed(),
+            runtime.resident_sessions() as u64,
+            "{stats}"
+        );
+        assert!(runtime.resident_sessions() <= stats.peak_resident_sessions);
+    }
+
     #[test]
     fn sessions_are_conserved_after_every_call_at_any_batch_size() {
         // ROADMAP 4a: opened − evicted − completed == resident, checked
@@ -973,14 +951,8 @@ mod tests {
                 });
                 let mut reports = Vec::new();
                 let conserved = |runtime: &StreamRuntime<StubService>, done: usize| {
-                    let stats = runtime.stats();
-                    assert_eq!(stats.sessions_completed(), done as u64);
-                    assert_eq!(
-                        stats.sessions_opened - stats.sessions_evicted - done as u64,
-                        runtime.resident_sessions() as u64,
-                        "batch {batch}: {stats}"
-                    );
-                    assert!(runtime.resident_sessions() <= stats.peak_resident_sessions);
+                    assert_eq!(runtime.stats().sessions_completed(), done as u64);
+                    assert_conserved(runtime);
                 };
                 for chunk in stream.chunks(batch) {
                     reports.extend(runtime.ingest_frames(chunk));
@@ -1056,6 +1028,94 @@ mod tests {
         assert_eq!(stats.completed_idle_gap, 1);
         assert_eq!(stats.completed_flush, 0);
         assert_eq!(stats.packets_ignored, 2, "keep-alives after onboarding");
+    }
+
+    #[test]
+    fn packet_cap_closes_the_window_at_exactly_max_packets() {
+        let traces = traces(1);
+        let mut runtime = runtime(StreamConfig {
+            detector: SetupDetector::new(2, Duration::from_secs(10), 5),
+            ..StreamConfig::default()
+        });
+        let reports = run_packets(&mut runtime, &traces[0].packets);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].setup_packets, 5);
+        assert_eq!(runtime.stats().completed_packet_cap, 1);
+    }
+
+    #[test]
+    fn strict_device_cannot_reach_internet_after_onboarding() {
+        let traces = traces(1);
+        let mut runtime = StreamRuntime::new(StubService {
+            isolation: IsolationLevel::Strict,
+        });
+        run_packets(&mut runtime, &traces[0].packets);
+        let outbound = Packet::udp_ipv4(
+            Timestamp::from_secs(300),
+            traces[0].mac,
+            MacAddr::new([0x02, 0x53, 0x47, 0x57, 0x00, 0x01]),
+            traces[0].device_ip,
+            Ipv4Addr::new(52, 1, 1, 1),
+            50000,
+            443,
+            sentinel_netproto::AppPayload::Empty,
+        );
+        assert_eq!(runtime.enforce(&outbound).action, FlowAction::Drop);
+    }
+
+    #[test]
+    fn a_removed_device_is_onboarded_again_when_it_returns() {
+        let traces = traces(2);
+        let (left, other) = (&traces[0], &traces[1]);
+        let mut runtime = runtime(StreamConfig::default());
+        let first = run_packets(&mut runtime, &left.packets);
+        assert_eq!(first.len(), 1);
+        assert_conserved(&runtime);
+
+        // It leaves: report and rule go, the MAC is unknown again.
+        runtime.remove_device(left.mac);
+        assert_conserved(&runtime);
+        assert!(runtime.report(left.mac).is_none());
+        assert!(runtime.enforcement().cache().get(left.mac).is_none());
+        assert_eq!(
+            runtime.enforcement().level_of(left.mac),
+            IsolationLevel::Strict,
+            "fell back to the unknown-device default"
+        );
+        assert_eq!(runtime.stats().sessions_evicted, 0, "nothing was mid-setup");
+        // Forgetting a MAC nobody has seen changes nothing.
+        let before = runtime.stats().clone();
+        runtime.remove_device(other.mac);
+        assert_eq!(runtime.stats(), &before);
+
+        // It returns an hour later: a newcomer, onboarded a second time.
+        let later: Vec<Packet> = left
+            .packets
+            .iter()
+            .map(|packet| {
+                let mut packet = packet.clone();
+                packet.timestamp += Duration::from_secs(3600);
+                packet
+            })
+            .collect();
+        let second = run_packets(&mut runtime, &later);
+        assert_conserved(&runtime);
+        assert_eq!(second.len(), 1, "a second report");
+        assert_eq!(second[0].setup_packets, first[0].setup_packets);
+        assert_eq!(runtime.report(left.mac), Some(&second[0]));
+        assert!(runtime.enforcement().cache().get(left.mac).is_some());
+        let stats = runtime.stats();
+        assert_eq!((stats.sessions_opened, stats.sessions_completed()), (2, 2));
+
+        // Removing a device that is mid-setup sheds its session.
+        runtime.ingest_frames(&frames_of(&other.packets[..3]));
+        assert_eq!(runtime.resident_sessions(), 1);
+        assert_conserved(&runtime);
+        runtime.remove_device(other.mac);
+        assert_eq!(runtime.resident_sessions(), 0);
+        assert_eq!(runtime.stats().sessions_evicted, 1);
+        assert_conserved(&runtime);
+        assert!(runtime.flush().is_empty());
     }
 
     #[test]

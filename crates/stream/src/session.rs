@@ -1,11 +1,12 @@
 //! Per-device onboarding session state machines.
 //!
-//! A [`Session`] is the streaming replacement for the batch gateway's
-//! raw packet buffer: it feeds every observed frame's [`RawFeatures`]
-//! straight into an incremental [`FeatureExtractor`] and keeps only the
-//! growing feature matrix plus a handful of counters, so memory per
-//! monitored device is bounded by the identification window (the
-//! detector's packet cap) instead of the device's chattiness.
+//! A [`Session`] never buffers raw packets: it feeds every observed
+//! frame's [`RawFeatures`] straight into an incremental
+//! [`FeatureExtractor`] and keeps only the growing feature matrix plus a
+//! handful of counters, so memory per monitored device is bounded by the
+//! identification window (the detector's packet cap) instead of the
+//! device's chattiness. [`Session::offer`] is the one place the
+//! setup-window rule of [`SetupDetector`] is applied.
 
 use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_fingerprint::{FeatureExtractor, Fingerprint};
@@ -32,8 +33,7 @@ pub enum SessionEvent {
     /// The packet was absorbed into the session.
     Absorbed,
     /// The packet revealed an idle gap: the session must be completed
-    /// *without* the packet (it belongs to steady-state traffic), exactly
-    /// like the batch gateway's automatic finalization.
+    /// *without* the packet (it belongs to steady-state traffic).
     GapComplete,
     /// The packet was absorbed and a hard cap was hit: complete now.
     CapComplete(CompletionReason),
@@ -86,12 +86,13 @@ impl Session {
     /// Offers one frame's wire-scanned features (stream sequence `seq`)
     /// to the session.
     ///
-    /// The decision mirrors `SecurityGateway::observe` bit for bit: the
-    /// idle-gap check runs *before* the frame is absorbed (the frame
-    /// that reveals the gap is steady-state traffic, not setup), the
-    /// packet cap *after*. The byte cap is a streaming-only extension and
-    /// is disabled when set to `u64::MAX`; `raw.packet_size` is the
-    /// frame's re-encoded wire length, so byte accounting is
+    /// This is the setup-window rule (Sect. IV-A: "a decrease in the
+    /// rate of packets sent"): the idle-gap check runs *before* the
+    /// frame is absorbed (the frame that reveals the gap is steady-state
+    /// traffic, not setup) and only once `min_packets` were absorbed, the
+    /// packet cap *after*. The byte cap is an extension of the paper's
+    /// rule and is disabled when set to `u64::MAX`; `raw.packet_size` is
+    /// the frame's re-encoded wire length, so byte accounting is
     /// bit-identical to the decode path.
     pub fn offer(
         &mut self,
@@ -233,6 +234,27 @@ mod tests {
         );
         // The gap packet must not be in the fingerprint.
         assert_eq!(session.packets(), 4);
+    }
+
+    #[test]
+    fn a_gap_before_min_packets_does_not_end_the_setup() {
+        let detector = SetupDetector::new(4, Duration::from_secs(5), 100);
+        // A 20 s pause after 2 packets (the device reboots mid-setup),
+        // three more packets, then the pause that does count.
+        let at = |millis: u64| Packet::dhcp_discover(MacAddr::new([1; 6]), 0, millis * 1000);
+        let mut session = Session::open(0, Timestamp::ZERO);
+        for (seq, millis) in [0, 100, 20_100, 20_200, 20_300].into_iter().enumerate() {
+            assert_eq!(
+                offer(&mut session, &at(millis), seq as u64, &detector, u64::MAX),
+                SessionEvent::Absorbed,
+                "packet at {millis} ms"
+            );
+        }
+        assert_eq!(
+            offer(&mut session, &at(60_000), 5, &detector, u64::MAX),
+            SessionEvent::GapComplete
+        );
+        assert_eq!(session.packets(), 5);
     }
 
     #[test]

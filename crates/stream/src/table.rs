@@ -115,12 +115,31 @@ impl SessionTable {
     /// Takes the session out of `slot` because its setup phase completed
     /// and marks its MAC onboarded; the last session moves into the slot.
     pub fn complete(&mut self, slot: usize) -> Session {
-        let (mac, session) = self.slab.swap_remove(slot);
+        let (mac, session) = self.take(slot);
+        self.index.insert(mac, ONBOARDED);
+        session
+    }
+
+    /// Forgets `mac` entirely — its resident session or its onboarded
+    /// mark — so its next frame finds it [`Probe::Absent`]. Returns
+    /// whether a resident session was dropped.
+    pub fn forget(&mut self, mac: MacAddr) -> bool {
+        match self.index.remove(&mac) {
+            None | Some(ONBOARDED) => false,
+            Some(slot) => {
+                self.take(slot as usize);
+                true
+            }
+        }
+    }
+
+    /// Removes `slot` from the slab, moving the last session into it.
+    fn take(&mut self, slot: usize) -> (MacAddr, Session) {
+        let taken = self.slab.swap_remove(slot);
         if let Some((moved, _)) = self.slab.get(slot) {
             self.index.insert(*moved, slot as u32);
         }
-        self.index.insert(mac, ONBOARDED);
-        session
+        taken
     }
 
     /// Forgets every session and onboarded MAC, keeping both allocations
@@ -197,6 +216,24 @@ mod tests {
         assert_eq!(table.complete(1).opened_seq(), 20);
         assert_eq!(table.probe(mac(3)), Probe::Resident(0));
         assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn forget_drops_a_session_or_an_onboarded_mark_and_nothing_else() {
+        let mut table = SessionTable::new(4, 4);
+        for (m, seq) in [(1, 10), (2, 20), (3, 30)] {
+            open(&mut table, m, seq);
+        }
+        table.complete(1);
+        assert!(!table.forget(mac(2)), "onboarded: no session to drop");
+        assert!(table.forget(mac(1)), "mid-setup: its session goes");
+        assert!(!table.forget(mac(9)), "unknown MAC");
+        assert_eq!(table.probe(mac(1)), Probe::Absent);
+        assert_eq!(table.probe(mac(2)), Probe::Absent);
+        // mac(3) moved into slot 1 at the completion, then into slot 0.
+        assert_eq!(table.probe(mac(3)), Probe::Resident(0));
+        assert_eq!(table.len(), 1);
+        assert_eq!(open(&mut table, 2, 40), (1, None), "a newcomer again");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use iot_sentinel::devicesim::{catalog, Testbed};
 use iot_sentinel::prelude::*;
+use iot_sentinel::stream::MemoryFrameSource;
 
 fn main() {
     // 1. Collect the training corpus: 27 device-types x 20 setup runs,
@@ -26,22 +27,20 @@ fn main() {
 
     // 3. A user buys a Philips Hue Bridge and plugs it in. The Security
     //    Gateway watches its setup traffic.
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
     let new_device = Testbed::new(2026).setup_run(&devices[4].profile, 0);
     println!(
         "new device {} started its setup procedure ({} packets)…",
         new_device.mac,
         new_device.packets.len()
     );
-    for packet in &new_device.packets {
-        gateway.observe(packet);
-    }
 
-    // 4. Setup over: fingerprint, identify, assess, enforce.
-    let report = gateway
-        .finalize(new_device.mac)
-        .expect("device was monitored");
-    println!("\n{report}");
+    // 4. The gateway scans every frame of the setup; when the capture
+    //    ends it fingerprints, identifies, assesses and enforces.
+    let reports = gateway
+        .run_frames(MemoryFrameSource::from_packets(&new_device.packets))
+        .expect("an in-memory stream cannot fail");
+    println!("\n{}", reports[0]);
     println!(
         "enforced isolation level: {}",
         gateway.enforcement().level_of(new_device.mac)

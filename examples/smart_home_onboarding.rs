@@ -13,21 +13,22 @@ use iot_sentinel::devicesim::{catalog, DeviceProfile, Phase, RawDest, Testbed};
 use iot_sentinel::netproto::{AppPayload, MacAddr, Packet, Timestamp};
 use iot_sentinel::prelude::*;
 use iot_sentinel::sdn::FlowAction;
+use iot_sentinel::stream::MemoryFrameSource;
 
 fn main() {
     let devices = catalog();
     let dataset = FingerprintDataset::collect(&devices, 20, 42);
     let service = IoTSecurityService::train(&dataset, &ServiceConfig::default());
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
     let testbed = Testbed::new(7);
 
     // --- Device 1: Philips Hue Bridge (no known vulnerabilities). ---
     let hue = testbed.setup_run(&devices[4].profile, 1);
-    onboard(&mut gateway, &hue.packets, hue.mac, "Hue Bridge");
+    onboard(&mut gateway, &hue.packets, "Hue Bridge");
 
     // --- Device 2: Edimax camera (synthetic advisory on file). ---
     let cam = testbed.setup_run(&devices[8].profile, 1);
-    onboard(&mut gateway, &cam.packets, cam.mac, "Edimax camera");
+    onboard(&mut gateway, &cam.packets, "Edimax camera");
 
     // --- Device 3: a no-name gadget the service has never seen. ---
     let mut gadget = DeviceProfile::new("MysteryGadget", [0xde, 0xad, 0x01]);
@@ -50,17 +51,12 @@ fn main() {
         },
     ]);
     let mystery = testbed.setup_run(&gadget, 0);
-    onboard(
-        &mut gateway,
-        &mystery.packets,
-        mystery.mac,
-        "mystery gadget",
-    );
+    onboard(&mut gateway, &mystery.packets, "mystery gadget");
 
     // --- Enforcement in action. ---
     println!("\n--- data-plane checks ---");
     let try_internet =
-        |gateway: &mut SecurityGateway<IoTSecurityService>, mac: MacAddr, who: &str| {
+        |gateway: &mut StreamRuntime<IoTSecurityService>, mac: MacAddr, who: &str| {
             let packet = outbound(mac, Ipv4Addr::new(93, 184, 216, 34), 443);
             let decision = gateway.enforce(&packet);
             println!(
@@ -115,17 +111,11 @@ fn main() {
     );
 }
 
-fn onboard(
-    gateway: &mut SecurityGateway<IoTSecurityService>,
-    packets: &[Packet],
-    mac: MacAddr,
-    who: &str,
-) {
-    for packet in packets {
-        gateway.observe(packet);
-    }
-    let report = gateway.finalize(mac).expect("monitored");
-    println!("[{who}] {report}");
+fn onboard(gateway: &mut StreamRuntime<IoTSecurityService>, packets: &[Packet], who: &str) {
+    let reports = gateway
+        .run_frames(MemoryFrameSource::from_packets(packets))
+        .expect("an in-memory stream cannot fail");
+    println!("[{who}] {}", reports[0]);
 }
 
 fn outbound(mac: MacAddr, dst: Ipv4Addr, port: u16) -> Packet {

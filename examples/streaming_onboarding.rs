@@ -2,8 +2,8 @@
 //! time*, their setup traffic arriving as one interleaved stream of raw
 //! frames. The bounded streaming runtime scans each frame in place,
 //! demultiplexes per device, detects each setup phase's end on the fly,
-//! and drives every device through assess → enforce — with decisions
-//! bit-identical to the batch gateway.
+//! and drives every device through assess → enforce — with the decisions
+//! each device would get onboarding alone.
 //!
 //! ```text
 //! cargo run --release --example streaming_onboarding
@@ -43,8 +43,7 @@ fn main() {
 
     // The runtime holds at most `max_sessions` concurrent sessions (LRU
     // shedding beyond that, spread over 64 virtual shards) and keeps only
-    // feature state per device — never raw packets. `threads: 0` = auto;
-    // every thread count makes identical decisions.
+    // feature state per device — never raw packets.
     let mut runtime = StreamRuntime::with_config(
         service,
         StreamConfig {

@@ -8,7 +8,7 @@
 //! sentinel identify <capture.pcap>          identify the device-type + verdict
 //!          [--load <model.snap>]            (booting from a binary snapshot)
 //! sentinel stream <capture.pcap>            stream an interleaved capture through
-//!          [--capacity N] [--threads N]     the bounded onboarding runtime
+//!          [--capacity N]                   the Security Gateway runtime
 //! sentinel stream --simulate N              …or a simulated N-device workload
 //! ```
 //!
@@ -39,7 +39,6 @@ fn main() -> ExitCode {
     let mut save: Option<String> = None;
     let mut load: Option<String> = None;
     let mut capacity: usize = 4096;
-    let mut threads: usize = 0;
     let mut simulate_count: Option<usize> = None;
     let mut stagger_ms: u64 = 25;
     let mut iter = args.iter();
@@ -52,7 +51,6 @@ fn main() -> ExitCode {
             "--save" => save = iter.next().cloned(),
             "--load" => load = iter.next().cloned(),
             "--capacity" => capacity = parse_flag(iter.next(), "--capacity"),
-            "--threads" => threads = parse_flag(iter.next(), "--threads"),
             "--simulate" => simulate_count = Some(parse_flag(iter.next(), "--simulate")),
             "--stagger-ms" => stagger_ms = parse_flag(iter.next(), "--stagger-ms"),
             other if other.starts_with("--") => {
@@ -74,7 +72,6 @@ fn main() -> ExitCode {
             seed,
             load.as_deref(),
             capacity,
-            threads,
             simulate_count,
             stagger_ms,
         ),
@@ -86,8 +83,8 @@ fn main() -> ExitCode {
                  \n  sentinel fingerprint <capture.pcap>\
                  \n  sentinel train --save model.snap [--runs N] [--seed S]\
                  \n  sentinel identify <capture.pcap> [--load model.snap] [--runs N] [--seed S]\
-                 \n  sentinel stream <capture.pcap> [--load model.snap] [--capacity N] [--threads N]\
-                 \n  sentinel stream --simulate N [--stagger-ms M] [--capacity N] [--threads N]"
+                 \n  sentinel stream <capture.pcap> [--load model.snap] [--capacity N]\
+                 \n  sentinel stream --simulate N [--stagger-ms M] [--capacity N]"
             );
             return ExitCode::from(2);
         }
@@ -220,21 +217,18 @@ fn build_service(
     Ok(train_service(runs, seed))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn stream(
     args: &[String],
     runs: u64,
     seed: u64,
     load: Option<&str>,
     capacity: usize,
-    threads: usize,
     simulate: Option<usize>,
     stagger_ms: u64,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let service = build_service(load, runs, seed)?;
     let config = StreamConfig {
         max_sessions: capacity,
-        threads,
         ..StreamConfig::default()
     };
     let mut runtime = StreamRuntime::with_config(service, config);

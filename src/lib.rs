@@ -8,9 +8,10 @@
 //! * [`ml`] — decision trees, Random Forest, cross-validation, metrics.
 //! * [`devicesim`] — behaviour models for the 27 Table II device-types.
 //! * [`sdn`] — OpenFlow-style switch, controller, overlays, rule cache.
-//! * [`core`] — Security Gateway + IoT Security Service pipeline.
-//! * [`stream`] — bounded-memory streaming onboarding runtime for
-//!   interleaved multi-device traffic.
+//! * [`core`] — the IoT Security Service: two-stage identification,
+//!   vulnerability assessment, isolation-level decisions.
+//! * [`stream`] — the Security Gateway: a bounded-memory streaming
+//!   onboarding runtime for interleaved multi-device traffic.
 //! * [`fleet`] — multi-gateway fleet simulation: many home networks,
 //!   each with its own switch and gateway, under one shared model.
 //! * [`snapshot`] — versioned, checksummed binary model snapshots for
@@ -31,4 +32,9 @@ pub use sentinel_sdn as sdn;
 pub use sentinel_snapshot as snapshot;
 pub use sentinel_stream as stream;
 
-pub use sentinel_core::prelude;
+/// Commonly used types: the service side from [`core`], the gateway
+/// from [`stream`].
+pub mod prelude {
+    pub use sentinel_core::prelude::*;
+    pub use sentinel_stream::{StreamConfig, StreamRuntime};
+}

@@ -1,10 +1,11 @@
 //! End-to-end integration: lab collection → IoTSSP training → gateway
 //! onboarding → enforcement, across crate boundaries.
 
-use iot_sentinel::devicesim::{catalog, Testbed};
+use iot_sentinel::devicesim::{catalog, SetupTrace, Testbed};
 use iot_sentinel::netproto::{AppPayload, MacAddr, Packet, Timestamp};
 use iot_sentinel::prelude::*;
 use iot_sentinel::sdn::FlowAction;
+use iot_sentinel::stream::MemoryFrameSource;
 use std::net::Ipv4Addr;
 
 fn trained_service() -> IoTSecurityService {
@@ -14,6 +15,20 @@ fn trained_service() -> IoTSecurityService {
     let mut config = ServiceConfig::default();
     config.identifier.bank.forest = iot_sentinel::ml::ForestConfig::default().with_trees(40);
     IoTSecurityService::train(&dataset, &config)
+}
+
+/// Onboards one device from its whole setup capture: every frame is
+/// observed, the end of the capture closes the window.
+fn onboard(
+    gateway: &mut StreamRuntime<IoTSecurityService>,
+    trace: &SetupTrace,
+) -> OnboardingReport {
+    let mut reports = gateway
+        .run_frames(MemoryFrameSource::from_packets(&trace.packets))
+        .expect("an in-memory source cannot fail");
+    assert_eq!(reports.len(), 1, "one device, one report");
+    assert_eq!(reports[0].mac, trace.mac);
+    reports.remove(0)
 }
 
 fn outbound(mac: MacAddr, src_ip: Ipv4Addr, dst: Ipv4Addr) -> Packet {
@@ -34,14 +49,11 @@ fn onboarding_identifies_most_device_types() {
     let service = trained_service();
     let devices = catalog();
     let holdout = Testbed::new(777);
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
     let mut correct = 0;
     for (label, device) in devices.iter().enumerate() {
         let trace = holdout.setup_run(&device.profile, 3);
-        for packet in &trace.packets {
-            gateway.observe(packet);
-        }
-        let report = gateway.finalize(trace.mac).expect("monitored");
+        let report = onboard(&mut gateway, &trace);
         if report.response.identification.label() == Some(label) {
             correct += 1;
         }
@@ -59,14 +71,11 @@ fn vulnerable_device_is_quarantined_but_reaches_vendor_cloud() {
     let service = trained_service();
     let devices = catalog();
     let holdout = Testbed::new(778);
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
 
     // EdimaxCam has a synthetic advisory -> restricted.
     let cam = holdout.setup_run(&devices[8].profile, 0);
-    for packet in &cam.packets {
-        gateway.observe(packet);
-    }
-    let report = gateway.finalize(cam.mac).expect("monitored");
+    let report = onboard(&mut gateway, &cam);
     assert_eq!(report.response.isolation, IsolationLevel::Restricted);
     let whitelist = report.response.permitted_endpoints.clone();
     assert!(!whitelist.is_empty());
@@ -88,15 +97,12 @@ fn overlays_separate_trusted_from_untrusted_devices() {
     let service = trained_service();
     let devices = catalog();
     let holdout = Testbed::new(779);
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
 
     let hue = holdout.setup_run(&devices[4].profile, 0); // trusted
     let cam = holdout.setup_run(&devices[8].profile, 0); // restricted
     for trace in [&hue, &cam] {
-        for packet in &trace.packets {
-            gateway.observe(packet);
-        }
-        gateway.finalize(trace.mac).expect("monitored");
+        onboard(&mut gateway, trace);
     }
     assert_eq!(
         gateway.enforcement().level_of(hue.mac),
@@ -137,12 +143,9 @@ fn flow_cache_makes_repeat_packets_cheap() {
     let service = trained_service();
     let devices = catalog();
     let holdout = Testbed::new(780);
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
     let hue = holdout.setup_run(&devices[4].profile, 1);
-    for packet in &hue.packets {
-        gateway.observe(packet);
-    }
-    gateway.finalize(hue.mac).expect("monitored");
+    onboard(&mut gateway, &hue);
 
     let packet = outbound(hue.mac, hue.device_ip, Ipv4Addr::new(52, 10, 10, 10));
     let first = gateway.enforce(&packet);
@@ -157,12 +160,9 @@ fn idle_flows_expire_and_rule_cache_can_evict() {
     let service = trained_service();
     let devices = catalog();
     let holdout = Testbed::new(782);
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
     let hue = holdout.setup_run(&devices[4].profile, 2);
-    for packet in &hue.packets {
-        gateway.observe(packet);
-    }
-    gateway.finalize(hue.mac).expect("monitored");
+    onboard(&mut gateway, &hue);
 
     // Install a few flows, then expire them after idleness.
     for port_offset in 0..4u8 {
@@ -174,8 +174,8 @@ fn idle_flows_expire_and_rule_cache_can_evict() {
         gateway.enforce(&packet);
     }
     assert_eq!(gateway.switch().table().len(), 4);
-    let expired = gateway.expire_flows(
-        iot_sentinel::netproto::Timestamp::from_secs(4000),
+    let expired = gateway.switch_mut().table_mut().expire_idle(
+        Timestamp::from_secs(4000),
         std::time::Duration::from_secs(60),
     );
     assert_eq!(expired, 4);
@@ -196,7 +196,7 @@ fn idle_flows_expire_and_rule_cache_can_evict() {
 
 #[test]
 fn rule_changes_reach_flows_the_gateway_already_cached() {
-    let mut gateway = SecurityGateway::new(trained_service());
+    let mut gateway = StreamRuntime::new(trained_service());
     let hue = Testbed::new(784).setup_run(&catalog()[4].profile, 0); // trusted
     let packet = outbound(hue.mac, hue.device_ip, Ipv4Addr::new(52, 10, 10, 10));
 
@@ -204,10 +204,7 @@ fn rule_changes_reach_flows_the_gateway_already_cached() {
     assert_eq!(gateway.enforce(&packet).action, FlowAction::Drop);
     assert_eq!(gateway.enforce(&packet).action, FlowAction::Drop);
 
-    for setup_packet in &hue.packets {
-        gateway.observe(setup_packet);
-    }
-    let report = gateway.finalize(hue.mac).expect("monitored");
+    let report = onboard(&mut gateway, &hue);
     assert_eq!(report.response.isolation, IsolationLevel::Trusted);
     assert_eq!(gateway.enforce(&packet).action, FlowAction::Forward);
     assert!(!gateway.enforce(&packet).packet_in, "decided once, cached");
@@ -245,12 +242,9 @@ fn port_filter_restricts_protocols_to_vendor_cloud() {
     let service = trained_service();
     let devices = catalog();
     let holdout = Testbed::new(783);
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
     let cam = holdout.setup_run(&devices[8].profile, 1);
-    for packet in &cam.packets {
-        gateway.observe(packet);
-    }
-    let report = gateway.finalize(cam.mac).expect("monitored");
+    let report = onboard(&mut gateway, &cam);
     assert_eq!(report.response.isolation, IsolationLevel::Restricted);
     let whitelist = report.response.permitted_endpoints.clone();
     let std::net::IpAddr::V4(cloud) = whitelist[0] else {
@@ -291,16 +285,16 @@ fn setup_end_detection_closes_monitoring_window() {
     let service = trained_service();
     let devices = catalog();
     let holdout = Testbed::new(781);
-    let mut gateway = SecurityGateway::new(service);
+    let mut gateway = StreamRuntime::new(service);
     let trace = holdout.setup_run(&devices[0].profile, 2);
-    for packet in &trace.packets {
-        assert!(gateway.observe(packet).is_none());
-    }
+    let during_setup = gateway.ingest_frames(&trace.frames());
+    assert!(during_setup.is_empty(), "no setup frame closes the window");
     // A keep-alive a minute later ends the setup phase automatically.
     let mut keepalive = trace.packets[0].clone();
     keepalive.timestamp =
         trace.packets.last().unwrap().timestamp + std::time::Duration::from_secs(90);
-    let report = gateway.observe(&keepalive).expect("auto-finalize");
-    assert_eq!(report.mac, trace.mac);
-    assert_eq!(report.setup_packets, trace.packets.len());
+    let reports = gateway.ingest_frames(&[(keepalive.timestamp, keepalive.encode())]);
+    assert_eq!(reports.len(), 1, "the keep-alive closed the window");
+    assert_eq!(reports[0].mac, trace.mac);
+    assert_eq!(reports[0].setup_packets, trace.packets.len());
 }

@@ -105,11 +105,13 @@ fn uncontrollable_vulnerable_device_triggers_user_notification() {
     let service = IoTSecurityService::train(&dataset, &config);
 
     let trace = Testbed::new(31).setup_run(&devices[6].profile, 0);
-    let mut gateway = SecurityGateway::new(service);
-    for packet in &trace.packets {
-        gateway.observe(packet);
-    }
-    let report = gateway.finalize(trace.mac).expect("monitored");
+    let mut gateway = StreamRuntime::new(service);
+    let reports = gateway
+        .run_frames(iot_sentinel::stream::MemoryFrameSource::from_packets(
+            &trace.packets,
+        ))
+        .expect("an in-memory source cannot fail");
+    let report = &reports[0];
     assert_eq!(
         report.response.identification.label(),
         Some(6),

@@ -1,19 +1,20 @@
-//! Streaming ↔ batch equivalence: an interleaved multi-device stream
-//! pushed through `sentinel-stream` must reach exactly the decisions the
-//! batch `SecurityGateway` reaches — bit-identical against a sequential
-//! gateway consuming the same stream, and decision-identical against
-//! gateways onboarding each device's trace alone — at thread counts
-//! 1, 2, 4 and 8. The runtime ingests raw frames through the wire scan;
-//! the gateway observes owned `Packet`s, so every comparison here is
-//! also the end-to-end scan-vs-decode differential.
+//! Streaming equivalence: an interleaved multi-device stream pushed
+//! through `sentinel-stream` must reach exactly the decisions of a naive
+//! sequential gateway — a test-local model ([`sequential_baseline`]),
+//! written out independently of the runtime's session code — bit for bit
+//! on the same stream, and the decisions of gateways onboarding each
+//! device's trace alone, at ingest batch sizes 1, 7 and 1024. The
+//! runtime ingests raw frames through the wire scan; the model observes
+//! owned `Packet`s, so every comparison here is also the end-to-end
+//! scan-vs-decode differential.
 //!
 //! Every assessment is keyed by `(seq, mac)`, so one *shared* service
-//! instance must answer bit-identically no matter how many runtimes (or
-//! threads) consult it, however the completions are cut into batches —
-//! a single item being a batch of one. A parameterised case and a
-//! proptest pin that per-completion contract at the service level.
+//! instance must answer bit-identically no matter how many runtimes
+//! consult it, however the completions are cut into batches — a single
+//! item being a batch of one. A parameterised case and a proptest pin
+//! that per-completion contract at the service level.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -22,15 +23,18 @@ use proptest::prelude::*;
 
 use iot_sentinel::core::{
     AssessKey, AssessScratch, BankConfig, FingerprintDataset, Identifier, IdentifierConfig,
-    IdentifyMode, IoTSecurityService, OnboardingReport, SecurityGateway, SecurityService,
-    ServiceResponse, TrainedModel,
+    IdentifyMode, IoTSecurityService, OnboardingReport, SecurityService, ServiceResponse,
+    TrainedModel,
 };
 use iot_sentinel::devicesim::{catalog, interleave, SetupTrace, Testbed};
-use iot_sentinel::fingerprint::{extract, Fingerprint, FixedFingerprint};
+use iot_sentinel::fingerprint::setup::SetupDetector;
+use iot_sentinel::fingerprint::{extract, FeatureExtractor, Fingerprint, FixedFingerprint};
 use iot_sentinel::ml::{ForestConfig, PinnedRng};
 use iot_sentinel::netproto::pcap::{PcapReader, PcapWriter};
 use iot_sentinel::netproto::stream::MemoryFrameSource;
-use iot_sentinel::netproto::{AppPayload, MacAddr, Packet, ParseError, ScanOutcome, WireScan};
+use iot_sentinel::netproto::{
+    AppPayload, MacAddr, Packet, ParseError, RawFeatures, ScanOutcome, Timestamp, WireScan,
+};
 use iot_sentinel::sdn::IsolationLevel;
 use iot_sentinel::stream::{StreamConfig, StreamRuntime};
 
@@ -84,32 +88,96 @@ fn concurrent_traces(n: usize) -> Vec<SetupTrace> {
         .collect()
 }
 
-/// Feeds the interleaved stream through ONE sequential batch gateway —
-/// the reference semantics the sharded runtime must reproduce exactly.
-///
-/// Mid-stream completions happen where `observe` returns a report; the
-/// sessions still open at end of stream are finalized in the order of
-/// their last absorbed packet (ties broken by MAC), which is the order
-/// the streaming runtime's flush assesses them in.
+/// What the model gateway keeps for a device it is monitoring.
+struct Monitor {
+    extractor: FeatureExtractor,
+    packets: usize,
+    last_seen: Timestamp,
+    last_seq: u64,
+}
+
+/// The reference semantics the sharded runtime must reproduce exactly: a
+/// naive sequential Security Gateway over one map, restated here without
+/// `Session` or `SessionTable`. Every packet takes the next stream
+/// sequence number; a device's setup window closes at the first idle gap
+/// once `min_packets` were absorbed (the packet that reveals the gap is
+/// steady-state traffic and stays out of the fingerprint) or at
+/// `max_packets`; the completion is assessed under the key `(seq of the
+/// closing packet, mac)`. Devices still monitored at end of stream are
+/// finalized in the order of their last absorbed packet (ties by MAC),
+/// keyed by it. Packets are observed decoded (`RawFeatures::from_packet`).
 fn sequential_baseline(service: &IoTSecurityService, stream: &[Packet]) -> Vec<OnboardingReport> {
-    let mut gateway = SecurityGateway::new(service);
-    let mut last_index: HashMap<MacAddr, usize> = HashMap::new();
-    let mut reports = Vec::new();
-    for (i, packet) in stream.iter().enumerate() {
-        if let Some(report) = gateway.observe(packet) {
-            reports.push(report);
+    let detector = SetupDetector::default();
+    let mut monitors: HashMap<MacAddr, Monitor> = HashMap::new();
+    let mut onboarded: HashSet<MacAddr> = HashSet::new();
+    let finalize = |mac: MacAddr, seq: u64, monitor: Monitor| {
+        let full = monitor.extractor.finish();
+        let fixed = FixedFingerprint::from_fingerprint(&full);
+        OnboardingReport {
+            mac,
+            setup_packets: monitor.packets,
+            response: service.assess_keyed(&full, &fixed, AssessKey::new(seq, mac)),
         }
-        if gateway.monitored_packets(packet.src_mac()) > 0 {
-            last_index.insert(packet.src_mac(), i);
+    };
+    let mut reports = Vec::new();
+    for (seq, packet) in (0u64..).zip(stream) {
+        let (mac, now) = (packet.src_mac(), packet.timestamp);
+        if onboarded.contains(&mac) {
+            continue;
+        }
+        let monitor = monitors.entry(mac).or_insert_with(|| Monitor {
+            extractor: FeatureExtractor::new(),
+            packets: 0,
+            last_seen: now,
+            last_seq: seq,
+        });
+        let idle = now.saturating_since(monitor.last_seen) >= detector.idle_gap;
+        let gap = monitor.packets >= detector.min_packets && idle;
+        if !gap {
+            monitor
+                .extractor
+                .push_raw(&RawFeatures::from_packet(packet));
+            monitor.packets += 1;
+            (monitor.last_seen, monitor.last_seq) = (now, seq);
+        }
+        if gap || monitor.packets >= detector.max_packets {
+            let monitor = monitors.remove(&mac).expect("just monitored");
+            onboarded.insert(mac);
+            reports.push(finalize(mac, seq, monitor));
         }
     }
-    let mut leftover: Vec<MacAddr> = gateway.monitoring().collect();
-    leftover.sort_by_key(|&mac| (last_index[&mac], mac));
-    for mac in leftover {
-        reports.push(gateway.finalize(mac).expect("still monitored"));
+    let mut leftover: Vec<(MacAddr, Monitor)> = monitors.into_iter().collect();
+    leftover.sort_by_key(|(mac, monitor)| (monitor.last_seq, *mac));
+    for (mac, monitor) in leftover {
+        reports.push(finalize(mac, monitor.last_seq, monitor));
     }
     reports
 }
+
+/// Streams `stream` through a fresh runtime over `service`, `batch_size`
+/// frames per ingest round.
+fn streamed<S: SecurityService>(
+    service: S,
+    batch_size: usize,
+    stream: &[Packet],
+) -> (StreamRuntime<S>, Vec<OnboardingReport>) {
+    let mut runtime = StreamRuntime::with_config(
+        service,
+        StreamConfig {
+            batch_size,
+            ..StreamConfig::default()
+        },
+    );
+    let reports = runtime
+        .run_frames(MemoryFrameSource::from_packets(stream))
+        .expect("in-memory source cannot fail");
+    (runtime, reports)
+}
+
+/// The batch sizes that cut a stream differently: one frame per round
+/// (every completion is a batch of one), a size that splits setups
+/// mid-burst, and one round for the whole stream.
+const BATCH_SIZES: [usize; 3] = [1, 7, 1024];
 
 #[test]
 fn interleaved_stream_is_bit_identical_to_a_sequential_gateway() {
@@ -121,24 +189,15 @@ fn interleaved_stream_is_bit_identical_to_a_sequential_gateway() {
     let baseline = sequential_baseline(&fresh_service(&model), &stream);
     assert_eq!(baseline.len(), traces.len(), "every device must onboard");
 
-    for threads in [1usize, 2, 8] {
-        let mut runtime = StreamRuntime::with_config(
-            fresh_service(&model),
-            StreamConfig {
-                threads,
-                ..StreamConfig::default()
-            },
-        );
-        let reports = runtime
-            .run_frames(MemoryFrameSource::from_packets(&stream))
-            .expect("in-memory source cannot fail");
+    for batch_size in BATCH_SIZES {
+        let (runtime, reports) = streamed(fresh_service(&model), batch_size, &stream);
         // Same reports, same decision order, bit for bit — scores
         // included. (Both sides key every draw by
         // `(seq, mac)`, so full equality also proves the runtime and
-        // the gateway assign identical stream sequence numbers.)
+        // the model assign identical stream sequence numbers.)
         assert_eq!(
             reports, baseline,
-            "streamed reports diverged from the sequential gateway at {threads} threads"
+            "streamed reports diverged from the sequential gateway at batch size {batch_size}"
         );
         assert_eq!(runtime.stats().sessions_evicted, 0);
         for report in &baseline {
@@ -158,44 +217,28 @@ fn interleaved_stream_matches_onboarding_each_trace_alone() {
     let service = fresh_service(&model);
     let traces = concurrent_traces(24);
 
-    // --- Baseline: each trace onboarded alone through a batch gateway.
-    // The gateway may auto-finalize mid-trace (idle gap / packet cap);
+    // --- Baseline: each trace onboarded alone through its own fresh
+    // gateway. The window may close mid-trace (idle gap / packet cap);
     // whatever it decides is the ground truth the stream must reproduce.
-    let mut baseline = Vec::with_capacity(traces.len());
-    for trace in &traces {
-        let mut gateway = SecurityGateway::new(&service);
-        let mut report = None;
-        for packet in &trace.packets {
-            if report.is_none() {
-                report = gateway.observe(packet);
-            }
-        }
-        baseline.push(
-            report
-                .or_else(|| gateway.finalize(trace.mac))
-                .expect("onboards"),
-        );
-    }
+    let baseline: Vec<OnboardingReport> = traces
+        .iter()
+        .map(|trace| {
+            let (_, mut alone) = streamed(&service, 1024, &trace.packets);
+            assert_eq!(alone.len(), 1, "one device, one report");
+            alone.remove(0)
+        })
+        .collect();
 
     // --- Streaming: all traces interleaved into one stream. ---
     let stream = interleave(&traces, Duration::from_millis(9));
-    for threads in [1usize, 2, 8] {
-        let mut runtime = StreamRuntime::with_config(
-            &service,
-            StreamConfig {
-                threads,
-                ..StreamConfig::default()
-            },
-        );
-        let reports = runtime
-            .run_frames(MemoryFrameSource::from_packets(&stream))
-            .expect("in-memory source cannot fail");
+    for batch_size in BATCH_SIZES {
+        let (runtime, reports) = streamed(&service, batch_size, &stream);
         assert_eq!(reports.len(), traces.len());
 
         for (trace, expected) in traces.iter().zip(&baseline) {
             let streamed = runtime
                 .report(trace.mac)
-                .unwrap_or_else(|| panic!("{} not onboarded at {threads} threads", trace.mac));
+                .unwrap_or_else(|| panic!("{} not onboarded at batch {batch_size}", trace.mac));
             // Identical decisions: fingerprint window, identification,
             // candidates and verdict. The dissimilarity scores are summed
             // over the same full reference set but in an RNG-dependent
@@ -205,7 +248,7 @@ fn interleaved_stream_matches_onboarding_each_trace_alone() {
             assert_eq!(streamed.setup_packets, expected.setup_packets);
             assert_eq!(
                 streamed.response.identification.outcome, expected.response.identification.outcome,
-                "identification diverged for {} at {threads} threads",
+                "identification diverged for {} at batch size {batch_size}",
                 trace.mac
             );
             assert_eq!(
@@ -265,11 +308,11 @@ fn streaming_identifies_and_isolates_like_the_paper() {
 }
 
 #[test]
-fn one_stateful_service_is_bit_identical_across_threads_and_paths() {
+fn one_stateful_service_is_bit_identical_across_batch_sizes_and_paths() {
     // The strongest form of the keyed contract: ONE service instance,
     // serving every run in sequence, must produce bit-identical reports
-    // AND stats at thread counts 1/2/4/8, and those reports must be the
-    // ones the decode-path sequential gateway draws from the same
+    // AND stats at batch sizes 1/7/1024, and those reports must be the
+    // ones the decode-path sequential model draws from the same
     // instance — running again must not change an answer.
     let model = trained_model();
     let service = fresh_service(&model);
@@ -278,27 +321,21 @@ fn one_stateful_service_is_bit_identical_across_threads_and_paths() {
     let decoded = sequential_baseline(&service, &stream);
 
     let mut baseline: Option<iot_sentinel::stream::StreamStats> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let mut runtime = StreamRuntime::with_config(
-            &service,
-            StreamConfig {
-                threads,
-                ..StreamConfig::default()
-            },
-        );
-        let reports = runtime
-            .run_frames(MemoryFrameSource::from_packets(&stream))
-            .expect("in-memory source cannot fail");
+    for batch_size in BATCH_SIZES {
+        let (runtime, reports) = streamed(&service, batch_size, &stream);
         assert_eq!(
             reports, decoded,
-            "scan path diverged from the decode path at {threads} threads"
+            "scan path diverged from the decode path at batch size {batch_size}"
         );
         assert_eq!(runtime.stats().frames_decoded, 0);
-        let stats = baseline.get_or_insert_with(|| runtime.stats().clone());
+        // The peak is sampled once per ingest call, so it depends on
+        // where calls end; everything else may not.
+        let mut stats = runtime.stats().clone();
+        stats.peak_resident_sessions = 0;
+        let expected = baseline.get_or_insert_with(|| stats.clone());
         assert_eq!(
-            runtime.stats(),
-            stats,
-            "stats diverged at {threads} threads"
+            &stats, expected,
+            "stats diverged at batch size {batch_size}"
         );
     }
     assert_eq!(
@@ -520,7 +557,7 @@ fn direct_assess_is_pure_and_history_independent() {
 /// a service booted from a binary snapshot *file* must be
 /// indistinguishable, bit for bit, from the freshly trained instance it
 /// was captured from — same interleaved capture, same streaming
-/// reports, same installed enforcement, at multiple thread counts.
+/// reports, same installed enforcement, at every batch size.
 #[test]
 fn snapshot_booted_runtime_streams_bit_identically() {
     use iot_sentinel::snapshot::{Snapshot, SnapshotBoot};
@@ -538,23 +575,14 @@ fn snapshot_booted_runtime_streams_bit_identically() {
     let baseline = sequential_baseline(&fresh, &stream);
     assert_eq!(baseline.len(), traces.len(), "every device must onboard");
 
-    for threads in [1usize, 4] {
-        // A brand-new boot from disk per thread count: nothing is
+    for batch_size in BATCH_SIZES {
+        // A brand-new boot from disk per batch size: nothing is
         // shared with the trained instance but the bytes in the file.
         let loaded = IoTSecurityService::from_snapshot(&path).expect("load");
-        let mut runtime = StreamRuntime::with_config(
-            loaded,
-            StreamConfig {
-                threads,
-                ..StreamConfig::default()
-            },
-        );
-        let reports = runtime
-            .run_frames(MemoryFrameSource::from_packets(&stream))
-            .expect("in-memory source cannot fail");
+        let (runtime, reports) = streamed(loaded, batch_size, &stream);
         assert_eq!(
             reports, baseline,
-            "snapshot-booted reports diverged from the trained gateway at {threads} threads"
+            "snapshot-booted reports diverged from the trained gateway at batch size {batch_size}"
         );
         for report in &baseline {
             assert_eq!(
@@ -601,8 +629,9 @@ proptest! {
     /// function of `(trained model, fingerprints, key)`. Whatever order
     /// the probes are assessed in, however they are split into batches,
     /// and however often they are re-assessed, every response equals the
-    /// itemwise baseline bit for bit — which is exactly what lets the
-    /// streaming shards assess concurrently.
+    /// itemwise baseline bit for bit — which is exactly what lets a
+    /// gateway assess a round's completions as one batch and a fleet pool
+    /// the completions of many gateways.
     #[test]
     fn keyed_assessment_is_schedule_independent(order_seed in any::<u64>(), split_seed in any::<u64>()) {
         let fixture = keyed_probes();
