@@ -1,12 +1,12 @@
 //! One batch vs batches of one through the single identification path.
 //!
-//! The streaming runtime classifies every completion of an ingest tick
-//! as one batch: forests outermost, fingerprints innermost, so each
-//! packed arena stays cache-resident while the whole batch walks it
-//! (`Identifier::classify_batch_in`). Batches of one cycle all 27
-//! arenas per fingerprint instead. Results are bit-identical (asserted
-//! in sentinel-core's tests and `tests/streaming_equivalence.rs`); this
-//! measures only the memory-access effect, per batch size.
+//! Stage 1 scores each fingerprint in place with one pass of the bank's
+//! `BankScorer` (`Identifier::classify_batch_in`), so a row costs the
+//! same in a batch of one as in a batch of 64: `one_by_one` and
+//! `batched` differ only by the per-call overhead, and
+//! `batched_identify` adds what a cold scratch and a fresh output
+//! vector cost per item. Results are bit-identical (asserted in
+//! sentinel-core's tests and `tests/streaming_equivalence.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -37,8 +37,8 @@ fn batched_classify(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_classify");
     for batch in [8usize, 64, 256] {
         let fixed: Vec<&FixedFingerprint> = probes[..batch].iter().map(|(_, f)| f).collect();
-        // Both sides keep their scratch (contiguous matrix + candidate
-        // pool) warm across ticks, as the runtime's shards do: no heap
+        // Both sides keep their scratch (leaf words + candidate pool)
+        // warm across ticks, as the runtime's shards do: no heap
         // allocations at all (pinned by sentinel-core's alloc_batch test).
         group.bench_with_input(BenchmarkId::new("one_by_one", batch), &fixed, |b, fixed| {
             let mut scratch = ClassifyScratch::default();

@@ -202,10 +202,10 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
         }
         fingerprint_extraction.push(start.elapsed() / EXTRACT_REPEATS);
 
-        // Row: one classification (a single per-type forest, via the
-        // identifier's packed arena — the path identification takes).
+        // Row: one classification (a single per-type forest, walked
+        // tree by tree — identification itself scores all 27 at once).
         let start = Instant::now();
-        let _ = identifier.accepts(0, &fixed);
+        let _ = identifier.bank().accepts(0, &fixed);
         one_classification.push(start.elapsed());
 
         // Row: all 27 classifications.

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use sentinel_fingerprint::editdist::{OsaPattern, OsaScratch};
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint, InternedFingerprint, SymbolTable};
 use sentinel_ml::pinned::PinnedRng;
-use sentinel_ml::{BatchMatrix, PackedForest};
+use sentinel_ml::BankScorer;
 use sentinel_netproto::MacAddr;
 
 use crate::report::{Identification, Outcome};
@@ -130,14 +130,13 @@ impl Default for IdentifierConfig {
 
 /// Reusable scratch for the batched identification paths.
 ///
-/// Holds stage 1's [`BatchMatrix`], per-forest acceptance buffer and
-/// per-item candidate pool, and stage 2's probe symbols, sampled
-/// reference indices and bit-parallel kernel memory (the probe's match
-/// masks and per-word column state, [`OsaScratch`]). A caller that
-/// keeps one `ClassifyScratch` alive across ticks (the streaming
-/// runtime holds one per shard) performs **zero heap allocations** in
-/// steady-state batched classification, and steady-state
-/// identification allocates only what each [`Identification`] owns —
+/// Holds stage 1's leaf words and per-item candidate pool, and stage 2's
+/// probe symbols, sampled reference indices and bit-parallel kernel
+/// memory (the probe's match masks and per-word column state,
+/// [`OsaScratch`]). A caller that keeps one `ClassifyScratch` alive
+/// across ticks (the streaming runtime holds one per shard) performs
+/// **zero heap allocations** in steady-state batched classification,
+/// and steady-state identification allocates only what each [`Identification`] owns —
 /// its candidates, scores and type name, however many candidates and
 /// references stage 2 compares. Both are pinned by the
 /// counting-allocator tests in `crates/core/tests/alloc_batch.rs`. The
@@ -145,24 +144,18 @@ impl Default for IdentifierConfig {
 /// again after every item), so reuse cannot change any result.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
-    /// Contiguous row-major copy of the current batch's `F'` rows (only
-    /// the cache misses when the verdict cache is on).
-    matrix: BatchMatrix,
-    /// Per-forest acceptance verdicts for the current batch.
-    accepted: Vec<bool>,
+    /// The [`BankScorer`]'s leaf words for the row being scored.
+    words: Vec<u64>,
     /// Per-item candidate label sets; entries are reused across ticks.
     candidates: Vec<Vec<usize>>,
     /// `F'` bit-pattern buffer for verdict-cache key derivation.
     key: Vec<u64>,
-    /// Batch slot of each matrix row: the slots the verdict cache could
-    /// not answer, in batch order (every slot when the cache is off).
-    misses: Vec<u32>,
-    /// Routing hash of each miss, aligned with `misses` (cache on only).
-    miss_hashes: Vec<u64>,
-    /// `(batch slot, miss index)` pairs whose row duplicates an earlier
-    /// miss of the same batch — classified once, copied after.
-    aliases: Vec<(u32, u32)>,
-    /// In-batch dedup index: routing hash → first miss with that hash.
+    /// Cache on only: `(batch slot, routing hash)` of the rows the
+    /// verdict cache could not answer and that duplicate no earlier
+    /// row, in batch order.
+    misses: Vec<(u32, u64)>,
+    /// In-batch dedup index: routing hash → batch slot of the first
+    /// miss with that hash.
     pending: HashMap<u64, u32>,
     /// Stage 2: the current item's probe, projected to symbol ids.
     probe: Vec<u32>,
@@ -297,9 +290,9 @@ impl VerdictCache {
 #[derive(Debug)]
 pub struct Identifier {
     bank: ClassifierBank,
-    /// Per-label packed prediction arenas over the bank's forests — the
-    /// stage-1 hot path (results identical to the bank's own forests).
-    packed: Vec<PackedForest>,
+    /// The bank's forests as one scorer — the stage-1 hot path (results
+    /// identical to the bank's own forests), rebuilt whenever they change.
+    scorer: BankScorer,
     /// All training fingerprints `F`, grouped by type label.
     references: Vec<Vec<Fingerprint>>,
     /// Packet columns of every reference, interned to `u32` symbols.
@@ -419,16 +412,14 @@ impl Identifier {
             .iter()
             .map(|of_type| of_type.iter().map(|fp| symbols.intern(fp)).collect())
             .collect();
-        let packed = (0..bank.n_types())
-            .map(|label| PackedForest::from_forest(bank.classifier(label)))
-            .collect();
+        let scorer = BankScorer::new(bank.classifiers());
         let pools = references
             .iter()
             .map(|of_type| (0..of_type.len()).collect())
             .collect();
         Identifier {
             bank,
-            packed,
+            scorer,
             references,
             symbols,
             interned,
@@ -484,9 +475,9 @@ impl Identifier {
 
     /// Learns one additional device-type incrementally: trains its
     /// classifier ([`ClassifierBank::add_type`]), registers its stage-2
-    /// reference fingerprints, and packs its prediction arena — all
-    /// without touching the existing types' models, references or
-    /// interned symbols. Returns the new type's label.
+    /// reference fingerprints, and rebuilds the stage-1 scorer over the
+    /// grown bank — all without touching the existing types' models,
+    /// references or interned symbols. Returns the new type's label.
     ///
     /// `dataset` must contain fingerprints labeled with the new type's
     /// index (i.e. the current number of types). The appended state is
@@ -505,8 +496,7 @@ impl Identifier {
             .iter()
             .map(|fp| self.symbols.intern(fp))
             .collect();
-        self.packed
-            .push(PackedForest::from_forest(self.bank.classifier(label)));
+        self.scorer = BankScorer::new(self.bank.classifiers());
         self.pools.push((0..references.len()).collect());
         self.interned.push(interned);
         self.references.push(references);
@@ -543,12 +533,13 @@ impl Identifier {
     }
 
     /// Identifies a batch of keyed completions — *the* identification
-    /// path. Stage 1 runs batched (forest-major over the packed arenas,
-    /// [`Identifier::classify_batch_in`]); stage 2 builds each item's
-    /// pinned generator from its [`AssessKey`], so nothing depends on
-    /// item order or on how a stream of completions is cut into batches
-    /// — which is what lets a sharded streaming runtime call this
-    /// concurrently on per-shard slices of one tick's completions.
+    /// path. Stage 1 scores each item's `F'` through the bank's
+    /// [`BankScorer`] ([`Identifier::classify_batch_in`]); stage 2
+    /// builds each item's pinned generator from its [`AssessKey`], so
+    /// nothing depends on item order or on how a stream of completions
+    /// is cut into batches — which is what lets a sharded streaming
+    /// runtime call this concurrently on per-shard slices of one tick's
+    /// completions.
     ///
     /// Identifications are **appended** to `out` (the shared batch-entry
     /// contract — the caller owns and clears `out`), and the working
@@ -564,8 +555,7 @@ impl Identifier {
         let mode = self.config.mode;
         // Edit-only has no stage 1: every type is a candidate.
         if mode != IdentifyMode::EditOnly {
-            let n = self.classify_into(items.iter().map(|&(_, f, _)| f.as_slice()), scratch);
-            debug_assert_eq!(n, items.len());
+            self.classify_into(items.len(), |i| items[i].1.as_slice(), scratch);
         }
         for (index, &(full, fixed, key)) in items.iter().enumerate() {
             let mut rng = key.rng(self.config.seed);
@@ -588,129 +578,96 @@ impl Identifier {
     /// scratch: per-item candidate label sets, identical to
     /// [`ClassifierBank::matches`] on each item.
     ///
-    /// The batch is copied into the scratch's row-major [`BatchMatrix`]
-    /// and the loop runs *forests outermost, fingerprints innermost*
-    /// ([`PackedForest::accepts_rows`]), so each packed arena is walked
-    /// by every fingerprint back-to-back while it is cache-resident,
-    /// instead of all 27 arenas being cycled through per fingerprint.
-    /// Labels are visited in increasing order. The returned slice
-    /// borrows the scratch's candidate pool (one entry per item, in
-    /// order); with a warm scratch this makes zero heap allocations.
+    /// Each `F'` row is scored in place, from the caller's slice, by one
+    /// [`BankScorer::candidates_into`] pass, so a row costs the same in
+    /// a batch of one as in a batch of 512. The returned slice borrows
+    /// the scratch's candidate pool (one entry per item, in order); with
+    /// a warm scratch this makes zero heap allocations.
     pub fn classify_batch_in<'s>(
         &self,
         fixed: &[&FixedFingerprint],
         scratch: &'s mut ClassifyScratch,
     ) -> &'s [Vec<usize>] {
-        let n = self.classify_into(fixed.iter().map(|f| f.as_slice()), scratch);
-        &scratch.candidates[..n]
+        self.classify_into(fixed.len(), |i| fixed[i].as_slice(), scratch);
+        &scratch.candidates[..fixed.len()]
     }
 
-    /// Stage 1 behind every batch path: copies the rows the verdict
-    /// cache cannot answer (all of them when it is off) into the scratch
-    /// matrix, walks each packed arena over that dense miss matrix, and
-    /// leaves item `i`'s candidate labels in `scratch.candidates[i]`.
-    /// Returns the batch size.
+    /// Stage 1 behind every batch path: scores the `n` rows `row(0..n)`
+    /// that the verdict cache cannot answer (all of them when it is
+    /// off) and leaves item `i`'s candidate labels in
+    /// `scratch.candidates[i]`.
     ///
     /// The cache is bit-transparent: hits replay labels that an earlier
     /// identical `F'` row produced (entries compare full bit patterns,
     /// and labels are always emitted in increasing order), and in-batch
-    /// duplicates are classified once and copied.
-    fn classify_into<'a, I>(&self, rows: I, scratch: &mut ClassifyScratch) -> usize
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let rows = rows.into_iter();
-        let n = rows.len();
-        let cache = self.verdict_cache.as_ref();
+    /// duplicates are scored once and copied.
+    fn classify_into<'a>(
+        &self,
+        n: usize,
+        row: impl Fn(usize) -> &'a [f64],
+        scratch: &mut ClassifyScratch,
+    ) {
         let ClassifyScratch {
-            matrix,
-            accepted,
+            words,
             candidates,
             key,
             misses,
-            miss_hashes,
-            aliases,
             pending,
             ..
         } = scratch;
         if candidates.len() < n {
             candidates.resize_with(n, Vec::new);
         }
-        matrix.clear();
+        let Some(cache) = self.verdict_cache.as_ref() else {
+            for (index, slot) in candidates[..n].iter_mut().enumerate() {
+                slot.clear();
+                self.scorer.candidates_into(row(index), words, slot);
+            }
+            return;
+        };
         misses.clear();
-        miss_hashes.clear();
-        aliases.clear();
         pending.clear();
-        for (index, cells) in rows.enumerate() {
-            let slot = &mut candidates[index];
+        for index in 0..n {
+            let cells = row(index);
+            let (earlier, rest) = candidates.split_at_mut(index);
+            let slot = &mut rest[0];
             slot.clear();
-            if let Some(cache) = cache {
-                key.clear();
-                key.extend(cells.iter().map(|value| value.to_bits()));
-                let hash = cache.row_hash(key);
-                if cache.lookup_into(hash, key, slot) {
-                    continue;
-                }
-                // In-batch dedup: a row equal to an earlier miss of this
-                // batch is classified once and its labels copied
-                // afterwards. A routing-hash collision (equal hash,
-                // different bits) falls through to its own miss slot;
-                // `pending` keeps pointing at the first miss, so a
-                // collided row merely loses its dedup shortcut — never
-                // its correct verdict.
-                match pending.entry(hash) {
-                    Entry::Occupied(first) => {
-                        let miss = *first.get();
-                        let earlier = matrix.row(miss as usize).iter().map(|v| v.to_bits());
-                        if earlier.eq(key.iter().copied()) {
-                            aliases.push((index as u32, miss));
-                            continue;
-                        }
-                    }
-                    Entry::Vacant(vacant) => {
-                        vacant.insert(misses.len() as u32);
-                    }
-                }
-                miss_hashes.push(hash);
+            key.clear();
+            key.extend(cells.iter().map(|value| value.to_bits()));
+            let hash = cache.row_hash(key);
+            if cache.lookup_into(hash, key, slot) {
+                continue;
             }
-            matrix.push_row(cells);
-            misses.push(index as u32);
-        }
-        // Forest pass over the miss matrix, scattering each accepted
-        // label back to the miss's batch slot (labels visited in
-        // increasing order = per-item candidate order).
-        if !misses.is_empty() {
-            for (label, forest) in self.packed.iter().enumerate() {
-                accepted.clear();
-                forest.accepts_rows(matrix, accepted);
-                for (&slot, &ok) in misses.iter().zip(accepted.iter()) {
-                    if ok {
-                        candidates[slot as usize].push(label);
+            // In-batch dedup: a row equal to an earlier miss of this
+            // batch copies that miss's labels. A routing-hash collision
+            // (equal hash, different bits) falls through to its own
+            // miss; `pending` keeps pointing at the first miss, so a
+            // collided row merely loses its dedup shortcut — never its
+            // correct verdict.
+            match pending.entry(hash) {
+                Entry::Occupied(first) => {
+                    let source = *first.get() as usize;
+                    if row(source)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .eq(key.iter().copied())
+                    {
+                        slot.extend_from_slice(&earlier[source]);
+                        continue;
                     }
+                }
+                Entry::Vacant(vacant) => {
+                    vacant.insert(index as u32);
                 }
             }
+            self.scorer.candidates_into(cells, words, slot);
+            misses.push((index as u32, hash));
         }
-        let Some(cache) = cache else { return n };
-        // Publish fresh verdicts, then resolve in-batch aliases. An
-        // alias's source slot always precedes it in the batch, so the
-        // split borrow below is well-formed.
-        for (miss, (&slot, &hash)) in misses.iter().zip(miss_hashes.iter()).enumerate() {
-            cache.insert(hash, matrix.row(miss), &candidates[slot as usize]);
+        // Publish after the batch, so an in-batch duplicate is a dedup
+        // copy and not a cache hit, whatever the batch shape.
+        for &(slot, hash) in misses.iter() {
+            cache.insert(hash, row(slot as usize), &candidates[slot as usize]);
         }
-        for &(index, miss) in aliases.iter() {
-            let source = misses[miss as usize] as usize;
-            debug_assert!(source < index as usize);
-            let (head, tail) = candidates.split_at_mut(index as usize);
-            tail[0].extend_from_slice(&head[source]);
-        }
-        n
-    }
-
-    /// Whether type `label`'s classifier accepts the fingerprint, via
-    /// the packed arena (identical to [`ClassifierBank::accepts`]).
-    pub fn accepts(&self, label: usize, fixed: &FixedFingerprint) -> bool {
-        self.packed[label].accepts(fixed.as_slice())
     }
 
     /// Stage 2: scores `full` against sampled references of every
@@ -1013,7 +970,7 @@ mod tests {
         // the three existing types bit-identical and append exactly the
         // state a full retrain on the extended dataset would build for
         // the new label: same classifier, same reference fingerprints,
-        // and the same stage-1 decisions through the packed arena.
+        // and the same stage-1 candidates through the rebuilt scorer.
         let devices: Vec<_> = catalog().into_iter().take(4).collect();
         let three = FingerprintDataset::collect(&devices[..3], 8, 5);
         let four = FingerprintDataset::collect(&devices, 8, 5);
@@ -1032,15 +989,26 @@ mod tests {
             full.bank().classifier(label)
         );
         assert_eq!(incremental.references[label], full.references[label]);
-        // The packed arena for the new type makes the same stage-1
-        // decisions on every training fingerprint.
-        for i in 0..four.len() {
+        // The scorer was rebuilt with the bank: a stale one would miss
+        // the new label on the new type's own training fingerprints.
+        let fixed: Vec<&FixedFingerprint> = (0..four.len()).map(|i| four.fixed(i)).collect();
+        let mut scratch = ClassifyScratch::default();
+        let grown = incremental.classify_batch_in(&fixed, &mut scratch).to_vec();
+        let mut fresh = ClassifyScratch::default();
+        let retrained = full.classify_batch_in(&fixed, &mut fresh);
+        for (i, candidates) in grown.iter().enumerate() {
             assert_eq!(
-                incremental.accepts(label, four.fixed(i)),
-                full.accepts(label, four.fixed(i)),
+                candidates,
+                &incremental.bank().matches(fixed[i]),
+                "sample {i}"
+            );
+            assert_eq!(
+                candidates.contains(&label),
+                retrained[i].contains(&label),
                 "sample {i}"
             );
         }
+        assert!(grown.iter().any(|candidates| candidates.contains(&label)));
         // And held-out runs of the new device actually identify as it.
         let testbed = Testbed::new(55);
         let trace = testbed.setup_run(&devices[3].profile, 0);
@@ -1058,6 +1026,67 @@ mod tests {
         assert_eq!(batch.len(), fixed.len());
         for (i, candidates) in batch.iter().enumerate() {
             assert_eq!(candidates, &identifier.bank().matches(fixed[i]), "item {i}");
+        }
+    }
+
+    #[test]
+    fn a_model_file_with_hostile_thresholds_boots_and_scores_like_its_bank() {
+        // `DecisionTree::from_parts` takes any threshold bits and the
+        // snapshot codec passes them through: NaN of either sign, ±∞,
+        // −0.0 and a value some probe holds exactly must neither panic
+        // the scorer's build nor move a verdict off the bank's.
+        use sentinel_ml::{DecisionTree, RandomForest};
+        let (identifier, dataset) = train_on_three();
+        let model = TrainedModel::from(&identifier);
+        let probe = dataset.fixed(0).as_slice();
+        let mut k = 0usize;
+        let classifiers = (model.bank().classifiers().iter())
+            .map(|forest| {
+                let trees = (forest.trees().iter())
+                    .map(|tree| {
+                        let mut parts = tree.to_parts();
+                        for (at, &feature) in parts.features.iter().enumerate() {
+                            if feature == u32::MAX {
+                                continue;
+                            }
+                            let hostile = [
+                                f64::NAN,
+                                -f64::NAN,
+                                f64::INFINITY,
+                                f64::NEG_INFINITY,
+                                -0.0,
+                                probe[feature as usize],
+                            ];
+                            if let Some(&threshold) = hostile.get(k % 8) {
+                                parts.thresholds[at] = threshold;
+                            }
+                            k += 1;
+                        }
+                        DecisionTree::from_parts(parts, probe.len()).expect("structure kept")
+                    })
+                    .collect();
+                RandomForest::from_parts(trees, forest.oob_accuracy()).expect("classes kept")
+            })
+            .collect();
+        let bank = ClassifierBank::from_parts(
+            classifiers,
+            model.bank().type_names().to_vec(),
+            model.bank().config().clone(),
+        )
+        .expect("still one binary classifier per name");
+        let patched: Identifier =
+            TrainedModel::from_parts(bank, model.references().to_vec(), model.config().clone())
+                .expect("references kept")
+                .into();
+        let fixed: Vec<&FixedFingerprint> = (0..dataset.len()).map(|i| dataset.fixed(i)).collect();
+        let mut scratch = ClassifyScratch::default();
+        let batch = patched.classify_batch_in(&fixed, &mut scratch);
+        assert!(
+            k >= 8,
+            "every hostile value landed in some split ({k} splits)"
+        );
+        for (i, candidates) in batch.iter().enumerate() {
+            assert_eq!(candidates, &patched.bank().matches(fixed[i]), "item {i}");
         }
     }
 

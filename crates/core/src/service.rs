@@ -182,9 +182,9 @@ impl IoTSecurityService {
     ///
     /// `dataset` must be the extended corpus: all previously known types
     /// plus fingerprints labeled with the new type's index. Delegates to
-    /// [`Identifier::add_type`], which appends the new classifier, its
-    /// stage-2 reference fingerprints and the packed prediction arena;
-    /// everything already trained is left bit-identical.
+    /// [`Identifier::add_type`], which appends the new classifier and
+    /// its stage-2 reference fingerprints and rebuilds the stage-1
+    /// scorer; everything already trained is left bit-identical.
     pub fn add_type(&mut self, name: impl Into<String>, dataset: &FingerprintDataset) -> usize {
         self.identifier.add_type(name, dataset)
     }
@@ -240,7 +240,7 @@ impl SecurityService for IoTSecurityService {
         self.assess_keyed(full, fixed, AssessKey::DIRECT)
     }
 
-    /// Stage 1 runs forest-major over the scratch's batch matrix, stage
+    /// Stage 1 scores each item's `F'` through the bank's scorer, stage
     /// 2 draws from each item's own keyed generator and scores out of
     /// the same scratch, then the vulnerability lookup per item — once
     /// the scratch is warm, the only allocations are the ones each

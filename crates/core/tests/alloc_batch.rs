@@ -1,14 +1,15 @@
 //! Counting-allocator audit of steady-state batched identification:
 //! after one warm-up tick has sized the [`ClassifyScratch`] — stage 1's
-//! batch matrix, per-forest verdict buffer and per-item candidate pool,
-//! stage 2's probe symbols, sampled reference indices, mask table and
-//! kernel state — every subsequent [`Identifier::classify_batch_in`]
-//! tick over a same-shaped batch must perform **zero** heap
-//! allocations, and every [`Identifier::identify_keyed_batch_into`]
-//! tick only the ones its `Identification`s own. This pins the contract
-//! behind the caller-owned scratch: the streaming runtime's shards hold
-//! one scratch each and assess tick after tick without touching the
-//! allocator for working memory.
+//! leaf words and per-item candidate pool, stage 2's probe symbols,
+//! sampled reference indices, mask table and kernel state — every
+//! subsequent [`Identifier::classify_batch_in`] tick over a same-shaped
+//! batch (of 1, 64 or 512; before and after an `add_type`) must perform
+//! **zero** heap allocations, and every
+//! [`Identifier::identify_keyed_batch_into`] tick only the ones its
+//! `Identification`s own. This pins the contract behind the caller-owned
+//! scratch: the streaming runtime's shards hold one scratch each and
+//! assess tick after tick without touching the allocator for working
+//! memory.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide: any neighbouring test running
@@ -63,8 +64,9 @@ fn steady_state_batches_allocate_only_what_identifications_own() {
 }
 
 fn batched_classification_does_not_allocate() {
-    let devices: Vec<_> = catalog().into_iter().take(3).collect();
-    let dataset = FingerprintDataset::collect(&devices, 8, 5);
+    let devices: Vec<_> = catalog().into_iter().take(4).collect();
+    let three = FingerprintDataset::collect(&devices[..3], 8, 5);
+    let four = FingerprintDataset::collect(&devices, 8, 5);
     let config = IdentifierConfig {
         bank: BankConfig {
             forest: ForestConfig::default().with_trees(15),
@@ -72,31 +74,43 @@ fn batched_classification_does_not_allocate() {
         },
         ..IdentifierConfig::default()
     };
-    let identifier = Identifier::train(&dataset, &config);
-    let fixed: Vec<&FixedFingerprint> = (0..dataset.len()).map(|i| dataset.fixed(i)).collect();
-
-    // Warm-up tick: stretches the batch matrix, the verdict buffer and
-    // every per-item candidate vector to this batch shape.
+    let mut identifier = Identifier::train(&three, &config);
     let mut scratch = ClassifyScratch::default();
-    let baseline: Vec<Vec<usize>> = identifier.classify_batch_in(&fixed, &mut scratch).to_vec();
-    assert_eq!(baseline.len(), fixed.len());
 
-    // Steady state: refilling the matrix and re-walking every packed
-    // arena over it must not touch the heap.
-    let before = allocations();
-    for _ in 0..8 {
-        let candidates = identifier.classify_batch_in(&fixed, &mut scratch);
-        assert_eq!(candidates.len(), baseline.len());
-    }
-    let spent = allocations() - before;
-    assert_eq!(
-        spent, 0,
-        "batched classification allocated {spent} times over 8 steady-state ticks"
-    );
-
-    // And scratch reuse must not have drifted any verdict.
-    let again = identifier.classify_batch_in(&fixed, &mut scratch).to_vec();
-    assert_eq!(again, baseline, "warm-path candidates must not drift");
+    // Rows are scored where they lie, so a warm tick costs the heap
+    // nothing whatever the batch size.
+    let mut warm_ticks_are_free = |identifier: &Identifier, what: &str| {
+        for size in [1usize, 64, 512] {
+            let fixed: Vec<&FixedFingerprint> =
+                (0..size).map(|i| four.fixed(i % four.len())).collect();
+            // Warm-up tick: stretches the leaf words to this model and
+            // the candidate pool to this batch shape.
+            let baseline: Vec<Vec<usize>> =
+                identifier.classify_batch_in(&fixed, &mut scratch).to_vec();
+            assert_eq!(baseline.len(), size);
+            let before = allocations();
+            for _ in 0..8 {
+                let candidates = identifier.classify_batch_in(&fixed, &mut scratch);
+                assert_eq!(candidates.len(), size);
+            }
+            let spent = allocations() - before;
+            assert_eq!(
+                spent, 0,
+                "{what}: a batch of {size} allocated {spent} times over 8 steady-state ticks"
+            );
+            // And scratch reuse must not have drifted any verdict.
+            let again = identifier.classify_batch_in(&fixed, &mut scratch).to_vec();
+            assert_eq!(
+                again, baseline,
+                "{what}: warm-path candidates must not drift"
+            );
+        }
+    };
+    warm_ticks_are_free(&identifier, "three types");
+    // A fourth type rebuilds the scorer with more trees: the same
+    // scratch grows its word buffer once, then never again.
+    identifier.add_type(devices[3].info.identifier, &four);
+    warm_ticks_are_free(&identifier, "after add_type");
 }
 
 /// Stage 2 over the Table III confusable families (D-Link, TP-Link,

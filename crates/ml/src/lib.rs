@@ -17,13 +17,12 @@
 //!   all of it.
 //! * [`crossval`] — stratified k-fold cross-validation splits.
 //! * [`metrics`] — accuracy, confusion matrices, precision/recall.
-//! * [`packed`] — a contiguous, lockstep-walked prediction arena over a
-//!   fitted forest (identical results, hot-path speed).
-//! * [`kernel`] — the reusable contiguous [`BatchMatrix`] the packed
-//!   arenas' batch entries read.
 //! * [`parallel`] — deterministic fork/join helpers (ordered merges,
 //!   `SENTINEL_THREADS` thread-count resolution).
 //! * [`sampling`] — bootstrap and without-replacement sampling.
+//! * [`scorer`] — [`BankScorer`]: a whole bank of binary forests scored
+//!   in one pass over its sorted split thresholds (verdicts identical
+//!   to [`RandomForest::accepts`], hot-path speed).
 //! * [`pinned`] — the v2 pinned RNG contract: keyed, order-independent
 //!   draws for decisions that must not depend on scheduling.
 //!
@@ -54,18 +53,16 @@ pub mod crossval;
 mod data;
 mod forest;
 pub mod hash;
-pub mod kernel;
 pub mod metrics;
-pub mod packed;
 pub mod parallel;
 pub mod pinned;
 pub mod sampling;
+pub mod scorer;
 mod tree;
 
 pub use binning::BinnedDataset;
 pub use data::Dataset;
 pub use forest::{FeatureSubsample, ForestConfig, RandomForest};
-pub use kernel::BatchMatrix;
-pub use packed::PackedForest;
 pub use pinned::PinnedRng;
+pub use scorer::BankScorer;
 pub use tree::{DecisionTree, FitArena, TreeConfig, TreeParts};

@@ -41,7 +41,21 @@ impl Default for TreeConfig {
 }
 
 /// Marks a leaf in the per-node `features` array.
-pub(crate) const LEAF: u32 = u32::MAX;
+const LEAF: u32 = u32::MAX;
+
+/// One node of a [`DecisionTree`], decoded from the parallel arrays.
+pub(crate) enum Node {
+    /// Routes `row[feature] <= threshold` to `left`, everything else
+    /// (NaN included) to `right`.
+    Split {
+        feature: u32,
+        threshold: f64,
+        left: u32,
+        right: u32,
+    },
+    /// Votes `class`.
+    Leaf { class: u32 },
+}
 
 /// A trained CART decision tree.
 ///
@@ -464,31 +478,21 @@ impl DecisionTree {
         }
     }
 
-    /// Appends this tree's nodes to a [`crate::packed`] arena, offsetting
-    /// child ids by the arena's current length, and returns the root's
-    /// arena index.
-    pub(crate) fn pack_into(&self, nodes: &mut Vec<crate::packed::PackedNode>) -> u32 {
-        let base = nodes.len() as u32;
-        if self.features.is_empty() {
-            // Defensive: an empty tree cannot predict; pack it as a
-            // class-0 leaf so the arena walk stays in bounds.
-            nodes.push(crate::packed::PackedNode::leaf(0));
-            return base;
+    /// Node `at` as [`crate::scorer`] reads it when it numbers the
+    /// tree's leaves.
+    pub(crate) fn node(&self, at: u32) -> Node {
+        let at = at as usize;
+        match self.features[at] {
+            LEAF => Node::Leaf {
+                class: self.rights[at],
+            },
+            feature => Node::Split {
+                feature,
+                threshold: self.thresholds[at],
+                left: self.lefts[at],
+                right: self.rights[at],
+            },
         }
-        for i in 0..self.features.len() {
-            let feature = self.features[i];
-            nodes.push(if feature == LEAF {
-                crate::packed::PackedNode::leaf(self.rights[i])
-            } else {
-                crate::packed::PackedNode::split(
-                    feature,
-                    self.thresholds[i],
-                    base + self.lefts[i],
-                    base + self.rights[i],
-                )
-            });
-        }
-        base
     }
 
     fn leaf_counts_for(&self, row: &[f64]) -> &[usize] {

@@ -3,9 +3,9 @@
 //! high-water marks), every subsequent tree fit must perform only the
 //! handful of exact-sized output-array allocations — zero per-node
 //! allocations in split search, leaf construction or partitioning.
-//! The same audit covers the inference side: steady-state batched
-//! classification through `accepts_rows` (a warm
-//! [`BatchMatrix`] plus verdict buffer) must allocate nothing at all.
+//! The same audit covers the inference side: a warm
+//! [`BankScorer::candidates_into`] (word and label buffers sized by one
+//! earlier call) must allocate nothing at all.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide: any neighbouring test running
@@ -15,8 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sentinel_ml::{
-    BatchMatrix, BinnedDataset, Dataset, DecisionTree, FitArena, ForestConfig, PackedForest,
-    PinnedRng, RandomForest, TreeConfig,
+    BankScorer, BinnedDataset, Dataset, DecisionTree, FitArena, ForestConfig, PinnedRng,
+    RandomForest, TreeConfig,
 };
 
 /// Passes everything through to [`System`], counting every allocation
@@ -110,37 +110,46 @@ fn steady_state_tree_fits_do_not_allocate_per_node() {
         "tree fit allocated {spent} times in steady state (budget {STEADY_STATE_BUDGET})"
     );
 
-    // Steady state, batched classification: after one warm-up tick has
-    // sized the batch matrix and the verdict buffer, refill +
-    // `accepts_rows` walks must not touch the heap at all.
+    // Steady state, classification: after one warm-up row has sized the
+    // word and label buffers, scoring rows must not touch the heap at
+    // all.
     let mut binary = Dataset::new(12);
     let mut row = [0.0f64; 12];
     for i in 0..240usize {
         for (f, slot) in row.iter_mut().enumerate() {
             *slot = ((i * (f + 5) + f) % 11) as f64;
         }
-        binary.push(&row, usize::from(i % 3 == 0));
+        // Rows repeat with period 11; so must their labels.
+        binary.push(&row, usize::from(i % 11 % 3 == 0));
     }
-    let forest = RandomForest::fit(
-        &binary,
-        &ForestConfig::default().with_trees(15).with_seed(3),
-    );
-    let packed = PackedForest::from_forest(&forest);
-    let mut matrix = BatchMatrix::new();
-    let mut verdicts: Vec<bool> = Vec::new();
-    matrix.fill((0..64).map(|i| binary.row(i)));
-    packed.accepts_rows(&matrix, &mut verdicts);
-    let baseline = verdicts.clone();
+    let forests: Vec<RandomForest> = (0..3)
+        .map(|seed| {
+            RandomForest::fit(
+                &binary,
+                &ForestConfig::default().with_trees(15).with_seed(seed),
+            )
+        })
+        .collect();
+    let scorer = BankScorer::new(&forests);
+    let mut words: Vec<u64> = Vec::new();
+    let mut labels: Vec<usize> = Vec::new();
+    let score_all = |words: &mut Vec<u64>, labels: &mut Vec<usize>| {
+        labels.clear();
+        for i in 0..64 {
+            scorer.candidates_into(binary.row(i), words, labels);
+        }
+    };
+    score_all(&mut words, &mut labels);
+    let baseline = labels.clone();
+    assert!(!baseline.is_empty(), "some forest accepts some row");
     let before = allocations();
     for _ in 0..8 {
-        matrix.fill((0..64).map(|i| binary.row(i)));
-        verdicts.clear();
-        packed.accepts_rows(&matrix, &mut verdicts);
+        score_all(&mut words, &mut labels);
     }
     let spent = allocations() - before;
-    assert_eq!(verdicts, baseline, "warm-path verdicts must not drift");
+    assert_eq!(labels, baseline, "warm-path verdicts must not drift");
     assert_eq!(
         spent, 0,
-        "batched kernel classification allocated {spent} times over 8 steady-state ticks"
+        "warm scoring allocated {spent} times over 8 passes of 64 rows"
     );
 }

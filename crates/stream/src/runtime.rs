@@ -551,7 +551,7 @@ impl<S: SecurityService> StreamRuntime<S> {
 
     /// The second and third pass of a round: assesses the call's
     /// completions (already in `(seq, mac)` stream order) as one keyed
-    /// batch — stage-1 batched forest-major over all of them, stage-2
+    /// batch — stage 1 through the bank's scorer for each, stage-2
     /// drawing from each completion's own `(seq, mac)`-keyed generator —
     /// then installs each device's enforcement rule and records its
     /// report, in that order. No completions ⇒ no work, no allocation.
