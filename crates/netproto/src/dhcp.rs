@@ -371,6 +371,13 @@ impl DhcpMessage {
         let chaddr = MacAddr::new(bytes[28..34].try_into().expect("slice of 6"));
         let mut options = Vec::new();
         if let Some(area) = options_area {
+            // One reservation: a first walk counts, the second reports.
+            let mut count = 0;
+            let _ = walk_options(area, |_, _| {
+                count += 1;
+                Ok(())
+            });
+            options.reserve_exact(count);
             walk_options(area, |code, data| {
                 options.push(DhcpOption::parse(code, data)?);
                 Ok(())

@@ -14,7 +14,10 @@ use crate::ParseError;
 pub const HEADER_LEN: usize = 12;
 
 /// The shortest question on the wire: the root name, type and class.
-const MIN_QUESTION_LEN: usize = 5;
+const MIN_QUESTION_LEN: usize = 1 + QUESTION_FIELDS_LEN;
+/// The shortest record on the wire: the root name, the fixed fields and
+/// no data.
+const MIN_RECORD_LEN: usize = 1 + RECORD_FIELDS_LEN;
 
 /// DNS record type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -318,10 +321,11 @@ impl DnsMessage {
         let id = u16::from_be_bytes([bytes[0], bytes[1]]);
         let flags = u16::from_be_bytes([bytes[2], bytes[3]]);
         let mut offset = HEADER_LEN;
-        // The count is the sender's claim; reserve only what the bytes
-        // that actually arrived can hold.
-        let body = bytes.len() - HEADER_LEN;
-        let mut questions = Vec::with_capacity(counts[0].min(body / MIN_QUESTION_LEN));
+        // A count is the sender's claim; every section reserves only
+        // what the bytes that actually arrived, and are left, can hold.
+        let fit =
+            |count: usize, offset: usize, min_len| count.min((bytes.len() - offset) / min_len);
+        let mut questions = Vec::with_capacity(fit(counts[0], offset, MIN_QUESTION_LEN));
         for _ in 0..counts[0] {
             let (name, next) = parse_name(bytes, offset)?;
             let (qtype, qclass) = question_fields(bytes, next)?;
@@ -334,6 +338,7 @@ impl DnsMessage {
         }
         let mut sections: [Vec<ResourceRecord>; 3] = Default::default();
         for (section, &count) in sections.iter_mut().zip(&counts[1..]) {
+            section.reserve_exact(fit(count, offset, MIN_RECORD_LEN));
             for _ in 0..count {
                 let (rr, next) = parse_record(bytes, offset)?;
                 section.push(rr);
@@ -436,8 +441,10 @@ fn walk_name<'a>(
 }
 
 /// The name at `offset` as a dotted string, and the offset after it.
+/// Reserved once, for the length the name re-encodes to: a label and its
+/// dot are as long as the label and its length byte.
 fn parse_name(bytes: &[u8], offset: usize) -> Result<(String, usize), ParseError> {
-    let mut name = String::new();
+    let mut name = String::with_capacity(scan_name(bytes, offset)?.0);
     let next = walk_name(bytes, offset, |label| {
         if !name.is_empty() {
             name.push('.');
@@ -527,7 +534,9 @@ fn parse_record(bytes: &[u8], offset: usize) -> Result<(ResourceRecord, usize), 
         // The name may be (or end in) a pointer out of the record data.
         (RecordType::Ptr, _) => RecordData::Ptr(parse_name(bytes, data_start)?.0),
         (RecordType::Txt, _) => {
-            let mut strings = Vec::new();
+            let mut count = 0;
+            walk_txt(rdata, |_| count += 1)?;
+            let mut strings = Vec::with_capacity(count);
             walk_txt(rdata, |s| strings.push(s.to_owned()))?;
             RecordData::Txt(strings)
         }

@@ -3,6 +3,13 @@
 //! IoT devices use plain HTTP during setup for cloud registration,
 //! firmware-version checks and UPnP descriptions. Only start-line and
 //! headers are modeled structurally; bodies are opaque bytes.
+//!
+//! A head is walked once, by `split_head`, at byte speed; the feature scan
+//! (`encoded_len`) and the decoder ([`HttpMessage::parse`]) are that
+//! walk's two consumers. The decoder keeps the header section in one
+//! buffer ([`Headers`]), reserved once, so a message is at most three
+//! allocations (target or reason, headers, body — four with an unmodeled
+//! method token) however many fields it carries.
 
 use bytes::{BufMut, Bytes};
 use serde::{Deserialize, Serialize};
@@ -53,6 +60,43 @@ impl Method {
     }
 }
 
+/// The header section of a message: the fields in order, held the way
+/// they are encoded — `name: value\r\n`, back to back in one buffer — so
+/// a message owns one allocation for all of them and encoding is one
+/// copy. A name holds no `:` and neither half a `\r\n`, as on the wire.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct Headers {
+    lines: String,
+}
+
+impl Headers {
+    /// Appends a field.
+    pub fn push(&mut self, name: &str, value: &str) {
+        debug_assert!(!name.contains(':') && !name.contains("\r\n") && !value.contains("\r\n"));
+        self.lines.reserve(header_len(name, value));
+        self.lines.push_str(name);
+        self.lines.push_str(HEADER_SEPARATOR);
+        self.lines.push_str(value);
+        self.lines.push_str(CRLF);
+    }
+
+    /// The `(name, value)` pairs, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        let lines = self.lines.split_terminator(CRLF);
+        lines.filter_map(|line| line.split_once(HEADER_SEPARATOR))
+    }
+}
+
+impl<'a> FromIterator<(&'a str, &'a str)> for Headers {
+    fn from_iter<I: IntoIterator<Item = (&'a str, &'a str)>>(fields: I) -> Self {
+        let mut headers = Headers::default();
+        for (name, value) in fields {
+            headers.push(name, value);
+        }
+        headers
+    }
+}
+
 /// An HTTP/1.1 message (request or response).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum HttpMessage {
@@ -63,7 +107,7 @@ pub enum HttpMessage {
         /// Request target (path or `*`).
         target: String,
         /// Header fields in order.
-        headers: Vec<(String, String)>,
+        headers: Headers,
         /// Message body.
         body: Bytes,
     },
@@ -74,7 +118,7 @@ pub enum HttpMessage {
         /// Reason phrase.
         reason: String,
         /// Header fields in order.
-        headers: Vec<(String, String)>,
+        headers: Headers,
         /// Message body.
         body: Bytes,
     },
@@ -82,35 +126,32 @@ pub enum HttpMessage {
 
 impl HttpMessage {
     /// A GET request for `target` on `host`.
-    pub fn get(host: impl Into<String>, target: impl Into<String>) -> Self {
+    pub fn get(host: impl AsRef<str>, target: impl Into<String>) -> Self {
         HttpMessage::Request {
             method: Method::Get,
             target: target.into(),
-            headers: vec![("Host".into(), host.into())],
+            headers: Headers::from_iter([("Host", host.as_ref())]),
             body: Bytes::new(),
         }
     }
 
     /// A POST request with a body.
-    pub fn post(
-        host: impl Into<String>,
-        target: impl Into<String>,
-        body: impl Into<Bytes>,
-    ) -> Self {
+    pub fn post(host: impl AsRef<str>, target: impl Into<String>, body: impl Into<Bytes>) -> Self {
         let body = body.into();
+        let length = body.len().to_string();
         HttpMessage::Request {
             method: Method::Post,
             target: target.into(),
-            headers: vec![
-                ("Host".into(), host.into()),
-                ("Content-Length".into(), body.len().to_string()),
-            ],
+            headers: Headers::from_iter([
+                ("Host", host.as_ref()),
+                ("Content-Length", length.as_str()),
+            ]),
             body,
         }
     }
 
     /// The header fields of the message.
-    pub fn headers(&self) -> &[(String, String)] {
+    pub fn headers(&self) -> &Headers {
         match self {
             HttpMessage::Request { headers, .. } | HttpMessage::Response { headers, .. } => headers,
         }
@@ -118,10 +159,8 @@ impl HttpMessage {
 
     /// The value of a header (case-insensitive name match).
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers()
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        let mut fields = self.headers().iter();
+        fields.find_map(|(n, value)| n.eq_ignore_ascii_case(name).then_some(value))
     }
 
     /// The message body.
@@ -146,16 +185,11 @@ impl HttpMessage {
                 buf.put_slice(&digits[start..]);
                 buf.put_slice(b" ");
                 buf.put_slice(reason.as_bytes());
-                buf.put_slice(CRLF);
+                buf.put_slice(CRLF.as_bytes());
             }
         }
-        for (name, value) in self.headers() {
-            buf.put_slice(name.as_bytes());
-            buf.put_slice(HEADER_SEPARATOR);
-            buf.put_slice(value.as_bytes());
-            buf.put_slice(CRLF);
-        }
-        buf.put_slice(CRLF);
+        buf.put_slice(self.headers().lines.as_bytes());
+        buf.put_slice(CRLF.as_bytes());
         buf.put_slice(self.body());
     }
 
@@ -172,12 +206,7 @@ impl HttpMessage {
                 reason,
             },
         };
-        let headers: usize = self
-            .headers()
-            .iter()
-            .map(|(name, value)| header_len(name, value))
-            .sum();
-        start_line.wire_len() + headers + CRLF.len() + self.body().len()
+        start_line.wire_len() + self.headers().lines.len() + CRLF.len() + self.body().len()
     }
 
     /// Encodes into a fresh byte vector.
@@ -194,9 +223,14 @@ impl HttpMessage {
     /// Returns [`ParseError::Invalid`] if no CRLFCRLF head terminator is
     /// found or the start line is malformed.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        let mut headers = Vec::new();
+        let mut headers = Headers::default();
         let (start, body) = split_head(bytes, |name, value| {
-            headers.push((name.to_owned(), value.to_owned()));
+            // One reservation, made when the first field turns up: a line
+            // re-encodes at most a third longer than it came (`:` to `: `).
+            if headers.lines.capacity() == 0 {
+                headers.lines.reserve(bytes.len() + bytes.len() / 3);
+            }
+            headers.push(name, value);
         })?;
         let body = Bytes::copy_from_slice(body);
         Ok(match StartLine::parse(start)? {
@@ -217,6 +251,7 @@ impl HttpMessage {
 }
 
 /// The modeled pieces of a start line, as parsed and as re-encoded.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum StartLine<'a> {
     Request { method: &'a str, target: &'a str },
     Response { status: u16, reason: &'a str },
@@ -227,19 +262,19 @@ impl<'a> StartLine<'a> {
     /// reason; a request line is at least three tokens, the third an
     /// `HTTP/` version (further tokens are dropped).
     fn parse(start: &'a str) -> Result<Self, ParseError> {
-        if let Some(rest) = start
-            .strip_prefix("HTTP/1.1 ")
-            .or_else(|| start.strip_prefix("HTTP/1.0 "))
-        {
-            let (code, reason) = rest.split_once(' ').unwrap_or((rest, ""));
+        let cut = |text: &'a str| cut_at(text, b' ');
+        if start.starts_with("HTTP/1.1 ") || start.starts_with("HTTP/1.0 ") {
+            let rest = &start[STATUS_LINE_HEAD.len()..];
+            let (code, reason) = cut(rest).unwrap_or((rest, ""));
             let status = code
                 .parse()
                 .map_err(|_| ParseError::invalid("http", "bad status code"))?;
             return Ok(StartLine::Response { status, reason });
         }
-        let mut parts = start.split(' ');
-        match (parts.next(), parts.next(), parts.next()) {
-            (Some(method), Some(target), Some(version)) if version.starts_with("HTTP/") => {
+        // The third token is whatever follows the second space, up to
+        // the next one: it starts with `HTTP/` iff the rest does.
+        match cut(start).and_then(|(method, rest)| Some((method, cut(rest)?))) {
+            Some((method, (target, version))) if version.starts_with("HTTP/") => {
                 Ok(StartLine::Request { method, target })
             }
             _ => Err(ParseError::invalid("http", "bad start line")),
@@ -268,24 +303,88 @@ fn header_len(name: &str, value: &str) -> usize {
 
 /// Splits a message at its blank line into `(start line, body)`, handing
 /// every header field — name and value trimmed, as they are kept and
-/// re-encoded — to `header`.
+/// re-encoded — to `header`. One forward pass: a line ends at the next
+/// `\r\n`, the head at the first `\r\n` that another follows, a field's
+/// name at its first `:`. Rejects in the order the checks have always
+/// run — a head that never ends, then one that is not text, then a
+/// colon-less line — so `header` may see fields of a head it rejects.
 fn split_head<'a>(
     bytes: &'a [u8],
     mut header: impl FnMut(&'a str, &'a str),
 ) -> Result<(&'a str, &'a [u8]), ParseError> {
-    let head_end = find_head_end(bytes)
-        .ok_or_else(|| ParseError::invalid("http", "missing header terminator"))?;
-    let head = std::str::from_utf8(&bytes[..head_end])
-        .map_err(|_| ParseError::invalid("http", "head not utf-8"))?;
-    let mut lines = head.split("\r\n");
-    let start = lines.next().unwrap_or_default();
-    for line in lines {
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ParseError::invalid("http", "header line without a colon"))?;
-        header(name.trim(), value.trim());
+    let unterminated = || ParseError::invalid("http", "missing header terminator");
+    let mut end = find_crlf(bytes, 0).ok_or_else(unterminated)?;
+    let start = std::str::from_utf8(&bytes[..end]);
+    let (mut text, mut colons) = (start.is_ok(), true);
+    while !bytes[end + 2..].starts_with(CRLF.as_bytes()) {
+        let at = end + 2;
+        end = find_crlf(bytes, at).ok_or_else(unterminated)?;
+        match std::str::from_utf8(&bytes[at..end]).map(|line| cut_at(line, b':')) {
+            Ok(Some((name, value))) => header(trim(name), trim(value)),
+            Ok(None) => colons = false,
+            Err(_) => text = false,
+        }
     }
-    Ok((start, &bytes[head_end + 4..]))
+    match start {
+        Ok(start) if text && colons => Ok((start, &bytes[end + 4..])),
+        Ok(_) if text => Err(ParseError::invalid("http", "header line without a colon")),
+        _ => Err(ParseError::invalid("http", "head not utf-8")),
+    }
+}
+
+/// Offset of the first `\r\n` at or after `from`, which is within `bytes`.
+fn find_crlf(bytes: &[u8], mut from: usize) -> Option<usize> {
+    loop {
+        let cr = from + find_cr(&bytes[from..])?;
+        if bytes.get(cr + 1) == Some(&b'\n') {
+            return Some(cr);
+        }
+        from = cr + 1;
+    }
+}
+
+/// Offset of the first `\r`, eight bytes at a time: XOR with eight `\r`s
+/// zeroes the ones a word holds, and `(x - 0x01…01) & !x & 0x80…80` flags
+/// zero bytes — exactly, up to the lowest flag, which is all that is read
+/// (a borrow only disturbs flags above a true one).
+fn find_cr(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("chunk of 8")) ^ (ONES * b'\r' as u64);
+        let zeros = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let cr = tail.iter().position(|&b| b == b'\r')?;
+    Some(bytes.len() - tail.len() + cr)
+}
+
+/// `text` around its first `at` (an ASCII byte): `split_once` by a byte
+/// loop — the pieces are too short to repay a searcher's set-up.
+fn cut_at(text: &str, at: u8) -> Option<(&str, &str)> {
+    let cut = text.bytes().position(|b| b == at)?;
+    Some((&text[..cut], &text[cut + 1..]))
+}
+
+/// [`str::trim`], read off the bytes where it can be: of the `White_Space`
+/// characters only tab to carriage return and the space are ASCII, so a
+/// piece that begins and ends on other ASCII bytes once those are dropped
+/// is trimmed; one that begins or ends inside a multi-byte character
+/// (U+0085, U+00A0, U+2003 … are white space too) goes to `str::trim`.
+fn trim(text: &str) -> &str {
+    let blank = |b: &u8| matches!(b, b'\t'..=b'\r' | b' ');
+    let bytes = text.as_bytes();
+    let Some(first) = bytes.iter().position(|b| !blank(b)) else {
+        return "";
+    };
+    let last = bytes.iter().rposition(|b| !blank(b)).unwrap_or(first);
+    if bytes[first] | bytes[last] >= 0x80 {
+        return text.trim();
+    }
+    &text[first..=last]
 }
 
 /// The length a message re-encodes to — [`HttpMessage::wire_len`] of
@@ -300,8 +399,8 @@ pub(crate) fn encoded_len(bytes: &[u8]) -> Result<usize, ParseError> {
     Ok(StartLine::parse(start)?.wire_len() + headers + CRLF.len() + body.len())
 }
 
-const CRLF: &[u8] = b"\r\n";
-const HEADER_SEPARATOR: &[u8] = b": ";
+const CRLF: &str = "\r\n";
+const HEADER_SEPARATOR: &str = ": ";
 const REQUEST_LINE_TAIL: &[u8] = b" HTTP/1.1\r\n";
 const STATUS_LINE_HEAD: &[u8] = b"HTTP/1.1 ";
 
@@ -321,13 +420,219 @@ fn status_digits(status: u16) -> ([u8; 5], usize) {
     }
 }
 
-fn find_head_end(bytes: &[u8]) -> Option<usize> {
-    bytes.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The head walk as it was before it went to bytes — `find`, then
+    /// `str::split`, `split_once` and `str::trim` — kept as the oracle
+    /// [`split_head`] is held to: the scan and the decoder share the
+    /// walk, so their agreement cannot see a trim or a cut gone wrong.
+    fn split_head_reference<'a>(
+        bytes: &'a [u8],
+        mut header: impl FnMut(&'a str, &'a str),
+    ) -> Result<(&'a str, &'a [u8]), ParseError> {
+        let head_end = bytes
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .ok_or_else(|| ParseError::invalid("http", "missing header terminator"))?;
+        let head = std::str::from_utf8(&bytes[..head_end])
+            .map_err(|_| ParseError::invalid("http", "head not utf-8"))?;
+        let mut lines = head.split("\r\n");
+        let start = lines.next().unwrap_or_default();
+        for line in lines {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| ParseError::invalid("http", "header line without a colon"))?;
+            header(name.trim(), value.trim());
+        }
+        Ok((start, &bytes[head_end + 4..]))
+    }
+
+    /// The start-line rules as they were before they went to bytes.
+    fn start_line_reference(start: &str) -> Result<StartLine<'_>, ParseError> {
+        if let Some(rest) = start
+            .strip_prefix("HTTP/1.1 ")
+            .or_else(|| start.strip_prefix("HTTP/1.0 "))
+        {
+            let (code, reason) = rest.split_once(' ').unwrap_or((rest, ""));
+            let status = code
+                .parse()
+                .map_err(|_| ParseError::invalid("http", "bad status code"))?;
+            return Ok(StartLine::Response { status, reason });
+        }
+        let mut parts = start.split(' ');
+        match (parts.next(), parts.next(), parts.next()) {
+            (Some(method), Some(target), Some(version)) if version.starts_with("HTTP/") => {
+                Ok(StartLine::Request { method, target })
+            }
+            _ => Err(ParseError::invalid("http", "bad start line")),
+        }
+    }
+
+    /// What a walk made of a message: start line, fields in order, body.
+    type Walked<'a> = Result<(&'a str, Vec<(&'a str, &'a str)>, &'a [u8]), ParseError>;
+
+    fn walked(bytes: &[u8]) -> Walked<'_> {
+        let mut fields = Vec::new();
+        let (start, body) = split_head(bytes, |name, value| fields.push((name, value)))?;
+        Ok((start, fields, body))
+    }
+
+    fn walked_reference(bytes: &[u8]) -> Walked<'_> {
+        let mut fields = Vec::new();
+        let (start, body) = split_head_reference(bytes, |name, value| fields.push((name, value)))?;
+        Ok((start, fields, body))
+    }
+
+    const START_LINES: [&[u8]; 8] = [
+        b"HTTP/1.1 200 OK",
+        b"HTTP/1.0 404 Not Found",
+        b"NOTIFY * HTTP/1.1",
+        b"GET /",
+        b"",
+        b" \x0b padded \xc2\xa0",
+        b"GET /\rlone\nbreaks HTTP/1.1",
+        b"HTTP/1.1 200 \xff",
+    ];
+
+    /// Header lines that parse, and try every way a cut or a trim can go
+    /// wrong: no padding, ASCII padding of each kind (`\x0b` is white
+    /// space to `str::trim`, not to `u8::is_ascii_whitespace`), padding
+    /// that is white space only as a character (U+0085, U+00A0, U+2003),
+    /// multi-byte text that is not, several colons, lone `\r`s and `\n`s,
+    /// and a value ending in `\r` (so the line ends `\r\r\n`).
+    const FIELD_LINES: [&[u8]; 17] = [
+        b"Host: x",
+        b"Host:x",
+        b" Host : x ",
+        b"X:",
+        b":",
+        b"A: b: c",
+        b"T:\tv\t",
+        b"\x0bV\x0b:\x0bv\x0b",
+        b"\x0cF \x0c: \x0c f\x0c",
+        b" \r\t:\n ",
+        b"\xc2\x85N\xc2\x85:\xc2\x85n\xc2\x85",
+        b"\xc2\xa0 S \xc2\xa0: \xc2\xa0 s \xc2\xa0",
+        b"\xe2\x80\x83E\xe2\x80\x83:\xe2\x80\x83e e\xe2\x80\x83",
+        b"\xc3\xa9t\xc3\xa9: \xc3\xa9",
+        b"R:\rr\r r",
+        b"L\n:\nl",
+        b"D: d\r",
+    ];
+
+    /// Lines that get a head rejected, or cut short: colon-less, not
+    /// UTF-8 in the name and in the value, both at once, and empty (a
+    /// blank line before the intended one).
+    const SPOILERS: [&[u8]; 5] = [b"no colon", b"\xff: bad", b"B: \xfe", b"\xffno colon", b""];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn split_head_agrees_with_the_reference_walk(
+            start in 0..START_LINES.len(),
+            fields in proptest::collection::vec(0..FIELD_LINES.len(), 0..=40),
+            spoilers in proptest::collection::vec((0..SPOILERS.len(), any::<usize>()), 0..3),
+            body in prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..12),
+                Just(b"\r\n\r\nA: second head\r\n\r\n".to_vec()),
+                Just(b"\n\r\n".to_vec()),
+            ],
+        ) {
+            let mut lines: Vec<&[u8]> = fields.iter().map(|&line| FIELD_LINES[line]).collect();
+            for (spoiler, at) in spoilers {
+                lines.insert(at % (lines.len() + 1), SPOILERS[spoiler]);
+            }
+            let mut message = START_LINES[start].to_vec();
+            for line in lines {
+                message.extend_from_slice(b"\r\n");
+                message.extend_from_slice(line);
+            }
+            message.extend_from_slice(b"\r\n\r\n");
+            message.extend_from_slice(&body);
+            // The message and every truncation of it: same start line,
+            // same fields in the same order, same body — or the same error.
+            for cut in 0..=message.len() {
+                prop_assert_eq!(
+                    walked(&message[..cut]),
+                    walked_reference(&message[..cut]),
+                    "on {:?}",
+                    String::from_utf8_lossy(&message[..cut])
+                );
+            }
+        }
+
+        #[test]
+        fn start_lines_parse_as_they_always_did(
+            tokens in proptest::collection::vec(0usize..18, 0..6),
+        ) {
+            const TOKENS: [&str; 18] = [
+                "HTTP/1.1", "HTTP/1.0", "HTTP/1.", "HTTP/2", "HTTP/", "http/1.1", "GET", "/", "*",
+                "", "200", "+200", "0200", "65535", "65536", "-1", "+", "\u{e9}",
+            ];
+            let line = tokens.iter().map(|&t| TOKENS[t]).collect::<Vec<_>>().join(" ");
+            prop_assert_eq!(StartLine::parse(&line), start_line_reference(&line), "on {:?}", line);
+        }
+    }
+
+    #[test]
+    fn the_reference_walk_is_not_vacuous() {
+        // The soup above is worth its name only if whole heads do parse:
+        // every field line on its own, and all of them together.
+        let mut all = b"GET / HTTP/1.1".to_vec();
+        for line in FIELD_LINES {
+            all.extend_from_slice(b"\r\n");
+            all.extend_from_slice(line);
+        }
+        all.extend_from_slice(b"\r\n\r\nbody");
+        let (start, fields, body) = walked(&all).expect("every field line parses");
+        assert_eq!(
+            (start, fields.len(), body),
+            ("GET / HTTP/1.1", 17, &b"body"[..])
+        );
+        assert_eq!(fields[7], ("V", "v"), "vertical tab is white space");
+        assert_eq!(fields[10], ("N", "n"), "so is U+0085");
+        assert_eq!(fields[13], ("\u{e9}t\u{e9}", "\u{e9}"), "and \u{e9} is not");
+        assert_eq!(fields[5], ("A", "b: c"), "cut at the first colon");
+        assert_eq!(walked(&all), walked_reference(&all));
+        for spoiler in SPOILERS {
+            let message = [b"GET / HTTP/1.1\r\nA: b\r\n", spoiler, b"\r\n\r\n"].concat();
+            assert_eq!(walked(&message), walked_reference(&message));
+            assert_eq!(walked(&message).is_ok(), spoiler.is_empty());
+        }
+    }
+
+    #[test]
+    fn headers_hold_pairs_in_one_buffer() {
+        let mut headers = Headers::from_iter([("Host", "x"), ("Empty", ""), ("A", "b: c")]);
+        headers.push("Last", " kept as pushed ");
+        let pairs: Vec<_> = headers.iter().collect();
+        assert_eq!(
+            pairs,
+            [
+                ("Host", "x"),
+                ("Empty", ""),
+                ("A", "b: c"),
+                ("Last", " kept as pushed ")
+            ]
+        );
+        assert_eq!(Headers::default().iter().count(), 0);
+        // What a decoded message holds is what a built one does.
+        let bytes =
+            b"GET / HTTP/1.1\r\nHost:x\r\n Empty :\r\nA: b: c\r\nLast:kept as pushed\r\n\r\n";
+        let parsed = HttpMessage::parse(bytes).unwrap();
+        let expected: Vec<_> = pairs[..3]
+            .iter()
+            .copied()
+            .chain([("Last", "kept as pushed")])
+            .collect();
+        assert_eq!(parsed.headers().iter().collect::<Vec<_>>(), expected);
+        assert_eq!(parsed.header("EMPTY"), Some(""));
+        assert_eq!(parsed.header("missing"), None);
+    }
 
     #[test]
     fn get_roundtrip() {
@@ -350,7 +655,7 @@ mod tests {
         let msg = HttpMessage::Response {
             status: 200,
             reason: "OK".into(),
-            headers: vec![("Server".into(), "lighttpd".into())],
+            headers: Headers::from_iter([("Server", "lighttpd")]),
             body: Bytes::from_static(b"<xml/>"),
         };
         assert_eq!(HttpMessage::parse(&msg.to_bytes()).unwrap(), msg);
@@ -362,10 +667,7 @@ mod tests {
         let responses = [7u16, 99, 100, 65_535].map(|status| HttpMessage::Response {
             status,
             reason: if status < 100 { "" } else { "Odd Status" }.into(),
-            headers: vec![
-                ("Server".into(), "lighttpd".into()),
-                ("X".into(), "".into()),
-            ],
+            headers: Headers::from_iter([("Server", "lighttpd"), ("X", "")]),
             body: Bytes::from(vec![b'x'; status as usize % 9]),
         });
         let requests = [
@@ -374,7 +676,7 @@ mod tests {
             HttpMessage::Request {
                 method: Method::Other("PATCH".into()),
                 target: "*".into(),
-                headers: Vec::new(),
+                headers: Headers::default(),
                 body: Bytes::new(),
             },
         ];
@@ -395,7 +697,7 @@ mod tests {
             let msg = HttpMessage::Response {
                 status,
                 reason: "OK".into(),
-                headers: Vec::new(),
+                headers: Headers::default(),
                 body: Bytes::new(),
             };
             assert_eq!(msg.to_bytes(), line.as_bytes());

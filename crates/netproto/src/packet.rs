@@ -12,7 +12,10 @@
 //! `walk_*` functions, which the scanner calls too, and the application
 //! codec for a TCP/UDP payload is chosen in one place for both
 //! (`AppCodec::select`: the port table, then a TLS sniff). Ingest never
-//! calls `parse`; the data plane, corpus collection and the CLI do.
+//! calls `parse`; the data plane (once per enforced packet), corpus
+//! collection and the CLI do. Every owned field is reserved once, sized
+//! from the bytes that arrived (`tests/alloc_decode.rs`), and the nested
+//! enums are assembled inside the `Packet` returned (`parse_transport`).
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -89,15 +92,16 @@ impl AppPayload {
         if bytes.is_empty() {
             return AppPayload::Empty;
         }
-        let parsed = match AppCodec::select(bytes, src_port, dst_port) {
-            Some(AppCodec::Dhcp) => DhcpMessage::parse(bytes).map(AppPayload::Dhcp).ok(),
-            Some(AppCodec::Dns) => DnsMessage::parse(bytes).map(AppPayload::Dns).ok(),
-            Some(AppCodec::Http) => HttpMessage::parse(bytes).map(AppPayload::Http).ok(),
-            Some(AppCodec::Tls) => TlsRecord::parse(bytes).map(AppPayload::Tls).ok(),
-            Some(AppCodec::Ntp) => NtpPacket::parse(bytes).map(AppPayload::Ntp).ok(),
-            None => None,
-        };
-        parsed.unwrap_or_else(|| AppPayload::Raw(Bytes::copy_from_slice(bytes)))
+        // Each arm builds what it returns: no `Option` to move out of.
+        let raw = |_| AppPayload::Raw(Bytes::copy_from_slice(bytes));
+        match AppCodec::select(bytes, src_port, dst_port) {
+            Some(AppCodec::Dhcp) => DhcpMessage::parse(bytes).map_or_else(raw, AppPayload::Dhcp),
+            Some(AppCodec::Dns) => DnsMessage::parse(bytes).map_or_else(raw, AppPayload::Dns),
+            Some(AppCodec::Http) => HttpMessage::parse(bytes).map_or_else(raw, AppPayload::Http),
+            Some(AppCodec::Tls) => TlsRecord::parse(bytes).map_or_else(raw, AppPayload::Tls),
+            Some(AppCodec::Ntp) => NtpPacket::parse(bytes).map_or_else(raw, AppPayload::Ntp),
+            None => AppPayload::Raw(Bytes::copy_from_slice(bytes)),
+        }
     }
 
     /// The codec that parsed this payload; `None` for `Raw` and `Empty`.
@@ -599,6 +603,10 @@ impl Packet {
     }
 }
 
+/// Forced into [`Packet::parse`]'s two IP arms so the segment is built
+/// inside the `Packet` returned: out of line, a 152-byte `Transport` moves
+/// through a `Result` and a `PacketBody` into it, ≈ 30 ns a frame.
+#[inline(always)]
 fn parse_transport(protocol: IpProtocol, bytes: &[u8]) -> Result<Transport, ParseError> {
     Ok(match protocol {
         IpProtocol::Tcp => {

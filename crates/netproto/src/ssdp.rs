@@ -4,7 +4,7 @@
 //! message kinds IoT devices emit during setup: `M-SEARCH` discovery
 //! probes and `NOTIFY ssdp:alive` presence announcements.
 
-use crate::http::{HttpMessage, Method};
+use crate::http::{Headers, HttpMessage, Method};
 
 /// The SSDP multicast IPv4 address.
 pub const MULTICAST_ADDR: std::net::Ipv4Addr = std::net::Ipv4Addr::new(239, 255, 255, 250);
@@ -15,12 +15,12 @@ pub fn m_search(search_target: &str) -> HttpMessage {
     HttpMessage::Request {
         method: Method::MSearch,
         target: "*".into(),
-        headers: vec![
-            ("HOST".into(), format!("{MULTICAST_ADDR}:1900")),
-            ("MAN".into(), "\"ssdp:discover\"".into()),
-            ("MX".into(), "3".into()),
-            ("ST".into(), search_target.into()),
-        ],
+        headers: Headers::from_iter([
+            ("HOST", format!("{MULTICAST_ADDR}:1900").as_str()),
+            ("MAN", "\"ssdp:discover\""),
+            ("MX", "3"),
+            ("ST", search_target),
+        ]),
         body: bytes::Bytes::new(),
     }
 }
@@ -31,14 +31,14 @@ pub fn notify_alive(device_type: &str, location: &str) -> HttpMessage {
     HttpMessage::Request {
         method: Method::Notify,
         target: "*".into(),
-        headers: vec![
-            ("HOST".into(), format!("{MULTICAST_ADDR}:1900")),
-            ("CACHE-CONTROL".into(), "max-age=1800".into()),
-            ("LOCATION".into(), location.into()),
-            ("NT".into(), device_type.into()),
-            ("NTS".into(), "ssdp:alive".into()),
-            ("USN".into(), format!("uuid::{device_type}")),
-        ],
+        headers: Headers::from_iter([
+            ("HOST", format!("{MULTICAST_ADDR}:1900").as_str()),
+            ("CACHE-CONTROL", "max-age=1800"),
+            ("LOCATION", location),
+            ("NT", device_type),
+            ("NTS", "ssdp:alive"),
+            ("USN", format!("uuid::{device_type}").as_str()),
+        ]),
         body: bytes::Bytes::new(),
     }
 }
