@@ -212,16 +212,15 @@ impl IoTSecurityService {
     /// (vulnerability lookup, isolation level, endpoint whitelist).
     fn respond(&self, identification: crate::report::Identification) -> ServiceResponse {
         let type_name = match &identification.outcome {
-            Outcome::Identified { name, .. } => Some(name.clone()),
+            Outcome::Identified { name, .. } => Some(name.as_str()),
             Outcome::Unknown => None,
         };
-        let isolation = self.vulndb.assess(type_name.as_deref());
+        let isolation = self.vulndb.assess(type_name);
         let permitted_endpoints = type_name
-            .as_deref()
             .map(|name| self.vulndb.vendor_endpoints(name).to_vec())
             .filter(|_| isolation == sentinel_sdn::IsolationLevel::Restricted)
             .unwrap_or_default();
-        let user_notification = self.vulndb.removal_notice(type_name.as_deref());
+        let user_notification = self.vulndb.removal_notice(type_name);
         ServiceResponse {
             identification,
             isolation,

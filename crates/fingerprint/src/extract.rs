@@ -17,13 +17,21 @@ use crate::{FeatureVector, Fingerprint};
 /// Feed packets in capture order with [`FeatureExtractor::push`], then
 /// take the fingerprint with [`FeatureExtractor::finish`]. For the common
 /// batch case, use the free function [`extract`].
+///
+/// The extractor holds exactly the columns of `F` so far: a vector equal
+/// to the one before it is counted but not stored (Sect. IV-A discards
+/// consecutive duplicates), so a device repeating one frame costs one
+/// column however long it repeats it.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureExtractor {
     /// Distinct destination addresses in first-appearance order; the
     /// counter of an address is its index + 1. A setup phase contacts a
     /// handful of endpoints, so a linear scan beats hashing.
     dst_ip_order: Vec<IpAddr>,
+    /// The columns of `F` so far (no two neighbours equal).
     vectors: Vec<FeatureVector>,
+    /// Packets consumed, stored or not.
+    packets: usize,
 }
 
 impl FeatureExtractor {
@@ -32,14 +40,17 @@ impl FeatureExtractor {
         Self::default()
     }
 
-    /// Creates an extractor with `capacity` feature vectors pre-allocated.
+    /// Creates an extractor with room for `capacity` columns of `F`
+    /// (16 bytes each) reserved; it grows past that by `Vec` doubling.
     ///
-    /// Sessions bounded by a detector packet cap should pass that cap so
-    /// setup bursts never reallocate the vector arena.
+    /// A caller that knows its packet count (batch [`extract`]) passes it
+    /// and never reallocates; a long-lived per-device extractor should
+    /// reserve for the typical setup, not the worst case — what is
+    /// reserved is resident for as long as the extractor is.
     pub fn with_capacity(capacity: usize) -> Self {
         FeatureExtractor {
-            dst_ip_order: Vec::new(),
             vectors: Vec::with_capacity(capacity),
+            ..FeatureExtractor::default()
         }
     }
 
@@ -49,11 +60,13 @@ impl FeatureExtractor {
     pub fn clear(&mut self) {
         self.dst_ip_order.clear();
         self.vectors.clear();
+        self.packets = 0;
     }
 
     /// Extracts the features of `packet` and appends them.
     ///
-    /// Returns the extracted vector for callers that want to observe it.
+    /// Returns the extracted vector for callers that want to observe it
+    /// (the stored column it equals, if it was a consecutive duplicate).
     pub fn push(&mut self, packet: &Packet) -> &FeatureVector {
         self.push_raw(&RawFeatures::from_packet(packet))
     }
@@ -71,8 +84,14 @@ impl FeatureExtractor {
             },
             None => 0,
         };
-        self.vectors.push(FeatureVector::from_raw(raw, counter));
-        self.vectors.last().expect("just pushed")
+        let vector = FeatureVector::from_raw(raw, counter);
+        self.packets += 1;
+        if self.vectors.last() != Some(&vector) {
+            self.vectors.push(vector);
+        }
+        self.vectors
+            .last()
+            .expect("pushed now or equal to the last")
     }
 
     /// Extracts the features of one raw Ethernet frame without building
@@ -85,12 +104,13 @@ impl FeatureExtractor {
         Ok(self.push_raw(&raw))
     }
 
-    /// The number of packets consumed so far.
+    /// The number of packets consumed so far, duplicates included.
     pub fn packet_count(&self) -> usize {
-        self.vectors.len()
+        self.packets
     }
 
-    /// Finalizes into a [`Fingerprint`] (dropping consecutive duplicates).
+    /// Finalizes into a [`Fingerprint`]. Consecutive duplicates were
+    /// dropped on arrival, so the constructor's `dedup` finds none.
     pub fn finish(self) -> Fingerprint {
         Fingerprint::from_vec(self.vectors)
     }
@@ -195,6 +215,49 @@ mod tests {
         assert_eq!(extractor.push(&packets[1]).dst_ip_counter, 1);
         assert_eq!(extractor.vectors.as_ptr(), arena, "arena was reallocated");
         assert_eq!(extractor.finish(), extract(&packets[1..]));
+    }
+
+    #[test]
+    fn a_consecutive_duplicate_is_counted_but_not_stored() {
+        let gw = Ipv4Addr::new(192, 168, 0, 1);
+        let cloud = Ipv4Addr::new(52, 1, 2, 3);
+        // A A B A: only the second A repeats the column before it.
+        let packets = [
+            udp_to(gw, 53, 0),
+            udp_to(gw, 53, 1),
+            udp_to(cloud, 443, 2),
+            udp_to(gw, 53, 3),
+        ];
+        let mut extractor = FeatureExtractor::new();
+        let mut returned = Vec::new();
+        for (i, packet) in packets.iter().enumerate() {
+            let vector = extractor.push(packet).clone();
+            // Stored or not, the caller sees the offered packet's vector.
+            let counter = if i == 2 { 2 } else { 1 };
+            assert_eq!(vector, FeatureVector::from_packet(packet, counter));
+            returned.push(vector);
+        }
+        assert_eq!(extractor.packet_count(), 4);
+        let (a, b) = (returned[0].clone(), returned[2].clone());
+        assert_eq!(extractor.vectors, [a.clone(), b, a]);
+        // The constructor's `dedup` over every offered vector is the
+        // reference the on-arrival drop is held to.
+        assert_eq!(extractor.finish(), Fingerprint::from_vec(returned));
+    }
+
+    #[test]
+    fn a_repeated_frame_holds_one_column_however_long_it_repeats() {
+        let packet = udp_to(Ipv4Addr::new(192, 168, 0, 1), 53, 0);
+        let mut extractor = FeatureExtractor::new();
+        for _ in 0..256 {
+            extractor.push(&packet);
+        }
+        assert_eq!(extractor.packet_count(), 256);
+        assert_eq!(extractor.vectors.len(), 1);
+        assert!(extractor.vectors.capacity() < 256, "grew for duplicates");
+        extractor.clear();
+        assert_eq!(extractor.packet_count(), 0, "clear() resets the counter");
+        assert_eq!(extractor.finish(), Fingerprint::default());
     }
 
     #[test]

@@ -34,8 +34,11 @@ impl FixedFingerprint {
     /// ablation experiment.
     pub fn with_packets(fingerprint: &Fingerprint, packets: usize) -> Self {
         let mut values = vec![0.0; packets * FEATURE_COUNT];
-        for (i, vector) in fingerprint.unique_vectors(packets).into_iter().enumerate() {
-            values[i * FEATURE_COUNT..(i + 1) * FEATURE_COUNT].copy_from_slice(&vector.to_array());
+        for (slot, vector) in values
+            .chunks_exact_mut(FEATURE_COUNT)
+            .zip(fingerprint.first_occurrences(packets))
+        {
+            slot.copy_from_slice(&vector.to_array());
         }
         FixedFingerprint { values }
     }

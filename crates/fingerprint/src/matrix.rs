@@ -51,19 +51,24 @@ impl Fingerprint {
         self.vectors.iter()
     }
 
-    /// The first `limit` *unique* vectors in first-occurrence order (used
-    /// to build the fixed-size fingerprint `F'`).
+    /// The first-occurrence walk: the vector at `i` is kept iff no
+    /// earlier column equals it, stopping after `limit` — the one
+    /// definition of "unique packet" that `F'` is built from.
+    pub(crate) fn first_occurrences(
+        &self,
+        limit: usize,
+    ) -> impl Iterator<Item = &FeatureVector> + '_ {
+        self.vectors
+            .iter()
+            .enumerate()
+            .filter(|&(i, vector)| !self.vectors[..i].contains(vector))
+            .map(|(_, vector)| vector)
+            .take(limit)
+    }
+
+    /// The first `limit` *unique* vectors in first-occurrence order.
     pub fn unique_vectors(&self, limit: usize) -> Vec<&FeatureVector> {
-        let mut unique: Vec<&FeatureVector> = Vec::with_capacity(limit);
-        for vector in &self.vectors {
-            if unique.len() == limit {
-                break;
-            }
-            if !unique.contains(&vector) {
-                unique.push(vector);
-            }
-        }
-        unique
+        self.first_occurrences(limit).collect()
     }
 }
 

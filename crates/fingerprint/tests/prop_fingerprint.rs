@@ -317,7 +317,17 @@ proptest! {
             .map(|p| extractor.push(p).dst_ip_counter)
             .collect();
         prop_assert_eq!(&streamed, &expected);
-        // …and finalize to exactly the batch fingerprint.
+        prop_assert_eq!(extractor.packet_count(), packets.len());
+        // …and finalize to exactly the batch fingerprint, which is the
+        // constructor's dedup over the model's vectors: the reference the
+        // extractor's on-arrival duplicate drop is held to (a step equal
+        // to the one before it — `None` after `None`, most often — is a
+        // consecutive duplicate).
+        let modelled = packets
+            .iter()
+            .zip(&expected)
+            .map(|(packet, &counter)| FeatureVector::from_packet(packet, counter));
+        prop_assert_eq!(extract(&packets), Fingerprint::new(modelled));
         prop_assert_eq!(extractor.finish(), extract(&packets));
     }
 

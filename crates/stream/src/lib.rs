@@ -24,8 +24,9 @@
 //!   [`StreamRuntime::remove_device`] forgets a device that left.
 //! * [`Session`] — per-device setup monitoring that feeds each frame's
 //!   features straight into the incremental feature extractor, so raw
-//!   frames are never retained; per-session memory is bounded by the
-//!   detector's packet cap (plus an optional byte cap).
+//!   frames are never retained; a session holds the columns of `F` its
+//!   setup has sent so far (16 B each, a small reservation that grows),
+//!   bounded by the detector's packet cap (plus an optional byte cap).
 //! * [`SessionTable`] — a capacity-bounded session slab behind a one-probe
 //!   MAC index, with deterministic LRU shedding (the victim's slot is
 //!   re-opened in place) as the explicit overflow policy.

@@ -62,6 +62,13 @@ pub struct StreamConfig {
     /// Target bound on concurrently monitored devices across all shards.
     /// The effective bound is [`StreamConfig::effective_capacity`]
     /// (rounded up to a whole number of per-shard slots).
+    ///
+    /// A slot costs what its device's setup has sent: typically
+    /// ≈ 0.3–0.4 KiB of heap (a 16-column reservation and the list of
+    /// distinct destinations) beside its ≈ 0.1 KiB slab entry and MAC
+    /// index entry, at worst `detector.max_packets × 16 B` of columns
+    /// (4 KiB at the default cap) once some occupant sent that many
+    /// distinct packets — a shed slot keeps what it grew to.
     pub max_sessions: usize,
     /// Number of virtual shards: each holds its own bounded session
     /// table, so an LRU victim scan covers one shard's slots only.
@@ -351,13 +358,9 @@ impl<S: SecurityService> StreamRuntime<S> {
     pub fn with_config(service: S, config: StreamConfig) -> Self {
         let shard_count = config.shards.max(1);
         let per_shard = config.shard_capacity();
-        // Per-session feature-arena pre-allocation: the detector's packet
-        // cap, clamped so a pathological configuration cannot make every
-        // open session reserve unbounded memory up front.
-        let arena = config.detector.max_packets.min(1024);
         let shards = (0..shard_count)
             .map(|_| Shard {
-                table: SessionTable::new(per_shard, arena),
+                table: SessionTable::new(per_shard),
             })
             .collect();
         StreamRuntime {

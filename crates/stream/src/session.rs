@@ -2,10 +2,12 @@
 //!
 //! A [`Session`] never buffers raw packets: it feeds every observed
 //! frame's [`RawFeatures`] straight into an incremental
-//! [`FeatureExtractor`] and keeps only the growing feature matrix plus a
-//! handful of counters, so memory per monitored device is bounded by the
-//! identification window (the detector's packet cap) instead of the
-//! device's chattiness. [`Session::offer`] is the one place the
+//! [`FeatureExtractor`] and keeps only the columns of `F` so far (16
+//! bytes each, consecutive duplicates dropped on arrival) plus a handful
+//! of counters. Memory per monitored device follows what its setup sent:
+//! a small reservation that grows by doubling, bounded by the
+//! identification window (the detector's packet cap × 16 B) instead of
+//! the device's chattiness. [`Session::offer`] is the one place the
 //! setup-window rule of [`SetupDetector`] is applied.
 
 use sentinel_fingerprint::setup::SetupDetector;
@@ -43,7 +45,6 @@ pub enum SessionEvent {
 #[derive(Debug, Clone)]
 pub struct Session {
     extractor: FeatureExtractor,
-    packets: usize,
     bytes: u64,
     first_seen: Timestamp,
     last_seen: Timestamp,
@@ -51,36 +52,38 @@ pub struct Session {
     last_seq: u64,
 }
 
+/// Columns of `F` a new session reserves (256 B). Sixteen covers `F'`'s
+/// 12 unique packets and the simulator's mean setup (14.6 frames, 10.6
+/// columns); `Vec` doubling takes the rare long setup to the
+/// `max_packets` worst case, and what a slot has grown to it keeps.
+const RESERVED_COLUMNS: usize = 16;
+
 impl Session {
     /// Opens a session at stream sequence number `seq`.
     pub fn open(seq: u64, now: Timestamp) -> Self {
-        Session::open_sized(seq, now, 0)
+        Session::over(FeatureExtractor::with_capacity(RESERVED_COLUMNS), seq, now)
     }
 
-    /// Opens a session with `capacity` feature slots pre-allocated.
-    ///
-    /// The runtime passes the detector's packet cap, so a session never
-    /// reallocates its feature arena while absorbing a setup burst.
-    pub fn open_sized(seq: u64, now: Timestamp, capacity: usize) -> Self {
+    /// Starts this session over for another device at stream sequence
+    /// `seq`, keeping the extractor's allocations at whatever size they
+    /// have grown to: a full table re-opens its LRU victim's slot in
+    /// place, so shedding never touches the allocator.
+    pub fn reopen(&mut self, seq: u64, now: Timestamp) {
+        let mut extractor = std::mem::take(&mut self.extractor);
+        extractor.clear();
+        *self = Session::over(extractor, seq, now);
+    }
+
+    /// A session that has absorbed nothing yet, over an empty `extractor`.
+    fn over(extractor: FeatureExtractor, seq: u64, now: Timestamp) -> Self {
         Session {
-            extractor: FeatureExtractor::with_capacity(capacity),
-            packets: 0,
+            extractor,
             bytes: 0,
             first_seen: now,
             last_seen: now,
             opened_seq: seq,
             last_seq: seq,
         }
-    }
-
-    /// Starts this session over for another device at stream sequence
-    /// `seq`, keeping the feature arena: a full table re-opens its LRU
-    /// victim's slot in place, so shedding never touches the allocator.
-    pub fn reopen(&mut self, seq: u64, now: Timestamp) {
-        let mut fresh = Session::open(seq, now);
-        std::mem::swap(&mut fresh.extractor, &mut self.extractor);
-        fresh.extractor.clear();
-        *self = fresh;
     }
 
     /// Offers one frame's wire-scanned features (stream sequence `seq`)
@@ -102,17 +105,16 @@ impl Session {
         detector: &SetupDetector,
         byte_cap: u64,
     ) -> SessionEvent {
-        if self.packets >= detector.min_packets
+        if self.packets() >= detector.min_packets
             && timestamp.saturating_since(self.last_seen) >= detector.idle_gap
         {
             return SessionEvent::GapComplete;
         }
         self.extractor.push_raw(raw);
-        self.packets += 1;
         self.bytes += u64::from(raw.packet_size);
         self.last_seen = timestamp;
         self.last_seq = seq;
-        if self.packets >= detector.max_packets {
+        if self.packets() >= detector.max_packets {
             SessionEvent::CapComplete(CompletionReason::PacketCap)
         } else if self.bytes >= byte_cap {
             SessionEvent::CapComplete(CompletionReason::ByteCap)
@@ -126,9 +128,10 @@ impl Session {
         self.extractor.finish()
     }
 
-    /// Packets absorbed so far.
+    /// Packets absorbed so far (stored as columns of `F` or dropped as
+    /// consecutive duplicates).
     pub fn packets(&self) -> usize {
-        self.packets
+        self.extractor.packet_count()
     }
 
     /// Wire bytes absorbed so far.
@@ -203,7 +206,7 @@ mod tests {
         let first = packets(6, 50);
         let second = packets(3, 20);
         let detector = SetupDetector::default();
-        let mut session = Session::open_sized(0, first[0].timestamp, 8);
+        let mut session = Session::open(0, first[0].timestamp);
         for (i, packet) in first.iter().enumerate() {
             offer(&mut session, packet, i as u64, &detector, u64::MAX);
         }

@@ -36,19 +36,15 @@ pub enum Probe {
 #[derive(Debug, Default)]
 pub struct SessionTable {
     capacity: usize,
-    /// Feature slots pre-allocated per session.
-    arena: usize,
     index: HashMap<MacAddr, u32>,
     slab: Vec<(MacAddr, Session)>,
 }
 
 impl SessionTable {
-    /// Creates a table holding at most `capacity` concurrent sessions,
-    /// each opened with `arena` feature slots pre-allocated.
-    pub fn new(capacity: usize, arena: usize) -> Self {
+    /// Creates a table holding at most `capacity` concurrent sessions.
+    pub fn new(capacity: usize) -> Self {
         SessionTable {
             capacity: capacity.clamp(1, ONBOARDED as usize),
-            arena,
             ..SessionTable::default()
         }
     }
@@ -95,8 +91,7 @@ impl SessionTable {
     /// and the newcomer can never be its own victim.
     pub fn open(&mut self, mac: MacAddr, seq: u64, now: Timestamp) -> (usize, Option<MacAddr>) {
         let (slot, shed) = if self.slab.len() < self.capacity {
-            let session = Session::open_sized(seq, now, self.arena);
-            self.slab.push((mac, session));
+            self.slab.push((mac, Session::open(seq, now)));
             (self.slab.len() - 1, None)
         } else {
             let slot = (0..self.slab.len())
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn admits_until_capacity_then_reopens_the_lru_slot_in_place() {
-        let mut table = SessionTable::new(2, 4);
+        let mut table = SessionTable::new(2);
         assert_eq!(open(&mut table, 1, 10), (0, None));
         assert_eq!(open(&mut table, 2, 20), (1, None));
         // mac(1) has the oldest activity (last_seq 10): it is shed and
@@ -192,7 +187,7 @@ mod tests {
     #[test]
     fn lru_ties_break_by_mac_wherever_the_sessions_sit() {
         for order in [[9, 4], [4, 9]] {
-            let mut table = SessionTable::new(2, 4);
+            let mut table = SessionTable::new(2);
             for m in order {
                 open(&mut table, m, 5);
             }
@@ -203,7 +198,7 @@ mod tests {
 
     #[test]
     fn completion_fixes_up_the_moved_slot_and_marks_the_mac_onboarded() {
-        let mut table = SessionTable::new(4, 4);
+        let mut table = SessionTable::new(4);
         for (m, seq) in [(1, 10), (2, 20), (3, 30)] {
             open(&mut table, m, seq);
         }
@@ -220,7 +215,7 @@ mod tests {
 
     #[test]
     fn forget_drops_a_session_or_an_onboarded_mark_and_nothing_else() {
-        let mut table = SessionTable::new(4, 4);
+        let mut table = SessionTable::new(4);
         for (m, seq) in [(1, 10), (2, 20), (3, 30)] {
             open(&mut table, m, seq);
         }
@@ -239,14 +234,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "open() of")]
     fn opening_a_resident_mac_is_a_caller_bug() {
-        let mut table = SessionTable::new(2, 4);
+        let mut table = SessionTable::new(2);
         open(&mut table, 1, 1);
         open(&mut table, 1, 2);
     }
 
     #[test]
     fn drain_ordered_is_open_order_and_onboards_everyone() {
-        let mut table = SessionTable::new(8, 4);
+        let mut table = SessionTable::new(8);
         for (seq, m) in [(30u64, 3u8), (10, 1), (20, 2)] {
             open(&mut table, m, seq);
         }
@@ -260,7 +255,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let mut table = SessionTable::new(0, 4);
+        let mut table = SessionTable::new(0);
         assert_eq!(table.capacity(), 1);
         assert_eq!(open(&mut table, 1, 1), (0, None));
         assert_eq!(open(&mut table, 2, 2), (0, Some(mac(1))));

@@ -10,39 +10,57 @@
 //!
 //! The same holds for the opposite extreme, a storm of new MACs against
 //! a full session table: every first frame sheds the LRU session and
-//! re-opens its slot in place, arena included, so shedding costs no
-//! allocation either (second phase of the one test — a counting global
-//! allocator cannot share its process with a parallel test).
+//! re-opens its slot in place, its extractor's allocations included, so
+//! shedding costs no allocation either.
 //!
-//! Lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! The allocator also keeps the bytes currently live, which pins what a
+//! resident session *holds*: the columns of `F` its setup has sent so far
+//! inside a small reservation that grows by doubling — not the
+//! detector's 256-packet worst case up front. A table full of one-frame
+//! spoofed MACs, a catalog device mid-setup, a long setup of distinct
+//! frames and one frame repeated to the packet cap each have a bound.
+//!
+//! All of it is one test: a counting global allocator cannot share its
+//! process with a parallel test. It lives in its own integration-test
+//! binary because a `#[global_allocator]` is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sentinel_core::{FingerprintDataset, IoTSecurityService, ServiceConfig};
 use sentinel_devicesim::{catalog, Testbed};
-use sentinel_netproto::{MacAddr, Packet, Timestamp};
-use sentinel_stream::{StreamConfig, StreamRuntime};
+use sentinel_fingerprint::extract_frames;
+use sentinel_fingerprint::setup::SetupDetector;
+use sentinel_netproto::{AppPayload, MacAddr, Packet, RawFeatures, Timestamp};
+use sentinel_stream::{
+    Completion, CompletionReason, Session, SessionEvent, StreamConfig, StreamRuntime,
+};
 
 /// Passes everything through to [`System`], counting every allocation
-/// and reallocation (deallocations are free and uncounted).
+/// and reallocation (deallocations are free and uncounted) and the
+/// requested bytes currently live.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,6 +70,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn live_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// The first (and only) frame of spoofed device number `n`.
+fn first_frame(n: u32) -> (Timestamp, Vec<u8>) {
+    let [_, a, b, c] = n.to_be_bytes();
+    let packet = Packet::dhcp_discover(MacAddr::new([2, 0, 0, a, b, c]), n, 1_000_000);
+    (packet.timestamp, packet.encode())
 }
 
 #[test]
@@ -109,11 +138,6 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
     // both shards' four slots and churn them long enough for each MAC
     // index to reach its steady size (residents are removed and inserted
     // one for one, so it stops growing once the table is full).
-    let first_frame = |n: u32| -> (Timestamp, Vec<u8>) {
-        let [_, a, b, c] = n.to_be_bytes();
-        let packet = Packet::dhcp_discover(MacAddr::new([2, 0, 0, a, b, c]), n, 1_000_000);
-        (packet.timestamp, packet.encode())
-    };
     let storm: Vec<_> = (0..64 + 512).map(first_frame).collect();
     let (fill, churn) = storm.split_at(64);
     runtime.ingest_frames_deferred(fill, &mut completions);
@@ -121,8 +145,8 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
     let opened = runtime.stats().sessions_opened;
 
     // From here every frame opens a session by shedding one: alone in
-    // its call (the live-tap shape) or in a batch, no allocation. At the
-    // parent commit this was one 4 KiB feature arena per open.
+    // its call (the live-tap shape) or in a batch, no allocation: the
+    // victim's slot is re-opened with the allocations it already has.
     let before = allocations();
     let (alone, batched) = churn.split_at(256);
     for frame in alone {
@@ -139,9 +163,127 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
     assert_eq!(runtime.resident_sessions(), 8);
     assert!(completions.is_empty(), "one-frame sessions never complete");
     // What still allocates is the *completion* path, once per onboarded
-    // device and by design: a finished session's arena is not copied but
-    // moved into the `Fingerprint` the `Completion` hands out (with `F'`
-    // built beside it), so it leaves the table for good and the session
-    // that later takes the freed slot allocates a new one. Keeping spare
-    // arenas instead was measured and rejected (DESIGN §9.3).
+    // device and by design: a finished session's columns are not copied
+    // but moved into the `Fingerprint` the `Completion` hands out (with
+    // `F'` built beside it), so they leave the table for good and the
+    // session that later takes the freed slot reserves anew. Keeping
+    // spares instead was measured and rejected (DESIGN §9.3).
+
+    a_full_table_of_spoofed_macs_holds_a_reservation_per_session(&service);
+    a_catalog_setup_mid_flight_fits_in_half_a_kilobyte(&service);
+    a_session_grows_with_distinct_columns_and_not_with_repeats();
+}
+
+/// Live heap a resident one-frame session may hold: its 16-column
+/// reservation (256 B) and the first growth of its destination list
+/// (4 × 17 B) measure 324 B; the detector's whole 256-packet window,
+/// reserved up front, was 4 164 B.
+const ONE_FRAME_SESSION_BYTES: usize = 384;
+
+/// Live bytes one batch of `frames` leaves in `runtime` above the same
+/// runtime warm and empty: a first pass warms slabs, MAC indexes and
+/// buckets, `reset` keeps them, and the second pass is the one measured.
+fn held_when_warm(
+    runtime: &mut StreamRuntime<&IoTSecurityService>,
+    frames: &[(Timestamp, Vec<u8>)],
+    completions: &mut Vec<Completion>,
+) -> usize {
+    runtime.reset();
+    runtime.ingest_frames_deferred(frames, completions);
+    runtime.reset();
+    let empty = live_bytes();
+    runtime.ingest_frames_deferred(frames, completions);
+    live_bytes() - empty
+}
+
+/// The hostile-LAN shape: a default-config runtime filled to its bound
+/// with MACs that each sent one frame.
+fn a_full_table_of_spoofed_macs_holds_a_reservation_per_session(service: &IoTSecurityService) {
+    let config = StreamConfig::default();
+    let capacity = config.effective_capacity();
+    let mut runtime = StreamRuntime::with_config(service, config);
+    let mut completions = Vec::new();
+    // FNV spreads the MACs unevenly, so the fullest shards shed while
+    // the emptiest still fill: twice the capacity fills every shard.
+    let flood: Vec<_> = (0..2 * capacity as u32).map(first_frame).collect();
+    let held = held_when_warm(&mut runtime, &flood, &mut completions);
+    assert_eq!(runtime.resident_sessions(), capacity, "table must be full");
+    assert!(completions.is_empty(), "one-frame sessions never complete");
+    assert!(
+        held <= ONE_FRAME_SESSION_BYTES * capacity,
+        "{} B of live heap per resident one-frame session",
+        held / capacity
+    );
+}
+
+/// The benign shape: every catalog device's whole setup absorbed and
+/// not yet complete, alone in the runtime. None outgrows the
+/// reservation; the chattier ones grow their destination list once
+/// (392 B measured).
+fn a_catalog_setup_mid_flight_fits_in_half_a_kilobyte(service: &IoTSecurityService) {
+    let testbed = Testbed::new(42);
+    let mut runtime = StreamRuntime::new(service);
+    let mut completions = Vec::new();
+    for device in catalog() {
+        let frames = testbed.setup_run(&device.profile, 0).frames();
+        let held = held_when_warm(&mut runtime, &frames, &mut completions);
+        assert_eq!(runtime.resident_sessions(), 1, "{}", device.profile.name);
+        assert!(completions.is_empty(), "{}", device.profile.name);
+        assert!(
+            held <= 512,
+            "{}: {held} B of live heap for {} frames mid-setup",
+            device.profile.name,
+            frames.len()
+        );
+    }
+}
+
+/// Growth and its absence, on a bare [`Session`]: 60 pairwise-distinct
+/// frames take the reservation through two doublings, 256 copies of one
+/// frame through none — and both finish to the batch fingerprint.
+fn a_session_grows_with_distinct_columns_and_not_with_repeats() {
+    let mac = MacAddr::new([2, 9, 9, 9, 9, 9]);
+    let udp_to = |host: u8| {
+        Packet::udp_ipv4(
+            Timestamp::ZERO,
+            mac,
+            MacAddr::ZERO,
+            Ipv4Addr::new(192, 168, 0, 50),
+            Ipv4Addr::new(10, 0, 0, host),
+            50000,
+            443,
+            AppPayload::Empty,
+        )
+        .encode()
+    };
+    let detector = SetupDetector::default();
+    let run = |frames: &[Vec<u8>]| {
+        let empty = live_bytes();
+        let mut session = Session::open(0, Timestamp::ZERO);
+        let mut last = SessionEvent::Absorbed;
+        for (seq, frame) in frames.iter().enumerate() {
+            assert_eq!(last, SessionEvent::Absorbed, "frame {seq} after the end");
+            let raw = RawFeatures::from_frame(frame).expect("valid frame");
+            let at = Timestamp::from_micros(seq as u64);
+            last = session.offer(&raw, at, seq as u64, &detector, u64::MAX);
+        }
+        let held = live_bytes() - empty;
+        assert_eq!(session.packets(), frames.len());
+        let fingerprint = session.finish();
+        assert_eq!(fingerprint, extract_frames(frames).expect("valid frames"));
+        (last, held, fingerprint.len())
+    };
+
+    // Every destination is new, so every column differs in its counter.
+    let distinct: Vec<Vec<u8>> = (0..60).map(udp_to).collect();
+    let (last, held, columns) = run(&distinct);
+    assert_eq!((last, columns), (SessionEvent::Absorbed, 60));
+    // 64 columns × 16 B beside 64 destinations × 17 B.
+    assert!((60 * 16..=64 * (16 + 17)).contains(&held), "{held} B");
+
+    let repeated = vec![udp_to(1); detector.max_packets];
+    let (last, held, columns) = run(&repeated);
+    let cap = SessionEvent::CapComplete(CompletionReason::PacketCap);
+    assert_eq!((last, columns), (cap, 1), "256 packets, one column");
+    assert!(held <= ONE_FRAME_SESSION_BYTES, "{held} B for one column");
 }

@@ -23,6 +23,9 @@ enum Step {
     Udp { dst: u8, port: u16, gap_ms: u16 },
     /// A packet without an IP destination (must not consume a counter).
     Arp { gap_ms: u16 },
+    /// The previous packet again, later: a consecutive duplicate, which
+    /// the session counts but does not store.
+    Again { gap_ms: u16 },
 }
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
@@ -34,6 +37,7 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
                 gap_ms
             }),
             (0u16..500).prop_map(|gap_ms| Step::Arp { gap_ms }),
+            (0u16..500).prop_map(|gap_ms| Step::Again { gap_ms }),
         ],
         0..48,
     )
@@ -62,6 +66,15 @@ fn build_packets(steps: &[Step]) -> Vec<Packet> {
             Step::Arp { gap_ms } => {
                 cursor += Duration::from_millis(u64::from(gap_ms));
                 packets.push(Packet::arp_probe(cursor, mac, Ipv4Addr::new(10, 0, 0, 99)));
+            }
+            Step::Again { gap_ms } => {
+                cursor += Duration::from_millis(u64::from(gap_ms));
+                if let Some(previous) = packets.last().cloned() {
+                    packets.push(Packet {
+                        timestamp: cursor,
+                        ..previous
+                    });
+                }
             }
         }
     }
@@ -173,7 +186,7 @@ proptest! {
         let frame = Packet::arp_probe(Timestamp::ZERO, pool[0], Ipv4Addr::new(10, 0, 0, 9));
         let raw = RawFeatures::from_frame(&frame.encode()).expect("valid frame");
         let detector = open_detector();
-        let mut table = SessionTable::new(capacity, 2);
+        let mut table = SessionTable::new(capacity);
         let mut model = ModelTable::default();
         // Stream sequence numbers start above zero and skip, like one
         // shard's share of an interleaved stream.
