@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use sentinel_fingerprint::editdist::{OsaPattern, OsaScratch};
+use sentinel_fingerprint::editdist::OsaScratch;
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint, InternedFingerprint, SymbolTable};
 use sentinel_ml::pinned::PinnedRng;
 use sentinel_ml::BankScorer;
@@ -131,9 +131,9 @@ impl Default for IdentifierConfig {
 /// Reusable scratch for the batched identification paths.
 ///
 /// Holds stage 1's leaf words and per-item candidate pool, and stage 2's
-/// probe symbols, sampled reference indices and bit-parallel kernel
-/// memory (the probe's match masks and per-word column state,
-/// [`OsaScratch`]). A caller that keeps one `ClassifyScratch` alive
+/// probe symbols, sampled reference indices, their distances and
+/// bit-parallel kernel memory (the probe's match masks and per-lane
+/// column state, [`OsaScratch`]). A caller that keeps one `ClassifyScratch` alive
 /// across ticks (the streaming runtime holds one per shard) performs
 /// **zero heap allocations** in steady-state batched classification,
 /// and steady-state identification allocates only what each [`Identification`] owns —
@@ -161,8 +161,10 @@ pub struct ClassifyScratch {
     probe: Vec<u32>,
     /// Stage 2: reference indices sampled for the candidate being scored.
     chosen: Vec<usize>,
+    /// Stage 2: the probe's exact distances to those references.
+    distances: Vec<usize>,
     /// Stage 2: the probe's match masks (built once per item, not per
-    /// reference) and the kernel's per-word state.
+    /// reference) and the kernel's per-lane column state.
     osa: OsaScratch,
 }
 
@@ -327,7 +329,7 @@ pub struct TrainedModel {
 impl TrainedModel {
     /// Reassembles a model from persisted parts. The reference list is
     /// indexed by the bank's labels, so both must agree on the number
-    /// of device-types.
+    /// of device-types, and every type needs a reference fingerprint.
     ///
     /// # Errors
     ///
@@ -343,6 +345,9 @@ impl TrainedModel {
                 references.len(),
                 bank.n_types()
             ));
+        }
+        if let Some(label) = references.iter().position(Vec::is_empty) {
+            return Err(format!("device-type {label} has no reference fingerprints"));
         }
         Ok(TrainedModel {
             bank,
@@ -479,12 +484,14 @@ impl Identifier {
     /// grown bank — all without touching the existing types' models,
     /// references or interned symbols. Returns the new type's label.
     ///
-    /// `dataset` must contain fingerprints labeled with the new type's
-    /// index (i.e. the current number of types). The appended state is
-    /// bit-identical to what a full [`Identifier::train`] on `dataset`
-    /// builds for that label: the classifier's RNG streams derive from
-    /// the label and seeds alone, references are registered in the same
-    /// label order, and interning new symbols is append-only.
+    /// `dataset` must contain at least one fingerprint labeled with the
+    /// new type's index (i.e. the current number of types) — its stage-2
+    /// references; with none, training its classifier panics. The
+    /// appended state is bit-identical to what a full
+    /// [`Identifier::train`] on `dataset` builds for that label: the
+    /// classifier's RNG streams derive from the label and seeds alone,
+    /// references are registered in the same label order, and interning
+    /// new symbols is append-only.
     pub fn add_type(&mut self, name: impl Into<String>, dataset: &FingerprintDataset) -> usize {
         let label = self.bank.add_type(name, dataset);
         let references: Vec<Fingerprint> = dataset
@@ -734,15 +741,15 @@ impl Identifier {
     /// `s_i ∈ [0, 5]`).
     ///
     /// The probe is the kernel's pattern: its match masks are built once
-    /// here and every sampled reference of every candidate streams past
-    /// them as a text. Distances carry a best-so-far cutoff: once some
-    /// candidate scored `B`, any later candidate abandons a comparison
-    /// as soon as its score provably exceeds `B + 1e-12` (the tie
-    /// tolerance), recording a certified lower bound instead of the
-    /// exact score. The winning label is unaffected — a pruned candidate
-    /// can never reach the tie set — and the winner's own score is
-    /// always exact. Candidates are scored in order, so the cutoff, and
-    /// with it every recorded lower bound, is the same on every run.
+    /// here, and each candidate's sampled references stream past them
+    /// together, as the lanes of one `distances_into` call. Scores carry
+    /// a best-so-far cutoff: once some candidate scored `B`, a later
+    /// candidate whose score provably exceeds `B + 1e-12` (the tie
+    /// tolerance) records a certified lower bound instead of the exact
+    /// score. The winning label is unaffected — a pruned candidate can
+    /// never reach the tie set — and the winner's own score is always
+    /// exact. Candidates are scored in order, so the cutoff, and with it
+    /// every recorded lower bound, is the same on every run.
     fn dissimilarity_scores(
         &self,
         full: &Fingerprint,
@@ -751,7 +758,11 @@ impl Identifier {
         scratch: &mut ClassifyScratch,
     ) -> Vec<f64> {
         let ClassifyScratch {
-            probe, chosen, osa, ..
+            probe,
+            chosen,
+            distances,
+            osa,
+            ..
         } = scratch;
         probe.clear();
         self.symbols.project_into(full, probe);
@@ -764,38 +775,42 @@ impl Identifier {
             // consumes the generator exactly as sampling all up front.
             chosen.clear();
             rng.sample_k_into(&self.pools[label], self.config.references_per_type, chosen);
-            let score = self.score_candidate(&mut pattern, label, chosen, best);
+            let refs = &self.interned[label];
+            distances.clear();
+            pattern.distances_into(chosen.len(), |i| refs[chosen[i]].symbols(), distances);
+            let score = self.score_candidate(pattern.len(), label, chosen, distances, best);
             best = best.min(score);
             scores.push(score);
         }
         scores
     }
 
-    /// Scores one candidate type against its sampled references,
-    /// abandoning early once the score provably exceeds `best + 1e-12`.
+    /// Scores one candidate type from the `m`-symbol probe's exact
+    /// distances to its sampled references, cut off once the score
+    /// provably exceeds `best + 1e-12`.
     ///
     /// Returns the exact score, or a lower bound `lb` with
     /// `best + 1e-12 < lb <= true score` when pruned.
     fn score_candidate(
         &self,
-        probe: &mut OsaPattern<'_>,
+        m: usize,
         label: usize,
         chosen: &[usize],
+        distances: &[usize],
         best: f64,
     ) -> f64 {
         let refs = &self.interned[label];
         let mut sum = 0.0;
-        for &index in chosen {
-            let reference = &refs[index];
-            let longest = probe.len().max(reference.len());
+        for (&index, &distance) in chosen.iter().zip(distances) {
+            let longest = m.max(refs[index].len());
             if longest == 0 {
                 continue; // two empty fingerprints: distance 0
             }
             // Distance bound: the full `longest` when no cutoff is
-            // active (an OSA distance never exceeds the longer length,
-            // so the kernel then always resolves), else the remaining
-            // normalized-distance budget before the score leaves the
-            // tie tolerance around `best`, rescaled to edit operations.
+            // active (an OSA distance never exceeds the longer length),
+            // else the remaining normalized-distance budget before the
+            // score leaves the tie tolerance around `best`, rescaled to
+            // edit operations.
             let bound = if !best.is_finite() {
                 longest
             } else {
@@ -806,15 +821,12 @@ impl Identifier {
                     ((budget * longest as f64).floor() as usize).min(longest)
                 }
             };
-            match probe.distance_bounded(reference.symbols(), bound) {
-                Some(distance) => sum += distance as f64 / longest as f64,
-                None => {
-                    // distance >= bound + 1, so this partial sum is a
-                    // certified lower bound strictly above
-                    // `best + 1e-12`: the candidate cannot win or tie.
-                    return sum + (bound + 1) as f64 / longest as f64;
-                }
+            if distance > bound {
+                // This partial sum is a certified lower bound strictly
+                // above `best + 1e-12`: the candidate cannot win or tie.
+                return sum + (bound + 1) as f64 / longest as f64;
             }
+            sum += distance as f64 / longest as f64;
         }
         sum
     }
@@ -1096,6 +1108,207 @@ mod tests {
         let id = identify(&identifier, dataset.full(0), dataset.fixed(0));
         for score in &id.scores {
             assert!((0.0..=5.0).contains(score));
+        }
+    }
+
+    #[test]
+    fn from_parts_refuses_a_type_without_references() {
+        // Such a type samples nothing, scores 0 and would win stage 2
+        // outright whenever stage 1 accepted it.
+        let (identifier, _) = train_on_three();
+        let model = TrainedModel::from(&identifier);
+        let mut references = model.references().to_vec();
+        references[1].clear();
+        let err =
+            TrainedModel::from_parts(model.bank().clone(), references, model.config().clone())
+                .expect_err("an empty reference set is refused");
+        assert!(err.contains("device-type 1"), "{err}");
+    }
+
+    /// The sequential stage 2 the lockstep kernel replaced, kept as the
+    /// oracle: sampled references scored one at a time over the textbook
+    /// [`osa_distance`], each against the remaining budget, returning
+    /// the certified lower bound as soon as one distance exceeds it.
+    mod score_oracle {
+        use std::sync::OnceLock;
+
+        use proptest::prelude::*;
+        use sentinel_fingerprint::editdist::osa_distance;
+        use sentinel_fingerprint::FeatureVector;
+
+        use super::*;
+
+        fn oracle_score_candidate(
+            identifier: &Identifier,
+            probe: &[u32],
+            label: usize,
+            chosen: &[usize],
+            best: f64,
+        ) -> f64 {
+            let mut sum = 0.0;
+            for &index in chosen {
+                let reference = identifier.interned[label][index].symbols();
+                let longest = probe.len().max(reference.len());
+                if longest == 0 {
+                    continue;
+                }
+                let bound = if !best.is_finite() {
+                    longest
+                } else {
+                    let budget = best + 1e-12 - sum;
+                    if budget <= 0.0 {
+                        0
+                    } else {
+                        ((budget * longest as f64).floor() as usize).min(longest)
+                    }
+                };
+                let distance = osa_distance(probe, reference);
+                match (distance <= bound).then_some(distance) {
+                    Some(distance) => sum += distance as f64 / longest as f64,
+                    None => return sum + (bound + 1) as f64 / longest as f64,
+                }
+            }
+            sum
+        }
+
+        fn oracle_scores(
+            identifier: &Identifier,
+            full: &Fingerprint,
+            candidates: &[usize],
+            rng: &mut PinnedRng,
+        ) -> Vec<f64> {
+            let probe = identifier.symbols.project(full);
+            let mut best = f64::INFINITY;
+            let per_type = identifier.config.references_per_type;
+            (candidates.iter())
+                .map(|&label| {
+                    let chosen = rng.sample_k(&identifier.pools[label], per_type);
+                    let score =
+                        oracle_score_candidate(identifier, probe.symbols(), label, &chosen, best);
+                    best = best.min(score);
+                    score
+                })
+                .collect()
+        }
+
+        /// The whole identification of `full` in the identifier's mode,
+        /// stage 2 through the oracle.
+        fn oracle_identify(
+            identifier: &Identifier,
+            full: &Fingerprint,
+            fixed: &FixedFingerprint,
+            key: AssessKey,
+        ) -> Identification {
+            let mode = identifier.config.mode;
+            let candidates = match mode {
+                IdentifyMode::EditOnly => (0..identifier.bank.n_types()).collect(),
+                _ => identifier.bank.matches(fixed),
+            };
+            if mode == IdentifyMode::RfOnly {
+                return identifier.rf_best(fixed, candidates);
+            }
+            if candidates.is_empty() {
+                return identifier.decided(None, candidates, false, Vec::new());
+            }
+            let mut rng = key.rng(identifier.config.seed);
+            let scores = oracle_scores(identifier, full, &candidates, &mut rng);
+            let discriminated = mode == IdentifyMode::TwoStage && candidates.len() > 1;
+            identifier.pick_minimum(candidates, scores, discriminated, &mut rng)
+        }
+
+        /// The whole catalog, 6 runs per type, 5-tree forests: 27 types
+        /// to draw candidate sets from, trained once for every case.
+        fn model() -> &'static (TrainedModel, FingerprintDataset) {
+            static MODEL: OnceLock<(TrainedModel, FingerprintDataset)> = OnceLock::new();
+            MODEL.get_or_init(|| {
+                let dataset = FingerprintDataset::collect(&catalog(), 6, 11);
+                let mut config = fast_config(IdentifyMode::TwoStage);
+                config.bank.forest = ForestConfig::default().with_trees(5);
+                let identifier = Identifier::train(&dataset, &config);
+                (TrainedModel::from(&identifier), dataset)
+            })
+        }
+
+        /// One probe edit: delete, swap with the next, insert a column of
+        /// another training fingerprint, insert a column no reference
+        /// has, or append a whole other fingerprint (which takes probes
+        /// past 64 columns, onto the blocked path).
+        fn apply(columns: &mut Vec<FeatureVector>, dataset: &FingerprintDataset, edit: [usize; 4]) {
+            let [op, at, source, column] = edit;
+            let donor = dataset.full(source % dataset.len()).vectors();
+            let at = at % (columns.len() + 1);
+            match op % 5 {
+                0 if at < columns.len() => {
+                    columns.remove(at);
+                }
+                1 if at + 1 < columns.len() => columns.swap(at, at + 1),
+                2 if !donor.is_empty() => columns.insert(at, donor[column % donor.len()].clone()),
+                3 if !donor.is_empty() => {
+                    let mut unseen = donor[0].clone();
+                    unseen.packet_size = 60_000 + column as u32 % 1_000;
+                    columns.insert(at, unseen);
+                }
+                4 => columns.extend_from_slice(donor),
+                _ => {}
+            }
+        }
+
+        fn bits(scores: &[f64]) -> Vec<u64> {
+            scores.iter().map(|score| score.to_bits()).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn lockstep_scores_equal_the_sequential_oracle_bit_for_bit(
+                base in any::<usize>(),
+                edits in proptest::collection::vec(any::<[usize; 4]>(), 0..8),
+                order in proptest::collection::vec(any::<u64>(), 27),
+                count in 1usize..=27,
+                references_per_type in 1usize..=7,
+                mode in prop_oneof![
+                    Just(IdentifyMode::TwoStage),
+                    Just(IdentifyMode::RfOnly),
+                    Just(IdentifyMode::EditOnly),
+                ],
+                seq in any::<u64>(),
+            ) {
+                let (model, dataset) = model();
+                let config = IdentifierConfig {
+                    references_per_type,
+                    mode,
+                    ..model.config().clone()
+                };
+                let identifier =
+                    Identifier::assemble(model.bank().clone(), model.references().to_vec(), config);
+                let mut columns = dataset.full(base % dataset.len()).vectors().to_vec();
+                for edit in edits {
+                    apply(&mut columns, dataset, edit);
+                }
+                let full = Fingerprint::new(columns);
+                let fixed = FixedFingerprint::from_fingerprint(&full);
+                let key = AssessKey::new(seq, MacAddr::ZERO);
+
+                // Stage 2 over a drawn candidate set (any size and order).
+                let mut candidates: Vec<usize> = (0..27).collect();
+                candidates.sort_by_key(|&label| order[label]);
+                candidates.truncate(count);
+                let mut scratch = ClassifyScratch::default();
+                let mut rng = key.rng(identifier.config.seed);
+                let scores = identifier.dissimilarity_scores(&full, &candidates, &mut rng, &mut scratch);
+                let mut oracle_rng = key.rng(identifier.config.seed);
+                let expected = oracle_scores(&identifier, &full, &candidates, &mut oracle_rng);
+                prop_assert_eq!(bits(&scores), bits(&expected));
+                prop_assert_eq!(rng.index(1 << 20), oracle_rng.index(1 << 20), "draws consumed");
+
+                // And the whole identification in this mode: tie set,
+                // keyed tie-break draw and recorded scores.
+                let id = identifier.identify_keyed(&full, &fixed, key);
+                let oracle = oracle_identify(&identifier, &full, &fixed, key);
+                prop_assert_eq!(bits(&id.scores), bits(&oracle.scores));
+                prop_assert_eq!(id, oracle);
+            }
         }
     }
 }

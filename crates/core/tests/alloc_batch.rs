@@ -1,12 +1,13 @@
 //! Counting-allocator audit of steady-state batched identification:
 //! after one warm-up tick has sized the [`ClassifyScratch`] — stage 1's
 //! leaf words and per-item candidate pool, stage 2's probe symbols,
-//! sampled reference indices, mask table and kernel state — every
-//! subsequent [`Identifier::classify_batch_in`] tick over a same-shaped
-//! batch (of 1, 64 or 512; before and after an `add_type`) must perform
-//! **zero** heap allocations, and every
-//! [`Identifier::identify_keyed_batch_into`] tick only the ones its
-//! `Identification`s own. This pins the contract behind the caller-owned
+//! sampled reference indices and their distances, mask table and lane
+//! state — every subsequent [`Identifier::classify_batch_in`] tick over
+//! a same-shaped batch (of 1, 64 or 512; before and after an `add_type`)
+//! must perform **zero** heap allocations, and every
+//! [`Identifier::identify_keyed_batch_into`] tick (two-stage, and
+//! edit-only against all 27 types) only the ones its `Identification`s
+//! own. This pins the contract behind the caller-owned
 //! scratch: the streaming runtime's shards hold one scratch each and
 //! assess tick after tick without touching the allocator for working
 //! memory.
@@ -21,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sentinel_core::{
     AssessKey, BankConfig, ClassifyScratch, FingerprintDataset, Identification, Identifier,
-    IdentifierConfig,
+    IdentifierConfig, IdentifyMode, TrainedModel,
 };
 use sentinel_devicesim::{catalog, confusable_groups, Testbed};
 use sentinel_fingerprint::{extract, Fingerprint, FixedFingerprint};
@@ -148,15 +149,7 @@ fn stage_two_allocates_per_identification_not_per_comparison() {
         .map(|(i, (full, fixed))| (full, fixed, AssessKey::new(i as u64, MacAddr::ZERO)))
         .collect();
 
-    // Each item against a cold scratch of its own: the drift reference.
-    let cold: Vec<Identification> = items
-        .iter()
-        .map(|&(full, fixed, key)| identifier.identify_keyed(full, fixed, key))
-        .collect();
-    let comparisons: usize = cold
-        .iter()
-        .map(|id| id.candidates.len() * config.references_per_type)
-        .sum();
+    let cold = warm_ticks_allocate_only_what_identifications_own(&identifier, &items, "two-stage");
     assert!(
         cold.iter().filter(|id| id.discriminated).count() * 2 >= cold.len(),
         "the confusable families should discriminate on most probes: {:?}",
@@ -164,6 +157,41 @@ fn stage_two_allocates_per_identification_not_per_comparison() {
             .map(|id| id.candidates.len())
             .collect::<Vec<_>>()
     );
+
+    // Edit-only scores every item against all 27 types × 5 references:
+    // 27 lane groups per item, so lane state that grew per group or per
+    // item would show here.
+    let model = TrainedModel::from(&identifier);
+    let edit_only: Identifier = TrainedModel::from_parts(
+        model.bank().clone(),
+        model.references().to_vec(),
+        IdentifierConfig {
+            mode: IdentifyMode::EditOnly,
+            ..config
+        },
+    )
+    .expect("the trained parts")
+    .into();
+    let cold = warm_ticks_allocate_only_what_identifications_own(&edit_only, &items, "edit-only");
+    assert!(cold.iter().all(|id| id.candidates.len() == 27));
+}
+
+/// Identifies `items` on a cold scratch per item (the drift reference),
+/// then in warm batches on one scratch: every warm tick must allocate
+/// exactly what its `Identification`s own and reproduce the cold ones.
+fn warm_ticks_allocate_only_what_identifications_own(
+    identifier: &Identifier,
+    items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
+    what: &str,
+) -> Vec<Identification> {
+    let cold: Vec<Identification> = items
+        .iter()
+        .map(|&(full, fixed, key)| identifier.identify_keyed(full, fixed, key))
+        .collect();
+    let comparisons: usize = cold
+        .iter()
+        .map(|id| id.candidates.len() * IdentifierConfig::default().references_per_type)
+        .sum();
     // What an `Identification` owns: its candidate set and its scores
     // (both empty, hence unallocated, when no classifier accepted) and
     // the identified type's name.
@@ -178,24 +206,28 @@ fn stage_two_allocates_per_identification_not_per_comparison() {
 
     let mut scratch = ClassifyScratch::default();
     let mut out = Vec::with_capacity(items.len());
-    identifier.identify_keyed_batch_into(&items, &mut scratch, &mut out);
-    assert_eq!(out, cold, "batched identification differs from per-item");
+    identifier.identify_keyed_batch_into(items, &mut scratch, &mut out);
+    assert_eq!(
+        out, cold,
+        "{what}: batched identification differs from per-item"
+    );
 
     for tick in 0..4 {
         out.clear();
         let before = allocations();
-        identifier.identify_keyed_batch_into(&items, &mut scratch, &mut out);
+        identifier.identify_keyed_batch_into(items, &mut scratch, &mut out);
         let spent = allocations() - before;
         assert_eq!(
             spent,
             owned,
-            "tick {tick}: {spent} allocations for {} items whose identifications own {owned} \
-             ({comparisons} reference comparisons must contribute none)",
+            "{what}, tick {tick}: {spent} allocations for {} items whose identifications own \
+             {owned} ({comparisons} reference comparisons must contribute none)",
             items.len()
         );
         assert_eq!(
             out, cold,
-            "tick {tick}: warm scratch drifted an identification"
+            "{what}, tick {tick}: warm scratch drifted an identification"
         );
     }
+    cold
 }

@@ -44,24 +44,49 @@ fn swapped_pair() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
         })
 }
 
-/// The kernel against the reference DP for one pair, pattern `a`, at the
-/// bounds that matter: 0, just below, exactly at and above the true
-/// distance. `Some(d)` iff `d <= bound`, never a false early exit; and
-/// the mask table is all-zero again once the pattern is dropped.
-fn assert_kernel_contract(scratch: &mut OsaScratch, a: &[u32], b: &[u32]) {
-    let exact = osa_distance(a, b);
-    let longest = a.len().max(b.len());
-    let mut pattern = scratch.load(a, 6);
-    for bound in [0, exact.saturating_sub(1), exact, longest, usize::MAX] {
-        assert_eq!(
-            pattern.distance_bounded(b, bound),
-            (exact <= bound).then_some(exact),
-            "m = {}, n = {}, bound = {bound}",
-            a.len(),
-            b.len(),
-        );
-    }
-    drop(pattern);
+/// Texts for the lockstep kernel: [`long_symbols`] with up to three
+/// positions overwritten by ids past a 6-symbol mask table (6, 7 and
+/// `u32::MAX`), which must match no pattern position.
+fn hostile_text() -> impl Strategy<Value = Vec<u32>> {
+    let past_table = prop_oneof![Just(6u32), Just(7), Just(u32::MAX)];
+    (
+        long_symbols(),
+        proptest::collection::vec((any::<usize>(), past_table), 0..3),
+    )
+        .prop_map(|(mut text, overwrites)| {
+            if !text.is_empty() {
+                let n = text.len();
+                for (at, symbol) in overwrites {
+                    text[at % n] = symbol;
+                }
+            }
+            text
+        })
+}
+
+/// The lockstep kernel against the reference DP: pattern `a` against
+/// every text in one call, text by text, appended behind what `out`
+/// already held; and the mask table is all-zero again once the pattern
+/// is dropped.
+fn assert_lockstep<T: AsRef<[u32]>>(scratch: &mut OsaScratch, a: &[u32], texts: &[T]) {
+    let mut out = vec![usize::MAX];
+    scratch
+        .load(a, 6)
+        .distances_into(texts.len(), |i| texts[i].as_ref(), &mut out);
+    let exact: Vec<usize> = (texts.iter())
+        .map(|text| osa_distance(a, text.as_ref()))
+        .collect();
+    assert_eq!(out[0], usize::MAX, "appends, never clears");
+    assert_eq!(
+        out[1..],
+        exact,
+        "m = {}, n = {:?}",
+        a.len(),
+        texts
+            .iter()
+            .map(|text| text.as_ref().len())
+            .collect::<Vec<_>>()
+    );
     assert!(
         scratch.is_clear(),
         "mask bits left behind by a {}-symbol pattern",
@@ -109,30 +134,27 @@ proptest! {
     }
 
     #[test]
-    fn osa_bounded_agrees_with_exact(a in symbols(), b in symbols(), bound in 0usize..30) {
-        let (a, b): (Vec<u32>, Vec<u32>) = (
-            a.into_iter().map(u32::from).collect(),
-            b.into_iter().map(u32::from).collect(),
-        );
-        let exact = osa_distance(&a, &b);
+    fn lockstep_agrees_with_exact(
+        a in symbols(),
+        texts in proptest::collection::vec(symbols(), 0..=17),
+    ) {
+        // Up to two full eight-lane groups and one text more.
+        let widen = |s: Vec<u8>| s.into_iter().map(u32::from).collect::<Vec<u32>>();
+        let texts: Vec<Vec<u32>> = texts.into_iter().map(widen).collect();
+        assert_lockstep(&mut OsaScratch::new(), &widen(a), &texts);
+    }
+
+    #[test]
+    fn lockstep_distances_equal_osa_distance_text_by_text(
+        pattern in long_symbols(),
+        texts in proptest::collection::vec(hostile_text(), 0..=9),
+    ) {
+        // 0 to one-lane-group-plus-one texts of mixed lengths (63/64/65
+        // and 127/128/129 included), some symbols past the mask table,
+        // against the drawn pattern and the empty one.
         let mut scratch = OsaScratch::new();
-        match scratch.load(&a, 6).distance_bounded(&b, bound) {
-            // Within the bound the kernel must reproduce the exact
-            // distance bit-for-bit.
-            Some(d) => {
-                prop_assert_eq!(d, exact);
-                prop_assert!(d <= bound);
-            }
-            // `None` is only allowed when the true distance genuinely
-            // exceeds the bound — never a false early exit.
-            None => prop_assert!(
-                exact > bound,
-                "bounded OSA gave up at bound {} but exact distance is {}",
-                bound,
-                exact
-            ),
-        }
-        prop_assert!(scratch.is_clear());
+        assert_lockstep(&mut scratch, &pattern, &texts);
+        assert_lockstep(&mut scratch, &[], &texts);
     }
 
     #[test]
@@ -145,11 +167,12 @@ proptest! {
         // the table is re-laid-out between word counts: a stale bit from
         // an earlier pattern would corrupt a later distance.
         let mut scratch = OsaScratch::new();
-        assert_kernel_contract(&mut scratch, &a, &b);
-        assert_kernel_contract(&mut scratch, &b, &a);
-        assert_kernel_contract(&mut scratch, &swapped.0, &swapped.1);
-        assert_kernel_contract(&mut scratch, &swapped.1, &swapped.0);
-        assert_kernel_contract(&mut scratch, &a, &swapped.1);
+        let (x, y) = swapped;
+        assert_lockstep(&mut scratch, &a, &[&b, &x, &y]);
+        assert_lockstep(&mut scratch, &b, &[&a]);
+        assert_lockstep(&mut scratch, &x, &[&y, &a]);
+        assert_lockstep(&mut scratch, &y, &[&x]);
+        assert_lockstep(&mut scratch, &a, &[&y]);
     }
 
     #[test]
@@ -164,16 +187,13 @@ proptest! {
         let exact = osa_distance(fa.vectors(), fb.vectors());
         prop_assert_eq!(osa_distance(ia.symbols(), ib.symbols()), exact);
         // And the kernel agrees on the interned views, the projected
-        // probe (unseen columns on the id past the table) as the pattern: the distance
-        // never exceeds the longer length, so that bound always resolves.
-        let longest = fa.len().max(fb.len());
+        // probe (unseen columns on the id past the table) as the pattern.
         let mut scratch = OsaScratch::new();
-        prop_assert_eq!(
-            scratch
-                .load(ib.symbols(), table.len() + 1)
-                .distance_bounded(ia.symbols(), longest),
-            Some(exact)
-        );
+        let mut distance = Vec::new();
+        scratch
+            .load(ib.symbols(), table.len() + 1)
+            .distances_into(1, |_| ia.symbols(), &mut distance);
+        prop_assert_eq!(distance, [exact]);
         prop_assert!(scratch.is_clear());
     }
 

@@ -17,7 +17,8 @@ mod common;
 
 use proptest::prelude::*;
 
-use sentinel_snapshot::Snapshot;
+use sentinel_snapshot::hash::xxh64;
+use sentinel_snapshot::{Snapshot, SnapshotError};
 
 fn golden_bytes() -> Vec<u8> {
     common::golden_snapshot().encode()
@@ -28,6 +29,68 @@ fn golden_bytes() -> Vec<u8> {
 fn payload_start(bytes: &[u8]) -> usize {
     let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
     16 + n_sections * 28
+}
+
+/// Re-frames `bytes` with `edit` applied to the payload of section `id`,
+/// recomputing every offset and checksum: the result is a structurally
+/// sound container, so only the model's own validation can refuse it.
+fn with_section(bytes: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let word = |at: usize, width: usize| {
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(&bytes[at..at + width]);
+        u64::from_le_bytes(le) as usize
+    };
+    let n_sections = word(12, 4);
+    let mut sections: Vec<(u32, Vec<u8>)> = (0..n_sections)
+        .map(|i| {
+            let entry = 16 + i * 28;
+            let (offset, length) = (word(entry + 4, 8), word(entry + 12, 8));
+            (
+                word(entry, 4) as u32,
+                bytes[offset..offset + length].to_vec(),
+            )
+        })
+        .collect();
+    let (_, payload) = (sections.iter_mut())
+        .find(|(section, _)| *section == id)
+        .expect("the section exists");
+    edit(payload);
+    let mut out = bytes[..16].to_vec();
+    let mut offset = payload_start(bytes);
+    for (section, payload) in &sections {
+        out.extend_from_slice(&section.to_le_bytes());
+        out.extend_from_slice(&(offset as u64).to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&xxh64(payload, 0).to_le_bytes());
+        offset += payload.len();
+    }
+    for (_, payload) in &sections {
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+#[test]
+fn a_type_without_reference_fingerprints_is_refused() {
+    const REFERENCES: u32 = 3;
+    let bytes = golden_bytes();
+    assert_eq!(with_section(&bytes, REFERENCES, |_| {}), bytes);
+    // The last type (SensorB) ends the references section with its one
+    // three-column reference: count 1, length 3, three ids. Emptying its
+    // set leaves a well-formed section whose model would let SensorB
+    // score 0 in stage 2 and win on no evidence.
+    let emptied = with_section(&bytes, REFERENCES, |payload| {
+        let tail = payload.len() - 20;
+        assert_eq!(payload[tail..tail + 8], [1, 0, 0, 0, 3, 0, 0, 0]);
+        payload.truncate(tail);
+        payload.extend_from_slice(&0u32.to_le_bytes());
+    });
+    match Snapshot::decode(&emptied) {
+        Err(SnapshotError::Decode(what)) => {
+            assert!(what.contains("no reference fingerprints"), "{what}")
+        }
+        other => panic!("an empty reference set must not load: {other:?}"),
+    }
 }
 
 #[test]
