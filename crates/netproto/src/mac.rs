@@ -1,4 +1,5 @@
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
@@ -18,10 +19,19 @@ use crate::ParseError;
 /// assert_eq!(mac.oui(), [0x13, 0x73, 0x74]);
 /// assert!(!mac.is_broadcast());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub struct MacAddr([u8; 6]);
+
+/// The six octets in one `write`, without the length prefix a derived
+/// impl feeds first (an array hashes as a slice). Every MAC-keyed map —
+/// the session index, the rule cache — pays this once per probe. Always
+/// six bytes, so the encoding is prefix-free; a `write_u64` of the packed
+/// octets measured slower than the slice write.
+impl Hash for MacAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
 
 impl MacAddr {
     /// The broadcast address `FF-FF-FF-FF-FF-FF`.
@@ -129,6 +139,7 @@ impl FromStr for MacAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn display_matches_paper_figure_2_style() {
@@ -173,5 +184,47 @@ mod tests {
     fn oui_is_first_three_octets() {
         let mac = MacAddr::new([0xb0, 0xc5, 0x54, 1, 2, 3]);
         assert_eq!(mac.oui(), [0xb0, 0xc5, 0x54]);
+    }
+
+    /// Keeps every `write` it is handed, one entry per call.
+    #[derive(Default)]
+    struct Recorder(Vec<Vec<u8>>);
+
+    impl Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.push(bytes.to_vec());
+        }
+    }
+
+    fn recorded(mac: MacAddr) -> Vec<Vec<u8>> {
+        let mut recorder = Recorder::default();
+        mac.hash(&mut recorder);
+        recorder.0
+    }
+
+    /// An address whose octets are each 0 or 1: 64 of them, so a drawn
+    /// pair is equal often enough to exercise both sides of the contract.
+    fn small_mac(bits: [bool; 6]) -> MacAddr {
+        MacAddr::new(bits.map(u8::from))
+    }
+
+    proptest! {
+        /// Equal addresses feed the hasher equal bytes and unequal ones
+        /// unequal bytes, in a single write of the six octets.
+        #[test]
+        fn mac_hash_is_one_write_of_its_octets(
+            a in any::<[bool; 6]>(),
+            b in any::<[bool; 6]>(),
+            same in any::<bool>(),
+        ) {
+            let a = small_mac(a);
+            let b = if same { a } else { small_mac(b) };
+            prop_assert_eq!(recorded(a), vec![a.octets().to_vec()]);
+            prop_assert_eq!(a == b, recorded(a) == recorded(b));
+        }
     }
 }

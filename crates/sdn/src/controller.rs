@@ -28,11 +28,16 @@ impl Destination {
     /// Classifies a packet's destination given the local IPv4 subnet
     /// (`prefix` address + mask length).
     pub fn of_packet(packet: &Packet, subnet: Ipv4Addr, mask_bits: u8) -> Destination {
+        Destination::within(packet, subnet, subnet_mask(mask_bits))
+    }
+
+    /// [`Destination::of_packet`] with the netmask already computed.
+    pub(crate) fn within(packet: &Packet, subnet: Ipv4Addr, mask: u32) -> Destination {
         if packet.dst_mac().is_broadcast() || packet.dst_mac().is_multicast() {
             return Destination::LocalBroadcast;
         }
         match packet.dst_ip() {
-            Some(IpAddr::V4(ip)) if !in_subnet(ip, subnet, mask_bits) && !ip.is_broadcast() => {
+            Some(IpAddr::V4(ip)) if !in_subnet(ip, subnet, mask) && !ip.is_broadcast() => {
                 Destination::Internet(IpAddr::V4(ip))
             }
             Some(IpAddr::V6(ip)) if !ip.is_loopback() && (ip.segments()[0] & 0xffc0) != 0xfe80 => {
@@ -43,12 +48,15 @@ impl Destination {
     }
 }
 
-fn in_subnet(ip: Ipv4Addr, subnet: Ipv4Addr, mask_bits: u8) -> bool {
-    let mask = if mask_bits == 0 {
-        0
-    } else {
-        u32::MAX << (32 - mask_bits)
-    };
+/// The netmask of a `/mask_bits` IPv4 subnet. `/0` masks nothing (every
+/// address is inside), and a length past 32 reads as `/32`.
+pub(crate) fn subnet_mask(mask_bits: u8) -> u32 {
+    u32::MAX
+        .checked_shl(32 - u32::from(mask_bits.min(32)))
+        .unwrap_or(0)
+}
+
+pub(crate) fn in_subnet(ip: Ipv4Addr, subnet: Ipv4Addr, mask: u32) -> bool {
     (u32::from(ip) & mask) == (u32::from(subnet) & mask)
 }
 
@@ -145,7 +153,18 @@ impl EnforcementModule {
     /// endpoint decision it applies the rule's optional remote-port
     /// filter (Sect. III-C.2).
     pub fn decide_packet(&mut self, packet: &Packet, subnet: Ipv4Addr, mask_bits: u8) -> Verdict {
-        let dst = Destination::of_packet(packet, subnet, mask_bits);
+        self.decide_packet_within(packet, subnet, subnet_mask(mask_bits))
+    }
+
+    /// [`EnforcementModule::decide_packet`] with the netmask already
+    /// computed — the switch's packet-in.
+    pub(crate) fn decide_packet_within(
+        &mut self,
+        packet: &Packet,
+        subnet: Ipv4Addr,
+        mask: u32,
+    ) -> Verdict {
+        let dst = Destination::within(packet, subnet, mask);
         self.decide_flow(packet.src_mac(), dst, Some(packet))
     }
 
@@ -313,6 +332,41 @@ mod tests {
             Destination::of_packet(&local, subnet, 24),
             Destination::Device(mac(6))
         );
+    }
+
+    #[test]
+    fn subnet_width_classifies_destinations() {
+        let subnet = Ipv4Addr::new(192, 168, 0, 7);
+        let to = |dst: Ipv4Addr| {
+            Packet::udp_ipv4(
+                sentinel_netproto::Timestamp::ZERO,
+                mac(5),
+                mac(6),
+                Ipv4Addr::new(192, 168, 0, 30),
+                dst,
+                50000,
+                443,
+                sentinel_netproto::AppPayload::Empty,
+            )
+        };
+        let probes = [
+            Ipv4Addr::new(192, 168, 0, 7),
+            Ipv4Addr::new(192, 168, 0, 77),
+            Ipv4Addr::new(52, 29, 100, 7),
+        ];
+        let local = |mask_bits| {
+            probes.map(|ip| {
+                Destination::of_packet(&to(ip), subnet, mask_bits) == Destination::Device(mac(6))
+            })
+        };
+        assert_eq!(local(0), [true; 3], "/0 holds every address");
+        assert_eq!(local(24), [true, true, false]);
+        assert_eq!(local(32), [true, false, false]);
+        assert_eq!(local(40), local(32), "a length past 32 reads as /32");
+        assert_eq!(subnet_mask(0), 0);
+        assert_eq!(subnet_mask(24), 0xffff_ff00);
+        assert_eq!(subnet_mask(32), u32::MAX);
+        assert_eq!(subnet_mask(u8::MAX), u32::MAX);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! so only the first packet of each flow pays the packet-in round trip —
 //! "for any given flow, there is only one matching enforcement rule"
 //! (Sect. V). A packet costs one [`FlowKey`] and one probe of the table
-//! whether it hits or misses ([`FlowTable::switch`]).
+//! whether it hits or misses ([`FlowTable::switch`]), and the probe
+//! hashes the key in one write of its bytes to std's keyed SipHash.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
 use serde::{Deserialize, Serialize};
@@ -16,7 +18,7 @@ use sentinel_netproto::{MacAddr, Packet, Timestamp};
 use crate::SwitchDecision;
 
 /// The exact-match key identifying a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowKey {
     /// Source MAC.
     pub src_mac: MacAddr,
@@ -40,6 +42,57 @@ impl FlowKey {
             dst_ip: packet.dst_ip(),
             ports: packet.ports(),
         }
+    }
+}
+
+/// The longest key encoding: layout tag, two MACs, two IPv6 addresses,
+/// two ports.
+const MAX_KEY_BYTES: usize = 1 + 12 + 16 + 16 + 4;
+
+/// 0 for no address, 1 for IPv4, 2 for IPv6.
+fn address_layout(ip: Option<IpAddr>) -> u8 {
+    match ip {
+        None => 0,
+        Some(IpAddr::V4(_)) => 1,
+        Some(IpAddr::V6(_)) => 2,
+    }
+}
+
+/// The key in one `write` of at most 49 bytes from the stack: a layout
+/// tag (each address absent, V4 or V6; ports present or not), the 12 MAC
+/// octets, each present address at its own width, then the ports. A
+/// derived impl would feed SipHash ≈ 15 small writes — length prefixes,
+/// discriminants, fields — at about twice the cost of one write of the
+/// same bytes.
+///
+/// The tag fixes which fields follow and how wide each is, so two keys
+/// encode to the same bytes exactly when they are equal (an IPv4 address
+/// and its v4-mapped IPv6 form differ in the tag), and no encoding is a
+/// prefix of another.
+impl Hash for FlowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut bytes = [0u8; MAX_KEY_BYTES];
+        bytes[0] = address_layout(self.src_ip)
+            | address_layout(self.dst_ip) << 2
+            | u8::from(self.ports.is_some()) << 4;
+        bytes[1..7].copy_from_slice(&self.src_mac.octets());
+        bytes[7..13].copy_from_slice(&self.dst_mac.octets());
+        let mut len = 13;
+        let mut put = |field: &[u8]| {
+            bytes[len..len + field.len()].copy_from_slice(field);
+            len += field.len();
+        };
+        for ip in [self.src_ip, self.dst_ip].into_iter().flatten() {
+            match ip {
+                IpAddr::V4(ip) => put(&ip.octets()),
+                IpAddr::V6(ip) => put(&ip.octets()),
+            }
+        }
+        if let Some((src, dst)) = self.ports {
+            put(&src.to_be_bytes());
+            put(&dst.to_be_bytes());
+        }
+        state.write(&bytes[..len]);
     }
 }
 

@@ -1,16 +1,19 @@
 //! An Open vSwitch-style software switch: exact-match flow cache with
 //! packet-in escalation to the enforcement module.
 //!
-//! Per packet: one [`FlowKey`](crate::FlowKey), one probe of the flow
-//! table, and — on a miss only — one read of the source device's rule.
-//! Cached flows are decisions derived from the rule set, so the switch
-//! remembers the [`RuleCache::generation`](crate::RuleCache::generation)
-//! they were decided under and starts the table over when it has moved.
+//! Per packet: one [`FlowKey`](crate::FlowKey), hashed in one write, one
+//! probe of the flow table, and — on a miss only — one read of the source
+//! device's rule and a subnet test against the netmask the switch worked
+//! out when it was built. Cached flows are decisions derived from the
+//! rule set, so the switch remembers the
+//! [`RuleCache::generation`](crate::RuleCache::generation) they were
+//! decided under and starts the table over when it has moved.
 
 use std::net::Ipv4Addr;
 
 use sentinel_netproto::Packet;
 
+use crate::controller::subnet_mask;
 use crate::{EnforcementModule, FlowAction, FlowTable, Verdict};
 
 /// What the switch did with a packet.
@@ -35,21 +38,22 @@ pub struct OvsSwitch {
     rules_generation: u64,
     filtering: bool,
     subnet: Ipv4Addr,
-    mask_bits: u8,
+    /// The netmask of `subnet`, computed once from its length.
+    mask: u32,
     processed: u64,
     packet_ins: u64,
 }
 
 impl OvsSwitch {
     /// Creates a switch for the given local subnet with filtering
-    /// enabled.
+    /// enabled. A `mask_bits` past 32 reads as `/32`.
     pub fn new(subnet: Ipv4Addr, mask_bits: u8) -> Self {
         OvsSwitch {
             table: FlowTable::new(),
             rules_generation: 0,
             filtering: true,
             subnet,
-            mask_bits,
+            mask: subnet_mask(mask_bits),
             processed: 0,
             packet_ins: 0,
         }
@@ -100,9 +104,9 @@ impl OvsSwitch {
             self.table.clear();
             self.rules_generation = generation;
         }
-        let (subnet, mask_bits) = (self.subnet, self.mask_bits);
+        let (subnet, mask) = (self.subnet, self.mask);
         let decision = self.table.switch(packet, || {
-            match controller.decide_packet(packet, subnet, mask_bits) {
+            match controller.decide_packet_within(packet, subnet, mask) {
                 Verdict::Allow => FlowAction::Forward,
                 Verdict::Deny(_) => FlowAction::Drop,
             }
@@ -218,6 +222,33 @@ mod tests {
         assert_eq!(decision.action, FlowAction::Forward);
         assert!(!decision.packet_in);
         assert_eq!(switch.table().len(), 0, "no flows installed");
+    }
+
+    #[test]
+    fn subnet_width_is_applied_by_the_switch() {
+        // Two strict devices share the untrusted overlay, so a flow
+        // between them is forwarded — but only a subnet wide enough to
+        // hold 52.29.100.7 sees the second one as a local device rather
+        // than the Internet, which strict blocks.
+        let mut controller = EnforcementModule::new();
+        controller.install_rule(EnforcementRule::strict(mac(5)));
+        controller.install_rule(EnforcementRule::strict(mac(0)));
+        let mut action = |subnet, mask_bits| {
+            OvsSwitch::new(subnet, mask_bits)
+                .process(&remote_packet(mac(5), 0), &mut controller)
+                .action
+        };
+        let lan = Ipv4Addr::new(192, 168, 0, 0);
+        let remote = Ipv4Addr::new(52, 29, 100, 7);
+        assert_eq!(
+            action(lan, 0),
+            FlowAction::Forward,
+            "/0 holds every address"
+        );
+        assert_eq!(action(lan, 24), FlowAction::Drop);
+        assert_eq!(action(lan, 32), FlowAction::Drop);
+        assert_eq!(action(remote, 32), FlowAction::Forward);
+        assert_eq!(action(remote, 40), FlowAction::Forward, "/40 reads as /32");
     }
 
     #[test]

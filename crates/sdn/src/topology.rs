@@ -8,6 +8,8 @@ use serde::Serialize;
 
 use sentinel_netproto::MacAddr;
 
+use crate::controller::{in_subnet, subnet_mask};
+
 /// The role of a host in the lab network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum HostKind {
@@ -127,8 +129,7 @@ impl Topology {
 
     /// Whether an address is inside the local subnet.
     pub fn is_local(&self, ip: Ipv4Addr) -> bool {
-        let mask = u32::MAX << (32 - self.mask_bits);
-        (u32::from(ip) & mask) == (u32::from(self.subnet) & mask)
+        in_subnet(ip, self.subnet, subnet_mask(self.mask_bits))
     }
 }
 
@@ -164,6 +165,27 @@ mod tests {
         assert!(lab.is_local(Ipv4Addr::new(192, 168, 0, 77)));
         assert!(!lab.is_local(Ipv4Addr::new(52, 57, 80, 80)));
         assert!(!lab.is_local(lab.host("Sremote").unwrap().ip));
+    }
+
+    #[test]
+    fn subnet_width_decides_locality() {
+        let at = |mask_bits| Topology {
+            subnet: Ipv4Addr::new(192, 168, 0, 7),
+            mask_bits,
+            ..Topology::lab()
+        };
+        let probes = [
+            Ipv4Addr::new(192, 168, 0, 7),
+            Ipv4Addr::new(192, 168, 0, 77),
+            Ipv4Addr::new(52, 57, 80, 80),
+            Ipv4Addr::UNSPECIFIED,
+            Ipv4Addr::BROADCAST,
+        ];
+        let local = |mask_bits| probes.map(|ip| at(mask_bits).is_local(ip));
+        assert_eq!(local(0), [true; 5], "/0 holds every address");
+        assert_eq!(local(24), [true, true, false, false, false]);
+        assert_eq!(local(32), [true, false, false, false, false]);
+        assert_eq!(local(40), local(32), "a length past 32 reads as /32");
     }
 
     #[test]

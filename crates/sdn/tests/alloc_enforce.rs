@@ -12,16 +12,20 @@
 //! are one `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sentinel_netproto::dhcp::DhcpMessage;
 use sentinel_netproto::dns::{DnsMessage, Question};
 use sentinel_netproto::http::HttpMessage;
+use sentinel_netproto::icmpv6::Icmpv6Message;
+use sentinel_netproto::ipv4::IpProtocol;
+use sentinel_netproto::ipv6::{HopByHopOption, Ipv6Header};
 use sentinel_netproto::tcp::{TcpFlags, TcpHeader};
 use sentinel_netproto::tls::TlsRecord;
-use sentinel_netproto::{ports, AppPayload, MacAddr, Packet, Timestamp};
-use sentinel_sdn::{EnforcementModule, EnforcementRule, OvsSwitch};
+use sentinel_netproto::udp::UdpHeader;
+use sentinel_netproto::{ports, AppPayload, MacAddr, Packet, PacketBody, Timestamp, Transport};
+use sentinel_sdn::{EnforcementModule, EnforcementRule, FlowKey, OvsSwitch};
 
 /// Passes everything through to [`System`], counting every allocation
 /// and reallocation (deallocations are free and uncounted).
@@ -56,15 +60,20 @@ const GATEWAY: MacAddr = MacAddr::new([0x02, 0x53, 0x47, 0x57, 0x00, 0x01]);
 const CLOUD: Ipv4Addr = Ipv4Addr::new(52, 29, 100, 7);
 
 /// One packet of each kind a device sends after setup, each its own
-/// flow: DHCP, DNS, HTTP, TLS, ARP and a bare TCP SYN.
-fn traffic_of(device: u8) -> [Packet; 6] {
+/// flow: DHCP, DNS, HTTP, TLS, ARP and a bare TCP SYN over IPv4, DNS over
+/// IPv6, an ICMPv6 MLD report (no ports) and an EAPoL key frame (no IP)
+/// — every layout a flow key has.
+fn traffic_of(device: u8) -> [Packet; 9] {
     let ts = Timestamp::from_secs(500);
     let mac = MacAddr::new([0x02, 0, 0, 0, 0x10, device]);
     let ip = Ipv4Addr::new(192, 168, 0, device);
     let router = Ipv4Addr::new(192, 168, 0, 1);
+    let link_local = Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0x10, u16::from(device));
     let udp = |dst_ip, dst_port, payload| {
         Packet::udp_ipv4(ts, mac, GATEWAY, ip, dst_ip, 50_000, dst_port, payload)
     };
+    let ipv6 =
+        |header, transport| Packet::new(ts, mac, GATEWAY, PacketBody::Ipv6 { header, transport });
     let tcp = |dst_port, flags, payload| {
         let header = TcpHeader::new(49_200, dst_port, flags);
         Packet::tcp_ipv4(ts, mac, GATEWAY, ip, CLOUD, header, payload)
@@ -96,6 +105,27 @@ fn traffic_of(device: u8) -> [Packet; 6] {
         ),
         Packet::arp_probe(ts, mac, router),
         Packet::tcp_syn(ts, mac, GATEWAY, ip, CLOUD, 49_201, ports::HTTPS),
+        ipv6(
+            Ipv6Header::new(
+                link_local,
+                Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 0x53),
+                IpProtocol::Udp,
+            ),
+            Transport::Udp {
+                header: UdpHeader::new(49_001, ports::DNS),
+                payload: AppPayload::Dns(DnsMessage::query(10, [Question::a("example.com")])),
+            },
+        ),
+        ipv6(
+            Ipv6Header::new(
+                link_local,
+                Ipv6Addr::new(0xff02, 0, 0, 0, 0, 0, 0, 0x16),
+                IpProtocol::Icmpv6,
+            )
+            .with_hop_by_hop(HopByHopOption::RouterAlert(0)),
+            Transport::Icmpv6(Icmpv6Message::mld2_report(1)),
+        ),
+        Packet::eapol_key(ts, mac, GATEWAY, 2),
     ]
 }
 
@@ -114,6 +144,20 @@ fn switching_a_packet_never_touches_the_allocator() {
         });
     }
     let packets: Vec<Packet> = (0..DEVICES).flat_map(traffic_of).collect();
+    // (source address is IPv6, ports present) for every key layout.
+    let layouts: std::collections::HashSet<_> = packets
+        .iter()
+        .map(FlowKey::of)
+        .map(|key| (key.src_ip.map(|ip| ip.is_ipv6()), key.ports.is_some()))
+        .collect();
+    for layout in [
+        (Some(false), true),
+        (Some(true), true),
+        (Some(true), false),
+        (None, false),
+    ] {
+        assert!(layouts.contains(&layout), "no flow keyed as {layout:?}");
+    }
 
     let before = allocations();
     let bytes: usize = packets.iter().map(Packet::wire_len).sum();

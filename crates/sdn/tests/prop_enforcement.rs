@@ -3,7 +3,8 @@
 //! switch/rule-cache state machines stay coherent under random workloads.
 
 use proptest::prelude::*;
-use std::net::{IpAddr, Ipv4Addr};
+use std::hash::{Hash, Hasher};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use sentinel_netproto::{AppPayload, MacAddr, Packet, Timestamp};
 use sentinel_sdn::overlay::Overlay;
@@ -86,8 +87,78 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// A `Hasher` that keeps every `write` it is handed, one entry per call.
+#[derive(Default)]
+struct Recorder(Vec<Vec<u8>>);
+
+impl Hasher for Recorder {
+    fn finish(&self) -> u64 {
+        0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.push(bytes.to_vec());
+    }
+}
+
+fn recorded(key: &FlowKey) -> Vec<Vec<u8>> {
+    let mut recorder = Recorder::default();
+    key.hash(&mut recorder);
+    recorder.0
+}
+
+/// A flow key over a small domain, so that drawn keys coincide: two MACs,
+/// addresses absent, IPv4, IPv6, or the v4-mapped IPv6 form of an IPv4
+/// one, and ports present or absent.
+fn flow_key_strategy() -> impl Strategy<Value = FlowKey> {
+    let v4 = Ipv4Addr::new(10, 0, 0, 1);
+    let addresses = [
+        None,
+        Some(IpAddr::V4(v4)),
+        Some(IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2))),
+        Some(IpAddr::V6(v4.to_ipv6_mapped())),
+        Some(IpAddr::V6(Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 1))),
+    ];
+    let ports = [None, Some((50_000, 443)), Some((443, 50_000))];
+    (0u8..2, 0u8..2, 0usize..5, 0usize..5, 0usize..3).prop_map(
+        move |(src, dst, src_ip, dst_ip, port)| FlowKey {
+            src_mac: MacAddr::new([2, 0, 0, 0, 0, src]),
+            dst_mac: MacAddr::new([2, 0, 0, 0, 0, dst]),
+            src_ip: addresses[src_ip],
+            dst_ip: addresses[dst_ip],
+            ports: ports[port],
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `FlowKey` hands the hasher one write, and two keys write the same
+    /// bytes exactly when they are equal. The second key is the first
+    /// with one field taken from another draw, its addresses swapped
+    /// (src-only against dst-only), or another draw outright.
+    #[test]
+    fn flow_key_hash_is_one_write_of_injective_bytes(
+        a in flow_key_strategy(),
+        other in flow_key_strategy(),
+        edit in 0usize..7,
+    ) {
+        let b = match edit {
+            0 => FlowKey { src_mac: other.src_mac, ..a },
+            1 => FlowKey { dst_mac: other.dst_mac, ..a },
+            2 => FlowKey { src_ip: other.src_ip, ..a },
+            3 => FlowKey { dst_ip: other.dst_ip, ..a },
+            4 => FlowKey { ports: other.ports, ..a },
+            5 => FlowKey { src_ip: a.dst_ip, dst_ip: a.src_ip, ..a },
+            _ => other,
+        };
+        let (written_a, written_b) = (recorded(&a), recorded(&b));
+        prop_assert_eq!(written_a.len(), 1, "{:?}", a);
+        prop_assert_eq!(written_b.len(), 1, "{:?}", b);
+        prop_assert!(written_a[0].len() <= 49);
+        prop_assert_eq!(a == b, written_a == written_b, "{:?} vs {:?}", a, b);
+    }
 
     /// The central security invariant: traffic between two devices is
     /// allowed iff they share an overlay, for every combination of
