@@ -129,8 +129,9 @@ fn main() {
          for a minority of fingerprints and over few candidate types; and edit-distance\n\
          cost grows with fingerprint length — quadratically for the textbook DP, per\n\
          reference column and 64-symbol probe word for the bit-parallel kernel the\n\
-         identifier runs — while classification stays near-constant (see `cargo bench\n\
-         -p sentinel-bench --bench editdist`), which is the paper's argument for\n\
-         classifying first and discriminating second."
+         identifier runs — while classification stays near-constant (see the ledger\n\
+         rows `core.stage1_us_per_onboarding` / `core.stage2_us_per_onboarding` on\n\
+         `iotssp_confusable`), which is the paper's argument for classifying first and\n\
+         discriminating second."
     );
 }

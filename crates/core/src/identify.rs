@@ -7,11 +7,6 @@
 //! sum per type into a dissimilarity score `s_i ∈ [0, 5]`, and pick the
 //! minimum.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use sentinel_fingerprint::editdist::OsaScratch;
@@ -31,9 +26,10 @@ use crate::{BankConfig, ClassifierBank, FingerprintDataset};
 /// reference sampling and tie-breaks — from `(seed, key)` through the
 /// pinned RNG contract ([`sentinel_ml::pinned`]). The answer is
 /// therefore a pure function of the trained model, the fingerprints and
-/// this key: two completions assess identically no matter which shard,
-/// thread, batch or order serves them, which is what lets a streaming
-/// runtime score stage 2 inside its parallel region. Callers with no
+/// this key: two completions assess identically no matter which thread,
+/// batch or order serves them, which is what lets a gateway defer its
+/// completions into one keyed batch and the fleet assess every home's
+/// completions together in fleet-wide batches. Callers with no
 /// stream position pick any fixed key (evaluation harnesses key by test
 /// index; [`crate::IoTSecurityService`]'s direct `assess` uses one
 /// documented constant).
@@ -134,7 +130,7 @@ impl Default for IdentifierConfig {
 /// probe symbols, sampled reference indices, their distances and
 /// bit-parallel kernel memory (the probe's match masks and per-lane
 /// column state, [`OsaScratch`]). A caller that keeps one `ClassifyScratch` alive
-/// across ticks (the streaming runtime holds one per shard) performs
+/// across ticks (a gateway holds one, inside its `AssessScratch`) performs
 /// **zero heap allocations** in steady-state batched classification,
 /// and steady-state identification allocates only what each [`Identification`] owns —
 /// its candidates, scores and type name, however many candidates and
@@ -148,15 +144,6 @@ pub struct ClassifyScratch {
     words: Vec<u64>,
     /// Per-item candidate label sets; entries are reused across ticks.
     candidates: Vec<Vec<usize>>,
-    /// `F'` bit-pattern buffer for verdict-cache key derivation.
-    key: Vec<u64>,
-    /// Cache on only: `(batch slot, routing hash)` of the rows the
-    /// verdict cache could not answer and that duplicate no earlier
-    /// row, in batch order.
-    misses: Vec<(u32, u64)>,
-    /// In-batch dedup index: routing hash → batch slot of the first
-    /// miss with that hash.
-    pending: HashMap<u64, u32>,
     /// Stage 2: the current item's probe, projected to symbol ids.
     probe: Vec<u32>,
     /// Stage 2: reference indices sampled for the candidate being scored.
@@ -166,125 +153,6 @@ pub struct ClassifyScratch {
     /// Stage 2: the probe's match masks (built once per item, not per
     /// reference) and the kernel's per-lane column state.
     osa: OsaScratch,
-}
-
-/// Domain tag of the verdict cache's shard-routing hash family.
-const VERDICT_DOMAIN: u64 = 0x5645_5244_4943_5431; // "VERDICT1"
-
-/// Domain tag of the model-identity stamp hashed over the interned
-/// reference corpus.
-const MODEL_STAMP_DOMAIN: u64 = 0x4d4f_4445_4c49_4431; // "MODELID1"
-
-/// Lock shards of the verdict cache (fixed: shard membership of a key
-/// never depends on the machine or the run).
-const VERDICT_SHARDS: usize = 16;
-
-/// One content-addressed stage-1 verdict: the exact `F'` bit pattern
-/// and the candidate labels every per-type classifier produced for it.
-#[derive(Debug)]
-struct CachedVerdict {
-    bits: Box<[u64]>,
-    labels: Box<[u32]>,
-}
-
-/// The content-addressed stage-1 verdict cache.
-///
-/// Stage-1 classification is a pure function of the 276-dim `F'`
-/// vector, so its verdict can be shared by every completion across a
-/// whole gateway fleet that extracts the same fingerprint. Entries are
-/// keyed by the **exact bit pattern** of `F'` (`f64::to_bits` per
-/// dimension): the routing hash — a domain-separated word-wise FNV of
-/// the bit pattern, keyed by the model stamp
-/// ([`sentinel_ml::hash::keyed_hash_words`]) — only picks the lock
-/// shard and the bucket chain, and every chain entry is compared for
-/// full bit equality before it answers. A hash collision therefore
-/// costs a chain walk, never a wrong verdict, which is what makes the
-/// cache byte-transparent: results with the cache on are identical to
-/// results with it off, entry by entry.
-///
-/// Hit/lookup counters are scheduling-dependent under concurrency
-/// (which thread misses first is a race), so they are exposed only
-/// through [`Identifier::verdict_cache_stats`] for observability and
-/// never folded into any deterministic report.
-#[derive(Debug)]
-struct VerdictCache {
-    /// Model-identity stamp: a content hash of the interned reference
-    /// corpus, mixed into the routing-hash domain so caches of
-    /// different trained models route (and would chain-compare) in
-    /// unrelated hash families. The cache is owned by one
-    /// [`Identifier`] and rebuilt on [`Identifier::add_type`], so the
-    /// stamp is defense in depth, not the correctness boundary — that
-    /// is the exact-bits comparison.
-    stamp: u64,
-    shards: Vec<Mutex<HashMap<u64, Vec<CachedVerdict>>>>,
-    hits: AtomicU64,
-    lookups: AtomicU64,
-}
-
-impl VerdictCache {
-    fn new(stamp: u64) -> Self {
-        VerdictCache {
-            stamp,
-            shards: (0..VERDICT_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-        }
-    }
-
-    /// The shard/bucket routing hash of one `F'` bit pattern.
-    fn row_hash(&self, bits: &[u64]) -> u64 {
-        sentinel_ml::hash::keyed_hash_words(VERDICT_DOMAIN ^ self.stamp, bits.iter().copied())
-    }
-
-    /// Copies the cached candidate labels of `bits` into `out` if an
-    /// exactly-equal entry exists. Counts one lookup (and, on success,
-    /// one hit).
-    fn lookup_into(&self, hash: u64, bits: &[u64], out: &mut Vec<usize>) -> bool {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shards[(hash % VERDICT_SHARDS as u64) as usize].lock();
-        if let Some(chain) = shard.get(&hash) {
-            for entry in chain {
-                if *entry.bits == *bits {
-                    out.extend(entry.labels.iter().map(|&label| label as usize));
-                    drop(shard);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Inserts one freshly classified verdict. `row` is the `F'` row in
-    /// feature values; its bit pattern becomes the key. Idempotent
-    /// under races: if another thread inserted the same bits first, the
-    /// (necessarily identical) entry is kept and this one dropped.
-    fn insert(&self, hash: u64, row: &[f64], labels: &[usize]) {
-        let mut shard = self.shards[(hash % VERDICT_SHARDS as u64) as usize].lock();
-        let chain = shard.entry(hash).or_default();
-        if chain.iter().any(|entry| {
-            entry
-                .bits
-                .iter()
-                .copied()
-                .eq(row.iter().map(|v| v.to_bits()))
-        }) {
-            return;
-        }
-        chain.push(CachedVerdict {
-            bits: row.iter().map(|v| v.to_bits()).collect(),
-            labels: labels.iter().map(|&label| label as u32).collect(),
-        });
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.lookups.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// The trained identification pipeline: classifier bank plus reference
@@ -307,13 +175,6 @@ pub struct Identifier {
     /// not allocate it on every identification.
     pools: Vec<Vec<usize>>,
     config: IdentifierConfig,
-    /// Content-addressed stage-1 verdict cache — `None` (the default)
-    /// leaves every batch path exactly on the uncached kernel. Enabled
-    /// explicitly via [`Identifier::enable_verdict_cache`] by callers
-    /// that classify many repeated fingerprints (the fleet simulation);
-    /// not part of [`IdentifierConfig`], so trained-model snapshots are
-    /// unaffected by the toggle.
-    verdict_cache: Option<VerdictCache>,
 }
 
 /// The serializable snapshot of a trained [`Identifier`] — what an
@@ -430,47 +291,7 @@ impl Identifier {
             interned,
             pools,
             config,
-            verdict_cache: None,
         }
-    }
-
-    /// The model-identity stamp: a content hash of every interned
-    /// reference fingerprint's symbols (sequence boundaries included)
-    /// folded with the number of trained types. Two identifiers trained
-    /// on different corpora get different stamps, which keys their
-    /// verdict caches into unrelated routing-hash families.
-    fn model_stamp(&self) -> u64 {
-        let corpus = sentinel_ml::hash::symbol_set_hash(
-            MODEL_STAMP_DOMAIN,
-            self.interned
-                .iter()
-                .flat_map(|of_type| of_type.iter().map(InternedFingerprint::symbols)),
-        );
-        sentinel_ml::hash::keyed_hash(corpus, [self.bank.n_types() as u64])
-    }
-
-    /// Turns the content-addressed stage-1 verdict cache on or off.
-    ///
-    /// The cache is **byte-transparent**: every batch classification
-    /// path returns bit-identical candidate sets with the cache on or
-    /// off, because entries are keyed by the exact `F'` bit pattern and
-    /// stage 1 is a pure function of it. Enabling (or re-enabling)
-    /// starts from an empty cache stamped with the current model
-    /// identity; [`Identifier::add_type`] rebuilds an enabled cache so
-    /// stale verdicts can never outlive the model they were computed
-    /// under.
-    pub fn enable_verdict_cache(&mut self, enabled: bool) {
-        self.verdict_cache = enabled.then(|| VerdictCache::new(self.model_stamp()));
-    }
-
-    /// `(hits, lookups)` of the verdict cache since it was enabled —
-    /// `(0, 0)` when disabled. Scheduling-dependent under concurrency
-    /// (which racing thread misses first is not deterministic), so
-    /// callers must keep these out of any byte-compared report.
-    pub fn verdict_cache_stats(&self) -> (u64, u64) {
-        self.verdict_cache
-            .as_ref()
-            .map_or((0, 0), VerdictCache::stats)
     }
 
     /// The underlying classifier bank.
@@ -507,10 +328,6 @@ impl Identifier {
         self.pools.push((0..references.len()).collect());
         self.interned.push(interned);
         self.references.push(references);
-        // The model changed: verdicts computed under the old type set
-        // are stale (the new classifier may accept old fingerprints),
-        // so an enabled cache restarts empty under the new stamp.
-        self.enable_verdict_cache(self.verdict_cache.is_some());
         label
     }
 
@@ -544,15 +361,15 @@ impl Identifier {
     /// [`BankScorer`] ([`Identifier::classify_batch_in`]); stage 2
     /// builds each item's pinned generator from its [`AssessKey`], so
     /// nothing depends on item order or on how a stream of completions
-    /// is cut into batches — which is what lets a sharded streaming
-    /// runtime call this concurrently on per-shard slices of one tick's
-    /// completions.
+    /// is cut into batches — which is what lets the fleet cut every
+    /// home's deferred completions into fleet-wide batches of its own
+    /// size.
     ///
     /// Identifications are **appended** to `out` (the shared batch-entry
     /// contract — the caller owns and clears `out`), and the working
     /// memory of both stages comes from `scratch`, so a caller that
-    /// keeps both warm across ticks (the streaming runtime's shards)
-    /// allocates only what the appended [`Identification`]s own.
+    /// keeps both warm across ticks (a gateway, or a fleet assessment
+    /// worker) allocates only what the appended [`Identification`]s own.
     pub fn identify_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
@@ -599,15 +416,10 @@ impl Identifier {
         &scratch.candidates[..fixed.len()]
     }
 
-    /// Stage 1 behind every batch path: scores the `n` rows `row(0..n)`
-    /// that the verdict cache cannot answer (all of them when it is
-    /// off) and leaves item `i`'s candidate labels in
-    /// `scratch.candidates[i]`.
-    ///
-    /// The cache is bit-transparent: hits replay labels that an earlier
-    /// identical `F'` row produced (entries compare full bit patterns,
-    /// and labels are always emitted in increasing order), and in-batch
-    /// duplicates are scored once and copied.
+    /// Stage 1 behind every batch path: scores the `n` rows `row(0..n)`,
+    /// one [`BankScorer::candidates_into`] pass each, and leaves item
+    /// `i`'s candidate labels in `scratch.candidates[i]`. Nothing is
+    /// remembered between rows or calls.
     fn classify_into<'a>(
         &self,
         n: usize,
@@ -615,65 +427,14 @@ impl Identifier {
         scratch: &mut ClassifyScratch,
     ) {
         let ClassifyScratch {
-            words,
-            candidates,
-            key,
-            misses,
-            pending,
-            ..
+            words, candidates, ..
         } = scratch;
         if candidates.len() < n {
             candidates.resize_with(n, Vec::new);
         }
-        let Some(cache) = self.verdict_cache.as_ref() else {
-            for (index, slot) in candidates[..n].iter_mut().enumerate() {
-                slot.clear();
-                self.scorer.candidates_into(row(index), words, slot);
-            }
-            return;
-        };
-        misses.clear();
-        pending.clear();
-        for index in 0..n {
-            let cells = row(index);
-            let (earlier, rest) = candidates.split_at_mut(index);
-            let slot = &mut rest[0];
+        for (index, slot) in candidates[..n].iter_mut().enumerate() {
             slot.clear();
-            key.clear();
-            key.extend(cells.iter().map(|value| value.to_bits()));
-            let hash = cache.row_hash(key);
-            if cache.lookup_into(hash, key, slot) {
-                continue;
-            }
-            // In-batch dedup: a row equal to an earlier miss of this
-            // batch copies that miss's labels. A routing-hash collision
-            // (equal hash, different bits) falls through to its own
-            // miss; `pending` keeps pointing at the first miss, so a
-            // collided row merely loses its dedup shortcut — never its
-            // correct verdict.
-            match pending.entry(hash) {
-                Entry::Occupied(first) => {
-                    let source = *first.get() as usize;
-                    if row(source)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .eq(key.iter().copied())
-                    {
-                        slot.extend_from_slice(&earlier[source]);
-                        continue;
-                    }
-                }
-                Entry::Vacant(vacant) => {
-                    vacant.insert(index as u32);
-                }
-            }
-            self.scorer.candidates_into(cells, words, slot);
-            misses.push((index as u32, hash));
-        }
-        // Publish after the batch, so an in-batch duplicate is a dedup
-        // copy and not a cache hit, whatever the batch shape.
-        for &(slot, hash) in misses.iter() {
-            cache.insert(hash, row(slot as usize), &candidates[slot as usize]);
+            self.scorer.candidates_into(row(index), words, slot);
         }
     }
 

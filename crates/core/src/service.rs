@@ -17,9 +17,9 @@ use crate::{FingerprintDataset, Identifier, IdentifierConfig};
 
 /// Reusable working memory for [`SecurityService::assess_keyed_batch_into`].
 ///
-/// Wraps the identifier's [`ClassifyScratch`] (stage 1's batch matrix,
-/// verdict buffer and candidate pool; stage 2's probe symbols, sampled
-/// reference indices, mask table and kernel state) plus the intermediate
+/// Wraps the identifier's [`ClassifyScratch`] (stage 1's leaf words and
+/// candidate pool; stage 2's probe symbols, sampled reference indices,
+/// their distances, mask table and kernel state) plus the intermediate
 /// identification buffer, so a caller that keeps one `AssessScratch` per
 /// worker (a gateway holds one for the keyed batch of each ingest round,
 /// the fleet one per assessment worker) assesses batch after batch
@@ -61,9 +61,9 @@ pub trait SecurityService {
     /// by that item's [`AssessKey`], so each response is a pure function
     /// of `(trained state, fingerprints, key)` — independent of call
     /// order, interleaving, batch boundaries, or which thread serves it.
-    /// This is what lets a sharded streaming runtime assess completions
-    /// concurrently and still produce bit-identical output at every
-    /// thread count.
+    /// This is what lets the fleet assess every home's completions in
+    /// fleet-wide batches on its worker threads and still produce
+    /// bit-identical output at every thread count.
     ///
     /// The default answers each item with [`SecurityService::assess`]
     /// and ignores keys and scratch — correct exactly because `assess`
@@ -189,18 +189,18 @@ impl IoTSecurityService {
         self.identifier.add_type(name, dataset)
     }
 
-    /// Turns the identifier's content-addressed stage-1 verdict cache
-    /// on or off (see [`Identifier::enable_verdict_cache`] — byte-
-    /// transparent, off by default).
+    /// Does nothing: stage 1 has no verdict cache to turn on. Kept only
+    /// because the frozen benchmark (`ledger/`) calls it, as it sets
+    /// `StreamConfig::threads`.
     pub fn enable_verdict_cache(&mut self, enabled: bool) {
-        self.identifier.enable_verdict_cache(enabled);
+        let _ = enabled;
     }
 
-    /// `(hits, lookups)` of the verdict cache since it was enabled —
-    /// `(0, 0)` when disabled. Scheduling-dependent under concurrency;
-    /// observability only, never part of a deterministic report.
+    /// Always `(0, 0)`: stage 1 has no verdict cache whose hits and
+    /// lookups it could count. Kept only because the frozen benchmark
+    /// (`ledger/`) calls it.
     pub fn verdict_cache_stats(&self) -> (u64, u64) {
-        self.identifier.verdict_cache_stats()
+        (0, 0)
     }
 
     /// The vulnerability database.

@@ -51,9 +51,8 @@ pub struct FleetConfig {
     /// Rows per fleet-wide keyed assessment batch in the lockstep
     /// tick's assess pass. Purely a throughput knob: keyed assessment
     /// is a pure function per completion, so any chunking produces a
-    /// bit-identical [`crate::FleetReport`]. Sized so the batched
-    /// stage-1 kernels see hundreds of rows per call while the batch
-    /// matrix stays cache-resident.
+    /// bit-identical [`crate::FleetReport`]. Sized so each service call
+    /// serves hundreds of rows out of one worker's warm scratch.
     pub assess_batch_rows: usize,
 }
 

@@ -18,10 +18,11 @@
 //! 2. **Assess (parallel, fleet-wide batches).** All homes' deferred
 //!    completions are concatenated and pushed through
 //!    [`SecurityService::assess_keyed_batch_into`] in large chunks
-//!    ([`FleetConfig::assess_batch_rows`]), where the batched stage-1
-//!    kernels (and the stage-1 verdict cache, when enabled) amortize
-//!    across gateways — hundreds of rows per service call instead of a
-//!    handful per home tick.
+//!    ([`FleetConfig::assess_batch_rows`]), each served out of its
+//!    worker's warm [`AssessScratch`] — hundreds of rows per service
+//!    call instead of a handful per home tick. Every row is scored
+//!    anew, repeats included: the service remembers nothing between
+//!    calls.
 //! 3. **Settle (parallel over homes).** Each home replays its serial
 //!    enforcement tail — rule installs in `(seq, mac)` order, leaves on
 //!    tick boundaries, data-plane probes — against its own enforcement
@@ -210,8 +211,7 @@ pub fn run_fleet<S: SecurityService + Sync>(service: &S, config: &FleetConfig) -
 
     // Pass 2: assess every deferred completion in fleet-wide keyed
     // batches. Chunk boundaries are a pure throughput knob (keyed
-    // purity), sized so the batched stage-1 kernels see hundreds of
-    // rows per call.
+    // purity), sized so each service call serves hundreds of rows.
     let items: Vec<_> = ingested
         .iter()
         .flat_map(|home| {

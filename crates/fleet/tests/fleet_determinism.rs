@@ -60,48 +60,6 @@ fn byte_identical_across_thread_counts() {
     }
 }
 
-/// The stage-1 verdict cache is a pure memoization keyed by the exact
-/// `F'` bit pattern: enabling it must not move a single byte of the
-/// report, at any thread count, and the shared cache must actually get
-/// exercised (hits across homes with identical fingerprints).
-#[test]
-fn verdict_cache_is_byte_invisible() {
-    let mut service = trained_service();
-    let config = small_config();
-    let baseline = run_fleet(&service, &config);
-    let baseline_bytes = serde_json::to_vec(&baseline).unwrap();
-    assert_eq!(service.verdict_cache_stats(), (0, 0), "cache defaults off");
-
-    service.enable_verdict_cache(true);
-    for threads in [1usize, 2, 4] {
-        let cached = run_fleet(
-            &service,
-            &FleetConfig {
-                threads,
-                ..config.clone()
-            },
-        );
-        assert_eq!(
-            serde_json::to_vec(&cached).unwrap(),
-            baseline_bytes,
-            "verdict cache changed the report at threads={threads}"
-        );
-    }
-    let (hits, lookups) = service.verdict_cache_stats();
-    assert_eq!(
-        lookups,
-        3 * baseline.stats.onboarded,
-        "every assessed completion must consult the cache"
-    );
-    assert!(hits > 0, "repeated runs over one fleet must hit the cache");
-
-    // Disabling restores the uncached path (and drops the counters).
-    service.enable_verdict_cache(false);
-    assert_eq!(service.verdict_cache_stats(), (0, 0));
-    let off = run_fleet(&service, &config);
-    assert_eq!(serde_json::to_vec(&off).unwrap(), baseline_bytes);
-}
-
 #[test]
 fn byte_identical_across_gateway_construction_order() {
     let service = trained_service();

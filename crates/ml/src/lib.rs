@@ -52,7 +52,6 @@ pub mod binning;
 pub mod crossval;
 mod data;
 mod forest;
-pub mod hash;
 pub mod metrics;
 pub mod parallel;
 pub mod pinned;

@@ -1,8 +1,9 @@
-//! Deterministic fork/join helpers over crossbeam scoped threads.
+//! Deterministic fork/join helpers over std's scoped threads.
 //!
 //! Every parallel site in the workspace (forest fitting, classifier-bank
-//! training, cross-validation folds, stage-2 candidate scoring) funnels
-//! through [`map_indexed`]: work items are claimed from an atomic
+//! training, cross-validation folds, and the fleet's ingest, assess and
+//! settle passes) funnels through [`map_indexed`] or
+//! [`map_indexed_init`]: work items are claimed from an atomic
 //! counter and results are merged back *by index*, so the output is
 //! identical for every thread count — parallelism only changes who
 //! computes each item, never what is computed or in which order results
@@ -80,13 +81,13 @@ where
         return (0..n).map(|index| f(&mut state, index)).collect();
     }
     let next = AtomicUsize::new(0);
-    let buckets: Vec<Vec<(usize, T)>> = crossbeam::thread::scope(|scope| {
+    let buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let next = &next;
                 let init = &init;
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut state = init();
                     let mut produced = Vec::new();
                     loop {
@@ -104,8 +105,7 @@ where
             .into_iter()
             .map(|handle| handle.join().expect("parallel worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope");
+    });
     // Ordered merge: scatter each tagged result into its slot.
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for bucket in buckets {
