@@ -45,9 +45,6 @@ pub struct FleetConfig {
     pub threads: usize,
     /// Session-table capacity of each home gateway.
     pub max_sessions_per_home: usize,
-    /// Virtual shards per home gateway (small: a home hosts a handful
-    /// of devices, not thousands).
-    pub shards_per_home: usize,
     /// Rows per fleet-wide keyed assessment batch in the lockstep
     /// tick's assess pass. Purely a throughput knob: keyed assessment
     /// is a pure function per completion, so any chunking produces a
@@ -70,7 +67,6 @@ impl Default for FleetConfig {
             seed: 42,
             threads: 0,
             max_sessions_per_home: 16,
-            shards_per_home: 4,
             assess_batch_rows: 512,
         }
     }
@@ -81,7 +77,6 @@ impl FleetConfig {
     pub fn stream_config(&self) -> StreamConfig {
         StreamConfig {
             max_sessions: self.max_sessions_per_home.max(1),
-            shards: self.shards_per_home.max(1),
             ..StreamConfig::default()
         }
     }

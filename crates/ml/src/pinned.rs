@@ -2,9 +2,9 @@
 //!
 //! The v1 contract (a shared seeded `StdRng` advanced once per use site)
 //! makes every consumer's stream depend on *how many* draws happened
-//! before it — good enough for batch training, fatal for a sharded
-//! streaming runtime whose assessments must not care which worker (or in
-//! which order) serves them. [`PinnedRng`] replaces that with a generator
+//! before it — good enough for batch training, fatal for streaming
+//! assessment pooled across gateways, which must not care which worker
+//! (or in which order) serves it. [`PinnedRng`] replaces that with a generator
 //! constructed *per decision* from a key: the stream is a pure function
 //! of `(seed, key)`, so two completions keyed `(seq, mac)` draw the same
 //! values no matter how work is scheduled around them.

@@ -14,7 +14,7 @@
 //!   [`StreamRuntime::ingest_frames_deferred`]), runs the single-pass
 //!   wire scanner (`sentinel_netproto::scan`) over each — it certifies
 //!   every frame the owning decoder accepts, so ingest never decodes —
-//!   demultiplexes by source MAC across fixed virtual shards, runs
+//!   demultiplexes by source MAC into one session table, runs
 //!   setup-end detection (idle gap, packet cap, byte cap), assesses
 //!   each round's completed setups as one keyed batch against the IoT
 //!   Security Service and enforces the verdicts through the SDN switch.
@@ -28,8 +28,9 @@
 //!   setup has sent so far (16 B each, a small reservation that grows),
 //!   bounded by the detector's packet cap (plus an optional byte cap).
 //! * [`SessionTable`] — a capacity-bounded session slab behind a one-probe
-//!   MAC index, with deterministic LRU shedding (the victim's slot is
-//!   re-opened in place) as the explicit overflow policy.
+//!   MAC index, with deterministic LRU shedding as the explicit overflow
+//!   policy: the victim is the head of an intrusive recency list, and its
+//!   slot is re-opened in place.
 //! * [`StreamStats`] — the counters an operator needs: throughput,
 //!   session lifecycle, shedding, peak concurrency, outcome mix.
 //!

@@ -1,20 +1,22 @@
-//! The sharded streaming onboarding runtime: the paper's Security
-//! Gateway (Sect. III-A, V).
+//! The streaming onboarding runtime: the paper's Security Gateway
+//! (Sect. III-A, V).
 //!
 //! [`StreamRuntime`] consumes one interleaved stream of raw Ethernet
 //! frames carrying many concurrent device setups. Each frame goes
 //! through the wire scan ([`WireScan::scan`] — total: it certifies every
 //! frame the owning decoder accepts, so the decoder never runs here) and
 //! its [`RawFeatures`](sentinel_netproto::RawFeatures) are offered to a
-//! bounded per-source-MAC [`Session`] state machine; every completed
-//! setup phase is assessed by the IoT Security Service and its isolation
-//! level enforced through the SDN switch.
+//! bounded per-source-MAC [`Session`] state machine in the gateway's one
+//! [`SessionTable`]; every completed setup phase is assessed by the IoT
+//! Security Service and its isolation level enforced through the SDN
+//! switch.
 //!
 //! # One round, three passes
 //!
 //! An ingest call is *sessionize → one keyed batch → serial install*:
-//! [`StreamRuntime::ingest_frames_deferred`] walks the shards the batch
-//! touched and collects the setups that completed;
+//! [`StreamRuntime::ingest_frames_deferred`] takes the batch in stream
+//! order through probe → scan → open/offer → complete and collects the
+//! setups that completed;
 //! [`SecurityService::assess_keyed_batch_into`] assesses all of them in
 //! one call out of the runtime's warm [`AssessScratch`]; and
 //! [`apply_onboarding`] installs each rule and emits each report in
@@ -24,12 +26,11 @@
 //!
 //! # Determinism
 //!
-//! Frames are sharded by a fixed FNV hash of the source MAC over
-//! [`StreamConfig::shards`] *virtual* shards, and the shards a batch
-//! touches are visited in ascending order; an ingest call costs what its
-//! frames cost, not what the shard count costs. All of a device's frames
-//! land in one shard, each shard's state evolves only with its own frame
-//! subsequence, and completions are merged back in global stream order.
+//! Every frame that carries an Ethernet header takes the next stream
+//! sequence number, and the table's state evolves with the frames in
+//! that order, so completions come out in `(seq, mac)` order as they
+//! happen. The table's shedding rule is a total order on `last_seq`, so
+//! the victim of a full table does not depend on where sessions sit.
 //! Keyed assessment is a pure function of `(trained model, fingerprints,
 //! key)` under the v2 pinned RNG contract ([`sentinel_core::AssessKey`]):
 //! every random draw comes from a generator keyed by `(seq, mac)`. So
@@ -59,9 +60,9 @@ pub struct StreamConfig {
     pub detector: SetupDetector,
     /// Hosts whose traffic is never monitored.
     pub ignored: Vec<MacAddr>,
-    /// Target bound on concurrently monitored devices across all shards.
-    /// The effective bound is [`StreamConfig::effective_capacity`]
-    /// (rounded up to a whole number of per-shard slots).
+    /// Bound on concurrently monitored devices (at least one: see
+    /// [`StreamConfig::effective_capacity`]); a full table sheds its
+    /// least recently active session to admit a new one.
     ///
     /// A slot costs what its device's setup has sent: typically
     /// ≈ 0.3–0.4 KiB of heap (a 16-column reservation and the list of
@@ -70,8 +71,8 @@ pub struct StreamConfig {
     /// (4 KiB at the default cap) once some occupant sent that many
     /// distinct packets — a shed slot keeps what it grew to.
     pub max_sessions: usize,
-    /// Number of virtual shards: each holds its own bounded session
-    /// table, so an LRU victim scan covers one shard's slots only.
+    /// Not consulted: a gateway keeps one session table. Kept because
+    /// the frozen benchmark sets it.
     pub shards: usize,
     /// Hard per-session wire-byte cap (`u64::MAX` disables it, leaving
     /// the detector's idle gap and packet cap as the only window rule).
@@ -91,7 +92,7 @@ impl Default for StreamConfig {
             detector: SetupDetector::default(),
             ignored: Vec::new(),
             max_sessions: 4096,
-            shards: 64,
+            shards: 1,
             session_byte_cap: u64::MAX,
             threads: 0,
             batch_size: 1024,
@@ -100,33 +101,20 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// Concurrent-session slots per shard.
-    pub fn shard_capacity(&self) -> usize {
-        let shards = self.shards.max(1);
-        self.max_sessions.div_ceil(shards).max(1)
-    }
-
-    /// The exact global bound on resident sessions
-    /// (`shard_capacity × shards ≥ max_sessions`).
+    /// The exact bound on resident sessions: `max_sessions`, or one
+    /// slot if it is zero.
     pub fn effective_capacity(&self) -> usize {
-        self.shard_capacity() * self.shards.max(1)
+        self.max_sessions.max(1)
     }
-}
-
-/// One shard's state: its bounded session table (which also remembers
-/// the MACs it has onboarded, whose steady-state traffic is skipped).
-#[derive(Debug)]
-struct Shard {
-    table: SessionTable,
 }
 
 /// A finished setup phase, queued for assessment and in-order
 /// enforcement.
 ///
-/// The `(seq, mac)` pair is both the deterministic merge key and the
-/// assessment key: keyed assessment ([`AssessKey`]) makes the service's
-/// answer a pure function of the trained model, the fingerprints and
-/// this key, so a caller can *defer* assessment entirely
+/// The `(seq, mac)` pair is both the stream order completions come out
+/// in and the assessment key: keyed assessment ([`AssessKey`]) makes the
+/// service's answer a pure function of the trained model, the
+/// fingerprints and this key, so a caller can *defer* assessment entirely
 /// ([`StreamRuntime::ingest_frames_deferred`]) and batch completions
 /// from many gateways through one keyed service call with byte-identical
 /// results. Only enforcement-rule installation and report emission must
@@ -151,110 +139,6 @@ impl Completion {
     /// The deterministic assessment key of this completion.
     pub fn assess_key(&self) -> AssessKey {
         AssessKey::new(self.seq, self.mac)
-    }
-}
-
-/// Per-shard results of one ingest round.
-#[derive(Default)]
-struct ShardOutcome {
-    completions: Vec<Completion>,
-    /// Frames that counted as stream input: everything the shard saw
-    /// except frames the decoder would reject — those show up in
-    /// `malformed` only.
-    packets: u64,
-    opened: u64,
-    evicted: u64,
-    ignored: u64,
-    malformed: u64,
-    /// Resident sessions after the round, minus before it.
-    resident_change: isize,
-}
-
-impl ShardOutcome {
-    /// Adds this shard's ingest counters to `stats` and moves the
-    /// runtime's running `resident` count by the shard's change.
-    fn merge_counters(&self, stats: &mut StreamStats, resident: &mut usize) {
-        stats.packets_in += self.packets;
-        stats.sessions_opened += self.opened;
-        stats.sessions_evicted += self.evicted;
-        stats.packets_ignored += self.ignored;
-        stats.frames_malformed += self.malformed;
-        *resident = resident.wrapping_add_signed(self.resident_change);
-    }
-}
-
-impl Shard {
-    /// Sessionizes this shard's slice of one ingest batch — the one
-    /// probe → open → offer → complete loop, one hash probe per frame.
-    /// `items` carries `(stream seq, index into batch)` pairs — the
-    /// indirection lets the runtime reuse its bucket allocations across
-    /// batches instead of borrowing the batch in per-call buckets.
-    ///
-    /// Each frame is scanned on the borrowed slice, so the hot path
-    /// never constructs a [`Packet`]. Frames the lenient decoder would
-    /// reject are counted and skipped instead of aborting the stream.
-    fn process(
-        &mut self,
-        items: &[(u64, u32)],
-        batch: &[(Timestamp, Vec<u8>)],
-        config: &StreamConfig,
-    ) -> ShardOutcome {
-        let before = self.table.len();
-        let mut out = ShardOutcome::default();
-        for &(seq, index) in items {
-            let (timestamp, frame) = &batch[index as usize];
-            let timestamp = *timestamp;
-            let mac = MacAddr::new(frame[6..12].try_into().expect("bucketed frames hold a MAC"));
-            // An ignored MAC never opens a session, so it is never
-            // resident: the list is only consulted for unknown MACs.
-            let resident = match self.table.probe(mac) {
-                Probe::Resident(slot) => Some(slot),
-                Probe::Absent if !config.ignored.contains(&mac) => None,
-                Probe::Absent | Probe::Onboarded => {
-                    out.ignored += 1;
-                    continue;
-                }
-            };
-            let ScanOutcome::Features(raw) = WireScan::scan(frame) else {
-                out.malformed += 1;
-                continue;
-            };
-            let slot = resident.unwrap_or_else(|| {
-                let (slot, shed) = self.table.open(mac, seq, timestamp);
-                out.opened += 1;
-                out.evicted += u64::from(shed.is_some());
-                slot
-            });
-            let event = self.table.session_mut(slot).offer(
-                &raw,
-                timestamp,
-                seq,
-                &config.detector,
-                config.session_byte_cap,
-            );
-            let reason = match event {
-                SessionEvent::Absorbed => continue,
-                SessionEvent::GapComplete => CompletionReason::IdleGap,
-                SessionEvent::CapComplete(reason) => reason,
-            };
-            let session = self.table.complete(slot);
-            out.completions.push(complete(mac, seq, session, reason));
-        }
-        // Rejected frames never counted as stream input.
-        out.packets = items.len() as u64 - out.malformed;
-        out.resident_change = self.table.len() as isize - before as isize;
-        out
-    }
-
-    fn flush(&mut self) -> ShardOutcome {
-        let mut out = ShardOutcome::default();
-        for (mac, session) in self.table.drain_ordered() {
-            let seq = session.last_seq();
-            out.completions
-                .push(complete(mac, seq, session, CompletionReason::Flush));
-        }
-        out.resident_change = -(out.completions.len() as isize);
-        out
     }
 }
 
@@ -307,23 +191,14 @@ pub fn apply_onboarding(
     }
 }
 
-/// FNV-1a shard assignment: fixed, hasher-independent, so shard
-/// membership never varies across runs or platforms.
-fn shard_of(mac: MacAddr, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in mac.octets() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    (hash % shards as u64) as usize
-}
-
 /// The streaming onboarding runtime (see the module docs).
 #[derive(Debug)]
 pub struct StreamRuntime<S> {
     service: S,
     config: StreamConfig,
-    shards: Vec<Shard>,
+    /// The bounded session table (which also remembers the MACs it has
+    /// onboarded, whose steady-state traffic is skipped).
+    table: SessionTable,
     /// Warm working memory of the one keyed batch each round assesses
     /// (stage-1 batch matrix and candidate pool, stage-2 probe symbols
     /// and mask table — once warm, assessment allocates only what each
@@ -334,18 +209,6 @@ pub struct StreamRuntime<S> {
     reports: HashMap<MacAddr, OnboardingReport>,
     stats: StreamStats,
     next_seq: u64,
-    /// Sessions resident across all shards: a running count moved by each
-    /// visited shard's change, so no call has to ask the other shards.
-    resident: usize,
-    /// Per-shard `(stream seq, batch index)` buckets, hoisted out of the
-    /// ingest calls so their allocations are reused across batches.
-    buckets: Vec<Vec<(u64, u32)>>,
-    /// The shards the current batch put at least one frame in, ascending:
-    /// the only shards an ingest call visits, the only buckets it clears.
-    touched: Vec<u32>,
-    /// Scratch for the FNV shard-assignment pre-pass (`u32::MAX` marks a
-    /// frame too short to carry an Ethernet header).
-    shard_ids: Vec<u32>,
 }
 
 impl<S: SecurityService> StreamRuntime<S> {
@@ -356,27 +219,16 @@ impl<S: SecurityService> StreamRuntime<S> {
 
     /// Creates a runtime with explicit configuration.
     pub fn with_config(service: S, config: StreamConfig) -> Self {
-        let shard_count = config.shards.max(1);
-        let per_shard = config.shard_capacity();
-        let shards = (0..shard_count)
-            .map(|_| Shard {
-                table: SessionTable::new(per_shard),
-            })
-            .collect();
         StreamRuntime {
             service,
+            table: SessionTable::new(config.effective_capacity()),
             config,
-            shards,
             scratch: AssessScratch::default(),
             module: EnforcementModule::new(),
             switch: OvsSwitch::lab(),
             reports: HashMap::new(),
             stats: StreamStats::default(),
             next_seq: 0,
-            resident: 0,
-            buckets: (0..shard_count).map(|_| Vec::new()).collect(),
-            touched: Vec::new(),
-            shard_ids: Vec::new(),
         }
     }
 
@@ -441,65 +293,100 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// pooling granularity. Returns how many completions this call
     /// appended.
     ///
-    /// Session state machines, shard assignment, eviction and every
-    /// ingest-side counter behave exactly as in
-    /// [`StreamRuntime::ingest_frames`]; only assessment, rule
-    /// installation and report emission are left to the caller (see
-    /// [`apply_onboarding`]). A warm runtime makes **zero heap
-    /// allocations** on a tick without completions, whether it is
+    /// Session state machines, eviction and every ingest-side counter
+    /// behave exactly as in [`StreamRuntime::ingest_frames`]; only
+    /// assessment, rule installation and report emission are left to
+    /// the caller (see [`apply_onboarding`]). A warm runtime makes **zero
+    /// heap allocations** on a tick without completions, whether it is
     /// steady state or a full table shedding for a storm of new MACs.
+    ///
+    /// Each frame costs one hash probe and is scanned on the borrowed
+    /// slice, so the hot path never constructs a [`Packet`]. Frames the
+    /// lenient decoder would reject are counted and skipped instead of
+    /// aborting the stream.
     pub fn ingest_frames_deferred(
         &mut self,
         frames: &[(Timestamp, Vec<u8>)],
         out: &mut Vec<Completion>,
     ) -> usize {
-        self.bucket(frames);
         let start = out.len();
-        for &s in &self.touched {
-            let shard = &mut self.shards[s as usize];
-            let outcome = shard.process(&self.buckets[s as usize], frames, &self.config);
-            outcome.merge_counters(&mut self.stats, &mut self.resident);
-            out.extend(outcome.completions);
+        for (timestamp, frame) in frames {
+            if frame.len() < 14 {
+                self.stats.frames_malformed += 1;
+                continue;
+            }
+            let mac = MacAddr::new(frame[6..12].try_into().expect("checked length"));
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            // An ignored MAC never opens a session, so it is never
+            // resident: the list is only consulted for unknown MACs.
+            let resident = match self.table.probe(mac) {
+                Probe::Resident(slot) => Some(slot),
+                Probe::Absent if !self.config.ignored.contains(&mac) => None,
+                Probe::Absent | Probe::Onboarded => {
+                    self.stats.packets_in += 1;
+                    self.stats.packets_ignored += 1;
+                    continue;
+                }
+            };
+            // Rejected frames never count as stream input.
+            let ScanOutcome::Features(raw) = WireScan::scan(frame) else {
+                self.stats.frames_malformed += 1;
+                continue;
+            };
+            self.stats.packets_in += 1;
+            let slot = resident.unwrap_or_else(|| {
+                let (slot, shed) = self.table.open(mac, seq, *timestamp);
+                self.stats.sessions_opened += 1;
+                self.stats.sessions_evicted += u64::from(shed.is_some());
+                slot
+            });
+            let event = self.table.offer(
+                slot,
+                &raw,
+                *timestamp,
+                seq,
+                &self.config.detector,
+                self.config.session_byte_cap,
+            );
+            let reason = match event {
+                SessionEvent::Absorbed => continue,
+                SessionEvent::GapComplete => CompletionReason::IdleGap,
+                SessionEvent::CapComplete(reason) => reason,
+            };
+            let session = self.table.complete(slot);
+            out.push(complete(mac, seq, session, reason));
         }
-        self.track_peak();
-        // Unstable sort: `seq` is unique per completion, so the order is
-        // total and stability is irrelevant — and unlike the stable
-        // sort, this never allocates.
-        out[start..].sort_unstable_by_key(|c| (c.seq, c.mac));
+        self.stats.peak_resident_sessions = self.stats.peak_resident_sessions.max(self.table.len());
         out.len() - start
     }
 
     /// The deferred twin of [`StreamRuntime::flush`]: finalizes every
-    /// in-flight session into `out` (in `(seq, mac)` order within this
-    /// call) without assessing. Returns how many completions this call
-    /// appended.
+    /// in-flight session into `out` without assessing, least recently
+    /// active first — `(seq, mac)` order, since a flushed session's
+    /// `seq` is that of its last absorbed frame. Returns how many
+    /// completions this call appended.
     pub fn flush_deferred(&mut self, out: &mut Vec<Completion>) -> usize {
         let start = out.len();
-        for shard in self.shards.iter_mut() {
-            let outcome = shard.flush();
-            outcome.merge_counters(&mut self.stats, &mut self.resident);
-            out.extend(outcome.completions);
+        for (mac, session) in self.table.drain_ordered() {
+            let seq = session.last_seq();
+            out.push(complete(mac, seq, session, CompletionReason::Flush));
         }
-        self.track_peak();
-        out[start..].sort_unstable_by_key(|c| (c.seq, c.mac));
         out.len() - start
     }
 
     /// Returns the runtime to its freshly-constructed state while
-    /// keeping every allocation warm: session tables (slab and MAC
-    /// index), shard buckets and assessment scratch retain their
-    /// capacity but drop all contents; enforcement module, switch,
-    /// reports, stats and the sequence counter start over.
+    /// keeping every allocation warm: the session table (slab, recency
+    /// links and MAC index) and assessment scratch retain their capacity
+    /// but drop all contents; enforcement module, switch, reports, stats
+    /// and the sequence counter start over.
     ///
     /// A pooled worker that `reset()`s one runtime between gateways
     /// observes exactly the behavior of constructing a new runtime with
     /// the same service and config — pinned by the fleet byte-identity
     /// tests — without re-paying table and scratch growth each time.
     pub fn reset(&mut self) {
-        for shard in self.shards.iter_mut() {
-            shard.table.clear();
-        }
-        self.resident = 0;
+        self.table.clear();
         self.module = EnforcementModule::new();
         self.switch = OvsSwitch::lab();
         self.reports.clear();
@@ -507,45 +394,8 @@ impl<S: SecurityService> StreamRuntime<S> {
         self.next_seq = 0;
     }
 
-    /// The shard-assignment pre-pass of both ingest entry points: one
-    /// tight, cache-friendly FNV sweep computes every frame's shard
-    /// before any bucket is touched, then empties the buckets the
-    /// previous batch used and refills the per-shard `(stream seq,
-    /// batch index)` buckets in stream order, noting which shards this
-    /// batch touches. Frames too short to carry an Ethernet header are
-    /// counted malformed and consume no sequence number.
-    fn bucket(&mut self, frames: &[(Timestamp, Vec<u8>)]) {
-        let shard_count = self.shards.len();
-        self.shard_ids.clear();
-        self.shard_ids.extend(frames.iter().map(|(_, frame)| {
-            if frame.len() < 14 {
-                return u32::MAX;
-            }
-            let mac = MacAddr::new(frame[6..12].try_into().expect("checked length"));
-            shard_of(mac, shard_count) as u32
-        }));
-        for shard in self.touched.drain(..) {
-            self.buckets[shard as usize].clear();
-        }
-        let mut seq = self.next_seq;
-        for (i, &shard) in self.shard_ids.iter().enumerate() {
-            if shard == u32::MAX {
-                self.stats.frames_malformed += 1;
-                continue;
-            }
-            let bucket = &mut self.buckets[shard as usize];
-            if bucket.is_empty() {
-                self.touched.push(shard);
-            }
-            bucket.push((seq, i as u32));
-            seq += 1;
-        }
-        self.next_seq = seq;
-        self.touched.sort_unstable();
-    }
-
-    /// Finalizes every in-flight session (end of stream), in the order
-    /// the sessions were opened.
+    /// Finalizes every in-flight session (end of stream), least recently
+    /// active first.
     pub fn flush(&mut self) -> Vec<OnboardingReport> {
         let mut completions = Vec::new();
         self.flush_deferred(&mut completions);
@@ -591,10 +441,8 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// (the operator shed it), so `opened − evicted − completed ==
     /// resident` keeps holding. An unknown MAC is a no-op.
     pub fn remove_device(&mut self, mac: MacAddr) {
-        let shard = shard_of(mac, self.shards.len());
-        if self.shards[shard].table.forget(mac) {
+        if self.table.forget(mac) {
             self.stats.sessions_evicted += 1;
-            self.resident -= 1;
         }
         self.reports.remove(&mac);
         self.module.remove_rule(mac);
@@ -621,17 +469,9 @@ impl<S: SecurityService> StreamRuntime<S> {
         &self.reports
     }
 
-    /// Sessions currently resident across all shards.
+    /// Sessions currently resident.
     pub fn resident_sessions(&self) -> usize {
-        self.resident
-    }
-
-    /// Ends every ingest and flush call: the running count must equal
-    /// what the shards hold, and is the call's candidate for the peak.
-    fn track_peak(&mut self) {
-        let held = |shard: &Shard| shard.table.len();
-        debug_assert_eq!(self.resident, self.shards.iter().map(held).sum::<usize>());
-        self.stats.peak_resident_sessions = self.stats.peak_resident_sessions.max(self.resident);
+        self.table.len()
     }
 
     /// The runtime configuration.
@@ -673,6 +513,7 @@ mod tests {
     use sentinel_fingerprint::Fingerprint;
     use sentinel_netproto::stream::MemoryFrameSource;
     use sentinel_sdn::FlowAction;
+    use std::collections::HashSet;
     use std::net::Ipv4Addr;
     use std::time::Duration;
 
@@ -835,9 +676,8 @@ mod tests {
     fn bounded_table_sheds_oldest_idle_session() {
         let traces = traces(6);
         let stream = interleave(&traces, Duration::ZERO);
-        // One shard, two slots: six concurrent setups must shed.
+        // Two slots: six concurrent setups must shed.
         let mut runtime = runtime(StreamConfig {
-            shards: 1,
             max_sessions: 2,
             ..StreamConfig::default()
         });
@@ -858,18 +698,15 @@ mod tests {
         (packet.timestamp, packet.encode())
     }
 
-    /// What shard 0's table holds for the `n`-th test device.
+    /// What the table holds for the `n`-th test device.
     fn probe_of(runtime: &StreamRuntime<StubService>, n: u8) -> Probe {
-        runtime.shards[0]
-            .table
-            .probe(MacAddr::new([2, 0, 0, 0, 0, n]))
+        runtime.table.probe(MacAddr::new([2, 0, 0, 0, 0, n]))
     }
 
-    /// One shard with two slots, both taken: device 1 (least recently
-    /// active), then device 2.
+    /// Two slots, both taken: device 1 (least recently active), then
+    /// device 2.
     fn full_two_slot_runtime() -> StreamRuntime<StubService> {
         let mut runtime = runtime(StreamConfig {
-            shards: 1,
             max_sessions: 2,
             ..StreamConfig::default()
         });
@@ -932,8 +769,7 @@ mod tests {
     #[test]
     fn sessions_are_conserved_after_every_call_at_any_batch_size() {
         // ROADMAP 4a: opened − evicted − completed == resident, checked
-        // against the O(1) running count after every call (debug builds
-        // also check it against the shards' own tables inside the call).
+        // after every call.
         let traces = traces(10);
         let mut stream = frames_of(&interleave(&traces, Duration::from_millis(5)));
         // Keep-alives long after setup close four sessions by idle gap,
@@ -946,9 +782,8 @@ mod tests {
         let outputs: Vec<_> = [1usize, 7, 1024]
             .iter()
             .map(|&batch| {
-                // Two shards, four slots each: the table also sheds.
+                // Eight slots for ten setups: the table also sheds.
                 let mut runtime = runtime(StreamConfig {
-                    shards: 2,
                     max_sessions: 8,
                     ..StreamConfig::default()
                 });
@@ -1134,24 +969,58 @@ mod tests {
         assert_eq!(runtime.stats().completed_byte_cap, 1);
     }
 
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        for n in 0..=255u8 {
-            let mac = MacAddr::new([n, 2, 3, 4, 5, n]);
-            let shard = shard_of(mac, 64);
-            assert!(shard < 64);
-            assert_eq!(shard, shard_of(mac, 64));
+    /// FNV-1a of the MAC's octets, modulo 64: until the gateway kept one
+    /// table, it split its sessions by this hash over 64 tables of
+    /// `max_sessions / 64` slots, each shedding on its own.
+    fn former_table(mac: MacAddr) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in mac.octets() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
         }
+        hash % 64
     }
 
     #[test]
-    fn effective_capacity_rounds_up_to_whole_shards() {
-        let config = StreamConfig {
-            shards: 64,
-            max_sessions: 100,
-            ..StreamConfig::default()
-        };
-        assert_eq!(config.shard_capacity(), 2);
-        assert_eq!(config.effective_capacity(), 128);
+    fn a_mac_flood_below_capacity_cannot_shed_a_device_mid_setup() {
+        // ROADMAP 3: one-frame spoofed MACs can only push a device out
+        // of a full table. One short of the capacity — the first 64
+        // aimed at the device's former 64-slot table, which shed it at
+        // the 64th — they shed nobody.
+        let config = StreamConfig::default();
+        let device = &traces(1)[0];
+        let (first, rest) = device.packets.split_at(3);
+        let target = former_table(device.mac);
+        let colliding = (0u32..)
+            .map(|n| {
+                let [_, a, b, c] = n.to_be_bytes();
+                MacAddr::new([2, 0x5f, 0, a, b, c])
+            })
+            .filter(|&mac| former_table(mac) == target)
+            .take(64);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let pseudo_random = std::iter::from_fn(|| {
+            state = state
+                .wrapping_mul(0x5851_f42d_4c95_7f2d)
+                .wrapping_add(0x1405_7b7e_f767_814f);
+            let [_, _, a, b, c, d, e, _] = state.to_be_bytes();
+            Some(MacAddr::new([2, a, b, c, d, e]))
+        });
+        let mut seen = HashSet::from([device.mac]);
+        let flood = colliding
+            .chain(pseudo_random)
+            .filter(|&mac| seen.insert(mac))
+            .take(config.max_sessions - 1);
+        let at = first[2].timestamp;
+        let mut frames = frames_of(first);
+        frames.extend(flood.map(|mac| (at, Packet::dhcp_discover(mac, 7, 0).encode())));
+        frames.extend(frames_of(rest));
+
+        let mut runtime = runtime(config.clone());
+        runtime.run_frames(MemoryFrameSource::new(frames)).unwrap();
+        let stats = runtime.stats();
+        assert_eq!(stats.sessions_evicted, 0, "{stats}");
+        assert_eq!(stats.peak_resident_sessions, config.max_sessions);
+        let report = runtime.report(device.mac).expect("onboarded");
+        assert_eq!(report.setup_packets, device.packets.len());
     }
 }

@@ -3,41 +3,64 @@
 //! One `MAC → u32` index answers in a single hash probe everything the
 //! ingest loop asks about a frame's source: unknown, mid-setup (the value
 //! is its slot in the dense slab) or onboarded (the `ONBOARDED` sentinel).
+//! The slots are threaded on one intrusive recency list, least recently
+//! active at the head, so finding the victim of a full table is reading
+//! the head — O(1) at any capacity.
 
 use std::collections::HashMap;
 
-use sentinel_netproto::{MacAddr, Timestamp};
+use sentinel_fingerprint::setup::SetupDetector;
+use sentinel_netproto::{MacAddr, RawFeatures, Timestamp};
 
-use crate::session::Session;
+use crate::session::{Session, SessionEvent};
 
 /// Index value of an onboarded MAC; [`SessionTable::new`] keeps every
 /// slot below it.
 const ONBOARDED: u32 = u32::MAX;
+
+/// The end of the recency list (never a slot, for the same reason).
+const NIL: u32 = u32::MAX;
 
 /// What [`SessionTable::probe`] found for a MAC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
     /// No session and not onboarded: never seen, or shed since.
     Absent,
-    /// Mid-setup, in this slot (until the next `open` or `complete`).
+    /// Mid-setup, in this slot (until the next `open`, `complete` or
+    /// `forget`).
     Resident(usize),
     /// Its setup phase completed here: steady-state traffic is skipped.
     Onboarded,
 }
 
+/// A slot's neighbours on the recency list: `prev` was active before it,
+/// `next` after it.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    prev: u32,
+    next: u32,
+}
+
 /// A bounded table of in-flight sessions, plus the MACs already onboarded.
 ///
 /// Admission policy: a new session is always admitted; when the table is
-/// full, the least-recently-active session is shed first (oldest
-/// `last_seq`, ties broken by MAC — a total order, so the choice cannot
-/// depend on where sessions sit in the slab). Shedding is the explicit
-/// overflow policy of the streaming runtime — the shed device simply
-/// re-enters monitoring if it keeps talking.
-#[derive(Debug, Default)]
+/// full, the least-recently-active session (oldest `last_seq`) is shed
+/// first. Sequence numbers are unique and only grow, so the recency list
+/// — a slot moves to its tail whenever its session absorbs a frame — is
+/// exactly `last_seq` order and its head is the victim. Shedding is the
+/// explicit overflow policy of the streaming runtime — the shed device
+/// simply re-enters monitoring if it keeps talking.
+#[derive(Debug)]
 pub struct SessionTable {
     capacity: usize,
     index: HashMap<MacAddr, u32>,
     slab: Vec<(MacAddr, Session)>,
+    /// Recency links of each slab slot, parallel to `slab`.
+    links: Vec<Links>,
+    /// Least recently active slot (`NIL` when empty).
+    head: u32,
+    /// Most recently active slot (`NIL` when empty).
+    tail: u32,
 }
 
 impl SessionTable {
@@ -45,7 +68,11 @@ impl SessionTable {
     pub fn new(capacity: usize) -> Self {
         SessionTable {
             capacity: capacity.clamp(1, ONBOARDED as usize),
-            ..SessionTable::default()
+            index: HashMap::new(),
+            slab: Vec::new(),
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
@@ -69,11 +96,6 @@ impl SessionTable {
         &self.slab
     }
 
-    /// Mutable access to the session in `slot`.
-    pub fn session_mut(&mut self, slot: usize) -> &mut Session {
-        &mut self.slab[slot].1
-    }
-
     /// The one hash probe a frame costs.
     pub fn probe(&self, mac: MacAddr) -> Probe {
         match self.index.get(&mac) {
@@ -86,25 +108,69 @@ impl SessionTable {
     /// Opens a session for `mac`, which [`probe`](Self::probe) just
     /// reported [`Probe::Absent`] (anything else is a caller bug and
     /// panics). Returns its slot and, if the table was full, the MAC shed
-    /// to make room: the victim's slot is re-opened in place
-    /// ([`Session::reopen`]), so a full table admits without allocating
-    /// and the newcomer can never be its own victim.
+    /// to make room: the head of the recency list, whose slot is
+    /// re-opened in place ([`Session::reopen`]), so a full table admits
+    /// without allocating and the newcomer can never be its own victim.
     pub fn open(&mut self, mac: MacAddr, seq: u64, now: Timestamp) -> (usize, Option<MacAddr>) {
+        debug_assert!(self.is_newest(seq, NIL), "open() at stale seq {seq}");
         let (slot, shed) = if self.slab.len() < self.capacity {
             self.slab.push((mac, Session::open(seq, now)));
+            self.links.push(Links {
+                prev: NIL,
+                next: NIL,
+            });
             (self.slab.len() - 1, None)
         } else {
-            let slot = (0..self.slab.len())
-                .min_by_key(|&slot| (self.slab[slot].1.last_seq(), self.slab[slot].0))
-                .expect("capacity is at least one");
+            let slot = self.head as usize;
+            self.detach(slot);
             let (resident, session) = &mut self.slab[slot];
             self.index.remove(resident);
             session.reopen(seq, now);
             (slot, Some(std::mem::replace(resident, mac)))
         };
+        self.push_back(slot);
         let indexed = self.index.insert(mac, slot as u32);
         assert!(indexed.is_none(), "open() of {mac}, already {indexed:?}");
         (slot, shed)
+    }
+
+    /// Offers one frame (stream sequence `seq`) to the session in `slot`
+    /// ([`Session::offer`]); a session that absorbs it becomes the most
+    /// recently active. A [`SessionEvent::GapComplete`] leaves the
+    /// session untouched, for the caller to [`complete`](Self::complete).
+    pub fn offer(
+        &mut self,
+        slot: usize,
+        raw: &RawFeatures,
+        timestamp: Timestamp,
+        seq: u64,
+        detector: &SetupDetector,
+        byte_cap: u64,
+    ) -> SessionEvent {
+        debug_assert!(
+            self.is_newest(seq, slot as u32),
+            "offer() at stale seq {seq}"
+        );
+        let event = self.slab[slot]
+            .1
+            .offer(raw, timestamp, seq, detector, byte_cap);
+        if event != SessionEvent::GapComplete && slot as u32 != self.tail {
+            self.detach(slot);
+            self.push_back(slot);
+        }
+        event
+    }
+
+    /// Whether `seq` is above every resident's `last_seq` — or equal to
+    /// that of `slot`, the session its frame just opened.
+    fn is_newest(&self, seq: u64, slot: u32) -> bool {
+        match self.tail {
+            NIL => true,
+            tail => {
+                let newest = self.slab[tail as usize].1.last_seq();
+                seq > newest || (seq == newest && slot == tail)
+            }
+        }
     }
 
     /// Takes the session out of `slot` because its setup phase completed
@@ -128,29 +194,74 @@ impl SessionTable {
         }
     }
 
-    /// Removes `slot` from the slab, moving the last session into it.
+    /// Removes `slot` from the slab and the list, moving the last session
+    /// into it and re-linking that session's neighbours to its new slot.
     fn take(&mut self, slot: usize) -> (MacAddr, Session) {
+        self.detach(slot);
         let taken = self.slab.swap_remove(slot);
+        self.links.swap_remove(slot);
         if let Some((moved, _)) = self.slab.get(slot) {
             self.index.insert(*moved, slot as u32);
+            self.attach(slot);
         }
         taken
     }
 
-    /// Forgets every session and onboarded MAC, keeping both allocations
+    /// Links `slot` in as the most recently active.
+    fn push_back(&mut self, slot: usize) {
+        self.links[slot] = Links {
+            prev: self.tail,
+            next: NIL,
+        };
+        self.attach(slot);
+    }
+
+    /// Points `slot`'s neighbours (or the list ends) at it.
+    fn attach(&mut self, slot: usize) {
+        let Links { prev, next } = self.links[slot];
+        match prev {
+            NIL => self.head = slot as u32,
+            prev => self.links[prev as usize].next = slot as u32,
+        }
+        match next {
+            NIL => self.tail = slot as u32,
+            next => self.links[next as usize].prev = slot as u32,
+        }
+    }
+
+    /// Unlinks `slot`: its neighbours (or the list ends) point past it.
+    fn detach(&mut self, slot: usize) {
+        let Links { prev, next } = self.links[slot];
+        match prev {
+            NIL => self.head = next,
+            prev => self.links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.links[next as usize].prev = prev,
+        }
+    }
+
+    /// Forgets every session and onboarded MAC, keeping the allocations
     /// warm — the pooled-runtime reset path ([`crate::StreamRuntime::reset`]).
     pub fn clear(&mut self) {
         self.index.clear();
         self.slab.clear();
+        self.links.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Completes every resident session at once (end of stream): drains
-    /// them ordered by when each was opened (then MAC), all onboarded.
+    /// them down the recency list, least recently active first, all
+    /// onboarded.
     pub fn drain_ordered(&mut self) -> Vec<(MacAddr, Session)> {
-        // Every indexed MAC is drained here or was onboarded before.
-        self.index.values_mut().for_each(|slot| *slot = ONBOARDED);
-        let mut drained: Vec<(MacAddr, Session)> = self.slab.drain(..).collect();
-        drained.sort_by_key(|(mac, session)| (session.opened_seq(), *mac));
+        let mut drained = Vec::with_capacity(self.slab.len());
+        while self.head != NIL {
+            let slot = self.head as usize;
+            let mac = self.slab[slot].0;
+            drained.push((mac, self.complete(slot)));
+        }
         drained
     }
 }
@@ -158,6 +269,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sentinel_netproto::Packet;
 
     fn mac(n: u8) -> MacAddr {
         MacAddr::new([0, 0, 0, 0, 0, n])
@@ -165,6 +277,17 @@ mod tests {
 
     fn open(table: &mut SessionTable, m: u8, seq: u64) -> (usize, Option<MacAddr>) {
         table.open(mac(m), seq, Timestamp::ZERO)
+    }
+
+    /// Offers a DHCP discover of `mac(m)`, which is resident, at `seq`.
+    fn offer(table: &mut SessionTable, m: u8, seq: u64) -> SessionEvent {
+        let Probe::Resident(slot) = table.probe(mac(m)) else {
+            panic!("{} is not resident", mac(m));
+        };
+        let frame = Packet::dhcp_discover(mac(m), 7, 0).encode();
+        let raw = RawFeatures::from_frame(&frame).expect("valid frame");
+        let detector = SetupDetector::default();
+        table.offer(slot, &raw, Timestamp::ZERO, seq, &detector, u64::MAX)
     }
 
     #[test]
@@ -185,15 +308,14 @@ mod tests {
     }
 
     #[test]
-    fn lru_ties_break_by_mac_wherever_the_sessions_sit() {
-        for order in [[9, 4], [4, 9]] {
-            let mut table = SessionTable::new(2);
-            for m in order {
-                open(&mut table, m, 5);
-            }
-            let (_, shed) = open(&mut table, 7, 6);
-            assert_eq!(shed, Some(mac(4)), "equal last_seq → the smaller MAC");
-        }
+    fn an_absorbed_frame_moves_its_session_off_the_head() {
+        let mut table = SessionTable::new(2);
+        open(&mut table, 1, 10);
+        open(&mut table, 2, 20);
+        assert_eq!(offer(&mut table, 1, 30), SessionEvent::Absorbed);
+        // mac(2) is now the least recently active.
+        assert_eq!(open(&mut table, 3, 40), (1, Some(mac(2))));
+        assert_eq!(open(&mut table, 4, 50), (0, Some(mac(1))));
     }
 
     #[test]
@@ -240,11 +362,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_ordered_is_open_order_and_onboards_everyone() {
+    fn drain_ordered_is_recency_order_and_onboards_everyone() {
         let mut table = SessionTable::new(8);
-        for (seq, m) in [(30u64, 3u8), (10, 1), (20, 2)] {
+        for (m, seq) in [(3u8, 10u64), (1, 20), (2, 30)] {
             open(&mut table, m, seq);
         }
+        offer(&mut table, 3, 40);
         let order: Vec<MacAddr> = table.drain_ordered().into_iter().map(|(m, _)| m).collect();
         assert_eq!(order, vec![mac(1), mac(2), mac(3)]);
         assert!(table.is_empty());

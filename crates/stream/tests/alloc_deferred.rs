@@ -1,6 +1,6 @@
 //! Counting-allocator audit of the pooled fleet tick path: once a
-//! worker's [`StreamRuntime`] is warm — buckets, shard-id scratch and
-//! the deferred completion buffer sized by a first pass — steady-state
+//! worker's [`StreamRuntime`] is warm — session table and the deferred
+//! completion buffer sized by a first pass — steady-state
 //! [`StreamRuntime::ingest_frames_deferred`] ticks over already-
 //! onboarded devices (the ignored-frame path) and empty ticks must
 //! perform **zero** heap allocations. This pins the per-worker pooling
@@ -92,7 +92,6 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
         &service,
         StreamConfig {
             max_sessions: 8,
-            shards: 2,
             threads: 1,
             ..StreamConfig::default()
         },
@@ -103,9 +102,9 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
     let frames = trace.frames();
     let mut completions = Vec::new();
 
-    // Warm-up: complete the device's setup (sizing buckets, shard-id
-    // scratch and the completion buffer), then flush so no session is
-    // left in flight and the MAC is recorded as onboarded.
+    // Warm-up: complete the device's setup (sizing the table and the
+    // completion buffer), then flush so no session is left in flight
+    // and the MAC is recorded as onboarded.
     runtime.ingest_frames_deferred(&frames, &mut completions);
     runtime.flush_deferred(&mut completions);
     assert_eq!(completions.len(), 1, "setup trace must complete once");
@@ -135,9 +134,9 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
     );
 
     // Shed churn: first frames of never-seen MACs. The first 64 fill
-    // both shards' four slots and churn them long enough for each MAC
-    // index to reach its steady size (residents are removed and inserted
-    // one for one, so it stops growing once the table is full).
+    // the eight slots and churn them long enough for the MAC index to
+    // reach its steady size (residents are removed and inserted one for
+    // one, so it stops growing once the table is full).
     let storm: Vec<_> = (0..64 + 512).map(first_frame).collect();
     let (fill, churn) = storm.split_at(64);
     runtime.ingest_frames_deferred(fill, &mut completions);
@@ -181,8 +180,9 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
 const ONE_FRAME_SESSION_BYTES: usize = 384;
 
 /// Live bytes one batch of `frames` leaves in `runtime` above the same
-/// runtime warm and empty: a first pass warms slabs, MAC indexes and
-/// buckets, `reset` keeps them, and the second pass is the one measured.
+/// runtime warm and empty: a first pass warms the slab, its recency links
+/// and the MAC index, `reset` keeps them, and the second pass is the one
+/// measured.
 fn held_when_warm(
     runtime: &mut StreamRuntime<&IoTSecurityService>,
     frames: &[(Timestamp, Vec<u8>)],
@@ -203,9 +203,7 @@ fn a_full_table_of_spoofed_macs_holds_a_reservation_per_session(service: &IoTSec
     let capacity = config.effective_capacity();
     let mut runtime = StreamRuntime::with_config(service, config);
     let mut completions = Vec::new();
-    // FNV spreads the MACs unevenly, so the fullest shards shed while
-    // the emptiest still fill: twice the capacity fills every shard.
-    let flood: Vec<_> = (0..2 * capacity as u32).map(first_frame).collect();
+    let flood: Vec<_> = (0..capacity as u32).map(first_frame).collect();
     let held = held_when_warm(&mut runtime, &flood, &mut completions);
     assert_eq!(runtime.resident_sessions(), capacity, "table must be full");
     assert!(completions.is_empty(), "one-frame sessions never complete");

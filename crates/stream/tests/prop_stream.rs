@@ -2,7 +2,7 @@
 //! be indistinguishable from batch extraction of the decoded packets, for
 //! arbitrary packet sequences; and the session slab must make the same
 //! decisions as a naive ordered-map model, for arbitrary sequences of
-//! frames, completions and flushes.
+//! frames, completions, forgets and flushes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -106,15 +106,19 @@ enum TableOp {
     Frame(u8),
     /// This MAC's setup phase completes, if it is resident.
     Complete(u8),
+    /// This MAC is forgotten (the device left): its session or its
+    /// onboarded mark goes.
+    Forget(u8),
     /// End of stream: every resident session completes.
     Flush,
 }
 
 fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
-    // Six frames to two completions to one flush.
-    let op = (0u8..9, 0u8..12).prop_map(|(kind, n)| match kind {
+    // Six frames to two completions to one forget to one flush.
+    let op = (0u8..10, 0u8..12).prop_map(|(kind, n)| match kind {
         0..=5 => TableOp::Frame(n),
         6..=7 => TableOp::Complete(n),
+        8 => TableOp::Forget(n),
         _ => TableOp::Flush,
     });
     proptest::collection::vec(op, 0..96)
@@ -130,15 +134,15 @@ struct ModelTable {
 }
 
 impl ModelTable {
-    /// The LRU rule, spelled out: oldest `last_seq`, then smallest MAC.
+    /// The LRU rule, spelled out: oldest `last_seq` (unique, as every
+    /// frame has its own sequence number).
     fn victim(&self) -> MacAddr {
-        let oldest = |(mac, (_, last_seq)): (&MacAddr, &(u64, u64))| (*last_seq, *mac);
-        self.resident
+        let (mac, _) = self
+            .resident
             .iter()
-            .map(oldest)
-            .min()
-            .expect("full table")
-            .1
+            .min_by_key(|(_, (_, last_seq))| *last_seq)
+            .expect("full table");
+        *mac
     }
 }
 
@@ -178,8 +182,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The slab sheds the same victim, keeps the same resident set and
-    /// flushes in the same order as the ordered-map model, and its index
-    /// and slab stay consistent after every step.
+    /// flushes in the same (recency) order as the ordered-map model, and
+    /// its index and slab stay consistent after every step — whichever
+    /// slot a completion or a forget moves.
     #[test]
     fn slab_matches_the_ordered_map_model(capacity in 1usize..=8, ops in table_ops()) {
         let pool: Vec<MacAddr> = (0..12).map(|n| MacAddr::new([2, 0, 0, 0, 0, n])).collect();
@@ -188,9 +193,7 @@ proptest! {
         let detector = open_detector();
         let mut table = SessionTable::new(capacity);
         let mut model = ModelTable::default();
-        // Stream sequence numbers start above zero and skip, like one
-        // shard's share of an interleaved stream.
-        for (seq, op) in (3u64..).step_by(3).zip(&ops) {
+        for (seq, op) in (1u64..).zip(&ops) {
             match *op {
                 TableOp::Frame(n) => {
                     let mac = pool[n as usize];
@@ -209,8 +212,8 @@ proptest! {
                             slot
                         }
                     };
-                    let event = table.session_mut(slot).offer(
-                        &raw, Timestamp::ZERO, seq, &detector, u64::MAX,
+                    let event = table.offer(
+                        slot, &raw, Timestamp::ZERO, seq, &detector, u64::MAX,
                     );
                     prop_assert_eq!(event, SessionEvent::Absorbed);
                     model.resident.get_mut(&mac).expect("resident").1 = seq;
@@ -224,16 +227,22 @@ proptest! {
                         model.onboarded.insert(mac);
                     }
                 }
+                TableOp::Forget(n) => {
+                    let mac = pool[n as usize];
+                    let dropped = table.forget(mac);
+                    prop_assert_eq!(dropped, model.resident.remove(&mac).is_some());
+                    model.onboarded.remove(&mac);
+                }
                 TableOp::Flush => {
                     let drained: Vec<(u64, MacAddr)> = table
                         .drain_ordered()
                         .iter()
-                        .map(|(mac, session)| (session.opened_seq(), *mac))
+                        .map(|(mac, session)| (session.last_seq(), *mac))
                         .collect();
                     let mut expected: Vec<(u64, MacAddr)> = model
                         .resident
                         .iter()
-                        .map(|(mac, (opened, _))| (*opened, *mac))
+                        .map(|(mac, (_, last))| (*last, *mac))
                         .collect();
                     expected.sort_unstable();
                     prop_assert_eq!(drained, expected);

@@ -41,9 +41,9 @@ fn main() {
         traces.len()
     );
 
-    // The runtime holds at most `max_sessions` concurrent sessions (LRU
-    // shedding beyond that, spread over 64 virtual shards) and keeps only
-    // feature state per device — never raw packets.
+    // The runtime holds at most `max_sessions` concurrent sessions in one
+    // table (beyond that it sheds the least recently active) and keeps
+    // only feature state per device — never raw packets.
     let mut runtime = StreamRuntime::with_config(
         service,
         StreamConfig {

@@ -122,7 +122,6 @@ fn assert_counters_add_up(runtime: &StreamRuntime<&IoTSecurityService>, offered:
 fn runtime() -> StreamRuntime<&'static IoTSecurityService> {
     let config = StreamConfig {
         max_sessions: 4,
-        shards: 2,
         batch_size: 7,
         ..StreamConfig::default()
     };

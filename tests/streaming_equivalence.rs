@@ -96,7 +96,7 @@ struct Monitor {
     last_seq: u64,
 }
 
-/// The reference semantics the sharded runtime must reproduce exactly: a
+/// The reference semantics the runtime must reproduce exactly: a
 /// naive sequential Security Gateway over one map, restated here without
 /// `Session` or `SessionTable`. Every packet takes the next stream
 /// sequence number; a device's setup window closes at the first idle gap
