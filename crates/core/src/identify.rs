@@ -27,12 +27,12 @@ use crate::{BankConfig, ClassifierBank, FingerprintDataset};
 /// pinned RNG contract ([`sentinel_ml::pinned`]). The answer is
 /// therefore a pure function of the trained model, the fingerprints and
 /// this key: two completions assess identically no matter which thread,
-/// batch or order serves them, which is what lets a gateway defer its
-/// completions into one keyed batch and the fleet assess every home's
-/// completions together in fleet-wide batches. Callers with no
-/// stream position pick any fixed key (evaluation harnesses key by test
-/// index; [`crate::IoTSecurityService`]'s direct `assess` uses one
-/// documented constant).
+/// batch or order serves them, which is what lets a gateway assess the
+/// completions of one ingest call as one keyed batch, whatever the
+/// call's size. Callers with no stream position pick any fixed key
+/// (evaluation harnesses key by test index;
+/// [`crate::IoTSecurityService`]'s direct `assess` uses one documented
+/// constant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AssessKey {
     /// Stream sequence of the completing packet (unique per stream).
@@ -361,15 +361,14 @@ impl Identifier {
     /// [`BankScorer`] ([`Identifier::classify_batch_in`]); stage 2
     /// builds each item's pinned generator from its [`AssessKey`], so
     /// nothing depends on item order or on how a stream of completions
-    /// is cut into batches — which is what lets the fleet cut every
-    /// home's deferred completions into fleet-wide batches of its own
-    /// size.
+    /// is cut into batches — a gateway's tick decides the batch, never
+    /// the answer.
     ///
     /// Identifications are **appended** to `out` (the shared batch-entry
     /// contract — the caller owns and clears `out`), and the working
     /// memory of both stages comes from `scratch`, so a caller that
-    /// keeps both warm across ticks (a gateway, or a fleet assessment
-    /// worker) allocates only what the appended [`Identification`]s own.
+    /// keeps both warm across ticks (a gateway) allocates only what the
+    /// appended [`Identification`]s own.
     pub fn identify_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],

@@ -20,12 +20,12 @@ use crate::{FingerprintDataset, Identifier, IdentifierConfig};
 /// Wraps the identifier's [`ClassifyScratch`] (stage 1's leaf words and
 /// candidate pool; stage 2's probe symbols, sampled reference indices,
 /// their distances, mask table and kernel state) plus the intermediate
-/// identification buffer, so a caller that keeps one `AssessScratch` per
-/// worker (a gateway holds one for the keyed batch of each ingest round,
-/// the fleet one per assessment worker) assesses batch after batch
-/// without rebuilding any per-tick state: once warm, neither stage
-/// allocates working memory, only what each response owns. Scratch
-/// carries no state between calls; reuse cannot change any response.
+/// identification buffer, so a caller that keeps one `AssessScratch`
+/// (a gateway holds one for the keyed batch of each ingest round)
+/// assesses batch after batch without rebuilding any per-tick state:
+/// once warm, neither stage allocates working memory, only what each
+/// response owns. Scratch carries no state between calls; reuse cannot
+/// change any response.
 #[derive(Debug, Default)]
 pub struct AssessScratch {
     /// Stage-1 and stage-2 working memory for the identifier.
@@ -61,9 +61,10 @@ pub trait SecurityService {
     /// by that item's [`AssessKey`], so each response is a pure function
     /// of `(trained state, fingerprints, key)` — independent of call
     /// order, interleaving, batch boundaries, or which thread serves it.
-    /// This is what lets the fleet assess every home's completions in
-    /// fleet-wide batches on its worker threads and still produce
-    /// bit-identical output at every thread count.
+    /// This is what lets a gateway assess whatever completed in one
+    /// ingest call as one batch, and lets one shared service back every
+    /// home of a fleet on any number of worker threads, with
+    /// bit-identical output at every batch size and thread count.
     ///
     /// The default answers each item with [`SecurityService::assess`]
     /// and ignores keys and scratch — correct exactly because `assess`

@@ -8,12 +8,11 @@
 //! [`Identifier::identify_keyed_batch_into`] tick (two-stage, and
 //! edit-only against all 27 types) only the ones its `Identification`s
 //! own, and every [`SecurityService::assess_keyed_batch_into`] tick over
-//! a fleet-shaped batch of repeated fingerprints only the ones its
+//! a 512-row batch of repeated fingerprints only the ones its
 //! `ServiceResponse`s own. This pins the contract behind the
-//! caller-owned scratch — a gateway or a fleet assessment worker holds
-//! one and assesses tick after tick without touching the allocator for
-//! working memory — and that the service keeps nothing of the
-//! fingerprints it has seen.
+//! caller-owned scratch — a gateway holds one and assesses tick after
+//! tick without touching the allocator for working memory — and that
+//! the service keeps nothing of the fingerprints it has seen.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide: any neighbouring test running
@@ -215,7 +214,7 @@ fn warm_ticks_allocate_only_what_identifications_own(
     cold
 }
 
-/// A fleet-shaped batch through the service: 512 rows, each under its
+/// A large batch through the service: 512 rows, each under its
 /// own key, cycling over the held-out setups of every catalog type, so
 /// most fingerprints arrive several times in one batch and again in
 /// every tick. However often a fingerprint repeats, the service keeps

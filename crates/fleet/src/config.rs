@@ -22,12 +22,13 @@ pub struct FleetConfig {
     pub wave_stagger: Duration,
     /// …with devices inside one wave staggered by this much.
     pub join_stagger: Duration,
-    /// Tick length of the fleet clock. Each gateway ingests the frames
-    /// whose capture timestamp falls inside the tick; joins, leaves and
-    /// roams land on tick boundaries. Purely a scheduling granularity:
-    /// per-device decisions are tick-size independent (the streaming
-    /// runtime's batch-size invariance), only *when* leaves are applied
-    /// quantizes to ticks.
+    /// Tick length of the fleet clock, in whole microseconds (the
+    /// capture clock's resolution; below one, including zero, reads as
+    /// one). Each gateway ingests the frames whose capture timestamp
+    /// falls inside the tick; joins, leaves and roams land on tick
+    /// boundaries. Purely a scheduling granularity: per-device decisions
+    /// are tick-size independent (the streaming runtime's batch-size
+    /// invariance), only *when* leaves are applied quantizes to ticks.
     pub tick: Duration,
     /// Every `roam_every`-th home contributes one device that roams to
     /// the next home mid-setup (`0` disables roaming). Ignored when the
@@ -45,11 +46,10 @@ pub struct FleetConfig {
     pub threads: usize,
     /// Session-table capacity of each home gateway.
     pub max_sessions_per_home: usize,
-    /// Rows per fleet-wide keyed assessment batch in the lockstep
-    /// tick's assess pass. Purely a throughput knob: keyed assessment
-    /// is a pure function per completion, so any chunking produces a
-    /// bit-identical [`crate::FleetReport`]. Sized so each service call
-    /// serves hundreds of rows out of one worker's warm scratch.
+    /// Not consulted by [`crate::run_fleet`]: a gateway assesses each
+    /// tick's completed setups as one keyed batch. Kept because the
+    /// frozen benchmark reads it as the chunk size of its own composed
+    /// fleet pass.
     pub assess_batch_rows: usize,
 }
 

@@ -10,11 +10,13 @@
 //!   home, join waves, tick length, roam/leave cadence, seed, threads.
 //! * [`run_fleet`] — instantiates `homes` independent home networks.
 //!   Each gets the Fig. 4 lab [`sentinel_sdn::topology::Topology`] and
-//!   its own gateway ([`sentinel_stream::StreamRuntime`] +
-//!   [`sentinel_sdn::EnforcementModule`]), then runs a deterministic
-//!   tick loop: devices join in staggered onboarding storms, some leave
-//!   (rule removal) one tick after onboarding, and some roam to the
-//!   neighbouring home mid-setup, finishing their device setup there.
+//!   its own gateway, a [`sentinel_stream::StreamRuntime`] that
+//!   assesses its own devices against the shared model and enforces
+//!   through its own [`sentinel_sdn::EnforcementModule`]. Each home runs
+//!   a deterministic tick loop: devices join in staggered onboarding
+//!   storms, some leave (rule removal) one tick after onboarding, and
+//!   some roam to the neighbouring home mid-setup, finishing their
+//!   device setup there.
 //! * [`FleetReport`] / [`FleetStats`] — per-home outcomes plus fleet
 //!   totals. Counters are **summed** (cache hit ratio from summed
 //!   hits/lookups, never averaged per-gateway ratios); the one max is
@@ -25,8 +27,9 @@
 //! A home's workload is a pure function of `(config, home index)`, a
 //! gateway ingests its frames serially in stream order, and the
 //! v2 keyed RNG contract makes every assessment a pure function of
-//! `(model, fingerprints, key)`. Fleet parallelism is *across* homes
-//! via deterministic fork/join, so a run is bit-identical for any
+//! `(model, fingerprints, key)`. Fleet parallelism is *across* homes:
+//! one deterministic fork/join in which each worker runs whole homes on
+//! its pooled gateway, so a run is bit-identical for any
 //! `SENTINEL_THREADS`, any `threads` setting and any home-evaluation
 //! order.
 //!

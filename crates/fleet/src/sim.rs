@@ -1,46 +1,32 @@
 //! The tick-driven multi-gateway fleet simulation.
 //!
-//! # The lockstep fleet tick
+//! # One home, one gateway
 //!
-//! [`run_fleet`] is structured as three passes over the fleet, all
-//! justified by one invariant: keyed assessment is a pure function of
-//! `(trained model, fingerprints, AssessKey)` (the v2 pinned RNG
-//! contract), so *when* and *where* a completion is assessed can never
-//! change its answer.
-//!
-//! 1. **Ingest (parallel, pooled).** Homes advance through their tick
-//!    loops on a pool of per-worker gateways: each worker owns one
-//!    [`StreamRuntime`] (reset between homes, allocations kept warm)
-//!    and one reusable [`HomeWorkload`] buffer. Completed setups are
-//!    *deferred* — collected as [`Completion`]s per ingest group (one
-//!    group per tick plus a final flush group) instead of being
-//!    assessed home by home.
-//! 2. **Assess (parallel, fleet-wide batches).** All homes' deferred
-//!    completions are concatenated and pushed through
-//!    [`SecurityService::assess_keyed_batch_into`] in large chunks
-//!    ([`FleetConfig::assess_batch_rows`]), each served out of its
-//!    worker's warm [`AssessScratch`] — hundreds of rows per service
-//!    call instead of a handful per home tick. Every row is scored
-//!    anew, repeats included: the service remembers nothing between
-//!    calls.
-//! 3. **Settle (parallel over homes).** Each home replays its serial
-//!    enforcement tail — rule installs in `(seq, mac)` order, leaves on
-//!    tick boundaries, data-plane probes — against its own enforcement
-//!    module, consuming the responses pass 2 produced. The op sequence
-//!    is exactly the one the inline per-home loop ran, so every counter
-//!    (rule cache hits, probes, removals) is byte-identical.
+//! [`run_fleet`] is one fork/join over homes. Each worker owns a pooled
+//! gateway — one [`StreamRuntime`], reset between homes with its session
+//! table and assessment scratch kept warm, and one reusable
+//! [`HomeWorkload`] buffer — and runs every home it claims through the
+//! path a standalone gateway uses. Per tick, the devices due to leave
+//! lose their rules, the tick's frames go through
+//! [`StreamRuntime::ingest_frames`] (which assesses the tick's completed
+//! setups as one keyed batch and installs their rules in `(seq, mac)`
+//! order), and every new report fires its data-plane probes on the
+//! gateway's own enforcement module. The end-of-stream
+//! [`StreamRuntime::flush`] settles the same way, and one last leave
+//! drain ends the home. No state flows between homes, so which worker
+//! runs which home cannot change a byte of the report.
 
 use std::net::IpAddr;
 
 use serde::Serialize;
 
-use sentinel_core::{AssessScratch, OnboardingReport, SecurityService, ServiceResponse};
+use sentinel_core::{OnboardingReport, SecurityService};
 use sentinel_devicesim::{catalog, DeviceModel};
-use sentinel_ml::parallel::{effective_threads, map_indexed, map_indexed_init};
+use sentinel_ml::parallel::{effective_threads, map_indexed_init};
 use sentinel_netproto::{MacAddr, Timestamp};
 use sentinel_sdn::topology::Topology;
-use sentinel_sdn::{Destination, EnforcementModule};
-use sentinel_stream::{apply_onboarding, Completion, StreamRuntime, StreamStats};
+use sentinel_sdn::Destination;
+use sentinel_stream::{StreamRuntime, StreamStats};
 
 use crate::workload::{is_roam_origin, roam_destination, HomeWorkload};
 use crate::{FleetConfig, FleetStats};
@@ -94,26 +80,9 @@ impl FleetReport {
     }
 }
 
-/// One home's ingest-pass output: everything pass 3 needs to replay the
-/// serial enforcement tail once pass 2 has assessed the completions.
-struct IngestedHome {
-    home: usize,
-    /// Ingest-side streaming counters (onboarding counters are added
-    /// during settle, through the same [`apply_onboarding`] path the
-    /// inline runtime uses).
-    stats: StreamStats,
-    /// Deferred completions, concatenated in group order; each group is
-    /// internally `(seq, mac)`-sorted — exactly the order the inline
-    /// loop onboarded them in.
-    completions: Vec<Completion>,
-    /// Completions per ingest group: one entry per tick, then one final
-    /// flush group (always present, possibly zero).
-    groups: Vec<u32>,
-    roam_out: Option<MacAddr>,
-    roam_in: Option<MacAddr>,
-    /// Sorted by MAC (see [`HomeWorkload::leavers`]).
-    leavers: Vec<MacAddr>,
-}
+/// A MAC no simulated device uses: probing it is a guaranteed cache
+/// miss, decided by the gateway's default (strict) level.
+const STRANGER: MacAddr = MacAddr::new([0x02, 0xff, 0xff, 0xff, 0xff, 0xfe]);
 
 /// One fleet worker's pooled gateway: a stream runtime whose tables and
 /// scratch stay warm across every home the worker claims, plus a
@@ -123,268 +92,145 @@ struct IngestedHome {
 struct GatewayPool<'a, S> {
     runtime: StreamRuntime<&'a S>,
     workload: HomeWorkload,
+    /// Onboarded devices that leave at the next tick boundary.
+    leaving: Vec<MacAddr>,
+    /// The lab topology's remote server, every probe's destination.
+    remote_ip: IpAddr,
 }
 
-impl<'a, S: SecurityService + Sync> GatewayPool<'a, S> {
+impl<'a, S: SecurityService> GatewayPool<'a, S> {
     fn new(service: &'a S, config: &FleetConfig) -> Self {
+        let remote = Topology::lab()
+            .host("Sremote")
+            .expect("lab topology has a remote server")
+            .ip;
         GatewayPool {
             runtime: StreamRuntime::with_config(service, config.stream_config()),
             workload: HomeWorkload::default(),
+            leaving: Vec::new(),
+            remote_ip: IpAddr::V4(remote),
         }
     }
 
-    /// Pass 1 for one home: rebuild its workload, drive the tick loop
-    /// through the deferred ingest path, and hand back the grouped
-    /// completions with the ingest-side stats.
-    fn ingest_home(
+    /// Runs one home end to end on this worker's gateway.
+    fn run_home(
         &mut self,
         config: &FleetConfig,
         devices: &[DeviceModel],
         home: usize,
-    ) -> IngestedHome {
+    ) -> HomeOutcome {
         self.runtime.reset();
         self.workload.rebuild(config, devices, home);
-        let frames = self.workload.frames();
-        let mut completions = Vec::new();
-        let mut groups = Vec::new();
-        let mut cursor = 0usize;
-        let mut tick_end = config.tick;
-        while cursor < frames.len() {
-            let limit = Timestamp::ZERO + tick_end;
-            let mut end = cursor;
-            while end < frames.len() && frames[end].0 < limit {
-                end += 1;
-            }
-            let appended = self
-                .runtime
-                .ingest_frames_deferred(&frames[cursor..end], &mut completions);
-            groups.push(appended as u32);
-            cursor = end;
-            tick_end += config.tick;
-        }
-        let appended = self.runtime.flush_deferred(&mut completions);
-        groups.push(appended as u32);
-        IngestedHome {
+        let mut outcome = HomeOutcome {
             home,
-            stats: self.runtime.stats().clone(),
-            completions,
-            groups,
+            stats: StreamStats::default(),
+            reports: Vec::new(),
             roam_out: self.workload.roam_out,
             roam_in: self.workload.roam_in,
-            leavers: self.workload.leavers.clone(),
+            rules_installed: 0,
+            rules_removed: 0,
+            rules_resident: 0,
+            cache_hits: 0,
+            cache_lookups: 0,
+            probes_allowed: 0,
+            probes_denied: 0,
+        };
+        // Whole microseconds, the capture clock's resolution. A tick
+        // without frames only ever drained leaves before the next tick's
+        // ingest, so each step runs to the end of the next frame's tick.
+        let tick = config.tick.as_micros().max(1);
+        let tick_of = |(at, _): &(Timestamp, Vec<u8>)| u128::from(at.as_micros()) / tick;
+        let mut cursor = 0;
+        while let Some(next) = self.workload.frames().get(cursor).map(tick_of) {
+            // Leaves land on tick boundaries, one tick after onboarding.
+            self.leave(&mut outcome);
+            let frames = &self.workload.frames()[cursor..];
+            let end = frames.partition_point(|frame| tick_of(frame) == next);
+            let reports = self.runtime.ingest_frames(&frames[..end]);
+            self.settle(reports, &mut outcome);
+            cursor += end;
+        }
+        // The end-of-stream flush is not a tick boundary.
+        let reports = self.runtime.flush();
+        self.settle(reports, &mut outcome);
+        self.leave(&mut outcome);
+
+        let cache = self.runtime.enforcement().cache();
+        outcome.stats = self.runtime.stats().clone();
+        outcome.rules_installed = outcome.reports.len() as u64;
+        outcome.rules_resident = cache.len() as u64;
+        outcome.cache_hits = cache.hits();
+        outcome.cache_lookups = cache.lookups();
+        outcome
+    }
+
+    /// Removes the rules of the devices queued to leave.
+    fn leave(&mut self, outcome: &mut HomeOutcome) {
+        for mac in self.leaving.drain(..) {
+            if self.runtime.enforcement_mut().remove_rule(mac).is_some() {
+                outcome.rules_removed += 1;
+            }
+        }
+    }
+
+    /// Fires one own-MAC and one stranger probe per new report, in
+    /// report order, and queues the reported devices that will leave.
+    fn settle(&mut self, reports: Vec<OnboardingReport>, outcome: &mut HomeOutcome) {
+        let internet = Destination::Internet(self.remote_ip);
+        for report in reports {
+            let module = self.runtime.enforcement_mut();
+            for mac in [report.mac, STRANGER] {
+                if module.decide(mac, internet).is_allow() {
+                    outcome.probes_allowed += 1;
+                } else {
+                    outcome.probes_denied += 1;
+                }
+            }
+            if self.workload.leavers.binary_search(&report.mac).is_ok() {
+                self.leaving.push(report.mac);
+            }
+            outcome.reports.push(report);
         }
     }
 }
 
-/// The lab topology's remote-server IP, the probe destination every
-/// gateway uses. Hoisted out of the per-home loops: the topology is
-/// identical for every home, so one construction serves the fleet.
-fn remote_probe_ip() -> IpAddr {
-    IpAddr::V4(
-        Topology::lab()
-            .host("Sremote")
-            .expect("lab topology has a remote server")
-            .ip,
-    )
-}
-
 /// Runs the whole fleet: `config.homes` independent home networks
-/// against one shared trained service, through the three-pass lockstep
-/// tick (see the module docs).
+/// against one shared trained service, one home at a time per worker
+/// (see the module docs).
 ///
 /// Each home's result is a pure function of `(service, config, home
 /// index)` — the v2 keyed RNG contract makes assessment independent of
 /// batching and order, and no state flows between homes — so the report
-/// is bit-identical at any thread count, any assessment batch size, and
-/// for any home-evaluation order.
+/// is bit-identical at any thread count and for any home-evaluation
+/// order.
 pub fn run_fleet<S: SecurityService + Sync>(service: &S, config: &FleetConfig) -> FleetReport {
     let devices = catalog();
-    let threads = effective_threads(config.threads);
-
-    // Pass 1: parallel pooled ingest, one warm gateway per worker.
-    let ingested = map_indexed_init(
+    let homes = map_indexed_init(
         config.homes,
-        threads,
+        effective_threads(config.threads),
         || GatewayPool::new(service, config),
-        |pool, home| pool.ingest_home(config, &devices, home),
+        |pool, home| pool.run_home(config, &devices, home),
     );
-
-    // Pass 2: assess every deferred completion in fleet-wide keyed
-    // batches. Chunk boundaries are a pure throughput knob (keyed
-    // purity), sized so each service call serves hundreds of rows.
-    let items: Vec<_> = ingested
-        .iter()
-        .flat_map(|home| {
-            home.completions
-                .iter()
-                .map(|c| (&c.full, &c.fixed, c.assess_key()))
-        })
-        .collect();
-    let rows = items.len();
-    let batch_rows = config.assess_batch_rows.max(1);
-    let batches = rows.div_ceil(batch_rows);
-    let chunked = {
-        let items = &items;
-        map_indexed_init(
-            batches,
-            threads,
-            AssessScratch::default,
-            move |scratch, chunk| {
-                let start = chunk * batch_rows;
-                let end = (start + batch_rows).min(rows);
-                let mut responses = Vec::with_capacity(end - start);
-                service.assess_keyed_batch_into(&items[start..end], scratch, &mut responses);
-                responses
-            },
-        )
-    };
-    let responses: Vec<ServiceResponse> = chunked.into_iter().flatten().collect();
-
-    // Pass 3: parallel settle — each home replays its serial
-    // enforcement tail against its own slice of the responses.
-    let mut offsets = Vec::with_capacity(config.homes + 1);
-    offsets.push(0usize);
-    for home in &ingested {
-        offsets.push(offsets.last().unwrap() + home.completions.len());
-    }
-    let remote_ip = remote_probe_ip();
-    let outcomes = {
-        let ingested = &ingested;
-        let responses = &responses;
-        let offsets = &offsets;
-        map_indexed(config.homes, threads, move |home| {
-            settle_home(
-                &ingested[home],
-                &responses[offsets[home]..offsets[home + 1]],
-                remote_ip,
-            )
-        })
-    };
-
     let mut stats = FleetStats {
         homes: config.homes,
         ..FleetStats::default()
     };
-    for outcome in &outcomes {
+    for outcome in &homes {
         stats.absorb(outcome);
     }
-    FleetReport {
-        stats,
-        homes: outcomes,
-    }
+    FleetReport { stats, homes }
 }
 
-/// Simulates one home network end to end — the single-home composition
-/// of exactly the three passes [`run_fleet`] runs fleet-wide (ingest,
-/// keyed assessment, settle), so its outcome is byte-identical to the
-/// home's entry in a fleet report, for any construction order.
+/// Simulates one home network end to end on a fresh gateway — the path
+/// every pooled worker of [`run_fleet`] runs, so its outcome is
+/// byte-identical to the home's entry in a fleet report.
 pub fn run_home<S: SecurityService + Sync>(
     service: &S,
     config: &FleetConfig,
     devices: &[DeviceModel],
     home: usize,
 ) -> HomeOutcome {
-    let mut pool = GatewayPool::new(service, config);
-    let ingested = pool.ingest_home(config, devices, home);
-    let items: Vec<_> = ingested
-        .completions
-        .iter()
-        .map(|c| (&c.full, &c.fixed, c.assess_key()))
-        .collect();
-    let mut scratch = AssessScratch::default();
-    let mut responses = Vec::with_capacity(items.len());
-    service.assess_keyed_batch_into(&items, &mut scratch, &mut responses);
-    settle_home(&ingested, &responses, remote_probe_ip())
-}
-
-/// Pass 3 for one home: replays the serial enforcement tail the inline
-/// per-home loop would have run, in the identical operation order —
-/// per tick group: pending leaves first, then every onboarding's rule
-/// install in `(seq, mac)` order, then per report one own-MAC probe and
-/// one stranger probe; the flush group settles without a preceding
-/// leave drain; one final drain ends the run. Identical op order on a
-/// fresh [`EnforcementModule`] reproduces every rule-cache counter
-/// byte for byte.
-fn settle_home(
-    ingested: &IngestedHome,
-    responses: &[ServiceResponse],
-    remote_ip: IpAddr,
-) -> HomeOutcome {
-    // A MAC no simulated device uses: probing it is a guaranteed cache
-    // miss, decided by the gateway's default (strict) level.
-    let stranger = MacAddr::new([0x02, 0xff, 0xff, 0xff, 0xff, 0xfe]);
-    let mut module = EnforcementModule::new();
-    let mut outcome = HomeOutcome {
-        home: ingested.home,
-        stats: ingested.stats.clone(),
-        reports: Vec::with_capacity(ingested.completions.len()),
-        roam_out: ingested.roam_out,
-        roam_in: ingested.roam_in,
-        rules_installed: 0,
-        rules_removed: 0,
-        rules_resident: 0,
-        cache_hits: 0,
-        cache_lookups: 0,
-        probes_allowed: 0,
-        probes_denied: 0,
-    };
-    let mut pending_leaves: Vec<MacAddr> = Vec::new();
-    let flush_group = ingested.groups.len() - 1;
-    let mut offset = 0usize;
-    for (group, &count) in ingested.groups.iter().enumerate() {
-        // Leaves land on tick boundaries, one tick after onboarding;
-        // the end-of-stream flush is not a tick boundary.
-        if group != flush_group {
-            for mac in pending_leaves.drain(..) {
-                if module.remove_rule(mac).is_some() {
-                    outcome.rules_removed += 1;
-                }
-            }
-        }
-        let end = offset + count as usize;
-        let first_report = outcome.reports.len();
-        for (completion, response) in ingested.completions[offset..end]
-            .iter()
-            .zip(&responses[offset..end])
-        {
-            outcome.reports.push(apply_onboarding(
-                &mut outcome.stats,
-                &mut module,
-                completion,
-                response.clone(),
-            ));
-        }
-        offset = end;
-        for report in first_report..outcome.reports.len() {
-            let mac = outcome.reports[report].mac;
-            outcome.rules_installed += 1;
-            let probe = module.decide(mac, Destination::Internet(remote_ip));
-            if probe.is_allow() {
-                outcome.probes_allowed += 1;
-            } else {
-                outcome.probes_denied += 1;
-            }
-            let miss = module.decide(stranger, Destination::Internet(remote_ip));
-            if miss.is_allow() {
-                outcome.probes_allowed += 1;
-            } else {
-                outcome.probes_denied += 1;
-            }
-            if ingested.leavers.binary_search(&mac).is_ok() {
-                pending_leaves.push(mac);
-            }
-        }
-    }
-    for mac in pending_leaves.drain(..) {
-        if module.remove_rule(mac).is_some() {
-            outcome.rules_removed += 1;
-        }
-    }
-    let cache = module.cache();
-    outcome.rules_resident = cache.len() as u64;
-    outcome.cache_hits = cache.hits();
-    outcome.cache_lookups = cache.lookups();
-    outcome
+    GatewayPool::new(service, config).run_home(config, devices, home)
 }
 
 /// Re-export for determinism tests: which home a roamer from `home`

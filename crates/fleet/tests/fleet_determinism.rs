@@ -2,9 +2,12 @@
 //! config shape)` — thread count and gateway-construction order must
 //! not leak into a single byte of the report.
 
+use std::time::Duration;
+
 use sentinel_core::{FingerprintDataset, IoTSecurityService, ServiceConfig};
 use sentinel_devicesim::catalog;
 use sentinel_fleet::{roamer_route, run_fleet, run_home, FleetConfig};
+use sentinel_stream::StreamStats;
 
 fn trained_service() -> IoTSecurityService {
     let devices: Vec<_> = catalog().into_iter().take(6).collect();
@@ -186,6 +189,45 @@ fn fleet_counters_are_consistent() {
     assert_eq!(stats.frames_decoded, 0);
     assert_eq!(stats.frames_malformed, 0);
     assert!(stats.roams > 0);
+}
+
+/// The tick is a scheduling granularity: it decides when leaves land,
+/// never what a device is identified as or how a gateway counts it. A
+/// zero tick reads as one microsecond.
+#[test]
+fn reports_do_not_depend_on_the_tick() {
+    let service = trained_service();
+    let config = small_config();
+    let baseline = run_fleet(&service, &config);
+    for tick in [
+        Duration::ZERO,
+        Duration::from_micros(1),
+        Duration::from_millis(1),
+        Duration::from_secs(10),
+    ] {
+        let report = run_fleet(
+            &service,
+            &FleetConfig {
+                tick,
+                ..config.clone()
+            },
+        );
+        for (home, expected) in report.homes.iter().zip(&baseline.homes) {
+            let at = format!("tick {tick:?}, home {}", home.home);
+            assert_eq!(home.reports, expected.reports, "{at}");
+            // Sampled once per ingest call, so it follows the tick.
+            let stats = StreamStats {
+                peak_resident_sessions: expected.stats.peak_resident_sessions,
+                ..home.stats.clone()
+            };
+            assert_eq!(stats, expected.stats, "{at}");
+            assert_eq!(
+                home.rules_installed,
+                home.rules_removed + home.rules_resident,
+                "{at}"
+            );
+        }
+    }
 }
 
 #[test]

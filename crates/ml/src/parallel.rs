@@ -1,8 +1,8 @@
 //! Deterministic fork/join helpers over std's scoped threads.
 //!
 //! Every parallel site in the workspace (forest fitting, classifier-bank
-//! training, cross-validation folds, and the fleet's ingest, assess and
-//! settle passes) funnels through [`map_indexed`] or
+//! training, cross-validation folds, and the fleet's homes) funnels
+//! through [`map_indexed`] or
 //! [`map_indexed_init`]: work items are claimed from an atomic
 //! counter and results are merged back *by index*, so the output is
 //! identical for every thread count — parallelism only changes who

@@ -20,9 +20,10 @@
 //! [`SecurityService::assess_keyed_batch_into`] assesses all of them in
 //! one call out of the runtime's warm [`AssessScratch`]; and
 //! [`apply_onboarding`] installs each rule and emits each report in
-//! `(seq, mac)` stream order. A caller pooling many gateways (the fleet
-//! simulator) runs the first and last pass per gateway and the middle
-//! one once for all of them.
+//! `(seq, mac)` stream order. [`StreamRuntime::ingest_frames`] is the
+//! three passes in sequence; every gateway runs them that way, a fleet
+//! simulator's pooled one included. The first and last pass stay public
+//! for a caller that composes the round itself.
 //!
 //! # Determinism
 //!
@@ -114,11 +115,11 @@ impl StreamConfig {
 /// The `(seq, mac)` pair is both the stream order completions come out
 /// in and the assessment key: keyed assessment ([`AssessKey`]) makes the
 /// service's answer a pure function of the trained model, the
-/// fingerprints and this key, so a caller can *defer* assessment entirely
-/// ([`StreamRuntime::ingest_frames_deferred`]) and batch completions
-/// from many gateways through one keyed service call with byte-identical
-/// results. Only enforcement-rule installation and report emission must
-/// happen in `(seq, mac)` order.
+/// fingerprints and this key, so a caller can *defer* assessment
+/// ([`StreamRuntime::ingest_frames_deferred`]) and cut completions into
+/// keyed batches of any size with byte-identical results. Only
+/// enforcement-rule installation and report emission must happen in
+/// `(seq, mac)` order.
 pub struct Completion {
     /// Stream sequence of the frame that closed the session (for gap
     /// and cap completions) or of its last absorbed frame (flush).
@@ -287,11 +288,11 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// Ingests one batch of interleaved raw frames **without assessing**
     /// the completed setups: finished sessions are appended to `out` as
     /// [`Completion`]s (in `(seq, mac)` stream order within this call)
-    /// for the caller to assess later — typically pooled across many
-    /// gateways into one large keyed batch, which the v2 pinned RNG
-    /// contract makes byte-identical to in-line assessment at any
-    /// pooling granularity. Returns how many completions this call
-    /// appended.
+    /// for the caller to assess later, in keyed batches the v2 pinned
+    /// RNG contract makes byte-identical to in-line assessment at any
+    /// batch size. [`StreamRuntime::ingest_frames`] is this call plus
+    /// one keyed batch and [`apply_onboarding`]. Returns how many
+    /// completions this call appended.
     ///
     /// Session state machines, eviction and every ingest-side counter
     /// behave exactly as in [`StreamRuntime::ingest_frames`]; only

@@ -1,12 +1,13 @@
-//! Counting-allocator audit of the pooled fleet tick path: once a
-//! worker's [`StreamRuntime`] is warm — session table and the deferred
-//! completion buffer sized by a first pass — steady-state
-//! [`StreamRuntime::ingest_frames_deferred`] ticks over already-
-//! onboarded devices (the ignored-frame path) and empty ticks must
-//! perform **zero** heap allocations. This pins the per-worker pooling
-//! contract of the fleet's lockstep tick: a gateway that has settled
-//! its homes' devices streams tick after tick without touching the
-//! allocator.
+//! Counting-allocator audit of a gateway's per-tick path: once a
+//! [`StreamRuntime`] is warm — session table and the deferred
+//! completion buffer sized by a first pass — ticks over already-
+//! onboarded devices (the ignored-frame path) and empty ticks perform
+//! **zero** heap allocations, both through
+//! [`StreamRuntime::ingest_frames_deferred`] and through the inline
+//! [`StreamRuntime::ingest_frames`] a fleet home's pooled gateway runs
+//! (which returns an empty report list without allocating). A gateway
+//! that has settled its devices streams tick after tick without
+//! touching the allocator.
 //!
 //! The same holds for the opposite extreme, a storm of new MACs against
 //! a full session table: every first frame sheds the LRU session and
@@ -126,10 +127,23 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
         "deferred ingest allocated {spent} times over 16 steady-state ticks"
     );
 
+    // The inline twin, the path a fleet home's gateway ticks through:
+    // no completion means no assessment, no report and no allocation.
+    let before = allocations();
+    for _ in 0..8 {
+        assert!(runtime.ingest_frames(&frames).is_empty());
+        assert!(runtime.ingest_frames(&[]).is_empty());
+    }
+    let spent = allocations() - before;
+    assert_eq!(
+        spent, 0,
+        "inline ingest allocated {spent} times over 16 steady-state ticks"
+    );
+
     // The ignored path still counts: every replayed frame is observed.
     assert_eq!(
         runtime.stats().packets_in,
-        (frames.len() * 9) as u64,
+        (frames.len() * 17) as u64,
         "replayed frames must be counted as ingested"
     );
 

@@ -630,8 +630,8 @@ proptest! {
     /// the probes are assessed in, however they are split into batches,
     /// and however often they are re-assessed, every response equals the
     /// itemwise baseline bit for bit — which is exactly what lets a
-    /// gateway assess a round's completions as one batch and a fleet pool
-    /// the completions of many gateways.
+    /// gateway assess a round's completions as one batch, whatever the
+    /// round's size.
     #[test]
     fn keyed_assessment_is_schedule_independent(order_seed in any::<u64>(), split_seed in any::<u64>()) {
         let fixture = keyed_probes();
