@@ -81,8 +81,9 @@ pub struct ServiceResponse {
 
 impl ServiceResponse {
     /// The enforcement rule this verdict calls for on device `mac` — the
-    /// one place an isolation level becomes a rule, shared by the batch
-    /// gateway and the streaming runtime.
+    /// one place an onboarding verdict becomes a rule, installed by the
+    /// gateway (`sentinel_stream::StreamRuntime`) for every device it
+    /// onboards.
     pub fn rule_for(&self, mac: MacAddr) -> EnforcementRule {
         match self.isolation {
             IsolationLevel::Strict => EnforcementRule::strict(mac),

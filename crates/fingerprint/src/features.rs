@@ -106,22 +106,13 @@ pub struct FeatureVector {
 }
 
 impl FeatureVector {
-    /// Extracts the features of one packet.
+    /// Extracts the features of one packet, through the same
+    /// [`RawFeatures`] record the wire scan emits.
     ///
     /// `dst_ip_counter` carries per-fingerprint state and is therefore
     /// supplied by the caller (see [`crate::FeatureExtractor`]).
     pub fn from_packet(packet: &Packet, dst_ip_counter: u32) -> Self {
-        let (header_padding, header_router_alert) = ip_option_flags(packet);
-        FeatureVector {
-            protocols: packet.protocols(),
-            ip_option_padding: header_padding,
-            ip_option_router_alert: header_router_alert,
-            packet_size: packet.wire_len() as u32,
-            raw_data: packet.has_raw_data(),
-            dst_ip_counter,
-            src_port_class: PortClass::from_port(packet.src_port()),
-            dst_port_class: PortClass::from_port(packet.dst_port()),
-        }
+        Self::from_raw(&RawFeatures::from_packet(packet), dst_ip_counter)
     }
 
     /// Builds the features from a wire-scan record (the zero-copy fast
@@ -158,15 +149,6 @@ impl FeatureVector {
         out[21] = self.src_port_class.to_u8() as f64;
         out[22] = self.dst_port_class.to_u8() as f64;
         out
-    }
-}
-
-fn ip_option_flags(packet: &Packet) -> (bool, bool) {
-    use sentinel_netproto::PacketBody;
-    match &packet.body {
-        PacketBody::Ipv4 { header, .. } => (header.has_padding_option(), header.has_router_alert()),
-        PacketBody::Ipv6 { header, .. } => (header.has_padding_option(), header.has_router_alert()),
-        _ => (false, false),
     }
 }
 

@@ -7,11 +7,11 @@
 //! table and assessment scratch kept warm, and one reusable
 //! [`HomeWorkload`] buffer — and runs every home it claims through the
 //! path a standalone gateway uses. Per tick, the devices due to leave
-//! lose their rules, the tick's frames go through
-//! [`StreamRuntime::ingest_frames`] (which assesses the tick's completed
-//! setups as one keyed batch and installs their rules in `(seq, mac)`
-//! order), and every new report fires its data-plane probes on the
-//! gateway's own enforcement module. The end-of-stream
+//! are forgotten ([`StreamRuntime::remove_device`]), the tick's frames
+//! go through [`StreamRuntime::ingest_frames`] (which assesses the
+//! tick's completed setups as one keyed batch and installs their rules
+//! in `(seq, mac)` order), and every new report fires its data-plane
+//! probes on the gateway's own enforcement module. The end-of-stream
 //! [`StreamRuntime::flush`] settles the same way, and one last leave
 //! drain ends the home. No state flows between homes, so which worker
 //! runs which home cannot change a byte of the report.
@@ -164,10 +164,10 @@ impl<'a, S: SecurityService> GatewayPool<'a, S> {
         outcome
     }
 
-    /// Removes the rules of the devices queued to leave.
+    /// Forgets the devices queued to leave, their rules with them.
     fn leave(&mut self, outcome: &mut HomeOutcome) {
         for mac in self.leaving.drain(..) {
-            if self.runtime.enforcement_mut().remove_rule(mac).is_some() {
+            if self.runtime.remove_device(mac).is_some() {
                 outcome.rules_removed += 1;
             }
         }

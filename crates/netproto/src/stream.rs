@@ -6,7 +6,7 @@
 //! [`FrameSource`], so a multi-gigabyte capture — or a live tap — never
 //! has to be resident in memory, and no [`Packet`] is built for a frame
 //! the wire scanner ([`crate::WireScan`]) can certify.
-//! [`PcapReader`](crate::pcap::PcapReader) implements the trait directly,
+//! [`PcapReader`] implements the trait directly,
 //! and [`MemoryFrameSource`] serves an in-memory frame list — or, through
 //! [`MemoryFrameSource::from_packets`], encodes a packet list (e.g. a
 //! simulated interleaved workload) for it.

@@ -87,24 +87,16 @@ impl Verdict {
     }
 }
 
+/// The level of a device without a rule: the paper's "unknown devices
+/// will be assigned the level strict".
+const DEFAULT_LEVEL: IsolationLevel = IsolationLevel::Strict;
+
 /// The enforcement module: rule cache + decision logic.
 ///
-/// Devices without a rule are treated according to the module's default
-/// isolation level — [`IsolationLevel::Strict`], matching the paper's
-/// "unknown devices will be assigned the level strict".
-#[derive(Debug)]
+/// Devices without a rule are treated as [`IsolationLevel::Strict`].
+#[derive(Debug, Default)]
 pub struct EnforcementModule {
     cache: RuleCache,
-    default_level: IsolationLevel,
-}
-
-impl Default for EnforcementModule {
-    fn default() -> Self {
-        EnforcementModule {
-            cache: RuleCache::new(),
-            default_level: IsolationLevel::Strict,
-        }
-    }
 }
 
 impl EnforcementModule {
@@ -135,7 +127,7 @@ impl EnforcementModule {
 
     /// The isolation level currently effective for `mac`.
     pub fn level_of(&self, mac: MacAddr) -> IsolationLevel {
-        self.cache.get(mac).map_or(self.default_level, |r| r.level)
+        self.cache.get(mac).map_or(DEFAULT_LEVEL, |r| r.level)
     }
 
     /// The overlay `mac` currently lives in.
@@ -175,7 +167,7 @@ impl EnforcementModule {
     /// and then no port filter applies.
     fn decide_flow(&mut self, src: MacAddr, dst: Destination, packet: Option<&Packet>) -> Verdict {
         let rule = self.cache.lookup(src);
-        let src_level = rule.map_or(self.default_level, |r| r.level);
+        let src_level = rule.map_or(DEFAULT_LEVEL, |r| r.level);
         match dst {
             Destination::Device(dst_mac) => {
                 let dst_overlay = self.overlay_of(dst_mac);

@@ -19,8 +19,10 @@
 //!   each round's completed setups as one keyed batch against the IoT
 //!   Security Service and enforces the verdicts through the SDN switch.
 //!   Decisions are those of onboarding each device alone, at any batch
-//!   size. Callers that hold decoded packets (simulator streams) encode
-//!   them once through [`MemoryFrameSource::from_packets`];
+//!   size. Each onboarding report is handed to the caller once; the
+//!   gateway keeps the device's onboarded mark and its enforcement rule.
+//!   Callers that hold decoded packets (simulator streams) encode them
+//!   once through [`MemoryFrameSource::from_packets`];
 //!   [`StreamRuntime::remove_device`] forgets a device that left.
 //! * [`Session`] — per-device setup monitoring that feeds each frame's
 //!   features straight into the incremental feature extractor, so raw
@@ -55,10 +57,17 @@
 //! let stream = interleave(&traces, Duration::from_millis(25));
 //!
 //! let mut runtime = StreamRuntime::with_config(service, StreamConfig::default());
-//! let reports = runtime.run_frames(MemoryFrameSource::from_packets(&stream)).unwrap();
+//! let mut reports = Vec::new();
+//! runtime
+//!     .run_frames(MemoryFrameSource::from_packets(&stream), &mut reports)
+//!     .unwrap();
 //! assert_eq!(reports.len(), 5);
 //! assert_eq!(runtime.stats().sessions_completed(), 5);
 //! assert_eq!(runtime.stats().frames_malformed, 0);
+//! // The gateway keeps each device's rule, not its report.
+//! assert!(reports
+//!     .iter()
+//!     .all(|report| runtime.enforcement().cache().get(report.mac).is_some()));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -25,6 +25,13 @@
 //! simulator's pooled one included. The first and last pass stay public
 //! for a caller that composes the round itself.
 //!
+//! # What a gateway remembers
+//!
+//! Each report is handed to the caller once, by value, and not kept. A
+//! known device is two things: the session table's onboarded mark (its
+//! frames are skipped) and its rule in the enforcement module's cache
+//! (what it may reach). [`StreamRuntime::remove_device`] drops both.
+//!
 //! # Determinism
 //!
 //! Every frame that carries an Ethernet header takes the next stream
@@ -39,8 +46,6 @@
 //! choice) is bit-identical for any ingest batch size and however the
 //! completions are cut into assessment batches.
 
-use std::collections::HashMap;
-
 use sentinel_core::{
     AssessKey, AssessScratch, OnboardingReport, Outcome, SecurityService, ServiceResponse,
 };
@@ -48,7 +53,7 @@ use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint};
 use sentinel_netproto::stream::FrameSource;
 use sentinel_netproto::{MacAddr, Packet, ParseError, ScanOutcome, Timestamp, WireScan};
-use sentinel_sdn::{EnforcementModule, IsolationLevel, OvsSwitch, SwitchDecision};
+use sentinel_sdn::{EnforcementModule, EnforcementRule, IsolationLevel, OvsSwitch, SwitchDecision};
 
 use crate::session::{CompletionReason, Session, SessionEvent};
 use crate::stats::StreamStats;
@@ -207,7 +212,6 @@ pub struct StreamRuntime<S> {
     scratch: AssessScratch,
     module: EnforcementModule,
     switch: OvsSwitch,
-    reports: HashMap<MacAddr, OnboardingReport>,
     stats: StreamStats,
     next_seq: u64,
 }
@@ -227,7 +231,6 @@ impl<S: SecurityService> StreamRuntime<S> {
             scratch: AssessScratch::default(),
             module: EnforcementModule::new(),
             switch: OvsSwitch::lab(),
-            reports: HashMap::new(),
             stats: StreamStats::default(),
             next_seq: 0,
         }
@@ -235,8 +238,8 @@ impl<S: SecurityService> StreamRuntime<S> {
 
     /// Consumes a whole frame source in [`StreamConfig::batch_size`]
     /// rounds of [`StreamRuntime::ingest_frames`], then flushes the
-    /// remaining sessions. Returns every onboarding report, in decision
-    /// order.
+    /// remaining sessions. Appends every onboarding report to `out`, in
+    /// decision order, as its round decides it.
     ///
     /// Malformed frames do not abort the stream: they are counted in
     /// [`StreamStats::frames_malformed`] and skipped, which is what a
@@ -245,32 +248,33 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// # Errors
     ///
     /// Propagates capture-container errors from the source (e.g. a
-    /// truncated pcap record header) without flushing; frames read
-    /// before the error were ingested, so devices onboarded before it
-    /// remain onboarded (their reports stay in
-    /// [`StreamRuntime::reports`]).
+    /// truncated pcap record header) without flushing. The frames read
+    /// before the error are ingested, and the report of every device
+    /// they onboarded is already in `out`.
     pub fn run_frames<F: FrameSource>(
         &mut self,
         mut source: F,
-    ) -> Result<Vec<OnboardingReport>, ParseError> {
-        let mut reports = Vec::new();
+        out: &mut Vec<OnboardingReport>,
+    ) -> Result<(), ParseError> {
         // One batch reused for the whole run: `refill_frames` overwrites
         // the slots in place, so file replay stops allocating once the
         // buffers have grown to the capture's frame sizes.
         let mut batch: Vec<(Timestamp, Vec<u8>)> = Vec::with_capacity(self.config.batch_size);
+        let mut completions = Vec::new();
         loop {
             let refill = source.refill_frames(&mut batch, self.config.batch_size.max(1));
             // On a container error `batch` holds the frames read before
             // it; at end of stream it is empty.
-            if !batch.is_empty() {
-                reports.extend(self.ingest_frames(&batch));
-            }
+            self.ingest_frames_deferred(&batch, &mut completions);
+            self.onboard(&completions, out);
+            completions.clear();
             if refill? == 0 {
                 break;
             }
         }
-        reports.extend(self.flush());
-        Ok(reports)
+        self.flush_deferred(&mut completions);
+        self.onboard(&completions, out);
+        Ok(())
     }
 
     /// Ingests one batch of interleaved raw frames, returning the
@@ -282,7 +286,9 @@ impl<S: SecurityService> StreamRuntime<S> {
     pub fn ingest_frames(&mut self, frames: &[(Timestamp, Vec<u8>)]) -> Vec<OnboardingReport> {
         let mut completions = Vec::new();
         self.ingest_frames_deferred(frames, &mut completions);
-        self.onboard(&completions)
+        let mut reports = Vec::new();
+        self.onboard(&completions, &mut reports);
+        reports
     }
 
     /// Ingests one batch of interleaved raw frames **without assessing**
@@ -379,8 +385,8 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// Returns the runtime to its freshly-constructed state while
     /// keeping every allocation warm: the session table (slab, recency
     /// links and MAC index) and assessment scratch retain their capacity
-    /// but drop all contents; enforcement module, switch, reports, stats
-    /// and the sequence counter start over.
+    /// but drop all contents; enforcement module, switch, stats and the
+    /// sequence counter start over.
     ///
     /// A pooled worker that `reset()`s one runtime between gateways
     /// observes exactly the behavior of constructing a new runtime with
@@ -390,7 +396,6 @@ impl<S: SecurityService> StreamRuntime<S> {
         self.table.clear();
         self.module = EnforcementModule::new();
         self.switch = OvsSwitch::lab();
-        self.reports.clear();
         self.stats = StreamStats::default();
         self.next_seq = 0;
     }
@@ -400,18 +405,21 @@ impl<S: SecurityService> StreamRuntime<S> {
     pub fn flush(&mut self) -> Vec<OnboardingReport> {
         let mut completions = Vec::new();
         self.flush_deferred(&mut completions);
-        self.onboard(&completions)
+        let mut reports = Vec::new();
+        self.onboard(&completions, &mut reports);
+        reports
     }
 
     /// The second and third pass of a round: assesses the call's
     /// completions (already in `(seq, mac)` stream order) as one keyed
     /// batch — stage 1 through the bank's scorer for each, stage-2
     /// drawing from each completion's own `(seq, mac)`-keyed generator —
-    /// then installs each device's enforcement rule and records its
-    /// report, in that order. No completions ⇒ no work, no allocation.
-    fn onboard(&mut self, completions: &[Completion]) -> Vec<OnboardingReport> {
+    /// then installs each device's enforcement rule and appends its
+    /// report to `out`, in that order. No completions ⇒ no work, no
+    /// allocation.
+    fn onboard(&mut self, completions: &[Completion], out: &mut Vec<OnboardingReport>) {
         if completions.is_empty() {
-            return Vec::new();
+            return;
         }
         let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = completions
             .iter()
@@ -421,32 +429,29 @@ impl<S: SecurityService> StreamRuntime<S> {
         self.service
             .assess_keyed_batch_into(&items, &mut self.scratch, &mut responses);
         debug_assert_eq!(completions.len(), responses.len());
-        completions
-            .iter()
-            .zip(responses)
-            .map(|(completion, response)| {
-                let report =
-                    apply_onboarding(&mut self.stats, &mut self.module, completion, response);
-                self.reports.insert(completion.mac, report.clone());
-                report
-            })
-            .collect()
+        out.extend(
+            completions
+                .iter()
+                .zip(responses)
+                .map(|(completion, response)| {
+                    apply_onboarding(&mut self.stats, &mut self.module, completion, response)
+                }),
+        );
     }
 
     /// Forgets a device entirely (it left the network): its in-flight
-    /// session or its onboarded mark, its enforcement rule and its
-    /// report. If the MAC shows up again it is a newcomer — monitored,
+    /// session or its onboarded mark, and its enforcement rule, which it
+    /// returns. If the MAC shows up again it is a newcomer — monitored,
     /// fingerprinted and assessed afresh, which is what a device that
     /// returns with new firmware (a new device-type) needs. A session
     /// dropped mid-setup counts as one [`StreamStats::sessions_evicted`]
     /// (the operator shed it), so `opened − evicted − completed ==
     /// resident` keeps holding. An unknown MAC is a no-op.
-    pub fn remove_device(&mut self, mac: MacAddr) {
+    pub fn remove_device(&mut self, mac: MacAddr) -> Option<EnforcementRule> {
         if self.table.forget(mac) {
             self.stats.sessions_evicted += 1;
         }
-        self.reports.remove(&mac);
-        self.module.remove_rule(mac);
+        self.module.remove_rule(mac)
     }
 
     /// Forwards or drops a packet according to the installed enforcement
@@ -458,16 +463,6 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// Counters accumulated so far.
     pub fn stats(&self) -> &StreamStats {
         &self.stats
-    }
-
-    /// The report for an onboarded device, if its setup completed.
-    pub fn report(&self, mac: MacAddr) -> Option<&OnboardingReport> {
-        self.reports.get(&mac)
-    }
-
-    /// All onboarding reports, keyed by device MAC.
-    pub fn reports(&self) -> &HashMap<MacAddr, OnboardingReport> {
-        &self.reports
     }
 
     /// Sessions currently resident.
@@ -551,15 +546,28 @@ mod tests {
         StreamRuntime::with_config(STUB, config)
     }
 
+    /// Runs a whole in-memory source, returning its reports.
+    fn run(
+        runtime: &mut StreamRuntime<StubService>,
+        source: MemoryFrameSource,
+    ) -> Vec<OnboardingReport> {
+        let mut reports = Vec::new();
+        runtime.run_frames(source, &mut reports).unwrap();
+        reports
+    }
+
     /// Streams `packets` the way every caller that holds decoded packets
     /// does: encoded once, then through the frame path.
     fn run_packets(
         runtime: &mut StreamRuntime<StubService>,
         packets: &[Packet],
     ) -> Vec<OnboardingReport> {
-        runtime
-            .run_frames(MemoryFrameSource::from_packets(packets))
-            .unwrap()
+        run(runtime, MemoryFrameSource::from_packets(packets))
+    }
+
+    /// The report of `mac` among `reports`.
+    fn report_of(reports: &[OnboardingReport], mac: MacAddr) -> Option<&OnboardingReport> {
+        reports.iter().find(|report| report.mac == mac)
     }
 
     fn frames_of(packets: &[Packet]) -> Vec<(Timestamp, Vec<u8>)> {
@@ -587,7 +595,7 @@ mod tests {
         let reports = run_packets(&mut runtime, &stream);
         assert_eq!(reports.len(), 12);
         for trace in &traces {
-            let report = runtime.report(trace.mac).expect("onboarded");
+            let report = report_of(&reports, trace.mac).expect("onboarded");
             assert_eq!(report.setup_packets, trace.packets.len());
             // The stub labels by fingerprint length: it must match the
             // batch extraction of the lone trace.
@@ -617,7 +625,7 @@ mod tests {
         truncated.truncate(20);
         frames.insert(3, (stream[0].timestamp, truncated));
         let mut runtime = runtime(StreamConfig::default());
-        let reports = runtime.run_frames(MemoryFrameSource::new(frames)).unwrap();
+        let reports = run(&mut runtime, MemoryFrameSource::new(frames));
         assert_eq!(reports.len(), 2, "both devices still onboard");
         let stats = runtime.stats();
         assert_eq!(stats.frames_malformed, 2);
@@ -645,7 +653,7 @@ mod tests {
         frames.insert(4, (stream[1].timestamp, truncated));
         frames.push((stream.last().unwrap().timestamp, vec![0xee; 13]));
         let mut dirty = runtime(StreamConfig::default());
-        let dirty_reports = dirty.run_frames(MemoryFrameSource::new(frames)).unwrap();
+        let dirty_reports = run(&mut dirty, MemoryFrameSource::new(frames));
         assert_eq!(dirty_reports, clean_reports);
         let mut expected = clean.stats().clone();
         expected.frames_malformed += 3;
@@ -839,7 +847,8 @@ mod tests {
         });
         let reports = run_packets(&mut runtime, &stream);
         assert_eq!(reports.len(), 1);
-        assert!(runtime.report(traces[0].mac).is_none());
+        assert_eq!(reports[0].mac, traces[1].mac);
+        assert!(runtime.enforcement().cache().get(traces[0].mac).is_none());
         assert_eq!(
             runtime.stats().packets_ignored,
             traces[0].packets.len() as u64
@@ -911,10 +920,12 @@ mod tests {
         assert_eq!(first.len(), 1);
         assert_conserved(&runtime);
 
-        // It leaves: report and rule go, the MAC is unknown again.
-        runtime.remove_device(left.mac);
+        // It leaves: its rule goes, the MAC is unknown again.
+        let rule = runtime
+            .remove_device(left.mac)
+            .expect("an onboarded device's rule");
+        assert_eq!((rule.mac, rule.level), (left.mac, IsolationLevel::Trusted));
         assert_conserved(&runtime);
-        assert!(runtime.report(left.mac).is_none());
         assert!(runtime.enforcement().cache().get(left.mac).is_none());
         assert_eq!(
             runtime.enforcement().level_of(left.mac),
@@ -924,7 +935,7 @@ mod tests {
         assert_eq!(runtime.stats().sessions_evicted, 0, "nothing was mid-setup");
         // Forgetting a MAC nobody has seen changes nothing.
         let before = runtime.stats().clone();
-        runtime.remove_device(other.mac);
+        assert!(runtime.remove_device(other.mac).is_none());
         assert_eq!(runtime.stats(), &before);
 
         // It returns an hour later: a newcomer, onboarded a second time.
@@ -941,7 +952,7 @@ mod tests {
         assert_conserved(&runtime);
         assert_eq!(second.len(), 1, "a second report");
         assert_eq!(second[0].setup_packets, first[0].setup_packets);
-        assert_eq!(runtime.report(left.mac), Some(&second[0]));
+        assert_eq!(second[0].mac, left.mac);
         assert!(runtime.enforcement().cache().get(left.mac).is_some());
         let stats = runtime.stats();
         assert_eq!((stats.sessions_opened, stats.sessions_completed()), (2, 2));
@@ -950,7 +961,7 @@ mod tests {
         runtime.ingest_frames(&frames_of(&other.packets[..3]));
         assert_eq!(runtime.resident_sessions(), 1);
         assert_conserved(&runtime);
-        runtime.remove_device(other.mac);
+        assert!(runtime.remove_device(other.mac).is_none(), "no rule yet");
         assert_eq!(runtime.resident_sessions(), 0);
         assert_eq!(runtime.stats().sessions_evicted, 1);
         assert_conserved(&runtime);
@@ -1017,11 +1028,11 @@ mod tests {
         frames.extend(frames_of(rest));
 
         let mut runtime = runtime(config.clone());
-        runtime.run_frames(MemoryFrameSource::new(frames)).unwrap();
+        let reports = run(&mut runtime, MemoryFrameSource::new(frames));
         let stats = runtime.stats();
         assert_eq!(stats.sessions_evicted, 0, "{stats}");
         assert_eq!(stats.peak_resident_sessions, config.max_sessions);
-        let report = runtime.report(device.mac).expect("onboarded");
+        let report = report_of(&reports, device.mac).expect("onboarded");
         assert_eq!(report.setup_packets, device.packets.len());
     }
 }

@@ -20,6 +20,8 @@
 //! detector's 256-packet worst case up front. A table full of one-frame
 //! spoofed MACs, a catalog device mid-setup, a long setup of distinct
 //! frames and one frame repeated to the packet cap each have a bound.
+//! So does what an onboarded device leaves behind once the caller has
+//! dropped its report: the gateway keeps the rule, not the report.
 //!
 //! All of it is one test: a counting global allocator cannot share its
 //! process with a parallel test. It lives in its own integration-test
@@ -185,6 +187,7 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
     a_full_table_of_spoofed_macs_holds_a_reservation_per_session(&service);
     a_catalog_setup_mid_flight_fits_in_half_a_kilobyte(&service);
     a_session_grows_with_distinct_columns_and_not_with_repeats();
+    an_onboarded_device_leaves_its_rule_and_not_its_report();
 }
 
 /// Live heap a resident one-frame session may hold: its 16-column
@@ -248,6 +251,50 @@ fn a_catalog_setup_mid_flight_fits_in_half_a_kilobyte(service: &IoTSecurityServi
             frames.len()
         );
     }
+}
+
+/// Live heap a warm gateway keeps per onboarded device once the caller
+/// has dropped the reports: its rule-cache entry and whitelist (90 B
+/// measured over the catalog; its onboarded mark sits in the table's
+/// index, warm from the first pass). A gateway that also kept a clone
+/// of every report held 131 B.
+const ONBOARDED_DEVICE_BYTES: usize = 112;
+
+/// What a gateway remembers of a device it onboarded: every catalog
+/// device's setup, identified by a service trained on the whole catalog
+/// and onboarded one after another by a warm runtime whose caller drops
+/// each report. The live heap left behind is the rules.
+fn an_onboarded_device_leaves_its_rule_and_not_its_report() {
+    let dataset = FingerprintDataset::collect(&catalog(), 8, 5);
+    let service = IoTSecurityService::train(&dataset, &ServiceConfig::default());
+    let testbed = Testbed::new(42);
+    let setups: Vec<_> = catalog()
+        .iter()
+        .map(|device| testbed.setup_run(&device.profile, 0).frames())
+        .collect();
+    let onboard_all = |runtime: &mut StreamRuntime<&IoTSecurityService>| {
+        let mut onboarded = 0;
+        for frames in &setups {
+            onboarded += runtime.ingest_frames(frames).len();
+            onboarded += runtime.flush().len();
+        }
+        onboarded
+    };
+    // A first pass warms the table, its index and the assessment
+    // scratch; `reset` keeps them and starts the rule cache over.
+    let mut runtime = StreamRuntime::new(&service);
+    onboard_all(&mut runtime);
+    runtime.reset();
+    let empty = live_bytes();
+    let onboarded = onboard_all(&mut runtime);
+    let held = live_bytes() - empty;
+    assert_eq!(onboarded, setups.len(), "every setup onboards once");
+    assert_eq!(runtime.enforcement().cache().len(), onboarded);
+    assert!(
+        held <= ONBOARDED_DEVICE_BYTES * onboarded,
+        "{} B of live heap per onboarded device",
+        held / onboarded
+    );
 }
 
 /// Growth and its absence, on a bare [`Session`]: 60 pairwise-distinct

@@ -37,8 +37,12 @@ fn main() {
 
     // 4. The gateway scans every frame of the setup; when the capture
     //    ends it fingerprints, identifies, assesses and enforces.
-    let reports = gateway
-        .run_frames(MemoryFrameSource::from_packets(&new_device.packets))
+    let mut reports = Vec::new();
+    gateway
+        .run_frames(
+            MemoryFrameSource::from_packets(&new_device.packets),
+            &mut reports,
+        )
         .expect("an in-memory stream cannot fail");
     println!("\n{}", reports[0]);
     println!(

@@ -71,11 +71,13 @@ fn main() {
     try_internet(&mut gateway, cam.mac, "Edimax camera");
     try_internet(&mut gateway, mystery.mac, "mystery gadget");
 
-    // The restricted camera can still reach its vendor cloud.
+    // The restricted camera can still reach its vendor cloud: the
+    // whitelist lives in its rule.
     let whitelist = gateway
-        .report(cam.mac)
+        .enforcement()
+        .cache()
+        .get(cam.mac)
         .expect("onboarded")
-        .response
         .permitted_endpoints
         .clone();
     if let Some(std::net::IpAddr::V4(cloud)) = whitelist.first() {
@@ -112,8 +114,9 @@ fn main() {
 }
 
 fn onboard(gateway: &mut StreamRuntime<IoTSecurityService>, packets: &[Packet], who: &str) {
-    let reports = gateway
-        .run_frames(MemoryFrameSource::from_packets(packets))
+    let mut reports = Vec::new();
+    gateway
+        .run_frames(MemoryFrameSource::from_packets(packets), &mut reports)
         .expect("an in-memory stream cannot fail");
     println!("[{who}] {}", reports[0]);
 }

@@ -51,8 +51,9 @@ fn main() {
             ..StreamConfig::default()
         },
     );
-    let reports = runtime
-        .run_frames(MemoryFrameSource::from_packets(&stream))
+    let mut reports = Vec::new();
+    runtime
+        .run_frames(MemoryFrameSource::from_packets(&stream), &mut reports)
         .expect("in-memory stream");
     for report in &reports {
         println!("{report}");

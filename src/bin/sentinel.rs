@@ -263,12 +263,15 @@ fn stream(
             Box::new(PcapReader::new(std::fs::File::open(path)?)?)
         }
     };
-    let reports = runtime.run_frames(&mut *source)?;
+    // A capture cut mid-record still prints what was decided before the
+    // cut, then fails.
+    let mut reports = Vec::new();
+    let run = runtime.run_frames(&mut *source, &mut reports);
     for report in &reports {
         println!("{report}");
     }
     println!("\n{}", runtime.stats());
-    Ok(())
+    Ok(run?)
 }
 
 fn identify(

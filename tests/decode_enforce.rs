@@ -80,9 +80,10 @@ fn an_enforced_ssdp_notify_costs_its_two_decoded_buffers() {
     let (timestamp, frame) = &frames[notify];
 
     let mut runtime = StreamRuntime::new(&service);
-    runtime.ingest_frames(&frames);
-    runtime.flush();
-    assert!(runtime.report(trace.mac).is_some(), "onboarded");
+    let mut reports = runtime.ingest_frames(&frames);
+    reports.extend(runtime.flush());
+    assert_eq!(reports.len(), 1, "onboarded");
+    assert_eq!(reports[0].mac, trace.mac);
     // Warm the flow: the packet-in installs it, the count is a hit's.
     let first = runtime.enforce(&Packet::parse(frame, *timestamp).expect("captured frame"));
     assert!(first.packet_in);

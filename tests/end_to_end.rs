@@ -23,8 +23,12 @@ fn onboard(
     gateway: &mut StreamRuntime<IoTSecurityService>,
     trace: &SetupTrace,
 ) -> OnboardingReport {
-    let mut reports = gateway
-        .run_frames(MemoryFrameSource::from_packets(&trace.packets))
+    let mut reports = Vec::new();
+    gateway
+        .run_frames(
+            MemoryFrameSource::from_packets(&trace.packets),
+            &mut reports,
+        )
         .expect("an in-memory source cannot fail");
     assert_eq!(reports.len(), 1, "one device, one report");
     assert_eq!(reports[0].mac, trace.mac);
@@ -224,10 +228,11 @@ fn rule_changes_reach_flows_the_stream_runtime_already_cached() {
     assert_eq!(runtime.enforce(&packet).action, FlowAction::Drop);
     assert_eq!(runtime.enforce(&packet).action, FlowAction::Drop);
 
-    runtime.ingest_frames(&hue.frames());
-    runtime.flush();
-    let report = runtime.report(hue.mac).expect("onboarded");
-    assert_eq!(report.response.isolation, IsolationLevel::Trusted);
+    let mut reports = runtime.ingest_frames(&hue.frames());
+    reports.extend(runtime.flush());
+    assert_eq!(reports.len(), 1, "onboarded");
+    assert_eq!(reports[0].mac, hue.mac);
+    assert_eq!(reports[0].response.isolation, IsolationLevel::Trusted);
     assert_eq!(runtime.enforce(&packet).action, FlowAction::Forward);
     assert!(!runtime.enforce(&packet).packet_in, "decided once, cached");
 

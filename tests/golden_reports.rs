@@ -75,8 +75,9 @@ fn onboarding_reports_match_the_checked_in_bytes() {
             ..StreamConfig::default()
         },
     );
-    let reports = runtime
-        .run_frames(MemoryFrameSource::from_packets(&stream))
+    let mut reports = Vec::new();
+    runtime
+        .run_frames(MemoryFrameSource::from_packets(&stream), &mut reports)
         .expect("in-memory source cannot fail");
     assert_eq!(reports.len(), traces.len(), "every device must onboard");
     assert_matches_fixture(

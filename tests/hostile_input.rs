@@ -5,13 +5,13 @@
 //! `StreamRuntime::run_frames` (a four-slot table, so sessions are shed)
 //! → `enforce`. Nothing may panic, every counter must still add up, and
 //! a capture cut mid-record must fail as a container error with the
-//! frames before the cut ingested.
+//! frames before the cut ingested and their reports handed out.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use iot_sentinel::core::{FingerprintDataset, IoTSecurityService, ServiceConfig};
+use iot_sentinel::core::{FingerprintDataset, IoTSecurityService, OnboardingReport, ServiceConfig};
 use iot_sentinel::devicesim::{catalog, Testbed};
 use iot_sentinel::netproto::pcap::PcapReader;
 use iot_sentinel::netproto::{Packet, Timestamp};
@@ -100,8 +100,14 @@ fn capture(records: &[(Record, (u32, u32))]) -> (Vec<u8>, Vec<Vec<u8>>) {
     (pcap, frames)
 }
 
-/// The books every ingest must keep, whatever it was fed.
-fn assert_counters_add_up(runtime: &StreamRuntime<&IoTSecurityService>, offered: usize) {
+/// The books every ingest must keep, whatever it was fed: the counters
+/// add up, every completed session was reported, and every reported
+/// device holds a rule.
+fn assert_counters_add_up(
+    runtime: &StreamRuntime<&IoTSecurityService>,
+    offered: usize,
+    reports: &[OnboardingReport],
+) {
     let stats = runtime.stats();
     assert_eq!(stats.packets_in + stats.frames_malformed, offered as u64);
     assert!(stats.packets_ignored <= stats.packets_in);
@@ -111,10 +117,12 @@ fn assert_counters_add_up(runtime: &StreamRuntime<&IoTSecurityService>, offered:
         runtime.resident_sessions() as u64
     );
     assert!(runtime.resident_sessions() <= runtime.config().effective_capacity());
-    for mac in runtime.reports().keys() {
+    assert_eq!(reports.len() as u64, stats.sessions_completed());
+    for report in reports {
         assert!(
-            runtime.enforcement().cache().get(*mac).is_some(),
-            "{mac} was reported but holds no rule"
+            runtime.enforcement().cache().get(report.mac).is_some(),
+            "{} was reported but holds no rule",
+            report.mac
         );
     }
 }
@@ -140,12 +148,12 @@ proptest! {
 
         // The whole capture: every record is offered, every session ends.
         let mut whole = runtime();
-        let reports = whole
-            .run_frames(PcapReader::new(pcap.as_slice()).expect("intact global header"))
+        let mut reports = Vec::new();
+        whole
+            .run_frames(PcapReader::new(pcap.as_slice()).expect("intact global header"), &mut reports)
             .expect("an intact capture is not a container error");
-        assert_counters_add_up(&whole, frames.len());
+        assert_counters_add_up(&whole, frames.len(), &reports);
         prop_assert_eq!(whole.resident_sessions(), 0);
-        prop_assert_eq!(reports.len() as u64, whole.stats().sessions_completed());
         for frame in &frames {
             if let Ok(packet) = Packet::parse(frame, Timestamp::ZERO) {
                 whole.enforce(&packet);
@@ -153,13 +161,17 @@ proptest! {
         }
 
         // The same capture cut inside its last record (the header, or
-        // the frame): a container error, after the frames before it.
+        // the frame): a container error, after the frames before it —
+        // and every report decided before the cut reaches the caller.
         if let Some(cut) = cut {
             let mut partial = runtime();
-            let result = partial
-                .run_frames(PcapReader::new(&pcap[..pcap.len() - cut]).expect("intact global header"));
+            let mut reports = Vec::new();
+            let result = partial.run_frames(
+                PcapReader::new(&pcap[..pcap.len() - cut]).expect("intact global header"),
+                &mut reports,
+            );
             prop_assert!(result.is_err(), "{result:?}");
-            assert_counters_add_up(&partial, frames.len() - 1);
+            assert_counters_add_up(&partial, frames.len() - 1, &reports);
         }
     }
 }

@@ -106,10 +106,12 @@ fn uncontrollable_vulnerable_device_triggers_user_notification() {
 
     let trace = Testbed::new(31).setup_run(&devices[6].profile, 0);
     let mut gateway = StreamRuntime::new(service);
-    let reports = gateway
-        .run_frames(iot_sentinel::stream::MemoryFrameSource::from_packets(
-            &trace.packets,
-        ))
+    let mut reports = Vec::new();
+    gateway
+        .run_frames(
+            iot_sentinel::stream::MemoryFrameSource::from_packets(&trace.packets),
+            &mut reports,
+        )
         .expect("an in-memory source cannot fail");
     let report = &reports[0];
     assert_eq!(

@@ -168,8 +168,9 @@ fn streamed<S: SecurityService>(
             ..StreamConfig::default()
         },
     );
-    let reports = runtime
-        .run_frames(MemoryFrameSource::from_packets(stream))
+    let mut reports = Vec::new();
+    runtime
+        .run_frames(MemoryFrameSource::from_packets(stream), &mut reports)
         .expect("in-memory source cannot fail");
     (runtime, reports)
 }
@@ -232,12 +233,13 @@ fn interleaved_stream_matches_onboarding_each_trace_alone() {
     // --- Streaming: all traces interleaved into one stream. ---
     let stream = interleave(&traces, Duration::from_millis(9));
     for batch_size in BATCH_SIZES {
-        let (runtime, reports) = streamed(&service, batch_size, &stream);
+        let (_, reports) = streamed(&service, batch_size, &stream);
         assert_eq!(reports.len(), traces.len());
 
         for (trace, expected) in traces.iter().zip(&baseline) {
-            let streamed = runtime
-                .report(trace.mac)
+            let streamed = reports
+                .iter()
+                .find(|report| report.mac == trace.mac)
                 .unwrap_or_else(|| panic!("{} not onboarded at batch {batch_size}", trace.mac));
             // Identical decisions: fingerprint window, identification,
             // candidates and verdict. The dissimilarity scores are summed
@@ -286,10 +288,7 @@ fn streaming_identifies_and_isolates_like_the_paper() {
     let service = fresh_service(&trained_model());
     let traces = concurrent_traces(27);
     let stream = interleave(&traces, Duration::from_millis(9));
-    let mut runtime = StreamRuntime::new(&service);
-    runtime
-        .run_frames(MemoryFrameSource::from_packets(&stream))
-        .expect("in-memory source cannot fail");
+    let (runtime, reports) = streamed(&service, StreamConfig::default().batch_size, &stream);
     let stats = runtime.stats();
     assert_eq!(stats.sessions_completed(), 27);
     assert!(
@@ -300,9 +299,8 @@ fn streaming_identifies_and_isolates_like_the_paper() {
         stats.restricted + stats.strict > 0,
         "the seed vulnerability database must isolate someone: {stats}"
     );
-    let isolated = traces
+    let isolated = reports
         .iter()
-        .filter_map(|t| runtime.report(t.mac))
         .any(|r| r.response.isolation != IsolationLevel::Trusted);
     assert!(isolated);
 }
@@ -392,8 +390,9 @@ fn compressed_dns_frame_is_scanned_not_decoded_and_matches_the_gateway() {
         .collect();
 
     let mut runtime = StreamRuntime::new(&service);
-    let reports = runtime
-        .run_frames(MemoryFrameSource::new(frames))
+    let mut reports = Vec::new();
+    runtime
+        .run_frames(MemoryFrameSource::new(frames), &mut reports)
         .expect("in-memory source cannot fail");
     let baseline = sequential_baseline(&service, &decoded);
     assert_eq!(reports, baseline);
@@ -428,14 +427,19 @@ fn container_error_propagates_and_keeps_what_was_onboarded_before_it() {
     capture.truncate(capture.len() - stream.last().unwrap().encode().len() - 9);
 
     // The default 1024-frame batch holds the whole capture: the frames
-    // read before the error must still be ingested.
+    // read before the error must still be ingested, and the report they
+    // decided handed out.
     let mut runtime = StreamRuntime::new(&service);
+    let mut reports = Vec::new();
     let err = runtime
-        .run_frames(PcapReader::new(capture.as_slice()).expect("intact global header"))
+        .run_frames(
+            PcapReader::new(capture.as_slice()).expect("intact global header"),
+            &mut reports,
+        )
         .expect_err("the capture ends inside a record header");
     assert!(matches!(err, ParseError::Truncated { got: 7, .. }), "{err}");
     let expected = &sequential_baseline(&service, &stream[..stream.len() - 1])[0];
-    assert_eq!(runtime.report(traces[0].mac), Some(expected));
+    assert_eq!(reports, std::slice::from_ref(expected), "device 0 only");
     assert_eq!(
         runtime.enforcement().level_of(traces[0].mac),
         expected.response.isolation
@@ -445,7 +449,7 @@ fn container_error_propagates_and_keeps_what_was_onboarded_before_it() {
     let stats = runtime.stats();
     assert_eq!(stats.packets_in, stream.len() as u64 - 1);
     assert_eq!((stats.completed_idle_gap, stats.completed_flush), (1, 0));
-    assert!(runtime.report(traces[1].mac).is_none());
+    assert!(runtime.enforcement().cache().get(traces[1].mac).is_none());
     assert_eq!(runtime.resident_sessions(), 1);
 }
 
