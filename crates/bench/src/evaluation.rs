@@ -86,7 +86,6 @@ impl EvalConfig {
         config.references_per_type = self.references;
         config.mode = self.mode;
         config.seed = self.seed.wrapping_add(rep as u64);
-        config.threads = nested_threads;
         config
     }
 }

@@ -12,8 +12,8 @@
 //! * [`enforcement`] — the gateway latency/CPU/memory experiments
 //!   (Tables V–VI, Fig. 6).
 //! * [`tables`] — plain-text table rendering shared by the binaries.
-//! * [`results`] — the shared bench-results JSON writer every target
-//!   records its `results/*.json` artifacts through.
+//! * [`results`] — the JSON writer `table4_timing --json` records its
+//!   BENCH JSON through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

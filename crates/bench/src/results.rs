@@ -1,92 +1,11 @@
-//! Shared bench-results JSON output.
+//! Bench-results JSON output.
 //!
-//! Every bench target that records machine-readable results writes
-//! them through here, so the `results/*.json` artifacts share one
-//! shape discipline (ordered keys, two-space indentation, trailing
-//! newline) and one announcement line on stdout. The builder is
-//! deliberately tiny — ordered key/value pairs with pre-rendered
-//! values — because bench output is write-only JSON: nothing in this
+//! `table4_timing --json` renders its BENCH JSON and writes it through
+//! [`write_json`], which creates the directory and announces the
+//! artifact on stdout. Bench output is write-only JSON: nothing in this
 //! workspace parses it back.
 
-use std::fmt::Write as _;
 use std::path::Path;
-
-/// An insertion-ordered JSON object under construction.
-#[derive(Debug, Default, Clone)]
-pub struct JsonMap {
-    entries: Vec<(String, String)>,
-}
-
-impl JsonMap {
-    /// An empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a pre-rendered JSON value (use for numbers formatted to a
-    /// specific precision, arrays, or inline objects).
-    pub fn raw(mut self, key: &str, value: impl Into<String>) -> Self {
-        self.entries.push((key.to_owned(), value.into()));
-        self
-    }
-
-    /// Adds a string value, escaping it.
-    pub fn string(self, key: &str, value: &str) -> Self {
-        let mut escaped = String::with_capacity(value.len() + 2);
-        escaped.push('"');
-        for c in value.chars() {
-            match c {
-                '"' => escaped.push_str("\\\""),
-                '\\' => escaped.push_str("\\\\"),
-                '\n' => escaped.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(escaped, "\\u{:04x}", c as u32);
-                }
-                c => escaped.push(c),
-            }
-        }
-        escaped.push('"');
-        self.raw(key, escaped)
-    }
-
-    /// Adds an integer value.
-    pub fn int(self, key: &str, value: u64) -> Self {
-        self.raw(key, value.to_string())
-    }
-
-    /// Adds a float value with millisecond-bench precision (4 decimal
-    /// places).
-    pub fn float(self, key: &str, value: f64) -> Self {
-        self.raw(key, format!("{value:.4}"))
-    }
-
-    /// Adds a nested object.
-    pub fn nested(self, key: &str, value: JsonMap) -> Self {
-        let rendered = value.render_indented(1);
-        self.raw(key, rendered)
-    }
-
-    fn render_indented(&self, level: usize) -> String {
-        if self.entries.is_empty() {
-            return "{}".to_owned();
-        }
-        let pad = "  ".repeat(level + 1);
-        let body: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(key, value)| format!("{pad}\"{key}\": {value}"))
-            .collect();
-        format!("{{\n{}\n{}}}", body.join(",\n"), "  ".repeat(level))
-    }
-
-    /// Renders the object as pretty-printed JSON with a trailing
-    /// newline.
-    pub fn render(&self) -> String {
-        let mut out = self.render_indented(0);
-        out.push('\n');
-        out
-    }
-}
 
 /// Writes pre-rendered bench JSON to `path`, creating parent
 /// directories as needed, and announces the artifact on stdout.
@@ -104,34 +23,4 @@ pub fn write_json(path: &str, json: &str) {
     }
     std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
     println!("\nBENCH JSON written to {path}");
-}
-
-/// Renders and writes a [`JsonMap`] to `path` (see [`write_json`]).
-pub fn write_map(path: &str, map: &JsonMap) {
-    write_json(path, &map.render());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn renders_ordered_nested_json() {
-        let json = JsonMap::new()
-            .string("bench", "demo")
-            .int("iterations", 3)
-            .float("mean_ms", 1.25)
-            .nested("inner", JsonMap::new().int("a", 1).string("b", "x\"y"))
-            .render();
-        assert_eq!(
-            json,
-            "{\n  \"bench\": \"demo\",\n  \"iterations\": 3,\n  \"mean_ms\": 1.2500,\n  \
-             \"inner\": {\n    \"a\": 1,\n    \"b\": \"x\\\"y\"\n  }\n}\n"
-        );
-    }
-
-    #[test]
-    fn empty_map_renders_as_empty_object() {
-        assert_eq!(JsonMap::new().render(), "{}\n");
-    }
 }

@@ -129,16 +129,13 @@ pub fn measure_training(
 /// `iterations` controls how many held-out fingerprints are identified;
 /// the paper's statistics come from its full cross-validation, ours from
 /// a train/holdout split of fresh testbed campaigns. `threads` is the
-/// worker count for training and stage-2 scoring (`0` = auto via
-/// `SENTINEL_THREADS`, `1` = sequential); the measured identifications
-/// themselves are timed one at a time either way.
+/// worker count for training (`0` = auto via `SENTINEL_THREADS`, `1` =
+/// sequential); the measured identifications themselves are timed one
+/// at a time either way.
 pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> TimingReport {
     let devices = catalog();
     let dataset = FingerprintDataset::collect(&devices, train_runs, seed);
-    let mut config = IdentifierConfig {
-        threads,
-        ..IdentifierConfig::default()
-    };
+    let mut config = IdentifierConfig::default();
     config.bank.threads = threads;
     config.bank.forest.threads = threads;
     let identifier = Identifier::train(&dataset, &config);

@@ -1,7 +1,5 @@
 //! Labeled fingerprint datasets (the paper's 540-fingerprint corpus).
 
-use serde::{Deserialize, Serialize};
-
 use sentinel_devicesim::{DeviceModel, Testbed};
 use sentinel_fingerprint::{extract, Fingerprint, FixedFingerprint};
 
@@ -9,7 +7,7 @@ use sentinel_fingerprint::{extract, Fingerprint, FixedFingerprint};
 /// variable-length `F` (for edit-distance discrimination) and the fixed
 /// 276-dimensional `F'` (for classification), plus the device-type
 /// label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintDataset {
     type_names: Vec<String>,
     labels: Vec<usize>,
@@ -161,26 +159,6 @@ impl FingerprintDataset {
             fixed: indices.iter().map(|&i| self.fixed[i].clone()).collect(),
         }
     }
-
-    /// Serializes the corpus as JSON (the format the IoTSSP would use to
-    /// archive crowdsourced fingerprint submissions).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error from `serde_json`.
-    pub fn to_json_writer<W: std::io::Write>(&self, writer: W) -> Result<(), serde_json::Error> {
-        serde_json::to_writer(writer, self)
-    }
-
-    /// Deserializes a corpus previously written by
-    /// [`FingerprintDataset::to_json_writer`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error from `serde_json`.
-    pub fn from_json_reader<R: std::io::Read>(reader: R) -> Result<Self, serde_json::Error> {
-        serde_json::from_reader(reader)
-    }
 }
 
 #[cfg(test)]
@@ -233,15 +211,6 @@ mod tests {
         let other = dataset.indices_of(2)[0];
         let across = sentinel_fingerprint::editdist::normalized_distance(a, dataset.full(other));
         assert!(within < across, "within {within} vs across {across}");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let dataset = small();
-        let mut buf = Vec::new();
-        dataset.to_json_writer(&mut buf).unwrap();
-        let restored = FingerprintDataset::from_json_reader(buf.as_slice()).unwrap();
-        assert_eq!(restored, dataset);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! sum per type into a dissimilarity score `s_i ∈ [0, 5]`, and pick the
 //! minimum.
 
-use serde::{Deserialize, Serialize};
-
 use sentinel_fingerprint::editdist::OsaScratch;
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint, InternedFingerprint, SymbolTable};
 use sentinel_ml::pinned::PinnedRng;
@@ -70,7 +68,7 @@ impl AssessKey {
 
 /// Which pipeline variant to run — the ablation axis of
 /// `fig5_accuracy --mode`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IdentifyMode {
     /// The paper's pipeline: classifier bank, then edit-distance
     /// discrimination of multiple matches.
@@ -84,7 +82,7 @@ pub enum IdentifyMode {
 }
 
 /// Configuration of an [`Identifier`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdentifierConfig {
     /// Classifier-bank training parameters.
     pub bank: BankConfig,
@@ -103,12 +101,6 @@ pub struct IdentifierConfig {
     /// below this; traffic that shares nothing with a type's references
     /// scores 1.0 per reference.
     pub max_dissimilarity: f64,
-    /// No longer consulted: identification has one, sequential, path
-    /// (stage 2 used to fan candidate scoring out over this many
-    /// workers, which made `Identification::scores` depend on the
-    /// thread count). The field stays only because snapshot format v1
-    /// encodes it; it goes with the next snapshot version.
-    pub threads: usize,
 }
 
 impl Default for IdentifierConfig {
@@ -119,7 +111,6 @@ impl Default for IdentifierConfig {
             mode: IdentifyMode::TwoStage,
             seed: 0,
             max_dissimilarity: 0.9,
-            threads: 0,
         }
     }
 }
@@ -177,10 +168,12 @@ pub struct Identifier {
     config: IdentifierConfig,
 }
 
-/// The serializable snapshot of a trained [`Identifier`] — what an
-/// IoTSSP ships to (or restores from) persistent storage so gateways do
-/// not retrain on every boot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The persistable parts of a trained [`Identifier`] — what an IoTSSP
+/// ships to gateways so they do not retrain on every boot. The
+/// `sentinel-snapshot` container is its only format: a model is built
+/// from bytes only through its decoder, which validates every part via
+/// [`TrainedModel::from_parts`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainedModel {
     bank: ClassifierBank,
     references: Vec<Vec<Fingerprint>>,

@@ -10,8 +10,6 @@
 //! untrusted overlay (PSK retained) or must be re-introduced manually
 //! (PSK deprecated).
 
-use serde::{Deserialize, Serialize};
-
 use sentinel_fingerprint::{extract, FixedFingerprint};
 use sentinel_netproto::{MacAddr, Packet};
 use sentinel_sdn::{EnforcementModule, EnforcementRule, IsolationLevel};
@@ -20,7 +18,7 @@ use crate::report::{Identification, ServiceResponse};
 use crate::SecurityService;
 
 /// Whether a legacy device supports WiFi Protected Setup re-keying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RekeySupport {
     /// The device implements WPS re-keying: it can obtain a fresh
     /// device-specific PSK for the trusted overlay.
@@ -31,7 +29,7 @@ pub enum RekeySupport {
 
 /// What to do with the legacy network's shared PSK (Sect. VIII-A lists
 /// both options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PskPolicy {
     /// Keep the legacy PSK in force: non-rekeyable devices continue to
     /// operate in the untrusted overlay (better user experience, more
@@ -43,7 +41,7 @@ pub enum PskPolicy {
 }
 
 /// Why a migrated device stayed in the untrusted overlay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UntrustedReason {
     /// The identified type has known vulnerabilities.
     KnownVulnerabilities,
@@ -55,7 +53,7 @@ pub enum UntrustedReason {
 }
 
 /// The migration outcome for one legacy device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigrationOutcome {
     /// Re-keyed via WPS and moved to the trusted overlay.
     MovedToTrusted,
@@ -79,7 +77,7 @@ pub struct LegacyDevice {
 }
 
 /// The record of one device's migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationRecord {
     /// The migrated device.
     pub mac: MacAddr,

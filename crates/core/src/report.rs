@@ -3,13 +3,13 @@
 use std::fmt;
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use sentinel_netproto::MacAddr;
 use sentinel_sdn::{EnforcementRule, IsolationLevel};
 
 /// The outcome of a device-type identification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Outcome {
     /// The fingerprint was attributed to a known device-type.
     Identified {
@@ -24,7 +24,7 @@ pub enum Outcome {
 }
 
 /// The full record of one identification (Sect. IV-B pipeline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Identification {
     /// Final outcome.
     pub outcome: Outcome,
@@ -64,7 +64,7 @@ impl fmt::Display for Identification {
 /// What the IoT Security Service returns to a Security Gateway for one
 /// device fingerprint (Sect. III-B: "it just receives fingerprints and
 /// returns an isolation level accordingly").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceResponse {
     /// The identification record.
     pub identification: Identification,
@@ -96,7 +96,7 @@ impl ServiceResponse {
 }
 
 /// The gateway-side record of a completed device onboarding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OnboardingReport {
     /// The onboarded device.
     pub mac: MacAddr,

@@ -6,8 +6,6 @@
 //! whitelist for restricted devices). It stores nothing about its
 //! clients.
 
-use serde::{Deserialize, Serialize};
-
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint};
 
 use crate::identify::{AssessKey, ClassifyScratch};
@@ -126,7 +124,7 @@ impl<S: SecurityService + ?Sized> SecurityService for &S {
 }
 
 /// Configuration of an [`IoTSecurityService`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceConfig {
     /// Identification-pipeline parameters.
     pub identifier: IdentifierConfig,

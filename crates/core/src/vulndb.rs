@@ -10,13 +10,11 @@
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 use sentinel_sdn::IsolationLevel;
 
 /// A vulnerability record (a CVE entry, a pentest finding, or a
 /// crowdsourced incident report).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CveRecord {
     /// Identifier, e.g. `CVE-2016-10401`.
     pub id: String,
@@ -78,7 +76,7 @@ pub trait VulnerabilityDatabase {
 }
 
 /// An offline vulnerability store.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StaticVulnDb {
     records: HashMap<String, Vec<CveRecord>>,
     endpoints: HashMap<String, Vec<IpAddr>>,

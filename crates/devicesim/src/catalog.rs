@@ -12,12 +12,10 @@
 //!    (near-)identical firmware and emit statistically identical setup
 //!    traffic, reproducing the ≈0.5-accuracy block of Table III.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DeviceProfile, Phase, RawDest};
 
 /// Connectivity technologies of a device (Table II columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Connectivity {
     /// WiFi.
     pub wifi: bool,
@@ -44,7 +42,7 @@ impl Connectivity {
 }
 
 /// Catalog metadata for one device-type (Table II row).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DeviceInfo {
     /// Short identifier (Fig. 5 axis label).
     pub identifier: &'static str,
@@ -55,7 +53,7 @@ pub struct DeviceInfo {
 }
 
 /// A catalog entry: Table II metadata plus the behaviour profile.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
     /// Table II metadata.
     pub info: DeviceInfo,

@@ -2,10 +2,8 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// Destination selector for proprietary raw-protocol phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RawDest {
     /// The gateway / local broadcast domain.
     Gateway,
@@ -22,7 +20,7 @@ pub enum RawDest {
 /// Each phase expands to the packets *sent by the device* (the gateway's
 /// fingerprint only records device-originated traffic). Phases reference
 /// remote endpoints by index into [`crate::DeviceProfile::endpoints`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Phase {
     /// WPA2 4-way handshake: the device (supplicant) sends messages 2
     /// and 4.

@@ -2,15 +2,13 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Phase;
 
 /// A remote endpoint a device talks to during setup (vendor cloud, CDN,
 /// NTP pool…). The IP is derived deterministically from the domain so a
 /// given device-type always contacts the same addresses, as real devices
 /// resolving the same vendor domains do.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     /// DNS name of the endpoint.
     pub domain: String,
@@ -44,7 +42,7 @@ fn derive_public_ip(domain: &str) -> Ipv4Addr {
 /// The behaviour model of one device-type: identity plus the ordered
 /// setup-phase script executed when the device is inducted into a
 /// network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Device-type identifier (the paper's Table II `Identifier` column).
     pub name: String,

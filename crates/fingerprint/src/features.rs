@@ -1,7 +1,5 @@
 //! The 23 per-packet features of the paper's Table I.
 
-use serde::{Deserialize, Serialize};
-
 use sentinel_netproto::{Packet, Protocol, ProtocolSet, RawFeatures};
 
 /// Number of features extracted per packet (Table I).
@@ -40,9 +38,7 @@ pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
 /// * well-known `[0, 1023]` ⇒ 1
 /// * registered `[1024, 49151]` ⇒ 2
 /// * dynamic `[49152, 65535]` ⇒ 3
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PortClass {
     /// The packet has no transport port (ARP, ICMP, EAPoL, …).
     #[default]
@@ -83,7 +79,7 @@ impl PortClass {
 /// Equality is exact equality of all 23 features — the paper's criterion
 /// both for discarding consecutive duplicates and for character equality
 /// in the edit-distance comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FeatureVector {
     /// The 16 binary protocol indicators.
     pub protocols: ProtocolSet,

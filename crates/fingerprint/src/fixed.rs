@@ -6,8 +6,6 @@
 //! 12 packets "long enough to distinguish device-types and short enough
 //! to be fully filled with unique packets from F".
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Fingerprint, FEATURE_COUNT};
 
 /// Number of unique packets concatenated into `F'`.
@@ -18,7 +16,7 @@ pub const FIXED_DIMENSIONS: usize = FIXED_PACKETS * FEATURE_COUNT;
 
 /// The fixed-size fingerprint `F'` consumed by the per-device-type
 /// classifiers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FixedFingerprint {
     values: Vec<f64>,
 }

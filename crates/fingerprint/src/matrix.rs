@@ -1,7 +1,5 @@
 //! The variable-length fingerprint `F` (Eq. 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::FeatureVector;
 
 /// A device fingerprint: the ordered sequence of per-packet feature
@@ -11,7 +9,7 @@ use crate::FeatureVector;
 /// The constructor removes *consecutive* duplicate vectors, as specified
 /// in Sect. IV-A ("consecutive identical packets from our feature set
 /// perspective are discarded from F").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Fingerprint {
     vectors: Vec<FeatureVector>,
 }

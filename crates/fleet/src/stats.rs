@@ -12,13 +12,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::sim::HomeOutcome;
 
 /// Summed (and one maxed) counters over every home gateway of a fleet
 /// run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FleetStats {
     /// Home networks simulated.
     pub homes: usize,

@@ -1,13 +1,11 @@
 //! Dense design matrix with class labels.
 
-use serde::{Deserialize, Serialize};
-
 /// A dataset of feature rows with integer class labels.
 ///
 /// Rows are stored contiguously (row-major) for cache-friendly split
 /// search. Labels are small integers; binary per-device-type classifiers
 /// use 0 (= "not this type") and 1 (= "this type").
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     features: Vec<f64>,
     n_features: usize,

@@ -6,19 +6,17 @@
 //! by [`DecisionTree::fit_view_in`] over the same corpus and the same
 //! [`BinnedDataset`], one warm [`FitArena`] per worker thread.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
 use crate::binning::BinnedDataset;
 use crate::parallel;
 use crate::pinned::PinnedRng;
 use crate::sampling::bootstrap_indices_into;
 use crate::tree::{argmax, FitArena};
 use crate::{Dataset, DecisionTree, TreeConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// How many candidate features each split considers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureSubsample {
     /// `⌈√d⌉` random features per split (the Random Forest default).
     Sqrt,
@@ -39,7 +37,7 @@ impl FeatureSubsample {
 }
 
 /// Training parameters for a [`RandomForest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees.
     pub n_trees: usize,
@@ -101,7 +99,7 @@ impl ForestConfig {
 }
 
 /// A trained Random Forest classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_classes: usize,

@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of predictions equal to the true label.
 ///
 /// # Panics
@@ -23,7 +21,7 @@ pub fn accuracy(truth: &[usize], predicted: &[usize]) -> f64 {
 /// A confusion matrix over `n` classes: `matrix[actual][predicted]`
 /// counts, exactly the layout of the paper's Table III (A = actual type,
 /// P = predicted type).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     counts: Vec<Vec<usize>>,
     labels: Vec<String>,

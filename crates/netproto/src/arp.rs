@@ -6,16 +6,14 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::{MacAddr, ParseError};
+use bytes::BufMut;
 
 /// Wire length of an Ethernet/IPv4 ARP packet.
 pub const PACKET_LEN: usize = 28;
 
 /// ARP operation code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArpOp {
     /// Who-has request (opcode 1).
     Request,
@@ -55,7 +53,7 @@ impl ArpOp {
 /// assert_eq!(probe.op, ArpOp::Request);
 /// assert!(probe.sender_ip.is_unspecified());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArpPacket {
     /// Operation (request/reply).
     pub op: ArpOp,

@@ -15,13 +15,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::packet::{AppCodec, AppPayload, Packet, PacketBody, Transport};
 use crate::ports;
 
 /// One of the 16 protocols tracked by the Table I fingerprint features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Protocol {
     /// ARP (link layer).
@@ -125,7 +123,7 @@ impl fmt::Display for Protocol {
 /// assert!(!set.contains(Protocol::Tcp));
 /// assert_eq!(set.iter().count(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ProtocolSet(u16);
 
 impl ProtocolSet {

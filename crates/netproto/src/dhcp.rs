@@ -8,10 +8,8 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::{MacAddr, ParseError};
+use bytes::BufMut;
 
 /// Minimum (fixed-portion) length of a BOOTP message.
 pub const FIXED_LEN: usize = 236;
@@ -20,7 +18,7 @@ pub const FIXED_LEN: usize = 236;
 pub const MAGIC_COOKIE: [u8; 4] = [99, 130, 83, 99];
 
 /// BOOTP operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BootpOp {
     /// Client request (1).
     Request,
@@ -46,7 +44,7 @@ impl BootpOp {
 }
 
 /// DHCP message type (option 53).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DhcpMessageType {
     /// DHCPDISCOVER (1).
     Discover,
@@ -96,7 +94,7 @@ impl DhcpMessageType {
 }
 
 /// A DHCP option.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DhcpOption {
     /// Message type (53).
     MessageType(DhcpMessageType),
@@ -239,7 +237,7 @@ impl DhcpOption {
 }
 
 /// A DHCP/BOOTP message.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DhcpMessage {
     /// Operation (request/reply).
     pub op: BootpOp,

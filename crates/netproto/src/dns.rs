@@ -5,10 +5,8 @@
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::BufMut;
 
 /// Length of the DNS message header.
 pub const HEADER_LEN: usize = 12;
@@ -20,7 +18,7 @@ const MIN_QUESTION_LEN: usize = 1 + QUESTION_FIELDS_LEN;
 const MIN_RECORD_LEN: usize = 1 + RECORD_FIELDS_LEN;
 
 /// DNS record type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
     /// IPv4 address (1).
     A,
@@ -75,7 +73,7 @@ impl RecordType {
 }
 
 /// A DNS question.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// Queried name, as a dotted string (`time.nist.gov`).
     pub name: String,
@@ -106,7 +104,7 @@ impl Question {
 }
 
 /// The data of a DNS resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RecordData {
     /// An IPv4 address.
     A(Ipv4Addr),
@@ -128,7 +126,7 @@ pub enum RecordData {
 }
 
 /// A DNS resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResourceRecord {
     /// Record owner name.
     pub name: String,
@@ -172,7 +170,7 @@ impl ResourceRecord {
 /// let bytes = query.to_bytes();
 /// assert_eq!(DnsMessage::parse(&bytes).unwrap(), query);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DnsMessage {
     /// Transaction ID (0 for mDNS).
     pub id: u16,

@@ -5,16 +5,14 @@
 //! capture — the paper lists EAPoL among its network-layer protocol
 //! features (Table I).
 
-use bytes::{BufMut, Bytes};
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::{BufMut, Bytes};
 
 /// Length of the fixed EAPoL header.
 pub const HEADER_LEN: usize = 4;
 
 /// EAPoL packet type field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EapolType {
     /// EAP-Packet (0): carries an EAP exchange.
     Eap,
@@ -63,7 +61,7 @@ impl EapolType {
 /// msg1.encode(&mut buf);
 /// assert_eq!(EapolPacket::parse(&buf).unwrap(), msg1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EapolPacket {
     /// Protocol version (2 for 802.1X-2004).
     pub version: u8,

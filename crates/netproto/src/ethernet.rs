@@ -1,9 +1,7 @@
 //! Ethernet II framing.
 
-use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
-
 use crate::{MacAddr, ParseError};
+use bytes::{BufMut, BytesMut};
 
 /// Length of an Ethernet II header in bytes.
 pub const HEADER_LEN: usize = 14;
@@ -13,7 +11,7 @@ pub const HEADER_LEN: usize = 14;
 /// Values below `0x0600` are 802.3 length fields, meaning the frame carries
 /// an LLC header instead of an EtherType-dispatched payload — this is how
 /// the paper's `LLC` link-layer feature is detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EtherType {
     /// IPv4 (`0x0800`).
     Ipv4,
@@ -79,7 +77,7 @@ impl From<u16> for EtherType {
 /// assert_eq!(parsed, hdr);
 /// assert!(rest.is_empty());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EthernetHeader {
     /// Destination MAC address.
     pub dst: MacAddr,

@@ -11,14 +11,12 @@
 //! allocations (target or reason, headers, body — four with an unmodeled
 //! method token) however many fields it carries.
 
-use bytes::{BufMut, Bytes};
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::{BufMut, Bytes};
 
 /// An HTTP request method (including the SSDP extension methods, which use
 /// HTTP framing over UDP).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Method {
     /// GET.
     Get,
@@ -64,7 +62,7 @@ impl Method {
 /// they are encoded — `name: value\r\n`, back to back in one buffer — so
 /// a message owns one allocation for all of them and encoding is one
 /// copy. A name holds no `:` and neither half a `\r\n`, as on the wire.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Headers {
     lines: String,
 }
@@ -98,7 +96,7 @@ impl<'a> FromIterator<(&'a str, &'a str)> for Headers {
 }
 
 /// An HTTP/1.1 message (request or response).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HttpMessage {
     /// A request.
     Request {

@@ -1,16 +1,14 @@
 //! ICMPv4 (RFC 792) messages.
 
-use bytes::{BufMut, Bytes};
-use serde::{Deserialize, Serialize};
-
 use crate::ipv4::internet_checksum;
 use crate::ParseError;
+use bytes::{BufMut, Bytes};
 
 /// Length of the fixed ICMP header (type, code, checksum, rest-of-header).
 pub const HEADER_LEN: usize = 8;
 
 /// ICMP message type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IcmpType {
     /// Echo reply (0).
     EchoReply,
@@ -59,7 +57,7 @@ impl IcmpType {
 /// ping.encode(&mut buf);
 /// assert_eq!(IcmpMessage::parse(&buf).unwrap(), ping);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IcmpMessage {
     /// Message type.
     pub icmp_type: IcmpType,

@@ -1,17 +1,15 @@
 //! ICMPv6 (RFC 4443) including the Neighbor Discovery and MLD message
 //! types IoT devices emit while bringing up their IPv6 stack.
 
-use bytes::{BufMut, Bytes};
-use serde::{Deserialize, Serialize};
-
 use crate::ipv4::internet_checksum;
 use crate::ParseError;
+use bytes::{BufMut, Bytes};
 
 /// Length of the fixed ICMPv6 header.
 pub const HEADER_LEN: usize = 4;
 
 /// ICMPv6 message type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Icmpv6Type {
     /// Echo request (128).
     EchoRequest,
@@ -66,7 +64,7 @@ impl Icmpv6Type {
 /// The checksum over the IPv6 pseudo-header is computed by the packet
 /// encoder (it needs the addresses); standalone encoding writes a zero
 /// checksum and parsing does not verify it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Icmpv6Message {
     /// Message type.
     pub icmp_type: Icmpv6Type,

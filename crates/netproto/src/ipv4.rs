@@ -3,17 +3,15 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::BufMut;
 
 /// Length of an IPv4 header without options.
 pub const MIN_HEADER_LEN: usize = 20;
 
 /// IP protocol numbers carried in the IPv4 `protocol` / IPv6 `next header`
 /// field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpProtocol {
     /// ICMP (1).
     Icmp,
@@ -59,7 +57,7 @@ impl IpProtocol {
 ///
 /// Only the two options that are fingerprint features (Table I) are modeled
 /// structurally; everything else is preserved as raw type/data.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Ipv4Option {
     /// End of options list (type 0) — counted as padding.
     EndOfOptions,
@@ -132,7 +130,7 @@ impl Ipv4Option {
 ///
 /// The `total_len` field is computed at encode time from the payload, not
 /// stored, so headers cannot describe inconsistent lengths.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Ipv4Header {
     /// Differentiated services code point + ECN byte.
     pub dscp_ecn: u8,

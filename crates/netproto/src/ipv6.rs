@@ -8,11 +8,9 @@
 
 use std::net::Ipv6Addr;
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::ipv4::IpProtocol;
 use crate::ParseError;
+use bytes::BufMut;
 
 /// Length of the fixed IPv6 header.
 pub const HEADER_LEN: usize = 40;
@@ -31,7 +29,7 @@ const PADN: u8 = 1;
 const ROUTER_ALERT: u8 = 5;
 
 /// An option inside a Hop-by-Hop extension header.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HopByHopOption {
     /// Pad1 (type 0) — one byte of padding.
     Pad1,
@@ -108,7 +106,7 @@ impl HopByHopOption {
 }
 
 /// An IPv6 header, optionally carrying a Hop-by-Hop options header.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Ipv6Header {
     /// Traffic class byte.
     pub traffic_class: u8,

@@ -5,10 +5,8 @@
 //! paper's Table I. Hub-style IoT gateways (e.g. spanning-tree BPDUs from
 //! bridge-capable devices) emit them during setup.
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::BufMut;
 
 /// Length of the basic (8-bit control) LLC header.
 pub const HEADER_LEN: usize = 3;
@@ -34,7 +32,7 @@ pub mod sap {
 /// let (parsed, _) = LlcHeader::parse(&buf).unwrap();
 /// assert_eq!(parsed, hdr);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LlcHeader {
     /// Destination service access point.
     pub dsap: u8,

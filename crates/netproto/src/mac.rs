@@ -2,7 +2,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ParseError;
 
@@ -19,7 +19,7 @@ use crate::ParseError;
 /// assert_eq!(mac.oui(), [0x13, 0x73, 0x74]);
 /// assert!(!mac.is_broadcast());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize)]
 pub struct MacAddr([u8; 6]);
 
 /// The six octets in one `write`, without the length prefix a derived

@@ -5,16 +5,14 @@
 //! reliable setup-phase marker — it is one of the eight application-layer
 //! features in the paper's Table I.
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::BufMut;
 
 /// Length of a basic NTP packet (no extensions).
 pub const PACKET_LEN: usize = 48;
 
 /// NTP association mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NtpMode {
     /// Symmetric active (1).
     SymmetricActive,
@@ -51,7 +49,7 @@ impl NtpMode {
 }
 
 /// An NTP packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NtpPacket {
     /// Protocol version (3 or 4).
     pub version: u8,

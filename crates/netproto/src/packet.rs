@@ -19,9 +19,6 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{BufMut, Bytes};
-use serde::{Deserialize, Serialize};
-
 use crate::arp::ArpPacket;
 use crate::dhcp::DhcpMessage;
 use crate::dns::DnsMessage;
@@ -38,9 +35,10 @@ use crate::tcp::TcpHeader;
 use crate::tls::TlsRecord;
 use crate::udp::UdpHeader;
 use crate::{classify, ports, MacAddr, ParseError, ProtocolSet, Timestamp};
+use bytes::{BufMut, Bytes};
 
 /// An application-layer payload carried by TCP or UDP.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AppPayload {
     /// DHCP or plain BOOTP.
     Dhcp(DhcpMessage),
@@ -153,7 +151,7 @@ impl AppCodec {
 }
 
 /// A transport-layer segment inside an IP datagram.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// TCP segment.
     Tcp {
@@ -247,7 +245,7 @@ impl Transport {
 }
 
 /// The body of an Ethernet frame.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PacketBody {
     /// ARP.
     Arp(ArpPacket),
@@ -287,7 +285,7 @@ pub enum PacketBody {
 ///
 /// This is the unit the Security Gateway's monitoring module records for
 /// each new device, and the input to fingerprint feature extraction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Packet {
     /// Capture timestamp.
     pub timestamp: Timestamp,

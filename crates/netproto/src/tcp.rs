@@ -1,9 +1,7 @@
 //! TCP segment headers.
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::BufMut;
 
 /// Length of a TCP header without options.
 pub const MIN_HEADER_LEN: usize = 20;
@@ -20,7 +18,7 @@ pub const MIN_HEADER_LEN: usize = 20;
 /// assert!(synack.contains(TcpFlags::SYN));
 /// assert!(!synack.contains(TcpFlags::FIN));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(u8);
 
 impl TcpFlags {
@@ -91,7 +89,7 @@ impl std::fmt::Display for TcpFlags {
 }
 
 /// A TCP header (options preserved as raw bytes, padded to 32 bits).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,

@@ -2,8 +2,6 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// A packet capture timestamp with microsecond resolution.
 ///
 /// Timestamps are relative to an arbitrary capture epoch (for simulated
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_secs_f64(), 1.5);
 /// assert_eq!(t + Duration::from_millis(500), Timestamp::from_micros(2_000_000));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {

@@ -5,16 +5,14 @@
 //! modeled only to the extent needed to synthesize realistically-sized
 //! HTTPS setup traffic (ClientHello etc.) and classify it.
 
-use bytes::{BufMut, Bytes};
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::{BufMut, Bytes};
 
 /// Length of the TLS record header.
 pub const HEADER_LEN: usize = 5;
 
 /// TLS record content type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContentType {
     /// ChangeCipherSpec (20).
     ChangeCipherSpec,
@@ -53,7 +51,7 @@ impl ContentType {
 }
 
 /// A single TLS record with opaque payload.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TlsRecord {
     /// Record content type.
     pub content_type: ContentType,

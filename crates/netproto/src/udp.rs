@@ -1,15 +1,13 @@
 //! UDP datagram headers.
 
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
+use bytes::BufMut;
 
 /// Length of a UDP header.
 pub const HEADER_LEN: usize = 8;
 
 /// A UDP header. Length is derived from the payload at encode time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,

@@ -11,14 +11,12 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 use sentinel_netproto::{MacAddr, Packet, Timestamp};
 
 use crate::SwitchDecision;
 
 /// The exact-match key identifying a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowKey {
     /// Source MAC.
     pub src_mac: MacAddr,
@@ -97,7 +95,7 @@ impl Hash for FlowKey {
 }
 
 /// The action a flow entry applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowAction {
     /// Forward matching packets.
     Forward,

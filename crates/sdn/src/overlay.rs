@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::IsolationLevel;
 
 /// One of the two virtual network overlays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Overlay {
     /// The overlay housing potentially vulnerable devices.
     Untrusted,

@@ -3,13 +3,13 @@
 use std::fmt;
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use sentinel_netproto::MacAddr;
 
 /// The isolation level assigned to a device after vulnerability
 /// assessment (Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum IsolationLevel {
     /// Untrusted overlay only; no Internet access. Assigned to unknown
     /// device-types.
@@ -36,7 +36,7 @@ impl fmt::Display for IsolationLevel {
 /// A per-device enforcement rule, keyed by the device's MAC address
 /// (Fig. 2). For [`IsolationLevel::Restricted`] devices the rule carries
 /// the permitted remote endpoints supplied by the IoT Security Service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnforcementRule {
     /// The device the rule applies to.
     pub mac: MacAddr,

@@ -4,14 +4,12 @@
 
 use std::net::Ipv4Addr;
 
-use serde::Serialize;
-
 use sentinel_netproto::MacAddr;
 
 use crate::controller::{in_subnet, subnet_mask};
 
 /// The role of a host in the lab network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostKind {
     /// The Security Gateway itself.
     Gateway,
@@ -24,7 +22,7 @@ pub enum HostKind {
 }
 
 /// One host of the lab network.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// Host name (e.g. `D1`, `Slocal`).
     pub name: String,
@@ -41,7 +39,7 @@ pub struct Host {
 }
 
 /// The kind of path a flow takes through the gateway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathKind {
     /// Wireless device to wireless device (two radio hops via the AP).
     DeviceToDevice,
@@ -52,7 +50,7 @@ pub enum PathKind {
 }
 
 /// The Fig. 4 lab network.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     hosts: Vec<Host>,
     /// Local subnet prefix.

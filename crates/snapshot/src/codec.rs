@@ -85,11 +85,13 @@ pub(crate) fn encode_config(config: &IdentifierConfig) -> Vec<u8> {
     });
     out.put_u64(config.seed);
     out.put_f64(config.max_dissimilarity);
-    out.put_usize(config.threads);
     out.into_bytes()
 }
 
-pub(crate) fn decode_config(bytes: &[u8]) -> Result<IdentifierConfig, SnapshotError> {
+/// Decodes a config section of container `version`. Version 1 ends
+/// with an identification thread count that nothing reads; it is
+/// checked for length and dropped.
+pub(crate) fn decode_config(bytes: &[u8], version: u32) -> Result<IdentifierConfig, SnapshotError> {
     let mut reader = Reader::new(bytes, "config section");
     let bank = get_bank_config(&mut reader)?;
     let references_per_type = reader.usize()?;
@@ -105,8 +107,10 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<IdentifierConfig, SnapshotEr
         mode,
         seed: reader.u64()?,
         max_dissimilarity: reader.f64()?,
-        threads: reader.usize()?,
     };
+    if version == 1 {
+        reader.u64()?;
+    }
     reader.finish()?;
     Ok(config)
 }
@@ -290,7 +294,7 @@ fn get_vector(reader: &mut Reader) -> Result<FeatureVector, SnapshotError> {
     let src_port_class = get_port_class(reader, src_tag)?;
     let dst_tag = reader.u8()?;
     let dst_port_class = get_port_class(reader, dst_tag)?;
-    if reader.take(3)? != [0u8; 3] {
+    if reader.array::<3>()? != [0u8; 3] {
         return Err(reader.decode_err("nonzero padding in feature-vector record"));
     }
     Ok(FeatureVector {
@@ -447,8 +451,8 @@ pub(crate) fn decode_vulndb(bytes: &[u8]) -> Result<StaticVulnDb, SnapshotError>
         let n_addresses = reader.count(5)?;
         for _ in 0..n_addresses {
             let address = match reader.u8()? {
-                4 => IpAddr::from(<[u8; 4]>::try_from(reader.take(4)?).unwrap()),
-                6 => IpAddr::from(<[u8; 16]>::try_from(reader.take(16)?).unwrap()),
+                4 => IpAddr::from(reader.array::<4>()?),
+                6 => IpAddr::from(reader.array::<16>()?),
                 tag => return Err(reader.decode_err(&format!("unknown address tag {tag}"))),
             };
             vulndb.add_endpoint(&name, address);
@@ -466,11 +470,12 @@ pub(crate) fn decode_vulndb(bytes: &[u8]) -> Result<StaticVulnDb, SnapshotError>
 // ----------------------------------------------------------------- model
 
 pub(crate) fn decode_model(
+    version: u32,
     config: &[u8],
     bank: &[u8],
     references: &[u8],
 ) -> Result<TrainedModel, SnapshotError> {
-    let config = decode_config(config)?;
+    let config = decode_config(config, version)?;
     let bank = decode_bank(bank)?;
     let references = decode_references(references)?;
     TrainedModel::from_parts(bank, references, config).map_err(SnapshotError::Decode)

@@ -26,32 +26,24 @@ fn merge(acc: u64, lane: u64) -> u64 {
     (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
 }
 
-#[inline]
-fn read_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[..8].try_into().unwrap())
-}
-
-#[inline]
-fn read_u32(bytes: &[u8]) -> u64 {
-    u64::from(u32::from_le_bytes(bytes[..4].try_into().unwrap()))
-}
-
 /// The XXH64 digest of `bytes` under `seed`.
 pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
-    let len = bytes.len();
-    let mut rest = bytes;
-    let mut acc = if len >= 32 {
-        let mut v1 = seed.wrapping_add(P1).wrapping_add(P2);
-        let mut v2 = seed.wrapping_add(P2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(P1);
-        while rest.len() >= 32 {
-            v1 = round(v1, read_u64(rest));
-            v2 = round(v2, read_u64(&rest[8..]));
-            v3 = round(v3, read_u64(&rest[16..]));
-            v4 = round(v4, read_u64(&rest[24..]));
-            rest = &rest[32..];
+    let (stripes, rest) = bytes.as_chunks::<32>();
+    let mut acc = if stripes.is_empty() {
+        seed.wrapping_add(P5)
+    } else {
+        let mut lanes = [
+            seed.wrapping_add(P1).wrapping_add(P2),
+            seed.wrapping_add(P2),
+            seed,
+            seed.wrapping_sub(P1),
+        ];
+        for stripe in stripes {
+            for (acc, word) in lanes.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *acc = round(*acc, u64::from_le_bytes(*word));
+            }
         }
+        let [v1, v2, v3, v4] = lanes;
         let mut acc = v1
             .rotate_left(1)
             .wrapping_add(v2.rotate_left(7))
@@ -61,24 +53,25 @@ pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
         acc = merge(acc, v2);
         acc = merge(acc, v3);
         merge(acc, v4)
-    } else {
-        seed.wrapping_add(P5)
     };
-    acc = acc.wrapping_add(len as u64);
-    while rest.len() >= 8 {
-        acc = (acc ^ round(0, read_u64(rest)))
+    acc = acc.wrapping_add(bytes.len() as u64);
+    let (words, rest) = rest.as_chunks::<8>();
+    for word in words {
+        acc = (acc ^ round(0, u64::from_le_bytes(*word)))
             .rotate_left(27)
             .wrapping_mul(P1)
             .wrapping_add(P4);
-        rest = &rest[8..];
     }
-    if rest.len() >= 4 {
-        acc = (acc ^ read_u32(rest).wrapping_mul(P1))
-            .rotate_left(23)
-            .wrapping_mul(P2)
-            .wrapping_add(P3);
-        rest = &rest[4..];
-    }
+    let rest = match rest.split_first_chunk::<4>() {
+        Some((word, tail)) => {
+            acc = (acc ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            tail
+        }
+        None => rest,
+    };
     for &byte in rest {
         acc = (acc ^ u64::from(byte).wrapping_mul(P5))
             .rotate_left(11)

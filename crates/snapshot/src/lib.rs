@@ -14,7 +14,7 @@
 //! loaded service and the originally trained one produces the same
 //! bytes of report.
 //!
-//! # Container format (version 1)
+//! # Container format (version 2)
 //!
 //! All integers little-endian, fixed-width; the layout is designed so
 //! a future loader can map sections in place without re-parsing the
@@ -23,7 +23,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "SENTSNAP"
-//!      8     4  format version (u32, currently 1)
+//!      8     4  format version (u32, currently 2)
 //!     12     4  section count (u32)
 //!     16   28n  section table: per section
 //!                 id (u32)  — 1 config, 2 bank, 3 references, 4 vulndb
@@ -36,20 +36,26 @@
 //! Integrity is enforced per section ([`hash::xxh64`]); decoding is
 //! panic-free for arbitrary input and every failure is a typed
 //! [`SnapshotError`]. Unknown *section ids* are ignored (forward
-//! compatibility for additive sections); unknown *format versions* are
-//! rejected (the version only changes when the layout of existing
-//! sections does).
+//! compatibility for additive sections); a known id listed twice is
+//! refused, so the table a reader sees is the model that boots.
+//! Unknown *format versions* are rejected (the version only changes
+//! when the layout of existing sections does).
+//!
+//! Version 1 differs only in the config section, which ends with one
+//! more `u64` (an identification thread count that nothing reads).
+//! [`Snapshot::decode`] reads both versions and drops that word;
+//! [`Snapshot::encode`] writes version 2, so re-encoding a version-1
+//! file yields its version-2 form.
 //!
 //! # Boot path
 //!
 //! A gateway boots by handing the restored service to its runtime:
-//! `StreamRuntime::new(IoTSecurityService::from_snapshot(path)?)`.
+//! `StreamRuntime::new(Snapshot::load(path)?.into_service())`.
 //!
 //! ```no_run
-//! use sentinel_core::IoTSecurityService;
-//! use sentinel_snapshot::SnapshotBoot;
+//! use sentinel_snapshot::Snapshot;
 //!
-//! let service = IoTSecurityService::from_snapshot("sentinel.snap")?;
+//! let service = Snapshot::load("sentinel.snap")?.into_service();
 //! # Ok::<(), sentinel_snapshot::SnapshotError>(())
 //! ```
 
@@ -66,11 +72,14 @@ mod codec;
 pub mod hash;
 mod wire;
 
+use wire::Reader;
+
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"SENTSNAP";
 
-/// The current (and only) container format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// The container format version [`Snapshot::encode`] writes.
+/// [`Snapshot::decode`] reads it and version 1.
+pub const FORMAT_VERSION: u32 = 2;
 
 const SECTION_CONFIG: u32 = 1;
 const SECTION_BANK: u32 = 2;
@@ -124,7 +133,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "not a sentinel snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion(version) => write!(
                 f,
-                "snapshot format version {version} is not supported (this build reads {FORMAT_VERSION})"
+                "snapshot format version {version} is not supported (this build reads 1 to {FORMAT_VERSION})"
             ),
             SnapshotError::ChecksumMismatch { section } => {
                 write!(f, "snapshot {section} failed its integrity check")
@@ -182,7 +191,7 @@ impl Snapshot {
         IoTSecurityService::from_parts(Identifier::from(self.model), self.vulndb)
     }
 
-    /// Encodes the snapshot into the version-1 container format.
+    /// Encodes the snapshot into the version-2 container format.
     pub fn encode(&self) -> Vec<u8> {
         let sections = [
             (SECTION_CONFIG, codec::encode_config(self.model.config())),
@@ -211,50 +220,56 @@ impl Snapshot {
         out
     }
 
-    /// Decodes a version-1 container.
+    /// Decodes a version-2 or version-1 container.
     ///
     /// # Errors
     ///
     /// Any malformation of the input — truncation, a foreign file, a
-    /// future format version, a corrupted section, or structurally
-    /// valid bytes that encode an inconsistent model — is reported as
-    /// the corresponding [`SnapshotError`] variant.
+    /// future format version, a corrupted or repeated section, or
+    /// structurally valid bytes that encode an inconsistent model — is
+    /// reported as the corresponding [`SnapshotError`] variant.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let header = bytes.get(..HEADER_SIZE).ok_or(SnapshotError::Truncated {
-            context: "container header",
-        })?;
-        if header[..8] != MAGIC {
+        let context = "container header";
+        let mut header = Reader::new(
+            bytes
+                .get(..HEADER_SIZE)
+                .ok_or(SnapshotError::Truncated { context })?,
+            context,
+        );
+        if header.array()? != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION {
+        let version = header.u32()?;
+        if !(1..=FORMAT_VERSION).contains(&version) {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let n_sections = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
+        let n_sections = header.u32()? as usize;
         if n_sections > MAX_SECTIONS {
             return Err(SnapshotError::Decode(format!(
                 "section table declares {n_sections} sections (limit {MAX_SECTIONS})"
             )));
         }
-        let table = bytes
-            .get(HEADER_SIZE..HEADER_SIZE + n_sections * TABLE_ENTRY_SIZE)
-            .ok_or(SnapshotError::Truncated {
-                context: "section table",
-            })?;
+        let context = "section table";
+        let mut table = Reader::new(
+            bytes
+                .get(HEADER_SIZE..HEADER_SIZE + n_sections * TABLE_ENTRY_SIZE)
+                .ok_or(SnapshotError::Truncated { context })?,
+            context,
+        );
         let mut config = None;
         let mut bank = None;
         let mut references = None;
         let mut vulndb = None;
-        for entry in table.chunks_exact(TABLE_ENTRY_SIZE) {
-            let id = u32::from_le_bytes(entry[..4].try_into().unwrap());
-            let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap());
-            let length = u64::from_le_bytes(entry[12..20].try_into().unwrap());
-            let checksum = u64::from_le_bytes(entry[20..28].try_into().unwrap());
-            let name = match id {
-                SECTION_CONFIG => "config section",
-                SECTION_BANK => "bank section",
-                SECTION_REFERENCES => "references section",
-                SECTION_VULNDB => "vulnerability section",
+        for _ in 0..n_sections {
+            let id = table.u32()?;
+            let offset = table.u64()?;
+            let length = table.u64()?;
+            let checksum = table.u64()?;
+            let (name, slot) = match id {
+                SECTION_CONFIG => ("config section", &mut config),
+                SECTION_BANK => ("bank section", &mut bank),
+                SECTION_REFERENCES => ("references section", &mut references),
+                SECTION_VULNDB => ("vulnerability section", &mut vulndb),
                 // Unknown sections are additive format extensions:
                 // skip them without even bounds-checking their spans.
                 _ => continue,
@@ -273,16 +288,13 @@ impl Snapshot {
             if hash::xxh64(payload, 0) != checksum {
                 return Err(SnapshotError::ChecksumMismatch { section: name });
             }
-            match id {
-                SECTION_CONFIG => config = Some(payload),
-                SECTION_BANK => bank = Some(payload),
-                SECTION_REFERENCES => references = Some(payload),
-                SECTION_VULNDB => vulndb = Some(payload),
-                _ => unreachable!(),
+            if slot.replace(payload).is_some() {
+                return Err(SnapshotError::Decode(format!("duplicate {name}")));
             }
         }
         let missing = |what: &str| SnapshotError::Decode(format!("missing {what} section"));
         let model = codec::decode_model(
+            version,
             config.ok_or_else(|| missing("config"))?,
             bank.ok_or_else(|| missing("bank"))?,
             references.ok_or_else(|| missing("references"))?,
@@ -309,25 +321,5 @@ impl Snapshot {
     /// [`SnapshotError::Io`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         Snapshot::decode(&std::fs::read(path)?)
-    }
-}
-
-/// Instant boot from a snapshot file.
-///
-/// Defined here (rather than as inherent methods) because the core
-/// crate cannot depend on this one; bring the trait into scope and the
-/// call reads like a constructor.
-pub trait SnapshotBoot: Sized {
-    /// Restores an instance from the snapshot at `path`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Snapshot::load`].
-    fn from_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError>;
-}
-
-impl SnapshotBoot for IoTSecurityService {
-    fn from_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        Ok(Snapshot::load(path)?.into_service())
     }
 }

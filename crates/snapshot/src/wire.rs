@@ -92,20 +92,32 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// The next `N` raw bytes as an array.
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let (head, _) =
+            self.bytes[self.at..]
+                .split_first_chunk::<N>()
+                .ok_or(SnapshotError::Truncated {
+                    context: self.context,
+                })?;
+        self.at += N;
+        Ok(*head)
+    }
+
     pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {

@@ -91,7 +91,6 @@ pub fn golden_snapshot() -> Snapshot {
         mode: IdentifyMode::TwoStage,
         seed: 7,
         max_dissimilarity: 0.9,
-        threads: 1,
     };
     let model = TrainedModel::from_parts(bank, references, config).expect("valid model");
 

@@ -31,17 +31,15 @@ fn payload_start(bytes: &[u8]) -> usize {
     16 + n_sections * 28
 }
 
-/// Re-frames `bytes` with `edit` applied to the payload of section `id`,
-/// recomputing every offset and checksum: the result is a structurally
-/// sound container, so only the model's own validation can refuse it.
-fn with_section(bytes: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+/// The `(id, payload)` entries of a container's section table, in
+/// table order.
+fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
     let word = |at: usize, width: usize| {
         let mut le = [0u8; 8];
         le[..width].copy_from_slice(&bytes[at..at + width]);
         u64::from_le_bytes(le) as usize
     };
-    let n_sections = word(12, 4);
-    let mut sections: Vec<(u32, Vec<u8>)> = (0..n_sections)
+    (0..word(12, 4))
         .map(|i| {
             let entry = 16 + i * 28;
             let (offset, length) = (word(entry + 4, 8), word(entry + 12, 8));
@@ -50,24 +48,66 @@ fn with_section(bytes: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u
                 bytes[offset..offset + length].to_vec(),
             )
         })
-        .collect();
-    let (_, payload) = (sections.iter_mut())
-        .find(|(section, _)| *section == id)
-        .expect("the section exists");
-    edit(payload);
-    let mut out = bytes[..16].to_vec();
-    let mut offset = payload_start(bytes);
-    for (section, payload) in &sections {
+        .collect()
+}
+
+/// Frames `sections` behind `bytes`' magic and version, recomputing the
+/// section count, every offset and every checksum: the result is a
+/// structurally sound container, so only the decoder's own validation
+/// can refuse it.
+fn frame(bytes: &[u8], sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut out = bytes[..12].to_vec();
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut offset = 16 + sections.len() * 28;
+    for (section, payload) in sections {
         out.extend_from_slice(&section.to_le_bytes());
         out.extend_from_slice(&(offset as u64).to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&xxh64(payload, 0).to_le_bytes());
         offset += payload.len();
     }
-    for (_, payload) in &sections {
+    for (_, payload) in sections {
         out.extend_from_slice(payload);
     }
     out
+}
+
+/// Re-frames `bytes` with `edit` applied to the payload of section `id`.
+fn with_section(bytes: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut sections = sections(bytes);
+    let (_, payload) = (sections.iter_mut())
+        .find(|(section, _)| *section == id)
+        .expect("the section exists");
+    edit(payload);
+    frame(bytes, &sections)
+}
+
+/// A table that lists the config section a second time, pointing at a
+/// second valid config, is refused: whichever copy a decoder kept, the
+/// file would show one model in its first entry and boot another.
+#[test]
+fn a_known_section_listed_twice_is_refused() {
+    const CONFIG: u32 = 1;
+    let bytes = golden_bytes();
+    let mut listed = sections(&bytes);
+    assert_eq!(frame(&bytes, &listed), bytes);
+    // The second config differs in the identification seed, the
+    // payload's second-to-last word.
+    let (_, config) = listed[0].clone();
+    assert_eq!(listed[0].0, CONFIG);
+    let seed_at = config.len() - 16;
+    assert_eq!(config[seed_at..seed_at + 8], 7u64.to_le_bytes());
+    let mut other = config;
+    other[seed_at..seed_at + 8].copy_from_slice(&8u64.to_le_bytes());
+    let alone = with_section(&bytes, CONFIG, |payload| payload.clone_from(&other));
+    assert!(Snapshot::decode(&alone).is_ok(), "either copy alone loads");
+    listed.push((CONFIG, other));
+    match Snapshot::decode(&frame(&bytes, &listed)) {
+        Err(SnapshotError::Decode(what)) => {
+            assert!(what.contains("duplicate config section"), "{what}")
+        }
+        other => panic!("a repeated config section must not load: {other:?}"),
+    }
 }
 
 #[test]

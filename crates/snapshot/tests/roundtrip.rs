@@ -15,7 +15,7 @@ use sentinel_core::{
 use sentinel_devicesim::{catalog, Testbed};
 use sentinel_fingerprint::{extract, Fingerprint, FixedFingerprint};
 use sentinel_ml::{ForestConfig, PinnedRng};
-use sentinel_snapshot::{Snapshot, SnapshotBoot};
+use sentinel_snapshot::Snapshot;
 
 /// Trained fixture: a real (if small) model over a third of the
 /// catalog, the snapshot taken from it, the restored service, and
@@ -107,7 +107,7 @@ fn save_load_through_a_file_is_lossless() {
     let fixture = fixture();
     let path = std::env::temp_dir().join(format!("sentinel-roundtrip-{}.snap", std::process::id()));
     fixture.snapshot.save(&path).expect("save");
-    let loaded = IoTSecurityService::from_snapshot(&path).expect("load");
+    let loaded = Snapshot::load(&path).expect("load").into_service();
     std::fs::remove_file(&path).ok();
     for ((full, fixed, key), expected) in fixture.probes.iter().zip(&fixture.baseline) {
         assert_eq!(&loaded.assess_keyed(full, fixed, *key), expected);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::session::CompletionReason;
 
@@ -13,7 +13,7 @@ use crate::session::CompletionReason;
 /// many the bounded table had to shed), and how the completed
 /// onboardings split across identification outcomes and isolation
 /// levels.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct StreamStats {
     /// Well-formed frames consumed from the source.
     pub packets_in: u64,

@@ -26,7 +26,7 @@ use sentinel_devicesim::{catalog, interleave, Testbed};
 use sentinel_fingerprint::{extract, FixedFingerprint, FEATURE_NAMES};
 use sentinel_netproto::pcap::PcapReader;
 use sentinel_netproto::stream::{FrameSource, MemoryFrameSource};
-use sentinel_snapshot::{Snapshot, SnapshotBoot};
+use sentinel_snapshot::Snapshot;
 use sentinel_stream::{StreamConfig, StreamRuntime};
 
 fn main() -> ExitCode {
@@ -211,7 +211,7 @@ fn build_service(
 ) -> Result<IoTSecurityService, Box<dyn std::error::Error>> {
     if let Some(snap_path) = load {
         eprintln!("booting from snapshot {snap_path}…");
-        return Ok(IoTSecurityService::from_snapshot(snap_path)?);
+        return Ok(Snapshot::load(snap_path)?.into_service());
     }
     eprintln!("training the IoT Security Service ({runs} runs/type, seed {seed})…");
     Ok(train_service(runs, seed))

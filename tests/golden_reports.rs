@@ -114,7 +114,7 @@ fn fleet_report_matches_the_checked_in_bytes() {
 /// fixture was blessed while the sorted-scan split search was still a
 /// public forest fit asserted equal to the binned one on fingerprint
 /// data, so it carries "exact == binned" forward for the bank's real
-/// corpus; `golden_v1.snap` is built from hand-made stumps and pins no
+/// corpus; `golden_v2.snap` is built from hand-made stumps and pins no
 /// training. The snapshot is 28 KiB, so the bytes themselves are
 /// checked in.
 #[test]

@@ -564,7 +564,7 @@ fn direct_assess_is_pure_and_history_independent() {
 /// reports, same installed enforcement, at every batch size.
 #[test]
 fn snapshot_booted_runtime_streams_bit_identically() {
-    use iot_sentinel::snapshot::{Snapshot, SnapshotBoot};
+    use iot_sentinel::snapshot::Snapshot;
 
     let model = trained_model();
     let fresh = fresh_service(&model);
@@ -582,7 +582,7 @@ fn snapshot_booted_runtime_streams_bit_identically() {
     for batch_size in BATCH_SIZES {
         // A brand-new boot from disk per batch size: nothing is
         // shared with the trained instance but the bytes in the file.
-        let loaded = IoTSecurityService::from_snapshot(&path).expect("load");
+        let loaded = Snapshot::load(&path).expect("load").into_service();
         let (runtime, reports) = streamed(loaded, batch_size, &stream);
         assert_eq!(
             reports, baseline,

@@ -13,7 +13,6 @@ use sentinel_netproto::MacAddr;
 fn identifier_config(mode: IdentifyMode, threads: usize) -> IdentifierConfig {
     let mut config = IdentifierConfig {
         mode,
-        threads,
         ..IdentifierConfig::default()
     };
     config.bank.threads = threads;
