@@ -262,10 +262,10 @@ mod tests {
         // Its own cloud endpoints stay reachable.
         let rule = module.cache().get(device.mac).expect("rule installed");
         assert!(
-            !rule.permitted_endpoints.is_empty(),
+            !rule.permitted_endpoints().is_empty(),
             "standby traffic contains cloud endpoints"
         );
-        for endpoint in &rule.permitted_endpoints {
+        for endpoint in rule.permitted_endpoints() {
             assert!(rule.permits_remote(*endpoint));
         }
     }

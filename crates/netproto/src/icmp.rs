@@ -112,7 +112,8 @@ impl IcmpMessage {
         Ok(IcmpMessage {
             icmp_type: IcmpType::from_u8(bytes[0]),
             code: bytes[1],
-            rest: bytes[4..8].try_into().expect("slice of 4"),
+            // In bounds: `check` proved `HEADER_LEN` (8) bytes are present.
+            rest: [bytes[4], bytes[5], bytes[6], bytes[7]],
             payload: Bytes::copy_from_slice(&bytes[HEADER_LEN..]),
         })
     }

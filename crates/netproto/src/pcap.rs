@@ -108,6 +108,15 @@ pub struct PcapReader<R> {
     max_record: u32,
 }
 
+/// One 32-bit header word in the capture's byte order.
+fn word(bytes: [u8; 4], big_endian: bool) -> u32 {
+    if big_endian {
+        u32::from_be_bytes(bytes)
+    } else {
+        u32::from_le_bytes(bytes)
+    }
+}
+
 impl<R: Read> PcapReader<R> {
     /// Creates a reader, consuming and validating the global header.
     ///
@@ -119,30 +128,23 @@ impl<R: Read> PcapReader<R> {
     /// [`ParseError::Invalid`] for a non-Ethernet link type and
     /// [`ParseError::Io`] on read failure.
     pub fn new(mut inner: R) -> Result<Self, ParseError> {
-        let mut header = [0u8; 24];
-        inner.read_exact(&mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().expect("slice of 4"));
-        let big_endian = match magic {
+        // The global header is six 32-bit words.
+        let mut header = [[0u8; 4]; 6];
+        inner.read_exact(header.as_flattened_mut())?;
+        let [magic, _version, _thiszone, _sigfigs, snaplen, linktype] = header;
+        let big_endian = match u32::from_le_bytes(magic) {
             MAGIC_LE => false,
             MAGIC_BE => true,
             other => return Err(ParseError::BadPcapMagic(other)),
         };
-        let read_u32 = |bytes: &[u8]| {
-            let arr: [u8; 4] = bytes.try_into().expect("slice of 4");
-            if big_endian {
-                u32::from_be_bytes(arr)
-            } else {
-                u32::from_le_bytes(arr)
-            }
-        };
-        let linktype = read_u32(&header[20..24]);
+        let linktype = word(linktype, big_endian);
         if linktype != LINKTYPE_ETHERNET {
             return Err(ParseError::invalid("pcap", format!("link type {linktype}")));
         }
         Ok(PcapReader {
             inner,
             big_endian,
-            max_record: read_u32(&header[16..20]).clamp(SNAPLEN, MAX_SNAPLEN),
+            max_record: word(snaplen, big_endian).clamp(SNAPLEN, MAX_SNAPLEN),
         })
     }
 
@@ -174,10 +176,12 @@ impl<R: Read> PcapReader<R> {
     /// [`ParseError::Io`] on a short or failed read of the frame.
     pub fn read_raw_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError> {
         frame.clear();
-        let mut record = [0u8; 16];
+        // A record header is four 32-bit words.
+        let mut record = [[0u8; 4]; 4];
+        let bytes = record.as_flattened_mut();
         let mut filled = 0;
-        while filled < record.len() {
-            match self.inner.read(&mut record[filled..]) {
+        while filled < bytes.len() {
+            match self.inner.read(&mut bytes[filled..]) {
                 Ok(0) if filled == 0 => return Ok(None),
                 Ok(0) => return Err(ParseError::truncated("pcap record header", 16, filled)),
                 Ok(n) => filled += n,
@@ -185,17 +189,7 @@ impl<R: Read> PcapReader<R> {
                 Err(err) => return Err(err.into()),
             }
         }
-        let read_u32 = |bytes: &[u8]| {
-            let arr: [u8; 4] = bytes.try_into().expect("slice of 4");
-            if self.big_endian {
-                u32::from_be_bytes(arr)
-            } else {
-                u32::from_le_bytes(arr)
-            }
-        };
-        let secs = read_u32(&record[0..4]);
-        let micros = read_u32(&record[4..8]);
-        let incl_len = read_u32(&record[8..12]);
+        let [secs, micros, incl_len, _orig_len] = record.map(|w| word(w, self.big_endian));
         if incl_len > self.max_record {
             let reason = format!("{incl_len} captured bytes, limit {}", self.max_record);
             return Err(ParseError::invalid("pcap record", reason));

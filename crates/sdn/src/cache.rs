@@ -7,25 +7,53 @@
 //! removing rules for departed devices, the paper's strategy for
 //! bounding memory use.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::cell::Cell;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 
 use sentinel_netproto::MacAddr;
 
 use crate::EnforcementRule;
 
 /// Fixed per-entry bookkeeping overhead used in the memory estimate
-/// (hash bucket, key, last-used stamp).
+/// (hash bucket, recency stamp, table slack). It defines the Fig. 6c
+/// counter, so it stays fixed while the entry layout shrinks.
 const ENTRY_OVERHEAD_BYTES: usize = 64;
 
+/// One cached rule: stored once, keyed by its own MAC. The set hands out
+/// only shared references, so the recency stamp a lookup writes is a
+/// `Cell`.
 struct Entry {
     rule: EnforcementRule,
-    last_used: u64,
+    last_used: Cell<u64>,
 }
+
+impl Borrow<MacAddr> for Entry {
+    fn borrow(&self) -> &MacAddr {
+        &self.rule.mac
+    }
+}
+
+// Hash and equality see only the MAC, as `Borrow` requires.
+impl Hash for Entry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.rule.mac.hash(state);
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.rule.mac == other.rule.mac
+    }
+}
+
+impl Eq for Entry {}
 
 /// A MAC-keyed hash cache of [`EnforcementRule`]s with O(1) lookup.
 #[derive(Default)]
 pub struct RuleCache {
-    entries: HashMap<MacAddr, Entry>,
+    entries: HashSet<Entry>,
     lookups: u64,
     hits: u64,
     clock: u64,
@@ -54,13 +82,10 @@ impl RuleCache {
         self.clock += 1;
         self.generation += 1;
         self.entries
-            .insert(
-                rule.mac,
-                Entry {
-                    rule,
-                    last_used: self.clock,
-                },
-            )
+            .replace(Entry {
+                rule,
+                last_used: Cell::new(self.clock),
+            })
             .map(|e| e.rule)
     }
 
@@ -68,11 +93,10 @@ impl RuleCache {
     pub fn lookup(&mut self, mac: MacAddr) -> Option<&EnforcementRule> {
         self.lookups += 1;
         self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(&mac) {
+        match self.entries.get(&mac) {
             Some(entry) => {
                 self.hits += 1;
-                entry.last_used = clock;
+                entry.last_used.set(self.clock);
                 Some(&entry.rule)
             }
             None => None,
@@ -86,7 +110,7 @@ impl RuleCache {
 
     /// Removes the rule for `mac` (a device leaving the network).
     pub fn remove(&mut self, mac: MacAddr) -> Option<EnforcementRule> {
-        let removed = self.entries.remove(&mac)?;
+        let removed = self.entries.take(&mac)?;
         self.generation += 1;
         Some(removed.rule)
     }
@@ -139,7 +163,7 @@ impl RuleCache {
     /// cache-wide counters.
     pub fn memory_bytes(&self) -> usize {
         self.entries
-            .values()
+            .iter()
             .map(|e| e.rule.memory_bytes() + ENTRY_OVERHEAD_BYTES)
             .sum()
     }
@@ -154,7 +178,7 @@ impl RuleCache {
         let mut order: Vec<(u64, MacAddr)> = self
             .entries
             .iter()
-            .map(|(mac, e)| (e.last_used, *mac))
+            .map(|e| (e.last_used.get(), e.rule.mac))
             .collect();
         order.sort_unstable();
         let excess = self.entries.len() - max_rules;
@@ -167,7 +191,7 @@ impl RuleCache {
 
     /// Iterates over the cached rules in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = &EnforcementRule> {
-        self.entries.values().map(|e| &e.rule)
+        self.entries.iter().map(|e| &e.rule)
     }
 }
 
@@ -277,6 +301,11 @@ mod tests {
         assert!(moved(&cache), "eviction");
         cache.remove(mac(1));
         assert!(moved(&cache), "remove");
+    }
+
+    #[test]
+    fn size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
     }
 
     #[test]

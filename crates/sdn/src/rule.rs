@@ -36,19 +36,27 @@ impl fmt::Display for IsolationLevel {
 /// A per-device enforcement rule, keyed by the device's MAC address
 /// (Fig. 2). For [`IsolationLevel::Restricted`] devices the rule carries
 /// the permitted remote endpoints supplied by the IoT Security Service.
+///
+/// A rule is 16 bytes: the whitelist and port filter live behind one
+/// optional box that exists only when one of them is set, so the strict
+/// and trusted rules most devices get never allocate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnforcementRule {
     /// The device the rule applies to.
     pub mac: MacAddr,
     /// Assigned isolation level.
     pub level: IsolationLevel,
-    /// Remote endpoints a restricted device may contact.
-    pub permitted_endpoints: Vec<IpAddr>,
-    /// Optional flow-level refinement (Sect. III-C.2 / V: filtering "can
-    /// be targeted at particular protocols or endpoints", "up to the
-    /// level of individual flows"): when set, a restricted device may
-    /// only contact its permitted endpoints on these destination ports.
-    pub permitted_remote_ports: Option<Vec<u16>>,
+    /// `None` exactly when the whitelist is empty and no port filter is
+    /// set, so the derived `Eq` compares the same policies it did when
+    /// both were stored inline.
+    remote: Option<Box<RemotePolicy>>,
+}
+
+/// The remote half of a rule: whitelist and optional port filter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RemotePolicy {
+    endpoints: Box<[IpAddr]>,
+    ports: Option<Box<[u16]>>,
 }
 
 impl EnforcementRule {
@@ -57,19 +65,23 @@ impl EnforcementRule {
         EnforcementRule {
             mac,
             level: IsolationLevel::Strict,
-            permitted_endpoints: Vec::new(),
-            permitted_remote_ports: None,
+            remote: None,
         }
     }
 
     /// A rule placing `mac` under restricted isolation with the given
     /// endpoint whitelist.
     pub fn restricted(mac: MacAddr, endpoints: impl IntoIterator<Item = IpAddr>) -> Self {
+        let endpoints: Box<[IpAddr]> = endpoints.into_iter().collect();
         EnforcementRule {
             mac,
             level: IsolationLevel::Restricted,
-            permitted_endpoints: endpoints.into_iter().collect(),
-            permitted_remote_ports: None,
+            remote: (!endpoints.is_empty()).then(|| {
+                Box::new(RemotePolicy {
+                    endpoints,
+                    ports: None,
+                })
+            }),
         }
     }
 
@@ -77,15 +89,34 @@ impl EnforcementRule {
     /// "this camera may only speak TLS (443) to its cloud".
     #[must_use]
     pub fn with_port_filter(mut self, ports: impl IntoIterator<Item = u16>) -> Self {
-        self.permitted_remote_ports = Some(ports.into_iter().collect());
+        let remote = self.remote.get_or_insert_with(|| {
+            Box::new(RemotePolicy {
+                endpoints: Box::default(),
+                ports: None,
+            })
+        });
+        remote.ports = Some(ports.into_iter().collect());
         self
+    }
+
+    /// Remote endpoints a restricted device may contact.
+    pub fn permitted_endpoints(&self) -> &[IpAddr] {
+        self.remote.as_ref().map_or(&[], |r| &r.endpoints)
+    }
+
+    /// Optional flow-level refinement (Sect. III-C.2 / V: filtering "can
+    /// be targeted at particular protocols or endpoints", "up to the
+    /// level of individual flows"): when set, a restricted device may
+    /// only contact its permitted endpoints on these destination ports.
+    pub fn permitted_remote_ports(&self) -> Option<&[u16]> {
+        self.remote.as_ref()?.ports.as_deref()
     }
 
     /// Whether this rule permits a remote flow to the given destination
     /// port (always true when no port filter is set, or for levels where
     /// the endpoint decision alone governs).
     pub fn permits_remote_port(&self, port: Option<u16>) -> bool {
-        match (&self.permitted_remote_ports, port) {
+        match (self.permitted_remote_ports(), port) {
             (None, _) => true,
             (Some(ports), Some(p)) => ports.contains(&p),
             (Some(_), None) => false,
@@ -97,8 +128,7 @@ impl EnforcementRule {
         EnforcementRule {
             mac,
             level: IsolationLevel::Trusted,
-            permitted_endpoints: Vec::new(),
-            permitted_remote_ports: None,
+            remote: None,
         }
     }
 
@@ -106,7 +136,7 @@ impl EnforcementRule {
     pub fn permits_remote(&self, ip: IpAddr) -> bool {
         match self.level {
             IsolationLevel::Strict => false,
-            IsolationLevel::Restricted => self.permitted_endpoints.contains(&ip),
+            IsolationLevel::Restricted => self.permitted_endpoints().contains(&ip),
             IsolationLevel::Trusted => true,
         }
     }
@@ -139,8 +169,9 @@ impl EnforcementRule {
             IsolationLevel::Trusted => 2,
         });
         eat(0x03); // field: endpoints
-        eat_u32(self.permitted_endpoints.len() as u32, &mut eat);
-        for endpoint in &self.permitted_endpoints {
+        let endpoints = self.permitted_endpoints();
+        eat_u32(endpoints.len() as u32, &mut eat);
+        for endpoint in endpoints {
             match endpoint {
                 IpAddr::V4(v4) => {
                     eat(0x04); // element: v4 address
@@ -153,7 +184,7 @@ impl EnforcementRule {
             }
         }
         eat(0x05); // field: port filter
-        match &self.permitted_remote_ports {
+        match self.permitted_remote_ports() {
             None => eat(0x00),
             Some(ports) => {
                 eat(0x01);
@@ -167,14 +198,15 @@ impl EnforcementRule {
     }
 
     /// Approximate in-memory footprint of the rule in bytes, used by the
-    /// Fig. 6c memory accounting.
+    /// Fig. 6c memory accounting: the rule itself plus, when present, its
+    /// boxed remote policy and the two slices it owns.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.permitted_endpoints.len() * std::mem::size_of::<IpAddr>()
-            + self
-                .permitted_remote_ports
-                .as_ref()
-                .map_or(0, |p| p.len() * std::mem::size_of::<u16>())
+            + self.remote.as_deref().map_or(0, |remote| {
+                std::mem::size_of_val(remote)
+                    + std::mem::size_of_val(&*remote.endpoints)
+                    + remote.ports.as_deref().map_or(0, std::mem::size_of_val)
+            })
     }
 }
 
@@ -182,9 +214,10 @@ impl fmt::Display for EnforcementRule {
     /// Renders in the style of the paper's Fig. 2 sample rule.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "device {} isolation {}", self.mac, self.level)?;
-        if !self.permitted_endpoints.is_empty() {
+        let endpoints = self.permitted_endpoints();
+        if !endpoints.is_empty() {
             write!(f, " permitted [")?;
-            for (i, ip) in self.permitted_endpoints.iter().enumerate() {
+            for (i, ip) in endpoints.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -286,6 +319,62 @@ mod tests {
         assert!(unfiltered.permits_remote_port(Some(23)));
         assert!(unfiltered.permits_remote_port(None));
         assert_ne!(rule.hash_value(), unfiltered.hash_value());
+    }
+
+    #[test]
+    fn size_is_pinned() {
+        assert_eq!(std::mem::size_of::<EnforcementRule>(), 16);
+        // Fig. 6c counts the box only where one exists: 16 B + a 32-byte
+        // policy + one 17-byte `IpAddr`.
+        assert_eq!(EnforcementRule::strict(mac()).memory_bytes(), 16);
+        let cloud: IpAddr = "52.29.100.7".parse().unwrap();
+        assert_eq!(
+            EnforcementRule::restricted(mac(), [cloud]).memory_bytes(),
+            65
+        );
+    }
+
+    #[test]
+    fn hash_value_is_pinned() {
+        // The Fig. 2 identity is part of the rule's contract: these
+        // constants were computed when both remote fields were stored
+        // inline, and a layout change must not move them.
+        let v4: IpAddr = "52.29.100.7".parse().unwrap();
+        let v6: IpAddr = "2001:db8::7".parse().unwrap();
+        let empty_filter = EnforcementRule::restricted(mac(), []).with_port_filter([]);
+        let pinned = [
+            (EnforcementRule::strict(mac()), 0x18a1_88b6_3c86_d857),
+            (EnforcementRule::trusted(mac()), 0xc546_dc7a_df41_df61),
+            (
+                EnforcementRule::restricted(mac(), [v4, v6]),
+                0x0b91_9553_7cd0_ffff,
+            ),
+            (
+                EnforcementRule::restricted(mac(), [v4]).with_port_filter([443, 8883]),
+                0xa5b6_07c5_e8bb_ab55,
+            ),
+            (empty_filter.clone(), 0xe247_222f_578c_8e71),
+        ];
+        for (rule, hash) in &pinned {
+            assert_eq!(rule.hash_value(), *hash, "{rule}");
+        }
+        let unfiltered = EnforcementRule::restricted(mac(), []);
+        assert_ne!(unfiltered, empty_filter);
+        assert_ne!(unfiltered.hash_value(), empty_filter.hash_value());
+    }
+
+    #[test]
+    fn accessors_read_the_boxed_policy() {
+        let cloud: IpAddr = "52.29.100.7".parse().unwrap();
+        let strict = EnforcementRule::strict(mac());
+        assert!(strict.permitted_endpoints().is_empty());
+        assert_eq!(strict.permitted_remote_ports(), None);
+        let rule = EnforcementRule::restricted(mac(), [cloud]).with_port_filter([443]);
+        assert_eq!(rule.permitted_endpoints(), &[cloud]);
+        assert_eq!(rule.permitted_remote_ports(), Some(&[443][..]));
+        let empty = EnforcementRule::restricted(mac(), []).with_port_filter([]);
+        assert!(empty.permitted_endpoints().is_empty());
+        assert_eq!(empty.permitted_remote_ports(), Some(&[][..]));
     }
 
     #[test]

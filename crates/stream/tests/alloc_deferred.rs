@@ -254,11 +254,14 @@ fn a_catalog_setup_mid_flight_fits_in_half_a_kilobyte(service: &IoTSecurityServi
 }
 
 /// Live heap a warm gateway keeps per onboarded device once the caller
-/// has dropped the reports: its rule-cache entry and whitelist (90 B
-/// measured over the catalog; its onboarded mark sits in the table's
-/// index, warm from the first pass). A gateway that also kept a clone
-/// of every report held 131 B.
-const ONBOARDED_DEVICE_BYTES: usize = 112;
+/// has dropped the reports: its 24-byte rule-cache entry (a 16-byte rule
+/// and its recency stamp, stored once), the table slack around it, and
+/// the boxed whitelist of a restricted device (41 B measured over the
+/// catalog; its onboarded mark sits in the table's index, warm from the
+/// first pass). A rule with an inline `Vec` whitelist and port filter in
+/// a MAC-keyed map held 90 B; a gateway that also kept a clone of every
+/// report held 131 B.
+const ONBOARDED_DEVICE_BYTES: usize = 48;
 
 /// What a gateway remembers of a device it onboarded: every catalog
 /// device's setup, identified by a service trained on the whole catalog

@@ -78,8 +78,8 @@ fn main() {
         .cache()
         .get(cam.mac)
         .expect("onboarded")
-        .permitted_endpoints
-        .clone();
+        .permitted_endpoints()
+        .to_vec();
     if let Some(std::net::IpAddr::V4(cloud)) = whitelist.first() {
         let decision = gateway.enforce(&outbound(cam.mac, *cloud, 443));
         println!(
