@@ -13,7 +13,7 @@ use sentinel_ml::pinned::PinnedRng;
 use sentinel_ml::BankScorer;
 use sentinel_netproto::MacAddr;
 
-use crate::report::{Identification, Outcome};
+use crate::report::{Identification, Outcome, TypeName};
 use crate::{BankConfig, ClassifierBank, FingerprintDataset};
 
 /// The deterministic key of one assessment in a packet stream: the
@@ -124,7 +124,7 @@ impl Default for IdentifierConfig {
 /// across ticks (a gateway holds one, inside its `AssessScratch`) performs
 /// **zero heap allocations** in steady-state batched classification,
 /// and steady-state identification allocates only what each [`Identification`] owns —
-/// its candidates, scores and type name, however many candidates and
+/// its candidates and scores (the type name is shared), however many candidates and
 /// references stage 2 compares. Both are pinned by the
 /// counting-allocator tests in `crates/core/tests/alloc_batch.rs`. The
 /// scratch carries no state between calls (the mask table is zeroed
@@ -151,6 +151,9 @@ pub struct ClassifyScratch {
 #[derive(Debug)]
 pub struct Identifier {
     bank: ClassifierBank,
+    /// The bank's type names as shared [`TypeName`]s, indexed by label:
+    /// an identification clones a pointer, not the string.
+    names: Vec<TypeName>,
     /// The bank's forests as one scorer — the stage-1 hot path (results
     /// identical to the bank's own forests), rebuilt whenever they change.
     scorer: BankScorer,
@@ -272,12 +275,18 @@ impl Identifier {
             .map(|of_type| of_type.iter().map(|fp| symbols.intern(fp)).collect())
             .collect();
         let scorer = BankScorer::new(bank.classifiers());
+        let names = bank
+            .type_names()
+            .iter()
+            .map(|name| TypeName::from(name.as_str()))
+            .collect();
         let pools = references
             .iter()
             .map(|of_type| (0..of_type.len()).collect())
             .collect();
         Identifier {
             bank,
+            names,
             scorer,
             references,
             symbols,
@@ -308,6 +317,8 @@ impl Identifier {
     /// new symbols is append-only.
     pub fn add_type(&mut self, name: impl Into<String>, dataset: &FingerprintDataset) -> usize {
         let label = self.bank.add_type(name, dataset);
+        self.names
+            .push(TypeName::from(self.bank.type_names()[label].as_str()));
         let references: Vec<Fingerprint> = dataset
             .indices_of(label)
             .into_iter()
@@ -477,7 +488,7 @@ impl Identifier {
         let outcome = match winner {
             Some(label) => Outcome::Identified {
                 label,
-                name: self.type_names()[label].clone(),
+                name: self.names[label].clone(),
             },
             None => Outcome::Unknown,
         };

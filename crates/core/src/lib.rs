@@ -29,7 +29,7 @@
 //! let full = extract(&trace.packets);
 //! let fixed = FixedFingerprint::from_fingerprint(&full);
 //! let response = service.assess(&full, &fixed);
-//! println!("{} -> {}", response.identification, response.isolation);
+//! println!("{} -> {}", response.identification, response.verdict.isolation);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,7 +51,9 @@ pub use identify::{
 pub use migration::{
     migrate, LegacyDevice, MigrationOutcome, MigrationRecord, PskPolicy, RekeySupport,
 };
-pub use report::{Identification, OnboardingReport, Outcome, ServiceResponse};
+pub use report::{
+    Identification, OnboardingReport, Outcome, ServiceResponse, TypeName, TypeVerdict,
+};
 pub use service::{AssessScratch, IoTSecurityService, SecurityService, ServiceConfig};
 
 /// Commonly used types, re-exported for examples and downstream users.
@@ -59,7 +61,9 @@ pub mod prelude {
     pub use crate::migration::{
         migrate, LegacyDevice, MigrationOutcome, MigrationRecord, PskPolicy, RekeySupport,
     };
-    pub use crate::report::{Identification, OnboardingReport, Outcome, ServiceResponse};
+    pub use crate::report::{
+        Identification, OnboardingReport, Outcome, ServiceResponse, TypeName, TypeVerdict,
+    };
     pub use crate::vulndb::{CveRecord, StaticVulnDb, VulnerabilityDatabase};
     pub use crate::{
         AssessKey, AssessScratch, BankConfig, ClassifierBank, ClassifyScratch, FingerprintDataset,

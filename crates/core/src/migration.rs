@@ -120,7 +120,7 @@ fn migrate_one<S: SecurityService>(
     let full = extract(&device.packets);
     let fixed = FixedFingerprint::from_fingerprint(&full);
     let response: ServiceResponse = service.assess(&full, &fixed);
-    let (outcome, rule) = match response.isolation {
+    let (outcome, rule) = match response.verdict.isolation {
         IsolationLevel::Trusted => match (device.rekey, policy) {
             (RekeySupport::Wps, _) => (
                 MigrationOutcome::MovedToTrusted,
@@ -141,7 +141,7 @@ fn migrate_one<S: SecurityService>(
             MigrationOutcome::RemainsUntrusted(UntrustedReason::KnownVulnerabilities),
             Some(EnforcementRule::restricted(
                 device.mac,
-                response.permitted_endpoints.iter().copied(),
+                response.verdict.permitted_endpoints.iter().copied(),
             )),
         ),
         IsolationLevel::Strict => (
@@ -187,10 +187,11 @@ fn observed_remote_endpoints(packets: &[Packet]) -> Vec<std::net::IpAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Outcome, ServiceResponse};
+    use crate::report::{Outcome, ServiceResponse, TypeVerdict};
     use sentinel_devicesim::{catalog, Testbed};
     use sentinel_fingerprint::Fingerprint;
     use sentinel_sdn::overlay::Overlay;
+    use std::sync::Arc;
 
     /// Scripted service: identifies everything as the given fixture.
     struct Scripted {
@@ -209,9 +210,11 @@ mod tests {
                     discriminated: false,
                     scores: vec![],
                 },
-                isolation: self.isolation,
-                permitted_endpoints: vec![],
-                user_notification: None,
+                verdict: Arc::new(TypeVerdict {
+                    isolation: self.isolation,
+                    permitted_endpoints: vec![],
+                    user_notification: None,
+                }),
             }
         }
     }

@@ -2,11 +2,68 @@
 
 use std::fmt;
 use std::net::IpAddr;
+use std::ops::Deref;
+use std::sync::Arc;
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use sentinel_netproto::MacAddr;
 use sentinel_sdn::{EnforcementRule, IsolationLevel};
+
+/// A device-type name, shared rather than copied: the identifier keeps
+/// one per label and every [`Outcome::Identified`] clones the pointer.
+///
+/// `Arc` rather than `Rc` because one trained service backs every
+/// worker thread of a fleet. It reads as a `str` (`Deref`, `as_str`,
+/// `Display`, and a `Debug` and serialized form identical to the
+/// string's).
+#[derive(Clone, PartialEq, Eq)]
+pub struct TypeName(Arc<str>);
+
+impl TypeName {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for TypeName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for TypeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Debug for TypeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl From<&str> for TypeName {
+    fn from(name: &str) -> Self {
+        TypeName(name.into())
+    }
+}
+
+impl From<String> for TypeName {
+    fn from(name: String) -> Self {
+        TypeName(name.into())
+    }
+}
+
+impl Serialize for TypeName {
+    fn to_value(&self) -> Value {
+        self.as_str().to_value()
+    }
+}
 
 /// The outcome of a device-type identification.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -16,7 +73,7 @@ pub enum Outcome {
         /// Predicted type label.
         label: usize,
         /// Predicted type name.
-        name: String,
+        name: TypeName,
     },
     /// No classifier accepted the fingerprint: a new/unknown
     /// device-type.
@@ -61,13 +118,16 @@ impl fmt::Display for Identification {
     }
 }
 
-/// What the IoT Security Service returns to a Security Gateway for one
-/// device fingerprint (Sect. III-B: "it just receives fingerprints and
-/// returns an isolation level accordingly").
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ServiceResponse {
-    /// The identification record.
-    pub identification: Identification,
+/// The IoTSSP's answer for one device-type (Sect. III-B): the
+/// isolation level its vulnerability assessment calls for, the vendor
+/// whitelist of a restricted type and the removal notice of a type
+/// isolation cannot contain.
+///
+/// The service builds one per known label plus one for an unknown
+/// type, and every [`ServiceResponse`] shares its type's through an
+/// `Arc`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TypeVerdict {
     /// Isolation level to enforce.
     pub isolation: IsolationLevel,
     /// Permitted remote endpoints (non-empty only for
@@ -79,19 +139,53 @@ pub struct ServiceResponse {
     pub user_notification: Option<String>,
 }
 
+/// What the IoT Security Service returns to a Security Gateway for one
+/// device fingerprint (Sect. III-B: "it just receives fingerprints and
+/// returns an isolation level accordingly").
+///
+/// Serializes as the four keys `identification`, `isolation`,
+/// `permitted_endpoints` and `user_notification`: the verdict's fields
+/// sit beside the identification, not under a key of their own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceResponse {
+    /// The identification record.
+    pub identification: Identification,
+    /// The verdict for the identified type, shared with every other
+    /// response for that type.
+    pub verdict: Arc<TypeVerdict>,
+}
+
 impl ServiceResponse {
     /// The enforcement rule this verdict calls for on device `mac` — the
     /// one place an onboarding verdict becomes a rule, installed by the
     /// gateway (`sentinel_stream::StreamRuntime`) for every device it
     /// onboards.
     pub fn rule_for(&self, mac: MacAddr) -> EnforcementRule {
-        match self.isolation {
+        match self.verdict.isolation {
             IsolationLevel::Strict => EnforcementRule::strict(mac),
             IsolationLevel::Restricted => {
-                EnforcementRule::restricted(mac, self.permitted_endpoints.iter().copied())
+                EnforcementRule::restricted(mac, self.verdict.permitted_endpoints.iter().copied())
             }
             IsolationLevel::Trusted => EnforcementRule::trusted(mac),
         }
+    }
+}
+
+impl Serialize for ServiceResponse {
+    fn to_value(&self) -> Value {
+        let verdict = &*self.verdict;
+        Value::Object(vec![
+            ("identification".to_string(), self.identification.to_value()),
+            ("isolation".to_string(), verdict.isolation.to_value()),
+            (
+                "permitted_endpoints".to_string(),
+                verdict.permitted_endpoints.to_value(),
+            ),
+            (
+                "user_notification".to_string(),
+                verdict.user_notification.to_value(),
+            ),
+        ])
     }
 }
 
@@ -111,12 +205,19 @@ impl fmt::Display for OnboardingReport {
         write!(
             f,
             "device {} ({} setup packets): {}, isolation {}",
-            self.mac, self.setup_packets, self.response.identification, self.response.isolation
+            self.mac,
+            self.setup_packets,
+            self.response.identification,
+            self.response.verdict.isolation
         )?;
-        if !self.response.permitted_endpoints.is_empty() {
-            write!(f, ", permitted {:?}", self.response.permitted_endpoints)?;
+        if !self.response.verdict.permitted_endpoints.is_empty() {
+            write!(
+                f,
+                ", permitted {:?}",
+                self.response.verdict.permitted_endpoints
+            )?;
         }
-        if self.response.user_notification.is_some() {
+        if self.response.verdict.user_notification.is_some() {
             write!(f, " [USER ACTION REQUIRED]")?;
         }
         Ok(())
@@ -157,6 +258,14 @@ mod tests {
     }
 
     #[test]
+    fn size_is_pinned() {
+        // The verdict is one pointer, the type name one `str` pointer.
+        assert_eq!(std::mem::size_of::<TypeName>(), 16);
+        assert_eq!(std::mem::size_of::<ServiceResponse>(), 88);
+        assert_eq!(std::mem::size_of::<OnboardingReport>(), 104);
+    }
+
+    #[test]
     fn onboarding_report_display() {
         let report = OnboardingReport {
             mac: "13-73-74-7E-A9-C2".parse().unwrap(),
@@ -168,9 +277,11 @@ mod tests {
                     discriminated: false,
                     scores: vec![],
                 },
-                isolation: IsolationLevel::Strict,
-                permitted_endpoints: vec![],
-                user_notification: None,
+                verdict: Arc::new(TypeVerdict {
+                    isolation: IsolationLevel::Strict,
+                    permitted_endpoints: vec![],
+                    user_notification: None,
+                }),
             },
         };
         let text = report.to_string();

@@ -6,10 +6,13 @@
 //! whitelist for restricted devices). It stores nothing about its
 //! clients.
 
+use std::sync::Arc;
+
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint};
+use sentinel_sdn::IsolationLevel;
 
 use crate::identify::{AssessKey, ClassifyScratch};
-use crate::report::{Identification, Outcome, ServiceResponse};
+use crate::report::{Identification, ServiceResponse, TypeVerdict};
 use crate::vulndb::{StaticVulnDb, VulnerabilityDatabase};
 use crate::{FingerprintDataset, Identifier, IdentifierConfig};
 
@@ -136,6 +139,11 @@ pub struct ServiceConfig {
 pub struct IoTSecurityService {
     identifier: Identifier,
     vulndb: StaticVulnDb,
+    /// The vulnerability database's verdict for each known type, indexed
+    /// by label: a response shares its type's instead of building one.
+    verdicts: Vec<Arc<TypeVerdict>>,
+    /// The verdict for an unknown type (strict, no whitelist or notice).
+    unknown: Arc<TypeVerdict>,
 }
 
 impl IoTSecurityService {
@@ -155,7 +163,18 @@ impl IoTSecurityService {
     /// explicit vulnerability database — the restore path binary model
     /// persistence uses, where both halves come off disk.
     pub fn from_parts(identifier: crate::Identifier, vulndb: StaticVulnDb) -> Self {
-        IoTSecurityService { identifier, vulndb }
+        let verdicts = identifier
+            .type_names()
+            .iter()
+            .map(|name| verdict_of(&vulndb, Some(name)))
+            .collect();
+        let unknown = verdict_of(&vulndb, None);
+        IoTSecurityService {
+            identifier,
+            vulndb,
+            verdicts,
+            unknown,
+        }
     }
 
     /// Trains the service with an explicit vulnerability database.
@@ -164,10 +183,7 @@ impl IoTSecurityService {
         config: &ServiceConfig,
         vulndb: StaticVulnDb,
     ) -> Self {
-        IoTSecurityService {
-            identifier: Identifier::train(dataset, &config.identifier),
-            vulndb,
-        }
+        Self::from_parts(Identifier::train(dataset, &config.identifier), vulndb)
     }
 
     /// The identification pipeline (exposed for evaluation harnesses).
@@ -183,9 +199,13 @@ impl IoTSecurityService {
     /// plus fingerprints labeled with the new type's index. Delegates to
     /// [`Identifier::add_type`], which appends the new classifier and
     /// its stage-2 reference fingerprints and rebuilds the stage-1
-    /// scorer; everything already trained is left bit-identical.
+    /// scorer; everything already trained is left bit-identical. The
+    /// new type's verdict joins the service's table.
     pub fn add_type(&mut self, name: impl Into<String>, dataset: &FingerprintDataset) -> usize {
-        self.identifier.add_type(name, dataset)
+        let label = self.identifier.add_type(name, dataset);
+        let name = &self.identifier.type_names()[label];
+        self.verdicts.push(verdict_of(&self.vulndb, Some(name)));
+        label
     }
 
     /// Does nothing: stage 1 has no verdict cache to turn on. Kept only
@@ -207,26 +227,36 @@ impl IoTSecurityService {
         &self.vulndb
     }
 
-    /// Turns a finished identification into the enforcement decision
-    /// (vulnerability lookup, isolation level, endpoint whitelist).
-    fn respond(&self, identification: crate::report::Identification) -> ServiceResponse {
-        let type_name = match &identification.outcome {
-            Outcome::Identified { name, .. } => Some(name.as_str()),
-            Outcome::Unknown => None,
+    /// Turns a finished identification into the enforcement decision:
+    /// its type's verdict, shared.
+    fn respond(&self, identification: Identification) -> ServiceResponse {
+        let verdict = match identification.label() {
+            Some(label) => &self.verdicts[label],
+            None => &self.unknown,
         };
-        let isolation = self.vulndb.assess(type_name);
-        let permitted_endpoints = type_name
-            .map(|name| self.vulndb.vendor_endpoints(name).to_vec())
-            .filter(|_| isolation == sentinel_sdn::IsolationLevel::Restricted)
-            .unwrap_or_default();
-        let user_notification = self.vulndb.removal_notice(type_name);
         ServiceResponse {
+            verdict: Arc::clone(verdict),
             identification,
-            isolation,
-            permitted_endpoints,
-            user_notification,
         }
     }
+}
+
+/// The vulnerability database's verdict for `device_type` (`None` for
+/// an unknown type): its isolation level, the vendor whitelist when
+/// that level is restricted, and the removal notice.
+fn verdict_of(vulndb: &StaticVulnDb, device_type: Option<&str>) -> Arc<TypeVerdict> {
+    let isolation = vulndb.assess(device_type);
+    let permitted_endpoints = match device_type {
+        Some(name) if isolation == IsolationLevel::Restricted => {
+            vulndb.vendor_endpoints(name).to_vec()
+        }
+        _ => Vec::new(),
+    };
+    Arc::new(TypeVerdict {
+        isolation,
+        permitted_endpoints,
+        user_notification: vulndb.removal_notice(device_type),
+    })
 }
 
 impl SecurityService for IoTSecurityService {
@@ -240,7 +270,7 @@ impl SecurityService for IoTSecurityService {
 
     /// Stage 1 scores each item's `F'` through the bank's scorer, stage
     /// 2 draws from each item's own keyed generator and scores out of
-    /// the same scratch, then the vulnerability lookup per item — once
+    /// the same scratch, then each item takes its type's verdict — once
     /// the scratch is warm, the only allocations are the ones each
     /// response owns.
     fn assess_keyed_batch_into(
@@ -267,11 +297,11 @@ impl SecurityService for IoTSecurityService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Outcome;
     use crate::BankConfig;
     use sentinel_devicesim::{catalog, Testbed};
     use sentinel_fingerprint::extract;
     use sentinel_ml::ForestConfig;
-    use sentinel_sdn::IsolationLevel;
 
     fn fast_service(n_devices: usize) -> IoTSecurityService {
         let devices: Vec<_> = catalog().into_iter().take(n_devices).collect();
@@ -296,21 +326,9 @@ mod tests {
         (full, fixed)
     }
 
-    #[test]
-    fn clean_device_gets_trusted() {
-        // Device 0 (Aria) has no advisisories in the seed database.
-        let service = fast_service(3);
-        let (full, fixed) = fingerprints_of(0, 0);
-        let response = service.assess(&full, &fixed);
-        assert_eq!(response.isolation, IsolationLevel::Trusted);
-        assert!(response.permitted_endpoints.is_empty());
-    }
-
-    #[test]
-    fn unknown_device_gets_strict() {
+    /// The fingerprints of a device no classifier should accept.
+    fn oddball_fingerprints() -> (Fingerprint, FixedFingerprint) {
         use sentinel_devicesim::{DeviceProfile, Phase, RawDest};
-        let service = fast_service(3);
-        // An out-of-distribution device no classifier should accept.
         let mut odd = DeviceProfile::new("OddBall", [9, 9, 9]);
         odd.extend_phases([
             Phase::UdpRaw {
@@ -323,9 +341,26 @@ mod tests {
         let trace = Testbed::new(2).setup_run(&odd, 0);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
+        (full, fixed)
+    }
+
+    #[test]
+    fn clean_device_gets_trusted() {
+        // Device 0 (Aria) has no advisisories in the seed database.
+        let service = fast_service(3);
+        let (full, fixed) = fingerprints_of(0, 0);
+        let response = service.assess(&full, &fixed);
+        assert_eq!(response.verdict.isolation, IsolationLevel::Trusted);
+        assert!(response.verdict.permitted_endpoints.is_empty());
+    }
+
+    #[test]
+    fn unknown_device_gets_strict() {
+        let service = fast_service(3);
+        let (full, fixed) = oddball_fingerprints();
         let response = service.assess(&full, &fixed);
         assert_eq!(response.identification.outcome, Outcome::Unknown);
-        assert_eq!(response.isolation, IsolationLevel::Strict);
+        assert_eq!(response.verdict.isolation, IsolationLevel::Strict);
     }
 
     #[test]
@@ -377,7 +412,69 @@ mod tests {
             "EdimaxCam must be identified: {:?}",
             response.identification
         );
-        assert_eq!(response.isolation, IsolationLevel::Restricted);
-        assert!(!response.permitted_endpoints.is_empty());
+        assert_eq!(response.verdict.isolation, IsolationLevel::Restricted);
+        assert!(!response.verdict.permitted_endpoints.is_empty());
+    }
+
+    #[test]
+    fn responses_of_one_type_share_its_verdict() {
+        // Train on 9 devices so EdimaxCam (index 8, restricted) is known.
+        let mut service = fast_service(9);
+        let (full_a, fixed_a) = fingerprints_of(8, 1);
+        let (full_b, fixed_b) = fingerprints_of(8, 2);
+        let a = service.assess(&full_a, &fixed_a);
+        let b = service.assess(&full_b, &fixed_b);
+        assert_eq!(
+            (a.identification.label(), b.identification.label()),
+            (Some(8), Some(8))
+        );
+        assert_eq!(a.verdict.isolation, IsolationLevel::Restricted);
+        assert!(!a.verdict.permitted_endpoints.is_empty());
+        assert!(Arc::ptr_eq(&a.verdict, &b.verdict));
+        let (Outcome::Identified { name: name_a, .. }, Outcome::Identified { name: name_b, .. }) =
+            (&a.identification.outcome, &b.identification.outcome)
+        else {
+            unreachable!("both identified");
+        };
+        assert_eq!(name_a.as_str(), "EdimaxCam");
+        assert!(std::ptr::eq(name_a.as_str(), name_b.as_str()));
+
+        // An unknown device gets the strict verdict, with nothing else.
+        let (full, fixed) = oddball_fingerprints();
+        let unknown = service.assess(&full, &fixed);
+        assert_eq!(unknown.identification.outcome, Outcome::Unknown);
+        assert_eq!(
+            *unknown.verdict,
+            TypeVerdict {
+                isolation: IsolationLevel::Strict,
+                permitted_endpoints: vec![],
+                user_notification: None,
+            }
+        );
+
+        // A type learnt later gets the verdict the database gives its
+        // name: EdnetGateway is restricted with a removal notice.
+        let devices = catalog();
+        let ednet = devices
+            .iter()
+            .position(|d| d.info.identifier == "EdnetGateway")
+            .expect("EdnetGateway is in the catalog");
+        let mut extended: Vec<_> = devices[..9].to_vec();
+        extended.push(devices[ednet].clone());
+        let dataset = FingerprintDataset::collect(&extended, 8, 5);
+        let label = service.add_type("EdnetGateway", &dataset);
+        let db = service.vulndb();
+        let verdict = &service.verdicts[label];
+        assert_eq!(verdict.isolation, db.assess(Some("EdnetGateway")));
+        assert_eq!(verdict.isolation, IsolationLevel::Restricted);
+        assert_eq!(
+            verdict.permitted_endpoints,
+            db.vendor_endpoints("EdnetGateway")
+        );
+        assert_eq!(
+            verdict.user_notification,
+            db.removal_notice(Some("EdnetGateway"))
+        );
+        assert!(verdict.user_notification.is_some());
     }
 }

@@ -234,20 +234,16 @@ fn the_service_keeps_no_per_fingerprint_state(mut service: IoTSecurityService) {
         .iter()
         .map(|&(full, fixed, key)| service.assess_keyed(full, fixed, key))
         .collect();
-    // What a response owns beyond its identification: the whitelist of
-    // a restricted device and the removal notice of one isolation
-    // cannot contain.
+    // A response owns nothing beyond its identification: the verdict —
+    // whitelist and removal notice included — is its type's, shared.
     let owned: usize = cold
         .iter()
-        .map(|response| {
-            identification_owns(&response.identification)
-                + usize::from(!response.permitted_endpoints.is_empty())
-                + usize::from(response.user_notification.is_some())
-        })
+        .map(|response| identification_owns(&response.identification))
         .sum();
     assert!(
-        cold.iter().any(|r| !r.permitted_endpoints.is_empty())
-            && cold.iter().any(|r| r.user_notification.is_some()),
+        cold.iter()
+            .any(|r| !r.verdict.permitted_endpoints.is_empty())
+            && cold.iter().any(|r| r.verdict.user_notification.is_some()),
         "the batch must carry a whitelist and a removal notice"
     );
 
@@ -294,12 +290,12 @@ fn holdout_probes(keep: impl Fn(&DeviceModel) -> bool) -> Vec<(Fingerprint, Fixe
 }
 
 /// What an `Identification` owns: its candidate set and its scores
-/// (both empty, hence unallocated, when no classifier accepted) and the
-/// identified type's name.
+/// (both empty, hence unallocated, when no classifier accepted). The
+/// identified type's name is shared, not owned.
 fn identification_owns(id: &Identification) -> usize {
-    match (id.candidates.is_empty(), id.label()) {
-        (true, _) => 0,
-        (false, None) => 2,
-        (false, Some(_)) => 3,
+    if id.candidates.is_empty() {
+        0
+    } else {
+        2
     }
 }

@@ -132,10 +132,12 @@ impl ArpPacket {
             return Err(ParseError::invalid("arp", "not ethernet/ipv4 arp"));
         }
         let op = ArpOp::from_u16(u16::from_be_bytes([bytes[6], bytes[7]]));
-        let sender_mac = MacAddr::new(bytes[8..14].try_into().expect("slice of 6"));
-        let sender_ip = Ipv4Addr::new(bytes[14], bytes[15], bytes[16], bytes[17]);
-        let target_mac = MacAddr::new(bytes[18..24].try_into().expect("slice of 6"));
-        let target_ip = Ipv4Addr::new(bytes[24], bytes[25], bytes[26], bytes[27]);
+        // Sender, then target: each a 6-byte MAC and a 4-byte IPv4 address.
+        let (addresses, _) = bytes[8..PACKET_LEN].as_chunks::<10>();
+        let address =
+            |[mac @ .., a, b, c, d]: [u8; 10]| (MacAddr::new(mac), Ipv4Addr::new(a, b, c, d));
+        let (sender_mac, sender_ip) = address(addresses[0]);
+        let (target_mac, target_ip) = address(addresses[1]);
         Ok(ArpPacket {
             op,
             sender_mac,

@@ -225,7 +225,7 @@ impl DhcpOption {
             12 => DhcpOption::HostName(text()),
             60 => DhcpOption::VendorClassId(text()),
             61 if data.len() == 7 && data[0] == 1 => {
-                DhcpOption::ClientId(MacAddr::new(data[1..7].try_into().expect("slice of 6")))
+                DhcpOption::ClientId(MacAddr::new(data[1..].as_chunks().0[0]))
             }
             57 => DhcpOption::MaxMessageSize(u16::from_be_bytes([data[0], data[1]])),
             code => DhcpOption::Other {
@@ -366,7 +366,7 @@ impl DhcpMessage {
         let secs = u16::from_be_bytes([bytes[8], bytes[9]]);
         let broadcast = u16::from_be_bytes([bytes[10], bytes[11]]) & 0x8000 != 0;
         let addr = |o: usize| Ipv4Addr::new(bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]);
-        let chaddr = MacAddr::new(bytes[28..34].try_into().expect("slice of 6"));
+        let chaddr = MacAddr::new(bytes[28..34].as_chunks().0[0]);
         let mut options = Vec::new();
         if let Some(area) = options_area {
             // One reservation: a first walk counts, the second reports.

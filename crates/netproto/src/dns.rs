@@ -526,8 +526,7 @@ fn parse_record(bytes: &[u8], offset: usize) -> Result<(ResourceRecord, usize), 
     let data = match (rtype, rdata) {
         (RecordType::A, &[a, b, c, d]) => RecordData::A(Ipv4Addr::new(a, b, c, d)),
         (RecordType::Aaaa, _) if rdata.len() == 16 => {
-            let octets: [u8; 16] = rdata.try_into().expect("slice of 16");
-            RecordData::Aaaa(Ipv6Addr::from(octets))
+            RecordData::Aaaa(Ipv6Addr::from(rdata.as_chunks::<16>().0[0]))
         }
         // The name may be (or end in) a pointer out of the record data.
         (RecordType::Ptr, _) => RecordData::Ptr(parse_name(bytes, data_start)?.0),

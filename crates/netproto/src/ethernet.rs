@@ -110,19 +110,19 @@ impl EthernetHeader {
     ///
     /// Returns [`ParseError::Truncated`] if fewer than 14 bytes are given.
     pub fn parse(bytes: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if bytes.len() < HEADER_LEN {
+        let Some((header, payload)) = bytes.split_first_chunk::<HEADER_LEN>() else {
             return Err(ParseError::truncated("ethernet", HEADER_LEN, bytes.len()));
-        }
-        let dst = MacAddr::new(bytes[0..6].try_into().expect("slice of 6"));
-        let src = MacAddr::new(bytes[6..12].try_into().expect("slice of 6"));
-        let ethertype = EtherType::from_u16(u16::from_be_bytes([bytes[12], bytes[13]]));
+        };
+        // Two 6-byte MACs, then the 2-byte EtherType.
+        let (macs, ethertype) = header.as_chunks::<6>();
+        let ethertype = EtherType::from_u16(u16::from_be_bytes([ethertype[0], ethertype[1]]));
         Ok((
             EthernetHeader {
-                dst,
-                src,
+                dst: MacAddr::new(macs[0]),
+                src: MacAddr::new(macs[1]),
                 ethertype,
             },
-            &bytes[HEADER_LEN..],
+            payload,
         ))
     }
 

@@ -347,15 +347,14 @@ fn find_crlf(bytes: &[u8], mut from: usize) -> Option<usize> {
 /// (a borrow only disturbs flags above a true one).
 fn find_cr(bytes: &[u8]) -> Option<usize> {
     const ONES: u64 = u64::from_le_bytes([1; 8]);
-    let mut words = bytes.chunks_exact(8);
-    for (i, word) in words.by_ref().enumerate() {
-        let x = u64::from_le_bytes(word.try_into().expect("chunk of 8")) ^ (ONES * b'\r' as u64);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, &word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(word) ^ (ONES * b'\r' as u64);
         let zeros = x.wrapping_sub(ONES) & !x & (ONES << 7);
         if zeros != 0 {
             return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
         }
     }
-    let tail = words.remainder();
     let cr = tail.iter().position(|&b| b == b'\r')?;
     Some(bytes.len() - tail.len() + cr)
 }

@@ -238,7 +238,7 @@ impl Ipv6Header {
     pub fn parse(bytes: &[u8]) -> Result<(Self, &[u8]), ParseError> {
         let (protocol, hbh_options, atomic_fragment, payload) = check(bytes)?;
         let first = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let src: [u8; 16] = bytes[8..24].try_into().expect("slice of 16");
+        let src = bytes[8..24].as_chunks::<16>().0[0];
         let mut hop_by_hop = Vec::new();
         walk_hbh_options(hbh_options, |kind, data| {
             hop_by_hop.push(HopByHopOption::from_wire(kind, data));
@@ -348,8 +348,7 @@ pub(crate) fn check(bytes: &[u8]) -> Result<Checked<'_>, ParseError> {
 
 /// The destination address of a header [`check`] accepted.
 pub(crate) fn dst(header: &[u8]) -> Ipv6Addr {
-    let octets: [u8; 16] = header[24..40].try_into().expect("slice of 16");
-    Ipv6Addr::from(octets)
+    Ipv6Addr::from(header[24..40].as_chunks::<16>().0[0])
 }
 
 /// Walks a Hop-by-Hop options area, reporting each option as `(kind,

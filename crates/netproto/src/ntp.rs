@@ -108,7 +108,7 @@ impl NtpPacket {
             stratum: bytes[1],
             poll: bytes[2] as i8,
             precision: bytes[3] as i8,
-            transmit_timestamp: u64::from_be_bytes(bytes[40..48].try_into().expect("slice of 8")),
+            transmit_timestamp: u64::from_be_bytes(bytes[40..PACKET_LEN].as_chunks().0[0]),
         })
     }
 }

@@ -184,7 +184,7 @@ pub fn apply_onboarding(
         Outcome::Identified { .. } => stats.identified += 1,
         Outcome::Unknown => stats.unknown += 1,
     }
-    match response.isolation {
+    match response.verdict.isolation {
         IsolationLevel::Strict => stats.strict += 1,
         IsolationLevel::Restricted => stats.restricted += 1,
         IsolationLevel::Trusted => stats.trusted += 1,
@@ -318,11 +318,12 @@ impl<S: SecurityService> StreamRuntime<S> {
     ) -> usize {
         let start = out.len();
         for (timestamp, frame) in frames {
-            if frame.len() < 14 {
+            // Bytes 6..12 of the 14-byte Ethernet header: the source MAC.
+            let Some(&[_, _, _, _, _, _, source @ .., _, _]) = frame.first_chunk::<14>() else {
                 self.stats.frames_malformed += 1;
                 continue;
-            }
-            let mac = MacAddr::new(frame[6..12].try_into().expect("checked length"));
+            };
+            let mac = MacAddr::new(source);
             let seq = self.next_seq;
             self.next_seq += 1;
             // An ignored MAC never opens a session, so it is never
@@ -504,13 +505,14 @@ impl<S: SecurityService> StreamRuntime<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sentinel_core::{Identification, ServiceResponse};
+    use sentinel_core::{Identification, ServiceResponse, TypeVerdict};
     use sentinel_devicesim::{catalog, interleave, Testbed};
     use sentinel_fingerprint::Fingerprint;
     use sentinel_netproto::stream::MemoryFrameSource;
     use sentinel_sdn::FlowAction;
     use std::collections::HashSet;
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// Scripted service: labels every fingerprint by its packet-column
@@ -525,15 +527,17 @@ mod tests {
                 identification: Identification {
                     outcome: Outcome::Identified {
                         label: full.len(),
-                        name: format!("len{}", full.len()),
+                        name: format!("len{}", full.len()).into(),
                     },
                     candidates: vec![full.len()],
                     discriminated: false,
                     scores: vec![],
                 },
-                isolation: self.isolation,
-                permitted_endpoints: vec![],
-                user_notification: None,
+                verdict: Arc::new(TypeVerdict {
+                    isolation: self.isolation,
+                    permitted_endpoints: vec![],
+                    user_notification: None,
+                }),
             }
         }
     }

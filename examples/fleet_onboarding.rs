@@ -52,7 +52,7 @@ fn main() {
             home.reports
                 .iter()
                 .find(|r| r.mac == mac)
-                .map(|r| r.response.isolation.to_string())
+                .map(|r| r.response.verdict.isolation.to_string())
                 .unwrap_or_else(|| "not assessed".into())
         };
         println!(

@@ -64,7 +64,7 @@ fn main() {
     // camera reaches only its vendor cloud, everything else is dropped.
     if let Some(restricted) = reports
         .iter()
-        .find(|r| !r.response.permitted_endpoints.is_empty())
+        .find(|r| !r.response.verdict.permitted_endpoints.is_empty())
     {
         let mac = restricted.mac;
         let internet = runtime.enforce(&outbound(mac, Ipv4Addr::new(93, 184, 216, 34), 443));
@@ -75,7 +75,7 @@ fn main() {
                 FlowAction::Drop => "BLOCKED",
             }
         );
-        if let std::net::IpAddr::V4(cloud) = restricted.response.permitted_endpoints[0] {
+        if let std::net::IpAddr::V4(cloud) = restricted.response.verdict.permitted_endpoints[0] {
             let vendor = runtime.enforce(&outbound(mac, cloud, 443));
             println!(
                 "restricted {mac} -> vendor cloud {cloud}: {}",

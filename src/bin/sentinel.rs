@@ -48,8 +48,8 @@ fn main() -> ExitCode {
             "--seed" => seed = parse_flag(iter.next(), "--seed"),
             "--run" => run = parse_flag(iter.next(), "--run"),
             "--standby" => standby = true,
-            "--save" => save = iter.next().cloned(),
-            "--load" => load = iter.next().cloned(),
+            "--save" => save = Some(parse_flag(iter.next(), "--save")),
+            "--load" => load = Some(parse_flag(iter.next(), "--load")),
             "--capacity" => capacity = parse_flag(iter.next(), "--capacity"),
             "--simulate" => simulate_count = Some(parse_flag(iter.next(), "--simulate")),
             "--stagger-ms" => stagger_ms = parse_flag(iter.next(), "--stagger-ms"),
@@ -98,10 +98,18 @@ fn main() -> ExitCode {
     }
 }
 
+/// Flag `name`'s value, parsed. A missing or unparsable value is a
+/// usage error like an unknown flag: one stderr line naming the flag,
+/// exit code 2.
 fn parse_flag<T: std::str::FromStr>(value: Option<&String>, name: &str) -> T {
-    value
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("{name} needs a numeric value"))
+    let Some(value) = value else {
+        eprintln!("{name} needs a value");
+        std::process::exit(2);
+    };
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{name}: invalid value {value:?}");
+        std::process::exit(2);
+    })
 }
 
 fn devices() -> Result<(), Box<dyn std::error::Error>> {
@@ -289,11 +297,12 @@ fn identify(
     let fixed = FixedFingerprint::from_fingerprint(&full);
     let response = service.assess(&full, &fixed);
     println!("identification: {}", response.identification);
-    println!("isolation level: {}", response.isolation);
-    if !response.permitted_endpoints.is_empty() {
-        println!("permitted endpoints: {:?}", response.permitted_endpoints);
+    let verdict = &response.verdict;
+    println!("isolation level: {}", verdict.isolation);
+    if !verdict.permitted_endpoints.is_empty() {
+        println!("permitted endpoints: {:?}", verdict.permitted_endpoints);
     }
-    if let Some(notice) = &response.user_notification {
+    if let Some(notice) = &verdict.user_notification {
         println!("USER ACTION REQUIRED: {notice}");
     }
     Ok(())

@@ -80,8 +80,11 @@ fn vulnerable_device_is_quarantined_but_reaches_vendor_cloud() {
     // EdimaxCam has a synthetic advisory -> restricted.
     let cam = holdout.setup_run(&devices[8].profile, 0);
     let report = onboard(&mut gateway, &cam);
-    assert_eq!(report.response.isolation, IsolationLevel::Restricted);
-    let whitelist = report.response.permitted_endpoints.clone();
+    assert_eq!(
+        report.response.verdict.isolation,
+        IsolationLevel::Restricted
+    );
+    let whitelist = report.response.verdict.permitted_endpoints.clone();
     assert!(!whitelist.is_empty());
 
     // Arbitrary internet: blocked.
@@ -209,7 +212,7 @@ fn rule_changes_reach_flows_the_gateway_already_cached() {
     assert_eq!(gateway.enforce(&packet).action, FlowAction::Drop);
 
     let report = onboard(&mut gateway, &hue);
-    assert_eq!(report.response.isolation, IsolationLevel::Trusted);
+    assert_eq!(report.response.verdict.isolation, IsolationLevel::Trusted);
     assert_eq!(gateway.enforce(&packet).action, FlowAction::Forward);
     assert!(!gateway.enforce(&packet).packet_in, "decided once, cached");
 
@@ -232,7 +235,10 @@ fn rule_changes_reach_flows_the_stream_runtime_already_cached() {
     reports.extend(runtime.flush());
     assert_eq!(reports.len(), 1, "onboarded");
     assert_eq!(reports[0].mac, hue.mac);
-    assert_eq!(reports[0].response.isolation, IsolationLevel::Trusted);
+    assert_eq!(
+        reports[0].response.verdict.isolation,
+        IsolationLevel::Trusted
+    );
     assert_eq!(runtime.enforce(&packet).action, FlowAction::Forward);
     assert!(!runtime.enforce(&packet).packet_in, "decided once, cached");
 
@@ -250,8 +256,11 @@ fn port_filter_restricts_protocols_to_vendor_cloud() {
     let mut gateway = StreamRuntime::new(service);
     let cam = holdout.setup_run(&devices[8].profile, 1);
     let report = onboard(&mut gateway, &cam);
-    assert_eq!(report.response.isolation, IsolationLevel::Restricted);
-    let whitelist = report.response.permitted_endpoints.clone();
+    assert_eq!(
+        report.response.verdict.isolation,
+        IsolationLevel::Restricted
+    );
+    let whitelist = report.response.verdict.permitted_endpoints.clone();
     let std::net::IpAddr::V4(cloud) = whitelist[0] else {
         panic!("expected v4");
     };

@@ -122,6 +122,7 @@ fn uncontrollable_vulnerable_device_triggers_user_notification() {
     );
     let notice = report
         .response
+        .verdict
         .user_notification
         .as_ref()
         .expect("removal notice for EdnetGateway");

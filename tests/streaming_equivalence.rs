@@ -204,7 +204,7 @@ fn interleaved_stream_is_bit_identical_to_a_sequential_gateway() {
         for report in &baseline {
             assert_eq!(
                 runtime.enforcement().level_of(report.mac),
-                report.response.isolation,
+                report.response.verdict.isolation,
                 "installed rule diverged for {}",
                 report.mac
             );
@@ -257,14 +257,17 @@ fn interleaved_stream_matches_onboarding_each_trace_alone() {
                 streamed.response.identification.candidates,
                 expected.response.identification.candidates
             );
-            assert_eq!(streamed.response.isolation, expected.response.isolation);
             assert_eq!(
-                streamed.response.permitted_endpoints,
-                expected.response.permitted_endpoints
+                streamed.response.verdict.isolation,
+                expected.response.verdict.isolation
             );
             assert_eq!(
-                streamed.response.user_notification,
-                expected.response.user_notification
+                streamed.response.verdict.permitted_endpoints,
+                expected.response.verdict.permitted_endpoints
+            );
+            assert_eq!(
+                streamed.response.verdict.user_notification,
+                expected.response.verdict.user_notification
             );
             let streamed_scores = &streamed.response.identification.scores;
             let expected_scores = &expected.response.identification.scores;
@@ -301,7 +304,7 @@ fn streaming_identifies_and_isolates_like_the_paper() {
     );
     let isolated = reports
         .iter()
-        .any(|r| r.response.isolation != IsolationLevel::Trusted);
+        .any(|r| r.response.verdict.isolation != IsolationLevel::Trusted);
     assert!(isolated);
 }
 
@@ -442,7 +445,7 @@ fn container_error_propagates_and_keeps_what_was_onboarded_before_it() {
     assert_eq!(reports, std::slice::from_ref(expected), "device 0 only");
     assert_eq!(
         runtime.enforcement().level_of(traces[0].mac),
-        expected.response.isolation
+        expected.response.verdict.isolation
     );
     assert!(runtime.enforcement().cache().get(traces[0].mac).is_some());
     // Nothing was flushed: device 1 is still mid-setup.
@@ -591,7 +594,7 @@ fn snapshot_booted_runtime_streams_bit_identically() {
         for report in &baseline {
             assert_eq!(
                 runtime.enforcement().level_of(report.mac),
-                report.response.isolation,
+                report.response.verdict.isolation,
                 "installed rule diverged for {} after snapshot boot",
                 report.mac
             );
