@@ -9,7 +9,7 @@
 //! cargo run --release -p sentinel-bench --bin fig5_accuracy -- --mode rf-only
 //! ```
 
-use sentinel_bench::cli::Args;
+use sentinel_bench::cli::{usage_error, Args, FlagError};
 use sentinel_bench::evaluation::{evaluate, EvalConfig};
 use sentinel_bench::tables;
 use sentinel_core::IdentifyMode;
@@ -34,7 +34,10 @@ fn main() {
         "two-stage" => IdentifyMode::TwoStage,
         "rf-only" => IdentifyMode::RfOnly,
         "edit-only" => IdentifyMode::EditOnly,
-        other => panic!("unknown --mode {other:?} (two-stage|rf-only|edit-only)"),
+        other => usage_error(format!(
+            "{} (two-stage|rf-only|edit-only)",
+            FlagError::invalid("mode", other)
+        )),
     };
 
     print!(

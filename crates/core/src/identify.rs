@@ -118,14 +118,15 @@ impl Default for IdentifierConfig {
 /// Reusable scratch for the batched identification paths.
 ///
 /// Holds stage 1's leaf words and per-item candidate pool, and stage 2's
-/// probe symbols, sampled reference indices, their distances and
-/// bit-parallel kernel memory (the probe's match masks and per-lane
-/// column state, [`OsaScratch`]). A caller that keeps one `ClassifyScratch` alive
-/// across ticks (a gateway holds one, inside its `AssessScratch`) performs
-/// **zero heap allocations** in steady-state batched classification,
-/// and steady-state identification allocates only what each [`Identification`] owns —
-/// its candidates and scores (the type name is shared), however many candidates and
-/// references stage 2 compares. Both are pinned by the
+/// probe symbols, sampled reference indices, their distances, the
+/// item's scores and bit-parallel kernel memory (the probe's match masks
+/// and per-lane column state, [`OsaScratch`]). A caller that keeps one
+/// `ClassifyScratch` alive across ticks (a gateway holds one, inside its
+/// `AssessScratch`) performs **zero heap allocations** in steady-state
+/// batched classification, and steady-state identification allocates
+/// only the one block each [`Identification`] owns — its candidates
+/// beside their scores (the type name is shared), however many
+/// candidates and references stage 2 compares. Both are pinned by the
 /// counting-allocator tests in `crates/core/tests/alloc_batch.rs`. The
 /// scratch carries no state between calls (the mask table is zeroed
 /// again after every item), so reuse cannot change any result.
@@ -134,15 +135,26 @@ pub struct ClassifyScratch {
     /// The [`BankScorer`]'s leaf words for the row being scored.
     words: Vec<u64>,
     /// Per-item candidate label sets; entries are reused across ticks.
+    /// Edit-only mode keeps every label in the first.
     candidates: Vec<Vec<usize>>,
-    /// Stage 2: the current item's probe, projected to symbol ids.
+    /// Stage 2's working memory.
+    stage2: Stage2Scratch,
+}
+
+/// Stage 2's share of a [`ClassifyScratch`], apart from the candidate
+/// pool it reads.
+#[derive(Debug, Default)]
+struct Stage2Scratch {
+    /// The current item's probe, projected to symbol ids.
     probe: Vec<u32>,
-    /// Stage 2: reference indices sampled for the candidate being scored.
+    /// Reference indices sampled for the candidate being scored.
     chosen: Vec<usize>,
-    /// Stage 2: the probe's exact distances to those references.
+    /// The probe's exact distances to those references.
     distances: Vec<usize>,
-    /// Stage 2: the probe's match masks (built once per item, not per
-    /// reference) and the kernel's per-lane column state.
+    /// The current item's scores, one per candidate.
+    scores: Vec<f64>,
+    /// The probe's match masks (built once per item, not per reference)
+    /// and the kernel's per-lane column state.
     osa: OsaScratch,
 }
 
@@ -380,22 +392,32 @@ impl Identifier {
         out: &mut Vec<Identification>,
     ) {
         let mode = self.config.mode;
-        // Edit-only has no stage 1: every type is a candidate.
-        if mode != IdentifyMode::EditOnly {
-            self.classify_into(items.len(), |i| items[i].1.as_slice(), scratch);
+        let ClassifyScratch {
+            words,
+            candidates,
+            stage2,
+        } = scratch;
+        if mode == IdentifyMode::EditOnly {
+            // Edit-only has no stage 1: every type is a candidate.
+            if candidates.is_empty() {
+                candidates.push(Vec::new());
+            }
+            candidates[0].clear();
+            candidates[0].extend(0..self.bank.n_types());
+        } else {
+            self.classify_into(items.len(), |i| items[i].1.as_slice(), words, candidates);
         }
         for (index, &(full, fixed, key)) in items.iter().enumerate() {
             let mut rng = key.rng(self.config.seed);
             out.push(match mode {
                 IdentifyMode::TwoStage => {
-                    let candidates = scratch.candidates[index].clone();
-                    self.discriminate(full, candidates, &mut rng, scratch)
+                    self.discriminate(full, &candidates[index], &mut rng, stage2)
                 }
-                IdentifyMode::RfOnly => self.rf_best(fixed, scratch.candidates[index].clone()),
+                IdentifyMode::RfOnly => self.rf_best(fixed, &candidates[index]),
                 // Scoring every type is not a stage-1 multiple match.
                 IdentifyMode::EditOnly => Identification {
                     discriminated: false,
-                    ..self.discriminate(full, (0..self.bank.n_types()).collect(), &mut rng, scratch)
+                    ..self.discriminate(full, &candidates[0], &mut rng, stage2)
                 },
             });
         }
@@ -415,23 +437,24 @@ impl Identifier {
         fixed: &[&FixedFingerprint],
         scratch: &'s mut ClassifyScratch,
     ) -> &'s [Vec<usize>] {
-        self.classify_into(fixed.len(), |i| fixed[i].as_slice(), scratch);
-        &scratch.candidates[..fixed.len()]
+        let ClassifyScratch {
+            words, candidates, ..
+        } = scratch;
+        self.classify_into(fixed.len(), |i| fixed[i].as_slice(), words, candidates);
+        &candidates[..fixed.len()]
     }
 
     /// Stage 1 behind every batch path: scores the `n` rows `row(0..n)`,
-    /// one [`BankScorer::candidates_into`] pass each, and leaves item
-    /// `i`'s candidate labels in `scratch.candidates[i]`. Nothing is
-    /// remembered between rows or calls.
+    /// one [`BankScorer::candidates_into`] pass each over the leaf
+    /// `words`, and leaves item `i`'s candidate labels in
+    /// `candidates[i]`. Nothing is remembered between rows or calls.
     fn classify_into<'a>(
         &self,
         n: usize,
         row: impl Fn(usize) -> &'a [f64],
-        scratch: &mut ClassifyScratch,
+        words: &mut Vec<u64>,
+        candidates: &mut Vec<Vec<usize>>,
     ) {
-        let ClassifyScratch {
-            words, candidates, ..
-        } = scratch;
         if candidates.len() < n {
             candidates.resize_with(n, Vec::new);
         }
@@ -449,31 +472,38 @@ impl Identifier {
     /// barely-over-threshold classifier can accept traffic that shares
     /// nothing with the type's references, and the score is what
     /// exposes that (see `max_dissimilarity`).
+    ///
+    /// The scores land in `stage2.scores`, and the identification's one
+    /// block is built from them and `candidates` once the winner is
+    /// picked.
     fn discriminate(
         &self,
         full: &Fingerprint,
-        candidates: Vec<usize>,
+        candidates: &[usize],
         rng: &mut PinnedRng,
-        scratch: &mut ClassifyScratch,
+        stage2: &mut Stage2Scratch,
     ) -> Identification {
         if candidates.is_empty() {
-            return self.decided(None, candidates, false, Vec::new());
+            return self.decided(None, Box::default(), false, false);
         }
-        let discriminated = candidates.len() > 1;
-        let scores = self.dissimilarity_scores(full, &candidates, rng, scratch);
-        self.pick_minimum(candidates, scores, discriminated, rng)
+        self.dissimilarity_scores_into(full, candidates, rng, stage2);
+        let scores = &stage2.scores;
+        let winner = self.pick_minimum(candidates, scores, rng);
+        let scored = candidates.iter().copied().zip(scores.iter().copied());
+        self.decided(winner, scored.collect(), candidates.len() > 1, true)
     }
 
     /// Confidence-based tie-break over a stage-1 candidate set (the
-    /// `RfOnly` ablation's second half).
-    fn rf_best(&self, fixed: &FixedFingerprint, candidates: Vec<usize>) -> Identification {
+    /// `RfOnly` ablation's second half). Nothing is scored.
+    fn rf_best(&self, fixed: &FixedFingerprint, candidates: &[usize]) -> Identification {
         let best = candidates.iter().copied().max_by(|&a, &b| {
             self.bank
                 .confidence(a, fixed)
                 .partial_cmp(&self.bank.confidence(b, fixed))
                 .expect("finite confidences")
         });
-        self.decided(best, candidates, false, Vec::new())
+        let unscored = candidates.iter().map(|&label| (label, 0.0)).collect();
+        self.decided(best, unscored, false, false)
     }
 
     /// Wraps a decision — the winning label, or `None` for an unknown
@@ -481,9 +511,9 @@ impl Identifier {
     fn decided(
         &self,
         winner: Option<usize>,
-        candidates: Vec<usize>,
+        candidates: Box<[(usize, f64)]>,
         discriminated: bool,
-        scores: Vec<f64>,
+        scored: bool,
     ) -> Identification {
         let outcome = match winner {
             Some(label) => Outcome::Identified {
@@ -496,13 +526,13 @@ impl Identifier {
             outcome,
             candidates,
             discriminated,
-            scores,
+            scored,
         }
     }
 
     /// Sums normalized edit distances to `references_per_type` sampled
     /// reference fingerprints of each candidate type (the paper's
-    /// `s_i ∈ [0, 5]`).
+    /// `s_i ∈ [0, 5]`) into `stage2.scores`, one per candidate.
     ///
     /// The probe is the kernel's pattern: its match masks are built once
     /// here, and each candidate's sampled references stream past them
@@ -514,26 +544,26 @@ impl Identifier {
     /// never reach the tie set — and the winner's own score is always
     /// exact. Candidates are scored in order, so the cutoff, and with it
     /// every recorded lower bound, is the same on every run.
-    fn dissimilarity_scores(
+    fn dissimilarity_scores_into(
         &self,
         full: &Fingerprint,
         candidates: &[usize],
         rng: &mut PinnedRng,
-        scratch: &mut ClassifyScratch,
-    ) -> Vec<f64> {
-        let ClassifyScratch {
+        stage2: &mut Stage2Scratch,
+    ) {
+        let Stage2Scratch {
             probe,
             chosen,
             distances,
+            scores,
             osa,
-            ..
-        } = scratch;
+        } = stage2;
         probe.clear();
         self.symbols.project_into(full, probe);
         // The table's ids plus the one id unseen columns project to.
         let mut pattern = osa.load(probe, self.symbols.len() + 1);
         let mut best = f64::INFINITY;
-        let mut scores = Vec::with_capacity(candidates.len());
+        scores.clear();
         for &label in candidates {
             // Scoring draws nothing, so sampling candidate by candidate
             // consumes the generator exactly as sampling all up front.
@@ -546,7 +576,6 @@ impl Identifier {
             best = best.min(score);
             scores.push(score);
         }
-        scores
     }
 
     /// Scores one candidate type from the `m`-symbol probe's exact
@@ -595,13 +624,14 @@ impl Identifier {
         sum
     }
 
+    /// The least dissimilar candidate (ties drawn from `rng`), or `None`
+    /// when even it is farther from its references than the cutoff.
     fn pick_minimum(
         &self,
-        candidates: Vec<usize>,
-        scores: Vec<f64>,
-        discriminated: bool,
+        candidates: &[usize],
+        scores: &[f64],
         rng: &mut PinnedRng,
-    ) -> Identification {
+    ) -> Option<usize> {
         let minimum = scores.iter().copied().fold(f64::INFINITY, f64::min);
         // Identical-firmware types can produce exactly tied dissimilarity
         // scores; break ties uniformly so neither twin is systematically
@@ -611,7 +641,7 @@ impl Identifier {
         let pick = if tied == 1 { 0 } else { rng.index(tied) };
         let best = candidates
             .iter()
-            .zip(&scores)
+            .zip(scores)
             .filter(|(_, &score)| is_tied(score))
             .map(|(&candidate, _)| candidate)
             .nth(pick)
@@ -626,12 +656,7 @@ impl Identifier {
             .references_per_type
             .min(self.references[best].len());
         let cutoff = self.config.max_dissimilarity * effective_refs as f64;
-        self.decided(
-            (minimum <= cutoff).then_some(best),
-            candidates,
-            discriminated,
-            scores,
-        )
+        (minimum <= cutoff).then_some(best)
     }
 }
 
@@ -870,8 +895,9 @@ mod tests {
     fn scores_are_bounded_by_reference_count() {
         let (identifier, dataset) = train_on_three();
         let id = identify(&identifier, dataset.full(0), dataset.fixed(0));
-        for score in &id.scores {
-            assert!((0.0..=5.0).contains(score));
+        assert!(id.scored);
+        for score in id.scores() {
+            assert!((0.0..=5.0).contains(&score));
         }
     }
 
@@ -964,20 +990,22 @@ mod tests {
             key: AssessKey,
         ) -> Identification {
             let mode = identifier.config.mode;
-            let candidates = match mode {
+            let candidates: Vec<usize> = match mode {
                 IdentifyMode::EditOnly => (0..identifier.bank.n_types()).collect(),
                 _ => identifier.bank.matches(fixed),
             };
             if mode == IdentifyMode::RfOnly {
-                return identifier.rf_best(fixed, candidates);
+                return identifier.rf_best(fixed, &candidates);
             }
             if candidates.is_empty() {
-                return identifier.decided(None, candidates, false, Vec::new());
+                return identifier.decided(None, Box::default(), false, false);
             }
             let mut rng = key.rng(identifier.config.seed);
             let scores = oracle_scores(identifier, full, &candidates, &mut rng);
             let discriminated = mode == IdentifyMode::TwoStage && candidates.len() > 1;
-            identifier.pick_minimum(candidates, scores, discriminated, &mut rng)
+            let winner = identifier.pick_minimum(&candidates, &scores, &mut rng);
+            let scored = candidates.into_iter().zip(scores).collect();
+            identifier.decided(winner, scored, discriminated, true)
         }
 
         /// The whole catalog, 6 runs per type, 5-tree forests: 27 types
@@ -1017,8 +1045,8 @@ mod tests {
             }
         }
 
-        fn bits(scores: &[f64]) -> Vec<u64> {
-            scores.iter().map(|score| score.to_bits()).collect()
+        fn bits(scores: impl IntoIterator<Item = f64>) -> Vec<u64> {
+            scores.into_iter().map(f64::to_bits).collect()
         }
 
         proptest! {
@@ -1058,19 +1086,19 @@ mod tests {
                 let mut candidates: Vec<usize> = (0..27).collect();
                 candidates.sort_by_key(|&label| order[label]);
                 candidates.truncate(count);
-                let mut scratch = ClassifyScratch::default();
+                let mut stage2 = Stage2Scratch::default();
                 let mut rng = key.rng(identifier.config.seed);
-                let scores = identifier.dissimilarity_scores(&full, &candidates, &mut rng, &mut scratch);
+                identifier.dissimilarity_scores_into(&full, &candidates, &mut rng, &mut stage2);
                 let mut oracle_rng = key.rng(identifier.config.seed);
                 let expected = oracle_scores(&identifier, &full, &candidates, &mut oracle_rng);
-                prop_assert_eq!(bits(&scores), bits(&expected));
+                prop_assert_eq!(bits(stage2.scores.iter().copied()), bits(expected));
                 prop_assert_eq!(rng.index(1 << 20), oracle_rng.index(1 << 20), "draws consumed");
 
                 // And the whole identification in this mode: tie set,
                 // keyed tie-break draw and recorded scores.
                 let id = identifier.identify_keyed(&full, &fixed, key);
                 let oracle = oracle_identify(&identifier, &full, &fixed, key);
-                prop_assert_eq!(bits(&id.scores), bits(&oracle.scores));
+                prop_assert_eq!(bits(id.scores()), bits(oracle.scores()));
                 prop_assert_eq!(id, oracle);
             }
         }

@@ -206,9 +206,9 @@ mod tests {
                         label: 0,
                         name: "Fixture".into(),
                     },
-                    candidates: vec![0],
+                    candidates: [(0, 0.0)].into(),
                     discriminated: false,
-                    scores: vec![],
+                    scored: false,
                 },
                 verdict: Arc::new(TypeVerdict {
                     isolation: self.isolation,

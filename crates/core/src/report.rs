@@ -13,12 +13,14 @@ use sentinel_sdn::{EnforcementRule, IsolationLevel};
 /// A device-type name, shared rather than copied: the identifier keeps
 /// one per label and every [`Outcome::Identified`] clones the pointer.
 ///
-/// `Arc` rather than `Rc` because one trained service backs every
-/// worker thread of a fleet. It reads as a `str` (`Deref`, `as_str`,
+/// One word: the `Arc` points at a `String`, so a name costs its two
+/// blocks once per label and an outcome carries 8 bytes of it. `Arc`
+/// rather than `Rc` because one trained service backs every worker
+/// thread of a fleet. It reads as a `str` (`Deref`, `as_str`,
 /// `Display`, and a `Debug` and serialized form identical to the
 /// string's).
 #[derive(Clone, PartialEq, Eq)]
-pub struct TypeName(Arc<str>);
+pub struct TypeName(Arc<String>);
 
 impl TypeName {
     /// The name as a string slice.
@@ -37,25 +39,25 @@ impl Deref for TypeName {
 
 impl fmt::Display for TypeName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&*self.0, f)
+        fmt::Display::fmt(self.as_str(), f)
     }
 }
 
 impl fmt::Debug for TypeName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
 impl From<&str> for TypeName {
     fn from(name: &str) -> Self {
-        TypeName(name.into())
+        TypeName::from(name.to_owned())
     }
 }
 
 impl From<String> for TypeName {
     fn from(name: String) -> Self {
-        TypeName(name.into())
+        TypeName(Arc::new(name))
     }
 }
 
@@ -81,17 +83,28 @@ pub enum Outcome {
 }
 
 /// The full record of one identification (Sect. IV-B pipeline).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Each stage-1 candidate sits beside its stage-2 score in one boxed
+/// slice, so an identification owns one heap block, and none when no
+/// classifier accepted.
+///
+/// Serializes as the four keys `outcome`, `candidates` (the labels),
+/// `discriminated` and `scores` (empty unless `scored`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Identification {
     /// Final outcome.
     pub outcome: Outcome,
-    /// Labels accepted by the classifier bank (first stage).
-    pub candidates: Vec<usize>,
+    /// Labels accepted by the classifier bank (first stage), each with
+    /// its dissimilarity score `s_i ∈ [0, 5]` (second stage). A score
+    /// means something only when `scored` is set, and is 0 otherwise;
+    /// [`Identification::scores`] reads them.
+    pub candidates: Box<[(usize, f64)]>,
     /// Whether edit-distance discrimination (second stage) ran.
     pub discriminated: bool,
-    /// Dissimilarity scores `s_i ∈ [0, 5]` per candidate, aligned with
-    /// `candidates`; empty when discrimination was skipped.
-    pub scores: Vec<f64>,
+    /// Whether stage 2 scored the candidates: not under
+    /// [`crate::IdentifyMode::RfOnly`], which breaks ties by classifier
+    /// confidence instead.
+    pub scored: bool,
 }
 
 impl Identification {
@@ -101,6 +114,39 @@ impl Identification {
             Outcome::Identified { label, .. } => Some(*label),
             Outcome::Unknown => None,
         }
+    }
+
+    /// The candidate labels, in stage-1 order.
+    pub fn labels(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.candidates.iter().map(|&(label, _)| label)
+    }
+
+    /// The dissimilarity scores, aligned with [`Identification::labels`];
+    /// empty when stage 2 did not score.
+    pub fn scores(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let scored = if self.scored {
+            self.candidates.len()
+        } else {
+            0
+        };
+        self.candidates[..scored].iter().map(|&(_, score)| score)
+    }
+}
+
+impl Serialize for Identification {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("outcome".to_string(), self.outcome.to_value()),
+            (
+                "candidates".to_string(),
+                Value::Array(self.labels().map(|label| label.to_value()).collect()),
+            ),
+            ("discriminated".to_string(), self.discriminated.to_value()),
+            (
+                "scores".to_string(),
+                Value::Array(self.scores().map(|score| score.to_value()).collect()),
+            ),
+        ])
     }
 }
 
@@ -235,23 +281,51 @@ mod tests {
                 label: 3,
                 name: "HueBridge".into(),
             },
-            candidates: vec![3, 4],
+            candidates: [(3, 0.4), (4, 2.5)].into(),
             discriminated: true,
-            scores: vec![0.4, 2.5],
+            scored: true,
         };
         assert_eq!(id.label(), Some(3));
+        assert_eq!(id.labels().collect::<Vec<_>>(), [3, 4]);
+        assert_eq!(id.scores().collect::<Vec<_>>(), [0.4, 2.5]);
         let text = id.to_string();
         assert!(text.contains("HueBridge"));
         assert!(text.contains("discrimination"));
     }
 
     #[test]
+    fn an_unscored_identification_serializes_no_scores() {
+        // The `RfOnly` shape: candidates without stage-2 scores.
+        let id = Identification {
+            outcome: Outcome::Identified {
+                label: 4,
+                name: "HueBridge".into(),
+            },
+            candidates: [(3, 0.0), (4, 0.0)].into(),
+            discriminated: false,
+            scored: false,
+        };
+        let keys = |value: Value| match value {
+            Value::Object(fields) => fields,
+            other => panic!("an object, not {other:?}"),
+        };
+        let fields = keys(id.to_value());
+        let names: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(names, ["outcome", "candidates", "discriminated", "scores"]);
+        assert_eq!(
+            fields[1].1,
+            Value::Array(vec![Value::U64(3), Value::U64(4)])
+        );
+        assert_eq!(fields[3].1, Value::Array(vec![]));
+    }
+
+    #[test]
     fn unknown_display() {
         let id = Identification {
             outcome: Outcome::Unknown,
-            candidates: vec![],
+            candidates: Box::default(),
             discriminated: false,
-            scores: vec![],
+            scored: false,
         };
         assert_eq!(id.label(), None);
         assert!(id.to_string().contains("unknown"));
@@ -259,10 +333,11 @@ mod tests {
 
     #[test]
     fn size_is_pinned() {
-        // The verdict is one pointer, the type name one `str` pointer.
-        assert_eq!(std::mem::size_of::<TypeName>(), 16);
-        assert_eq!(std::mem::size_of::<ServiceResponse>(), 88);
-        assert_eq!(std::mem::size_of::<OnboardingReport>(), 104);
+        // The verdict is one pointer, the type name one word and the
+        // candidates with their scores one boxed slice.
+        assert_eq!(std::mem::size_of::<TypeName>(), 8);
+        assert_eq!(std::mem::size_of::<ServiceResponse>(), 48);
+        assert_eq!(std::mem::size_of::<OnboardingReport>(), 64);
     }
 
     #[test]
@@ -273,9 +348,9 @@ mod tests {
             response: ServiceResponse {
                 identification: Identification {
                     outcome: Outcome::Unknown,
-                    candidates: vec![],
+                    candidates: Box::default(),
                     discriminated: false,
-                    scores: vec![],
+                    scored: false,
                 },
                 verdict: Arc::new(TypeVerdict {
                     isolation: IsolationLevel::Strict,

@@ -289,13 +289,9 @@ fn holdout_probes(keep: impl Fn(&DeviceModel) -> bool) -> Vec<(Fingerprint, Fixe
         .collect()
 }
 
-/// What an `Identification` owns: its candidate set and its scores
-/// (both empty, hence unallocated, when no classifier accepted). The
+/// What an `Identification` owns: one block holding its candidates
+/// beside their scores, and none when no classifier accepted. The
 /// identified type's name is shared, not owned.
 fn identification_owns(id: &Identification) -> usize {
-    if id.candidates.is_empty() {
-        0
-    } else {
-        2
-    }
+    usize::from(!id.candidates.is_empty())
 }

@@ -94,11 +94,11 @@ impl FeatureExtractor {
             .expect("pushed now or equal to the last")
     }
 
-    /// Extracts the features of one raw Ethernet frame without building
-    /// a [`Packet`], falling back to the full decoder only when the wire
-    /// scanner cannot certify the frame.
+    /// Extracts the features of one raw Ethernet frame in one wire walk
+    /// ([`RawFeatures::from_frame`]), never building a [`Packet`]: the
+    /// scan is total, so no frame falls back to the decoder.
     ///
-    /// Errors exactly when `Packet::parse` would.
+    /// Errors exactly when `Packet::parse` would, with its error value.
     pub fn push_bytes(&mut self, frame: &[u8]) -> Result<&FeatureVector, ParseError> {
         let raw = RawFeatures::from_frame(frame)?;
         Ok(self.push_raw(&raw))
@@ -135,8 +135,7 @@ pub fn extract(packets: &[Packet]) -> Fingerprint {
 }
 
 /// Extracts a [`Fingerprint`] straight from raw Ethernet frames via the
-/// zero-copy wire scanner, never constructing a [`Packet`] on the fast
-/// path. Produces exactly the same fingerprint as [`extract`] on the
+/// zero-copy wire scanner, never constructing a [`Packet`]. Produces exactly the same fingerprint as [`extract`] on the
 /// decoded packets; errors exactly when decoding would.
 pub fn extract_frames<B: AsRef<[u8]>>(frames: &[B]) -> Result<Fingerprint, ParseError> {
     let mut extractor = FeatureExtractor::with_capacity(frames.len());

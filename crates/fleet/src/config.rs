@@ -47,7 +47,7 @@ pub struct FleetConfig {
     /// Session-table capacity of each home gateway.
     pub max_sessions_per_home: usize,
     /// Not consulted by [`crate::run_fleet`]: a gateway assesses each
-    /// tick's completed setups as one keyed batch. Kept because the
+    /// tick's completed setups itself. Kept because the
     /// frozen benchmark reads it as the chunk size of its own composed
     /// fleet pass.
     pub assess_batch_rows: usize,

@@ -9,7 +9,7 @@
 //! path a standalone gateway uses. Per tick, the devices due to leave
 //! are forgotten ([`StreamRuntime::remove_device`]), the tick's frames
 //! go through [`StreamRuntime::ingest_frames`] (which assesses the
-//! tick's completed setups as one keyed batch and installs their rules
+//! tick's completed setups in keyed batches and installs their rules
 //! in `(seq, mac)` order), and every new report fires its data-plane
 //! probes on the gateway's own enforcement module. The end-of-stream
 //! [`StreamRuntime::flush`] settles the same way, and one last leave

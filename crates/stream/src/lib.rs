@@ -16,7 +16,7 @@
 //!   every frame the owning decoder accepts, so ingest never decodes —
 //!   demultiplexes by source MAC into one session table, runs
 //!   setup-end detection (idle gap, packet cap, byte cap), assesses
-//!   each round's completed setups as one keyed batch against the IoT
+//!   each round's completed setups in keyed batches against the IoT
 //!   Security Service and enforces the verdicts through the SDN switch.
 //!   Decisions are those of onboarding each device alone, at any batch
 //!   size. Each onboarding report is handed to the caller once; the

@@ -13,12 +13,12 @@
 //!
 //! # One round, three passes
 //!
-//! An ingest call is *sessionize → one keyed batch → serial install*:
+//! An ingest call is *sessionize → keyed batches → serial install*:
 //! [`StreamRuntime::ingest_frames_deferred`] takes the batch in stream
 //! order through probe → scan → open/offer → complete and collects the
-//! setups that completed;
-//! [`SecurityService::assess_keyed_batch_into`] assesses all of them in
-//! one call out of the runtime's warm [`AssessScratch`]; and
+//! setups that completed into the runtime's warm completion buffer;
+//! [`SecurityService::assess_keyed_batch_into`] assesses them, up to 32
+//! per call, out of the runtime's warm [`AssessScratch`]; and
 //! [`apply_onboarding`] installs each rule and emits each report in
 //! `(seq, mac)` stream order. [`StreamRuntime::ingest_frames`] is the
 //! three passes in sequence; every gateway runs them that way, a fleet
@@ -125,6 +125,7 @@ impl StreamConfig {
 /// keyed batches of any size with byte-identical results. Only
 /// enforcement-rule installation and report emission must happen in
 /// `(seq, mac)` order.
+#[derive(Debug)]
 pub struct Completion {
     /// Stream sequence of the frame that closed the session (for gap
     /// and cap completions) or of its last absorbed frame (flush).
@@ -147,6 +148,10 @@ impl Completion {
         AssessKey::new(self.seq, self.mac)
     }
 }
+
+/// Completions assessed per keyed batch of [`StreamRuntime::onboard`]:
+/// the bound of its stack array of items (32 B each).
+const ASSESS_CHUNK: usize = 32;
 
 /// Finalizes one session into its fingerprints (`F` and `F'`).
 fn complete(mac: MacAddr, seq: u64, session: Session, reason: CompletionReason) -> Completion {
@@ -205,11 +210,15 @@ pub struct StreamRuntime<S> {
     /// The bounded session table (which also remembers the MACs it has
     /// onboarded, whose steady-state traffic is skipped).
     table: SessionTable,
-    /// Warm working memory of the one keyed batch each round assesses
+    /// Warm working memory of the keyed batches each round assesses
     /// (stage-1 batch matrix and candidate pool, stage-2 probe symbols
     /// and mask table — once warm, assessment allocates only what each
     /// response owns).
     scratch: AssessScratch,
+    /// The round's completions, empty between calls.
+    completions: Vec<Completion>,
+    /// The responses of the chunk being installed, empty between calls.
+    responses: Vec<ServiceResponse>,
     module: EnforcementModule,
     switch: OvsSwitch,
     stats: StreamStats,
@@ -229,6 +238,8 @@ impl<S: SecurityService> StreamRuntime<S> {
             table: SessionTable::new(config.effective_capacity()),
             config,
             scratch: AssessScratch::default(),
+            completions: Vec::new(),
+            responses: Vec::new(),
             module: EnforcementModule::new(),
             switch: OvsSwitch::lab(),
             stats: StreamStats::default(),
@@ -260,20 +271,19 @@ impl<S: SecurityService> StreamRuntime<S> {
         // the slots in place, so file replay stops allocating once the
         // buffers have grown to the capture's frame sizes.
         let mut batch: Vec<(Timestamp, Vec<u8>)> = Vec::with_capacity(self.config.batch_size);
-        let mut completions = Vec::new();
         loop {
             let refill = source.refill_frames(&mut batch, self.config.batch_size.max(1));
             // On a container error `batch` holds the frames read before
             // it; at end of stream it is empty.
-            self.ingest_frames_deferred(&batch, &mut completions);
-            self.onboard(&completions, out);
-            completions.clear();
+            self.settle(
+                |runtime, completions| runtime.ingest_frames_deferred(&batch, completions),
+                out,
+            );
             if refill? == 0 {
                 break;
             }
         }
-        self.flush_deferred(&mut completions);
-        self.onboard(&completions, out);
+        self.settle(Self::flush_deferred, out);
         Ok(())
     }
 
@@ -284,10 +294,11 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// and are excluded from [`StreamStats::packets_in`], so stats and
     /// assessment keys are those of the stream without them.
     pub fn ingest_frames(&mut self, frames: &[(Timestamp, Vec<u8>)]) -> Vec<OnboardingReport> {
-        let mut completions = Vec::new();
-        self.ingest_frames_deferred(frames, &mut completions);
         let mut reports = Vec::new();
-        self.onboard(&completions, &mut reports);
+        self.settle(
+            |runtime, completions| runtime.ingest_frames_deferred(frames, completions),
+            &mut reports,
+        );
         reports
     }
 
@@ -297,7 +308,7 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// for the caller to assess later, in keyed batches the v2 pinned
     /// RNG contract makes byte-identical to in-line assessment at any
     /// batch size. [`StreamRuntime::ingest_frames`] is this call plus
-    /// one keyed batch and [`apply_onboarding`]. Returns how many
+    /// keyed batches and [`apply_onboarding`]. Returns how many
     /// completions this call appended.
     ///
     /// Session state machines, eviction and every ingest-side counter
@@ -404,40 +415,63 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// Finalizes every in-flight session (end of stream), least recently
     /// active first.
     pub fn flush(&mut self) -> Vec<OnboardingReport> {
-        let mut completions = Vec::new();
-        self.flush_deferred(&mut completions);
         let mut reports = Vec::new();
-        self.onboard(&completions, &mut reports);
+        self.settle(Self::flush_deferred, &mut reports);
         reports
     }
 
+    /// One round: `pass` (the first pass, deferred ingest or flush)
+    /// fills the warm completion buffer, then [`StreamRuntime::onboard`]
+    /// assesses and installs what it appended, reports going to `out`.
+    fn settle(
+        &mut self,
+        pass: impl FnOnce(&mut Self, &mut Vec<Completion>) -> usize,
+        out: &mut Vec<OnboardingReport>,
+    ) {
+        let mut completions = std::mem::take(&mut self.completions);
+        pass(self, &mut completions);
+        self.onboard(&completions, out);
+        completions.clear();
+        self.completions = completions;
+    }
+
     /// The second and third pass of a round: assesses the call's
-    /// completions (already in `(seq, mac)` stream order) as one keyed
-    /// batch — stage 1 through the bank's scorer for each, stage-2
+    /// completions (already in `(seq, mac)` stream order) as keyed
+    /// batches — stage 1 through the bank's scorer for each, stage-2
     /// drawing from each completion's own `(seq, mac)`-keyed generator —
     /// then installs each device's enforcement rule and appends its
-    /// report to `out`, in that order. No completions ⇒ no work, no
-    /// allocation.
+    /// report to `out`, in that order.
+    ///
+    /// The batches are [`ASSESS_CHUNK`] completions at most, borrowed
+    /// from a stack array: keyed assessment answers the same however the
+    /// completions are cut, and the round keeps no per-call buffer. Once
+    /// the runtime is warm, what allocates is what each response owns
+    /// and the growth of `out`. No completions ⇒ no work, no allocation.
     fn onboard(&mut self, completions: &[Completion], out: &mut Vec<OnboardingReport>) {
-        if completions.is_empty() {
-            return;
+        fn item(c: &Completion) -> (&Fingerprint, &FixedFingerprint, AssessKey) {
+            (&c.full, &c.fixed, c.assess_key())
         }
-        let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = completions
-            .iter()
-            .map(|c| (&c.full, &c.fixed, c.assess_key()))
-            .collect();
-        let mut responses = Vec::with_capacity(items.len());
-        self.service
-            .assess_keyed_batch_into(&items, &mut self.scratch, &mut responses);
-        debug_assert_eq!(completions.len(), responses.len());
-        out.extend(
-            completions
-                .iter()
-                .zip(responses)
-                .map(|(completion, response)| {
-                    apply_onboarding(&mut self.stats, &mut self.module, completion, response)
-                }),
-        );
+        out.reserve(completions.len());
+        for chunk in completions.chunks(ASSESS_CHUNK) {
+            let mut items = [item(&chunk[0]); ASSESS_CHUNK];
+            for (slot, completion) in items.iter_mut().zip(chunk) {
+                *slot = item(completion);
+            }
+            self.service.assess_keyed_batch_into(
+                &items[..chunk.len()],
+                &mut self.scratch,
+                &mut self.responses,
+            );
+            debug_assert_eq!(chunk.len(), self.responses.len());
+            out.extend(
+                chunk
+                    .iter()
+                    .zip(self.responses.drain(..))
+                    .map(|(completion, response)| {
+                        apply_onboarding(&mut self.stats, &mut self.module, completion, response)
+                    }),
+            );
+        }
     }
 
     /// Forgets a device entirely (it left the network): its in-flight
@@ -529,9 +563,9 @@ mod tests {
                         label: full.len(),
                         name: format!("len{}", full.len()).into(),
                     },
-                    candidates: vec![full.len()],
+                    candidates: [(full.len(), 0.0)].into(),
                     discriminated: false,
-                    scores: vec![],
+                    scored: false,
                 },
                 verdict: Arc::new(TypeVerdict {
                     isolation: self.isolation,

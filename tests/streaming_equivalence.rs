@@ -253,10 +253,11 @@ fn interleaved_stream_matches_onboarding_each_trace_alone() {
                 "identification diverged for {} at batch size {batch_size}",
                 trace.mac
             );
-            assert_eq!(
-                streamed.response.identification.candidates,
-                expected.response.identification.candidates
-            );
+            assert!(streamed
+                .response
+                .identification
+                .labels()
+                .eq(expected.response.identification.labels()));
             assert_eq!(
                 streamed.response.verdict.isolation,
                 expected.response.verdict.isolation
@@ -269,10 +270,10 @@ fn interleaved_stream_matches_onboarding_each_trace_alone() {
                 streamed.response.verdict.user_notification,
                 expected.response.verdict.user_notification
             );
-            let streamed_scores = &streamed.response.identification.scores;
-            let expected_scores = &expected.response.identification.scores;
+            let streamed_scores = streamed.response.identification.scores();
+            let expected_scores = expected.response.identification.scores();
             assert_eq!(streamed_scores.len(), expected_scores.len());
-            for (a, b) in streamed_scores.iter().zip(expected_scores) {
+            for (a, b) in streamed_scores.zip(expected_scores) {
                 assert!(
                     (a - b).abs() < 1e-9,
                     "score diverged for {}: {a} vs {b}",
