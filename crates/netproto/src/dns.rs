@@ -359,28 +359,28 @@ impl DnsMessage {
 
 /// The labels [`encode_name`] writes: empty ones (a trailing or doubled
 /// dot, the bare root) are skipped.
-fn labels(name: &str) -> impl Iterator<Item = &str> {
-    name.split('.').filter(|l| !l.is_empty())
+fn labels(name: &[u8]) -> impl Iterator<Item = &[u8]> {
+    name.split(|&b| b == b'.').filter(|l| !l.is_empty())
 }
 
 fn encode_name(name: &str, buf: &mut impl BufMut) {
-    for label in labels(name) {
-        debug_assert!(label.len() < 64, "dns label too long: {label}");
+    for label in labels(name.as_bytes()) {
+        debug_assert!(label.len() < 64, "dns label too long in {name}");
         buf.put_u8(label.len() as u8);
-        buf.put_slice(label.as_bytes());
+        buf.put_slice(label);
     }
     buf.put_u8(0);
 }
 
 /// Encoded length of the labels of `name`: a length byte and the text.
-fn labels_len(name: &str) -> usize {
+fn labels_len(name: &[u8]) -> usize {
     labels(name).map(|label| 1 + label.len()).sum()
 }
 
 /// Encoded length of `name`: names are written uncompressed, so the
 /// labels plus the root terminator.
 fn name_len(name: &str) -> usize {
-    labels_len(name) + 1
+    labels_len(name.as_bytes()) + 1
 }
 
 /// The four section counts of a message at least a header long.
@@ -395,12 +395,13 @@ fn section_counts(bytes: &[u8]) -> Result<[usize; 4], ParseError> {
 
 /// Walks the name at `offset`, following RFC 1035 compression pointers
 /// (at most 16 of them, which bounds any loop) and handing every label
-/// to `label`. Returns the offset after the name at its *original*
-/// position — after the first pointer, when there is one.
+/// to `label` once it is known to be text. Returns the offset after the
+/// name at its *original* position — after the first pointer, when there
+/// is one.
 fn walk_name<'a>(
     bytes: &'a [u8],
     mut offset: usize,
-    mut label: impl FnMut(&'a str),
+    mut label: impl FnMut(&'a [u8]),
 ) -> Result<usize, ParseError> {
     let mut end = None;
     let mut hops = 0;
@@ -427,10 +428,12 @@ fn walk_name<'a>(
                 let text = bytes
                     .get(start..stop)
                     .ok_or_else(|| ParseError::truncated("dns name", stop, bytes.len()))?;
-                label(
-                    std::str::from_utf8(text)
-                        .map_err(|_| ParseError::invalid("dns name", "label not utf-8"))?,
-                );
+                // ASCII is text; only a label with other bytes is checked
+                // in full.
+                if !text.is_ascii() && std::str::from_utf8(text).is_err() {
+                    return Err(ParseError::invalid("dns name", "label not utf-8"));
+                }
+                label(text);
                 offset = stop;
             }
             _ => return Err(ParseError::invalid("dns name", "reserved label kind")),
@@ -438,18 +441,44 @@ fn walk_name<'a>(
     }
 }
 
+/// The longest name RFC 1035 allows, in bytes on the wire; its dotted
+/// string is two shorter.
+const MAX_NAME_LEN: usize = 255;
+
 /// The name at `offset` as a dotted string, and the offset after it.
-/// Reserved once, for the length the name re-encodes to: a label and its
-/// dot are as long as the label and its length byte.
+/// One walk copies the labels into a stack buffer, the name is checked
+/// to be text once, whole (its labels are, and a dot is ASCII), and one
+/// allocation of its length keeps it. A longer name (RFC 1035 allows
+/// none) overruns the buffer and is walked again, into a buffer of the
+/// length the first walk measured.
 fn parse_name(bytes: &[u8], offset: usize) -> Result<(String, usize), ParseError> {
-    let mut name = String::with_capacity(scan_name(bytes, offset)?.0);
+    let not_text = || ParseError::invalid("dns name", "label not utf-8");
+    let mut buf = [0u8; MAX_NAME_LEN];
+    let mut len = 0;
     let next = walk_name(bytes, offset, |label| {
-        if !name.is_empty() {
-            name.push('.');
+        if len > 0 {
+            if let Some(dot) = buf.get_mut(len) {
+                *dot = b'.';
+            }
+            len += 1;
         }
-        name.push_str(label);
+        if let Some(slot) = buf.get_mut(len..len + label.len()) {
+            slot.copy_from_slice(label);
+        }
+        len += label.len();
     })?;
-    Ok((name, next))
+    if let Some(name) = buf.get(..len) {
+        let name = std::str::from_utf8(name).map_err(|_| not_text())?;
+        return Ok((name.to_owned(), next));
+    }
+    let mut name = Vec::with_capacity(len);
+    walk_name(bytes, offset, |label| {
+        if !name.is_empty() {
+            name.push(b'.');
+        }
+        name.extend_from_slice(label);
+    })?;
+    Ok((String::from_utf8(name).map_err(|_| not_text())?, next))
 }
 
 /// The length the name at `offset` re-encodes to — [`name_len`] of what
@@ -460,7 +489,7 @@ fn scan_name(bytes: &[u8], offset: usize) -> Result<(usize, usize), ParseError> 
     let mut len = 1;
     let next = walk_name(bytes, offset, |label| {
         // Only a label with dots in it needs splitting to be measured.
-        len += if label.contains('.') {
+        len += if label.contains(&b'.') {
             labels_len(label)
         } else {
             1 + label.len()
@@ -585,6 +614,180 @@ pub(crate) fn encoded_len(bytes: &[u8]) -> Result<usize, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Label texts for generated names: plain, dotted (whole, and with
+    /// empty pieces), multi-byte, not UTF-8, and the longest a label can
+    /// be — four of those make a name longer than RFC 1035 allows.
+    const LABELS: [&[u8]; 10] = [
+        b"a",
+        b"local",
+        b"_hap",
+        b"a.b",
+        b".",
+        b"..x.",
+        b"\xc3\xa9",
+        b"\xff",
+        &[b'z'; 63],
+        b"_tcp",
+    ];
+
+    /// Strings for generated TXT data: plain, empty, not UTF-8.
+    const TXT_STRINGS: [&[u8]; 3] = [b"md=Bridge", b"", b"k=\xff"];
+
+    /// How a generated name ends: at the root, or in a pointer back to an
+    /// earlier name, forward to a later one, or into the pointer chain.
+    const NAME_ENDS: u8 = 4;
+
+    /// One generated question or record: its kind (question, A, PTR,
+    /// TXT, SRV, PTR again), its owner's labels, how the owner ends, and
+    /// a byte of further choices (pointer targets, TXT strings, how a
+    /// PTR's data ends).
+    type Entry = (u8, Vec<usize>, u8, u8);
+
+    /// A message of `entries` (questions first) followed by a chain of
+    /// `chain` pointers, each to the next, and a 132-byte name the last
+    /// one points to: a name ending in the chain's first pointer is
+    /// followed through `chain + 1` of them. `lie` is added to the
+    /// answer count.
+    fn build(entries: &[Entry], chain: usize, lie: u16) -> Vec<u8> {
+        let mut entries = entries.to_vec();
+        entries.sort_by_key(|entry| entry.0 != 0);
+        let questions = entries.iter().filter(|entry| entry.0 == 0).count();
+        let records = (entries.len() - questions) as u16;
+        let mut msg = vec![0, 0, 0x84, 0];
+        for count in [questions as u16, records + lie, 0, 0] {
+            msg.extend_from_slice(&count.to_be_bytes());
+        }
+        // Where each name starts, and each pointer to patch: its offset,
+        // its kind, the name it belongs to and a choice of target.
+        let (mut starts, mut pointers) = (Vec::new(), Vec::new());
+        let mut name = |msg: &mut Vec<u8>, labels: &[usize], end: u8, choice: u8| {
+            starts.push(msg.len());
+            for &label in labels {
+                msg.push(LABELS[label].len() as u8);
+                msg.extend_from_slice(LABELS[label]);
+            }
+            match end % NAME_ENDS {
+                0 => msg.push(0),
+                kind => {
+                    pointers.push((msg.len(), kind, starts.len() - 1, choice as usize));
+                    msg.extend_from_slice(&[0xc0, 0]);
+                }
+            }
+        };
+        for (kind, labels, end, choice) in &entries {
+            name(&mut msg, labels, *end, *choice);
+            if *kind == 0 {
+                msg.extend_from_slice(&[0, 12, 0x80, 1]);
+                continue;
+            }
+            let rtype = [0, 1, 12, 16, 33, 12][*kind as usize];
+            msg.extend_from_slice(&[0, rtype, 0x80, 1, 0, 0, 0x11, 0x94, 0, 0]);
+            let data_start = msg.len();
+            match rtype {
+                1 => msg.extend_from_slice(&[10, 0, 0, 31]),
+                12 => name(&mut msg, &labels[labels.len() / 2..], end + 1, choice / 4),
+                16 => {
+                    for string in 0..*choice as usize % 4 {
+                        let text = TXT_STRINGS[(string + *choice as usize) % TXT_STRINGS.len()];
+                        msg.push(text.len() as u8);
+                        msg.extend_from_slice(text);
+                    }
+                    // Now and then a string that overruns the data.
+                    if choice % 7 == 0 {
+                        msg.extend_from_slice(&[9, b'x']);
+                    }
+                }
+                _ => msg.extend_from_slice(&[0, 0, 0, 0, 0x1f, 0x90]),
+            }
+            let rdlength = (msg.len() - data_start) as u16;
+            msg[data_start - 2..data_start].copy_from_slice(&rdlength.to_be_bytes());
+        }
+        let chain_start = msg.len();
+        for link in 1..=chain {
+            msg.extend_from_slice(&(0xc000 | (chain_start + 2 * link) as u16).to_be_bytes());
+        }
+        let last = msg.len();
+        for label in [&[b'y'; 63][..], &[b'y'; 63], b"end"] {
+            msg.push(label.len() as u8);
+            msg.extend_from_slice(label);
+        }
+        msg.push(0);
+        for (at, kind, of, choice) in pointers {
+            let target = match kind {
+                1 if of > 0 => starts[choice % of],
+                // With nothing before it, a name points at itself.
+                1 => starts[of],
+                2 if of + 1 < starts.len() => starts[of + 1 + choice % (starts.len() - of - 1)],
+                2 => last,
+                _ => chain_start + 2 * (choice % chain.max(1)),
+            };
+            msg[at..at + 2].copy_from_slice(&(0xc000 | target as u16).to_be_bytes());
+        }
+        msg
+    }
+
+    fn entries() -> impl Strategy<Value = Vec<Entry>> {
+        let labels = proptest::collection::vec(0..LABELS.len(), 0..5);
+        let entry = (0u8..6, labels, 0..NAME_ENDS, any::<u8>());
+        proptest::collection::vec(entry, 0..6)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_succeeds_exactly_when_encoded_len_does(
+            entries in entries(),
+            chain in 15usize..=16,
+            lie in 0u16..2,
+        ) {
+            let message = build(&entries, chain, lie);
+            // The message and every truncation of it: the same error, or
+            // a message whose length is the one the scan computed.
+            for cut in 0..=message.len() {
+                let bytes = &message[..cut];
+                let parsed = DnsMessage::parse(bytes).map(|msg| msg.wire_len());
+                prop_assert_eq!(encoded_len(bytes), parsed, "on {:?}", bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn the_generated_messages_reach_what_they_are_for() {
+        // Sixteen pointers are followed, seventeen are a loop.
+        let through_the_chain = [(0, vec![1, 9], 3, 0)];
+        let first_name = |chain| {
+            let msg = DnsMessage::parse(&build(&through_the_chain, chain, 0));
+            msg.map(|msg| msg.questions[0].name.clone())
+        };
+        let y = "y".repeat(63);
+        assert_eq!(first_name(15), Ok(format!("local._tcp.{y}.{y}.end")));
+        let loop_error = ParseError::invalid("dns name", "compression loop");
+        assert_eq!(first_name(16), Err(loop_error));
+        // A 255-byte name behind a backward pointer makes a name longer
+        // than RFC 1035 allows; a PTR record's data points forward.
+        let z = "z".repeat(63);
+        let entries = [(0, vec![8, 8, 8, 8], 0, 0), (2, vec![0, 1], 1, 0)];
+        let bytes = build(&entries, 0, 0);
+        let msg = DnsMessage::parse(&bytes).unwrap();
+        assert_eq!(msg.questions[0].name, format!("{z}.{z}.{z}.{z}"));
+        assert_eq!(msg.answers[0].name, format!("a.local.{z}.{z}.{z}.{z}"));
+        let target = format!("local.{y}.{y}.end");
+        assert_eq!(msg.answers[0].data, RecordData::Ptr(target));
+        assert_eq!(encoded_len(&bytes), Ok(msg.wire_len()));
+        // TXT data; dotted and empty-piece labels; a PTR record's data
+        // that points back.
+        let entries = [(3, vec![3, 4, 5], 0, 1), (2, vec![6], 0, 0)];
+        let bytes = build(&entries, 0, 0);
+        let msg = DnsMessage::parse(&bytes).unwrap();
+        assert_eq!(msg.answers[0].name, "a.b.....x.");
+        assert_eq!(msg.answers[0].data, RecordData::Txt(vec![String::new()]));
+        let target = "\u{e9}.a.b.....x.".to_owned();
+        assert_eq!(msg.answers[1].data, RecordData::Ptr(target));
+        assert_eq!(encoded_len(&bytes), Ok(msg.wire_len()));
+    }
 
     #[test]
     fn query_roundtrip() {

@@ -222,13 +222,16 @@ impl HttpMessage {
     /// found or the start line is malformed.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
         let mut headers = Headers::default();
-        let (start, body) = split_head(bytes, |name, value| {
+        let (start, body) = split_head(bytes, |lines| {
             // One reservation, made when the first field turns up: a line
             // re-encodes at most a third longer than it came (`:` to `: `).
             if headers.lines.capacity() == 0 {
                 headers.lines.reserve(bytes.len() + bytes.len() / 3);
             }
-            headers.push(name, value);
+            match lines {
+                HeaderLines::Verbatim(lines) => headers.lines.push_str(lines),
+                HeaderLines::Field(name, value) => headers.push(name, value),
+            }
         })?;
         let body = Bytes::copy_from_slice(body);
         Ok(match StartLine::parse(start)? {
@@ -299,41 +302,88 @@ fn header_len(name: &str, value: &str) -> usize {
     name.len() + HEADER_SEPARATOR.len() + value.len() + CRLF.len()
 }
 
+/// What [`split_head`] hands over of a header section, in order.
+enum HeaderLines<'a> {
+    /// Lines that already read `name: value\r\n`, back to back: what
+    /// they re-encode to, byte for byte.
+    Verbatim(&'a str),
+    /// A field whose line does not, its name and value trimmed.
+    Field(&'a str, &'a str),
+}
+
 /// Splits a message at its blank line into `(start line, body)`, handing
-/// every header field — name and value trimmed, as they are kept and
-/// re-encoded — to `header`. One forward pass: a line ends at the next
-/// `\r\n`, the head at the first `\r\n` that another follows, a field's
-/// name at its first `:`. Rejects in the order the checks have always
-/// run — a head that never ends, then one that is not text, then a
-/// colon-less line — so `header` may see fields of a head it rejects.
+/// its header fields in order to `header`: a run of lines that already
+/// read as they re-encode — one space after the colon, nothing `trim`
+/// would drop — in one piece, any other field as its trimmed name and
+/// value. One forward pass over text checked once: the message is text up
+/// to its first byte that is not, and CR and LF are ASCII, so the head is
+/// text iff it ends inside that prefix. A line ends at the next `\r\n`,
+/// the head at the first `\r\n` that another follows, a field's name at
+/// its first `:`. Rejects in the order the checks have always run — a
+/// head that never ends, then one that is not text, then a colon-less
+/// line — so `header` may see fields of a head it rejects.
 fn split_head<'a>(
     bytes: &'a [u8],
-    mut header: impl FnMut(&'a str, &'a str),
+    mut header: impl FnMut(HeaderLines<'a>),
 ) -> Result<(&'a str, &'a [u8]), ParseError> {
-    let unterminated = || ParseError::invalid("http", "missing header terminator");
-    let mut end = find_crlf(bytes, 0).ok_or_else(unterminated)?;
-    let start = std::str::from_utf8(&bytes[..end]);
-    let (mut text, mut colons) = (start.is_ok(), true);
-    while !bytes[end + 2..].starts_with(CRLF.as_bytes()) {
-        let at = end + 2;
-        end = find_crlf(bytes, at).ok_or_else(unterminated)?;
-        match std::str::from_utf8(&bytes[at..end]).map(|line| cut_at(line, b':')) {
-            Ok(Some((name, value))) => header(trim(name), trim(value)),
-            Ok(None) => colons = false,
-            Err(_) => text = false,
+    let text = match std::str::from_utf8(bytes) {
+        Ok(text) => text,
+        Err(e) => std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap_or_default(),
+    };
+    let lines = text.as_bytes();
+    // A head that does not end inside the text ends nowhere, or is not
+    // text.
+    let past_text = |at| {
+        let reason = if text.len() < bytes.len() && head_ends_after(bytes, at) {
+            "head not utf-8"
+        } else {
+            "missing header terminator"
+        };
+        ParseError::invalid("http", reason)
+    };
+    let start_end = find_crlf(lines, 0).ok_or_else(|| past_text(0))?;
+    let (mut at, mut run, mut colons) = (start_end + 2, start_end + 2, true);
+    while !lines[at..].starts_with(CRLF.as_bytes()) {
+        let end = find_crlf(lines, at).ok_or_else(|| past_text(at))?;
+        match cut_at(&text[at..end], b':') {
+            Some((name, value)) if colons => {
+                let verbatim = value.strip_prefix(' ').is_some_and(is_trimmed);
+                if !(verbatim && is_trimmed(name)) {
+                    if run < at {
+                        header(HeaderLines::Verbatim(&text[run..at]));
+                    }
+                    header(HeaderLines::Field(trim(name), trim(value)));
+                    run = end + 2;
+                }
+            }
+            _ => colons = false,
         }
+        at = end + 2;
     }
-    match start {
-        Ok(start) if text && colons => Ok((start, &bytes[end + 4..])),
-        Ok(_) if text => Err(ParseError::invalid("http", "header line without a colon")),
-        _ => Err(ParseError::invalid("http", "head not utf-8")),
+    if !colons {
+        return Err(ParseError::invalid("http", "header line without a colon"));
     }
+    if run < at {
+        header(HeaderLines::Verbatim(&text[run..at]));
+    }
+    Ok((&text[..start_end], &bytes[at + 2..]))
+}
+
+/// Whether a `\r\n` that another follows comes at or after `from`.
+fn head_ends_after(bytes: &[u8], mut from: usize) -> bool {
+    while let Some(end) = find_crlf(bytes, from) {
+        if bytes[end + 2..].starts_with(CRLF.as_bytes()) {
+            return true;
+        }
+        from = end + 2;
+    }
+    false
 }
 
 /// Offset of the first `\r\n` at or after `from`, which is within `bytes`.
 fn find_crlf(bytes: &[u8], mut from: usize) -> Option<usize> {
     loop {
-        let cr = from + find_cr(&bytes[from..])?;
+        let cr = from + find_byte(&bytes[from..], b'\r')?;
         if bytes.get(cr + 1) == Some(&b'\n') {
             return Some(cr);
         }
@@ -341,28 +391,27 @@ fn find_crlf(bytes: &[u8], mut from: usize) -> Option<usize> {
     }
 }
 
-/// Offset of the first `\r`, eight bytes at a time: XOR with eight `\r`s
-/// zeroes the ones a word holds, and `(x - 0x01…01) & !x & 0x80…80` flags
-/// zero bytes — exactly, up to the lowest flag, which is all that is read
-/// (a borrow only disturbs flags above a true one).
-fn find_cr(bytes: &[u8]) -> Option<usize> {
+/// Offset of the first `byte`, eight bytes at a time: XOR with eight
+/// copies of it zeroes the ones a word holds, and `(x - 0x01…01) & !x &
+/// 0x80…80` flags zero bytes — exactly, up to the lowest flag, which is
+/// all that is read (a borrow only disturbs flags above a true one).
+fn find_byte(bytes: &[u8], byte: u8) -> Option<usize> {
     const ONES: u64 = u64::from_le_bytes([1; 8]);
     let (words, tail) = bytes.as_chunks::<8>();
     for (i, &word) in words.iter().enumerate() {
-        let x = u64::from_le_bytes(word) ^ (ONES * b'\r' as u64);
+        let x = u64::from_le_bytes(word) ^ (ONES * byte as u64);
         let zeros = x.wrapping_sub(ONES) & !x & (ONES << 7);
         if zeros != 0 {
             return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
         }
     }
-    let cr = tail.iter().position(|&b| b == b'\r')?;
-    Some(bytes.len() - tail.len() + cr)
+    let found = tail.iter().position(|&b| b == byte)?;
+    Some(bytes.len() - tail.len() + found)
 }
 
-/// `text` around its first `at` (an ASCII byte): `split_once` by a byte
-/// loop — the pieces are too short to repay a searcher's set-up.
+/// `text` around its first `at` (an ASCII byte).
 fn cut_at(text: &str, at: u8) -> Option<(&str, &str)> {
-    let cut = text.bytes().position(|b| b == at)?;
+    let cut = find_byte(text.as_bytes(), at)?;
     Some((&text[..cut], &text[cut + 1..]))
 }
 
@@ -384,6 +433,15 @@ fn trim(text: &str) -> &str {
     &text[first..=last]
 }
 
+/// Whether `text` is sure to be its own [`trim`]: it is empty, or begins
+/// and ends on an ASCII byte that is not white space. (A piece that
+/// begins or ends on a multi-byte character is left to `trim`.)
+fn is_trimmed(text: &str) -> bool {
+    let inner = |b: &u8| b.is_ascii() && !matches!(b, b'\t'..=b'\r' | b' ');
+    let bytes = text.as_bytes();
+    bytes.first().is_none_or(inner) && bytes.last().is_none_or(inner)
+}
+
 /// The length a message re-encodes to — [`HttpMessage::wire_len`] of
 /// what [`HttpMessage::parse`] returns, failing exactly when it fails —
 /// without building the message. Not the input's length: padding around
@@ -392,7 +450,12 @@ fn trim(text: &str) -> &str {
 /// differently.
 pub(crate) fn encoded_len(bytes: &[u8]) -> Result<usize, ParseError> {
     let mut headers = 0;
-    let (start, body) = split_head(bytes, |name, value| headers += header_len(name, value))?;
+    let (start, body) = split_head(bytes, |lines| {
+        headers += match lines {
+            HeaderLines::Verbatim(lines) => lines.len(),
+            HeaderLines::Field(name, value) => header_len(name, value),
+        }
+    })?;
     Ok(StartLine::parse(start)?.wire_len() + headers + CRLF.len() + body.len())
 }
 
@@ -473,7 +536,13 @@ mod tests {
 
     fn walked(bytes: &[u8]) -> Walked<'_> {
         let mut fields = Vec::new();
-        let (start, body) = split_head(bytes, |name, value| fields.push((name, value)))?;
+        let (start, body) = split_head(bytes, |lines| match lines {
+            HeaderLines::Verbatim(lines) => {
+                let lines = lines.split_terminator(CRLF);
+                fields.extend(lines.map(|line| line.split_once(HEADER_SEPARATOR).unwrap()));
+            }
+            HeaderLines::Field(name, value) => fields.push((name, value)),
+        })?;
         Ok((start, fields, body))
     }
 
@@ -481,6 +550,29 @@ mod tests {
         let mut fields = Vec::new();
         let (start, body) = split_head_reference(bytes, |name, value| fields.push((name, value)))?;
         Ok((start, fields, body))
+    }
+
+    /// What a decoder made of a message: the walk's view, start line parsed.
+    type Decoded<'a> = Result<(StartLine<'a>, Vec<(&'a str, &'a str)>, &'a [u8]), ParseError>;
+
+    fn decoded(message: &Result<HttpMessage, ParseError>) -> Decoded<'_> {
+        let message = message.as_ref().map_err(Clone::clone)?;
+        let start = match message {
+            HttpMessage::Request { method, target, .. } => StartLine::Request {
+                method: method.as_str(),
+                target,
+            },
+            HttpMessage::Response { status, reason, .. } => StartLine::Response {
+                status: *status,
+                reason,
+            },
+        };
+        Ok((start, message.headers().iter().collect(), message.body()))
+    }
+
+    fn decoded_reference(bytes: &[u8]) -> Decoded<'_> {
+        let (start, fields, body) = walked_reference(bytes)?;
+        Ok((start_line_reference(start)?, fields, body))
     }
 
     const START_LINES: [&[u8]; 8] = [
@@ -551,14 +643,17 @@ mod tests {
             message.extend_from_slice(b"\r\n\r\n");
             message.extend_from_slice(&body);
             // The message and every truncation of it: same start line,
-            // same fields in the same order, same body — or the same error.
+            // same fields in the same order, same body — or the same error
+            // — from the walk, from the decoder that copies lines already
+            // in the form it keeps them in one piece, and, as a length,
+            // from the scan.
             for cut in 0..=message.len() {
-                prop_assert_eq!(
-                    walked(&message[..cut]),
-                    walked_reference(&message[..cut]),
-                    "on {:?}",
-                    String::from_utf8_lossy(&message[..cut])
-                );
+                let bytes = &message[..cut];
+                let on = || String::from_utf8_lossy(bytes).into_owned();
+                prop_assert_eq!(walked(bytes), walked_reference(bytes), "on {:?}", on());
+                let parsed = HttpMessage::parse(bytes);
+                prop_assert_eq!(decoded(&parsed), decoded_reference(bytes), "on {:?}", on());
+                prop_assert_eq!(encoded_len(bytes), parsed.map(|m| m.wire_len()), "on {:?}", on());
             }
         }
 

@@ -10,9 +10,11 @@
 //! `#[global_allocator]` is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sentinel_netproto::dns::{DnsMessage, Question};
+use sentinel_netproto::dhcp::{DhcpMessage, DhcpOption};
+use sentinel_netproto::dns::{DnsMessage, Question, RecordData, ResourceRecord};
 use sentinel_netproto::ntp::NtpPacket;
 use sentinel_netproto::tcp::{TcpFlags, TcpHeader};
 use sentinel_netproto::tls::TlsRecord;
@@ -83,6 +85,12 @@ fn decoding_reserves_once_per_owned_field() {
     // the number of heap-owning fields the decoded packet has.
     let notify = ssdp::notify_alive("urn:Belkin:device:insight:1", "http://10.0.0.5:49153/s.xml");
     assert_eq!(notify.headers().iter().count(), 6);
+    let mut dhcp_request = DhcpMessage::request(mac(5), 0xbeef, v4(33), v4(1));
+    dhcp_request.options.extend([
+        DhcpOption::HostName("EdimaxPlug".into()),
+        DhcpOption::VendorClassId("udhcp 1.21.1".into()),
+        DhcpOption::ParameterRequestList(vec![1, 3, 6, 15, 28]),
+    ]);
     let canonical = [
         ("arp", Packet::arp_probe(ts, mac(1), v4(9)), 0),
         (
@@ -141,6 +149,11 @@ fn decoding_reserves_once_per_owned_field() {
             udp(49_203, 1900, AppPayload::Http(notify)),
             2,
         ),
+        (
+            "dhcp request: option list, host name, vendor class, parameter list",
+            udp(68, 67, AppPayload::Dhcp(dhcp_request)),
+            4,
+        ),
     ];
     for (what, packet, at_most) in canonical {
         let frame = packet.encode();
@@ -151,6 +164,42 @@ fn decoding_reserves_once_per_owned_field() {
             "{what}: {allocations} allocations, at most {at_most} expected"
         );
     }
+
+    // The mDNS answer a device announces itself with: a PTR record and
+    // an A record, the A record's owner a pointer to the PTR target, which
+    // points back to the PTR record's owner. One answer list and three
+    // names, however the names are compressed.
+    let service = dns_name(&[b"_hap", b"_tcp", b"local"]);
+    let target = [&[6][..], b"bridge", &dns_pointer(12)].concat();
+    let target_at = 12 + service.len() + 10;
+    let announcement = dns_message(
+        [0, 2, 0, 0],
+        &[
+            &dns_record(&service, 12, target.len(), &target),
+            &dns_record(&dns_pointer(target_at), 1, 4, &[192, 168, 0, 31]),
+        ],
+    );
+    let (decoded, allocations, _) = decode(&udp_frame(5353, 5353, &announcement), ts);
+    let Some(AppPayload::Dns(dns)) = decoded.transport().and_then(|t| t.app_payload()) else {
+        panic!("the announcement parses: {decoded:?}");
+    };
+    let record = |name: &str, data| ResourceRecord {
+        name: name.into(),
+        ttl: 60,
+        cache_flush: false,
+        data,
+    };
+    let bridge = "bridge._hap._tcp.local";
+    let a = RecordData::A(Ipv4Addr::new(192, 168, 0, 31));
+    let answers = [
+        record("_hap._tcp.local", RecordData::Ptr(bridge.into())),
+        record(bridge, a),
+    ];
+    assert_eq!(dns.answers, answers);
+    assert!(
+        allocations <= 4,
+        "compressed mdns answer: {allocations} allocations, at most 4 expected"
+    );
 
     // (b) Hostile frames: with reservation up front, what a frame makes
     // the decoder reserve must follow the frame's length, as `alloc_dns`
@@ -175,7 +224,7 @@ fn decoding_reserves_once_per_owned_field() {
     );
 
     let mut dhcp = Vec::new();
-    sentinel_netproto::dhcp::DhcpMessage::discover(mac(6), 7).encode(&mut dhcp);
+    DhcpMessage::discover(mac(6), 7).encode(&mut dhcp);
     let end = dhcp.len() - 1;
     dhcp.splice(end..end, [224, 1, 0xaa].repeat(300)); // private-use option, one byte
     let many_options = udp_frame(68, 67, &dhcp);
