@@ -44,7 +44,7 @@ fn main() {
         vec![
             label,
             tables::ratio(result.global_accuracy()),
-            format!("{:.0}%", result.discrimination_rate() * 100.0),
+            format!("{:.0}%", result.counts.discriminated_share() * 100.0),
         ]
     };
 

@@ -85,7 +85,8 @@ fn main() {
     }
     println!(
         "\nreading: size/port/destination-counter features dominate (they encode the\n\
-         per-vendor setup dialogue), while the early packet positions carry most of\n\
-         the signal — consistent with the paper's choice of a 12-packet F'."
+         per-vendor setup dialogue), and every packet position carries some signal,\n\
+         most of it mid-setup (p5-p10) — consistent with the paper's choice of a\n\
+         12-packet F'."
     );
 }

@@ -73,11 +73,11 @@ fn main() {
     println!("paper reports:                           0.815");
     println!(
         "identifications needing discrimination:  {:.0}% (paper: 55%)",
-        result.discrimination_rate() * 100.0
+        result.counts.discriminated_share() * 100.0
     );
     println!(
         "mean edit-distance computations:         {:.1} (paper: ~7 per device)",
-        result.mean_candidates() * config.references as f64 * result.discrimination_rate()
+        result.counts.edit_distances_per_identification()
     );
     println!("elapsed: {:.1?}", start.elapsed());
 }

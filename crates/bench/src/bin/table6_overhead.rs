@@ -49,7 +49,7 @@ fn main() {
     println!();
     println!(
         "the reproduced property: every overhead is small — latency deltas are inside the\n\
-         ±1.4-4.8% jitter band, CPU cost of filtering is sub-1%, and memory grows only\n\
-         with the enforcement-rule cache."
+         ±1.4-4.8% jitter band, CPU cost of filtering stays under 2%, and memory grows\n\
+         only with the enforcement-rule cache."
     );
 }

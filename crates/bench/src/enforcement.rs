@@ -31,33 +31,42 @@ impl LatencyRow {
     }
 }
 
+/// `iterations` latency samples (ms) from lab host `source` to
+/// `destination` under `flows` concurrent flows.
+fn latency_ms(
+    emulator: &mut GatewayEmulator,
+    (source, destination): (&str, &str),
+    filtering: bool,
+    flows: usize,
+    iterations: usize,
+) -> Summary {
+    let lab = Topology::lab();
+    let src = lab.host(source).expect("lab host");
+    let dst = lab.host(destination).expect("lab host");
+    let path = lab.path_kind(src, dst);
+    let samples: Vec<Duration> = (0..iterations)
+        .map(|_| emulator.measure_latency(src, dst, path, filtering, flows))
+        .collect();
+    Summary::of_durations_ms(&samples)
+}
+
 /// Measures the Table V latency matrix on the Fig. 4 lab topology:
 /// each wireless device to `D4`, `Slocal` and `Sremote`, `iterations`
 /// pings per pair (paper: 15).
 pub fn latency_table(iterations: usize, concurrent_flows: usize, seed: u64) -> Vec<LatencyRow> {
-    let lab = Topology::lab();
     let mut emulator = GatewayEmulator::new(seed);
-    let sources = ["D1", "D2", "D3"];
-    let destinations = ["D4", "Slocal", "Sremote"];
     let mut rows = Vec::new();
-    for source in sources {
-        for destination in destinations {
-            let src = lab.host(source).expect("lab host");
-            let dst = lab.host(destination).expect("lab host");
-            let path = lab.path_kind(src, dst);
-            let measure = |emulator: &mut GatewayEmulator, filtering: bool| {
-                let samples: Vec<Duration> = (0..iterations)
-                    .map(|_| emulator.measure_latency(src, dst, path, filtering, concurrent_flows))
-                    .collect();
-                Summary::of_durations_ms(&samples)
+    for source in ["D1", "D2", "D3"] {
+        for destination in ["D4", "Slocal", "Sremote"] {
+            let mut measure = |filtering| {
+                let pair = (source, destination);
+                latency_ms(&mut emulator, pair, filtering, concurrent_flows, iterations)
             };
-            let filtering = measure(&mut emulator, true);
-            let no_filtering = measure(&mut emulator, false);
             rows.push(LatencyRow {
                 source: source.to_owned(),
                 destination: destination.to_owned(),
-                filtering,
-                no_filtering,
+                filtering: measure(true),
+                no_filtering: measure(false),
             });
         }
     }
@@ -77,20 +86,12 @@ pub struct LoadPoint {
 
 /// Fig. 6a: device-to-device latency versus concurrent flows.
 pub fn latency_vs_flows(flow_points: &[usize], iterations: usize, seed: u64) -> Vec<LoadPoint> {
-    let lab = Topology::lab();
     let mut emulator = GatewayEmulator::new(seed);
-    let src = lab.host("D1").expect("lab host");
-    let dst = lab.host("D2").expect("lab host");
-    let path = lab.path_kind(src, dst);
     flow_points
         .iter()
         .map(|&flows| {
-            let mut sample = |filtering: bool| {
-                let samples: Vec<Duration> = (0..iterations)
-                    .map(|_| emulator.measure_latency(src, dst, path, filtering, flows))
-                    .collect();
-                Summary::of_durations_ms(&samples)
-            };
+            let mut sample =
+                |filtering| latency_ms(&mut emulator, ("D1", "D2"), filtering, flows, iterations);
             LoadPoint {
                 flows,
                 filtering: sample(true),
@@ -180,24 +181,13 @@ pub struct OverheadReport {
 
 /// Computes the Table VI overhead summary.
 pub fn overhead(iterations: usize, seed: u64) -> OverheadReport {
-    let lab = Topology::lab();
     let mut emulator = GatewayEmulator::new(seed);
-    let pair = |emulator: &mut GatewayEmulator, a: &str, b: &str| {
-        let src = lab.host(a).expect("host");
-        let dst = lab.host(b).expect("host");
-        let path = lab.path_kind(src, dst);
-        let run = |emulator: &mut GatewayEmulator, filtering: bool| {
-            let samples: Vec<Duration> = (0..iterations)
-                .map(|_| emulator.measure_latency(src, dst, path, filtering, 20))
-                .collect();
-            Summary::of_durations_ms(&samples)
-        };
-        let with = run(emulator, true);
-        let without = run(emulator, false);
-        with.percent_over(&without)
+    let mut overhead = |pair| {
+        let with = latency_ms(&mut emulator, pair, true, 20, iterations);
+        with.percent_over(&latency_ms(&mut emulator, pair, false, 20, iterations))
     };
-    let d1d2_latency = pair(&mut emulator, "D1", "D2");
-    let d1d3_latency = pair(&mut emulator, "D1", "D3");
+    let d1d2_latency = overhead(("D1", "D2"));
+    let d1d3_latency = overhead(("D1", "D3"));
     let cpu_with = Summary::of(
         &(0..iterations)
             .map(|_| emulator.measure_cpu(50, true))

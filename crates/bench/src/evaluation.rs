@@ -1,13 +1,16 @@
 //! The Sect. VI-B evaluation: stratified k-fold cross-validation of the
-//! two-stage identification pipeline over the 27-type corpus.
+//! two-stage identification pipeline over the 27-type corpus, and the
+//! held-out identifications Table IV counts its stages over.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sentinel_core::{
-    AssessKey, ClassifyScratch, FingerprintDataset, Identifier, IdentifierConfig, IdentifyMode,
+    AssessKey, ClassifyScratch, FingerprintDataset, Identification, Identifier, IdentifierConfig,
+    IdentifyMode,
 };
-use sentinel_devicesim::catalog;
+use sentinel_devicesim::{catalog, DeviceModel, Testbed};
+use sentinel_fingerprint::{extract, FixedFingerprint};
 use sentinel_ml::crossval::stratified_k_fold;
 use sentinel_ml::metrics::ConfusionMatrix;
 use sentinel_ml::{parallel, ForestConfig};
@@ -96,15 +99,10 @@ pub struct EvalResult {
     /// Confusion matrix over the 27 device-types plus the
     /// [`UNKNOWN_LABEL`] pseudo-class column.
     pub confusion: ConfusionMatrix,
-    /// Total identifications performed.
-    pub total: usize,
-    /// How many identifications required edit-distance discrimination
-    /// (the paper reports 55 %).
-    pub discriminated: usize,
-    /// Sum of candidate-set sizes over discriminated identifications
-    /// (for the "on average seven edit distance computations" statistic,
-    /// references × mean candidates).
-    pub candidate_sum: usize,
+    /// How many identifications needed discrimination (the paper
+    /// reports 55 %) and how many edit distances they computed (seven
+    /// on average).
+    pub counts: StageCounts,
 }
 
 impl EvalResult {
@@ -126,21 +124,48 @@ impl EvalResult {
         let accuracies = self.per_type_accuracy();
         accuracies.iter().map(|(_, a)| a).sum::<f64>() / accuracies.len() as f64
     }
+}
 
-    /// Fraction of identifications that needed discrimination.
-    pub fn discrimination_rate(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
+/// How often stage 2 ran over a set of identifications and how many
+/// edit distances it computed: the counts Fig. 5 and Table IV print.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageCounts {
+    /// Identifications counted.
+    pub identifications: usize,
+    /// Those that needed edit-distance discrimination.
+    pub discriminated: usize,
+    /// Edit distances computed: each discriminated identification's
+    /// candidates × the references sampled per candidate.
+    pub edit_distances: usize,
+}
+
+impl StageCounts {
+    /// Counts `identifications` made with `references` per type.
+    pub fn of(identifications: &[Identification], references: usize) -> Self {
+        let discriminated = identifications.iter().filter(|id| id.discriminated);
+        StageCounts {
+            identifications: identifications.len(),
+            discriminated: discriminated.clone().count(),
+            edit_distances: discriminated.map(|id| id.candidates.len()).sum::<usize>() * references,
         }
-        self.discriminated as f64 / self.total as f64
     }
 
-    /// Mean number of candidate types per discriminated identification.
-    pub fn mean_candidates(&self) -> f64 {
-        if self.discriminated == 0 {
-            return 0.0;
-        }
-        self.candidate_sum as f64 / self.discriminated as f64
+    /// Share of identifications that needed discrimination.
+    pub fn discriminated_share(&self) -> f64 {
+        self.discriminated as f64 / self.identifications.max(1) as f64
+    }
+
+    /// Edit distances per identification.
+    pub fn edit_distances_per_identification(&self) -> f64 {
+        self.edit_distances as f64 / self.identifications.max(1) as f64
+    }
+}
+
+impl std::ops::AddAssign for StageCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.identifications += other.identifications;
+        self.discriminated += other.discriminated;
+        self.edit_distances += other.edit_distances;
     }
 }
 
@@ -182,13 +207,10 @@ pub fn evaluate_on(dataset: &FingerprintDataset, config: &EvalConfig) -> EvalRes
     // training/identification sites run sequentially; a lone worker
     // lets them use their own auto parallelism instead.
     let nested_threads = if workers > 1 { 1 } else { 0 };
-    let results: Vec<(ConfusionMatrix, usize, usize, usize)> =
+    let results: Vec<(ConfusionMatrix, StageCounts)> =
         parallel::map_indexed(folds.len(), workers, |i| {
             let (rep, fold) = &folds[i];
             let mut confusion = ConfusionMatrix::new(labels.iter().cloned());
-            let mut total = 0;
-            let mut discriminated = 0;
-            let mut candidate_sum = 0;
             let train = dataset.subset(&fold.train);
             let identifier =
                 Identifier::train(&train, &config.identifier_config(*rep, nested_threads));
@@ -208,34 +230,50 @@ pub fn evaluate_on(dataset: &FingerprintDataset, config: &EvalConfig) -> EvalRes
                 &mut ClassifyScratch::default(),
                 &mut identifications,
             );
-            for (&test_index, id) in fold.test.iter().zip(identifications) {
+            for (&test_index, id) in fold.test.iter().zip(&identifications) {
                 let predicted = id.label().unwrap_or(unknown);
                 confusion.record(dataset.label(test_index), predicted);
-                total += 1;
-                if id.discriminated {
-                    discriminated += 1;
-                    candidate_sum += id.candidates.len();
-                }
             }
-            (confusion, total, discriminated, candidate_sum)
+            let counts = StageCounts::of(&identifications, config.references);
+            (confusion, counts)
         });
 
     let mut confusion = ConfusionMatrix::new(labels.iter().cloned());
-    let mut total = 0;
-    let mut discriminated = 0;
-    let mut candidate_sum = 0;
-    for (c, t, d, s) in results {
+    let mut counts = StageCounts::default();
+    for (c, s) in results {
         confusion.merge(&c);
-        total += t;
-        discriminated += d;
-        candidate_sum += s;
+        counts += s;
     }
-    EvalResult {
-        confusion,
-        total,
-        discriminated,
-        candidate_sum,
-    }
+    EvalResult { confusion, counts }
+}
+
+/// Table IV's protocol: trains the default two-stage identifier on
+/// `runs` setups of each of `devices`, then identifies `probes` fresh
+/// setups from a held-out testbed, cycling through `devices`. `threads`
+/// is the training worker count (`0` = auto); the identifications are
+/// the same for every value.
+pub fn holdout_identifications(
+    devices: &[DeviceModel],
+    runs: u64,
+    probes: u64,
+    seed: u64,
+    threads: usize,
+) -> Vec<Identification> {
+    let dataset = FingerprintDataset::collect(devices, runs, seed);
+    let mut config = IdentifierConfig::default();
+    config.bank.threads = threads;
+    config.bank.forest.threads = threads;
+    let identifier = Identifier::train(&dataset, &config);
+    let holdout = Testbed::new(seed ^ 0xdead_beef);
+    (0..probes)
+        .map(|run| {
+            let device = &devices[run as usize % devices.len()];
+            let full = extract(&holdout.setup_run(&device.profile, run).packets);
+            let fixed = FixedFingerprint::from_fingerprint(&full);
+            // Harness key: the probe's index, no device MAC.
+            identifier.identify_keyed(&full, &fixed, AssessKey::new(run, MacAddr::ZERO))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -253,7 +291,7 @@ mod tests {
             ..EvalConfig::default()
         };
         let result = evaluate(&config);
-        assert_eq!(result.total, 27 * 8);
+        assert_eq!(result.counts.identifications, 27 * 8);
         let global = result.global_accuracy();
         assert!(
             (0.6..=0.95).contains(&global),
@@ -267,6 +305,48 @@ mod tests {
             accuracy["TP-LinkPlugHS110"] < 0.9,
             "identical twins should confuse: {:?}",
             accuracy["TP-LinkPlugHS110"]
+        );
+    }
+
+    #[test]
+    fn table_iv_counts_recount_by_hand_at_every_thread_count() {
+        // Two firmware-sharing families and one distinct device, so
+        // stage 2 runs on some probes and not on others.
+        let families = &sentinel_devicesim::confusable_groups()[..2];
+        let devices: Vec<_> = catalog()
+            .into_iter()
+            .filter(|d| {
+                d.info.identifier == "HueBridge"
+                    || families.iter().flatten().any(|&n| n == d.info.identifier)
+            })
+            .collect();
+        assert_eq!(devices.len(), 7);
+        let references = IdentifierConfig::default().references_per_type;
+        let counts = [1, 2].map(|threads| {
+            let identifications = holdout_identifications(&devices, 6, 28, 3, threads);
+            let (mut discriminated, mut edit_distances) = (0, 0);
+            for id in &identifications {
+                if id.discriminated {
+                    discriminated += 1;
+                    edit_distances += id.candidates.len() * references;
+                }
+            }
+            let counts = StageCounts::of(&identifications, references);
+            assert_eq!(
+                counts,
+                StageCounts {
+                    identifications: 28,
+                    discriminated,
+                    edit_distances,
+                }
+            );
+            counts
+        });
+        assert_eq!(counts[0], counts[1], "counts depend on the thread count");
+        assert!(
+            (1..28).contains(&counts[0].discriminated),
+            "stage 2 ran on every probe or on none: {:?}",
+            counts[0]
         );
     }
 }

@@ -6,14 +6,11 @@
 //! * [`evaluation`] — the stratified 10-fold × 10-repetition
 //!   cross-validation of Sect. VI-B (Fig. 5, Table III) with ablation
 //!   knobs (truncation length, negative ratio, reference count,
-//!   pipeline mode).
-//! * [`timing`] — wall-clock measurement of the identification stages
-//!   (Table IV).
+//!   pipeline mode), and the held-out identifications whose stages
+//!   Table IV counts (the ledger times them).
 //! * [`enforcement`] — the gateway latency/CPU/memory experiments
 //!   (Tables V–VI, Fig. 6).
 //! * [`tables`] — plain-text table rendering shared by the binaries.
-//! * [`results`] — the JSON writer `table4_timing --json` records its
-//!   BENCH JSON through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,6 +18,4 @@
 pub mod cli;
 pub mod enforcement;
 pub mod evaluation;
-pub mod results;
 pub mod tables;
-pub mod timing;

@@ -123,8 +123,8 @@ fn rf_only_mode_underperforms_two_stage_on_families() {
     });
     // Both are valid pipelines; two-stage must not be (much) worse, and
     // the discrimination stage must actually run in two-stage mode.
-    assert!(two_stage.discriminated > 0);
-    assert_eq!(rf_only.discriminated, 0);
+    assert!(two_stage.counts.discriminated > 0);
+    assert_eq!(rf_only.counts.discriminated, 0);
     assert!(
         two_stage.global_accuracy() + 0.05 >= rf_only.global_accuracy(),
         "two-stage {} vs rf-only {}",

@@ -92,9 +92,7 @@ fn evaluation_is_identical_for_every_worker_count() {
             parallel.confusion, sequential.confusion,
             "confusion diverged at {workers} workers"
         );
-        assert_eq!(parallel.total, sequential.total);
-        assert_eq!(parallel.discriminated, sequential.discriminated);
-        assert_eq!(parallel.candidate_sum, sequential.candidate_sum);
+        assert_eq!(parallel.counts, sequential.counts);
         assert_eq!(parallel.global_accuracy(), sequential.global_accuracy());
     }
 }
