@@ -147,7 +147,8 @@ pub struct ClassifyScratch {
 struct Stage2Scratch {
     /// The current item's probe, projected to symbol ids.
     probe: Vec<u32>,
-    /// Reference indices sampled for the candidate being scored.
+    /// Every candidate's sampled references (indices into the
+    /// identifier's `interned`), candidate after candidate.
     chosen: Vec<usize>,
     /// The probe's exact distances to those references.
     distances: Vec<usize>,
@@ -173,13 +174,12 @@ pub struct Identifier {
     references: Vec<Vec<Fingerprint>>,
     /// Packet columns of every reference, interned to `u32` symbols.
     symbols: SymbolTable,
-    /// Interned views of `references` (same shape), precomputed at
+    /// Interned views of `references`, type after type, precomputed at
     /// training time so the stage-2 kernel looks masks up by integer.
-    interned: Vec<Vec<InternedFingerprint>>,
-    /// `0..references[label].len()` per label — the sampling pool handed
-    /// to [`PinnedRng::sample_k_into`], prebuilt so discrimination does
-    /// not allocate it on every identification.
-    pools: Vec<Vec<usize>>,
+    interned: Vec<InternedFingerprint>,
+    /// Where each type's run of `interned` starts, plus its end:
+    /// type `label`'s references are `interned[first[label]..first[label + 1]]`.
+    first: Vec<usize>,
     config: IdentifierConfig,
 }
 
@@ -282,19 +282,16 @@ impl Identifier {
         config: IdentifierConfig,
     ) -> Self {
         let mut symbols = SymbolTable::new();
-        let interned = references
-            .iter()
-            .map(|of_type| of_type.iter().map(|fp| symbols.intern(fp)).collect())
-            .collect();
+        let (mut interned, mut first) = (Vec::new(), vec![0]);
+        for of_type in &references {
+            interned.extend(of_type.iter().map(|fp| symbols.intern(fp)));
+            first.push(interned.len());
+        }
         let scorer = BankScorer::new(bank.classifiers());
         let names = bank
             .type_names()
             .iter()
             .map(|name| TypeName::from(name.as_str()))
-            .collect();
-        let pools = references
-            .iter()
-            .map(|of_type| (0..of_type.len()).collect())
             .collect();
         Identifier {
             bank,
@@ -303,7 +300,7 @@ impl Identifier {
             references,
             symbols,
             interned,
-            pools,
+            first,
             config,
         }
     }
@@ -336,13 +333,9 @@ impl Identifier {
             .into_iter()
             .map(|i| dataset.full(i).clone())
             .collect();
-        let interned = references
-            .iter()
-            .map(|fp| self.symbols.intern(fp))
-            .collect();
+        (self.interned).extend(references.iter().map(|fp| self.symbols.intern(fp)));
+        self.first.push(self.interned.len());
         self.scorer = BankScorer::new(self.bank.classifiers());
-        self.pools.push((0..references.len()).collect());
-        self.interned.push(interned);
         self.references.push(references);
         label
     }
@@ -535,8 +528,8 @@ impl Identifier {
     /// `s_i ∈ [0, 5]`) into `stage2.scores`, one per candidate.
     ///
     /// The probe is the kernel's pattern: its match masks are built once
-    /// here, and each candidate's sampled references stream past them
-    /// together, as the lanes of one `distances_into` call. Scores carry
+    /// here, and every candidate's sampled references stream past them
+    /// together, as the texts of one `distances_into` call. Scores carry
     /// a best-so-far cutoff: once some candidate scored `B`, a later
     /// candidate whose score provably exceeds `B + 1e-12` (the tie
     /// tolerance) records a certified lower bound instead of the exact
@@ -560,22 +553,41 @@ impl Identifier {
         } = stage2;
         probe.clear();
         self.symbols.project_into(full, probe);
+        // Scoring draws nothing, so sampling every candidate up front
+        // consumes the generator exactly as sampling candidate by
+        // candidate. Each draw is `PinnedRng::sample_k` over the type's
+        // references, laid out behind the samples drawn so far.
+        chosen.clear();
+        for &label in candidates {
+            let start = chosen.len();
+            chosen.extend(self.first[label]..self.first[label + 1]);
+            for slot in 0..self.drawn(label) {
+                rng.sample_step(&mut chosen[start..], slot);
+            }
+            chosen.truncate(start + self.drawn(label));
+        }
+        distances.clear();
         // The table's ids plus the one id unseen columns project to.
         let mut pattern = osa.load(probe, self.symbols.len() + 1);
+        let reference = |i: usize| self.interned[chosen[i]].symbols();
+        pattern.distances_into(chosen.len(), reference, distances);
         let mut best = f64::INFINITY;
         scores.clear();
+        let mut start = 0;
         for &label in candidates {
-            // Scoring draws nothing, so sampling candidate by candidate
-            // consumes the generator exactly as sampling all up front.
-            chosen.clear();
-            rng.sample_k_into(&self.pools[label], self.config.references_per_type, chosen);
-            let refs = &self.interned[label];
-            distances.clear();
-            pattern.distances_into(chosen.len(), |i| refs[chosen[i]].symbols(), distances);
-            let score = self.score_candidate(pattern.len(), label, chosen, distances, best);
+            let end = start + self.drawn(label);
+            let (chosen, distances) = (&chosen[start..end], &distances[start..end]);
+            let score = self.score_candidate(probe.len(), chosen, distances, best);
             best = best.min(score);
             scores.push(score);
+            start = end;
         }
+    }
+
+    /// How many references stage 2 samples of `label`.
+    fn drawn(&self, label: usize) -> usize {
+        let pool = self.first[label + 1] - self.first[label];
+        self.config.references_per_type.min(pool)
     }
 
     /// Scores one candidate type from the `m`-symbol probe's exact
@@ -584,18 +596,10 @@ impl Identifier {
     ///
     /// Returns the exact score, or a lower bound `lb` with
     /// `best + 1e-12 < lb <= true score` when pruned.
-    fn score_candidate(
-        &self,
-        m: usize,
-        label: usize,
-        chosen: &[usize],
-        distances: &[usize],
-        best: f64,
-    ) -> f64 {
-        let refs = &self.interned[label];
+    fn score_candidate(&self, m: usize, chosen: &[usize], distances: &[usize], best: f64) -> f64 {
         let mut sum = 0.0;
-        for (&index, &distance) in chosen.iter().zip(distances) {
-            let longest = m.max(refs[index].len());
+        for (&reference, &distance) in chosen.iter().zip(distances) {
+            let longest = m.max(self.interned[reference].len());
             if longest == 0 {
                 continue; // two empty fingerprints: distance 0
             }
@@ -651,11 +655,7 @@ impl Identifier {
         // the cutoff is traffic the classifiers should not have
         // accepted, and is reported as unknown (the winner is never
         // pruned, so `minimum` is its exact score).
-        let effective_refs = self
-            .config
-            .references_per_type
-            .min(self.references[best].len());
-        let cutoff = self.config.max_dissimilarity * effective_refs as f64;
+        let cutoff = self.config.max_dissimilarity * self.drawn(best) as f64;
         (minimum <= cutoff).then_some(best)
     }
 }
@@ -937,7 +937,7 @@ mod tests {
         ) -> f64 {
             let mut sum = 0.0;
             for &index in chosen {
-                let reference = identifier.interned[label][index].symbols();
+                let reference = identifier.interned[identifier.first[label] + index].symbols();
                 let longest = probe.len().max(reference.len());
                 if longest == 0 {
                     continue;
@@ -972,7 +972,8 @@ mod tests {
             let per_type = identifier.config.references_per_type;
             (candidates.iter())
                 .map(|&label| {
-                    let chosen = rng.sample_k(&identifier.pools[label], per_type);
+                    let pool: Vec<usize> = (0..identifier.references[label].len()).collect();
+                    let chosen = rng.sample_k(&pool, per_type);
                     let score =
                         oracle_score_candidate(identifier, probe.symbols(), label, &chosen, best);
                     best = best.min(score);

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use sentinel_netproto::Packet;
+use sentinel_netproto::{Packet, Timestamp};
 
 use crate::SetupTrace;
 
@@ -39,20 +39,41 @@ pub fn interleave(traces: &[SetupTrace], stagger: Duration) -> Vec<Packet> {
 
 /// Like [`interleave`], with an explicit start offset per trace index
 /// (e.g. devices arriving in bursts, or a seeded arrival process).
+///
+/// Each packet is cloned once, in [`interleave_order`].
 pub fn interleave_at(traces: &[SetupTrace], start_of: impl Fn(usize) -> Duration) -> Vec<Packet> {
-    let mut tagged: Vec<(usize, usize, Packet)> = Vec::new();
+    let mut order = Vec::new();
+    interleave_order(traces, start_of, &mut order);
+    (order.into_iter())
+        .map(|(timestamp, trace, index)| Packet {
+            timestamp,
+            ..traces[trace].packets[index].clone()
+        })
+        .collect()
+}
+
+/// The merge order of [`interleave_at`], without touching a packet:
+/// replaces `order` with one `(shifted timestamp, trace, packet)` key per
+/// packet of `traces`, trace `i` shifted by `start_of(i)`, sorted.
+///
+/// Keys are unique, so the order is total — capture time, then trace,
+/// then packet number — and reruns of the same traces always produce the
+/// same stream. A caller that encodes frames instead of merging packets
+/// (the fleet's per-home workload) walks these keys.
+pub fn interleave_order(
+    traces: &[SetupTrace],
+    start_of: impl Fn(usize) -> Duration,
+    order: &mut Vec<(Timestamp, usize, usize)>,
+) {
+    order.clear();
     for (trace_index, trace) in traces.iter().enumerate() {
         let offset = start_of(trace_index);
-        for (packet_index, packet) in trace.packets.iter().enumerate() {
-            let mut shifted = packet.clone();
-            shifted.timestamp = packet.timestamp + offset;
-            tagged.push((trace_index, packet_index, shifted));
-        }
+        order.extend(
+            (trace.packets.iter().enumerate())
+                .map(|(index, packet)| (packet.timestamp + offset, trace_index, index)),
+        );
     }
-    // Stable total order: capture time, then trace, then packet number —
-    // reruns of the same traces always produce the same stream.
-    tagged.sort_by_key(|(trace, index, packet)| (packet.timestamp, *trace, *index));
-    tagged.into_iter().map(|(_, _, packet)| packet).collect()
+    order.sort_unstable();
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ mod testbed;
 
 pub use catalog::{catalog, confusable_groups, Connectivity, DeviceInfo, DeviceModel};
 pub use generator::{SetupTrace, TraceGenerator};
-pub use interleave::{interleave, interleave_at};
+pub use interleave::{interleave, interleave_at, interleave_order};
 pub use phases::{Phase, RawDest};
 pub use profile::{DeviceProfile, Endpoint};
 pub use testbed::Testbed;

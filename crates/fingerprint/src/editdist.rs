@@ -59,11 +59,12 @@ pub fn osa_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
     prev[b.len()]
 }
 
-/// Texts one [`OsaPattern::distances_into`] step advances together.
-const LANES: usize = 8;
+/// Texts a blocked pattern (64 symbols or more) advances together.
+const BLOCKED_LANES: usize = 8;
 
 /// Working memory of the bit-parallel OSA kernel ([`OsaPattern`]): the
-/// pattern's match masks and each lane's per-word column state.
+/// pattern's match masks and, for patterns of 64 or more symbols, each
+/// text's per-word column state.
 ///
 /// The mask table is dense, indexed `symbol × words` (one `u64` row of
 /// `⌈m/64⌉` words per symbol id), and **all-zero whenever no pattern is
@@ -79,6 +80,7 @@ pub struct OsaScratch {
 
 /// One 64-row block of the current DP column, as vertical deltas, plus
 /// the two values of the previous column the transposition term needs.
+/// In a packed word each lane is a block of its own.
 #[derive(Debug, Clone, Copy, Default)]
 struct OsaWord {
     /// Rows where the column steps +1 / −1 downwards.
@@ -91,8 +93,10 @@ struct OsaWord {
 
 impl OsaWord {
     /// Advances this block one DP column under match mask `pm`, taking and
-    /// replacing the `(hp, hn, tr)` carries; returns its `(hp, hn)`.
-    fn advance(&mut self, pm: u64, carry: &mut (u64, u64, u64)) -> (u64, u64) {
+    /// replacing the `(hp, hn, tr)` carries shifted into its first row,
+    /// and keeping only the `rows` bits of the new vertical deltas;
+    /// returns its `(hp, hn)`.
+    fn advance(&mut self, pm: u64, carry: &mut (u64, u64, u64), rows: u64) -> (u64, u64) {
         let (vp, vn) = (self.vp, self.vn);
         let (hp_carry, hn_carry, tr_carry) = *carry;
         // Transposition: a match one row up in this column, below a
@@ -111,13 +115,28 @@ impl OsaWord {
         let hn_in = (hn << 1) | hn_carry;
         *carry = (hp >> 63, hn >> 63, open >> 63);
         *self = OsaWord {
-            vp: hn_in | !(d0 | hp_in),
-            vn: hp_in & d0,
+            vp: (hn_in | !(d0 | hp_in)) & rows,
+            vn: hp_in & d0 & rows,
             d0,
             pm,
         };
         (hp, hn)
     }
+}
+
+/// Texts per packed word for a pattern of `0 < m < 64` symbols: each
+/// text gets a lane of `64 / lanes` bits — the narrowest of 16, 32 and
+/// 64 that holds the pattern's `m` rows plus a guard bit above them and
+/// whose in-lane distance counter cannot overflow on texts of up to
+/// `longest` symbols (a distance never exceeds `max(m, n)`).
+fn lanes_per_word(m: usize, longest: usize) -> usize {
+    [4, 2]
+        .into_iter()
+        .find(|&lanes| {
+            let width = 64 / lanes;
+            m < width && (longest as u64) < (1 << width) - 1
+        })
+        .unwrap_or(1)
 }
 
 impl OsaScratch {
@@ -149,7 +168,6 @@ impl OsaScratch {
         if self.masks.len() < symbols * words {
             self.masks.resize(symbols * words, 0);
         }
-        self.state.resize(LANES * words, OsaWord::default());
         for (position, &symbol) in pattern.iter().enumerate() {
             self.masks[symbol as usize * words + position / 64] |= 1 << (position % 64);
         }
@@ -168,13 +186,14 @@ impl OsaScratch {
 
 /// A pattern loaded into an [`OsaScratch`]: the bit-parallel OSA kernel
 /// (Hyyrö 2003, the restricted-Damerau recurrence with the
-/// transposition term), blocked over `⌈m/64⌉` words.
+/// transposition term).
 ///
-/// Each text symbol advances one DP column in `O(⌈m/64⌉)` word
+/// Each text symbol advances one DP column in a handful of word
 /// operations, so one pattern is compared against many texts at
-/// `O(n)` apiece for `m <= 64` — the shape of stage-2 discrimination,
+/// `O(n)` apiece for `m < 64` — the shape of stage-2 discrimination,
 /// where one probe meets every sampled reference of every candidate
-/// type. Dropping the guard zeroes the pattern's mask bits again.
+/// type — and at `O(n·⌈m/64⌉)` beyond. Dropping the guard zeroes the
+/// pattern's mask bits again.
 #[derive(Debug)]
 pub struct OsaPattern<'a> {
     scratch: &'a mut OsaScratch,
@@ -195,11 +214,15 @@ impl OsaPattern<'_> {
     /// Appends to `out` the exact OSA distance between the loaded
     /// pattern and each of the `count` texts `text(0..count)`, in order.
     ///
-    /// Up to eight texts advance together, one DP column per step,
-    /// each in its own lane of column state; a lane whose text has ended
-    /// stops updating. The lanes share nothing, so their dependency
-    /// chains overlap instead of running back to back. Text symbols past
-    /// the mask table match nothing.
+    /// A pattern of `m < 64` symbols packs the texts into words, each
+    /// text in a lane of the narrowest width of 16, 32 and 64 bits that
+    /// holds `m` rows, a guard bit and the lane's distance counter (so
+    /// four to a word for `m <= 15`, two for `m <= 31`); the width is
+    /// chosen per call, from `m` and the longest text. One step advances
+    /// every lane of a word by one DP column, and a lane whose text has
+    /// ended stops counting. Longer patterns advance eight texts
+    /// together, each over `⌈m/64⌉` words. Text symbols past the mask
+    /// table match nothing.
     ///
     /// ```
     /// use sentinel_fingerprint::editdist::OsaScratch;
@@ -221,54 +244,124 @@ impl OsaPattern<'_> {
         let m = self.pattern.len();
         if m == 0 {
             out.extend((0..count).map(|i| text(i).len()));
-            return;
+        } else if m < 64 {
+            let longest = (0..count).map(|i| text(i).len()).max().unwrap_or(0);
+            match lanes_per_word(m, longest) {
+                4 => self.packed_into::<4>(count, text, out),
+                2 => self.packed_into::<2>(count, text, out),
+                _ => self.packed_into::<1>(count, text, out),
+            }
+        } else {
+            self.blocked_into(count, text, out);
         }
-        let OsaScratch { masks, state } = &mut *self.scratch;
-        let words = m.div_ceil(64);
-        // The distance is read off the pattern's last row: D(m, 0) = m,
-        // then ±1 per column from that row's horizontal delta.
-        let last = 1u64 << ((m - 1) % 64);
-        // Column 0 is 0, 1, …, m: every row steps +1.
-        let start = OsaWord {
-            vp: !0,
-            ..OsaWord::default()
-        };
+    }
+
+    /// [`OsaPattern::distances_into`] for `0 < m < 64`, `LANES` texts
+    /// to a word.
+    ///
+    /// Lane `i` of a word is its bits `i·width..(i+1)·width`: the
+    /// pattern's rows in the low `m`, and at least one guard bit above
+    /// them. Every value a step creates stays inside its lane: the masked
+    /// add's carry out of the top row lands in the guard bit, where both
+    /// addends are zero; a shift up moves the top row into the guard;
+    /// and the horizontal +1 each lane's first row takes is OR-ed into
+    /// every lane's bit 0, over whatever the lane below shifted there.
+    /// Clearing the guards from `vp` and `vn` after each step keeps it
+    /// so.
+    fn packed_into<'t, const LANES: usize>(
+        &self,
+        count: usize,
+        text: impl Fn(usize) -> &'t [u32],
+        out: &mut Vec<usize>,
+    ) {
+        let masks = self.scratch.masks.as_slice();
+        let width = (64 / LANES) as u32;
+        let spread = |lane: u64| (0..LANES).fold(0, |word, i| word | lane << (i as u32 * width));
+        let m = self.pattern.len() as u32;
+        let (rows, ones) = (spread((1 << m) - 1), spread(1));
         for first in (0..count).step_by(LANES) {
             let lanes = LANES.min(count - first);
             let mut texts: [&[u32]; LANES] = [&[]; LANES];
             for (lane, slot) in texts[..lanes].iter_mut().enumerate() {
                 *slot = text(first + lane);
             }
-            let mut scores = [m; LANES];
-            // A one-word pattern (every real probe) keeps its lanes on the
-            // stack: over `state`, this loop measured no faster than one
-            // text at a time (stage 2 0.81–0.85 µs per confusable item,
-            // parent 0.83–0.89); on the stack, 0.55–0.65 µs.
-            let mut one_word = [start; LANES];
-            state.fill(start);
+            // Column 0 is 0, 1, …, m: every row steps +1.
+            let mut word = OsaWord {
+                vp: rows,
+                ..OsaWord::default()
+            };
+            // The distance is read off the pattern's last row: D(m, 0) =
+            // m, then ±1 per column from that row's horizontal delta,
+            // counted in the lane's bits of one counter word.
+            let mut counter = ones * u64::from(m);
             for column in 0..texts.iter().map(|text| text.len()).max().unwrap_or(0) {
-                for (lane, score) in scores.iter_mut().enumerate() {
-                    let Some(&symbol) = texts[lane].get(column) else {
+                let (mut pm, mut live) = (0, 0);
+                for (lane, text) in texts.iter().enumerate() {
+                    if let Some(&symbol) = text.get(column) {
+                        let shift = lane as u32 * width;
+                        pm |= masks.get(symbol as usize).copied().unwrap_or(0) << shift;
+                        live |= 1 << shift;
+                    }
+                }
+                // Carries into every lane's first row: the DP's first row
+                // grows by one per column (HP = 1), and there is nothing
+                // above it to transpose with.
+                let (hp, hn) = word.advance(pm, &mut (ones, 0, 0), rows);
+                // Each lane's count stays in `0..2^width` before and
+                // after, so no carry or borrow crosses a lane.
+                counter += (hp >> (m - 1)) & live;
+                counter -= (hn >> (m - 1)) & live;
+            }
+            let lane_max = u64::MAX >> (64 - width);
+            out.extend(
+                (0..lanes).map(|lane| (counter >> (lane as u32 * width) & lane_max) as usize),
+            );
+        }
+    }
+
+    /// [`OsaPattern::distances_into`] for `m >= 64`: eight texts at a
+    /// time, each over `⌈m/64⌉` words of state in the scratch.
+    fn blocked_into<'t>(
+        &mut self,
+        count: usize,
+        text: impl Fn(usize) -> &'t [u32],
+        out: &mut Vec<usize>,
+    ) {
+        let m = self.pattern.len();
+        let OsaScratch { masks, state } = &mut *self.scratch;
+        let words = m.div_ceil(64);
+        let last = 1u64 << ((m - 1) % 64);
+        let start = OsaWord {
+            vp: !0,
+            ..OsaWord::default()
+        };
+        for first in (0..count).step_by(BLOCKED_LANES) {
+            let group = BLOCKED_LANES.min(count - first);
+            let mut texts: [&[u32]; BLOCKED_LANES] = [&[]; BLOCKED_LANES];
+            for (i, slot) in texts[..group].iter_mut().enumerate() {
+                *slot = text(first + i);
+            }
+            let mut scores = [m; BLOCKED_LANES];
+            state.clear();
+            state.resize(BLOCKED_LANES * words, start);
+            for column in 0..texts.iter().map(|text| text.len()).max().unwrap_or(0) {
+                for (i, score) in scores.iter_mut().enumerate() {
+                    let Some(&symbol) = texts[i].get(column) else {
                         continue;
                     };
-                    // Carries into word 0: the DP's first row grows by one
-                    // per column (HP = 1), and there is nothing above it
-                    // to transpose with.
+                    // Carries into word 0, as in the packed lanes.
                     let mut carry = (1, 0, 0);
                     let mask = |word| masks.get(symbol as usize * words + word).copied();
-                    let (hp, hn) = if words == 1 {
-                        one_word[lane].advance(mask(0).unwrap_or(0), &mut carry)
-                    } else {
-                        let cells = &mut state[lane * words..(lane + 1) * words];
-                        (cells.iter_mut().enumerate()).fold((0, 0), |_, (word, cell)| {
-                            cell.advance(mask(word).unwrap_or(0), &mut carry)
-                        })
-                    };
+                    let cells = &mut state[i * words..(i + 1) * words];
+                    let (hp, hn) = (cells.iter_mut().enumerate())
+                        .fold((0, 0), |_, (word, cell)| {
+                            cell.advance(mask(word).unwrap_or(0), &mut carry, !0)
+                        });
                     *score += usize::from(hp & last != 0);
                     *score -= usize::from(hn & last != 0);
                 }
             }
-            out.extend_from_slice(&scores[..lanes]);
+            out.extend_from_slice(&scores[..group]);
         }
     }
 }

@@ -13,13 +13,19 @@ fn symbols() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..6, 0..24)
 }
 
-/// Symbol sequences that cross the kernel's 64-row word boundaries:
-/// lengths 0..=200 — half of them pinned to 63/64/65 and 127/128/129 —
-/// over a 2–6-symbol alphabet.
+/// Pattern lengths at which the kernel's layout changes: the empty
+/// pattern, the last length of 16-, 32- and 64-bit lanes and the first
+/// of the next (15|16, 31|32, 63|64), and the blocked path's word
+/// boundaries (64|65, 127|128|129).
+const BOUNDARIES: [usize; 12] = [0, 1, 15, 16, 31, 32, 63, 64, 65, 127, 128, 129];
+
+/// Symbol sequences that cross the kernel's layout boundaries: lengths
+/// 0..=200 — half of them pinned to [`BOUNDARIES`] — over a 2–6-symbol
+/// alphabet.
 fn long_symbols() -> impl Strategy<Value = Vec<u32>> {
     let length = prop_oneof![
         0usize..=200,
-        (0usize..6).prop_map(|i| [63, 64, 65, 127, 128, 129][i]),
+        (0..BOUNDARIES.len()).prop_map(|i| BOUNDARIES[i]),
     ];
     (2u32..=6, length)
         .prop_flat_map(|(alphabet, length)| proptest::collection::vec(0..alphabet, length))
@@ -62,6 +68,19 @@ fn hostile_text() -> impl Strategy<Value = Vec<u32>> {
             }
             text
         })
+}
+
+/// A ragged group of texts for one kernel call: 0 to 17 of them (counts
+/// that fill no packed word or lane group evenly), of unequal lengths,
+/// about one in four empty.
+fn ragged_texts() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    let text = prop_oneof![
+        hostile_text(),
+        hostile_text(),
+        hostile_text(),
+        Just(Vec::new())
+    ];
+    proptest::collection::vec(text, 0..=17)
 }
 
 /// The lockstep kernel against the reference DP: pattern `a` against
@@ -147,11 +166,11 @@ proptest! {
     #[test]
     fn lockstep_distances_equal_osa_distance_text_by_text(
         pattern in long_symbols(),
-        texts in proptest::collection::vec(hostile_text(), 0..=9),
+        texts in ragged_texts(),
     ) {
-        // 0 to one-lane-group-plus-one texts of mixed lengths (63/64/65
-        // and 127/128/129 included), some symbols past the mask table,
-        // against the drawn pattern and the empty one.
+        // Every layout — 16-, 32- and 64-bit lanes, blocked words — over
+        // ragged groups with symbols past the mask table, against the
+        // drawn pattern and the empty one.
         let mut scratch = OsaScratch::new();
         assert_lockstep(&mut scratch, &pattern, &texts);
         assert_lockstep(&mut scratch, &[], &texts);
@@ -360,5 +379,27 @@ proptest! {
             Packet::dhcp_discover(mac, seed as u32 ^ 1, 500_000),
         ];
         prop_assert_eq!(extract(&packets), extract(&packets));
+    }
+}
+
+proptest! {
+    // Each case compares against the O(n·m) definition over a
+    // 65 000-symbol text, so a few cases cover it.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn lanes_widen_for_a_text_past_the_counter_range(
+        pattern in (1usize..=31).prop_flat_map(|m| proptest::collection::vec(0u32..6, m)),
+        long in prop_oneof![65_530usize..=65_540, 65_600usize..=66_000]
+            .prop_flat_map(|n| proptest::collection::vec(0u32..8, n)),
+        texts in ragged_texts(),
+    ) {
+        // A 16-bit lane counts to 65 535. The long text sits at that
+        // edge or past it (distance > 65 535 from 65 567 symbols on), so
+        // the call must pick lanes wide enough for every text in it.
+        let mut texts = texts;
+        let at = texts.len() / 2;
+        texts.insert(at, long);
+        assert_lockstep(&mut OsaScratch::new(), &pattern, &texts);
     }
 }

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use sentinel_devicesim::{DeviceModel, SetupTrace, Testbed};
+use sentinel_devicesim::{interleave_order, DeviceModel, SetupTrace, Testbed};
 use sentinel_netproto::{MacAddr, Timestamp};
 
 use crate::FleetConfig;
@@ -60,10 +60,9 @@ pub struct HomeWorkload {
     /// offsets.
     traces: Vec<SetupTrace>,
     offsets: Vec<Duration>,
-    /// Interleave order scratch: `(shifted timestamp, trace, packet)` —
-    /// the exact sort key of [`sentinel_devicesim::interleave_at`], so
-    /// sorting indices instead of cloned packets yields the same stream.
-    order: Vec<(Timestamp, u32, u32)>,
+    /// Interleave order scratch: [`interleave_order`]'s keys, so the
+    /// frames are [`sentinel_devicesim::interleave_at`]'s stream.
+    order: Vec<(Timestamp, usize, usize)>,
 }
 
 impl HomeWorkload {
@@ -120,23 +119,11 @@ impl HomeWorkload {
             }
         }
 
-        // Interleave by index: sort `(shifted ts, trace, packet)` keys —
-        // the same total order `interleave_at` uses (keys are unique, so
-        // unstable sorting cannot reorder) — then encode each packet
-        // straight into its reused frame slot. Frame bytes are timestamp-
-        // independent, so no packet is ever cloned or re-stamped.
-        self.order.clear();
-        for (trace_index, trace) in self.traces.iter().enumerate() {
-            let offset = self.offsets[trace_index];
-            for (packet_index, packet) in trace.packets.iter().enumerate() {
-                self.order.push((
-                    packet.timestamp + offset,
-                    trace_index as u32,
-                    packet_index as u32,
-                ));
-            }
-        }
-        self.order.sort_unstable();
+        // Interleave by index: walk `interleave_at`'s merge order and
+        // encode each packet straight into its reused frame slot. Frame
+        // bytes are timestamp-independent, so no packet is ever cloned
+        // or re-stamped.
+        interleave_order(&self.traces, |i| self.offsets[i], &mut self.order);
         self.active = self.order.len();
         if self.frames.len() < self.active {
             self.frames
@@ -145,7 +132,7 @@ impl HomeWorkload {
         for (slot, &(timestamp, trace_index, packet_index)) in self.order.iter().enumerate() {
             let (stamp, buf) = &mut self.frames[slot];
             *stamp = timestamp;
-            self.traces[trace_index as usize].packets[packet_index as usize].encode_into(buf);
+            self.traces[trace_index].packets[packet_index].encode_into(buf);
         }
         self.leavers.sort_unstable();
     }

@@ -7,6 +7,7 @@ use std::net::{IpAddr, Ipv4Addr};
 use std::time::Duration;
 
 use iot_sentinel::devicesim::{catalog, Testbed};
+use iot_sentinel::fingerprint::editdist::{osa_distance, OsaScratch};
 use iot_sentinel::fingerprint::extract;
 use iot_sentinel::fingerprint::setup::SetupDetector;
 use iot_sentinel::ml::{BankScorer, Dataset, ForestConfig, RandomForest};
@@ -245,4 +246,53 @@ fn a_streamed_session_equals_batch_extraction() {
             device.info.identifier
         );
     }
+}
+
+/// Packed lanes ≡ the definition (`crates/fingerprint/tests/
+/// prop_fingerprint.rs`, `lockstep_distances_equal_osa_distance_text_by_text`):
+/// at every pattern length where the kernel's layout changes — 16-,
+/// 32- and 64-bit lanes, then blocked words — one `distances_into` call
+/// over a ragged group (texts of unequal length, empty ones, symbols
+/// past the mask table, counts that fill no word evenly) gives
+/// `osa_distance` text by text, and so does a text too long for a
+/// 16-bit lane's counter.
+#[test]
+fn packed_distances_equal_osa_distance_text_by_text() {
+    // Ids 0..6 are in the mask table, 6 and `u32::MAX` past it.
+    let symbol = |key: u64| match mix(key) % 8 {
+        7 => u32::MAX,
+        id => id as u32,
+    };
+    let sequence =
+        |key: u64, n: usize| -> Vec<u32> { (0..n as u64).map(|i| symbol(key << 20 | i)).collect() };
+    let boundaries = [0, 1, 15, 16, 31, 32, 63, 64, 65];
+    let ragged = [0, 1, 9, 15, 16, 31, 33, 64, 70];
+    let mut scratch = OsaScratch::new();
+    let mut checked = 0;
+    for (p, &m) in boundaries.iter().enumerate() {
+        let pattern: Vec<u32> = sequence(p as u64, m).iter().map(|&s| s.min(5)).collect();
+        for count in 0..=9 {
+            let texts: Vec<Vec<u32>> = (0..count)
+                .map(|t| sequence((p * 16 + t + 1) as u64, ragged[(p + t * 5) % ragged.len()]))
+                .collect();
+            let mut out = Vec::new();
+            (scratch.load(&pattern, 6)).distances_into(count, |i| &texts[i], &mut out);
+            let exact: Vec<usize> = texts.iter().map(|t| osa_distance(&pattern, t)).collect();
+            assert_eq!(out, exact, "m = {m}, {count} texts");
+            checked += count;
+        }
+    }
+    // A distance past a 16-bit counter's range, beside short texts.
+    let long = sequence(0x10_000, 70_000);
+    for m in [1, 15, 16, 31] {
+        let pattern: Vec<u32> = sequence(m as u64, m).iter().map(|&s| s.min(5)).collect();
+        let texts = [&long[..9], &long[..], &[][..]];
+        let mut out = Vec::new();
+        (scratch.load(&pattern, 6)).distances_into(3, |i| texts[i], &mut out);
+        let exact: Vec<usize> = texts.iter().map(|t| osa_distance(&pattern, t)).collect();
+        assert!(exact[1] > usize::from(u16::MAX), "{exact:?}");
+        assert_eq!(out, exact, "m = {m} beside a 70 000-symbol text");
+    }
+    assert!(scratch.is_clear());
+    assert!(checked > 300, "{checked}");
 }
