@@ -117,7 +117,7 @@ impl Default for IdentifierConfig {
 
 /// Reusable scratch for the batched identification paths.
 ///
-/// Holds stage 1's leaf words and per-item candidate pool, and stage 2's
+/// Holds stage 1's working words and per-item candidate pool, and stage 2's
 /// probe symbols, sampled reference indices, their distances, the
 /// item's scores and bit-parallel kernel memory (the probe's match masks
 /// and per-lane column state, [`OsaScratch`]). A caller that keeps one
@@ -132,7 +132,9 @@ impl Default for IdentifierConfig {
 /// again after every item), so reuse cannot change any result.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
-    /// The [`BankScorer`]'s leaf words for the row being scored.
+    /// The [`BankScorer`]'s working words: leaf words and vote counts
+    /// for the row being scored, or lane masks and per-leaf lanes for
+    /// up to 64 rows at once.
     words: Vec<u64>,
     /// Per-item candidate label sets; entries are reused across ticks.
     /// Edit-only mode keeps every label in the first.
@@ -421,10 +423,14 @@ impl Identifier {
     /// [`ClassifierBank::matches`] on each item.
     ///
     /// Each `F'` row is scored in place, from the caller's slice, by one
-    /// [`BankScorer::candidates_into`] pass, so a row costs the same in
-    /// a batch of one as in a batch of 512. The returned slice borrows
-    /// the scratch's candidate pool (one entry per item, in order); with
-    /// a warm scratch this makes zero heap allocations.
+    /// [`BankScorer::candidates_batch_into`] call: runs of 64 rows, and
+    /// a last run of 16 or more, take its lane kernel (64 rows per
+    /// machine word), and a shorter run is scored row by row — below
+    /// about 16 rows the lane kernel's per-call cost outweighs what it
+    /// saves per row. Either way each row gets the same answer, so the
+    /// batch shape never changes a result, only its cost. The returned
+    /// slice borrows the scratch's candidate pool (one entry per item,
+    /// in order); with a warm scratch this makes zero heap allocations.
     pub fn classify_batch_in<'s>(
         &self,
         fixed: &[&FixedFingerprint],
@@ -437,9 +443,9 @@ impl Identifier {
         &candidates[..fixed.len()]
     }
 
-    /// Stage 1 behind every batch path: scores the `n` rows `row(0..n)`,
-    /// one [`BankScorer::candidates_into`] pass each over the leaf
-    /// `words`, and leaves item `i`'s candidate labels in
+    /// Stage 1 behind every batch path: scores the `n` rows `row(0..n)`
+    /// in one [`BankScorer::candidates_batch_into`] call over the
+    /// scorer's `words`, and leaves item `i`'s candidate labels in
     /// `candidates[i]`. Nothing is remembered between rows or calls.
     fn classify_into<'a>(
         &self,
@@ -451,10 +457,11 @@ impl Identifier {
         if candidates.len() < n {
             candidates.resize_with(n, Vec::new);
         }
-        for (index, slot) in candidates[..n].iter_mut().enumerate() {
+        for slot in &mut candidates[..n] {
             slot.clear();
-            self.scorer.candidates_into(row(index), words, slot);
         }
+        self.scorer
+            .candidates_batch_into(row, words, &mut candidates[..n]);
     }
 
     /// Stage 2: scores `full` against sampled references of every

@@ -18,7 +18,7 @@ use crate::{FingerprintDataset, Identifier, IdentifierConfig};
 
 /// Reusable working memory for [`SecurityService::assess_keyed_batch_into`].
 ///
-/// Wraps the identifier's [`ClassifyScratch`] (stage 1's leaf words and
+/// Wraps the identifier's [`ClassifyScratch`] (stage 1's working words and
 /// candidate pool; stage 2's probe symbols, sampled reference indices,
 /// their distances, mask table and kernel state) plus the intermediate
 /// identification buffer, so a caller that keeps one `AssessScratch`

@@ -1,10 +1,12 @@
 //! Counting-allocator audit of steady-state batched identification:
 //! after one warm-up tick has sized the [`ClassifyScratch`] — stage 1's
-//! leaf words and per-item candidate pool, stage 2's probe symbols,
-//! sampled reference indices and their distances, mask table and lane
-//! state — every subsequent [`Identifier::classify_batch_in`] tick over
-//! a same-shaped batch (of 1, 64 or 512; before and after an `add_type`)
-//! must perform **zero** heap allocations, every
+//! word buffer (leaf words and vote counts row by row, lane masks and
+//! per-leaf lanes from 16 rows up) and per-item candidate pool, stage
+//! 2's probe symbols, sampled reference indices and their distances,
+//! mask table and lane state — every subsequent
+//! [`Identifier::classify_batch_in`] tick over a same-shaped batch (of
+//! 1 row, per-row kernel; of 64 or 512, lane kernel; before and after
+//! an `add_type`) must perform **zero** heap allocations, every
 //! [`Identifier::identify_keyed_batch_into`] tick (two-stage, and
 //! edit-only against all 27 types) only the ones its `Identification`s
 //! own, and every [`SecurityService::assess_keyed_batch_into`] tick over
@@ -93,13 +95,15 @@ fn batched_classification_does_not_allocate() {
     let mut scratch = ClassifyScratch::default();
 
     // Rows are scored where they lie, so a warm tick costs the heap
-    // nothing whatever the batch size.
+    // nothing whatever the batch size: one row takes the per-row
+    // kernel, 64 and 512 the lane kernel, and both work in the same
+    // word buffer.
     let mut warm_ticks_are_free = |identifier: &Identifier, what: &str| {
         for size in [1usize, 64, 512] {
             let fixed: Vec<&FixedFingerprint> =
                 (0..size).map(|i| four.fixed(i % four.len())).collect();
-            // Warm-up tick: stretches the leaf words to this model and
-            // the candidate pool to this batch shape.
+            // Warm-up tick: stretches the word buffer to this model and
+            // kernel and the candidate pool to this batch shape.
             let baseline: Vec<Vec<usize>> =
                 identifier.classify_batch_in(&fixed, &mut scratch).to_vec();
             assert_eq!(baseline.len(), size);
@@ -122,8 +126,8 @@ fn batched_classification_does_not_allocate() {
         }
     };
     warm_ticks_are_free(&identifier, "three types");
-    // A fourth type rebuilds the scorer with more trees: the same
-    // scratch grows its word buffer once, then never again.
+    // A fourth type rebuilds the scorer with more trees and leaves: the
+    // same scratch grows its word buffer once, then never again.
     identifier.add_type(devices[3].info.identifier, &four);
     warm_ticks_are_free(&identifier, "after add_type");
 }

@@ -21,8 +21,9 @@
 //!   `SENTINEL_THREADS` thread-count resolution).
 //! * [`sampling`] — bootstrap and without-replacement sampling.
 //! * [`scorer`] — [`BankScorer`]: a whole bank of binary forests scored
-//!   in one pass over its sorted split thresholds (verdicts identical
-//!   to [`RandomForest::accepts`], hot-path speed).
+//!   in one pass over its sorted split thresholds, row by row or up to
+//!   64 rows per machine word (verdicts identical to
+//!   [`RandomForest::accepts`], hot-path speed).
 //! * [`pinned`] — the v2 pinned RNG contract: keyed, order-independent
 //!   draws for decisions that must not depend on scheduling.
 //!

@@ -5,7 +5,9 @@
 //! allocations in split search, leaf construction or partitioning.
 //! The same audit covers the inference side: a warm
 //! [`BankScorer::candidates_into`] (word and label buffers sized by one
-//! earlier call) must allocate nothing at all.
+//! earlier call) and a warm 64-row
+//! [`BankScorer::candidates_batch_into`] (the lane kernel) must
+//! allocate nothing at all.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide: any neighbouring test running
@@ -151,5 +153,29 @@ fn steady_state_tree_fits_do_not_allocate_per_node() {
     assert_eq!(
         spent, 0,
         "warm scoring allocated {spent} times over 8 passes of 64 rows"
+    );
+
+    // The same 64 rows as one batch take the lane kernel, whose lane
+    // masks and leaf words share the word buffer.
+    let mut batch: Vec<Vec<usize>> = vec![Vec::new(); 64];
+    let score_batch = |words: &mut Vec<u64>, batch: &mut [Vec<usize>]| {
+        batch.iter_mut().for_each(Vec::clear);
+        scorer.candidates_batch_into(|i| binary.row(i), words, batch);
+    };
+    score_batch(&mut words, &mut batch);
+    assert_eq!(batch.concat(), baseline, "the lane kernel names the same");
+    let before = allocations();
+    for _ in 0..8 {
+        score_batch(&mut words, &mut batch);
+    }
+    let spent = allocations() - before;
+    assert_eq!(
+        batch.concat(),
+        baseline,
+        "warm-path verdicts must not drift"
+    );
+    assert_eq!(
+        spent, 0,
+        "warm 64-row batches allocated {spent} times over 8 passes"
     );
 }

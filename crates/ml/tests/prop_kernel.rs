@@ -1,17 +1,23 @@
-//! Differential property tests for the stage-1 kernel: on random banks
+//! Differential property tests for the stage-1 kernels: on random banks
 //! of random forests, [`BankScorer::candidates_into`] must name exactly
 //! the forests whose [`RandomForest::accepts`] says yes, in label order
 //! — the contract `ClassifierBank::matches` states per fingerprint —
 //! for 1–13 trees (even counts hit the tie → reject rule), depth-limited
 //! and unlimited trees (depth 0 makes every root a leaf), and probes on
 //! the training rows, exactly on split thresholds, off the training
-//! manifold and with NaN/±∞ cells. A second test patches thresholds a
-//! model file could carry (NaN of either sign, ±∞, −0.0) into fitted
-//! trees and holds the scorer to the same oracle.
+//! manifold and with NaN (either sign), ±∞ and −0.0 cells. A second test
+//! patches thresholds a model file could carry (NaN of either sign, ±∞,
+//! −0.0) into fitted trees and holds the scorer to the same oracle. A
+//! third holds [`BankScorer::candidates_batch_into`] — the lane kernel
+//! from 16 rows up, the per-row kernel below — to both, batch by batch,
+//! on banks that mix those models with a forest too wide for the lane
+//! layout.
 
 use proptest::prelude::*;
 
-use sentinel_ml::{BankScorer, Dataset, DecisionTree, ForestConfig, RandomForest};
+use sentinel_ml::{
+    BankScorer, Dataset, DecisionTree, FeatureSubsample, ForestConfig, RandomForest,
+};
 
 /// A deterministic value hash (splitmix-style) so datasets come from a
 /// few proptest scalars instead of giant generated vectors.
@@ -42,6 +48,9 @@ fn dataset(seed: u64, rows: usize, features: usize, classes: usize, integer: boo
     }
     data
 }
+
+/// Cell values no training row holds.
+const ODD_CELLS: [f64; 5] = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
 
 /// The probes one case scores: every training row, rows moved exactly
 /// onto split thresholds, rows off the manifold (negative, fractional,
@@ -77,11 +86,12 @@ fn probes(seed: u64, data: &Dataset, bank: &[RandomForest]) -> Vec<Vec<f64>> {
                 .collect(),
         );
         let mut odd = data.row(k as usize % data.len()).to_vec();
-        odd[(k as usize) % features] =
-            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][k as usize % 4];
+        odd[(k as usize) % features] = ODD_CELLS[k as usize % ODD_CELLS.len()];
         probes.push(odd);
     }
-    probes.push(vec![f64::NAN; features]);
+    for value in ODD_CELLS {
+        probes.push(vec![value; features]);
+    }
     probes
 }
 
@@ -153,6 +163,29 @@ fn hostile_thresholds_neither_panic_nor_change_a_verdict() {
     }
 }
 
+/// A forest over `features` columns with a tree of more than 64 leaves
+/// (column 0 counts up and its parity is the class), which the scorer
+/// can only walk.
+fn too_wide_for_lanes(features: usize) -> RandomForest {
+    let mut data = Dataset::new(features);
+    let mut row = vec![0.0f64; features];
+    for i in 0..400usize {
+        row[0] = i as f64 * 0.5;
+        for (f, cell) in row.iter_mut().enumerate().skip(1) {
+            *cell = (mix(7, i as u64, f as u64) % 9) as f64;
+        }
+        data.push(&row, i % 2);
+    }
+    let config = ForestConfig {
+        feature_subsample: FeatureSubsample::All,
+        ..ForestConfig::default().with_trees(3).with_seed(3)
+    };
+    let forest = RandomForest::fit(&data, &config);
+    let leaves = |tree: &DecisionTree| tree.node_count().div_ceil(2);
+    assert!(forest.trees().iter().any(|tree| leaves(tree) > 64));
+    forest
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -191,6 +224,66 @@ proptest! {
             for (label, single) in alone.iter().enumerate() {
                 let verdict = candidates(single, row, &mut words) == [0];
                 prop_assert_eq!(verdict, bank[label].accepts(row), "forest {} probe {}", label, p);
+            }
+        }
+    }
+
+    #[test]
+    fn batches_name_what_each_row_names_in_label_order(
+        seed in any::<u64>(),
+        rows in 20usize..60,
+        features in 1usize..9,
+        n_forests in 1usize..5,
+        n_trees in 1usize..=13,
+        max_depth in prop_oneof![Just(0usize), Just(1), Just(3), Just(24)],
+        integer in any::<bool>(),
+        hostile in any::<bool>(),
+        wide_at in proptest::option::of(0usize..5),
+        batch in 1usize..=130,
+    ) {
+        let data = dataset(seed, rows, features, 2, integer);
+        let mut bank: Vec<RandomForest> = (0..n_forests as u64)
+            .map(|label| {
+                let config = ForestConfig {
+                    max_depth,
+                    ..ForestConfig::default().with_trees(n_trees).with_seed(seed ^ label)
+                };
+                let forest = RandomForest::fit(&data, &config);
+                if hostile {
+                    with_hostile_thresholds(&forest, features)
+                } else {
+                    forest
+                }
+            })
+            .collect();
+        if let Some(at) = wide_at {
+            bank.insert(at.min(bank.len()), too_wide_for_lanes(features));
+        }
+        let scorer = BankScorer::new(&bank);
+        let probes = probes(seed, &data, &bank);
+        // More than 130 rows, so every batch size cuts them more than once.
+        let n = probes.len().max(130) + 7;
+        let rows: Vec<&[f64]> = probes.iter().cycle().take(n).map(Vec::as_slice).collect();
+        let (mut words, mut expected) = (Vec::new(), Vec::new());
+        for row in &rows {
+            let accepted: Vec<usize> = (0..bank.len()).filter(|&l| bank[l].accepts(row)).collect();
+            let mut per_row = Vec::new();
+            scorer.candidates_into(row, &mut words, &mut per_row);
+            prop_assert_eq!(&per_row, &accepted, "{:?}", row);
+            expected.push(accepted);
+        }
+        // One word buffer across kernels and batch shapes: scratch
+        // carries nothing from call to call.
+        for size in [15, 16, 17, 63, 64, 65, 128, batch] {
+            for (at, chunk) in rows.chunks(size).enumerate() {
+                let mut out = vec![Vec::new(); chunk.len()];
+                scorer.candidates_batch_into(|i| chunk[i], &mut words, &mut out);
+                for (i, labels) in out.iter().enumerate() {
+                    prop_assert_eq!(
+                        labels, &expected[at * size + i],
+                        "batch of {}, row {} of {}", size, i, chunk.len()
+                    );
+                }
             }
         }
     }

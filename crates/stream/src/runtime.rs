@@ -211,7 +211,7 @@ pub struct StreamRuntime<S> {
     /// onboarded, whose steady-state traffic is skipped).
     table: SessionTable,
     /// Warm working memory of the keyed batches each round assesses
-    /// (stage-1 batch matrix and candidate pool, stage-2 probe symbols
+    /// (stage-1 word buffer and candidate pool, stage-2 probe symbols
     /// and mask table — once warm, assessment allocates only what each
     /// response owns).
     scratch: AssessScratch,

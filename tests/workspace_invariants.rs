@@ -139,10 +139,13 @@ fn every_switch_decision_equals_a_fresh_controller_decision() {
     );
 }
 
-/// The stage-1 kernel (`crates/ml/tests/prop_kernel.rs`): one
+/// The stage-1 kernels (`crates/ml/tests/prop_kernel.rs`): one
 /// `BankScorer::candidates_into` pass names exactly the forests whose
 /// `RandomForest::accepts` says yes, in label order, on the training
-/// rows, rows off the manifold and rows with NaN and ±∞ cells.
+/// rows, rows off the manifold and rows with NaN and ±∞ cells — and
+/// `candidates_batch_into` names the same for each row in batches of 1,
+/// 16, 64 and 65 rows and in one batch of all of them, so the lane
+/// kernel and the per-row kernel both answer.
 #[test]
 fn bank_scorer_candidates_equal_forest_acceptance() {
     let features = 6;
@@ -175,15 +178,27 @@ fn bank_scorer_candidates_equal_forest_acceptance() {
     }
     let scorer = BankScorer::new(&bank);
     let (mut words, mut candidates) = (Vec::new(), Vec::new());
-    let mut accepted = 0;
+    let (mut accepted, mut per_row) = (0, Vec::new());
     for (p, row) in probes.iter().enumerate() {
         candidates.clear();
         scorer.candidates_into(row, &mut words, &mut candidates);
         let expected: Vec<usize> = (0..bank.len()).filter(|&l| bank[l].accepts(row)).collect();
         assert_eq!(candidates, expected, "probe {p}: {row:?}");
         accepted += candidates.len();
+        per_row.push(expected);
     }
     assert!(accepted > 0, "some forest accepts something");
+    for size in [1, 16, 64, 65, probes.len()] {
+        for (at, chunk) in probes.chunks(size).enumerate() {
+            let mut out = vec![Vec::new(); chunk.len()];
+            scorer.candidates_batch_into(|i| &chunk[i], &mut words, &mut out);
+            assert_eq!(
+                out,
+                per_row[at * size..][..chunk.len()],
+                "batches of {size}"
+            );
+        }
+    }
 }
 
 /// The snapshot decoder's totality (`crates/snapshot/tests/corruption.rs`):
