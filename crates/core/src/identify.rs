@@ -161,23 +161,20 @@ struct Stage2Scratch {
     osa: OsaScratch,
 }
 
-/// The trained identification pipeline: classifier bank plus reference
-/// fingerprints for edit-distance discrimination.
+/// The serving form of a [`TrainedModel`]: only what identification
+/// reads. `Identifier::from(&model)` is its one constructor.
 #[derive(Debug)]
 pub struct Identifier {
-    bank: ClassifierBank,
-    /// The bank's type names as shared [`TypeName`]s, indexed by label:
-    /// an identification clones a pointer, not the string.
-    names: Vec<TypeName>,
     /// The bank's forests as one scorer — the stage-1 hot path (results
-    /// identical to the bank's own forests), rebuilt whenever they change.
+    /// identical to the bank's own forests), and `RfOnly`'s vote shares.
     scorer: BankScorer,
-    /// All training fingerprints `F`, grouped by type label.
-    references: Vec<Vec<Fingerprint>>,
+    /// The type names as shared [`TypeName`]s, indexed by label: an
+    /// identification clones a pointer, not the string.
+    names: Vec<TypeName>,
     /// Packet columns of every reference, interned to `u32` symbols.
     symbols: SymbolTable,
-    /// Interned views of `references`, type after type, precomputed at
-    /// training time so the stage-2 kernel looks masks up by integer.
+    /// Every reference fingerprint `F` as symbols, type after type,
+    /// interned once so the stage-2 kernel looks masks up by integer.
     interned: Vec<InternedFingerprint>,
     /// Where each type's run of `interned` starts, plus its end:
     /// type `label`'s references are `interned[first[label]..first[label + 1]]`.
@@ -185,8 +182,9 @@ pub struct Identifier {
     config: IdentifierConfig,
 }
 
-/// The persistable parts of a trained [`Identifier`] — what an IoTSSP
-/// ships to gateways so they do not retrain on every boot. The
+/// A trained model: the classifier bank, the stage-2 reference
+/// fingerprints and the configuration — what an IoTSSP trains, grows
+/// and ships to gateways, which serve it as an [`Identifier`]. The
 /// `sentinel-snapshot` container is its only format: a model is built
 /// from bytes only through its decoder, which validates every part via
 /// [`TrainedModel::from_parts`].
@@ -198,6 +196,31 @@ pub struct TrainedModel {
 }
 
 impl TrainedModel {
+    /// Trains the bank on a labeled fingerprint dataset and keeps every
+    /// type's fingerprints as its stage-2 references.
+    pub fn train(dataset: &FingerprintDataset, config: &IdentifierConfig) -> Self {
+        TrainedModel {
+            bank: ClassifierBank::train(dataset, &config.bank),
+            references: (0..dataset.n_types())
+                .map(|label| references_of(dataset, label))
+                .collect(),
+            config: config.clone(),
+        }
+    }
+
+    /// Learns one more device-type without touching the existing ones:
+    /// trains its classifier ([`ClassifierBank::add_type`]) and keeps
+    /// its fingerprints as references — bit-identical to what
+    /// [`TrainedModel::train`] on `dataset` builds for that label.
+    /// `dataset` is the extended corpus and must hold the new label
+    /// (else training panics). Returns the label;
+    /// `Identifier::from(&model)` serves the grown model.
+    pub fn add_type(&mut self, name: impl Into<String>, dataset: &FingerprintDataset) -> usize {
+        let label = self.bank.add_type(name, dataset);
+        self.references.push(references_of(dataset, label));
+        label
+    }
+
     /// Reassembles a model from persisted parts. The reference list is
     /// indexed by the bank's labels, so both must agree on the number
     /// of device-types, and every type needs a reference fingerprint.
@@ -237,114 +260,53 @@ impl TrainedModel {
         &self.references
     }
 
-    /// The configuration the identifier was trained with.
+    /// The configuration the model was trained with.
     pub fn config(&self) -> &IdentifierConfig {
         &self.config
     }
 }
 
-impl From<&Identifier> for TrainedModel {
-    fn from(identifier: &Identifier) -> Self {
-        TrainedModel {
-            bank: identifier.bank.clone(),
-            references: identifier.references.clone(),
-            config: identifier.config.clone(),
-        }
-    }
+/// Type `label`'s fingerprints in `dataset`, in dataset order.
+fn references_of(dataset: &FingerprintDataset, label: usize) -> Vec<Fingerprint> {
+    (dataset.indices_of(label).into_iter())
+        .map(|i| dataset.full(i).clone())
+        .collect()
 }
 
-impl From<TrainedModel> for Identifier {
-    fn from(model: TrainedModel) -> Self {
-        Identifier::assemble(model.bank, model.references, model.config)
+impl From<&TrainedModel> for Identifier {
+    /// Packs the bank's forests into one [`BankScorer`] and interns every
+    /// reference, so stage-2 edit distances run over `u32` symbols.
+    fn from(model: &TrainedModel) -> Self {
+        let mut symbols = SymbolTable::new();
+        let n_references = model.references.iter().map(Vec::len).sum();
+        let (mut interned, mut first) = (Vec::with_capacity(n_references), vec![0]);
+        for of_type in &model.references {
+            interned.extend(of_type.iter().map(|fp| symbols.intern(fp)));
+            first.push(interned.len());
+        }
+        let names = (model.bank.type_names().iter())
+            .map(|name| TypeName::from(name.as_str()))
+            .collect();
+        Identifier {
+            scorer: BankScorer::new(model.bank.classifiers()),
+            names,
+            symbols,
+            interned,
+            first,
+            config: model.config.clone(),
+        }
     }
 }
 
 impl Identifier {
-    /// Trains the pipeline on a labeled fingerprint dataset.
+    /// Trains a model on a labeled fingerprint dataset and serves it.
     pub fn train(dataset: &FingerprintDataset, config: &IdentifierConfig) -> Self {
-        let bank = ClassifierBank::train(dataset, &config.bank);
-        let references = (0..dataset.n_types())
-            .map(|label| {
-                dataset
-                    .indices_of(label)
-                    .into_iter()
-                    .map(|i| dataset.full(i).clone())
-                    .collect()
-            })
-            .collect();
-        Identifier::assemble(bank, references, config.clone())
-    }
-
-    /// Builds the identifier from its parts, interning every reference
-    /// fingerprint so identification-time edit distances run over `u32`
-    /// symbols.
-    fn assemble(
-        bank: ClassifierBank,
-        references: Vec<Vec<Fingerprint>>,
-        config: IdentifierConfig,
-    ) -> Self {
-        let mut symbols = SymbolTable::new();
-        let (mut interned, mut first) = (Vec::new(), vec![0]);
-        for of_type in &references {
-            interned.extend(of_type.iter().map(|fp| symbols.intern(fp)));
-            first.push(interned.len());
-        }
-        let scorer = BankScorer::new(bank.classifiers());
-        let names = bank
-            .type_names()
-            .iter()
-            .map(|name| TypeName::from(name.as_str()))
-            .collect();
-        Identifier {
-            bank,
-            names,
-            scorer,
-            references,
-            symbols,
-            interned,
-            first,
-            config,
-        }
-    }
-
-    /// The underlying classifier bank.
-    pub fn bank(&self) -> &ClassifierBank {
-        &self.bank
-    }
-
-    /// Learns one additional device-type incrementally: trains its
-    /// classifier ([`ClassifierBank::add_type`]), registers its stage-2
-    /// reference fingerprints, and rebuilds the stage-1 scorer over the
-    /// grown bank — all without touching the existing types' models,
-    /// references or interned symbols. Returns the new type's label.
-    ///
-    /// `dataset` must contain at least one fingerprint labeled with the
-    /// new type's index (i.e. the current number of types) — its stage-2
-    /// references; with none, training its classifier panics. The
-    /// appended state is bit-identical to what a full
-    /// [`Identifier::train`] on `dataset` builds for that label: the
-    /// classifier's RNG streams derive from the label and seeds alone,
-    /// references are registered in the same label order, and interning
-    /// new symbols is append-only.
-    pub fn add_type(&mut self, name: impl Into<String>, dataset: &FingerprintDataset) -> usize {
-        let label = self.bank.add_type(name, dataset);
-        self.names
-            .push(TypeName::from(self.bank.type_names()[label].as_str()));
-        let references: Vec<Fingerprint> = dataset
-            .indices_of(label)
-            .into_iter()
-            .map(|i| dataset.full(i).clone())
-            .collect();
-        (self.interned).extend(references.iter().map(|fp| self.symbols.intern(fp)));
-        self.first.push(self.interned.len());
-        self.scorer = BankScorer::new(self.bank.classifiers());
-        self.references.push(references);
-        label
+        Identifier::from(&TrainedModel::train(dataset, config))
     }
 
     /// Device-type names, indexed by label.
-    pub fn type_names(&self) -> &[String] {
-        self.bank.type_names()
+    pub fn type_names(&self) -> &[TypeName] {
+        &self.names
     }
 
     /// Identifies one device: a batch of one through
@@ -398,7 +360,7 @@ impl Identifier {
                 candidates.push(Vec::new());
             }
             candidates[0].clear();
-            candidates[0].extend(0..self.bank.n_types());
+            candidates[0].extend(0..self.names.len());
         } else {
             self.classify_into(items.len(), |i| items[i].1.as_slice(), words, candidates);
         }
@@ -408,7 +370,7 @@ impl Identifier {
                 IdentifyMode::TwoStage => {
                     self.discriminate(full, &candidates[index], &mut rng, stage2)
                 }
-                IdentifyMode::RfOnly => self.rf_best(fixed, &candidates[index]),
+                IdentifyMode::RfOnly => self.rf_best(fixed.as_slice(), &candidates[index], words),
                 // Scoring every type is not a stage-1 multiple match.
                 IdentifyMode::EditOnly => Identification {
                     discriminated: false,
@@ -419,7 +381,7 @@ impl Identifier {
     }
 
     /// Stage-1 classification of a whole batch into caller-owned
-    /// scratch: per-item candidate label sets, identical to
+    /// scratch: per-item candidate label sets, identical to the model's
     /// [`ClassifierBank::matches`] on each item.
     ///
     /// Each `F'` row is scored in place, from the caller's slice, by one
@@ -494,14 +456,14 @@ impl Identifier {
     }
 
     /// Confidence-based tie-break over a stage-1 candidate set (the
-    /// `RfOnly` ablation's second half). Nothing is scored.
-    fn rf_best(&self, fixed: &FixedFingerprint, candidates: &[usize]) -> Identification {
-        let best = candidates.iter().copied().max_by(|&a, &b| {
-            self.bank
-                .confidence(a, fixed)
-                .partial_cmp(&self.bank.confidence(b, fixed))
-                .expect("finite confidences")
-        });
+    /// `RfOnly` ablation's second half): the last candidate whose forest
+    /// gives the `F'` row the largest class-1 vote share wins. Nothing
+    /// is scored; `words` is the scorer's scratch.
+    fn rf_best(&self, row: &[f64], candidates: &[usize], words: &mut Vec<u64>) -> Identification {
+        let best = (candidates.iter())
+            .map(|&label| (label, self.scorer.vote_share(label, row, words)))
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite confidences"))
+            .map(|(label, _)| label);
         let unscored = candidates.iter().map(|&label| (label, 0.0)).collect();
         self.decided(best, unscored, false, false)
     }
@@ -694,16 +656,16 @@ mod tests {
         identifier.identify_keyed(full, fixed, AssessKey::DIRECT)
     }
 
-    fn train_on_three() -> (Identifier, FingerprintDataset) {
+    fn train_on_three() -> (TrainedModel, FingerprintDataset) {
         let devices: Vec<_> = catalog().into_iter().take(3).collect();
         let dataset = FingerprintDataset::collect(&devices, 8, 5);
-        let identifier = Identifier::train(&dataset, &fast_config(IdentifyMode::TwoStage));
-        (identifier, dataset)
+        let model = TrainedModel::train(&dataset, &fast_config(IdentifyMode::TwoStage));
+        (model, dataset)
     }
 
     #[test]
     fn identifies_held_out_runs_of_known_types() {
-        let (identifier, _) = train_on_three();
+        let identifier = Identifier::from(&train_on_three().0);
         let devices: Vec<_> = catalog().into_iter().take(3).collect();
         let testbed = Testbed::new(99); // different campaign seed = held-out runs
         let mut correct = 0;
@@ -774,42 +736,42 @@ mod tests {
 
     #[test]
     fn add_type_matches_full_retrain_for_the_new_label() {
-        // Extending a trained identifier with a fourth type must leave
-        // the three existing types bit-identical and append exactly the
+        // Extending a trained model with a fourth type must leave the
+        // three existing types bit-identical and append exactly the
         // state a full retrain on the extended dataset would build for
         // the new label: same classifier, same reference fingerprints,
-        // and the same stage-1 candidates through the rebuilt scorer.
+        // and the same stage-1 candidates once the grown model is
+        // served.
         let devices: Vec<_> = catalog().into_iter().take(4).collect();
         let three = FingerprintDataset::collect(&devices[..3], 8, 5);
         let four = FingerprintDataset::collect(&devices, 8, 5);
         let config = fast_config(IdentifyMode::TwoStage);
-        let mut incremental = Identifier::train(&three, &config);
-        let old_bank = incremental.bank().clone();
-        let label = incremental.add_type(devices[3].info.identifier, &four);
+        let mut model = TrainedModel::train(&three, &config);
+        let old = model.clone();
+        let label = model.add_type(devices[3].info.identifier, &four);
         assert_eq!(label, 3);
-        // Existing classifiers untouched, bit-for-bit.
-        for old in 0..3 {
-            assert_eq!(incremental.bank().classifier(old), old_bank.classifier(old));
+        // Existing classifiers and references untouched, bit-for-bit.
+        for known in 0..3 {
+            assert_eq!(model.bank().classifier(known), old.bank().classifier(known));
+            assert_eq!(model.references()[known], old.references()[known]);
         }
-        let full = Identifier::train(&four, &config);
+        let full = TrainedModel::train(&four, &config);
         assert_eq!(
-            incremental.bank().classifier(label),
+            model.bank().classifier(label),
             full.bank().classifier(label)
         );
-        assert_eq!(incremental.references[label], full.references[label]);
-        // The scorer was rebuilt with the bank: a stale one would miss
-        // the new label on the new type's own training fingerprints.
+        assert_eq!(model.references()[label], full.references()[label]);
+        // The identifier rebuilt from the grown model scores the new
+        // label on the new type's own training fingerprints.
+        let incremental = Identifier::from(&model);
         let fixed: Vec<&FixedFingerprint> = (0..four.len()).map(|i| four.fixed(i)).collect();
         let mut scratch = ClassifyScratch::default();
         let grown = incremental.classify_batch_in(&fixed, &mut scratch).to_vec();
         let mut fresh = ClassifyScratch::default();
-        let retrained = full.classify_batch_in(&fixed, &mut fresh);
+        let retrained = Identifier::from(&full);
+        let retrained = retrained.classify_batch_in(&fixed, &mut fresh);
         for (i, candidates) in grown.iter().enumerate() {
-            assert_eq!(
-                candidates,
-                &incremental.bank().matches(fixed[i]),
-                "sample {i}"
-            );
+            assert_eq!(candidates, &model.bank().matches(fixed[i]), "sample {i}");
             assert_eq!(
                 candidates.contains(&label),
                 retrained[i].contains(&label),
@@ -827,13 +789,14 @@ mod tests {
 
     #[test]
     fn classify_batch_matches_the_unpacked_bank_per_item() {
-        let (identifier, dataset) = train_on_three();
+        let (model, dataset) = train_on_three();
+        let identifier = Identifier::from(&model);
         let fixed: Vec<&FixedFingerprint> = (0..dataset.len()).map(|i| dataset.fixed(i)).collect();
         let mut scratch = ClassifyScratch::default();
         let batch = identifier.classify_batch_in(&fixed, &mut scratch);
         assert_eq!(batch.len(), fixed.len());
         for (i, candidates) in batch.iter().enumerate() {
-            assert_eq!(candidates, &identifier.bank().matches(fixed[i]), "item {i}");
+            assert_eq!(candidates, &model.bank().matches(fixed[i]), "item {i}");
         }
     }
 
@@ -844,8 +807,7 @@ mod tests {
         // −0.0 and a value some probe holds exactly must neither panic
         // the scorer's build nor move a verdict off the bank's.
         use sentinel_ml::{DecisionTree, RandomForest};
-        let (identifier, dataset) = train_on_three();
-        let model = TrainedModel::from(&identifier);
+        let (model, dataset) = train_on_three();
         let probe = dataset.fixed(0).as_slice();
         let mut k = 0usize;
         let classifiers = (model.bank().classifiers().iter())
@@ -882,13 +844,13 @@ mod tests {
             model.bank().config().clone(),
         )
         .expect("still one binary classifier per name");
-        let patched: Identifier =
+        let patched =
             TrainedModel::from_parts(bank, model.references().to_vec(), model.config().clone())
-                .expect("references kept")
-                .into();
+                .expect("references kept");
+        let identifier = Identifier::from(&patched);
         let fixed: Vec<&FixedFingerprint> = (0..dataset.len()).map(|i| dataset.fixed(i)).collect();
         let mut scratch = ClassifyScratch::default();
-        let batch = patched.classify_batch_in(&fixed, &mut scratch);
+        let batch = identifier.classify_batch_in(&fixed, &mut scratch);
         assert!(
             k >= 8,
             "every hostile value landed in some split ({k} splits)"
@@ -900,7 +862,8 @@ mod tests {
 
     #[test]
     fn scores_are_bounded_by_reference_count() {
-        let (identifier, dataset) = train_on_three();
+        let (model, dataset) = train_on_three();
+        let identifier = Identifier::from(&model);
         let id = identify(&identifier, dataset.full(0), dataset.fixed(0));
         assert!(id.scored);
         for score in id.scores() {
@@ -912,8 +875,7 @@ mod tests {
     fn from_parts_refuses_a_type_without_references() {
         // Such a type samples nothing, scores 0 and would win stage 2
         // outright whenever stage 1 accepted it.
-        let (identifier, _) = train_on_three();
-        let model = TrainedModel::from(&identifier);
+        let (model, _) = train_on_three();
         let mut references = model.references().to_vec();
         references[1].clear();
         let err =
@@ -979,7 +941,8 @@ mod tests {
             let per_type = identifier.config.references_per_type;
             (candidates.iter())
                 .map(|&label| {
-                    let pool: Vec<usize> = (0..identifier.references[label].len()).collect();
+                    let pool: Vec<usize> =
+                        (0..identifier.first[label + 1] - identifier.first[label]).collect();
                     let chosen = rng.sample_k(&pool, per_type);
                     let score =
                         oracle_score_candidate(identifier, probe.symbols(), label, &chosen, best);
@@ -990,20 +953,28 @@ mod tests {
         }
 
         /// The whole identification of `full` in the identifier's mode,
-        /// stage 2 through the oracle.
+        /// stage 1 through `model`'s bank (`RfOnly`'s tie-break through
+        /// its confidences) and stage 2 through the oracle.
         fn oracle_identify(
+            model: &TrainedModel,
             identifier: &Identifier,
             full: &Fingerprint,
             fixed: &FixedFingerprint,
             key: AssessKey,
         ) -> Identification {
-            let mode = identifier.config.mode;
+            let (mode, bank) = (identifier.config.mode, model.bank());
             let candidates: Vec<usize> = match mode {
-                IdentifyMode::EditOnly => (0..identifier.bank.n_types()).collect(),
-                _ => identifier.bank.matches(fixed),
+                IdentifyMode::EditOnly => (0..bank.n_types()).collect(),
+                _ => bank.matches(fixed),
             };
             if mode == IdentifyMode::RfOnly {
-                return identifier.rf_best(fixed, &candidates);
+                let best = candidates.iter().copied().max_by(|&a, &b| {
+                    (bank.confidence(a, fixed))
+                        .partial_cmp(&bank.confidence(b, fixed))
+                        .expect("finite confidences")
+                });
+                let unscored = candidates.iter().map(|&label| (label, 0.0)).collect();
+                return identifier.decided(best, unscored, false, false);
             }
             if candidates.is_empty() {
                 return identifier.decided(None, Box::default(), false, false);
@@ -1024,8 +995,7 @@ mod tests {
                 let dataset = FingerprintDataset::collect(&catalog(), 6, 11);
                 let mut config = fast_config(IdentifyMode::TwoStage);
                 config.bank.forest = ForestConfig::default().with_trees(5);
-                let identifier = Identifier::train(&dataset, &config);
-                (TrainedModel::from(&identifier), dataset)
+                (TrainedModel::train(&dataset, &config), dataset)
             })
         }
 
@@ -1080,8 +1050,10 @@ mod tests {
                     mode,
                     ..model.config().clone()
                 };
-                let identifier =
-                    Identifier::assemble(model.bank().clone(), model.references().to_vec(), config);
+                let model =
+                    TrainedModel::from_parts(model.bank().clone(), model.references().to_vec(), config)
+                        .expect("the trained parts");
+                let identifier = Identifier::from(&model);
                 let mut columns = dataset.full(base % dataset.len()).vectors().to_vec();
                 for edit in edits {
                     apply(&mut columns, dataset, edit);
@@ -1105,7 +1077,7 @@ mod tests {
                 // And the whole identification in this mode: tie set,
                 // keyed tie-break draw and recorded scores.
                 let id = identifier.identify_keyed(&full, &fixed, key);
-                let oracle = oracle_identify(&identifier, &full, &fixed, key);
+                let oracle = oracle_identify(&model, &identifier, &full, &fixed, key);
                 prop_assert_eq!(bits(id.scores()), bits(oracle.scores()));
                 prop_assert_eq!(id, oracle);
             }

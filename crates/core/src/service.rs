@@ -14,7 +14,7 @@ use sentinel_sdn::IsolationLevel;
 use crate::identify::{AssessKey, ClassifyScratch};
 use crate::report::{Identification, ServiceResponse, TypeVerdict};
 use crate::vulndb::{StaticVulnDb, VulnerabilityDatabase};
-use crate::{FingerprintDataset, Identifier, IdentifierConfig};
+use crate::{FingerprintDataset, Identifier, IdentifierConfig, TrainedModel};
 
 /// Reusable working memory for [`SecurityService::assess_keyed_batch_into`].
 ///
@@ -133,7 +133,7 @@ pub struct ServiceConfig {
     pub identifier: IdentifierConfig,
 }
 
-/// The reference IoTSSP implementation: trained identifier + offline
+/// The reference IoTSSP implementation: a serving identifier + offline
 /// vulnerability database.
 #[derive(Debug)]
 pub struct IoTSecurityService {
@@ -144,29 +144,31 @@ pub struct IoTSecurityService {
     verdicts: Vec<Arc<TypeVerdict>>,
     /// The verdict for an unknown type (strict, no whitelist or notice).
     unknown: Arc<TypeVerdict>,
+    /// The model [`IoTSecurityService::train`] fitted; a service built
+    /// from parts (a booted one) keeps none.
+    trained: Option<TrainedModel>,
 }
 
 impl IoTSecurityService {
-    /// Trains the service on a labeled fingerprint corpus, using the
-    /// built-in advisory seed data.
+    /// Trains a model on a labeled fingerprint corpus and serves it with
+    /// the built-in advisory seed data, keeping the model.
     pub fn train(dataset: &FingerprintDataset, config: &ServiceConfig) -> Self {
-        Self::train_with_vulndb(dataset, config, StaticVulnDb::with_known_iot_advisories())
+        let model = TrainedModel::train(dataset, &config.identifier);
+        let identifier = Identifier::from(&model);
+        IoTSecurityService {
+            trained: Some(model),
+            ..Self::from_parts(identifier, StaticVulnDb::with_known_iot_advisories())
+        }
     }
 
-    /// Wraps an already-trained identifier (e.g. reassembled from a
-    /// [`crate::TrainedModel`]) with the built-in advisory database.
-    pub fn from_identifier(identifier: crate::Identifier) -> Self {
-        Self::from_parts(identifier, StaticVulnDb::with_known_iot_advisories())
-    }
-
-    /// Assembles a service from an already-trained identifier and an
-    /// explicit vulnerability database — the restore path binary model
-    /// persistence uses, where both halves come off disk.
-    pub fn from_parts(identifier: crate::Identifier, vulndb: StaticVulnDb) -> Self {
+    /// Assembles a service from a serving identifier and a
+    /// vulnerability database — the boot path, where both halves come
+    /// off disk. The service keeps no trained model.
+    pub fn from_parts(identifier: Identifier, vulndb: StaticVulnDb) -> Self {
         let verdicts = identifier
             .type_names()
             .iter()
-            .map(|name| verdict_of(&vulndb, Some(name)))
+            .map(|name| verdict_of(&vulndb, Some(name.as_str())))
             .collect();
         let unknown = verdict_of(&vulndb, None);
         IoTSecurityService {
@@ -174,16 +176,8 @@ impl IoTSecurityService {
             vulndb,
             verdicts,
             unknown,
+            trained: None,
         }
-    }
-
-    /// Trains the service with an explicit vulnerability database.
-    pub fn train_with_vulndb(
-        dataset: &FingerprintDataset,
-        config: &ServiceConfig,
-        vulndb: StaticVulnDb,
-    ) -> Self {
-        Self::from_parts(Identifier::train(dataset, &config.identifier), vulndb)
     }
 
     /// The identification pipeline (exposed for evaluation harnesses).
@@ -191,21 +185,12 @@ impl IoTSecurityService {
         &self.identifier
     }
 
-    /// Teaches the service one additional device-type without retraining
-    /// the existing classifiers (the paper's incremental-onboarding
-    /// property). Returns the new type's label.
-    ///
-    /// `dataset` must be the extended corpus: all previously known types
-    /// plus fingerprints labeled with the new type's index. Delegates to
-    /// [`Identifier::add_type`], which appends the new classifier and
-    /// its stage-2 reference fingerprints and rebuilds the stage-1
-    /// scorer; everything already trained is left bit-identical. The
-    /// new type's verdict joins the service's table.
-    pub fn add_type(&mut self, name: impl Into<String>, dataset: &FingerprintDataset) -> usize {
-        let label = self.identifier.add_type(name, dataset);
-        let name = &self.identifier.type_names()[label];
-        self.verdicts.push(verdict_of(&self.vulndb, Some(name)));
-        label
+    /// The model [`IoTSecurityService::train`] fitted, or `None` for a
+    /// service built from parts. Kept only because the frozen benchmark
+    /// (`ledger/`) snapshots a trained service through
+    /// `Snapshot::of_service`, which reads it.
+    pub fn trained_model(&self) -> Option<&TrainedModel> {
+        self.trained.as_ref()
     }
 
     /// Does nothing: stage 1 has no verdict cache to turn on. Kept only
@@ -363,6 +348,20 @@ mod tests {
         assert_eq!(response.verdict.isolation, IsolationLevel::Strict);
     }
 
+    /// `service` rebuilt from its trained model grown by `name`'s type
+    /// (`dataset` is the extended corpus), with the same database.
+    fn with_type_added(
+        service: &IoTSecurityService,
+        name: &str,
+        dataset: &FingerprintDataset,
+    ) -> (IoTSecurityService, TrainedModel, usize) {
+        let mut model = service.trained_model().expect("trained").clone();
+        let label = model.add_type(name, dataset);
+        let grown =
+            IoTSecurityService::from_parts(Identifier::from(&model), service.vulndb().clone());
+        (grown, model, label)
+    }
+
     #[test]
     fn add_type_onboards_a_new_device_type() {
         let devices: Vec<_> = catalog().into_iter().take(4).collect();
@@ -377,26 +376,30 @@ mod tests {
                 ..IdentifierConfig::default()
             },
         };
-        let mut service = IoTSecurityService::train(&three, &config);
+        let service = IoTSecurityService::train(&three, &config);
         let (full, fixed) = fingerprints_of(3, 0);
         assert_eq!(
             service.assess(&full, &fixed).identification.outcome,
             Outcome::Unknown,
             "the fourth device must be unknown before onboarding"
         );
-        let label = service.add_type(devices[3].info.identifier, &four);
+        let (service, model, label) = with_type_added(&service, devices[3].info.identifier, &four);
         assert_eq!(label, 3);
         // After incremental onboarding the device identifies, and its
         // classifier is bit-identical to a full retrain's (the extended
-        // service shares the full retrain's state for the new label).
+        // model shares the full retrain's state for the new label).
         assert_eq!(
             service.assess(&full, &fixed).identification.label(),
             Some(3)
         );
         let retrained = IoTSecurityService::train(&four, &config);
         assert_eq!(
-            service.identifier().bank().classifier(label),
-            retrained.identifier().bank().classifier(label)
+            model.bank().classifier(label),
+            retrained
+                .trained_model()
+                .expect("trained")
+                .bank()
+                .classifier(label)
         );
     }
 
@@ -419,7 +422,7 @@ mod tests {
     #[test]
     fn responses_of_one_type_share_its_verdict() {
         // Train on 9 devices so EdimaxCam (index 8, restricted) is known.
-        let mut service = fast_service(9);
+        let service = fast_service(9);
         let (full_a, fixed_a) = fingerprints_of(8, 1);
         let (full_b, fixed_b) = fingerprints_of(8, 2);
         let a = service.assess(&full_a, &fixed_a);
@@ -452,8 +455,9 @@ mod tests {
             }
         );
 
-        // A type learnt later gets the verdict the database gives its
-        // name: EdnetGateway is restricted with a removal notice.
+        // A type learnt later — by a service rebuilt from the grown
+        // model — gets the verdict the database gives its name:
+        // EdnetGateway is restricted with a removal notice.
         let devices = catalog();
         let ednet = devices
             .iter()
@@ -462,7 +466,7 @@ mod tests {
         let mut extended: Vec<_> = devices[..9].to_vec();
         extended.push(devices[ednet].clone());
         let dataset = FingerprintDataset::collect(&extended, 8, 5);
-        let label = service.add_type("EdnetGateway", &dataset);
+        let (service, _, label) = with_type_added(&service, "EdnetGateway", &dataset);
         let db = service.vulndb();
         let verdict = &service.verdicts[label];
         assert_eq!(verdict.isolation, db.assess(Some("EdnetGateway")));

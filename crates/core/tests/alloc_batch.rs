@@ -6,7 +6,7 @@
 //! mask table and lane state — every subsequent
 //! [`Identifier::classify_batch_in`] tick over a same-shaped batch (of
 //! 1 row, per-row kernel; of 64 or 512, lane kernel; before and after
-//! an `add_type`) must perform **zero** heap allocations, every
+//! a rebuild with a fourth type) must perform **zero** heap allocations, every
 //! [`Identifier::identify_keyed_batch_into`] tick (two-stage, and
 //! edit-only against all 27 types) only the ones its `Identification`s
 //! own, and every [`SecurityService::assess_keyed_batch_into`] tick over
@@ -24,6 +24,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use sentinel_core::vulndb::StaticVulnDb;
 use sentinel_core::{
     AssessKey, AssessScratch, BankConfig, ClassifyScratch, FingerprintDataset, Identification,
     Identifier, IdentifierConfig, IdentifyMode, IoTSecurityService, SecurityService,
@@ -75,9 +76,13 @@ fn steady_state_batches_allocate_only_what_identifications_own() {
         },
         ..IdentifierConfig::default()
     };
-    let identifier = Identifier::train(&dataset, &config);
-    stage_two_allocates_per_identification_not_per_comparison(&identifier);
-    the_service_keeps_no_per_fingerprint_state(IoTSecurityService::from_identifier(identifier));
+    let model = TrainedModel::train(&dataset, &config);
+    let identifier = Identifier::from(&model);
+    stage_two_allocates_per_identification_not_per_comparison(&model, &identifier);
+    the_service_keeps_no_per_fingerprint_state(IoTSecurityService::from_parts(
+        identifier,
+        StaticVulnDb::with_known_iot_advisories(),
+    ));
 }
 
 fn batched_classification_does_not_allocate() {
@@ -91,7 +96,7 @@ fn batched_classification_does_not_allocate() {
         },
         ..IdentifierConfig::default()
     };
-    let mut identifier = Identifier::train(&three, &config);
+    let mut model = TrainedModel::train(&three, &config);
     let mut scratch = ClassifyScratch::default();
 
     // Rows are scored where they lie, so a warm tick costs the heap
@@ -125,18 +130,25 @@ fn batched_classification_does_not_allocate() {
             );
         }
     };
-    warm_ticks_are_free(&identifier, "three types");
-    // A fourth type rebuilds the scorer with more trees and leaves: the
-    // same scratch grows its word buffer once, then never again.
-    identifier.add_type(devices[3].info.identifier, &four);
-    warm_ticks_are_free(&identifier, "after add_type");
+    warm_ticks_are_free(&Identifier::from(&model), "three types");
+    // An identifier rebuilt with a fourth type has a scorer with more
+    // trees and leaves: the same scratch grows its word buffer once,
+    // then never again.
+    model.add_type(devices[3].info.identifier, &four);
+    warm_ticks_are_free(
+        &Identifier::from(&model),
+        "after a rebuild with a fourth type",
+    );
 }
 
 /// Stage 2 over the Table III confusable families (D-Link, TP-Link,
 /// Edimax, Smarter): most probes are accepted by several sibling
 /// classifiers, so discrimination runs `candidates × references_per_type`
 /// edit distances per item — none of which may reach the allocator.
-fn stage_two_allocates_per_identification_not_per_comparison(identifier: &Identifier) {
+fn stage_two_allocates_per_identification_not_per_comparison(
+    model: &TrainedModel,
+    identifier: &Identifier,
+) {
     let family: Vec<&str> = confusable_groups().into_iter().flatten().collect();
     let probes = holdout_probes(|device| family.contains(&device.info.identifier));
     let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = probes
@@ -157,8 +169,7 @@ fn stage_two_allocates_per_identification_not_per_comparison(identifier: &Identi
     // Edit-only scores every item against all 27 types × 5 references:
     // 27 lane groups per item, so lane state that grew per group or per
     // item would show here.
-    let model = TrainedModel::from(identifier);
-    let edit_only: Identifier = TrainedModel::from_parts(
+    let edit_only = TrainedModel::from_parts(
         model.bank().clone(),
         model.references().to_vec(),
         IdentifierConfig {
@@ -166,8 +177,8 @@ fn stage_two_allocates_per_identification_not_per_comparison(identifier: &Identi
             ..model.config().clone()
         },
     )
-    .expect("the trained parts")
-    .into();
+    .expect("the trained parts");
+    let edit_only = Identifier::from(&edit_only);
     let cold = warm_ticks_allocate_only_what_identifications_own(&edit_only, &items, "edit-only");
     assert!(cold.iter().all(|id| id.candidates.len() == 27));
 }

@@ -114,8 +114,8 @@ enum Forest {
 }
 
 /// One scorer over all forests of a one-vs-rest bank: a pure
-/// acceleration structure, rebuilt from the forests (which stay the
-/// serialized source of truth) whenever they change.
+/// acceleration structure, built once from the forests (which stay the
+/// serialized source of truth), each array trimmed to its length.
 #[derive(Debug, Clone, Default)]
 pub struct BankScorer {
     /// Per-row scan entries, grouped by feature (ascending) and sorted
@@ -190,7 +190,23 @@ impl BankScorer {
         }
         scorer.finish_rows();
         scorer.finish_lanes(lane_splits);
+        scorer.trim();
         scorer
+    }
+
+    /// Drops every array's growth slack: the scorer is read-only now.
+    fn trim(&mut self) {
+        self.splits.shrink_to_fit();
+        self.features.shrink_to_fit();
+        self.start.shrink_to_fit();
+        self.firsts.shrink_to_fit();
+        self.ones.shrink_to_fit();
+        self.thresholds.shrink_to_fit();
+        self.group_ends.shrink_to_fit();
+        self.group_leaves.shrink_to_fit();
+        self.dead.shrink_to_fit();
+        self.trees.shrink_to_fit();
+        self.forests.shrink_to_fit();
     }
 
     /// Packs a numbered tree's `leaves` into the next free bits of the
@@ -328,6 +344,44 @@ impl BankScorer {
     /// Panics if `row` is shorter than the features the forests were
     /// trained on.
     pub fn candidates_into(&self, row: &[f64], words: &mut Vec<u64>, out: &mut Vec<usize>) {
+        let votes = self.votes_into(row, words);
+        for (label, forest) in self.forests.iter().enumerate() {
+            let accepted = match forest {
+                Forest::Scored {
+                    words: own, needed, ..
+                } => votes[own.clone()].iter().sum::<u64>() >= *needed,
+                Forest::Walked(forest) => forest.accepts(row),
+            };
+            if accepted {
+                out.push(label);
+            }
+        }
+    }
+
+    /// The share of forest `label`'s trees that vote class 1 for `row`,
+    /// bit for bit `RandomForest::predict_proba_into(row, ..)[1]` (both
+    /// divide a whole vote count by the tree count). `words` is scratch,
+    /// and the panics are [`BankScorer::candidates_into`]'s.
+    pub fn vote_share(&self, label: usize, row: &[f64], words: &mut Vec<u64>) -> f64 {
+        let (ones, trees) = match &self.forests[label] {
+            Forest::Scored {
+                words: own, trees, ..
+            } => {
+                let votes = self.votes_into(row, words)[own.clone()].iter().sum::<u64>();
+                (votes as usize, trees.len())
+            }
+            Forest::Walked(forest) => {
+                let ones = forest.trees().iter().filter(|tree| tree.predict(row) == 1);
+                (ones.count(), forest.n_trees())
+            }
+        };
+        ones as f64 / trees as f64
+    }
+
+    /// The per-row scan behind both per-row entries: clears the leaves
+    /// of every false split and returns each word's class-1 votes.
+    #[inline]
+    fn votes_into<'w>(&self, row: &[f64], words: &'w mut Vec<u64>) -> &'w [u64] {
         let n = self.start.len();
         words.clear();
         words.extend_from_slice(&self.start);
@@ -364,17 +418,7 @@ impl BankScorer {
             let exits = word & (!word).wrapping_add(firsts);
             *votes = u64::from((exits & ones).count_ones());
         }
-        for (label, forest) in self.forests.iter().enumerate() {
-            let accepted = match forest {
-                Forest::Scored {
-                    words: own, needed, ..
-                } => votes[own.clone()].iter().sum::<u64>() >= *needed,
-                Forest::Walked(forest) => forest.accepts(row),
-            };
-            if accepted {
-                out.push(label);
-            }
-        }
+        votes
     }
 
     /// Appends to each `out[i]`, in increasing order, the label of every

@@ -7,7 +7,10 @@
 //! the training rows, exactly on split thresholds, off the training
 //! manifold and with NaN (either sign), ±∞ and −0.0 cells. A second test
 //! patches thresholds a model file could carry (NaN of either sign, ±∞,
-//! −0.0) into fitted trees and holds the scorer to the same oracle. A
+//! −0.0) into fitted trees and holds the scorer to the same oracle; the
+//! first also holds each forest's class-1 vote share
+//! ([`BankScorer::vote_share`]) to `RandomForest::predict_proba_into`,
+//! bit for bit, on banks with such thresholds and a walked forest. A
 //! third holds [`BankScorer::candidates_batch_into`] — the lane kernel
 //! from 16 rows up, the per-row kernel below — to both, batch by batch,
 //! on banks that mix those models with a forest too wide for the lane
@@ -199,17 +202,28 @@ proptest! {
         n_trees in 1usize..=13,
         max_depth in prop_oneof![Just(0usize), Just(1), Just(3), Just(24)],
         integer in any::<bool>(),
+        hostile in any::<bool>(),
+        wide_at in proptest::option::of(0usize..6),
     ) {
         let data = dataset(seed, rows, features, classes, integer);
-        let bank: Vec<RandomForest> = (0..n_forests as u64)
+        let mut bank: Vec<RandomForest> = (0..n_forests as u64)
             .map(|label| {
                 let config = ForestConfig {
                     max_depth,
                     ..ForestConfig::default().with_trees(n_trees).with_seed(seed ^ label)
                 };
-                RandomForest::fit(&data, &config)
+                let forest = RandomForest::fit(&data, &config);
+                if hostile {
+                    with_hostile_thresholds(&forest, features)
+                } else {
+                    forest
+                }
             })
             .collect();
+        if let Some(at) = wide_at {
+            bank.insert(at.min(bank.len()), too_wide_for_lanes(features));
+        }
+        let n_forests = bank.len();
         let scorer = BankScorer::new(&bank);
         let alone: Vec<BankScorer> = bank
             .iter()
@@ -224,6 +238,14 @@ proptest! {
             for (label, single) in alone.iter().enumerate() {
                 let verdict = candidates(single, row, &mut words) == [0];
                 prop_assert_eq!(verdict, bank[label].accepts(row), "forest {} probe {}", label, p);
+                // The class-1 vote share `RfOnly` breaks ties with.
+                let mut proba = vec![0.0; bank[label].n_classes()];
+                bank[label].predict_proba_into(row, &mut proba);
+                prop_assert_eq!(
+                    scorer.vote_share(label, row, &mut words).to_bits(),
+                    proba[1].to_bits(),
+                    "forest {} probe {}", label, p
+                );
             }
         }
     }

@@ -175,20 +175,25 @@ impl Snapshot {
         Snapshot { model, vulndb }
     }
 
-    /// Captures a running service's model and vulnerability database.
+    /// Captures a trained service's [`IoTSecurityService::trained_model`]
+    /// and vulnerability database.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a service built from parts, as a booted one is: it
+    /// holds only its serving form. Use [`Snapshot::new`] on its model.
     pub fn of_service(service: &IoTSecurityService) -> Self {
-        Snapshot {
-            model: TrainedModel::from(service.identifier()),
-            vulndb: service.vulndb().clone(),
-        }
+        let model = (service.trained_model())
+            .expect("a booted service holds only its serving form; snapshot its model instead");
+        Snapshot::new(model.clone(), service.vulndb().clone())
     }
 
-    /// Reassembles the service this snapshot captured. The rebuild is
-    /// deterministic — interning, forest packing and scoring pools are
-    /// derived from the model — so the result answers every keyed
-    /// assessment bit-identically to the originally trained instance.
+    /// Boots the service in its serving form, dropping the model. The
+    /// build is deterministic — interning and forest packing derive from
+    /// the model — so the result answers every keyed assessment
+    /// bit-identically to a service trained to the same model.
     pub fn into_service(self) -> IoTSecurityService {
-        IoTSecurityService::from_parts(Identifier::from(self.model), self.vulndb)
+        IoTSecurityService::from_parts(Identifier::from(&self.model), self.vulndb)
     }
 
     /// Encodes the snapshot into the version-2 container format.

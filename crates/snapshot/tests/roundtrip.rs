@@ -1,13 +1,15 @@
 //! Train → save → load → bit-identical: the whole point of the
-//! snapshot subsystem. A genuinely trained service is captured,
-//! round-tripped through the binary format (in memory and through a
-//! file), and the restored service must answer every keyed assessment
-//! with byte-for-byte the same response as the original instance.
+//! snapshot subsystem. A genuinely trained model is served and
+//! snapshotted, round-tripped through the binary format (in memory and
+//! through a file), and the restored service must answer every keyed
+//! assessment with byte-for-byte the same response as the original
+//! instance.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use sentinel_core::vulndb::StaticVulnDb;
 use sentinel_core::{
     AssessKey, BankConfig, FingerprintDataset, Identifier, IdentifierConfig, IoTSecurityService,
     SecurityService, ServiceResponse, TrainedModel,
@@ -18,9 +20,11 @@ use sentinel_ml::{ForestConfig, PinnedRng};
 use sentinel_snapshot::Snapshot;
 
 /// Trained fixture: a real (if small) model over a third of the
-/// catalog, the snapshot taken from it, the restored service, and
-/// per-key baseline responses from the *original* instance.
+/// catalog, the service serving it, the snapshot taken of both, the
+/// restored service, and per-key baseline responses from the *original*
+/// instance.
 struct Fixture {
+    model: TrainedModel,
     snapshot: Snapshot,
     original: IoTSecurityService,
     restored: IoTSecurityService,
@@ -41,8 +45,10 @@ fn fixture() -> &'static Fixture {
             references_per_type: 3,
             ..IdentifierConfig::default()
         };
-        let original = IoTSecurityService::from_identifier(Identifier::train(&dataset, &config));
-        let snapshot = Snapshot::of_service(&original);
+        let model = TrainedModel::train(&dataset, &config);
+        let vulndb = StaticVulnDb::with_known_iot_advisories();
+        let original = IoTSecurityService::from_parts(Identifier::from(&model), vulndb.clone());
+        let snapshot = Snapshot::new(model.clone(), vulndb);
         let restored = snapshot.clone().into_service();
         let testbed = Testbed::new(0x5eed);
         let probes: Vec<(Fingerprint, FixedFingerprint, AssessKey)> = devices
@@ -60,6 +66,7 @@ fn fixture() -> &'static Fixture {
             .map(|(full, fixed, key)| original.assess_keyed(full, fixed, *key))
             .collect();
         Fixture {
+            model,
             snapshot,
             original,
             restored,
@@ -86,10 +93,7 @@ fn restored_model_is_bit_identical() {
     let decoded = Snapshot::decode(&bytes).unwrap();
     // Every tree, threshold, leaf distribution, reference fingerprint
     // and advisory — `PartialEq` on the model is structural equality.
-    assert_eq!(
-        decoded.model,
-        TrainedModel::from(fixture.original.identifier())
-    );
+    assert_eq!(decoded.model, fixture.model);
     assert_eq!(&decoded.vulndb, fixture.original.vulndb());
 }
 
@@ -112,6 +116,12 @@ fn save_load_through_a_file_is_lossless() {
     for ((full, fixed, key), expected) in fixture.probes.iter().zip(&fixture.baseline) {
         assert_eq!(&loaded.assess_keyed(full, fixed, *key), expected);
     }
+}
+
+#[test]
+#[should_panic(expected = "a booted service holds only its serving form")]
+fn a_booted_service_cannot_be_snapshotted_again() {
+    Snapshot::of_service(&fixture().restored);
 }
 
 #[test]

@@ -21,7 +21,11 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sentinel_core::{FingerprintDataset, IoTSecurityService, SecurityService, ServiceConfig};
+use sentinel_core::vulndb::StaticVulnDb;
+use sentinel_core::{
+    FingerprintDataset, IdentifierConfig, IoTSecurityService, SecurityService, ServiceConfig,
+    TrainedModel,
+};
 use sentinel_devicesim::{catalog, interleave, Testbed};
 use sentinel_fingerprint::{extract, FixedFingerprint, FEATURE_NAMES};
 use sentinel_netproto::pcap::PcapReader;
@@ -196,13 +200,12 @@ fn train(
         return Err("usage: sentinel train --save <model.snap>".into());
     };
     eprintln!("training the IoT Security Service ({runs} runs/type, seed {seed})…");
-    let service = train_service(runs, seed);
-    Snapshot::of_service(&service).save(snap_path)?;
+    let dataset = FingerprintDataset::collect(&catalog(), runs, seed);
+    let model = TrainedModel::train(&dataset, &IdentifierConfig::default());
+    let types = model.bank().n_types();
+    Snapshot::new(model, StaticVulnDb::with_known_iot_advisories()).save(snap_path)?;
     let bytes = std::fs::metadata(snap_path)?.len();
-    println!(
-        "wrote binary snapshot ({} device-types, {bytes} bytes) to {snap_path}",
-        service.identifier().type_names().len()
-    );
+    println!("wrote binary snapshot ({types} device-types, {bytes} bytes) to {snap_path}");
     Ok(())
 }
 

@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use iot_sentinel::core::vulndb::StaticVulnDb;
 use iot_sentinel::core::{
     AssessKey, AssessScratch, BankConfig, FingerprintDataset, Identifier, IdentifierConfig,
     IdentifyMode, IoTSecurityService, OnboardingReport, SecurityService, ServiceResponse,
@@ -64,7 +65,7 @@ fn trained_model_with(config: IdentifierConfig) -> TrainedModel {
         },
         ..config
     };
-    TrainedModel::from(&Identifier::train(&dataset, &config))
+    TrainedModel::train(&dataset, &config)
 }
 
 /// Reassembles the snapshot into an independent service instance.
@@ -73,7 +74,10 @@ fn trained_model_with(config: IdentifierConfig) -> TrainedModel {
 /// separate instances here just mirror the deployment shape (one IoTSSP
 /// per site).
 fn fresh_service(model: &TrainedModel) -> IoTSecurityService {
-    IoTSecurityService::from_identifier(Identifier::from(model.clone()))
+    IoTSecurityService::from_parts(
+        Identifier::from(model),
+        StaticVulnDb::with_known_iot_advisories(),
+    )
 }
 
 /// ≥20 concurrent setup runs spanning the whole catalog.
@@ -576,7 +580,8 @@ fn snapshot_booted_runtime_streams_bit_identically() {
         "sentinel-streaming-equivalence-{}.snap",
         std::process::id()
     ));
-    Snapshot::of_service(&fresh).save(&path).expect("save");
+    let snapshot = Snapshot::new(model, fresh.vulndb().clone());
+    snapshot.save(&path).expect("save");
 
     let traces = concurrent_traces(12);
     let stream = interleave(&traces, Duration::from_millis(9));
