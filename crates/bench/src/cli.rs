@@ -4,8 +4,8 @@
 //! A flag given without its value or with a value that does not parse
 //! is a usage error: [`Args::get`] and [`Args::get_str`] print one
 //! stderr line naming the flag and exit with code 2, as `sentinel`
-//! does. [`Args::try_get`] and [`Args::try_get_str`] return the typed
-//! [`FlagError`] instead.
+//! does, from the typed [`FlagError`] their crate-private `try_` twins
+//! return.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -112,7 +112,11 @@ impl Args {
     /// # Errors
     ///
     /// [`FlagError`] when the flag has no value or it does not parse.
-    pub fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, FlagError> {
+    pub(crate) fn try_get<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, FlagError> {
         match self.try_get_str(name)? {
             None => Ok(default),
             Some(raw) => raw.parse().map_err(|_| FlagError::invalid(name, raw)),
@@ -131,7 +135,7 @@ impl Args {
     /// # Errors
     ///
     /// [`FlagError::MissingValue`] when the flag was given without one.
-    pub fn try_get_str(&self, name: &str) -> Result<Option<&str>, FlagError> {
+    pub(crate) fn try_get_str(&self, name: &str) -> Result<Option<&str>, FlagError> {
         if self.switch(name) {
             return Err(FlagError::MissingValue {
                 flag: name.to_owned(),

@@ -18,7 +18,7 @@ use sentinel_netproto::MacAddr;
 
 /// Label used for the pseudo-class recording "rejected by every
 /// classifier" predictions.
-pub const UNKNOWN_LABEL: &str = "(unknown)";
+pub(crate) const UNKNOWN_LABEL: &str = "(unknown)";
 
 /// Configuration of a Fig. 5 / Table III evaluation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,8 +96,8 @@ impl EvalConfig {
 /// The aggregated outcome of an evaluation.
 #[derive(Debug, Clone)]
 pub struct EvalResult {
-    /// Confusion matrix over the 27 device-types plus the
-    /// [`UNKNOWN_LABEL`] pseudo-class column.
+    /// Confusion matrix over the 27 device-types plus the `(unknown)`
+    /// pseudo-class column.
     pub confusion: ConfusionMatrix,
     /// How many identifications needed discrimination (the paper
     /// reports 55 %) and how many edit distances they computed (seven

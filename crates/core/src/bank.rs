@@ -150,12 +150,6 @@ impl ClassifierBank {
         &self.type_names
     }
 
-    /// The trained classifier for type `label` (model inspection and
-    /// determinism tests).
-    pub fn classifier(&self, label: usize) -> &RandomForest {
-        &self.classifiers[label]
-    }
-
     /// All one-vs-rest classifiers, indexed by label (binary model
     /// persistence).
     pub fn classifiers(&self) -> &[RandomForest] {
@@ -250,6 +244,14 @@ fn corpus_of(dataset: &FingerprintDataset) -> Dataset {
 mod tests {
     use super::*;
     use sentinel_devicesim::catalog;
+
+    impl ClassifierBank {
+        /// The trained classifier for type `label` (model inspection and
+        /// determinism tests).
+        pub(crate) fn classifier(&self, label: usize) -> &RandomForest {
+            &self.classifiers[label]
+        }
+    }
 
     fn dataset() -> FingerprintDataset {
         // Three behaviourally distinct devices keep the test fast.

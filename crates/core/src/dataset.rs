@@ -144,7 +144,7 @@ impl FingerprintDataset {
     }
 
     /// Indices of all fingerprints with the given label.
-    pub fn indices_of(&self, label: usize) -> Vec<usize> {
+    pub(crate) fn indices_of(&self, label: usize) -> Vec<usize> {
         (0..self.len())
             .filter(|&i| self.labels[i] == label)
             .collect()

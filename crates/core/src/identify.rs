@@ -42,7 +42,7 @@ pub struct AssessKey {
 impl AssessKey {
     /// The key of a direct, out-of-stream query
     /// ([`crate::SecurityService::assess`] on the reference IoTSSP).
-    pub const DIRECT: AssessKey = AssessKey {
+    pub(crate) const DIRECT: AssessKey = AssessKey {
         seq: 0,
         mac: MacAddr::ZERO,
     };

@@ -191,6 +191,7 @@ mod tests {
     use sentinel_devicesim::{catalog, Testbed};
     use sentinel_fingerprint::Fingerprint;
     use sentinel_sdn::overlay::Overlay;
+    use sentinel_sdn::Destination;
     use std::sync::Arc;
 
     /// Scripted service: identifies everything as the given fixture.
@@ -268,8 +269,9 @@ mod tests {
             !rule.permitted_endpoints().is_empty(),
             "standby traffic contains cloud endpoints"
         );
-        for endpoint in rule.permitted_endpoints() {
-            assert!(rule.permits_remote(*endpoint));
+        for endpoint in rule.permitted_endpoints().to_vec() {
+            let verdict = module.decide(device.mac, Destination::Internet(endpoint));
+            assert!(verdict.is_allow(), "{endpoint}");
         }
     }
 

@@ -245,8 +245,9 @@ fn verdict_of(vulndb: &StaticVulnDb, device_type: Option<&str>) -> Arc<TypeVerdi
 }
 
 impl SecurityService for IoTSecurityService {
-    /// The keyed path under [`AssessKey::DIRECT`]: a direct query has no
-    /// stream position, so every one draws from the same fixed key and
+    /// The keyed path under one fixed [`AssessKey`] (sequence 0, the zero
+    /// MAC): a direct query has no stream position, so every one draws
+    /// from that key and
     /// the response depends on nothing but the model and the
     /// fingerprints.
     fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse {

@@ -53,7 +53,7 @@ impl SetupTrace {
 /// fingerprint records "n packets received from it during its setup
 /// phase" (Sect. IV-A).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceGenerator {
+pub(crate) struct TraceGenerator {
     /// Gateway MAC address.
     pub gateway_mac: MacAddr,
     /// Gateway (and resolver) IPv4 address.
@@ -92,14 +92,14 @@ impl RunState {
 
 impl TraceGenerator {
     /// Creates a generator with the default lab-network identities.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Runs one setup of `profile`, seeded by `seed` (a different seed is
     /// a different factory-reset run: new MAC suffix, new DHCP lease, new
     /// jitter).
-    pub fn generate(&self, profile: &DeviceProfile, seed: u64) -> SetupTrace {
+    pub(crate) fn generate(&self, profile: &DeviceProfile, seed: u64) -> SetupTrace {
         let mut rng = StdRng::seed_from_u64(seed);
         let mac = MacAddr::new([
             profile.oui[0],
@@ -131,7 +131,12 @@ impl TraceGenerator {
     /// Sect. VIII-A legacy-installation scenario: the device is already
     /// on the network and only heartbeat/keep-alive traffic is visible).
     /// Cycles are separated by long idle gaps, as real standby traffic is.
-    pub fn generate_standby(&self, profile: &DeviceProfile, seed: u64, cycles: u32) -> SetupTrace {
+    pub(crate) fn generate_standby(
+        &self,
+        profile: &DeviceProfile,
+        seed: u64,
+        cycles: u32,
+    ) -> SetupTrace {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5742_5942); // "STBY"
         let mac = MacAddr::new([
             profile.oui[0],
@@ -798,8 +803,13 @@ mod tests {
         let mld = &trace.packets[0];
         match &mld.body {
             PacketBody::Ipv6 { header, .. } => {
-                assert!(header.has_router_alert());
-                assert!(header.has_padding_option());
+                let options = &header.hop_by_hop;
+                assert!(options
+                    .iter()
+                    .any(|o| matches!(o, HopByHopOption::RouterAlert(_))));
+                assert!(options
+                    .iter()
+                    .any(|o| matches!(o, HopByHopOption::Pad1 | HopByHopOption::PadN(_))));
             }
             other => panic!("expected ipv6, got {other:?}"),
         }

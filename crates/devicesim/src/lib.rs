@@ -40,7 +40,7 @@ mod profile;
 mod testbed;
 
 pub use catalog::{catalog, confusable_groups, Connectivity, DeviceInfo, DeviceModel};
-pub use generator::{SetupTrace, TraceGenerator};
+pub use generator::SetupTrace;
 pub use interleave::{interleave, interleave_at, interleave_order};
 pub use phases::{Phase, RawDest};
 pub use profile::{DeviceProfile, Endpoint};

@@ -165,7 +165,7 @@ pub enum Phase {
 
 impl Phase {
     /// Wraps a phase so it executes with probability `prob` per run.
-    pub fn optional(prob: f64, phase: Phase) -> Phase {
+    pub(crate) fn optional(prob: f64, phase: Phase) -> Phase {
         Phase::Optional {
             prob,
             phase: Box::new(phase),

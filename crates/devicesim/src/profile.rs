@@ -81,26 +81,14 @@ impl DeviceProfile {
 
     /// Adds an endpoint, returning its index for use in phases (builder
     /// style).
-    pub fn endpoint(&mut self, domain: impl Into<String>) -> usize {
+    pub(crate) fn endpoint(&mut self, domain: impl Into<String>) -> usize {
         self.endpoints.push(Endpoint::new(domain));
         self.endpoints.len() - 1
-    }
-
-    /// Appends a phase (builder style).
-    #[must_use]
-    pub fn phase(mut self, phase: Phase) -> Self {
-        self.phases.push(phase);
-        self
     }
 
     /// Appends many phases.
     pub fn extend_phases(&mut self, phases: impl IntoIterator<Item = Phase>) {
         self.phases.extend(phases);
-    }
-
-    /// Appends standby-cycle phases.
-    pub fn extend_standby(&mut self, phases: impl IntoIterator<Item = Phase>) {
-        self.standby_phases.extend(phases);
     }
 
     /// Returns a copy with a newer firmware version (distinguishable

@@ -5,7 +5,8 @@ use std::io::Write;
 use sentinel_netproto::pcap::PcapWriter;
 use sentinel_netproto::ParseError;
 
-use crate::{DeviceModel, DeviceProfile, SetupTrace, TraceGenerator};
+use crate::generator::TraceGenerator;
+use crate::{DeviceModel, DeviceProfile, SetupTrace};
 
 /// Simulates the paper's device-fingerprint collection lab: each
 /// device-type's setup procedure is repeated `n` times (the paper used
@@ -25,11 +26,6 @@ impl Testbed {
             generator: TraceGenerator::new(),
             base_seed,
         }
-    }
-
-    /// The lab's gateway-side network identities.
-    pub fn generator(&self) -> &TraceGenerator {
-        &self.generator
     }
 
     /// Performs setup run number `run` of `profile` (hard reset before

@@ -376,31 +376,6 @@ impl Drop for OsaPattern<'_> {
     }
 }
 
-/// Plain Levenshtein distance (no transposition).
-///
-/// Unlike the OSA distance, this is a true metric (satisfies the triangle
-/// inequality), which the property-test suite exercises; it also serves
-/// as an upper bound on [`osa_distance`].
-pub fn levenshtein_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut current = vec![0usize; b.len() + 1];
-    for (i, ai) in a.iter().enumerate() {
-        current[0] = i + 1;
-        for (j, bj) in b.iter().enumerate() {
-            let cost = usize::from(ai != bj);
-            current[j + 1] = (prev[j + 1] + 1).min(current[j] + 1).min(prev[j] + cost);
-        }
-        std::mem::swap(&mut prev, &mut current);
-    }
-    prev[b.len()]
-}
-
 /// Absolute OSA distance between two fingerprints, using whole packet
 /// columns as characters.
 pub fn distance(a: &Fingerprint, b: &Fingerprint) -> usize {
@@ -423,7 +398,33 @@ pub fn normalized_distance(a: &Fingerprint, b: &Fingerprint) -> f64 {
 mod tests {
     use super::*;
     use crate::FeatureVector;
+    use proptest::prelude::*;
     use sentinel_netproto::{MacAddr, Packet};
+
+    /// Plain Levenshtein distance (no transposition).
+    ///
+    /// Unlike the OSA distance, this is a true metric (satisfies the triangle
+    /// inequality), which the property-test suite exercises; it also serves
+    /// as an upper bound on [`osa_distance`].
+    fn levenshtein_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+        if a.is_empty() {
+            return b.len();
+        }
+        if b.is_empty() {
+            return a.len();
+        }
+        let mut prev: Vec<usize> = (0..=b.len()).collect();
+        let mut current = vec![0usize; b.len() + 1];
+        for (i, ai) in a.iter().enumerate() {
+            current[0] = i + 1;
+            for (j, bj) in b.iter().enumerate() {
+                let cost = usize::from(ai != bj);
+                current[j + 1] = (prev[j + 1] + 1).min(current[j] + 1).min(prev[j] + cost);
+            }
+            std::mem::swap(&mut prev, &mut current);
+        }
+        prev[b.len()]
+    }
 
     fn vector(counter: u32) -> FeatureVector {
         FeatureVector::from_packet(&Packet::dhcp_discover(MacAddr::ZERO, 1, 0), counter)
@@ -538,5 +539,26 @@ mod tests {
         let b = fp(&[4, 5]);
         let d = normalized_distance(&a, &b);
         assert!((0.0..=1.0).contains(&d));
+    }
+
+    fn symbols() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0u8..6, 0..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn osa_never_exceeds_levenshtein(a in symbols(), b in symbols()) {
+            prop_assert!(osa_distance(&a, &b) <= levenshtein_distance(&a, &b));
+        }
+
+        #[test]
+        fn levenshtein_triangle_inequality(a in symbols(), b in symbols(), c in symbols()) {
+            let ab = levenshtein_distance(&a, &b);
+            let bc = levenshtein_distance(&b, &c);
+            let ac = levenshtein_distance(&a, &c);
+            prop_assert!(ac <= ab + bc, "triangle violated: {} > {} + {}", ac, ab, bc);
+        }
     }
 }

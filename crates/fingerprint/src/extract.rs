@@ -99,7 +99,7 @@ impl FeatureExtractor {
     /// scan is total, so no frame falls back to the decoder.
     ///
     /// Errors exactly when `Packet::parse` would, with its error value.
-    pub fn push_bytes(&mut self, frame: &[u8]) -> Result<&FeatureVector, ParseError> {
+    pub(crate) fn push_bytes(&mut self, frame: &[u8]) -> Result<&FeatureVector, ParseError> {
         let raw = RawFeatures::from_frame(frame)?;
         Ok(self.push_raw(&raw))
     }

@@ -5,7 +5,8 @@ use sentinel_netproto::{Packet, Protocol, ProtocolSet, RawFeatures};
 /// Number of features extracted per packet (Table I).
 pub const FEATURE_COUNT: usize = 23;
 
-/// Feature names in Table I order, matching [`FeatureVector::to_array`].
+/// Feature names in Table I order, the order of a packet's 23 cells in a
+/// [`FixedFingerprint`](crate::FixedFingerprint).
 pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
     "arp",
     "llc",
@@ -53,7 +54,7 @@ pub enum PortClass {
 
 impl PortClass {
     /// Classifies an optional port number.
-    pub fn from_port(port: Option<u16>) -> Self {
+    pub(crate) fn from_port(port: Option<u16>) -> Self {
         match port {
             None => PortClass::NoPort,
             Some(p) if sentinel_netproto::ports::is_well_known(p) => PortClass::WellKnown,
@@ -114,7 +115,7 @@ impl FeatureVector {
     /// Builds the features from a wire-scan record (the zero-copy fast
     /// path). Equivalent to [`FeatureVector::from_packet`] on the decoded
     /// frame — the contract `sentinel_netproto::scan` certifies.
-    pub fn from_raw(raw: &RawFeatures, dst_ip_counter: u32) -> Self {
+    pub(crate) fn from_raw(raw: &RawFeatures, dst_ip_counter: u32) -> Self {
         FeatureVector {
             protocols: raw.protocols,
             ip_option_padding: raw.ip_option_padding,
@@ -128,7 +129,7 @@ impl FeatureVector {
     }
 
     /// The vector in Table I order, for consumption by numeric classifiers.
-    pub fn to_array(&self) -> [f64; FEATURE_COUNT] {
+    pub(crate) fn to_array(&self) -> [f64; FEATURE_COUNT] {
         let mut out = [0.0; FEATURE_COUNT];
         for (i, protocol) in Protocol::ALL.into_iter().enumerate() {
             out[i] = if self.protocols.contains(protocol) {
@@ -151,6 +152,7 @@ impl FeatureVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sentinel_netproto::ipv4::{IpProtocol, Ipv4Header, Ipv4Option};
     use sentinel_netproto::udp::UdpHeader;
     use sentinel_netproto::{AppPayload, MacAddr, PacketBody, Timestamp, Transport};
@@ -211,13 +213,14 @@ mod tests {
 
     #[test]
     fn router_alert_and_padding_flags() {
-        let header = Ipv4Header::new(
-            Ipv4Addr::new(10, 0, 0, 2),
-            Ipv4Addr::new(224, 0, 0, 22),
-            IpProtocol::Udp,
-        )
-        .with_option(Ipv4Option::RouterAlert(0))
-        .with_option(Ipv4Option::Nop);
+        let header = Ipv4Header {
+            options: vec![Ipv4Option::RouterAlert(0), Ipv4Option::Nop],
+            ..Ipv4Header::new(
+                Ipv4Addr::new(10, 0, 0, 2),
+                Ipv4Addr::new(224, 0, 0, 22),
+                IpProtocol::Udp,
+            )
+        };
         let packet = Packet::new(
             Timestamp::ZERO,
             mac(),
@@ -253,5 +256,34 @@ mod tests {
         assert_eq!(a, b, "timestamps and xid do not affect features");
         let c = FeatureVector::from_packet(&Packet::dhcp_discover(mac(), 1, 0), 2);
         assert_ne!(a, c, "dst ip counter is a feature");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn port_class_total_and_stable(port in proptest::option::of(any::<u16>())) {
+            let class = PortClass::from_port(port);
+            let encoded = class.to_u8();
+            prop_assert!(encoded <= 3);
+            prop_assert_eq!(encoded == 0, port.is_none());
+            // Same port always classifies the same.
+            prop_assert_eq!(PortClass::from_port(port), class);
+        }
+
+        #[test]
+        fn feature_array_matches_count(counter in 0u32..100) {
+            let vector = FeatureVector::from_packet(
+                &Packet::dhcp_discover(MacAddr::ZERO, 1, 0),
+                counter,
+            );
+            let array = vector.to_array();
+            prop_assert_eq!(array.len(), FEATURE_COUNT);
+            prop_assert_eq!(array[20], counter as f64);
+            // Binary features really are binary.
+            for &value in &array[0..18] {
+                prop_assert!(value == 0.0 || value == 1.0);
+            }
+        }
     }
 }

@@ -62,6 +62,7 @@ impl AsRef<[f64]> for FixedFingerprint {
 mod tests {
     use super::*;
     use crate::FeatureVector;
+    use proptest::prelude::*;
     use sentinel_netproto::{MacAddr, Packet};
 
     fn vector(counter: u32) -> FeatureVector {
@@ -113,6 +114,29 @@ mod tests {
         for packets in [6, 9, 12, 15, 18] {
             let fixed = FixedFingerprint::with_packets(&fp, packets);
             assert_eq!(fixed.dimensions(), packets * FEATURE_COUNT);
+        }
+    }
+
+    fn vectors(max: usize) -> impl Strategy<Value = Vec<FeatureVector>> {
+        proptest::collection::vec(0u32..8, 0..max)
+            .prop_map(|counters| counters.into_iter().map(vector).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fixed_fingerprint_always_276_dims_zero_padded(raw in vectors(30)) {
+            let fingerprint = Fingerprint::new(raw);
+            let fixed = FixedFingerprint::from_fingerprint(&fingerprint);
+            prop_assert_eq!(fixed.dimensions(), 276);
+            let unique = fingerprint.unique_vectors(12).len();
+            // Slots beyond the unique packets are exactly zero.
+            for (i, &value) in fixed.as_slice().iter().enumerate() {
+                if i >= unique * FEATURE_COUNT {
+                    prop_assert_eq!(value, 0.0, "slot {} not padded", i);
+                }
+            }
         }
     }
 }

@@ -63,11 +63,6 @@ impl Fingerprint {
             .map(|(_, vector)| vector)
             .take(limit)
     }
-
-    /// The first `limit` *unique* vectors in first-occurrence order.
-    pub fn unique_vectors(&self, limit: usize) -> Vec<&FeatureVector> {
-        self.first_occurrences(limit).collect()
-    }
 }
 
 impl FromIterator<FeatureVector> for Fingerprint {
@@ -88,7 +83,15 @@ impl<'a> IntoIterator for &'a Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sentinel_netproto::{MacAddr, Packet};
+
+    impl Fingerprint {
+        /// The first `limit` *unique* vectors in first-occurrence order.
+        pub(crate) fn unique_vectors(&self, limit: usize) -> Vec<&FeatureVector> {
+            self.first_occurrences(limit).collect()
+        }
+    }
 
     fn vector(counter: u32) -> FeatureVector {
         FeatureVector::from_packet(&Packet::dhcp_discover(MacAddr::ZERO, 1, 0), counter)
@@ -127,5 +130,26 @@ mod tests {
         let fp = Fingerprint::default();
         assert!(fp.is_empty());
         assert!(fp.unique_vectors(12).is_empty());
+    }
+
+    fn vectors(max: usize) -> impl Strategy<Value = Vec<FeatureVector>> {
+        proptest::collection::vec(0u32..8, 0..max)
+            .prop_map(|counters| counters.into_iter().map(vector).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn unique_vectors_are_distinct_and_ordered(raw in vectors(30), limit in 1usize..15) {
+            let fingerprint = Fingerprint::new(raw);
+            let unique = fingerprint.unique_vectors(limit);
+            prop_assert!(unique.len() <= limit);
+            for (i, a) in unique.iter().enumerate() {
+                for b in &unique[i + 1..] {
+                    prop_assert_ne!(a, b);
+                }
+            }
+        }
     }
 }

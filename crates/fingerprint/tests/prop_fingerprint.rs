@@ -3,10 +3,8 @@
 
 use proptest::prelude::*;
 
-use sentinel_fingerprint::editdist::{levenshtein_distance, osa_distance, OsaScratch};
-use sentinel_fingerprint::{
-    extract, FeatureVector, Fingerprint, FixedFingerprint, PortClass, SymbolTable, FEATURE_COUNT,
-};
+use sentinel_fingerprint::editdist::{osa_distance, OsaScratch};
+use sentinel_fingerprint::{extract, FeatureVector, Fingerprint, SymbolTable};
 use sentinel_netproto::{MacAddr, Packet};
 
 fn symbols() -> impl Strategy<Value = Vec<u8>> {
@@ -148,11 +146,6 @@ proptest! {
     }
 
     #[test]
-    fn osa_bounded_by_levenshtein(a in symbols(), b in symbols()) {
-        prop_assert!(osa_distance(&a, &b) <= levenshtein_distance(&a, &b));
-    }
-
-    #[test]
     fn lockstep_agrees_with_exact(
         a in symbols(),
         texts in proptest::collection::vec(symbols(), 0..=17),
@@ -217,14 +210,6 @@ proptest! {
     }
 
     #[test]
-    fn levenshtein_triangle_inequality(a in symbols(), b in symbols(), c in symbols()) {
-        let ab = levenshtein_distance(&a, &b);
-        let bc = levenshtein_distance(&b, &c);
-        let ac = levenshtein_distance(&a, &c);
-        prop_assert!(ac <= ab + bc, "triangle violated: {} > {} + {}", ac, ab, bc);
-    }
-
-    #[test]
     fn normalized_distance_in_unit_interval(a in vectors(20), b in vectors(20)) {
         let fa = Fingerprint::new(a);
         let fb = Fingerprint::new(b);
@@ -246,57 +231,6 @@ proptest! {
         // No two adjacent columns are equal after construction.
         for window in once.vectors().windows(2) {
             prop_assert_ne!(&window[0], &window[1]);
-        }
-    }
-
-    #[test]
-    fn fixed_fingerprint_always_276_dims_zero_padded(raw in vectors(30)) {
-        let fingerprint = Fingerprint::new(raw);
-        let fixed = FixedFingerprint::from_fingerprint(&fingerprint);
-        prop_assert_eq!(fixed.dimensions(), 276);
-        let unique = fingerprint.unique_vectors(12).len();
-        // Slots beyond the unique packets are exactly zero.
-        for (i, &value) in fixed.as_slice().iter().enumerate() {
-            if i >= unique * FEATURE_COUNT {
-                prop_assert_eq!(value, 0.0, "slot {} not padded", i);
-            }
-        }
-    }
-
-    #[test]
-    fn unique_vectors_are_distinct_and_ordered(raw in vectors(30), limit in 1usize..15) {
-        let fingerprint = Fingerprint::new(raw);
-        let unique = fingerprint.unique_vectors(limit);
-        prop_assert!(unique.len() <= limit);
-        for (i, a) in unique.iter().enumerate() {
-            for b in &unique[i + 1..] {
-                prop_assert_ne!(a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn port_class_total_and_stable(port in proptest::option::of(any::<u16>())) {
-        let class = PortClass::from_port(port);
-        let encoded = class.to_u8();
-        prop_assert!(encoded <= 3);
-        prop_assert_eq!(encoded == 0, port.is_none());
-        // Same port always classifies the same.
-        prop_assert_eq!(PortClass::from_port(port), class);
-    }
-
-    #[test]
-    fn feature_array_matches_count(counter in 0u32..100) {
-        let vector = FeatureVector::from_packet(
-            &Packet::dhcp_discover(MacAddr::ZERO, 1, 0),
-            counter,
-        );
-        let array = vector.to_array();
-        prop_assert_eq!(array.len(), FEATURE_COUNT);
-        prop_assert_eq!(array[20], counter as f64);
-        // Binary features really are binary.
-        for &value in &array[0..18] {
-            prop_assert!(value == 0.0 || value == 1.0);
         }
     }
 

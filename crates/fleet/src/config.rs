@@ -82,7 +82,7 @@ impl FleetConfig {
     }
 
     /// Whether roaming is active under this config.
-    pub fn roaming_enabled(&self) -> bool {
+    pub(crate) fn roaming_enabled(&self) -> bool {
         self.roam_every > 0 && self.homes >= 2
     }
 }

@@ -69,5 +69,5 @@ mod stats;
 pub mod workload;
 
 pub use config::FleetConfig;
-pub use sim::{roamer_route, run_fleet, run_home, FleetReport, HomeOutcome};
+pub use sim::{run_fleet, FleetReport, HomeOutcome};
 pub use stats::FleetStats;

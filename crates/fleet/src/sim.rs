@@ -28,7 +28,7 @@ use sentinel_sdn::topology::Topology;
 use sentinel_sdn::Destination;
 use sentinel_stream::{StreamRuntime, StreamStats};
 
-use crate::workload::{is_roam_origin, roam_destination, HomeWorkload};
+use crate::workload::HomeWorkload;
 use crate::{FleetConfig, FleetStats};
 
 /// Everything one home gateway produced: its streaming counters, the
@@ -221,20 +221,93 @@ pub fn run_fleet<S: SecurityService + Sync>(service: &S, config: &FleetConfig) -
     FleetReport { stats, homes }
 }
 
-/// Simulates one home network end to end on a fresh gateway — the path
-/// every pooled worker of [`run_fleet`] runs, so its outcome is
-/// byte-identical to the home's entry in a fleet report.
-pub fn run_home<S: SecurityService + Sync>(
-    service: &S,
-    config: &FleetConfig,
-    devices: &[DeviceModel],
-    home: usize,
-) -> HomeOutcome {
-    GatewayPool::new(service, config).run_home(config, devices, home)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{is_roam_origin, roam_destination};
+    use sentinel_core::{FingerprintDataset, IoTSecurityService, ServiceConfig};
 
-/// Re-export for determinism tests: which home a roamer from `home`
-/// lands in.
-pub fn roamer_route(config: &FleetConfig, home: usize) -> Option<(usize, usize)> {
-    is_roam_origin(config, home).then(|| (home, roam_destination(config, home)))
+    /// Which home a roamer from `home` lands in.
+    fn roamer_route(config: &FleetConfig, home: usize) -> Option<(usize, usize)> {
+        is_roam_origin(config, home).then(|| (home, roam_destination(config, home)))
+    }
+
+    fn trained_service() -> IoTSecurityService {
+        let devices: Vec<_> = catalog().into_iter().take(6).collect();
+        let dataset = FingerprintDataset::collect(&devices, 8, 42);
+        IoTSecurityService::train(&dataset, &ServiceConfig::default())
+    }
+
+    fn small_config() -> FleetConfig {
+        FleetConfig {
+            homes: 9,
+            devices_per_home: 3,
+            ..FleetConfig::default()
+        }
+    }
+
+    #[test]
+    fn byte_identical_across_gateway_construction_order() {
+        let service = trained_service();
+        let config = small_config();
+        let fleet = run_fleet(&service, &config);
+
+        // Run every home on a fresh gateway, in reverse order: the path
+        // each pooled worker runs, so the homes are identical.
+        let devices = catalog();
+        let mut homes: Vec<_> = (0..config.homes)
+            .rev()
+            .map(|home| GatewayPool::new(&service, &config).run_home(&config, &devices, home))
+            .collect();
+        homes.reverse();
+        assert_eq!(
+            serde_json::to_vec(&fleet.homes).unwrap(),
+            serde_json::to_vec(&homes).unwrap()
+        );
+    }
+
+    /// A roaming device completes part of its setup at the origin gateway
+    /// and the rest at the destination: it must be assessed exactly once
+    /// per gateway it completes setup on, and nowhere else.
+    #[test]
+    fn roamer_assessed_exactly_once_per_gateway() {
+        let service = trained_service();
+        let config = small_config();
+        let report = run_fleet(&service, &config);
+
+        let mut saw_roamer = false;
+        for home in 0..config.homes {
+            let Some((origin, destination)) = roamer_route(&config, home) else {
+                continue;
+            };
+            let origin_home = report.home(origin);
+            let destination_home = report.home(destination);
+            let Some(mac) = origin_home.roam_out else {
+                continue;
+            };
+            saw_roamer = true;
+            assert_eq!(destination_home.roam_in, Some(mac));
+            let at_origin = origin_home.reports.iter().filter(|r| r.mac == mac).count();
+            let at_destination = destination_home
+                .reports
+                .iter()
+                .filter(|r| r.mac == mac)
+                .count();
+            assert_eq!(at_origin, 1, "roamer {mac} at origin home {origin}");
+            assert_eq!(
+                at_destination, 1,
+                "roamer {mac} at destination home {destination}"
+            );
+            for (index, other) in report.homes.iter().enumerate() {
+                if index == origin || index == destination {
+                    continue;
+                }
+                assert!(
+                    other.reports.iter().all(|r| r.mac != mac),
+                    "roamer {mac} leaked into home {index}"
+                );
+            }
+        }
+        assert!(saw_roamer, "config produced no roaming device");
+    }
 }

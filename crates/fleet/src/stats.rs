@@ -71,7 +71,7 @@ pub struct FleetStats {
 
 impl FleetStats {
     /// Folds one home's outcome into the fleet totals.
-    pub fn absorb(&mut self, outcome: &HomeOutcome) {
+    pub(crate) fn absorb(&mut self, outcome: &HomeOutcome) {
         let s = &outcome.stats;
         self.packets_in += s.packets_in;
         self.sessions_opened += s.sessions_opened;

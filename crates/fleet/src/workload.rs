@@ -8,8 +8,7 @@
 //! produce identical results.
 //!
 //! [`HomeWorkload`] is a reusable buffer: a pooled fleet worker keeps
-//! one per thread and [`HomeWorkload::rebuild`]s it for each home it
-//! claims, so the per-home frame buffers (and the interleave order
+//! one per thread and rebuilds it in place for each home it claims, so the per-home frame buffers (and the interleave order
 //! scratch) are allocated once per worker instead of once per home.
 
 use std::time::Duration;
@@ -75,7 +74,7 @@ impl HomeWorkload {
     /// whatever home it previously held. Equivalent to (and pinned
     /// against) building a fresh workload with [`build_home_workload`];
     /// only the allocations are reused.
-    pub fn rebuild(&mut self, config: &FleetConfig, devices: &[DeviceModel], home: usize) {
+    pub(crate) fn rebuild(&mut self, config: &FleetConfig, devices: &[DeviceModel], home: usize) {
         let testbed = Testbed::new(config.seed);
         self.traces.clear();
         self.offsets.clear();
@@ -193,8 +192,8 @@ fn roam_split(trace: &SetupTrace) -> usize {
     (trace.packets.len() / 2).max(1)
 }
 
-/// Builds the complete workload of one home into a fresh buffer (the
-/// one-shot convenience over [`HomeWorkload::rebuild`]).
+/// Builds the complete workload of one home into a fresh buffer (what a
+/// pooled worker rebuilds in place).
 pub fn build_home_workload(
     config: &FleetConfig,
     devices: &[DeviceModel],

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use sentinel_core::{FingerprintDataset, IoTSecurityService, ServiceConfig};
 use sentinel_devicesim::catalog;
-use sentinel_fleet::{roamer_route, run_fleet, run_home, FleetConfig};
+use sentinel_fleet::{run_fleet, FleetConfig};
 use sentinel_stream::StreamStats;
 
 fn trained_service() -> IoTSecurityService {
@@ -64,25 +64,6 @@ fn byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn byte_identical_across_gateway_construction_order() {
-    let service = trained_service();
-    let config = small_config();
-    let fleet = run_fleet(&service, &config);
-
-    // Rebuild every gateway by hand in reverse order: identical homes.
-    let devices = catalog();
-    let mut homes: Vec<_> = (0..config.homes)
-        .rev()
-        .map(|home| run_home(&service, &config, &devices, home))
-        .collect();
-    homes.reverse();
-    assert_eq!(
-        serde_json::to_vec(&fleet.homes).unwrap(),
-        serde_json::to_vec(&homes).unwrap()
-    );
-}
-
-#[test]
 fn same_seed_same_report_fresh_services() {
     // Even the trained service is reproducible: two runs from scratch.
     let a = run_fleet(&trained_service(), &small_config());
@@ -103,51 +84,6 @@ fn same_seed_same_report_fresh_services() {
         .unwrap(),
         "different seed must produce a different fleet"
     );
-}
-
-/// A roaming device completes part of its setup at the origin gateway
-/// and the rest at the destination: it must be assessed exactly once
-/// per gateway it completes setup on, and nowhere else.
-#[test]
-fn roamer_assessed_exactly_once_per_gateway() {
-    let service = trained_service();
-    let config = small_config();
-    let report = run_fleet(&service, &config);
-
-    let mut saw_roamer = false;
-    for home in 0..config.homes {
-        let Some((origin, destination)) = roamer_route(&config, home) else {
-            continue;
-        };
-        let origin_home = report.home(origin);
-        let destination_home = report.home(destination);
-        let Some(mac) = origin_home.roam_out else {
-            continue;
-        };
-        saw_roamer = true;
-        assert_eq!(destination_home.roam_in, Some(mac));
-        let at_origin = origin_home.reports.iter().filter(|r| r.mac == mac).count();
-        let at_destination = destination_home
-            .reports
-            .iter()
-            .filter(|r| r.mac == mac)
-            .count();
-        assert_eq!(at_origin, 1, "roamer {mac} at origin home {origin}");
-        assert_eq!(
-            at_destination, 1,
-            "roamer {mac} at destination home {destination}"
-        );
-        for (index, other) in report.homes.iter().enumerate() {
-            if index == origin || index == destination {
-                continue;
-            }
-            assert!(
-                other.reports.iter().all(|r| r.mac != mac),
-                "roamer {mac} leaked into home {index}"
-            );
-        }
-    }
-    assert!(saw_roamer, "config produced no roaming device");
 }
 
 #[test]

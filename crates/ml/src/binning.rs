@@ -80,36 +80,31 @@ impl BinnedDataset {
 
     /// The bin codes of feature `feature`, one per dataset row.
     #[inline]
-    pub fn column(&self, feature: usize) -> &[u32] {
+    pub(crate) fn column(&self, feature: usize) -> &[u32] {
         &self.codes[feature * self.n_rows..(feature + 1) * self.n_rows]
     }
 
     /// The sorted distinct values of feature `feature` (bin code →
     /// value).
     #[inline]
-    pub fn bin_values(&self, feature: usize) -> &[f64] {
+    pub(crate) fn bin_values(&self, feature: usize) -> &[f64] {
         &self.values[self.value_offsets[feature]..self.value_offsets[feature + 1]]
     }
 
     /// Number of distinct values of feature `feature`.
     #[inline]
-    pub fn n_bins(&self, feature: usize) -> usize {
+    pub(crate) fn n_bins(&self, feature: usize) -> usize {
         self.value_offsets[feature + 1] - self.value_offsets[feature]
-    }
-
-    /// The largest [`BinnedDataset::n_bins`] over all features.
-    pub fn max_bins(&self) -> usize {
-        self.max_bins
     }
 
     /// Number of rows of the dataset these bins were built from (a fit
     /// asserts its corpus matches).
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.n_rows
     }
 
     /// Number of feature columns.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.value_offsets.len() - 1
     }
 }
@@ -124,7 +119,7 @@ pub(crate) struct HistScratch {
 
 impl HistScratch {
     /// Returns the zeroed histogram slice for `n_bins × n_classes`.
-    pub fn zeroed(&mut self, n_bins: usize, n_classes: usize) -> &mut [u32] {
+    pub(crate) fn zeroed(&mut self, n_bins: usize, n_classes: usize) -> &mut [u32] {
         let need = n_bins * n_classes;
         if self.hist.len() < need {
             self.hist.resize(need, 0);
@@ -138,6 +133,13 @@ impl HistScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BinnedDataset {
+        /// The largest [`BinnedDataset::n_bins`] over all features.
+        fn max_bins(&self) -> usize {
+            self.max_bins
+        }
+    }
 
     fn dataset() -> Dataset {
         let mut data = Dataset::new(3);

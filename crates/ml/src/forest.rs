@@ -306,17 +306,8 @@ impl RandomForest {
         argmax(&votes)
     }
 
-    /// Per-class vote fractions for a feature row.
-    pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_classes];
-        self.predict_proba_into(row, &mut out);
-        out
-    }
-
     /// Writes the per-class vote fractions for a feature row into `out`
-    /// — the allocation-free twin of [`RandomForest::predict_proba`]
-    /// for per-row queries in hot loops (vote tallies up to `n_trees`
-    /// are exact in `f64`, so the fractions are bit-identical).
+    /// (vote tallies up to `n_trees` are exact in `f64`).
     ///
     /// # Panics
     ///
@@ -383,6 +374,15 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RandomForest {
+        /// Per-class vote fractions for a feature row.
+        fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
+            let mut out = vec![0.0; self.n_classes];
+            self.predict_proba_into(row, &mut out);
+            out
+        }
+    }
 
     fn blobs(n_per_class: usize) -> Dataset {
         // Two well-separated 2-D blobs laid out deterministically.

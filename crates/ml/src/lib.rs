@@ -19,7 +19,7 @@
 //! * [`metrics`] — accuracy, confusion matrices, precision/recall.
 //! * [`parallel`] — deterministic fork/join helpers (ordered merges,
 //!   `SENTINEL_THREADS` thread-count resolution).
-//! * [`sampling`] — bootstrap and without-replacement sampling.
+//! * [`sampling`] — class-balanced one-vs-rest sampling (Sect. IV-B.1).
 //! * [`scorer`] — [`BankScorer`]: a whole bank of binary forests scored
 //!   in one pass over its sorted split thresholds, row by row or up to
 //!   64 rows per machine word (verdicts identical to

@@ -62,16 +62,6 @@ impl ConfusionMatrix {
         self.counts[actual][predicted]
     }
 
-    /// Overall accuracy (trace over total).
-    pub fn accuracy(&self) -> f64 {
-        let total: usize = self.counts.iter().flatten().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: usize = (0..self.n_classes()).map(|i| self.counts[i][i]).sum();
-        correct as f64 / total as f64
-    }
-
     /// Per-class recall (the "ratio of correct identification" plotted in
     /// the paper's Fig. 5). `None` if the class has no observations.
     pub fn recall(&self, class: usize) -> Option<f64> {
@@ -83,18 +73,6 @@ impl ConfusionMatrix {
     pub fn precision(&self, class: usize) -> Option<f64> {
         let predicted: usize = (0..self.n_classes()).map(|a| self.counts[a][class]).sum();
         (predicted > 0).then(|| self.counts[class][class] as f64 / predicted as f64)
-    }
-
-    /// Mean per-class recall over classes with observations (macro
-    /// average, the paper's "global ratio of correct identification").
-    pub fn macro_recall(&self) -> f64 {
-        let recalls: Vec<f64> = (0..self.n_classes())
-            .filter_map(|c| self.recall(c))
-            .collect();
-        if recalls.is_empty() {
-            return 0.0;
-        }
-        recalls.iter().sum::<f64>() / recalls.len() as f64
     }
 
     /// Merges another matrix with the same labels into this one.
@@ -154,6 +132,19 @@ impl fmt::Display for ConfusionMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl ConfusionMatrix {
+        /// Overall accuracy (trace over total).
+        fn accuracy(&self) -> f64 {
+            let total: usize = self.counts.iter().flatten().sum();
+            if total == 0 {
+                return 0.0;
+            }
+            let correct: usize = (0..self.n_classes()).map(|i| self.counts[i][i]).sum();
+            correct as f64 / total as f64
+        }
+    }
 
     fn sample() -> ConfusionMatrix {
         let mut m = ConfusionMatrix::new(["a", "b", "c"]);
@@ -194,13 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn macro_recall_averages_classes() {
-        let m = sample();
-        let expected = (0.75 + 1.0 + 0.5) / 3.0;
-        assert!((m.macro_recall() - expected).abs() < 1e-12);
-    }
-
-    #[test]
     fn merge_accumulates() {
         let mut a = sample();
         let b = sample();
@@ -231,5 +215,30 @@ mod tests {
         let rendered = sample().to_string();
         assert!(rendered.contains("A\\P"));
         assert!(rendered.lines().count() >= 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn confusion_matrix_consistency(pairs in proptest::collection::vec((0usize..4, 0usize..4), 1..80)) {
+            let mut matrix = ConfusionMatrix::new(["a", "b", "c", "d"]);
+            for &(actual, predicted) in &pairs {
+                matrix.record(actual, predicted);
+            }
+            // Accuracy equals the direct computation.
+            let truth: Vec<usize> = pairs.iter().map(|&(a, _)| a).collect();
+            let predicted: Vec<usize> = pairs.iter().map(|&(_, p)| p).collect();
+            prop_assert!((matrix.accuracy() - accuracy(&truth, &predicted)).abs() < 1e-12);
+            // Recall and precision stay in [0, 1].
+            for class in 0..4 {
+                if let Some(r) = matrix.recall(class) {
+                    prop_assert!((0.0..=1.0).contains(&r));
+                }
+                if let Some(p) = matrix.precision(class) {
+                    prop_assert!((0.0..=1.0).contains(&p));
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable overriding auto thread-count resolution.
-pub const THREADS_ENV: &str = "SENTINEL_THREADS";
+pub(crate) const THREADS_ENV: &str = "SENTINEL_THREADS";
 
 /// Resolves a configured thread count: any nonzero value is taken as
 /// is; `0` means auto — `SENTINEL_THREADS` if set to a positive

@@ -4,24 +4,19 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Draws `n` indices uniformly with replacement from `0..n` (a bootstrap
-/// sample for bagging).
-pub fn bootstrap_indices(n: usize, rng: &mut impl Rng) -> Vec<usize> {
-    let mut out = Vec::with_capacity(n);
-    bootstrap_indices_into(n, rng, &mut out);
-    out
-}
-
 /// Appends `n` bootstrap draws (uniform with replacement from `0..n`)
-/// to `out` — the buffer-reusing twin of [`bootstrap_indices`],
-/// consuming the identical RNG stream.
-pub fn bootstrap_indices_into(n: usize, rng: &mut impl Rng, out: &mut Vec<usize>) {
+/// to `out`.
+pub(crate) fn bootstrap_indices_into(n: usize, rng: &mut impl Rng, out: &mut Vec<usize>) {
     out.extend((0..n).map(|_| rng.gen_range(0..n)));
 }
 
 /// Draws `k` distinct elements from `pool` without replacement (all of
 /// `pool`, shuffled, if `k >= pool.len()`).
-pub fn sample_without_replacement<T: Copy>(pool: &[T], k: usize, rng: &mut impl Rng) -> Vec<T> {
+pub(crate) fn sample_without_replacement<T: Copy>(
+    pool: &[T],
+    k: usize,
+    rng: &mut impl Rng,
+) -> Vec<T> {
     let mut items = pool.to_vec();
     items.shuffle(rng);
     items.truncate(k.min(pool.len()));
@@ -54,8 +49,17 @@ pub fn balanced_one_vs_rest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Draws `n` indices uniformly with replacement from `0..n` (a bootstrap
+    /// sample for bagging).
+    fn bootstrap_indices(n: usize, rng: &mut impl Rng) -> Vec<usize> {
+        let mut out = Vec::with_capacity(n);
+        bootstrap_indices_into(n, rng, &mut out);
+        out
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -123,5 +127,26 @@ mod tests {
         let (indices, labels) = balanced_one_vs_rest(&positives, &negatives, 10, &mut rng());
         assert_eq!(indices.len(), 5, "uses the whole pool when short");
         assert_eq!(labels, vec![1, 1, 0, 0, 0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn bootstrap_covers_range(n in 1usize..200, seed in any::<u64>()) {
+            let sample = bootstrap_indices(n, &mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(sample.len(), n);
+            prop_assert!(sample.iter().all(|&i| i < n));
+        }
+
+        #[test]
+        fn sampling_without_replacement_is_a_subset(pool_size in 1usize..100, k in 0usize..120, seed in any::<u64>()) {
+            let pool: Vec<usize> = (0..pool_size).collect();
+            let sample = sample_without_replacement(&pool, k, &mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(sample.len(), k.min(pool_size));
+            let distinct: std::collections::HashSet<_> = sample.iter().collect();
+            prop_assert_eq!(distinct.len(), sample.len(), "duplicates in sample");
+            prop_assert!(sample.iter().all(|i| pool.contains(i)));
+        }
     }
 }

@@ -300,28 +300,8 @@ impl DecisionTree {
         self.features.len()
     }
 
-    /// The maximum depth of the tree (root = 0, single leaf = 0).
-    ///
-    /// Walks iteratively with an explicit stack: a degenerate chain of
-    /// splits as deep as the configured `max_depth` must not be able to
-    /// overflow the call stack.
-    pub fn depth(&self) -> usize {
-        let mut deepest = 0usize;
-        let mut stack = vec![(0u32, 0usize)];
-        while let Some((at, depth)) = stack.pop() {
-            let at = at as usize;
-            if self.features[at] == LEAF {
-                deepest = deepest.max(depth);
-            } else {
-                stack.push((self.lefts[at], depth + 1));
-                stack.push((self.rights[at], depth + 1));
-            }
-        }
-        deepest
-    }
-
     /// The number of classes the tree distinguishes (the width
-    /// [`DecisionTree::predict_proba_into`] expects).
+    /// of its leaves' class counts).
     pub fn n_classes(&self) -> usize {
         self.n_classes
     }
@@ -448,34 +428,6 @@ impl DecisionTree {
         }
     }
 
-    /// Per-class probability estimate for a feature row (leaf class
-    /// frequencies).
-    pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_classes];
-        self.predict_proba_into(row, &mut out);
-        out
-    }
-
-    /// Writes the per-class probability estimate for a feature row into
-    /// `out` — the allocation-free twin of
-    /// [`DecisionTree::predict_proba`] for per-row queries in hot loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.n_classes()`.
-    pub fn predict_proba_into(&self, row: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), self.n_classes, "probability buffer width");
-        let counts = self.leaf_counts_for(row);
-        let total: usize = counts.iter().sum();
-        for (slot, &count) in out.iter_mut().zip(counts) {
-            *slot = if total == 0 {
-                0.0
-            } else {
-                count as f64 / total as f64
-            };
-        }
-    }
-
     /// Node `at` as [`crate::scorer`] reads it when it numbers the
     /// tree's leaves.
     pub(crate) fn node(&self, at: u32) -> Node {
@@ -491,19 +443,6 @@ impl DecisionTree {
                 right: self.rights[at],
             },
         }
-    }
-
-    fn leaf_counts_for(&self, row: &[f64]) -> &[usize] {
-        let mut at = 0usize;
-        while self.features[at] != LEAF {
-            at = if row[self.features[at] as usize] <= self.thresholds[at] {
-                self.lefts[at]
-            } else {
-                self.rights[at]
-            } as usize;
-        }
-        let start = self.lefts[at] as usize * self.n_classes;
-        &self.leaf_counts[start..start + self.n_classes]
     }
 
     /// Builds the subtree over `indices`, returning its root node id.
@@ -890,6 +829,75 @@ mod sorted_scan;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DecisionTree {
+        /// The maximum depth of the tree (root = 0, single leaf = 0).
+        ///
+        /// Walks iteratively with an explicit stack: a degenerate chain of
+        /// splits as deep as the configured `max_depth` must not be able to
+        /// overflow the call stack.
+        fn depth(&self) -> usize {
+            let mut deepest = 0usize;
+            let mut stack = vec![(0u32, 0usize)];
+            while let Some((at, depth)) = stack.pop() {
+                let at = at as usize;
+                if self.features[at] == LEAF {
+                    deepest = deepest.max(depth);
+                } else {
+                    stack.push((self.lefts[at], depth + 1));
+                    stack.push((self.rights[at], depth + 1));
+                }
+            }
+            deepest
+        }
+    }
+
+    impl DecisionTree {
+        fn leaf_counts_for(&self, row: &[f64]) -> &[usize] {
+            let mut at = 0usize;
+            while self.features[at] != LEAF {
+                at = if row[self.features[at] as usize] <= self.thresholds[at] {
+                    self.lefts[at]
+                } else {
+                    self.rights[at]
+                } as usize;
+            }
+            let start = self.lefts[at] as usize * self.n_classes;
+            &self.leaf_counts[start..start + self.n_classes]
+        }
+    }
+
+    impl DecisionTree {
+        /// Writes the per-class probability estimate for a feature row into
+        /// `out` — the allocation-free twin of
+        /// [`DecisionTree::predict_proba`] for per-row queries in hot loops.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `out.len() != self.n_classes()`.
+        fn predict_proba_into(&self, row: &[f64], out: &mut [f64]) {
+            assert_eq!(out.len(), self.n_classes, "probability buffer width");
+            let counts = self.leaf_counts_for(row);
+            let total: usize = counts.iter().sum();
+            for (slot, &count) in out.iter_mut().zip(counts) {
+                *slot = if total == 0 {
+                    0.0
+                } else {
+                    count as f64 / total as f64
+                };
+            }
+        }
+    }
+
+    impl DecisionTree {
+        /// Per-class probability estimate for a feature row (leaf class
+        /// frequencies).
+        fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
+            let mut out = vec![0.0; self.n_classes];
+            self.predict_proba_into(row, &mut out);
+            out
+        }
+    }
 
     fn rng() -> PinnedRng {
         PinnedRng::from_key(42, 0, 0)

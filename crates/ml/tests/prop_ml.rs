@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sentinel_ml::crossval::stratified_k_fold;
-use sentinel_ml::metrics::{accuracy, ConfusionMatrix};
-use sentinel_ml::sampling::{balanced_one_vs_rest, bootstrap_indices, sample_without_replacement};
+use sentinel_ml::metrics::accuracy;
+use sentinel_ml::sampling::balanced_one_vs_rest;
 use sentinel_ml::{Dataset, ForestConfig, RandomForest};
 
 fn labels_strategy() -> impl Strategy<Value = Vec<usize>> {
@@ -60,23 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn bootstrap_covers_range(n in 1usize..200, seed in any::<u64>()) {
-        let sample = bootstrap_indices(n, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(sample.len(), n);
-        prop_assert!(sample.iter().all(|&i| i < n));
-    }
-
-    #[test]
-    fn sampling_without_replacement_is_a_subset(pool_size in 1usize..100, k in 0usize..120, seed in any::<u64>()) {
-        let pool: Vec<usize> = (0..pool_size).collect();
-        let sample = sample_without_replacement(&pool, k, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(sample.len(), k.min(pool_size));
-        let distinct: std::collections::HashSet<_> = sample.iter().collect();
-        prop_assert_eq!(distinct.len(), sample.len(), "duplicates in sample");
-        prop_assert!(sample.iter().all(|i| pool.contains(i)));
-    }
-
-    #[test]
     fn one_vs_rest_labels_align(pos in 1usize..20, neg in 1usize..200, ratio in 1usize..12, seed in any::<u64>()) {
         let positives: Vec<usize> = (0..pos).collect();
         let negatives: Vec<usize> = (pos..pos + neg).collect();
@@ -101,27 +84,6 @@ proptest! {
     }
 
     #[test]
-    fn confusion_matrix_consistency(pairs in proptest::collection::vec((0usize..4, 0usize..4), 1..80)) {
-        let mut matrix = ConfusionMatrix::new(["a", "b", "c", "d"]);
-        for &(actual, predicted) in &pairs {
-            matrix.record(actual, predicted);
-        }
-        // Accuracy equals the direct computation.
-        let truth: Vec<usize> = pairs.iter().map(|&(a, _)| a).collect();
-        let predicted: Vec<usize> = pairs.iter().map(|&(_, p)| p).collect();
-        prop_assert!((matrix.accuracy() - accuracy(&truth, &predicted)).abs() < 1e-12);
-        // Recall and precision stay in [0, 1].
-        for class in 0..4 {
-            if let Some(r) = matrix.recall(class) {
-                prop_assert!((0.0..=1.0).contains(&r));
-            }
-            if let Some(p) = matrix.precision(class) {
-                prop_assert!((0.0..=1.0).contains(&p));
-            }
-        }
-    }
-
-    #[test]
     fn forest_predictions_are_valid_labels(seed in any::<u64>(), n in 10usize..40) {
         let mut data = Dataset::new(3);
         for i in 0..n {
@@ -135,7 +97,8 @@ proptest! {
         for i in 0..n {
             let predicted = forest.predict(data.row(i));
             prop_assert!(predicted < forest.n_classes());
-            let proba = forest.predict_proba(data.row(i));
+            let mut proba = vec![0.0; forest.n_classes()];
+            forest.predict_proba_into(data.row(i), &mut proba);
             prop_assert!((proba.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
     }

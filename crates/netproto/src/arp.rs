@@ -10,7 +10,7 @@ use crate::{MacAddr, ParseError};
 use bytes::BufMut;
 
 /// Wire length of an Ethernet/IPv4 ARP packet.
-pub const PACKET_LEN: usize = 28;
+pub(crate) const PACKET_LEN: usize = 28;
 
 /// ARP operation code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -78,7 +78,7 @@ impl Protocol {
     ];
 
     /// The protocol's bit index (0–15) within a [`ProtocolSet`].
-    pub const fn bit(self) -> u8 {
+    pub(crate) const fn bit(self) -> u8 {
         self as u8
     }
 
@@ -231,7 +231,7 @@ fn classify_transport(transport: &Transport, set: &mut ProtocolSet) {
 }
 
 fn classify_app(payload: &AppPayload, ports: (u16, u16), udp: bool, set: &mut ProtocolSet) {
-    if matches!(payload, AppPayload::Dhcp(msg) if msg.is_dhcp()) {
+    if matches!(payload, AppPayload::Dhcp(msg) if msg.dhcp) {
         set.insert(Protocol::Dhcp);
     }
     set.extend(app_protocol(payload.codec(), ports, udp));

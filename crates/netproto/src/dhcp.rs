@@ -3,7 +3,7 @@
 //! The paper's Table I lists DHCP and BOOTP as *separate* application-layer
 //! features: every DHCP message is carried in a BOOTP frame (so the BOOTP
 //! bit accompanies the DHCP bit), while pre-DHCP devices emit BOOTP frames
-//! with no DHCP magic cookie (BOOTP bit only). [`DhcpMessage::is_dhcp`]
+//! with no DHCP magic cookie (BOOTP bit only). [`DhcpMessage::dhcp`]
 //! makes the distinction.
 
 use std::net::Ipv4Addr;
@@ -12,10 +12,10 @@ use crate::{MacAddr, ParseError};
 use bytes::BufMut;
 
 /// Minimum (fixed-portion) length of a BOOTP message.
-pub const FIXED_LEN: usize = 236;
+pub(crate) const FIXED_LEN: usize = 236;
 
 /// The DHCP magic cookie distinguishing DHCP from plain BOOTP.
-pub const MAGIC_COOKIE: [u8; 4] = [99, 130, 83, 99];
+pub(crate) const MAGIC_COOKIE: [u8; 4] = [99, 130, 83, 99];
 
 /// BOOTP operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -297,28 +297,6 @@ impl DhcpMessage {
         msg
     }
 
-    /// A plain BOOTP request (no DHCP options/magic cookie).
-    pub fn bootp_request(mac: MacAddr, xid: u32) -> Self {
-        let mut msg = DhcpMessage::discover(mac, xid);
-        msg.options.clear();
-        msg.dhcp = false;
-        msg
-    }
-
-    /// Returns `true` if this is a DHCP message (magic cookie present), as
-    /// opposed to plain BOOTP.
-    pub fn is_dhcp(&self) -> bool {
-        self.dhcp
-    }
-
-    /// The DHCP message type, if the option is present.
-    pub fn message_type(&self) -> Option<DhcpMessageType> {
-        self.options.iter().find_map(|opt| match opt {
-            DhcpOption::MessageType(t) => Some(*t),
-            _ => None,
-        })
-    }
-
     /// Appends the message bytes to `buf`.
     pub fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u8(self.op.to_u8());
@@ -463,6 +441,24 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<(usize, bool), ParseError> {
 mod tests {
     use super::*;
 
+    impl DhcpMessage {
+        /// A plain BOOTP request (no DHCP options/magic cookie).
+        fn bootp_request(mac: MacAddr, xid: u32) -> Self {
+            let mut msg = DhcpMessage::discover(mac, xid);
+            msg.options.clear();
+            msg.dhcp = false;
+            msg
+        }
+
+        /// The DHCP message type, if the option is present.
+        fn message_type(&self) -> Option<DhcpMessageType> {
+            self.options.iter().find_map(|opt| match opt {
+                DhcpOption::MessageType(t) => Some(*t),
+                _ => None,
+            })
+        }
+    }
+
     fn mac() -> MacAddr {
         MacAddr::new([0xb0, 0xc5, 0x54, 1, 2, 3])
     }
@@ -474,7 +470,7 @@ mod tests {
         msg.encode(&mut buf);
         let parsed = DhcpMessage::parse(&buf).unwrap();
         assert_eq!(parsed, msg);
-        assert!(parsed.is_dhcp());
+        assert!(parsed.dhcp);
         assert_eq!(parsed.message_type(), Some(DhcpMessageType::Discover));
     }
 
@@ -533,7 +529,7 @@ mod tests {
         msg.encode(&mut buf);
         assert_eq!(buf.len(), FIXED_LEN);
         let parsed = DhcpMessage::parse(&buf).unwrap();
-        assert!(!parsed.is_dhcp());
+        assert!(!parsed.dhcp);
         assert_eq!(parsed.message_type(), None);
     }
 

@@ -9,7 +9,7 @@ use crate::ParseError;
 use bytes::BufMut;
 
 /// Length of the DNS message header.
-pub const HEADER_LEN: usize = 12;
+pub(crate) const HEADER_LEN: usize = 12;
 
 /// The shortest question on the wire: the root name, type and class.
 const MIN_QUESTION_LEN: usize = 1 + QUESTION_FIELDS_LEN;
@@ -167,7 +167,8 @@ impl ResourceRecord {
 /// use sentinel_netproto::dns::{DnsMessage, Question};
 ///
 /// let query = DnsMessage::query(0x1db3, [Question::a("iot.vendor-cloud.example")]);
-/// let bytes = query.to_bytes();
+/// let mut bytes = Vec::new();
+/// query.encode(&mut bytes);
 /// assert_eq!(DnsMessage::parse(&bytes).unwrap(), query);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -299,13 +300,6 @@ impl DnsMessage {
             .map(|rr| name_len(&rr.name) + RECORD_FIELDS_LEN + rr.rdata_len())
             .sum();
         HEADER_LEN + questions + records
-    }
-
-    /// Encodes into a fresh byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf
     }
 
     /// Parses a DNS message (supports RFC 1035 name compression).
@@ -615,6 +609,15 @@ pub(crate) fn encoded_len(bytes: &[u8]) -> Result<usize, ParseError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl DnsMessage {
+        /// Encodes into a fresh byte vector.
+        fn to_bytes(&self) -> Vec<u8> {
+            let mut buf = Vec::new();
+            self.encode(&mut buf);
+            buf
+        }
+    }
 
     /// Label texts for generated names: plain, dotted (whole, and with
     /// empty pieces), multi-byte, not UTF-8, and the longest a label can

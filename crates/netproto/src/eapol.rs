@@ -9,7 +9,7 @@ use crate::ParseError;
 use bytes::{BufMut, Bytes};
 
 /// Length of the fixed EAPoL header.
-pub const HEADER_LEN: usize = 4;
+pub(crate) const HEADER_LEN: usize = 4;
 
 /// EAPoL packet type field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,7 +55,7 @@ impl EapolType {
 /// ```
 /// use sentinel_netproto::eapol::{EapolPacket, EapolType};
 ///
-/// let msg1 = EapolPacket::key_handshake(1);
+/// let msg1 = EapolPacket::new(EapolType::Key, vec![2, 1]);
 /// assert_eq!(msg1.packet_type, EapolType::Key);
 /// let mut buf = Vec::new();
 /// msg1.encode(&mut buf);
@@ -88,7 +88,7 @@ impl EapolPacket {
     /// # Panics
     ///
     /// Panics if `n` is not in `1..=4`.
-    pub fn key_handshake(n: u8) -> Self {
+    pub(crate) fn key_handshake(n: u8) -> Self {
         assert!((1..=4).contains(&n), "4-way handshake has messages 1-4");
         let mut body = vec![0u8; 95];
         body[0] = 0x02; // descriptor type: RSN key

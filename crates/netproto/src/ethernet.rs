@@ -1,10 +1,10 @@
 //! Ethernet II framing.
 
 use crate::{MacAddr, ParseError};
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Length of an Ethernet II header in bytes.
-pub const HEADER_LEN: usize = 14;
+pub(crate) const HEADER_LEN: usize = 14;
 
 /// The EtherType (or IEEE 802.3 length) field of an Ethernet frame.
 ///
@@ -66,19 +66,8 @@ impl From<u16> for EtherType {
 }
 
 /// An Ethernet II (or 802.3) frame header.
-///
-/// ```
-/// use sentinel_netproto::{EthernetHeader, EtherType, MacAddr};
-///
-/// let hdr = EthernetHeader::new(MacAddr::BROADCAST, MacAddr::ZERO, EtherType::Arp);
-/// let mut buf = Vec::new();
-/// hdr.encode(&mut buf);
-/// let (parsed, rest) = EthernetHeader::parse(&buf).unwrap();
-/// assert_eq!(parsed, hdr);
-/// assert!(rest.is_empty());
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EthernetHeader {
+pub(crate) struct EthernetHeader {
     /// Destination MAC address.
     pub dst: MacAddr,
     /// Source MAC address.
@@ -89,7 +78,7 @@ pub struct EthernetHeader {
 
 impl EthernetHeader {
     /// Creates a header.
-    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> Self {
+    pub(crate) fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> Self {
         EthernetHeader {
             dst,
             src,
@@ -98,7 +87,7 @@ impl EthernetHeader {
     }
 
     /// Appends the 14 header bytes to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
+    pub(crate) fn encode(&self, buf: &mut impl BufMut) {
         buf.put_slice(&self.dst.octets());
         buf.put_slice(&self.src.octets());
         buf.put_u16(self.ethertype.to_u16());
@@ -109,7 +98,7 @@ impl EthernetHeader {
     /// # Errors
     ///
     /// Returns [`ParseError::Truncated`] if fewer than 14 bytes are given.
-    pub fn parse(bytes: &[u8]) -> Result<(Self, &[u8]), ParseError> {
+    pub(crate) fn parse(bytes: &[u8]) -> Result<(Self, &[u8]), ParseError> {
         let Some((header, payload)) = bytes.split_first_chunk::<HEADER_LEN>() else {
             return Err(ParseError::truncated("ethernet", HEADER_LEN, bytes.len()));
         };
@@ -125,18 +114,20 @@ impl EthernetHeader {
             payload,
         ))
     }
-
-    /// Encodes into a fresh buffer (convenience for tests).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN);
-        self.encode(&mut buf);
-        buf.to_vec()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+
+    impl EthernetHeader {
+        fn to_bytes(self) -> Vec<u8> {
+            let mut buf = BytesMut::with_capacity(HEADER_LEN);
+            self.encode(&mut buf);
+            buf.to_vec()
+        }
+    }
 
     fn sample() -> EthernetHeader {
         EthernetHeader::new(

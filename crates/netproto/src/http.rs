@@ -46,7 +46,7 @@ impl Method {
     }
 
     /// Classifies a method token.
-    pub fn from_token(token: &str) -> Self {
+    pub(crate) fn from_token(token: &str) -> Self {
         match token {
             "GET" => Method::Get,
             "POST" => Method::Post,
@@ -207,13 +207,6 @@ impl HttpMessage {
         start_line.wire_len() + self.headers().lines.len() + CRLF.len() + self.body().len()
     }
 
-    /// Encodes into a fresh byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf
-    }
-
     /// Parses an HTTP message.
     ///
     /// # Errors
@@ -222,11 +215,20 @@ impl HttpMessage {
     /// found or the start line is malformed.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
         let mut headers = Headers::default();
-        let (start, body) = split_head(bytes, |lines| {
-            // One reservation, made when the first field turns up: a line
+        let (start, body) = split_head(bytes, |after, lines| {
+            let len = match lines {
+                HeaderLines::Verbatim(lines) => lines.len(),
+                HeaderLines::Field(name, value) => header_len(name, value),
+            };
+            // One reservation, made when the first field turns up, for it
+            // and the rest of the head (not the body behind it): a line
             // re-encodes at most a third longer than it came (`:` to `: `).
+            // The piece ends in a `\r\n`, so a head that ends right after
+            // it is found at once — the usual case, one verbatim run.
             if headers.lines.capacity() == 0 {
-                headers.lines.reserve(bytes.len() + bytes.len() / 3);
+                let end = head_end(bytes, after - 2).map_or(bytes.len(), |end| end + 2);
+                let rest = end - after;
+                headers.lines.reserve(len + rest + rest / 3);
             }
             match lines {
                 HeaderLines::Verbatim(lines) => headers.lines.push_str(lines),
@@ -312,19 +314,20 @@ enum HeaderLines<'a> {
 }
 
 /// Splits a message at its blank line into `(start line, body)`, handing
-/// its header fields in order to `header`: a run of lines that already
-/// read as they re-encode — one space after the colon, nothing `trim`
-/// would drop — in one piece, any other field as its trimmed name and
-/// value. One forward pass over text checked once: the message is text up
-/// to its first byte that is not, and CR and LF are ASCII, so the head is
-/// text iff it ends inside that prefix. A line ends at the next `\r\n`,
-/// the head at the first `\r\n` that another follows, a field's name at
-/// its first `:`. Rejects in the order the checks have always run — a
-/// head that never ends, then one that is not text, then a colon-less
-/// line — so `header` may see fields of a head it rejects.
+/// its header fields in order to `header`, each with the offset just past
+/// the line it ends on: a run of lines that already read as they re-encode
+/// — one space after the colon, nothing `trim` would drop — in one piece,
+/// any other field as its trimmed name and value. One forward pass over
+/// text checked once: the message is text up to its first byte that is
+/// not, and CR and LF are ASCII, so the head is text iff it ends inside
+/// that prefix. A line ends at the next `\r\n`, the head at the first
+/// `\r\n` that another follows, a field's name at its first `:`. Rejects
+/// in the order the checks have always run — a head that never ends, then
+/// one that is not text, then a colon-less line — so `header` may see
+/// fields of a head it rejects.
 fn split_head<'a>(
     bytes: &'a [u8],
-    mut header: impl FnMut(HeaderLines<'a>),
+    mut header: impl FnMut(usize, HeaderLines<'a>),
 ) -> Result<(&'a str, &'a [u8]), ParseError> {
     let text = match std::str::from_utf8(bytes) {
         Ok(text) => text,
@@ -334,7 +337,7 @@ fn split_head<'a>(
     // A head that does not end inside the text ends nowhere, or is not
     // text.
     let past_text = |at| {
-        let reason = if text.len() < bytes.len() && head_ends_after(bytes, at) {
+        let reason = if text.len() < bytes.len() && head_end(bytes, at).is_some() {
             "head not utf-8"
         } else {
             "missing header terminator"
@@ -350,9 +353,9 @@ fn split_head<'a>(
                 let verbatim = value.strip_prefix(' ').is_some_and(is_trimmed);
                 if !(verbatim && is_trimmed(name)) {
                     if run < at {
-                        header(HeaderLines::Verbatim(&text[run..at]));
+                        header(at, HeaderLines::Verbatim(&text[run..at]));
                     }
-                    header(HeaderLines::Field(trim(name), trim(value)));
+                    header(end + 2, HeaderLines::Field(trim(name), trim(value)));
                     run = end + 2;
                 }
             }
@@ -364,20 +367,20 @@ fn split_head<'a>(
         return Err(ParseError::invalid("http", "header line without a colon"));
     }
     if run < at {
-        header(HeaderLines::Verbatim(&text[run..at]));
+        header(at, HeaderLines::Verbatim(&text[run..at]));
     }
     Ok((&text[..start_end], &bytes[at + 2..]))
 }
 
-/// Whether a `\r\n` that another follows comes at or after `from`.
-fn head_ends_after(bytes: &[u8], mut from: usize) -> bool {
+/// Offset of the first `\r\n` at or after `from` that another follows.
+fn head_end(bytes: &[u8], mut from: usize) -> Option<usize> {
     while let Some(end) = find_crlf(bytes, from) {
         if bytes[end + 2..].starts_with(CRLF.as_bytes()) {
-            return true;
+            return Some(end);
         }
         from = end + 2;
     }
-    false
+    None
 }
 
 /// Offset of the first `\r\n` at or after `from`, which is within `bytes`.
@@ -450,7 +453,7 @@ fn is_trimmed(text: &str) -> bool {
 /// differently.
 pub(crate) fn encoded_len(bytes: &[u8]) -> Result<usize, ParseError> {
     let mut headers = 0;
-    let (start, body) = split_head(bytes, |lines| {
+    let (start, body) = split_head(bytes, |_, lines| {
         headers += match lines {
             HeaderLines::Verbatim(lines) => lines.len(),
             HeaderLines::Field(name, value) => header_len(name, value),
@@ -484,6 +487,15 @@ fn status_digits(status: u16) -> ([u8; 5], usize) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl HttpMessage {
+        /// Encodes into a fresh byte vector.
+        pub(crate) fn to_bytes(&self) -> Vec<u8> {
+            let mut buf = Vec::new();
+            self.encode(&mut buf);
+            buf
+        }
+    }
 
     /// The head walk as it was before it went to bytes — `find`, then
     /// `str::split`, `split_once` and `str::trim` — kept as the oracle
@@ -536,7 +548,7 @@ mod tests {
 
     fn walked(bytes: &[u8]) -> Walked<'_> {
         let mut fields = Vec::new();
-        let (start, body) = split_head(bytes, |lines| match lines {
+        let (start, body) = split_head(bytes, |_, lines| match lines {
             HeaderLines::Verbatim(lines) => {
                 let lines = lines.split_terminator(CRLF);
                 fields.extend(lines.map(|line| line.split_once(HEADER_SEPARATOR).unwrap()));
@@ -724,6 +736,34 @@ mod tests {
         assert_eq!(parsed.headers().iter().collect::<Vec<_>>(), expected);
         assert_eq!(parsed.header("EMPTY"), Some(""));
         assert_eq!(parsed.header("missing"), None);
+    }
+
+    #[test]
+    fn the_header_reservation_is_bounded_by_the_head() {
+        // A short head before a long body: the one reservation covers the
+        // head's fields, not the body (which `bytes` also holds).
+        let mut bytes = b"POST /r HTTP/1.1\r\nHost:a\r\nContent-Length: 1400\r\n\r\n".to_vec();
+        let head = bytes.len();
+        bytes.extend_from_slice(&[b'x'; 1400]);
+        let parsed = HttpMessage::parse(&bytes).unwrap();
+        assert_eq!(parsed.body().len(), 1400);
+        let capacity = parsed.headers().lines.capacity();
+        assert!(
+            capacity <= head + head / 3 + 8,
+            "{capacity} B for a {head} B head"
+        );
+        // A body that is not text: the head ends at its blank line either way.
+        bytes.truncate(head);
+        bytes.extend_from_slice(&[0xff; 1400]);
+        let capacity = HttpMessage::parse(&bytes)
+            .unwrap()
+            .headers()
+            .lines
+            .capacity();
+        assert!(
+            capacity <= head + head / 3 + 8,
+            "{capacity} B for a {head} B head"
+        );
     }
 
     #[test]

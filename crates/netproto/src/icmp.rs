@@ -5,7 +5,7 @@ use crate::ParseError;
 use bytes::{BufMut, Bytes};
 
 /// Length of the fixed ICMP header (type, code, checksum, rest-of-header).
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// ICMP message type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

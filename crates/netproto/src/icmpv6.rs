@@ -6,7 +6,7 @@ use crate::ParseError;
 use bytes::{BufMut, Bytes};
 
 /// Length of the fixed ICMPv6 header.
-pub const HEADER_LEN: usize = 4;
+pub(crate) const HEADER_LEN: usize = 4;
 
 /// ICMPv6 message type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,13 +89,6 @@ impl Icmpv6Message {
         Icmpv6Message::new(Icmpv6Type::RouterSolicitation, 0, vec![0u8; 4])
     }
 
-    /// A neighbor solicitation for duplicate address detection.
-    pub fn neighbor_solicitation(target: std::net::Ipv6Addr) -> Self {
-        let mut body = vec![0u8; 4];
-        body.extend_from_slice(&target.octets());
-        Icmpv6Message::new(Icmpv6Type::NeighborSolicitation, 0, body)
-    }
-
     /// An MLDv2 multicast listener report for `n_records` group records.
     pub fn mld2_report(n_records: u16) -> Self {
         let mut body = vec![0u8, 0u8]; // reserved
@@ -158,6 +151,15 @@ pub(crate) fn check(bytes: &[u8]) -> Result<(), ParseError> {
 mod tests {
     use super::*;
     use std::net::Ipv6Addr;
+
+    impl Icmpv6Message {
+        /// A neighbor solicitation for duplicate address detection.
+        fn neighbor_solicitation(target: std::net::Ipv6Addr) -> Self {
+            let mut body = vec![0u8; 4];
+            body.extend_from_slice(&target.octets());
+            Icmpv6Message::new(Icmpv6Type::NeighborSolicitation, 0, body)
+        }
+    }
 
     #[test]
     fn roundtrip() {

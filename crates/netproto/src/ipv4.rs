@@ -7,7 +7,7 @@ use crate::ParseError;
 use bytes::BufMut;
 
 /// Length of an IPv4 header without options.
-pub const MIN_HEADER_LEN: usize = 20;
+pub(crate) const MIN_HEADER_LEN: usize = 20;
 
 /// IP protocol numbers carried in the IPv4 `protocol` / IPv6 `next header`
 /// field.
@@ -76,12 +76,12 @@ pub enum Ipv4Option {
 
 impl Ipv4Option {
     /// Returns `true` for padding options (NOP / End-of-Options).
-    pub fn is_padding(&self) -> bool {
+    pub(crate) fn is_padding(&self) -> bool {
         matches!(self, Ipv4Option::Nop | Ipv4Option::EndOfOptions)
     }
 
     /// Returns `true` for the Router Alert option.
-    pub fn is_router_alert(&self) -> bool {
+    pub(crate) fn is_router_alert(&self) -> bool {
         matches!(self, Ipv4Option::RouterAlert(_))
     }
 
@@ -165,26 +165,19 @@ impl Ipv4Header {
         }
     }
 
-    /// Adds an option (builder style).
-    #[must_use]
-    pub fn with_option(mut self, option: Ipv4Option) -> Self {
-        self.options.push(option);
-        self
-    }
-
     /// Returns `true` if any option is padding (Table I `Padding` feature).
-    pub fn has_padding_option(&self) -> bool {
+    pub(crate) fn has_padding_option(&self) -> bool {
         self.options.iter().any(Ipv4Option::is_padding)
     }
 
     /// Returns `true` if a Router Alert option is present (Table I
     /// `RouterAlert` feature).
-    pub fn has_router_alert(&self) -> bool {
+    pub(crate) fn has_router_alert(&self) -> bool {
         self.options.iter().any(Ipv4Option::is_router_alert)
     }
 
     /// Length of the encoded header in bytes (options padded to 32 bits).
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         padded_header_len(self.options.iter().map(Ipv4Option::encoded_len).sum())
     }
 
@@ -349,7 +342,7 @@ pub(crate) fn scan_options(header: &[u8]) -> Result<(usize, bool, bool), ParseEr
 }
 
 /// RFC 1071 internet checksum over `data`.
-pub fn internet_checksum(data: &[u8]) -> u16 {
+pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum = 0u32;
     let mut chunks = data.chunks_exact(2);
     for chunk in &mut chunks {
@@ -404,6 +397,15 @@ impl BufMut for ChecksumSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Ipv4Header {
+        /// Adds an option (builder style).
+        #[must_use]
+        fn with_option(mut self, option: Ipv4Option) -> Self {
+            self.options.push(option);
+            self
+        }
+    }
 
     fn sample() -> Ipv4Header {
         Ipv4Header::new(

@@ -13,7 +13,7 @@ use crate::ParseError;
 use bytes::BufMut;
 
 /// Length of the fixed IPv6 header.
-pub const HEADER_LEN: usize = 40;
+pub(crate) const HEADER_LEN: usize = 40;
 
 /// Next-header value for the Hop-by-Hop options extension header.
 const HOP_BY_HOP: u8 = 0;
@@ -48,12 +48,12 @@ pub enum HopByHopOption {
 
 impl HopByHopOption {
     /// Returns `true` for padding options (Pad1 / PadN).
-    pub fn is_padding(&self) -> bool {
+    pub(crate) fn is_padding(&self) -> bool {
         matches!(self, HopByHopOption::Pad1 | HopByHopOption::PadN(_))
     }
 
     /// Returns `true` for the Router Alert option.
-    pub fn is_router_alert(&self) -> bool {
+    pub(crate) fn is_router_alert(&self) -> bool {
         matches!(self, HopByHopOption::RouterAlert(_))
     }
 
@@ -156,21 +156,13 @@ impl Ipv6Header {
         self
     }
 
-    /// Adds an atomic Fragment extension header with the given
-    /// identification (builder style).
-    #[must_use]
-    pub fn with_atomic_fragment(mut self, identification: u32) -> Self {
-        self.atomic_fragment = Some(identification);
-        self
-    }
-
     /// Returns `true` if any Hop-by-Hop option is padding.
-    pub fn has_padding_option(&self) -> bool {
+    pub(crate) fn has_padding_option(&self) -> bool {
         self.hop_by_hop.iter().any(HopByHopOption::is_padding)
     }
 
     /// Returns `true` if a Router Alert option is present.
-    pub fn has_router_alert(&self) -> bool {
+    pub(crate) fn has_router_alert(&self) -> bool {
         self.hop_by_hop.iter().any(HopByHopOption::is_router_alert)
     }
 
@@ -184,7 +176,7 @@ impl Ipv6Header {
     }
 
     /// Length of the encoded header including any extension headers.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         HEADER_LEN + self.hbh_len() + fragment_len(self.atomic_fragment)
     }
 
@@ -408,6 +400,16 @@ fn fragment_len(atomic_fragment: Option<u32>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Ipv6Header {
+        /// Adds an atomic Fragment extension header with the given
+        /// identification (builder style).
+        #[must_use]
+        pub(crate) fn with_atomic_fragment(mut self, identification: u32) -> Self {
+            self.atomic_fragment = Some(identification);
+            self
+        }
+    }
 
     fn sample() -> Ipv6Header {
         Ipv6Header::new(

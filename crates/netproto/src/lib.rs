@@ -63,7 +63,7 @@ pub mod udp;
 
 pub use classify::{Protocol, ProtocolSet};
 pub use error::ParseError;
-pub use ethernet::{EtherType, EthernetHeader};
+pub use ethernet::EtherType;
 pub use mac::MacAddr;
 pub use packet::{AppPayload, Packet, PacketBody, Transport};
 pub use scan::{RawFeatures, ScanOutcome, WireScan};

@@ -9,16 +9,12 @@ use crate::ParseError;
 use bytes::BufMut;
 
 /// Length of the basic (8-bit control) LLC header.
-pub const HEADER_LEN: usize = 3;
+pub(crate) const HEADER_LEN: usize = 3;
 
 /// Well-known LLC SAP (service access point) values.
 pub mod sap {
     /// Spanning Tree Protocol BPDU.
     pub const STP: u8 = 0x42;
-    /// Subnetwork Access Protocol (SNAP) extension.
-    pub const SNAP: u8 = 0xaa;
-    /// NetBIOS.
-    pub const NETBIOS: u8 = 0xf0;
 }
 
 /// An IEEE 802.2 LLC header with unnumbered-format (8-bit) control field.

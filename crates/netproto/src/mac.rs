@@ -68,11 +68,6 @@ impl MacAddr {
     pub const fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
-
-    /// Returns `true` if the locally-administered bit is set.
-    pub const fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
 }
 
 impl From<[u8; 6]> for MacAddr {

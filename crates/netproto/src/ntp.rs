@@ -9,7 +9,7 @@ use crate::ParseError;
 use bytes::BufMut;
 
 /// Length of a basic NTP packet (no extensions).
-pub const PACKET_LEN: usize = 48;
+pub(crate) const PACKET_LEN: usize = 48;
 
 /// NTP association mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -181,17 +181,6 @@ pub enum Transport {
 }
 
 impl Transport {
-    /// The IP protocol number of this transport.
-    pub fn protocol(&self) -> IpProtocol {
-        match self {
-            Transport::Tcp { .. } => IpProtocol::Tcp,
-            Transport::Udp { .. } => IpProtocol::Udp,
-            Transport::Icmp(_) => IpProtocol::Icmp,
-            Transport::Icmpv6(_) => IpProtocol::Icmpv6,
-            Transport::Other { protocol, .. } => IpProtocol::from_u8(*protocol),
-        }
-    }
-
     /// The `(source, destination)` port pair, if this transport has ports.
     pub fn ports(&self) -> Option<(u16, u16)> {
         match self {
@@ -363,7 +352,7 @@ impl Packet {
 
     /// Returns `true` if the packet carries uninterpreted ("raw") payload
     /// data — the Table I `Raw data` feature.
-    pub fn has_raw_data(&self) -> bool {
+    pub(crate) fn has_raw_data(&self) -> bool {
         match &self.body {
             PacketBody::Llc { payload, .. } | PacketBody::Other { payload, .. } => {
                 !payload.is_empty()

@@ -28,9 +28,8 @@ const MAX_SNAPLEN: u32 = 262_144;
 /// let mut buf = Vec::new();
 /// let mut writer = PcapWriter::new(&mut buf)?;
 /// writer.write_packet(&Packet::dhcp_discover(MacAddr::ZERO, 1, 0))?;
-/// let mut reader = PcapReader::new(buf.as_slice())?;
-/// let packet = reader.read_packet()?.expect("one packet");
-/// assert_eq!(packet.ports(), Some((68, 67)));
+/// let packets = PcapReader::new(buf.as_slice())?.read_all()?;
+/// assert_eq!(packets[0].ports(), Some((68, 67)));
 /// # Ok(())
 /// # }
 /// ```
@@ -70,11 +69,7 @@ impl<W: Write> PcapWriter<W> {
     }
 
     /// Writes a raw frame record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseError::Io`] if the underlying write fails.
-    pub fn write_raw(&mut self, timestamp: Timestamp, frame: &[u8]) -> Result<(), ParseError> {
+    fn write_raw(&mut self, timestamp: Timestamp, frame: &[u8]) -> Result<(), ParseError> {
         let (secs, micros) = timestamp.to_pcap_parts();
         let mut record = Vec::with_capacity(16 + frame.len());
         record.extend_from_slice(&secs.to_le_bytes());
@@ -148,18 +143,6 @@ impl<R: Read> PcapReader<R> {
         })
     }
 
-    /// Reads the next raw frame, or `None` at end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::read_raw_into`].
-    pub fn read_raw(&mut self) -> Result<Option<(Timestamp, Vec<u8>)>, ParseError> {
-        let mut frame = Vec::new();
-        Ok(self
-            .read_raw_into(&mut frame)?
-            .map(|timestamp| (timestamp, frame)))
-    }
-
     /// Reads the next raw frame into `frame` (cleared and overwritten in
     /// place, reusing its capacity), returning its timestamp — or `None`
     /// at end of stream, leaving `frame` empty. This is the
@@ -174,7 +157,10 @@ impl<R: Read> PcapReader<R> {
     /// capture's snaplen allows (checked before any buffer grows, so a
     /// hostile 16-byte header cannot demand gigabytes) and
     /// [`ParseError::Io`] on a short or failed read of the frame.
-    pub fn read_raw_into(&mut self, frame: &mut Vec<u8>) -> Result<Option<Timestamp>, ParseError> {
+    pub(crate) fn read_raw_into(
+        &mut self,
+        frame: &mut Vec<u8>,
+    ) -> Result<Option<Timestamp>, ParseError> {
         frame.clear();
         // A record header is four 32-bit words.
         let mut record = [[0u8; 4]; 4];
@@ -199,27 +185,15 @@ impl<R: Read> PcapReader<R> {
         Ok(Some(Timestamp::from_pcap_parts(secs, micros)))
     }
 
-    /// Reads and parses the next packet, or `None` at end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors and packet [`ParseError`]s.
-    pub fn read_packet(&mut self) -> Result<Option<Packet>, ParseError> {
-        match self.read_raw()? {
-            Some((timestamp, frame)) => Ok(Some(Packet::parse(&frame, timestamp)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Reads all remaining packets.
+    /// Reads and parses all remaining packets.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors and packet [`ParseError`]s.
     pub fn read_all(&mut self) -> Result<Vec<Packet>, ParseError> {
-        let mut packets = Vec::new();
-        while let Some(packet) = self.read_packet()? {
-            packets.push(packet);
+        let (mut packets, mut frame) = (Vec::new(), Vec::new());
+        while let Some(timestamp) = self.read_raw_into(&mut frame)? {
+            packets.push(Packet::parse(&frame, timestamp)?);
         }
         Ok(packets)
     }
@@ -256,7 +230,7 @@ mod tests {
         let mut reader = PcapReader::new(buf.as_slice()).unwrap();
         let read = reader.read_all().unwrap();
         assert_eq!(read, packets);
-        assert!(reader.read_packet().unwrap().is_none(), "stream exhausted");
+        assert!(reader.read_all().unwrap().is_empty(), "stream exhausted");
     }
 
     #[test]
@@ -289,7 +263,7 @@ mod tests {
         buf.extend_from_slice(&frame);
 
         let mut reader = PcapReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.read_packet().unwrap().unwrap(), packet);
+        assert_eq!(reader.read_all().unwrap(), [packet]);
     }
 
     #[test]
@@ -300,10 +274,7 @@ mod tests {
         writer.finish().unwrap();
         buf.truncate(buf.len() - 3);
         let mut reader = PcapReader::new(buf.as_slice()).unwrap();
-        assert!(matches!(
-            reader.read_packet().unwrap_err(),
-            ParseError::Io(_)
-        ));
+        assert!(matches!(reader.read_all().unwrap_err(), ParseError::Io(_)));
     }
 
     #[test]
@@ -314,9 +285,10 @@ mod tests {
         writer.finish().unwrap();
         buf.extend_from_slice(&[0u8; 7]);
         let mut reader = PcapReader::new(buf.as_slice()).unwrap();
-        assert!(reader.read_packet().unwrap().is_some());
+        let mut frame = Vec::new();
+        assert!(reader.read_raw_into(&mut frame).unwrap().is_some());
         assert!(matches!(
-            reader.read_packet().unwrap_err(),
+            reader.read_raw_into(&mut frame).unwrap_err(),
             ParseError::Truncated { got: 7, .. }
         ));
     }
@@ -354,10 +326,16 @@ mod tests {
         let mut writer = PcapWriter::new(&mut buf).unwrap();
         writer.write_raw(Timestamp::ZERO, &frame).unwrap();
         writer.finish().unwrap();
-        assert!(PcapReader::new(buf.as_slice()).unwrap().read_raw().is_err());
+        let mut read = Vec::new();
+        let mut reader = PcapReader::new(buf.as_slice()).unwrap();
+        assert!(reader.read_raw_into(&mut read).is_err());
         buf[16..20].copy_from_slice(&70_000u32.to_le_bytes());
-        let read = PcapReader::new(buf.as_slice()).unwrap().read_raw().unwrap();
-        assert_eq!(read, Some((Timestamp::ZERO, frame)));
+        let mut reader = PcapReader::new(buf.as_slice()).unwrap();
+        assert_eq!(
+            reader.read_raw_into(&mut read).unwrap(),
+            Some(Timestamp::ZERO)
+        );
+        assert_eq!(read, frame);
     }
 
     #[test]

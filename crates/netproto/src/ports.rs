@@ -30,15 +30,15 @@ pub fn is_registered(port: u16) -> bool {
     (1024..=49151).contains(&port)
 }
 
-/// Returns `true` if `port` is in the IANA dynamic/ephemeral range
-/// `49152..=65535`.
-pub fn is_dynamic(port: u16) -> bool {
-    port >= 49152
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Returns `true` if `port` is in the IANA dynamic/ephemeral range
+    /// `49152..=65535`.
+    fn is_dynamic(port: u16) -> bool {
+        port >= 49152
+    }
 
     #[test]
     fn ranges_partition_port_space() {

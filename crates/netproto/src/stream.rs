@@ -23,9 +23,8 @@ use crate::{Packet, ParseError, Timestamp};
 pub trait FrameSource {
     /// Produces the next raw frame into `frame` (cleared and overwritten,
     /// reusing its capacity where the source supports it), returning the
-    /// frame's timestamp — or `None` at end of stream. File-backed
-    /// sources read in place ([`PcapReader::read_raw_into`]), making
-    /// replay allocation-free.
+    /// frame's timestamp — or `None` at end of stream. A
+    /// [`PcapReader`] reads in place, making replay allocation-free.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@ use crate::ParseError;
 use bytes::BufMut;
 
 /// Length of a TCP header without options.
-pub const MIN_HEADER_LEN: usize = 20;
+pub(crate) const MIN_HEADER_LEN: usize = 20;
 
 /// TCP control flags.
 ///
@@ -22,8 +22,6 @@ pub const MIN_HEADER_LEN: usize = 20;
 pub struct TcpFlags(u8);
 
 impl TcpFlags {
-    /// No flags set.
-    pub const EMPTY: TcpFlags = TcpFlags(0);
     /// FIN.
     pub const FIN: TcpFlags = TcpFlags(0x01);
     /// SYN.
@@ -123,7 +121,7 @@ impl TcpHeader {
 
     /// A SYN segment with a typical MSS option, as the first packet of a
     /// device's TCP connection to its cloud endpoint.
-    pub fn syn(src_port: u16, dst_port: u16, seq: u32) -> Self {
+    pub(crate) fn syn(src_port: u16, dst_port: u16, seq: u32) -> Self {
         let mut hdr = TcpHeader::new(src_port, dst_port, TcpFlags::SYN);
         hdr.seq = seq;
         hdr.options = vec![0x02, 0x04, 0x05, 0xb4]; // MSS 1460
@@ -131,7 +129,7 @@ impl TcpHeader {
     }
 
     /// Length of the encoded header.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         MIN_HEADER_LEN + self.options.len().div_ceil(4) * 4
     }
 
@@ -225,7 +223,7 @@ mod tests {
     #[test]
     fn flags_display() {
         assert_eq!((TcpFlags::SYN | TcpFlags::ACK).to_string(), "SYN|ACK");
-        assert_eq!(TcpFlags::EMPTY.to_string(), "(none)");
+        assert_eq!(TcpFlags::default().to_string(), "(none)");
     }
 
     #[test]

@@ -49,12 +49,12 @@ impl Timestamp {
     }
 
     /// The pcap `(seconds, microseconds)` pair.
-    pub const fn to_pcap_parts(self) -> (u32, u32) {
+    pub(crate) const fn to_pcap_parts(self) -> (u32, u32) {
         ((self.0 / 1_000_000) as u32, (self.0 % 1_000_000) as u32)
     }
 
     /// Reassembles a timestamp from pcap `(seconds, microseconds)` parts.
-    pub const fn from_pcap_parts(secs: u32, micros: u32) -> Self {
+    pub(crate) const fn from_pcap_parts(secs: u32, micros: u32) -> Self {
         Timestamp(secs as u64 * 1_000_000 + micros as u64)
     }
 

@@ -9,7 +9,7 @@ use crate::ParseError;
 use bytes::{BufMut, Bytes};
 
 /// Length of the TLS record header.
-pub const HEADER_LEN: usize = 5;
+pub(crate) const HEADER_LEN: usize = 5;
 
 /// TLS record content type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

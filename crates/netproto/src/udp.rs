@@ -4,7 +4,7 @@ use crate::ParseError;
 use bytes::BufMut;
 
 /// Length of a UDP header.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// A UDP header. Length is derived from the payload at encode time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

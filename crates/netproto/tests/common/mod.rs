@@ -84,9 +84,10 @@ pub fn corpus() -> Vec<Packet> {
             mac(9),
             mac(0xfe),
             PacketBody::Ipv4 {
-                header: Ipv4Header::new(v4(9), v4(1), IpProtocol::Udp)
-                    .with_option(Ipv4Option::RouterAlert(0))
-                    .with_option(Ipv4Option::Nop),
+                header: Ipv4Header {
+                    options: vec![Ipv4Option::RouterAlert(0), Ipv4Option::Nop],
+                    ..Ipv4Header::new(v4(9), v4(1), IpProtocol::Udp)
+                },
                 transport: Transport::Udp {
                     header: sentinel_netproto::udp::UdpHeader::new(5353, 5353),
                     payload: AppPayload::Dns(DnsMessage::query(7, [Question::a("cast.local")])),
@@ -123,8 +124,10 @@ pub fn corpus() -> Vec<Packet> {
             mac(15),
             mac(0xfe),
             PacketBody::Ipv6 {
-                header: Ipv6Header::new(v6(15), v6(1), IpProtocol::Tcp)
-                    .with_atomic_fragment(0x6001_cafe),
+                header: Ipv6Header {
+                    atomic_fragment: Some(0x6001_cafe),
+                    ..Ipv6Header::new(v6(15), v6(1), IpProtocol::Tcp)
+                },
                 transport: Transport::Tcp {
                     header: TcpHeader::new(49_500, 443, TcpFlags::PSH | TcpFlags::ACK),
                     payload: AppPayload::Tls(TlsRecord::client_hello(48)),
@@ -137,10 +140,12 @@ pub fn corpus() -> Vec<Packet> {
             mac(16),
             mac(0xfe),
             PacketBody::Ipv6 {
-                header: Ipv6Header::new(v6(16), v6(1), IpProtocol::Udp)
-                    .with_hop_by_hop(HopByHopOption::RouterAlert(0))
-                    .with_hop_by_hop(HopByHopOption::PadN(0))
-                    .with_atomic_fragment(7),
+                header: Ipv6Header {
+                    atomic_fragment: Some(7),
+                    ..Ipv6Header::new(v6(16), v6(1), IpProtocol::Udp)
+                        .with_hop_by_hop(HopByHopOption::RouterAlert(0))
+                        .with_hop_by_hop(HopByHopOption::PadN(0))
+                },
                 transport: Transport::Udp {
                     header: sentinel_netproto::udp::UdpHeader::new(5353, 5353),
                     payload: AppPayload::Dns(DnsMessage::query(9, [Question::a("frag.local")])),

@@ -122,7 +122,7 @@ impl RuleCache {
     /// generation it decided under and discards its cache when this
     /// differs, so a changed or departed rule reaches flows that were
     /// already installed.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 

@@ -26,12 +26,7 @@ pub enum Destination {
 
 impl Destination {
     /// Classifies a packet's destination given the local IPv4 subnet
-    /// (`prefix` address + mask length).
-    pub fn of_packet(packet: &Packet, subnet: Ipv4Addr, mask_bits: u8) -> Destination {
-        Destination::within(packet, subnet, subnet_mask(mask_bits))
-    }
-
-    /// [`Destination::of_packet`] with the netmask already computed.
+    /// (`subnet` and its netmask).
     pub(crate) fn within(packet: &Packet, subnet: Ipv4Addr, mask: u32) -> Destination {
         if packet.dst_mac().is_broadcast() || packet.dst_mac().is_multicast() {
             return Destination::LocalBroadcast;
@@ -206,6 +201,15 @@ impl EnforcementModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Destination {
+        /// Classifies a packet's destination given the local IPv4 subnet
+        /// (`prefix` address + mask length).
+        fn of_packet(packet: &Packet, subnet: Ipv4Addr, mask_bits: u8) -> Destination {
+            Destination::within(packet, subnet, subnet_mask(mask_bits))
+        }
+    }
 
     fn mac(last: u8) -> MacAddr {
         MacAddr::new([0, 0, 0, 0, 1, last])
@@ -400,5 +404,30 @@ mod tests {
         assert!(m
             .decide(mac(2), Destination::Internet("1.1.1.1".parse().unwrap()))
             .is_allow());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Broadcast/multicast destinations are classified as local and
+        /// allowed (they cannot cross overlays by construction).
+        #[test]
+        fn broadcast_is_local(level in prop_oneof![
+            Just(IsolationLevel::Strict),
+            Just(IsolationLevel::Restricted),
+            Just(IsolationLevel::Trusted),
+        ]) {
+            let mac = MacAddr::new([2, 0, 0, 0, 0, 6]);
+            let mut module = EnforcementModule::new();
+            module.install_rule(match level {
+                IsolationLevel::Strict => EnforcementRule::strict(mac),
+                IsolationLevel::Restricted => EnforcementRule::restricted(mac, []),
+                IsolationLevel::Trusted => EnforcementRule::trusted(mac),
+            });
+            let packet = Packet::dhcp_discover(mac, 1, 0);
+            let dst = Destination::of_packet(&packet, Ipv4Addr::new(192, 168, 0, 0), 24);
+            prop_assert_eq!(dst, Destination::LocalBroadcast);
+            prop_assert!(module.decide(mac, dst).is_allow());
+        }
     }
 }

@@ -168,11 +168,6 @@ impl FlowTable {
         self.entries.get(key).map(|e| e.action)
     }
 
-    /// The `(packets, bytes)` counters for `key`.
-    pub fn counters(&self, key: &FlowKey) -> Option<(u64, u64)> {
-        self.entries.get(key).map(|e| (e.packets, e.bytes))
-    }
-
     /// Number of installed flows.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -202,6 +197,13 @@ impl FlowTable {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    impl FlowTable {
+        /// The `(packets, bytes)` counters for `key`.
+        fn counters(&self, key: &FlowKey) -> Option<(u64, u64)> {
+            self.entries.get(key).map(|e| (e.packets, e.bytes))
+        }
+    }
 
     fn packet(last: u8, t: u64) -> Packet {
         Packet::dhcp_discover(MacAddr::new([0, 0, 0, 0, 0, last]), 1, t)

@@ -83,14 +83,6 @@ impl GatewayEmulator {
         }
     }
 
-    /// Creates an emulator with an explicit cost model.
-    pub fn with_model(model: CostModel, seed: u64) -> Self {
-        GatewayEmulator {
-            model,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
     /// The calibration in effect.
     pub fn model(&self) -> &CostModel {
         &self.model

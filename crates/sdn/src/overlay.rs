@@ -20,7 +20,7 @@ pub enum Overlay {
 
 impl Overlay {
     /// The overlay a device with the given isolation level is placed in.
-    pub fn for_level(level: IsolationLevel) -> Overlay {
+    pub(crate) fn for_level(level: IsolationLevel) -> Overlay {
         match level {
             IsolationLevel::Strict | IsolationLevel::Restricted => Overlay::Untrusted,
             IsolationLevel::Trusted => Overlay::Trusted,
@@ -29,7 +29,7 @@ impl Overlay {
 
     /// Whether two devices in overlays `self` and `other` may exchange
     /// traffic — only within the same overlay.
-    pub fn reachable(self, other: Overlay) -> bool {
+    pub(crate) fn reachable(self, other: Overlay) -> bool {
         self == other
     }
 }

@@ -108,14 +108,14 @@ impl EnforcementRule {
     /// be targeted at particular protocols or endpoints", "up to the
     /// level of individual flows"): when set, a restricted device may
     /// only contact its permitted endpoints on these destination ports.
-    pub fn permitted_remote_ports(&self) -> Option<&[u16]> {
+    pub(crate) fn permitted_remote_ports(&self) -> Option<&[u16]> {
         self.remote.as_ref()?.ports.as_deref()
     }
 
     /// Whether this rule permits a remote flow to the given destination
     /// port (always true when no port filter is set, or for levels where
     /// the endpoint decision alone governs).
-    pub fn permits_remote_port(&self, port: Option<u16>) -> bool {
+    pub(crate) fn permits_remote_port(&self, port: Option<u16>) -> bool {
         match (self.permitted_remote_ports(), port) {
             (None, _) => true,
             (Some(ports), Some(p)) => ports.contains(&p),
@@ -133,7 +133,7 @@ impl EnforcementRule {
     }
 
     /// Whether this rule permits contacting the remote address `ip`.
-    pub fn permits_remote(&self, ip: IpAddr) -> bool {
+    pub(crate) fn permits_remote(&self, ip: IpAddr) -> bool {
         match self.level {
             IsolationLevel::Strict => false,
             IsolationLevel::Restricted => self.permitted_endpoints().contains(&ip),
@@ -149,7 +149,7 @@ impl EnforcementRule {
     /// alike if they are field-for-field identical — endpoint octets can
     /// never masquerade as port bytes (or vice versa), and an empty port
     /// filter hashes differently from an absent one.
-    pub fn hash_value(&self) -> u64 {
+    pub(crate) fn hash_value(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |byte: u8| {
             hash ^= byte as u64;

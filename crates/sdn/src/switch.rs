@@ -28,33 +28,30 @@ pub struct SwitchDecision {
 
 /// The gateway's software switch.
 ///
-/// With filtering disabled the switch degenerates to a plain learning
-/// switch that forwards everything — the paper's "without filtering"
-/// baseline in Tables V–VI and Fig. 6.
+/// It always filters. The paper's "without filtering" baseline in
+/// Tables V–VI and Fig. 6 is priced by
+/// [`GatewayEmulator`](crate::netem::GatewayEmulator)'s `filtering`
+/// argument.
 #[derive(Debug)]
 pub struct OvsSwitch {
     table: FlowTable,
     /// The rule-cache generation every flow in `table` was decided under.
     rules_generation: u64,
-    filtering: bool,
     subnet: Ipv4Addr,
     /// The netmask of `subnet`, computed once from its length.
     mask: u32,
-    processed: u64,
     packet_ins: u64,
 }
 
 impl OvsSwitch {
-    /// Creates a switch for the given local subnet with filtering
-    /// enabled. A `mask_bits` past 32 reads as `/32`.
+    /// Creates a switch for the given local subnet. A `mask_bits` past 32
+    /// reads as `/32`.
     pub fn new(subnet: Ipv4Addr, mask_bits: u8) -> Self {
         OvsSwitch {
             table: FlowTable::new(),
             rules_generation: 0,
-            filtering: true,
             subnet,
             mask: subnet_mask(mask_bits),
-            processed: 0,
             packet_ins: 0,
         }
     }
@@ -62,17 +59,6 @@ impl OvsSwitch {
     /// A switch for the paper's lab subnet `192.168.0.0/24`.
     pub fn lab() -> Self {
         OvsSwitch::new(Ipv4Addr::new(192, 168, 0, 0), 24)
-    }
-
-    /// Enables or disables the filtering mechanism (the with/without
-    /// comparison axis of the evaluation).
-    pub fn set_filtering(&mut self, filtering: bool) {
-        self.filtering = filtering;
-    }
-
-    /// Whether filtering is enabled.
-    pub fn filtering(&self) -> bool {
-        self.filtering
     }
 
     /// Processes one packet: flow-table hit applies the cached action;
@@ -92,13 +78,6 @@ impl OvsSwitch {
         packet: &Packet,
         controller: &mut EnforcementModule,
     ) -> SwitchDecision {
-        self.processed += 1;
-        if !self.filtering {
-            return SwitchDecision {
-                action: FlowAction::Forward,
-                packet_in: false,
-            };
-        }
         let generation = controller.cache().generation();
         if generation != self.rules_generation {
             self.table.clear();
@@ -123,11 +102,6 @@ impl OvsSwitch {
     /// Mutable flow-table access.
     pub fn table_mut(&mut self) -> &mut FlowTable {
         &mut self.table
-    }
-
-    /// Total packets processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Total packet-in events raised.
@@ -173,7 +147,6 @@ mod tests {
         assert!(!d2.packet_in, "second packet must hit the flow cache");
         assert_eq!(d2.action, FlowAction::Forward);
         assert_eq!(switch.packet_ins(), 1);
-        assert_eq!(switch.processed(), 2);
     }
 
     #[test]
@@ -211,17 +184,6 @@ mod tests {
             FlowAction::Drop
         );
         assert_eq!(switch.table().len(), 1);
-    }
-
-    #[test]
-    fn without_filtering_everything_forwards() {
-        let mut switch = OvsSwitch::lab();
-        switch.set_filtering(false);
-        let mut controller = EnforcementModule::new();
-        let decision = switch.process(&remote_packet(mac(3), 0), &mut controller);
-        assert_eq!(decision.action, FlowAction::Forward);
-        assert!(!decision.packet_in);
-        assert_eq!(switch.table().len(), 0, "no flows installed");
     }
 
     #[test]

@@ -6,8 +6,6 @@ use std::net::Ipv4Addr;
 
 use sentinel_netproto::MacAddr;
 
-use crate::controller::{in_subnet, subnet_mask};
-
 /// The role of a host in the lab network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostKind {
@@ -88,11 +86,6 @@ impl Topology {
         }
     }
 
-    /// All hosts.
-    pub fn hosts(&self) -> &[Host] {
-        &self.hosts
-    }
-
     /// Looks up a host by name.
     pub fn host(&self, name: &str) -> Option<&Host> {
         self.hosts.iter().find(|h| h.name == name)
@@ -124,16 +117,26 @@ impl Topology {
             HostKind::Gateway => PathKind::DeviceToLocal,
         }
     }
-
-    /// Whether an address is inside the local subnet.
-    pub fn is_local(&self, ip: Ipv4Addr) -> bool {
-        in_subnet(ip, self.subnet, subnet_mask(self.mask_bits))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{in_subnet, subnet_mask};
+
+    impl Topology {
+        /// Whether an address is inside the local subnet.
+        fn is_local(&self, ip: Ipv4Addr) -> bool {
+            in_subnet(ip, self.subnet, subnet_mask(self.mask_bits))
+        }
+    }
+
+    impl Topology {
+        /// All hosts.
+        fn hosts(&self) -> &[Host] {
+            &self.hosts
+        }
+    }
 
     #[test]
     fn lab_matches_fig4() {

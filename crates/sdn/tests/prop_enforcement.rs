@@ -7,7 +7,6 @@ use std::hash::{Hash, Hasher};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use sentinel_netproto::{AppPayload, MacAddr, Packet, Timestamp};
-use sentinel_sdn::overlay::Overlay;
 use sentinel_sdn::{
     Destination, EnforcementModule, EnforcementRule, FlowAction, FlowKey, IsolationLevel,
     OvsSwitch, RuleCache, Verdict,
@@ -177,9 +176,10 @@ proptest! {
         if let Some(level) = dst_level {
             module.install_rule(rule_for(dst, level, &[]));
         }
-        let effective = |level: Option<IsolationLevel>| level.unwrap_or(IsolationLevel::Strict);
-        let expected = Overlay::for_level(effective(src_level))
-            .reachable(Overlay::for_level(effective(dst_level)));
+        // Fig. 3: trusted devices share one overlay, strict and restricted
+        // ones (and the unknown, strict by default) the other.
+        let trusted = |level: Option<IsolationLevel>| level == Some(IsolationLevel::Trusted);
+        let expected = trusted(src_level) == trusted(dst_level);
         let verdict = module.decide(src, Destination::Device(dst));
         prop_assert_eq!(verdict.is_allow(), expected);
     }
@@ -308,18 +308,5 @@ proptest! {
         let evicted = cache.evict_to(4);
         prop_assert!(cache.len() <= 4);
         prop_assert_eq!(evicted.len() + cache.len(), reference.len());
-    }
-
-    /// Broadcast/multicast destinations are classified as local and
-    /// allowed (they cannot cross overlays by construction).
-    #[test]
-    fn broadcast_is_local(level in level_strategy()) {
-        let mac = MacAddr::new([2, 0, 0, 0, 0, 6]);
-        let mut module = EnforcementModule::new();
-        module.install_rule(rule_for(mac, level, &[]));
-        let packet = Packet::dhcp_discover(mac, 1, 0);
-        let dst = Destination::of_packet(&packet, Ipv4Addr::new(192, 168, 0, 0), 24);
-        prop_assert_eq!(dst, Destination::LocalBroadcast);
-        prop_assert!(module.decide(mac, dst).is_allow());
     }
 }

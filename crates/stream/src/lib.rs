@@ -29,10 +29,10 @@
 //!   frames are never retained; a session holds the columns of `F` its
 //!   setup has sent so far (16 B each, a small reservation that grows),
 //!   bounded by the detector's packet cap (plus an optional byte cap).
-//! * [`SessionTable`] — a capacity-bounded session slab behind a one-probe
-//!   MAC index, with deterministic LRU shedding as the explicit overflow
-//!   policy: the victim is the head of an intrusive recency list, and its
-//!   slot is re-opened in place.
+//! * The session table (private) — a capacity-bounded session slab
+//!   behind a one-probe MAC index, with deterministic LRU shedding as the
+//!   explicit overflow policy: the victim is the head of an intrusive
+//!   recency list, and its slot is re-opened in place.
 //! * [`StreamStats`] — the counters an operator needs: throughput,
 //!   session lifecycle, shedding, peak concurrency, outcome mix.
 //!
@@ -81,6 +81,5 @@ mod table;
 pub use runtime::{apply_onboarding, Completion, StreamConfig, StreamRuntime};
 pub use session::{CompletionReason, Session, SessionEvent};
 pub use stats::StreamStats;
-pub use table::{Probe, SessionTable};
 
 pub use sentinel_netproto::stream::{FrameSource, MemoryFrameSource};

@@ -68,7 +68,7 @@ impl Session {
     /// `seq`, keeping the extractor's allocations at whatever size they
     /// have grown to: a full table re-opens its LRU victim's slot in
     /// place, so shedding never touches the allocator.
-    pub fn reopen(&mut self, seq: u64, now: Timestamp) {
+    pub(crate) fn reopen(&mut self, seq: u64, now: Timestamp) {
         let mut extractor = std::mem::take(&mut self.extractor);
         extractor.clear();
         *self = Session::over(extractor, seq, now);

@@ -23,7 +23,7 @@ const NIL: u32 = u32::MAX;
 
 /// What [`SessionTable::probe`] found for a MAC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
+pub(crate) enum Probe {
     /// No session and not onboarded: never seen, or shed since.
     Absent,
     /// Mid-setup, in this slot (until the next `open`, `complete` or
@@ -51,7 +51,7 @@ struct Links {
 /// explicit overflow policy of the streaming runtime — the shed device
 /// simply re-enters monitoring if it keeps talking.
 #[derive(Debug)]
-pub struct SessionTable {
+pub(crate) struct SessionTable {
     capacity: usize,
     index: HashMap<MacAddr, u32>,
     slab: Vec<(MacAddr, Session)>,
@@ -65,7 +65,7 @@ pub struct SessionTable {
 
 impl SessionTable {
     /// Creates a table holding at most `capacity` concurrent sessions.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         SessionTable {
             capacity: capacity.clamp(1, ONBOARDED as usize),
             index: HashMap::new(),
@@ -76,28 +76,13 @@ impl SessionTable {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Resident session count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slab.len()
     }
 
-    /// Whether no sessions are resident.
-    pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
-    }
-
-    /// The resident sessions, in slot order (which carries no meaning).
-    pub fn sessions(&self) -> &[(MacAddr, Session)] {
-        &self.slab
-    }
-
     /// The one hash probe a frame costs.
-    pub fn probe(&self, mac: MacAddr) -> Probe {
+    pub(crate) fn probe(&self, mac: MacAddr) -> Probe {
         match self.index.get(&mac) {
             None => Probe::Absent,
             Some(&ONBOARDED) => Probe::Onboarded,
@@ -111,7 +96,12 @@ impl SessionTable {
     /// to make room: the head of the recency list, whose slot is
     /// re-opened in place ([`Session::reopen`]), so a full table admits
     /// without allocating and the newcomer can never be its own victim.
-    pub fn open(&mut self, mac: MacAddr, seq: u64, now: Timestamp) -> (usize, Option<MacAddr>) {
+    pub(crate) fn open(
+        &mut self,
+        mac: MacAddr,
+        seq: u64,
+        now: Timestamp,
+    ) -> (usize, Option<MacAddr>) {
         debug_assert!(self.is_newest(seq, NIL), "open() at stale seq {seq}");
         let (slot, shed) = if self.slab.len() < self.capacity {
             self.slab.push((mac, Session::open(seq, now)));
@@ -138,7 +128,7 @@ impl SessionTable {
     /// ([`Session::offer`]); a session that absorbs it becomes the most
     /// recently active. A [`SessionEvent::GapComplete`] leaves the
     /// session untouched, for the caller to [`complete`](Self::complete).
-    pub fn offer(
+    pub(crate) fn offer(
         &mut self,
         slot: usize,
         raw: &RawFeatures,
@@ -175,7 +165,7 @@ impl SessionTable {
 
     /// Takes the session out of `slot` because its setup phase completed
     /// and marks its MAC onboarded; the last session moves into the slot.
-    pub fn complete(&mut self, slot: usize) -> Session {
+    pub(crate) fn complete(&mut self, slot: usize) -> Session {
         let (mac, session) = self.take(slot);
         self.index.insert(mac, ONBOARDED);
         session
@@ -184,7 +174,7 @@ impl SessionTable {
     /// Forgets `mac` entirely — its resident session or its onboarded
     /// mark — so its next frame finds it [`Probe::Absent`]. Returns
     /// whether a resident session was dropped.
-    pub fn forget(&mut self, mac: MacAddr) -> bool {
+    pub(crate) fn forget(&mut self, mac: MacAddr) -> bool {
         match self.index.remove(&mac) {
             None | Some(ONBOARDED) => false,
             Some(slot) => {
@@ -244,7 +234,7 @@ impl SessionTable {
 
     /// Forgets every session and onboarded MAC, keeping the allocations
     /// warm — the pooled-runtime reset path ([`crate::StreamRuntime::reset`]).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.index.clear();
         self.slab.clear();
         self.links.clear();
@@ -255,7 +245,7 @@ impl SessionTable {
     /// Completes every resident session at once (end of stream): drains
     /// them down the recency list, least recently active first, all
     /// onboarded.
-    pub fn drain_ordered(&mut self) -> Vec<(MacAddr, Session)> {
+    pub(crate) fn drain_ordered(&mut self) -> Vec<(MacAddr, Session)> {
         let mut drained = Vec::with_capacity(self.slab.len());
         while self.head != NIL {
             let slot = self.head as usize;
@@ -269,7 +259,30 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sentinel_netproto::Packet;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::net::Ipv4Addr;
+    use std::time::Duration;
+
+    impl SessionTable {
+        /// The configured capacity.
+        fn capacity(&self) -> usize {
+            self.capacity
+        }
+
+        /// Whether no sessions are resident.
+        fn is_empty(&self) -> bool {
+            self.slab.is_empty()
+        }
+    }
+
+    impl SessionTable {
+        /// The resident sessions, in slot order (which carries no meaning).
+        fn sessions(&self) -> &[(MacAddr, Session)] {
+            &self.slab
+        }
+    }
 
     fn mac(n: u8) -> MacAddr {
         MacAddr::new([0, 0, 0, 0, 0, n])
@@ -382,5 +395,167 @@ mod tests {
         assert_eq!(table.capacity(), 1);
         assert_eq!(open(&mut table, 1, 1), (0, None));
         assert_eq!(open(&mut table, 2, 2), (0, Some(mac(1))));
+    }
+
+    /// A detector that never closes a session, so every frame is absorbed.
+    fn open_detector() -> SetupDetector {
+        SetupDetector::new(usize::MAX, Duration::from_secs(1 << 40), usize::MAX)
+    }
+
+    /// One thing that can happen to a session table; `u8`s index the MAC
+    /// pool.
+    #[derive(Debug, Clone)]
+    enum TableOp {
+        /// A frame from this MAC: skipped if onboarded, absorbed if
+        /// resident, otherwise a session is opened (shedding if full) first.
+        Frame(u8),
+        /// This MAC's setup phase completes, if it is resident.
+        Complete(u8),
+        /// This MAC is forgotten (the device left): its session or its
+        /// onboarded mark goes.
+        Forget(u8),
+        /// End of stream: every resident session completes.
+        Flush,
+    }
+
+    fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+        // Six frames to two completions to one forget to one flush.
+        let op = (0u8..10, 0u8..12).prop_map(|(kind, n)| match kind {
+            0..=5 => TableOp::Frame(n),
+            6..=7 => TableOp::Complete(n),
+            8 => TableOp::Forget(n),
+            _ => TableOp::Flush,
+        });
+        proptest::collection::vec(op, 0..96)
+    }
+
+    /// The reference model of [`SessionTable`]: resident MACs with their
+    /// `(opened_seq, last_seq)`, and the onboarded set, in ordered
+    /// collections that make every rule a one-liner.
+    #[derive(Default)]
+    struct ModelTable {
+        resident: BTreeMap<MacAddr, (u64, u64)>,
+        onboarded: BTreeSet<MacAddr>,
+    }
+
+    impl ModelTable {
+        /// The LRU rule, spelled out: oldest `last_seq` (unique, as every
+        /// frame has its own sequence number).
+        fn victim(&self) -> MacAddr {
+            let (mac, _) = self
+                .resident
+                .iter()
+                .min_by_key(|(_, (_, last_seq))| *last_seq)
+                .expect("full table");
+            *mac
+        }
+    }
+
+    /// Index and slab must describe the same sessions, and both must agree
+    /// with the model, for every MAC that could have been seen.
+    fn check_table(table: &SessionTable, model: &ModelTable, pool: &[MacAddr]) {
+        assert!(table.len() <= table.capacity());
+        assert_eq!(table.len(), model.resident.len());
+        assert_eq!(table.is_empty(), model.resident.is_empty());
+        // Slab → index: every session is indexed at the slot it sits in.
+        for (slot, (mac, session)) in table.sessions().iter().enumerate() {
+            assert_eq!(table.probe(*mac), Probe::Resident(slot));
+            let seqs = (session.opened_seq(), session.last_seq());
+            assert_eq!(model.resident.get(mac), Some(&seqs), "{mac}");
+        }
+        // Index → slab: a slot the index names holds that MAC's session
+        // (with the loop above: a bijection), and no MAC is both onboarded
+        // and resident.
+        for &mac in pool {
+            let modelled = (
+                model.resident.contains_key(&mac),
+                model.onboarded.contains(&mac),
+            );
+            let found = match table.probe(mac) {
+                Probe::Absent => (false, false),
+                Probe::Resident(slot) => {
+                    assert_eq!(table.sessions()[slot].0, mac);
+                    (true, false)
+                }
+                Probe::Onboarded => (false, true),
+            };
+            assert_eq!(found, modelled, "{mac}: (resident, onboarded)");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The slab sheds the same victim, keeps the same resident set and
+        /// flushes in the same (recency) order as the ordered-map model, and
+        /// its index and slab stay consistent after every step — whichever
+        /// slot a completion or a forget moves.
+        #[test]
+        fn slab_matches_the_ordered_map_model(capacity in 1usize..=8, ops in table_ops()) {
+            let pool: Vec<MacAddr> = (0..12).map(|n| MacAddr::new([2, 0, 0, 0, 0, n])).collect();
+            let frame = Packet::arp_probe(Timestamp::ZERO, pool[0], Ipv4Addr::new(10, 0, 0, 9));
+            let raw = RawFeatures::from_frame(&frame.encode()).expect("valid frame");
+            let detector = open_detector();
+            let mut table = SessionTable::new(capacity);
+            let mut model = ModelTable::default();
+            for (seq, op) in (1u64..).zip(&ops) {
+                match *op {
+                    TableOp::Frame(n) => {
+                        let mac = pool[n as usize];
+                        let slot = match table.probe(mac) {
+                            Probe::Onboarded => continue,
+                            Probe::Resident(slot) => slot,
+                            Probe::Absent => {
+                                let expected = (model.resident.len() == capacity)
+                                    .then(|| model.victim());
+                                let (slot, shed) = table.open(mac, seq, Timestamp::ZERO);
+                                prop_assert_eq!(shed, expected);
+                                if let Some(victim) = shed {
+                                    model.resident.remove(&victim);
+                                }
+                                model.resident.insert(mac, (seq, seq));
+                                slot
+                            }
+                        };
+                        let event = table.offer(
+                            slot, &raw, Timestamp::ZERO, seq, &detector, u64::MAX,
+                        );
+                        prop_assert_eq!(event, SessionEvent::Absorbed);
+                        model.resident.get_mut(&mac).expect("resident").1 = seq;
+                    }
+                    TableOp::Complete(n) => {
+                        let mac = pool[n as usize];
+                        if let Probe::Resident(slot) = table.probe(mac) {
+                            let session = table.complete(slot);
+                            let (opened, last) = model.resident.remove(&mac).expect("resident");
+                            prop_assert_eq!((session.opened_seq(), session.last_seq()), (opened, last));
+                            model.onboarded.insert(mac);
+                        }
+                    }
+                    TableOp::Forget(n) => {
+                        let mac = pool[n as usize];
+                        let dropped = table.forget(mac);
+                        prop_assert_eq!(dropped, model.resident.remove(&mac).is_some());
+                        model.onboarded.remove(&mac);
+                    }
+                    TableOp::Flush => {
+                        let drained: Vec<(u64, MacAddr)> = table
+                            .drain_ordered()
+                            .iter()
+                            .map(|(mac, session)| (session.last_seq(), *mac))
+                            .collect();
+                        let mut expected: Vec<(u64, MacAddr)> = model
+                            .resident
+                            .iter()
+                            .map(|(mac, (_, last))| (*last, *mac))
+                            .collect();
+                        expected.sort_unstable();
+                        prop_assert_eq!(drained, expected);
+                        model.onboarded.extend(std::mem::take(&mut model.resident).into_keys());
+                    }
+                }
+                check_table(&table, &model, &pool);
+            }
+        }
     }
 }

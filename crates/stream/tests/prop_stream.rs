@@ -1,10 +1,8 @@
 //! Property tests: the streaming session path (wire-scanned frames) must
 //! be indistinguishable from batch extraction of the decoded packets, for
-//! arbitrary packet sequences; and the session slab must make the same
-//! decisions as a naive ordered-map model, for arbitrary sequences of
-//! frames, completions, forgets and flushes.
+//! arbitrary packet sequences. (The session table's own property, against
+//! an ordered-map model, is a unit test in `src/table.rs`.)
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -13,7 +11,7 @@ use proptest::prelude::*;
 use sentinel_fingerprint::extract;
 use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_netproto::{AppPayload, MacAddr, Packet, RawFeatures, Timestamp};
-use sentinel_stream::{Probe, Session, SessionEvent, SessionTable};
+use sentinel_stream::{Session, SessionEvent};
 
 /// One step of an arbitrary device conversation.
 #[derive(Debug, Clone)]
@@ -97,161 +95,8 @@ fn offer(
     session.offer(&raw, packet.timestamp, seq as u64, detector, u64::MAX)
 }
 
-/// One thing that can happen to a session table; `u8`s index the MAC
-/// pool.
-#[derive(Debug, Clone)]
-enum TableOp {
-    /// A frame from this MAC: skipped if onboarded, absorbed if
-    /// resident, otherwise a session is opened (shedding if full) first.
-    Frame(u8),
-    /// This MAC's setup phase completes, if it is resident.
-    Complete(u8),
-    /// This MAC is forgotten (the device left): its session or its
-    /// onboarded mark goes.
-    Forget(u8),
-    /// End of stream: every resident session completes.
-    Flush,
-}
-
-fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
-    // Six frames to two completions to one forget to one flush.
-    let op = (0u8..10, 0u8..12).prop_map(|(kind, n)| match kind {
-        0..=5 => TableOp::Frame(n),
-        6..=7 => TableOp::Complete(n),
-        8 => TableOp::Forget(n),
-        _ => TableOp::Flush,
-    });
-    proptest::collection::vec(op, 0..96)
-}
-
-/// The reference model of [`SessionTable`]: resident MACs with their
-/// `(opened_seq, last_seq)`, and the onboarded set, in ordered
-/// collections that make every rule a one-liner.
-#[derive(Default)]
-struct ModelTable {
-    resident: BTreeMap<MacAddr, (u64, u64)>,
-    onboarded: BTreeSet<MacAddr>,
-}
-
-impl ModelTable {
-    /// The LRU rule, spelled out: oldest `last_seq` (unique, as every
-    /// frame has its own sequence number).
-    fn victim(&self) -> MacAddr {
-        let (mac, _) = self
-            .resident
-            .iter()
-            .min_by_key(|(_, (_, last_seq))| *last_seq)
-            .expect("full table");
-        *mac
-    }
-}
-
-/// Index and slab must describe the same sessions, and both must agree
-/// with the model, for every MAC that could have been seen.
-fn check_table(table: &SessionTable, model: &ModelTable, pool: &[MacAddr]) {
-    assert!(table.len() <= table.capacity());
-    assert_eq!(table.len(), model.resident.len());
-    assert_eq!(table.is_empty(), model.resident.is_empty());
-    // Slab → index: every session is indexed at the slot it sits in.
-    for (slot, (mac, session)) in table.sessions().iter().enumerate() {
-        assert_eq!(table.probe(*mac), Probe::Resident(slot));
-        let seqs = (session.opened_seq(), session.last_seq());
-        assert_eq!(model.resident.get(mac), Some(&seqs), "{mac}");
-    }
-    // Index → slab: a slot the index names holds that MAC's session
-    // (with the loop above: a bijection), and no MAC is both onboarded
-    // and resident.
-    for &mac in pool {
-        let modelled = (
-            model.resident.contains_key(&mac),
-            model.onboarded.contains(&mac),
-        );
-        let found = match table.probe(mac) {
-            Probe::Absent => (false, false),
-            Probe::Resident(slot) => {
-                assert_eq!(table.sessions()[slot].0, mac);
-                (true, false)
-            }
-            Probe::Onboarded => (false, true),
-        };
-        assert_eq!(found, modelled, "{mac}: (resident, onboarded)");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The slab sheds the same victim, keeps the same resident set and
-    /// flushes in the same (recency) order as the ordered-map model, and
-    /// its index and slab stay consistent after every step — whichever
-    /// slot a completion or a forget moves.
-    #[test]
-    fn slab_matches_the_ordered_map_model(capacity in 1usize..=8, ops in table_ops()) {
-        let pool: Vec<MacAddr> = (0..12).map(|n| MacAddr::new([2, 0, 0, 0, 0, n])).collect();
-        let frame = Packet::arp_probe(Timestamp::ZERO, pool[0], Ipv4Addr::new(10, 0, 0, 9));
-        let raw = RawFeatures::from_frame(&frame.encode()).expect("valid frame");
-        let detector = open_detector();
-        let mut table = SessionTable::new(capacity);
-        let mut model = ModelTable::default();
-        for (seq, op) in (1u64..).zip(&ops) {
-            match *op {
-                TableOp::Frame(n) => {
-                    let mac = pool[n as usize];
-                    let slot = match table.probe(mac) {
-                        Probe::Onboarded => continue,
-                        Probe::Resident(slot) => slot,
-                        Probe::Absent => {
-                            let expected = (model.resident.len() == capacity)
-                                .then(|| model.victim());
-                            let (slot, shed) = table.open(mac, seq, Timestamp::ZERO);
-                            prop_assert_eq!(shed, expected);
-                            if let Some(victim) = shed {
-                                model.resident.remove(&victim);
-                            }
-                            model.resident.insert(mac, (seq, seq));
-                            slot
-                        }
-                    };
-                    let event = table.offer(
-                        slot, &raw, Timestamp::ZERO, seq, &detector, u64::MAX,
-                    );
-                    prop_assert_eq!(event, SessionEvent::Absorbed);
-                    model.resident.get_mut(&mac).expect("resident").1 = seq;
-                }
-                TableOp::Complete(n) => {
-                    let mac = pool[n as usize];
-                    if let Probe::Resident(slot) = table.probe(mac) {
-                        let session = table.complete(slot);
-                        let (opened, last) = model.resident.remove(&mac).expect("resident");
-                        prop_assert_eq!((session.opened_seq(), session.last_seq()), (opened, last));
-                        model.onboarded.insert(mac);
-                    }
-                }
-                TableOp::Forget(n) => {
-                    let mac = pool[n as usize];
-                    let dropped = table.forget(mac);
-                    prop_assert_eq!(dropped, model.resident.remove(&mac).is_some());
-                    model.onboarded.remove(&mac);
-                }
-                TableOp::Flush => {
-                    let drained: Vec<(u64, MacAddr)> = table
-                        .drain_ordered()
-                        .iter()
-                        .map(|(mac, session)| (session.last_seq(), *mac))
-                        .collect();
-                    let mut expected: Vec<(u64, MacAddr)> = model
-                        .resident
-                        .iter()
-                        .map(|(mac, (_, last))| (*last, *mac))
-                        .collect();
-                    expected.sort_unstable();
-                    prop_assert_eq!(drained, expected);
-                    model.onboarded.extend(std::mem::take(&mut model.resident).into_keys());
-                }
-            }
-            check_table(&table, &model, &pool);
-        }
-    }
 
     /// Streaming a sequence packet-by-packet through a `Session` yields
     /// exactly the fingerprint of batch `extract()` — same columns, same
