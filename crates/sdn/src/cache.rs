@@ -2,13 +2,12 @@
 //!
 //! "Enforcement rules are stored in a hash table structure to minimize
 //! the lookup time as the enforcement rule cache grows." The cache also
-//! tracks lookup statistics and its approximate memory footprint, which
-//! the Fig. 6c experiment sweeps against the rule count, and supports
-//! removing rules for departed devices, the paper's strategy for
-//! bounding memory use.
+//! counts lookups and hits and estimates its memory footprint, which
+//! the Fig. 6c experiment sweeps against the rule count, and removes the
+//! rules of departed devices, the paper's strategy for bounding memory
+//! use.
 
 use std::borrow::Borrow;
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
@@ -17,16 +16,13 @@ use sentinel_netproto::MacAddr;
 use crate::EnforcementRule;
 
 /// Fixed per-entry bookkeeping overhead used in the memory estimate
-/// (hash bucket, recency stamp, table slack). It defines the Fig. 6c
-/// counter, so it stays fixed while the entry layout shrinks.
+/// (hash bucket, table slack). It defines the Fig. 6c counter, so it
+/// stays fixed while the entry layout shrinks.
 const ENTRY_OVERHEAD_BYTES: usize = 64;
 
-/// One cached rule: stored once, keyed by its own MAC. The set hands out
-/// only shared references, so the recency stamp a lookup writes is a
-/// `Cell`.
+/// One cached rule: stored once, keyed by its own MAC.
 struct Entry {
     rule: EnforcementRule,
-    last_used: Cell<u64>,
 }
 
 impl Borrow<MacAddr> for Entry {
@@ -56,7 +52,6 @@ pub struct RuleCache {
     entries: HashSet<Entry>,
     lookups: u64,
     hits: u64,
-    clock: u64,
     generation: u64,
 }
 
@@ -79,28 +74,16 @@ impl RuleCache {
     /// Inserts or replaces the rule for the rule's device, returning the
     /// previous rule if one existed.
     pub fn insert(&mut self, rule: EnforcementRule) -> Option<EnforcementRule> {
-        self.clock += 1;
         self.generation += 1;
-        self.entries
-            .replace(Entry {
-                rule,
-                last_used: Cell::new(self.clock),
-            })
-            .map(|e| e.rule)
+        self.entries.replace(Entry { rule }).map(|e| e.rule)
     }
 
-    /// Looks up the rule for `mac`, updating hit statistics and recency.
+    /// Looks up the rule for `mac`, updating hit statistics.
     pub fn lookup(&mut self, mac: MacAddr) -> Option<&EnforcementRule> {
         self.lookups += 1;
-        self.clock += 1;
-        match self.entries.get(&mac) {
-            Some(entry) => {
-                self.hits += 1;
-                entry.last_used.set(self.clock);
-                Some(&entry.rule)
-            }
-            None => None,
-        }
+        let rule = self.entries.get(&mac).map(|e| &e.rule);
+        self.hits += u64::from(rule.is_some());
+        rule
     }
 
     /// Reads the rule for `mac` without touching statistics.
@@ -116,12 +99,11 @@ impl RuleCache {
     }
 
     /// A counter that moves whenever the rule set changes
-    /// ([`insert`](Self::insert), [`remove`](Self::remove),
-    /// [`evict_to`](Self::evict_to)). Whoever caches a decision derived
-    /// from these rules — the switch's flow table — remembers the
-    /// generation it decided under and discards its cache when this
-    /// differs, so a changed or departed rule reaches flows that were
-    /// already installed.
+    /// ([`insert`](Self::insert), [`remove`](Self::remove)). Whoever
+    /// caches a decision derived from these rules — the switch's flow
+    /// table — remembers the generation it decided under and discards its
+    /// cache when this differs, so a changed or departed rule reaches
+    /// flows that were already installed.
     pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
@@ -148,16 +130,6 @@ impl RuleCache {
         self.hits
     }
 
-    /// Lookup hit ratio in `[0, 1]`. A cache that has never been looked
-    /// up has no hits to report, so the ratio is 0.0 — not 1.0, which
-    /// would inflate aggregation over mostly-idle caches.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / self.lookups as f64
-    }
-
     /// Approximate memory footprint of the cache in bytes (the Fig. 6c
     /// quantity): the rules and their per-entry bookkeeping, not the
     /// cache-wide counters.
@@ -166,32 +138,6 @@ impl RuleCache {
             .iter()
             .map(|e| e.rule.memory_bytes() + ENTRY_OVERHEAD_BYTES)
             .sum()
-    }
-
-    /// Evicts least-recently-used rules until at most `max_rules` remain,
-    /// returning the evicted rules ("removing unused enforcement rules …
-    /// from the cache", Sect. VI-C).
-    pub fn evict_to(&mut self, max_rules: usize) -> Vec<EnforcementRule> {
-        if self.entries.len() <= max_rules {
-            return Vec::new();
-        }
-        let mut order: Vec<(u64, MacAddr)> = self
-            .entries
-            .iter()
-            .map(|e| (e.last_used.get(), e.rule.mac))
-            .collect();
-        order.sort_unstable();
-        let excess = self.entries.len() - max_rules;
-        order
-            .into_iter()
-            .take(excess)
-            .filter_map(|(_, mac)| self.remove(mac))
-            .collect()
-    }
-
-    /// Iterates over the cached rules in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = &EnforcementRule> {
-        self.entries.iter().map(|e| &e.rule)
     }
 }
 
@@ -211,23 +157,9 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup(mac(1)).is_some());
         assert!(cache.lookup(mac(2)).is_none());
-        assert_eq!(cache.hit_ratio(), 0.5);
         assert_eq!((cache.hits(), cache.lookups()), (1, 2));
         assert!(cache.remove(mac(1)).is_some());
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn idle_cache_reports_zero_hit_ratio() {
-        // Regression: a never-looked-up cache used to report 1.0, which
-        // ratio-averaging over a mostly-idle fleet would inflate.
-        let cache = RuleCache::new();
-        assert_eq!(cache.hit_ratio(), 0.0);
-        let mut warm = RuleCache::new();
-        warm.insert(EnforcementRule::strict(mac(1)));
-        assert_eq!(warm.hit_ratio(), 0.0, "inserts alone are not lookups");
-        warm.lookup(mac(1));
-        assert_eq!(warm.hit_ratio(), 1.0);
     }
 
     #[test]
@@ -262,24 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_order() {
-        let mut cache = RuleCache::new();
-        for i in 0..4u8 {
-            cache.insert(EnforcementRule::strict(mac(i)));
-        }
-        // Touch 0 and 1 so 2 becomes the coldest.
-        cache.lookup(mac(0));
-        cache.lookup(mac(1));
-        let evicted = cache.evict_to(2);
-        let evicted_macs: Vec<MacAddr> = evicted.iter().map(|r| r.mac).collect();
-        assert_eq!(evicted.len(), 2);
-        assert!(evicted_macs.contains(&mac(2)));
-        assert!(evicted_macs.contains(&mac(3)));
-        assert!(cache.get(mac(0)).is_some());
-        assert!(cache.get(mac(1)).is_some());
-    }
-
-    #[test]
     fn generation_moves_exactly_when_the_rule_set_does() {
         let mut cache = RuleCache::new();
         let mut last = cache.generation();
@@ -295,24 +209,16 @@ mod tests {
         cache.lookup(mac(1));
         cache.get(mac(2));
         cache.remove(mac(9));
-        cache.evict_to(2);
-        assert!(!moved(&cache), "reads, absent removals, no-op evictions");
-        cache.evict_to(1);
-        assert!(moved(&cache), "eviction");
+        assert!(!moved(&cache), "reads and absent removals");
         cache.remove(mac(1));
         assert!(moved(&cache), "remove");
     }
 
     #[test]
     fn size_is_pinned() {
-        assert_eq!(std::mem::size_of::<Entry>(), 24);
-    }
-
-    #[test]
-    fn evict_noop_when_under_limit() {
-        let mut cache = RuleCache::new();
-        cache.insert(EnforcementRule::strict(mac(1)));
-        assert!(cache.evict_to(10).is_empty());
-        assert_eq!(cache.len(), 1);
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        // No interior mutability is left, so a cache can be shared.
+        fn is_sync<T: Sync>() {}
+        is_sync::<RuleCache>();
     }
 }

@@ -115,11 +115,6 @@ impl EnforcementModule {
         &self.cache
     }
 
-    /// Mutable access to the rule cache (eviction policies, stats).
-    pub fn cache_mut(&mut self) -> &mut RuleCache {
-        &mut self.cache
-    }
-
     /// The isolation level currently effective for `mac`.
     pub fn level_of(&self, mac: MacAddr) -> IsolationLevel {
         self.cache.get(mac).map_or(DEFAULT_LEVEL, |r| r.level)

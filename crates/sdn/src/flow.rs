@@ -103,15 +103,15 @@ pub enum FlowAction {
     Drop,
 }
 
+/// A cached flow: its action, and when a packet last hit it (for idle
+/// expiry).
 #[derive(Debug, Clone)]
 struct FlowEntry {
     action: FlowAction,
-    packets: u64,
-    bytes: u64,
     last_used: Timestamp,
 }
 
-/// An exact-match flow table with per-entry counters and idle expiry.
+/// An exact-match flow table with idle expiry.
 #[derive(Debug, Default)]
 pub struct FlowTable {
     entries: HashMap<FlowKey, FlowEntry>,
@@ -124,23 +124,17 @@ impl FlowTable {
     }
 
     /// Switches one packet with a single probe of the table. A hit
-    /// bumps the flow's counters and applies its cached action; a miss
-    /// asks `decide` (the packet-in to the controller) and installs the
-    /// flow with this packet already counted.
-    ///
-    /// `bytes` counts [`Packet::wire_len`], which is arithmetic: a
-    /// switched packet is never re-encoded.
+    /// refreshes the flow's idle clock and applies its cached action; a
+    /// miss asks `decide` (the packet-in to the controller) and installs
+    /// the flow.
     pub fn switch(
         &mut self,
         packet: &Packet,
         decide: impl FnOnce() -> FlowAction,
     ) -> SwitchDecision {
-        let bytes = packet.wire_len() as u64;
         match self.entries.entry(FlowKey::of(packet)) {
             Entry::Occupied(mut flow) => {
                 let flow = flow.get_mut();
-                flow.packets += 1;
-                flow.bytes += bytes;
                 flow.last_used = packet.timestamp;
                 SwitchDecision {
                     action: flow.action,
@@ -151,8 +145,6 @@ impl FlowTable {
                 let action = decide();
                 slot.insert(FlowEntry {
                     action,
-                    packets: 1,
-                    bytes,
                     last_used: packet.timestamp,
                 });
                 SwitchDecision {
@@ -163,7 +155,7 @@ impl FlowTable {
         }
     }
 
-    /// The action installed for `key`, without counter updates.
+    /// The action installed for `key`, leaving its idle clock alone.
     pub fn action(&self, key: &FlowKey) -> Option<FlowAction> {
         self.entries.get(key).map(|e| e.action)
     }
@@ -198,13 +190,6 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    impl FlowTable {
-        /// The `(packets, bytes)` counters for `key`.
-        fn counters(&self, key: &FlowKey) -> Option<(u64, u64)> {
-            self.entries.get(key).map(|e| (e.packets, e.bytes))
-        }
-    }
-
     fn packet(last: u8, t: u64) -> Packet {
         Packet::dhcp_discover(MacAddr::new([0, 0, 0, 0, 0, last]), 1, t)
     }
@@ -222,17 +207,6 @@ mod tests {
         let hit = table.switch(&p, never);
         assert_eq!((hit.action, hit.packet_in), (FlowAction::Forward, false));
         assert_eq!(table.action(&FlowKey::of(&p)), Some(FlowAction::Forward));
-    }
-
-    #[test]
-    fn counters_include_the_packet_that_installed_the_flow() {
-        let mut table = FlowTable::new();
-        let p = packet(1, 0);
-        let len = p.wire_len() as u64;
-        table.switch(&p, || FlowAction::Forward);
-        assert_eq!(table.counters(&FlowKey::of(&p)), Some((1, len)));
-        table.switch(&p, never);
-        assert_eq!(table.counters(&FlowKey::of(&p)), Some((2, 2 * len)));
     }
 
     #[test]
@@ -271,5 +245,10 @@ mod tests {
         let key = FlowKey::of(&p);
         assert_eq!(key.ports, Some((68, 67)));
         assert!(key.dst_ip.is_some());
+    }
+
+    #[test]
+    fn size_is_pinned() {
+        assert_eq!(std::mem::size_of::<FlowEntry>(), 16);
     }
 }

@@ -63,11 +63,11 @@ impl OvsSwitch {
 
     /// Processes one packet: flow-table hit applies the cached action;
     /// a miss raises a packet-in to `controller` and installs the
-    /// resulting flow, this packet counted.
+    /// resulting flow.
     ///
     /// A flow only stands for the rules it was decided under. When the
     /// controller's rule set has changed since (a device onboarded,
-    /// re-assessed, removed or evicted) the whole table is dropped and
+    /// re-assessed or removed) the whole table is dropped and
     /// every live flow is decided again on its next packet. That costs
     /// one `u64` compare per packet and, per rule change, one in-process
     /// re-decision per live flow (on the order of 0.1 µs over a hit) — a

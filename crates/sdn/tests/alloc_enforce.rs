@@ -1,11 +1,11 @@
 //! Counting-allocator audit of the data plane: a switched packet costs
-//! one flow key, one table probe and an arithmetic wire length — never
-//! a re-encoding of the packet it was just handed. With the flow table
-//! warm, [`OvsSwitch::process`] must perform **zero** heap allocations
-//! per packet whatever the packet carries; so must [`Packet::wire_len`]
-//! on its own; and so must a packet-in once the table's capacity is
-//! there (a rule change empties the table but keeps its buckets, so
-//! re-deciding every live flow allocates nothing either).
+//! one flow key and one table probe — never a re-encoding of the packet
+//! it was just handed. With the flow table warm, [`OvsSwitch::process`]
+//! must perform **zero** heap allocations per packet whatever the packet
+//! carries; so must [`Packet::wire_len`] on its own; and so must a
+//! packet-in once the table's capacity is there (a rule change empties
+//! the table but keeps its buckets, so re-deciding every live flow
+//! allocates nothing either).
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide — which is also why the audits

@@ -53,7 +53,6 @@ enum Step {
         tls_only: bool,
     },
     Remove(MacAddr),
-    EvictTo(usize),
 }
 
 fn packet_step_strategy() -> impl Strategy<Value = Step> {
@@ -82,7 +81,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         packet_step_strategy(),
         install,
         mac_strategy().prop_map(Step::Remove),
-        (0usize..8).prop_map(Step::EvictTo),
     ]
 }
 
@@ -227,8 +225,8 @@ proptest! {
 
     /// The switch's decision always equals the controller's verdict
     /// under the rules in force *now* — however rules were installed,
-    /// replaced, removed or evicted since the flow was first cached —
-    /// and a flow raises exactly one packet-in per rule-set generation.
+    /// replaced or removed since the flow was first cached — and a flow
+    /// raises exactly one packet-in per rule-set generation.
     #[test]
     fn switch_cache_is_coherent(steps in proptest::collection::vec(step_strategy(), 1..64)) {
         let subnet = Ipv4Addr::new(192, 168, 0, 0);
@@ -272,7 +270,6 @@ proptest! {
                     true
                 }
                 Step::Remove(mac) => module.remove_rule(mac).is_some(),
-                Step::EvictTo(max_rules) => !module.cache_mut().evict_to(max_rules).is_empty(),
             };
             if rules_changed {
                 decided.clear();
@@ -304,9 +301,5 @@ proptest! {
             cache.memory_bytes() / cache.len()
         };
         prop_assert_eq!(cache.memory_bytes(), per_rule * cache.len());
-        // LRU eviction respects the cap for any cap.
-        let evicted = cache.evict_to(4);
-        prop_assert!(cache.len() <= 4);
-        prop_assert_eq!(evicted.len() + cache.len(), reference.len());
     }
 }

@@ -15,7 +15,7 @@
 //!   wire scanner (`sentinel_netproto::scan`) over each — it certifies
 //!   every frame the owning decoder accepts, so ingest never decodes —
 //!   demultiplexes by source MAC into one session table, runs
-//!   setup-end detection (idle gap, packet cap, byte cap), assesses
+//!   setup-end detection (idle gap, packet cap), assesses
 //!   each round's completed setups in keyed batches against the IoT
 //!   Security Service and enforces the verdicts through the SDN switch.
 //!   Decisions are those of onboarding each device alone, at any batch
@@ -28,7 +28,7 @@
 //!   features straight into the incremental feature extractor, so raw
 //!   frames are never retained; a session holds the columns of `F` its
 //!   setup has sent so far (16 B each, a small reservation that grows),
-//!   bounded by the detector's packet cap (plus an optional byte cap).
+//!   bounded by the detector's packet cap.
 //! * The session table (private) — a capacity-bounded session slab
 //!   behind a one-probe MAC index, with deterministic LRU shedding as the
 //!   explicit overflow policy: the victim is the head of an intrusive

@@ -80,9 +80,6 @@ pub struct StreamConfig {
     /// Not consulted: a gateway keeps one session table. Kept because
     /// the frozen benchmark sets it.
     pub shards: usize,
-    /// Hard per-session wire-byte cap (`u64::MAX` disables it, leaving
-    /// the detector's idle gap and packet cap as the only window rule).
-    pub session_byte_cap: u64,
     /// Not consulted: one gateway ingests serially, cores are spent
     /// across gateways by `FleetConfig::threads`. Kept because the frozen
     /// benchmark sets it.
@@ -99,7 +96,6 @@ impl Default for StreamConfig {
             ignored: Vec::new(),
             max_sessions: 4096,
             shards: 1,
-            session_byte_cap: u64::MAX,
             threads: 0,
             batch_size: 1024,
         }
@@ -360,18 +356,13 @@ impl<S: SecurityService> StreamRuntime<S> {
                 self.stats.sessions_evicted += u64::from(shed.is_some());
                 slot
             });
-            let event = self.table.offer(
-                slot,
-                &raw,
-                *timestamp,
-                seq,
-                &self.config.detector,
-                self.config.session_byte_cap,
-            );
+            let event = self
+                .table
+                .offer(slot, &raw, *timestamp, seq, &self.config.detector);
             let reason = match event {
                 SessionEvent::Absorbed => continue,
                 SessionEvent::GapComplete => CompletionReason::IdleGap,
-                SessionEvent::CapComplete(reason) => reason,
+                SessionEvent::CapComplete => CompletionReason::PacketCap,
             };
             let session = self.table.complete(slot);
             out.push(complete(mac, seq, session, reason));
@@ -1004,19 +995,6 @@ mod tests {
         assert_eq!(runtime.stats().sessions_evicted, 1);
         assert_conserved(&runtime);
         assert!(runtime.flush().is_empty());
-    }
-
-    #[test]
-    fn byte_cap_bounds_session_growth() {
-        let traces = traces(1);
-        let mut runtime = runtime(StreamConfig {
-            session_byte_cap: 64,
-            ..StreamConfig::default()
-        });
-        let reports = run_packets(&mut runtime, &traces[0].packets);
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].setup_packets < traces[0].packets.len());
-        assert_eq!(runtime.stats().completed_byte_cap, 1);
     }
 
     /// FNV-1a of the MAC's octets, modulo 64: until the gateway kept one

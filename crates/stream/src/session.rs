@@ -3,11 +3,11 @@
 //! A [`Session`] never buffers raw packets: it feeds every observed
 //! frame's [`RawFeatures`] straight into an incremental
 //! [`FeatureExtractor`] and keeps only the columns of `F` so far (16
-//! bytes each, consecutive duplicates dropped on arrival) plus a handful
-//! of counters. Memory per monitored device follows what its setup sent:
-//! a small reservation that grows by doubling, bounded by the
-//! identification window (the detector's packet cap × 16 B) instead of
-//! the device's chattiness. [`Session::offer`] is the one place the
+//! bytes each, consecutive duplicates dropped on arrival) plus the time
+//! and stream sequence of the last frame it absorbed. Memory per
+//! monitored device follows what its setup sent: a small reservation
+//! that grows by doubling, bounded by the identification window (the
+//! detector's packet cap × 16 B) instead of the device's chattiness. [`Session::offer`] is the one place the
 //! setup-window rule of [`SetupDetector`] is applied.
 
 use sentinel_fingerprint::setup::SetupDetector;
@@ -22,8 +22,6 @@ pub enum CompletionReason {
     IdleGap,
     /// The detector's hard packet cap was reached.
     PacketCap,
-    /// The configured per-session byte cap was reached.
-    ByteCap,
     /// The stream ended (or the runtime was flushed) with the session
     /// still open.
     Flush,
@@ -37,18 +35,17 @@ pub enum SessionEvent {
     /// The packet revealed an idle gap: the session must be completed
     /// *without* the packet (it belongs to steady-state traffic).
     GapComplete,
-    /// The packet was absorbed and a hard cap was hit: complete now.
-    CapComplete(CompletionReason),
+    /// The packet was absorbed and the detector's packet cap was hit:
+    /// complete now.
+    CapComplete,
 }
 
 /// Bounded per-device monitoring state for one in-flight setup phase.
 #[derive(Debug, Clone)]
 pub struct Session {
     extractor: FeatureExtractor,
-    bytes: u64,
-    first_seen: Timestamp,
+    /// Capture time of the last absorbed packet (the idle-gap clock).
     last_seen: Timestamp,
-    opened_seq: u64,
     last_seq: u64,
 }
 
@@ -78,10 +75,7 @@ impl Session {
     fn over(extractor: FeatureExtractor, seq: u64, now: Timestamp) -> Self {
         Session {
             extractor,
-            bytes: 0,
-            first_seen: now,
             last_seen: now,
-            opened_seq: seq,
             last_seq: seq,
         }
     }
@@ -93,17 +87,13 @@ impl Session {
     /// rate of packets sent"): the idle-gap check runs *before* the
     /// frame is absorbed (the frame that reveals the gap is steady-state
     /// traffic, not setup) and only once `min_packets` were absorbed, the
-    /// packet cap *after*. The byte cap is an extension of the paper's
-    /// rule and is disabled when set to `u64::MAX`; `raw.packet_size` is
-    /// the frame's re-encoded wire length, so byte accounting is
-    /// bit-identical to the decode path.
+    /// packet cap *after*.
     pub fn offer(
         &mut self,
         raw: &RawFeatures,
         timestamp: Timestamp,
         seq: u64,
         detector: &SetupDetector,
-        byte_cap: u64,
     ) -> SessionEvent {
         if self.packets() >= detector.min_packets
             && timestamp.saturating_since(self.last_seen) >= detector.idle_gap
@@ -111,13 +101,10 @@ impl Session {
             return SessionEvent::GapComplete;
         }
         self.extractor.push_raw(raw);
-        self.bytes += u64::from(raw.packet_size);
         self.last_seen = timestamp;
         self.last_seq = seq;
         if self.packets() >= detector.max_packets {
-            SessionEvent::CapComplete(CompletionReason::PacketCap)
-        } else if self.bytes >= byte_cap {
-            SessionEvent::CapComplete(CompletionReason::ByteCap)
+            SessionEvent::CapComplete
         } else {
             SessionEvent::Absorbed
         }
@@ -132,26 +119,6 @@ impl Session {
     /// consecutive duplicates).
     pub fn packets(&self) -> usize {
         self.extractor.packet_count()
-    }
-
-    /// Wire bytes absorbed so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Capture time of the first offered packet.
-    pub fn first_seen(&self) -> Timestamp {
-        self.first_seen
-    }
-
-    /// Capture time of the last absorbed packet.
-    pub fn last_seen(&self) -> Timestamp {
-        self.last_seen
-    }
-
-    /// Stream sequence at which the session was opened.
-    pub fn opened_seq(&self) -> u64 {
-        self.opened_seq
     }
 
     /// Stream sequence of the last absorbed packet (the LRU key).
@@ -180,10 +147,9 @@ mod tests {
         packet: &Packet,
         seq: u64,
         detector: &SetupDetector,
-        byte_cap: u64,
     ) -> SessionEvent {
         let raw = RawFeatures::from_frame(&packet.encode()).expect("valid frame");
-        session.offer(&raw, packet.timestamp, seq, detector, byte_cap)
+        session.offer(&raw, packet.timestamp, seq, detector)
     }
 
     #[test]
@@ -193,7 +159,7 @@ mod tests {
         let mut session = Session::open(0, packets[0].timestamp);
         for (i, packet) in packets.iter().enumerate() {
             assert_eq!(
-                offer(&mut session, packet, i as u64, &detector, u64::MAX),
+                offer(&mut session, packet, i as u64, &detector),
                 SessionEvent::Absorbed
             );
         }
@@ -208,14 +174,14 @@ mod tests {
         let detector = SetupDetector::default();
         let mut session = Session::open(0, first[0].timestamp);
         for (i, packet) in first.iter().enumerate() {
-            offer(&mut session, packet, i as u64, &detector, u64::MAX);
+            offer(&mut session, packet, i as u64, &detector);
         }
         session.reopen(40, second[0].timestamp);
-        assert_eq!((session.packets(), session.bytes()), (0, 0));
-        assert_eq!((session.opened_seq(), session.last_seq()), (40, 40));
-        assert_eq!(session.first_seen(), second[0].timestamp);
+        assert_eq!(session.packets(), 0);
+        assert_eq!(session.last_seq(), 40);
+        assert_eq!(session.last_seen, second[0].timestamp);
         for (i, packet) in second.iter().enumerate() {
-            offer(&mut session, packet, 40 + i as u64, &detector, u64::MAX);
+            offer(&mut session, packet, 40 + i as u64, &detector);
         }
         assert_eq!(session.last_seq(), 42);
         assert_eq!(session.finish(), extract(&second));
@@ -227,12 +193,12 @@ mod tests {
         let burst = packets(4, 100);
         let mut session = Session::open(0, burst[0].timestamp);
         for (i, packet) in burst.iter().enumerate() {
-            offer(&mut session, packet, i as u64, &detector, u64::MAX);
+            offer(&mut session, packet, i as u64, &detector);
         }
         let mut late = burst[0].clone();
         late.timestamp = burst.last().unwrap().timestamp + Duration::from_secs(30);
         assert_eq!(
-            offer(&mut session, &late, 99, &detector, u64::MAX),
+            offer(&mut session, &late, 99, &detector),
             SessionEvent::GapComplete
         );
         // The gap packet must not be in the fingerprint.
@@ -248,13 +214,13 @@ mod tests {
         let mut session = Session::open(0, Timestamp::ZERO);
         for (seq, millis) in [0, 100, 20_100, 20_200, 20_300].into_iter().enumerate() {
             assert_eq!(
-                offer(&mut session, &at(millis), seq as u64, &detector, u64::MAX),
+                offer(&mut session, &at(millis), seq as u64, &detector),
                 SessionEvent::Absorbed,
                 "packet at {millis} ms"
             );
         }
         assert_eq!(
-            offer(&mut session, &at(60_000), 5, &detector, u64::MAX),
+            offer(&mut session, &at(60_000), 5, &detector),
             SessionEvent::GapComplete
         );
         assert_eq!(session.packets(), 5);
@@ -266,29 +232,21 @@ mod tests {
         let burst = packets(5, 10);
         let mut session = Session::open(0, burst[0].timestamp);
         assert_eq!(
-            offer(&mut session, &burst[0], 0, &detector, u64::MAX),
+            offer(&mut session, &burst[0], 0, &detector),
             SessionEvent::Absorbed
         );
         assert_eq!(
-            offer(&mut session, &burst[1], 1, &detector, u64::MAX),
+            offer(&mut session, &burst[1], 1, &detector),
             SessionEvent::Absorbed
         );
         assert_eq!(
-            offer(&mut session, &burst[2], 2, &detector, u64::MAX),
-            SessionEvent::CapComplete(CompletionReason::PacketCap)
+            offer(&mut session, &burst[2], 2, &detector),
+            SessionEvent::CapComplete
         );
     }
 
     #[test]
-    fn byte_cap_completes() {
-        let detector = SetupDetector::default();
-        let burst = packets(3, 10);
-        let cap = burst[0].wire_len() as u64; // first packet already hits it
-        let mut session = Session::open(0, burst[0].timestamp);
-        assert_eq!(
-            offer(&mut session, &burst[0], 0, &detector, cap),
-            SessionEvent::CapComplete(CompletionReason::ByteCap)
-        );
-        assert!(session.bytes() >= cap);
+    fn size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Session>(), 72);
     }
 }

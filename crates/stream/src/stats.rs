@@ -33,7 +33,9 @@ pub struct StreamStats {
     pub completed_idle_gap: u64,
     /// See [`StreamStats::completed_idle_gap`].
     pub completed_packet_cap: u64,
-    /// See [`StreamStats::completed_idle_gap`].
+    /// Zero by construction: a session's window is the detector's idle
+    /// gap and packet cap, with no byte cap. Kept for the report schema
+    /// and the benchmark until the goldens are next re-blessed.
     pub completed_byte_cap: u64,
     /// Sessions finalized by the end-of-stream flush.
     pub completed_flush: u64,
@@ -56,10 +58,7 @@ pub struct StreamStats {
 impl StreamStats {
     /// Total sessions that reached identification.
     pub fn sessions_completed(&self) -> u64 {
-        self.completed_idle_gap
-            + self.completed_packet_cap
-            + self.completed_byte_cap
-            + self.completed_flush
+        self.completed_idle_gap + self.completed_packet_cap + self.completed_flush
     }
 
     /// Records one completion reason.
@@ -67,7 +66,6 @@ impl StreamStats {
         match reason {
             CompletionReason::IdleGap => self.completed_idle_gap += 1,
             CompletionReason::PacketCap => self.completed_packet_cap += 1,
-            CompletionReason::ByteCap => self.completed_byte_cap += 1,
             CompletionReason::Flush => self.completed_flush += 1,
         }
     }
@@ -78,7 +76,7 @@ impl fmt::Display for StreamStats {
         write!(
             f,
             "{} packets in ({} ignored, {} malformed); {} sessions opened, {} completed \
-             (gap {}, packet-cap {}, byte-cap {}, flush {}), {} shed, peak {} resident; \
+             (gap {}, packet-cap {}, flush {}), {} shed, peak {} resident; \
              outcomes: {} identified / {} unknown; isolation: {} strict / {} restricted / {} trusted",
             self.packets_in,
             self.packets_ignored,
@@ -87,7 +85,6 @@ impl fmt::Display for StreamStats {
             self.sessions_completed(),
             self.completed_idle_gap,
             self.completed_packet_cap,
-            self.completed_byte_cap,
             self.completed_flush,
             self.sessions_evicted,
             self.peak_resident_sessions,

@@ -135,15 +135,12 @@ impl SessionTable {
         timestamp: Timestamp,
         seq: u64,
         detector: &SetupDetector,
-        byte_cap: u64,
     ) -> SessionEvent {
         debug_assert!(
             self.is_newest(seq, slot as u32),
             "offer() at stale seq {seq}"
         );
-        let event = self.slab[slot]
-            .1
-            .offer(raw, timestamp, seq, detector, byte_cap);
+        let event = self.slab[slot].1.offer(raw, timestamp, seq, detector);
         if event != SessionEvent::GapComplete && slot as u32 != self.tail {
             self.detach(slot);
             self.push_back(slot);
@@ -300,7 +297,7 @@ mod tests {
         let frame = Packet::dhcp_discover(mac(m), 7, 0).encode();
         let raw = RawFeatures::from_frame(&frame).expect("valid frame");
         let detector = SetupDetector::default();
-        table.offer(slot, &raw, Timestamp::ZERO, seq, &detector, u64::MAX)
+        table.offer(slot, &raw, Timestamp::ZERO, seq, &detector)
     }
 
     #[test]
@@ -317,7 +314,7 @@ mod tests {
         assert_eq!(table.probe(mac(3)), Probe::Resident(0));
         let (resident, session) = &table.sessions()[0];
         assert_eq!(*resident, mac(3));
-        assert_eq!((session.opened_seq(), session.packets()), (30, 0));
+        assert_eq!((session.last_seq(), session.packets()), (30, 0));
     }
 
     #[test]
@@ -337,13 +334,13 @@ mod tests {
         for (m, seq) in [(1, 10), (2, 20), (3, 30)] {
             open(&mut table, m, seq);
         }
-        assert_eq!(table.complete(0).opened_seq(), 10);
+        assert_eq!(table.complete(0).last_seq(), 10);
         assert_eq!(table.probe(mac(1)), Probe::Onboarded);
         // The last session moved into the freed slot.
         assert_eq!(table.probe(mac(3)), Probe::Resident(0));
         assert_eq!(table.probe(mac(2)), Probe::Resident(1));
         // Completing the last slot moves nothing.
-        assert_eq!(table.complete(1).opened_seq(), 20);
+        assert_eq!(table.complete(1).last_seq(), 20);
         assert_eq!(table.probe(mac(3)), Probe::Resident(0));
         assert_eq!(table.len(), 1);
     }
@@ -430,11 +427,11 @@ mod tests {
     }
 
     /// The reference model of [`SessionTable`]: resident MACs with their
-    /// `(opened_seq, last_seq)`, and the onboarded set, in ordered
+    /// `(last_seq, packets)`, and the onboarded set, in ordered
     /// collections that make every rule a one-liner.
     #[derive(Default)]
     struct ModelTable {
-        resident: BTreeMap<MacAddr, (u64, u64)>,
+        resident: BTreeMap<MacAddr, (u64, usize)>,
         onboarded: BTreeSet<MacAddr>,
     }
 
@@ -445,7 +442,7 @@ mod tests {
             let (mac, _) = self
                 .resident
                 .iter()
-                .min_by_key(|(_, (_, last_seq))| *last_seq)
+                .min_by_key(|(_, (last_seq, _))| *last_seq)
                 .expect("full table");
             *mac
         }
@@ -460,8 +457,8 @@ mod tests {
         // Slab → index: every session is indexed at the slot it sits in.
         for (slot, (mac, session)) in table.sessions().iter().enumerate() {
             assert_eq!(table.probe(*mac), Probe::Resident(slot));
-            let seqs = (session.opened_seq(), session.last_seq());
-            assert_eq!(model.resident.get(mac), Some(&seqs), "{mac}");
+            let state = (session.last_seq(), session.packets());
+            assert_eq!(model.resident.get(mac), Some(&state), "{mac}");
         }
         // Index → slab: a slot the index names holds that MAC's session
         // (with the loop above: a bijection), and no MAC is both onboarded
@@ -513,22 +510,21 @@ mod tests {
                                 if let Some(victim) = shed {
                                     model.resident.remove(&victim);
                                 }
-                                model.resident.insert(mac, (seq, seq));
+                                model.resident.insert(mac, (seq, 0));
                                 slot
                             }
                         };
-                        let event = table.offer(
-                            slot, &raw, Timestamp::ZERO, seq, &detector, u64::MAX,
-                        );
+                        let event = table.offer(slot, &raw, Timestamp::ZERO, seq, &detector);
                         prop_assert_eq!(event, SessionEvent::Absorbed);
-                        model.resident.get_mut(&mac).expect("resident").1 = seq;
+                        let (last, packets) = model.resident.get_mut(&mac).expect("resident");
+                        (*last, *packets) = (seq, *packets + 1);
                     }
                     TableOp::Complete(n) => {
                         let mac = pool[n as usize];
                         if let Probe::Resident(slot) = table.probe(mac) {
                             let session = table.complete(slot);
-                            let (opened, last) = model.resident.remove(&mac).expect("resident");
-                            prop_assert_eq!((session.opened_seq(), session.last_seq()), (opened, last));
+                            let state = model.resident.remove(&mac).expect("resident");
+                            prop_assert_eq!((session.last_seq(), session.packets()), state);
                             model.onboarded.insert(mac);
                         }
                     }
@@ -547,7 +543,7 @@ mod tests {
                         let mut expected: Vec<(u64, MacAddr)> = model
                             .resident
                             .iter()
-                            .map(|(mac, (_, last))| (*last, *mac))
+                            .map(|(mac, (last, _))| (*last, *mac))
                             .collect();
                         expected.sort_unstable();
                         prop_assert_eq!(drained, expected);

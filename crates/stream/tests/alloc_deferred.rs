@@ -38,9 +38,7 @@ use sentinel_fingerprint::extract_frames;
 use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_netproto::{AppPayload, MacAddr, Packet, RawFeatures, Timestamp};
 use sentinel_sdn::IsolationLevel;
-use sentinel_stream::{
-    Completion, CompletionReason, Session, SessionEvent, StreamConfig, StreamRuntime,
-};
+use sentinel_stream::{Completion, Session, SessionEvent, StreamConfig, StreamRuntime};
 
 /// Passes everything through to [`System`], counting every allocation
 /// and reallocation (deallocations are free and uncounted) and the
@@ -259,14 +257,14 @@ fn a_catalog_setup_mid_flight_fits_in_half_a_kilobyte(service: &IoTSecurityServi
 }
 
 /// Live heap a warm gateway keeps per onboarded device once the caller
-/// has dropped the reports: its 24-byte rule-cache entry (a 16-byte rule
-/// and its recency stamp, stored once), the table slack around it, and
-/// the boxed whitelist of a restricted device (41 B measured over the
-/// catalog; its onboarded mark sits in the table's index, warm from the
-/// first pass). A rule with an inline `Vec` whitelist and port filter in
-/// a MAC-keyed map held 90 B; a gateway that also kept a clone of every
-/// report held 131 B.
-const ONBOARDED_DEVICE_BYTES: usize = 48;
+/// has dropped the reports: its 16-byte rule-cache entry (the rule,
+/// stored once), the table slack around it, and the boxed whitelist of
+/// a restricted device (32 B measured over the catalog; its onboarded
+/// mark sits in the table's index, warm from the first pass). An entry
+/// that also carried an LRU recency stamp held 41 B, a rule with an
+/// inline `Vec` whitelist and port filter in a MAC-keyed map 90 B, and
+/// a gateway that also kept a clone of every report 131 B.
+const ONBOARDED_DEVICE_BYTES: usize = 40;
 
 /// What a gateway remembers of a device it onboarded: every catalog
 /// device's setup, identified by a service trained on the whole catalog
@@ -390,7 +388,7 @@ fn a_session_grows_with_distinct_columns_and_not_with_repeats() {
             assert_eq!(last, SessionEvent::Absorbed, "frame {seq} after the end");
             let raw = RawFeatures::from_frame(frame).expect("valid frame");
             let at = Timestamp::from_micros(seq as u64);
-            last = session.offer(&raw, at, seq as u64, &detector, u64::MAX);
+            last = session.offer(&raw, at, seq as u64, &detector);
         }
         let held = live_bytes() - empty;
         assert_eq!(session.packets(), frames.len());
@@ -408,7 +406,7 @@ fn a_session_grows_with_distinct_columns_and_not_with_repeats() {
 
     let repeated = vec![udp_to(1); detector.max_packets];
     let (last, held, columns) = run(&repeated);
-    let cap = SessionEvent::CapComplete(CompletionReason::PacketCap);
+    let cap = SessionEvent::CapComplete;
     assert_eq!((last, columns), (cap, 1), "256 packets, one column");
     assert!(held <= ONE_FRAME_SESSION_BYTES, "{held} B for one column");
 }

@@ -92,7 +92,7 @@ fn offer(
     detector: &SetupDetector,
 ) -> SessionEvent {
     let raw = RawFeatures::from_frame(&packet.encode()).expect("valid frame");
-    session.offer(&raw, packet.timestamp, seq as u64, detector, u64::MAX)
+    session.offer(&raw, packet.timestamp, seq as u64, detector)
 }
 
 proptest! {
@@ -116,19 +116,6 @@ proptest! {
         prop_assert_eq!(session.finish(), extract(&packets));
     }
 
-    /// The session's per-packet byte accounting matches the wire.
-    #[test]
-    fn session_bytes_match_wire_lengths(steps in steps()) {
-        let packets = build_packets(&steps);
-        let detector = open_detector();
-        let mut session = Session::open(0, Timestamp::ZERO);
-        for (seq, packet) in packets.iter().enumerate() {
-            offer(&mut session, packet, seq, &detector);
-        }
-        let wire: u64 = packets.iter().map(|p| p.wire_len() as u64).sum();
-        prop_assert_eq!(session.bytes(), wire);
-    }
-
     /// A packet cap at `k` makes the session fingerprint equal batch
     /// extraction of the first `k` packets — the identification window
     /// is a pure prefix property.
@@ -142,7 +129,7 @@ proptest! {
             absorbed += 1;
             match offer(&mut session, packet, seq, &detector) {
                 SessionEvent::Absorbed => {}
-                SessionEvent::CapComplete(_) => break,
+                SessionEvent::CapComplete => break,
                 SessionEvent::GapComplete => unreachable!("gap disabled"),
             }
         }

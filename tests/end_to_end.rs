@@ -188,10 +188,10 @@ fn idle_flows_expire_and_rule_cache_can_evict() {
     assert_eq!(expired, 4);
     assert_eq!(gateway.switch().table().len(), 0);
 
-    // The enforcement-rule cache supports bounded-memory eviction (the
-    // Sect. VI-C "removing unused enforcement rules" strategy).
-    let evicted = gateway.enforcement_mut().cache_mut().evict_to(0);
-    assert_eq!(evicted.len(), 1);
+    // Rules of departed devices leave the cache (the Sect. VI-C
+    // "removing unused enforcement rules" strategy).
+    assert!(gateway.remove_device(hue.mac).is_some());
+    assert!(gateway.enforcement().cache().is_empty());
     // With its rule gone the device falls back to the strict default.
     let blocked = gateway.enforce(&outbound(
         hue.mac,

@@ -247,7 +247,7 @@ fn a_streamed_session_equals_batch_extraction() {
         for packet in &trace.packets {
             let raw = RawFeatures::from_frame(&packet.encode()).expect("a simulated frame");
             for _ in 0..2 {
-                let event = session.offer(&raw, packet.timestamp, seq, &open, u64::MAX);
+                let event = session.offer(&raw, packet.timestamp, seq, &open);
                 assert_eq!(event, SessionEvent::Absorbed, "{}", device.info.identifier);
                 seq += 1;
                 doubled.push(packet.clone());
