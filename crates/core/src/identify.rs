@@ -386,9 +386,9 @@ impl Identifier {
     ///
     /// Each `F'` row is scored in place, from the caller's slice, by one
     /// [`BankScorer::candidates_batch_into`] call: runs of 64 rows, and
-    /// a last run of 16 or more, take its lane kernel (64 rows per
+    /// a last run of 20 or more, take its lane kernel (64 rows per
     /// machine word), and a shorter run is scored row by row — below
-    /// about 16 rows the lane kernel's per-call cost outweighs what it
+    /// about 20 rows the lane kernel's per-call cost outweighs what it
     /// saves per row. Either way each row gets the same answer, so the
     /// batch shape never changes a result, only its cost. The returned
     /// slice borrows the scratch's candidate pool (one entry per item,

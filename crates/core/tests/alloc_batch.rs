@@ -1,7 +1,7 @@
 //! Counting-allocator audit of steady-state batched identification:
 //! after one warm-up tick has sized the [`ClassifyScratch`] — stage 1's
 //! word buffer (leaf words and vote counts row by row, lane masks and
-//! per-leaf lanes from 16 rows up) and per-item candidate pool, stage
+//! per-leaf lanes from 20 rows up) and per-item candidate pool, stage
 //! 2's probe symbols, sampled reference indices and their distances,
 //! mask table and lane state — every subsequent
 //! [`Identifier::classify_batch_in`] tick over a same-shaped batch (of

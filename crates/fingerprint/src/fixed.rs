@@ -29,15 +29,14 @@ impl FixedFingerprint {
 
     /// Builds an `F'` variant truncated at `packets` unique packets
     /// (`packets × 23` dimensions) — used by the truncation-length
-    /// ablation experiment.
+    /// ablation experiment. Each unique packet's cells are appended in
+    /// order, and the tail is zero-filled once.
     pub fn with_packets(fingerprint: &Fingerprint, packets: usize) -> Self {
-        let mut values = vec![0.0; packets * FEATURE_COUNT];
-        for (slot, vector) in values
-            .chunks_exact_mut(FEATURE_COUNT)
-            .zip(fingerprint.first_occurrences(packets))
-        {
-            slot.copy_from_slice(&vector.to_array());
+        let mut values = Vec::with_capacity(packets * FEATURE_COUNT);
+        for vector in fingerprint.first_occurrences(packets) {
+            values.extend_from_slice(&vector.to_array());
         }
+        values.resize(packets * FEATURE_COUNT, 0.0);
         FixedFingerprint { values }
     }
 
@@ -122,8 +121,48 @@ mod tests {
             .prop_map(|counters| counters.into_iter().map(vector).collect())
     }
 
+    /// `F'` by its definition: column `i` is kept iff no earlier column
+    /// equals it, compared field by field, and the kept columns fill a
+    /// zeroed buffer in order.
+    fn reference(fingerprint: &Fingerprint, packets: usize) -> Vec<f64> {
+        let vectors = fingerprint.vectors();
+        let mut values = vec![0.0; packets * FEATURE_COUNT];
+        let unique = (vectors.iter().enumerate())
+            .filter(|&(i, vector)| !vectors[..i].contains(vector))
+            .map(|(_, vector)| vector);
+        for (slot, vector) in values.chunks_exact_mut(FEATURE_COUNT).zip(unique) {
+            slot.copy_from_slice(&vector.to_array());
+        }
+        values
+    }
+
+    /// Fingerprints over up to 24 distinct vectors (past `F'`'s 12):
+    /// runs of one vector (a consecutive repeat is dropped on arrival)
+    /// that keep revisiting earlier ones, so unique packets arrive late
+    /// among many repeats.
+    fn revisiting(max: usize) -> impl Strategy<Value = Fingerprint> {
+        (
+            1u32..=24,
+            proptest::collection::vec((0u32..24, 1usize..6), 0..max),
+        )
+            .prop_map(|(distinct, runs)| {
+                let columns = runs.into_iter().flat_map(|(counter, run)| {
+                    std::iter::repeat_n(vector(counter % distinct), run)
+                });
+                Fingerprint::new(columns)
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fixed_fingerprint_equals_its_definition_at_every_length(fingerprint in revisiting(40)) {
+            for packets in 1..=20 {
+                let fixed = FixedFingerprint::with_packets(&fingerprint, packets);
+                prop_assert_eq!(fixed.as_slice(), &reference(&fingerprint, packets)[..], "{} packets", packets);
+            }
+        }
 
         #[test]
         fn fixed_fingerprint_always_276_dims_zero_padded(raw in vectors(30)) {

@@ -17,11 +17,14 @@
 //! threshold and word are one entry, their masks AND-ed at build time.
 //!
 //! That is the per-row kernel, [`BankScorer::candidates_into`]. A batch
-//! of at least 16 rows goes through the *lane kernel* instead, 64 rows
+//! of at least 20 rows goes through the *lane kernel* instead, 64 rows
 //! at a time: the same clearing with the bits turned the other way —
 //! one `u64` per leaf, one bit (lane) per row. A row-major pass over the
 //! bank's distinct (feature, threshold) pairs marks, per pair, the lanes
-//! whose test is false; each marked pair then clears those lanes from
+//! whose test is false — testing every pair of each feature whose first
+//! threshold the row's cell exceeds, with no early exit to mispredict
+//! (the false tests are the prefix the per-row scan stops after) — and
+//! each marked pair then clears those lanes from
 //! the leaves its splits' left subtrees hold; each tree's exit per lane
 //! is its lowest leaf still set in that lane, and the class-1 exits are
 //! added into bit-sliced vote counters, so a forest's verdict for all 64
@@ -52,10 +55,22 @@ const WORD_BITS: u32 = u64::BITS;
 /// pays for its whole bank per call — zeroing every threshold's lane
 /// mask, setting every leaf's lanes, one pass over every tree — however
 /// few rows fill its lanes, while the per-row kernel's cost is all per
-/// row. On the ledger's model the two cross at about 16 rows: the lane
-/// kernel measured ≈ 7 µs a row at 1 row, 0.86–0.97 at 12, 0.73–0.77 at
-/// 16 and 0.43–0.47 at 64, against 0.73–0.93 row by row.
-const LANE_CUTOFF: usize = 16;
+/// row. Measured in µs a row (best of 200–400 repetitions over the
+/// catalog's 270 setups of a seed the models were not trained on, each
+/// kernel and width in turn, three runs on a 2-core shared VM), the two
+/// cross at different widths on the two models a gateway serves:
+///
+/// | model | lane: 16 rows | 20 | 24 | 64 | per row | crossover |
+/// |---|---|---|---|---|---|---|
+/// | ledger (25 trees) | 1.16–1.20 | 1.04–1.07 | 0.96–0.98 | 0.65–0.66 | 0.92–0.99 | ≈ 25 rows |
+/// | default (100 trees) | 3.97–4.04 | 3.25–3.35 | 2.88–2.98 | 1.55–1.58 | 3.62–4.14 | ≈ 18 rows |
+///
+/// 20 sits between them: a run at the cutoff costs the ledger model
+/// ≈ 10 % more than row by row, one just below it the default model at
+/// most ≈ 8 % more than a lane pass. At 16 the ledger model paid ≈ 25 %
+/// more on 16-row runs; at 24 the default model would pay ≈ 17 % more
+/// on 20–23-row runs.
+const LANE_CUTOFF: usize = 20;
 
 /// One per-row scan entry: the splits of one word's trees that test one
 /// feature against one threshold.
@@ -424,7 +439,7 @@ impl BankScorer {
     /// Appends to each `out[i]`, in increasing order, the label of every
     /// forest that accepts `row(i)` — for each row exactly what
     /// [`BankScorer::candidates_into`] appends. Runs of 64 rows, and a
-    /// last run of at least 16, take the lane kernel; a shorter last run
+    /// last run of at least 20, take the lane kernel; a shorter last run
     /// is scored row by row. `words` is caller-owned scratch: it grows
     /// on first use and a warm call allocates nothing.
     ///
@@ -488,12 +503,14 @@ impl BankScorer {
                 if value <= feature.first {
                     continue;
                 }
+                // No early exit: the thresholds ascend, so the false
+                // tests are a prefix and marking every group by its own
+                // test sets the same bits as stopping at the first true
+                // one, without a mispredicted exit per feature per row.
                 for (fired, &threshold) in fired[run.clone()].iter_mut().zip(&self.thresholds[run])
                 {
-                    if value <= threshold {
-                        break;
-                    }
-                    *fired |= bit;
+                    // A true test leaves 1 − 1 = 0, a false one all ones.
+                    *fired |= bit & u64::from(value <= threshold).wrapping_sub(1);
                 }
             }
         }
@@ -763,6 +780,80 @@ mod tests {
             assert_eq!(candidates(&scorer, row), expected, "row {i}");
         }
         let rows: Vec<&[f64]> = (0..wide_data.len()).map(|i| wide_data.row(i)).collect();
+        lanes_match_rows(&scorer, &rows);
+    }
+    /// A stump of two splits on feature 0, `a` at the root and `b` on
+    /// its right, over leaves voting `classes`, left to right.
+    fn two_split_tree(a: f64, b: f64, classes: [u32; 3]) -> DecisionTree {
+        let leaf = u32::MAX;
+        let parts = crate::TreeParts {
+            features: vec![0, leaf, 0, leaf, leaf],
+            thresholds: vec![a, 0.0, b, 0.0, 0.0],
+            lefts: vec![1, 0, 3, 1, 2],
+            rights: vec![2, classes[0], 4, classes[1], classes[2]],
+            n_samples: vec![1; 5],
+            impurity_decreases: vec![0.0; 5],
+            leaf_counts: classes
+                .iter()
+                .flat_map(|&class| [1 - class as usize, class as usize])
+                .collect(),
+            n_classes: 2,
+        };
+        DecisionTree::from_parts(parts, 1).expect("a valid tree")
+    }
+
+    #[test]
+    fn signed_zero_thresholds_fire_like_the_per_row_scan() {
+        // −0.0 and 0.0 compare equal but are two threshold groups of one
+        // feature, ordered −0.0 first, above a third at −1.0 so that a
+        // zero cell passes the feature's first threshold and is tested
+        // against both: the lane pass, which marks every group by its
+        // own test, must agree with the per-row scan, which stops at the
+        // first true one.
+        let (low, neg, pos) = (-1.0, -0.0, 0.0);
+        let forest = |trees: &[(f64, f64, [u32; 3])]| {
+            let trees = trees
+                .iter()
+                .map(|&(a, b, classes)| two_split_tree(a, b, classes));
+            RandomForest::from_parts(trees.collect(), None).expect("binary trees")
+        };
+        let forests = [
+            forest(&[
+                (neg, pos, [1, 0, 1]),
+                (pos, neg, [0, 1, 1]),
+                (neg, pos, [0, 0, 1]),
+            ]),
+            forest(&[
+                (pos, neg, [1, 1, 0]),
+                (neg, pos, [1, 0, 0]),
+                (low, pos, [0, 1, 0]),
+            ]),
+            forest(&[
+                (low, neg, [0, 1, 0]),
+                (pos, pos, [1, 0, 1]),
+                (neg, pos, [1, 1, 0]),
+            ]),
+        ];
+        let scorer = BankScorer::new(&forests);
+        let groups: Vec<u64> = scorer.thresholds.iter().map(|t| t.to_bits()).collect();
+        assert_eq!(groups, [low.to_bits(), neg.to_bits(), pos.to_bits()]);
+        let cells = [
+            low,
+            neg,
+            pos,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let rows: Vec<[f64; 1]> = cells.iter().map(|&cell| [cell]).collect();
+        for row in &rows {
+            let expected: Vec<usize> = (0..forests.len())
+                .filter(|&label| forests[label].accepts(row))
+                .collect();
+            assert_eq!(candidates(&scorer, row), expected, "{row:?}");
+        }
+        let rows: Vec<&[f64]> = rows.iter().map(|row| &row[..]).collect();
         lanes_match_rows(&scorer, &rows);
     }
 }

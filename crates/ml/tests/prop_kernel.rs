@@ -12,7 +12,7 @@
 //! ([`BankScorer::vote_share`]) to `RandomForest::predict_proba_into`,
 //! bit for bit, on banks with such thresholds and a walked forest. A
 //! third holds [`BankScorer::candidates_batch_into`] — the lane kernel
-//! from 16 rows up, the per-row kernel below — to both, batch by batch,
+//! from 20 rows up, the per-row kernel below — to both, batch by batch,
 //! on banks that mix those models with a forest too wide for the lane
 //! layout.
 
@@ -296,7 +296,8 @@ proptest! {
         }
         // One word buffer across kernels and batch shapes: scratch
         // carries nothing from call to call.
-        for size in [15, 16, 17, 63, 64, 65, 128, batch] {
+        // Around the lane cutoff (20), alone and after a full word (84).
+        for size in [15, 16, 17, 19, 20, 21, 63, 64, 65, 84, 128, batch] {
             for (at, chunk) in rows.chunks(size).enumerate() {
                 let mut out = vec![Vec::new(); chunk.len()];
                 scorer.candidates_batch_into(|i| chunk[i], &mut words, &mut out);

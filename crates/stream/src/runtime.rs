@@ -17,8 +17,9 @@
 //! [`StreamRuntime::ingest_frames_deferred`] takes the batch in stream
 //! order through probe → scan → open/offer → complete and collects the
 //! setups that completed into the runtime's warm completion buffer;
-//! [`SecurityService::assess_keyed_batch_into`] assesses them, up to 32
-//! per call, out of the runtime's warm [`AssessScratch`]; and
+//! [`SecurityService::assess_keyed_batch_into`] assesses them, up to 64
+//! per call (a whole round up to one lane word of the stage-1 scorer),
+//! out of the runtime's warm [`AssessScratch`]; and
 //! [`apply_onboarding`] installs each rule and emits each report in
 //! `(seq, mac)` stream order. [`StreamRuntime::ingest_frames`] is the
 //! three passes in sequence; every gateway runs them that way, a fleet
@@ -145,9 +146,12 @@ impl Completion {
     }
 }
 
-/// Completions assessed per keyed batch of [`StreamRuntime::onboard`]:
-/// the bound of its stack array of items (32 B each).
-const ASSESS_CHUNK: usize = 32;
+/// Completions assessed per keyed batch of [`StreamRuntime::onboard`],
+/// the bound of its stack array of items (32 B each, 2 KiB in all): one
+/// lane word of the stage-1 scorer, which scores 64 rows per pass. A
+/// smaller batch pays the lane kernel's per-call cost more often: a
+/// 32-row pass costs ×1.3 a row against a 64-row one.
+const ASSESS_CHUNK: usize = 64;
 
 /// Finalizes one session into its fingerprints (`F` and `F'`).
 fn complete(mac: MacAddr, seq: u64, session: Session, reason: CompletionReason) -> Completion {
@@ -433,11 +437,13 @@ impl<S: SecurityService> StreamRuntime<S> {
     /// then installs each device's enforcement rule and appends its
     /// report to `out`, in that order.
     ///
-    /// The batches are [`ASSESS_CHUNK`] completions at most, borrowed
-    /// from a stack array: keyed assessment answers the same however the
-    /// completions are cut, and the round keeps no per-call buffer. Once
-    /// the runtime is warm, what allocates is what each response owns
-    /// and the growth of `out`. No completions ⇒ no work, no allocation.
+    /// The batches are [`ASSESS_CHUNK`] completions at most — a whole
+    /// round up to that, and otherwise runs that fill the scorer's lane
+    /// words — borrowed from a stack array: keyed assessment answers the
+    /// same however the completions are cut, and the round keeps no
+    /// per-call buffer. Once the runtime is warm, what allocates is what
+    /// each response owns and the growth of `out`. No completions ⇒ no
+    /// work, no allocation.
     fn onboard(&mut self, completions: &[Completion], out: &mut Vec<OnboardingReport>) {
         fn item(c: &Completion) -> (&Fingerprint, &FixedFingerprint, AssessKey) {
             (&c.full, &c.fixed, c.assess_key())
@@ -707,6 +713,66 @@ mod tests {
         for (reports, stats) in &outputs[1..] {
             assert_eq!(reports, &outputs[0].0);
             assert_eq!(stats, &outputs[0].1);
+        }
+    }
+
+    /// `n` catalog setups long enough to complete by the idle gap, on
+    /// distinct MACs.
+    fn gap_completing_traces(n: usize) -> Vec<sentinel_devicesim::SetupTrace> {
+        let min_packets = SetupDetector::default().min_packets;
+        let long = traces(2 * n + 27).into_iter();
+        let traces: Vec<_> = long
+            .filter(|t| t.packets.len() >= min_packets)
+            .take(n)
+            .collect();
+        let macs: HashSet<MacAddr> = traces.iter().map(|t| t.mac).collect();
+        assert_eq!((traces.len(), macs.len()), (n, n));
+        traces
+    }
+
+    #[test]
+    fn a_round_assesses_the_same_whatever_its_shape() {
+        // A trained service, so stage 1 runs the bank's scorer: a round
+        // of 20 or more completions takes its lane kernel, runs of 64
+        // fill its words, and one-completion rounds take the per-row
+        // kernel.
+        let mut config = sentinel_core::ServiceConfig::default();
+        config.identifier.bank.forest.n_trees = 9;
+        let dataset = sentinel_core::FingerprintDataset::collect(&catalog(), 3, 5);
+        let service = sentinel_core::IoTSecurityService::train(&dataset, &config);
+        for n in [1, 15, 16, 17, 20, 63, 64, 65, 130] {
+            let traces = gap_completing_traces(n);
+            let stream = interleave(&traces, Duration::from_millis(5));
+            let setups = frames_of(&stream);
+            // Each device's last setup frame again, a minute on: every
+            // session completes by the idle gap, in this one round.
+            let end = stream.last().expect("frames").timestamp + Duration::from_secs(60);
+            let closing: Vec<_> = traces
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    let last = t.packets.last().expect("a setup sends frames");
+                    (end + Duration::from_micros(i as u64), last.encode())
+                })
+                .collect();
+            let mut round = StreamRuntime::new(&service);
+            assert!(round.ingest_frames(&setups).is_empty(), "{n}: mid-setup");
+            let mut reports = round.ingest_frames(&closing);
+            assert_eq!(reports.len(), n, "{n} completions in one round");
+            reports.extend(round.flush());
+
+            let mut one_by_one = StreamRuntime::with_config(
+                &service,
+                StreamConfig {
+                    batch_size: 1,
+                    ..StreamConfig::default()
+                },
+            );
+            let mut expected = Vec::new();
+            let frames = MemoryFrameSource::new([setups, closing].concat());
+            one_by_one.run_frames(frames, &mut expected).unwrap();
+            assert_eq!(format!("{reports:?}"), format!("{expected:?}"), "{n}");
+            assert_eq!(round.stats(), one_by_one.stats(), "{n}");
         }
     }
 

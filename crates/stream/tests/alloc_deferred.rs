@@ -28,12 +28,13 @@
 //! binary because a `#[global_allocator]` is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use sentinel_core::{FingerprintDataset, IoTSecurityService, ServiceConfig};
-use sentinel_devicesim::{catalog, Testbed};
+use sentinel_devicesim::{catalog, interleave, Testbed};
 use sentinel_fingerprint::extract_frames;
 use sentinel_fingerprint::setup::SetupDetector;
 use sentinel_netproto::{AppPayload, MacAddr, Packet, RawFeatures, Timestamp};
@@ -191,6 +192,7 @@ fn steady_state_and_shed_churn_deferred_ticks_do_not_allocate() {
     let service = IoTSecurityService::train(&dataset, &ServiceConfig::default());
     an_onboarded_device_leaves_its_rule_and_not_its_report(&service);
     a_one_frame_onboarding_allocates_three_blocks(&service);
+    a_round_of_a_lane_word_and_more_allocates_what_its_answers_own(&service);
 }
 
 /// Live heap a resident one-frame session may hold: its 16-column
@@ -356,6 +358,101 @@ fn a_one_frame_onboarding_allocates_three_blocks(service: &IoTSecurityService) {
             assert!(
                 spent <= ONE_FRAME_ONBOARDING_BLOCKS,
                 "onboarding a trusted device took {spent} allocations"
+            );
+        }
+    }
+}
+
+/// Completions in the measured round: a full lane word of the stage-1
+/// scorer and a lane-kernel tail (64 + 21).
+const ROUND: usize = 85;
+
+/// [`ROUND`] devices' setups, interleaved, and the frames of the round
+/// that completes them all.
+struct Round {
+    macs: Vec<MacAddr>,
+    setups: Vec<(Timestamp, Vec<u8>)>,
+    closing: Vec<(Timestamp, Vec<u8>)>,
+}
+
+/// [`ROUND`] catalog setups of `testbed` that complete by the idle gap,
+/// and the round that completes them all: each device's last setup
+/// frame again, a minute after the last.
+fn round_of(testbed: &Testbed) -> Round {
+    let devices = catalog();
+    let min_packets = SetupDetector::default().min_packets;
+    let traces: Vec<_> = (0..)
+        .map(|i: usize| {
+            testbed.setup_run(
+                &devices[i % devices.len()].profile,
+                (i / devices.len()) as u64,
+            )
+        })
+        .filter(|trace| trace.packets.len() >= min_packets)
+        .take(ROUND)
+        .collect();
+    let stream = interleave(&traces, Duration::from_millis(5));
+    let end = stream.last().expect("frames").timestamp + Duration::from_secs(60);
+    let closing = (traces.iter().enumerate())
+        .map(|(i, trace)| {
+            let last = trace.packets.last().expect("a setup sends frames");
+            (end + Duration::from_micros(i as u64), last.encode())
+        })
+        .collect();
+    Round {
+        macs: traces.iter().map(|trace| trace.mac).collect(),
+        setups: stream.iter().map(|p| (p.timestamp, p.encode())).collect(),
+        closing,
+    }
+}
+
+/// The cost of a whole round: [`ROUND`] setups completed by one
+/// `ingest_frames` call on a warm gateway whose rule table has room.
+/// Each completion allocates its `F'`, its identification's block when
+/// it has candidates and its rule's whitelist when the rule is
+/// restricted; the round allocates the returned report list. The
+/// keyed batches' items are a stack array and the responses, the
+/// completion buffer and the assessment scratch are warm state, so
+/// nothing is allocated per batch or per round beside the list.
+fn a_round_of_a_lane_word_and_more_allocates_what_its_answers_own(service: &IoTSecurityService) {
+    let (round, others) = (round_of(&Testbed::new(42)), round_of(&Testbed::new(7)));
+    let distinct: HashSet<MacAddr> = round.macs.iter().chain(&others.macs).copied().collect();
+    assert_eq!(distinct.len(), 2 * ROUND, "distinct MACs");
+    let mut runtime = StreamRuntime::new(service);
+    // The first pass warms the table, the completion buffer, the
+    // responses and the assessment scratch at this round's shape;
+    // `reset` keeps them. In each pass as many other devices onboard
+    // and leave first, so the rule table has room for the round.
+    for pass in 0..2 {
+        runtime.reset();
+        runtime.ingest_frames(&others.setups);
+        assert_eq!(runtime.ingest_frames(&others.closing).len(), ROUND);
+        for &mac in &others.macs {
+            runtime.remove_device(mac);
+        }
+        assert!(
+            runtime.ingest_frames(&round.setups).is_empty(),
+            "pass {pass}"
+        );
+        let before = allocations();
+        let reports = runtime.ingest_frames(&round.closing);
+        let spent = allocations() - before;
+        assert_eq!(reports.len(), ROUND, "pass {pass}: one round");
+        // What the answers own: `F'`, the identification's block, the
+        // rule's whitelist (counted by building the rule again).
+        let with_candidates = (reports.iter())
+            .filter(|report| !report.response.identification.candidates.is_empty())
+            .count();
+        let before = allocations();
+        for report in &reports {
+            drop(report.response.rule_for(report.mac));
+        }
+        let rules = allocations() - before;
+        if pass == 1 {
+            let owned = ROUND + with_candidates + rules + 1;
+            assert!(
+                spent <= owned,
+                "a round of {ROUND} took {spent} allocations; its answers own {owned}"
             );
         }
     }
