@@ -10,11 +10,11 @@ use sentinel_core::{
     IdentifyMode,
 };
 use sentinel_devicesim::{catalog, DeviceModel, Testbed};
-use sentinel_fingerprint::{extract, FixedFingerprint};
+use sentinel_fingerprint::{extract_frames, FixedFingerprint};
 use sentinel_ml::crossval::stratified_k_fold;
 use sentinel_ml::metrics::ConfusionMatrix;
 use sentinel_ml::{parallel, ForestConfig};
-use sentinel_netproto::MacAddr;
+use sentinel_netproto::{MacAddr, Packet};
 
 /// Label used for the pseudo-class recording "rejected by every
 /// classifier" predictions.
@@ -268,7 +268,10 @@ pub fn holdout_identifications(
     (0..probes)
         .map(|run| {
             let device = &devices[run as usize % devices.len()];
-            let full = extract(&holdout.setup_run(&device.profile, run).packets);
+            // A probe is read as a gateway reads it: its frames, scanned.
+            let trace = holdout.setup_run(&device.profile, run);
+            let frames: Vec<_> = trace.packets.iter().map(Packet::encode).collect();
+            let full = extract_frames(&frames).expect("simulated frames are well-formed");
             let fixed = FixedFingerprint::from_fingerprint(&full);
             // Harness key: the probe's index, no device MAC.
             identifier.identify_keyed(&full, &fixed, AssessKey::new(run, MacAddr::ZERO))

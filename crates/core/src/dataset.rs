@@ -1,7 +1,8 @@
 //! Labeled fingerprint datasets (the paper's 540-fingerprint corpus).
 
-use sentinel_devicesim::{DeviceModel, Testbed};
-use sentinel_fingerprint::{extract, Fingerprint, FixedFingerprint};
+use sentinel_devicesim::{DeviceModel, DeviceProfile, SetupTrace, Testbed};
+use sentinel_fingerprint::{FeatureExtractor, Fingerprint, FixedFingerprint, FIXED_PACKETS};
+use sentinel_netproto::{Packet, RawFeatures};
 
 /// A labeled corpus of device fingerprints: for each setup run both the
 /// variable-length `F` (for edit-distance discrimination) and the fixed
@@ -21,7 +22,7 @@ impl FingerprintDataset {
     /// reproduction of the paper's data collection (Sect. VI-A: 27
     /// types × 20 runs = 540 fingerprints).
     pub fn collect(devices: &[DeviceModel], runs: u64, seed: u64) -> Self {
-        Self::collect_with_packets(devices, runs, seed, sentinel_fingerprint::FIXED_PACKETS)
+        Self::collect_with_packets(devices, runs, seed, FIXED_PACKETS)
     }
 
     /// Collects fingerprints from *standby/operation* traffic instead of
@@ -29,26 +30,9 @@ impl FingerprintDataset {
     /// `cycles` heartbeat cycles per capture, `runs` captures per type.
     pub fn collect_standby(devices: &[DeviceModel], runs: u64, cycles: u32, seed: u64) -> Self {
         let testbed = Testbed::new(seed);
-        let mut dataset = FingerprintDataset {
-            type_names: devices
-                .iter()
-                .map(|d| d.info.identifier.to_owned())
-                .collect(),
-            labels: Vec::new(),
-            full: Vec::new(),
-            fixed: Vec::new(),
-        };
-        for (label, device) in devices.iter().enumerate() {
-            for run in 0..runs {
-                let trace = testbed.standby_run(&device.profile, run, cycles);
-                let fingerprint = extract(&trace.packets);
-                let fixed = FixedFingerprint::from_fingerprint(&fingerprint);
-                dataset.labels.push(label);
-                dataset.full.push(fingerprint);
-                dataset.fixed.push(fixed);
-            }
-        }
-        dataset
+        Self::from_runs(devices, runs, FIXED_PACKETS, |profile, run| {
+            testbed.standby_run(profile, run, cycles)
+        })
     }
 
     /// Like [`FingerprintDataset::collect`] but building `F'` from a
@@ -61,23 +45,30 @@ impl FingerprintDataset {
         packets: usize,
     ) -> Self {
         let testbed = Testbed::new(seed);
-        let mut dataset = FingerprintDataset {
-            type_names: devices
-                .iter()
-                .map(|d| d.info.identifier.to_owned())
-                .collect(),
-            labels: Vec::new(),
-            full: Vec::new(),
-            fixed: Vec::new(),
-        };
-        for (label, trace) in testbed.collect_catalog(devices, runs) {
-            let fingerprint = extract(&trace.packets);
-            let fixed = FixedFingerprint::with_packets(&fingerprint, packets);
-            dataset.labels.push(label);
-            dataset.full.push(fingerprint);
-            dataset.fixed.push(fixed);
+        Self::from_runs(devices, runs, packets, |profile, run| {
+            testbed.setup_run(profile, run)
+        })
+    }
+
+    /// Fingerprints `runs` traces per device through [`scan_capture`],
+    /// with `F'` over the first `packets` unique columns.
+    fn from_runs(
+        devices: &[DeviceModel],
+        runs: u64,
+        packets: usize,
+        trace: impl Fn(&DeviceProfile, u64) -> SetupTrace,
+    ) -> Self {
+        let (mut labels, mut full, mut fixed) = (vec![], vec![], vec![]);
+        for (label, device) in devices.iter().enumerate() {
+            for run in 0..runs {
+                let fingerprint = scan_capture(&trace(&device.profile, run).packets, |_| {});
+                labels.push(label);
+                fixed.push(FixedFingerprint::with_packets(&fingerprint, packets));
+                full.push(fingerprint);
+            }
         }
-        dataset
+        let names = devices.iter().map(|d| d.info.identifier.to_owned());
+        Self::from_parts(names.collect(), labels, full, fixed)
     }
 
     /// Builds a dataset from pre-extracted fingerprints.
@@ -161,6 +152,25 @@ impl FingerprintDataset {
     }
 }
 
+/// Fingerprints packets as the gateway reads them: each is encoded into
+/// one reused frame buffer and scanned, and `observe` sees every scanned
+/// record. A frame the scan rejects is skipped, as the gateway skips it;
+/// a simulated packet's never is (`parse(encode(p)) == p`).
+pub(crate) fn scan_capture(
+    packets: &[Packet],
+    mut observe: impl FnMut(&RawFeatures),
+) -> Fingerprint {
+    let (mut extractor, mut frame) = (FeatureExtractor::with_capacity(packets.len()), Vec::new());
+    for packet in packets {
+        packet.encode_into(&mut frame);
+        if let Ok(raw) = RawFeatures::from_frame(&frame) {
+            observe(&raw);
+            extractor.push_raw(&raw);
+        }
+    }
+    extractor.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +235,49 @@ mod tests {
         };
         assert!(mean_len(&dataset) > 0.0);
         assert!(mean_len(&setup) > 0.0);
+    }
+
+    /// The dataset of `devices` × `runs` traces built through the
+    /// decoded-packet `extract`: the reference every collection is held
+    /// to, column for column.
+    fn oracle(
+        devices: &[DeviceModel],
+        runs: u64,
+        packets: usize,
+        trace: impl Fn(&DeviceProfile, u64) -> SetupTrace,
+    ) -> FingerprintDataset {
+        let (mut labels, mut full, mut fixed) = (Vec::new(), Vec::new(), Vec::new());
+        for (label, device) in devices.iter().enumerate() {
+            for run in 0..runs {
+                let fingerprint =
+                    sentinel_fingerprint::extract(&trace(&device.profile, run).packets);
+                labels.push(label);
+                fixed.push(FixedFingerprint::with_packets(&fingerprint, packets));
+                full.push(fingerprint);
+            }
+        }
+        let names = devices.iter().map(|d| d.info.identifier.to_owned());
+        FingerprintDataset::from_parts(names.collect(), labels, full, fixed)
+    }
+
+    #[test]
+    fn collections_equal_the_decoded_packet_oracle() {
+        let devices: Vec<_> = catalog().into_iter().take(3).collect();
+        let testbed = Testbed::new(1);
+        let setup = |profile: &DeviceProfile, run| testbed.setup_run(profile, run);
+        let standby = |profile: &DeviceProfile, run| testbed.standby_run(profile, run, 2);
+        assert_eq!(
+            FingerprintDataset::collect(&devices, 4, 1),
+            oracle(&devices, 4, FIXED_PACKETS, setup)
+        );
+        assert_eq!(
+            FingerprintDataset::collect_with_packets(&devices, 4, 1, 16),
+            oracle(&devices, 4, 16, setup)
+        );
+        assert_eq!(
+            FingerprintDataset::collect_standby(&devices, 4, 2, 1),
+            oracle(&devices, 4, FIXED_PACKETS, standby)
+        );
     }
 
     #[test]

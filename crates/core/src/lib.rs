@@ -24,9 +24,10 @@
 //! let dataset = FingerprintDataset::collect(&devices, 20, 42);
 //! let service = IoTSecurityService::train(&dataset, &ServiceConfig::default());
 //!
-//! // A gateway sends the fingerprints of a new device's setup traffic.
+//! // A gateway sends the fingerprints of a new device's setup frames.
 //! let trace = Testbed::new(7).setup_run(&devices[0].profile, 99);
-//! let full = extract(&trace.packets);
+//! let frames: Vec<_> = trace.packets.iter().map(|p| p.encode()).collect();
+//! let full = extract_frames(&frames).expect("well-formed frames");
 //! let fixed = FixedFingerprint::from_fingerprint(&full);
 //! let response = service.assess(&full, &fixed);
 //! println!("{} -> {}", response.identification, response.verdict.isolation);
@@ -70,6 +71,6 @@ pub mod prelude {
         Identifier, IdentifierConfig, IdentifyMode, IoTSecurityService, SecurityService,
         ServiceConfig,
     };
-    pub use sentinel_fingerprint::{extract, Fingerprint, FixedFingerprint};
+    pub use sentinel_fingerprint::{extract_frames, Fingerprint, FixedFingerprint};
     pub use sentinel_sdn::{EnforcementRule, IsolationLevel};
 }

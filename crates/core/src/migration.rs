@@ -10,10 +10,13 @@
 //! untrusted overlay (PSK retained) or must be re-introduced manually
 //! (PSK deprecated).
 
-use sentinel_fingerprint::{extract, FixedFingerprint};
+use std::net::IpAddr;
+
+use sentinel_fingerprint::FixedFingerprint;
 use sentinel_netproto::{MacAddr, Packet};
 use sentinel_sdn::{EnforcementModule, EnforcementRule, IsolationLevel};
 
+use crate::dataset::scan_capture;
 use crate::report::{Identification, ServiceResponse};
 use crate::SecurityService;
 
@@ -117,7 +120,10 @@ fn migrate_one<S: SecurityService>(
     device: &LegacyDevice,
     module: &mut EnforcementModule,
 ) -> MigrationRecord {
-    let full = extract(&device.packets);
+    let mut observed = Vec::new();
+    let full = scan_capture(&device.packets, |raw| {
+        note_remote_endpoint(&mut observed, raw.dst_ip)
+    });
     let fixed = FixedFingerprint::from_fingerprint(&full);
     let response: ServiceResponse = service.assess(&full, &fixed);
     let (outcome, rule) = match response.verdict.isolation {
@@ -126,13 +132,10 @@ fn migrate_one<S: SecurityService>(
                 MigrationOutcome::MovedToTrusted,
                 Some(EnforcementRule::trusted(device.mac)),
             ),
-            (RekeySupport::None, PskPolicy::Retain) => {
-                let observed: Vec<std::net::IpAddr> = observed_remote_endpoints(&device.packets);
-                (
-                    MigrationOutcome::RemainsUntrusted(UntrustedReason::NoRekeySupport),
-                    Some(EnforcementRule::restricted(device.mac, observed)),
-                )
-            }
+            (RekeySupport::None, PskPolicy::Retain) => (
+                MigrationOutcome::RemainsUntrusted(UntrustedReason::NoRekeySupport),
+                Some(EnforcementRule::restricted(device.mac, observed)),
+            ),
             (RekeySupport::None, PskPolicy::Deprecate) => {
                 (MigrationOutcome::RequiresManualReintroduction, None)
             }
@@ -164,24 +167,21 @@ fn migrate_one<S: SecurityService>(
     }
 }
 
-/// The distinct public (non-RFC1918, non-multicast) IPv4 destinations in
-/// a capture, in first-contact order.
-fn observed_remote_endpoints(packets: &[Packet]) -> Vec<std::net::IpAddr> {
-    let mut seen = Vec::new();
-    for packet in packets {
-        if let Some(std::net::IpAddr::V4(ip)) = packet.dst_ip() {
-            let private = ip.is_private()
-                || ip.is_broadcast()
-                || ip.is_multicast()
-                || ip.is_link_local()
-                || ip.is_unspecified();
-            let addr = std::net::IpAddr::V4(ip);
-            if !private && !seen.contains(&addr) {
-                seen.push(addr);
-            }
+/// Adds `dst` to `seen` if it is a public (non-RFC1918, non-multicast)
+/// IPv4 address not seen before: fed a capture's destinations in order,
+/// `seen` holds its distinct remote endpoints in first-contact order.
+fn note_remote_endpoint(seen: &mut Vec<IpAddr>, dst: Option<IpAddr>) {
+    if let Some(IpAddr::V4(ip)) = dst {
+        let private = ip.is_private()
+            || ip.is_broadcast()
+            || ip.is_multicast()
+            || ip.is_link_local()
+            || ip.is_unspecified();
+        let addr = IpAddr::V4(ip);
+        if !private && !seen.contains(&addr) {
+            seen.push(addr);
         }
     }
-    seen
 }
 
 #[cfg(test)]
@@ -333,15 +333,74 @@ mod tests {
         assert_eq!(records[0].isolation, Some(IsolationLevel::Strict));
     }
 
+    /// The distinct public IPv4 destinations of a capture, read off the
+    /// decoded packets: the reference the scan's endpoints are held to.
+    fn observed_remote_endpoints(packets: &[Packet]) -> Vec<IpAddr> {
+        let mut seen = Vec::new();
+        for packet in packets {
+            if let Some(IpAddr::V4(ip)) = packet.dst_ip() {
+                let private = ip.is_private()
+                    || ip.is_broadcast()
+                    || ip.is_multicast()
+                    || ip.is_link_local()
+                    || ip.is_unspecified();
+                let addr = IpAddr::V4(ip);
+                if !private && !seen.contains(&addr) {
+                    seen.push(addr);
+                }
+            }
+        }
+        seen
+    }
+
+    /// The whitelist a clean device without WPS gets under a retained
+    /// PSK: the remote endpoints `migrate` observed in `packets`.
+    fn migrated_endpoints(packets: Vec<Packet>) -> Vec<IpAddr> {
+        let mut module = EnforcementModule::new();
+        let device = LegacyDevice {
+            mac: MacAddr::new([2, 0, 0, 0, 0, 1]),
+            packets,
+            rekey: RekeySupport::None,
+        };
+        let service = Scripted {
+            isolation: IsolationLevel::Trusted,
+        };
+        migrate(
+            &service,
+            PskPolicy::Retain,
+            std::slice::from_ref(&device),
+            &mut module,
+        );
+        let rule = module.cache().get(device.mac).expect("rule installed");
+        rule.permitted_endpoints().to_vec()
+    }
+
+    #[test]
+    fn observed_endpoints_equal_the_decoded_walk_on_every_standby_trace() {
+        let testbed = Testbed::new(10);
+        for device in catalog() {
+            for run in 0..2 {
+                let trace = testbed.standby_run(&device.profile, run, 3);
+                let decoded = observed_remote_endpoints(&trace.packets);
+                assert_eq!(
+                    migrated_endpoints(trace.packets),
+                    decoded,
+                    "{} run {run}",
+                    device.info.identifier
+                );
+            }
+        }
+    }
+
     #[test]
     fn observed_endpoints_are_public_and_deduplicated() {
         let devices = catalog();
         let trace = Testbed::new(10).standby_run(&devices[0].profile, 0, 3);
-        let endpoints = observed_remote_endpoints(&trace.packets);
+        let endpoints = migrated_endpoints(trace.packets);
         let distinct: std::collections::HashSet<_> = endpoints.iter().collect();
         assert_eq!(distinct.len(), endpoints.len());
         for endpoint in &endpoints {
-            let std::net::IpAddr::V4(v4) = endpoint else {
+            let IpAddr::V4(v4) = endpoint else {
                 panic!("v4 only in this lab")
             };
             assert!(!v4.is_private());

@@ -6,7 +6,7 @@ use sentinel_netproto::pcap::PcapWriter;
 use sentinel_netproto::ParseError;
 
 use crate::generator::TraceGenerator;
-use crate::{DeviceModel, DeviceProfile, SetupTrace};
+use crate::{DeviceProfile, SetupTrace};
 
 /// Simulates the paper's device-fingerprint collection lab: each
 /// device-type's setup procedure is repeated `n` times (the paper used
@@ -41,25 +41,6 @@ impl Testbed {
     pub fn standby_run(&self, profile: &DeviceProfile, run: u64, cycles: u32) -> SetupTrace {
         let seed = mix(self.base_seed ^ 0xfeed, &profile.name, run);
         self.generator.generate_standby(profile, seed, cycles)
-    }
-
-    /// Collects `runs` setup traces of one device-type.
-    pub fn collect(&self, profile: &DeviceProfile, runs: u64) -> Vec<SetupTrace> {
-        (0..runs).map(|run| self.setup_run(profile, run)).collect()
-    }
-
-    /// Collects `runs` traces for every catalog entry, returning
-    /// `(type index, trace)` pairs grouped by type.
-    pub fn collect_catalog(&self, devices: &[DeviceModel], runs: u64) -> Vec<(usize, SetupTrace)> {
-        devices
-            .iter()
-            .enumerate()
-            .flat_map(|(index, device)| {
-                self.collect(&device.profile, runs)
-                    .into_iter()
-                    .map(move |trace| (index, trace))
-            })
-            .collect()
     }
 
     /// Exports a trace as a pcap capture (what the lab's tcpdump wrote).
@@ -102,15 +83,6 @@ mod tests {
         let a_again = testbed.setup_run(&devices[0].profile, 0);
         assert_ne!(a.mac, b.mac, "factory reset randomizes the MAC suffix");
         assert_eq!(a, a_again);
-    }
-
-    #[test]
-    fn collect_catalog_shape() {
-        let devices: Vec<_> = catalog().into_iter().take(3).collect();
-        let testbed = Testbed::new(1);
-        let collected = testbed.collect_catalog(&devices, 4);
-        assert_eq!(collected.len(), 12);
-        assert_eq!(collected.iter().filter(|(i, _)| *i == 0).count(), 4);
     }
 
     #[test]

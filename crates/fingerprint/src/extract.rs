@@ -14,9 +14,10 @@ use crate::{FeatureVector, Fingerprint};
 /// count and order in which a device communicates with different
 /// entities during its setup procedure".
 ///
-/// Feed packets in capture order with [`FeatureExtractor::push`], then
-/// take the fingerprint with [`FeatureExtractor::finish`]. For the common
-/// batch case, use the free function [`extract`].
+/// Feed frames in capture order — each scanned by
+/// [`RawFeatures::from_frame`] — with [`FeatureExtractor::push_raw`],
+/// then take the fingerprint with [`FeatureExtractor::finish`]. For a
+/// whole capture in memory, use the free function [`extract_frames`].
 ///
 /// The extractor holds exactly the columns of `F` so far: a vector equal
 /// to the one before it is counted but not stored (Sect. IV-A discards
@@ -43,7 +44,7 @@ impl FeatureExtractor {
     /// Creates an extractor with room for `capacity` columns of `F`
     /// (16 bytes each) reserved; it grows past that by `Vec` doubling.
     ///
-    /// A caller that knows its packet count (batch [`extract`]) passes it
+    /// A caller that knows its packet count (batch [`extract_frames`]) passes it
     /// and never reallocates; a long-lived per-device extractor should
     /// reserve for the typical setup, not the worst case — what is
     /// reserved is resident for as long as the extractor is.
@@ -63,16 +64,11 @@ impl FeatureExtractor {
         self.packets = 0;
     }
 
-    /// Extracts the features of `packet` and appends them.
+    /// Appends the features of one wire-scanned frame (see
+    /// [`sentinel_netproto::WireScan`]).
     ///
     /// Returns the extracted vector for callers that want to observe it
     /// (the stored column it equals, if it was a consecutive duplicate).
-    pub fn push(&mut self, packet: &Packet) -> &FeatureVector {
-        self.push_raw(&RawFeatures::from_packet(packet))
-    }
-
-    /// Appends the features of one wire-scanned frame (the zero-copy
-    /// fast path — see [`sentinel_netproto::WireScan`]).
     pub fn push_raw(&mut self, raw: &RawFeatures) -> &FeatureVector {
         let counter = match raw.dst_ip {
             Some(ip) => match self.dst_ip_order.iter().position(|&seen| seen == ip) {
@@ -94,16 +90,6 @@ impl FeatureExtractor {
             .expect("pushed now or equal to the last")
     }
 
-    /// Extracts the features of one raw Ethernet frame in one wire walk
-    /// ([`RawFeatures::from_frame`]), never building a [`Packet`]: the
-    /// scan is total, so no frame falls back to the decoder.
-    ///
-    /// Errors exactly when `Packet::parse` would, with its error value.
-    pub(crate) fn push_bytes(&mut self, frame: &[u8]) -> Result<&FeatureVector, ParseError> {
-        let raw = RawFeatures::from_frame(frame)?;
-        Ok(self.push_raw(&raw))
-    }
-
     /// The number of packets consumed so far, duplicates included.
     pub fn packet_count(&self) -> usize {
         self.packets
@@ -116,7 +102,10 @@ impl FeatureExtractor {
     }
 }
 
-/// Extracts a [`Fingerprint`] from setup-phase packets in capture order.
+/// Extracts a [`Fingerprint`] from decoded packets in capture order
+/// ([`RawFeatures::from_packet`]): the reference the wire scan is held
+/// to, public only for other crates' tests. Callers read frames
+/// ([`extract_frames`], or [`FeatureExtractor::push_raw`]).
 ///
 /// ```
 /// use sentinel_fingerprint::extract;
@@ -129,18 +118,19 @@ impl FeatureExtractor {
 pub fn extract(packets: &[Packet]) -> Fingerprint {
     let mut extractor = FeatureExtractor::with_capacity(packets.len());
     for packet in packets {
-        extractor.push(packet);
+        extractor.push_raw(&RawFeatures::from_packet(packet));
     }
     extractor.finish()
 }
 
 /// Extracts a [`Fingerprint`] straight from raw Ethernet frames via the
-/// zero-copy wire scanner, never constructing a [`Packet`]. Produces exactly the same fingerprint as [`extract`] on the
-/// decoded packets; errors exactly when decoding would.
+/// zero-copy wire scanner, never constructing a [`Packet`]. Produces
+/// exactly the same fingerprint as [`extract`] on the decoded packets;
+/// errors exactly when decoding would.
 pub fn extract_frames<B: AsRef<[u8]>>(frames: &[B]) -> Result<Fingerprint, ParseError> {
     let mut extractor = FeatureExtractor::with_capacity(frames.len());
     for frame in frames {
-        extractor.push_bytes(frame.as_ref())?;
+        extractor.push_raw(&RawFeatures::from_frame(frame.as_ref())?);
     }
     Ok(extractor.finish())
 }
@@ -181,7 +171,11 @@ mod tests {
         let mut extractor = FeatureExtractor::new();
         let counters: Vec<u32> = packets
             .iter()
-            .map(|p| extractor.push(p).dst_ip_counter)
+            .map(|p| {
+                extractor
+                    .push_raw(&RawFeatures::from_packet(p))
+                    .dst_ip_counter
+            })
             .collect();
         assert_eq!(counters, vec![1, 2, 1, 2]);
     }
@@ -190,10 +184,20 @@ mod tests {
     fn packets_without_ip_get_zero_counter() {
         let probe = Packet::arp_probe(Timestamp::ZERO, mac(), Ipv4Addr::new(10, 0, 0, 1));
         let mut extractor = FeatureExtractor::new();
-        assert_eq!(extractor.push(&probe).dst_ip_counter, 0);
+        assert_eq!(
+            extractor
+                .push_raw(&RawFeatures::from_packet(&probe))
+                .dst_ip_counter,
+            0
+        );
         // An ARP probe must not consume a counter slot.
         let first_ip = udp_to(Ipv4Addr::new(10, 0, 0, 9), 80, 1);
-        assert_eq!(extractor.push(&first_ip).dst_ip_counter, 1);
+        assert_eq!(
+            extractor
+                .push_raw(&RawFeatures::from_packet(&first_ip))
+                .dst_ip_counter,
+            1
+        );
     }
 
     #[test]
@@ -204,14 +208,19 @@ mod tests {
         ];
         let mut extractor = FeatureExtractor::with_capacity(8);
         for packet in &packets {
-            extractor.push(packet);
+            extractor.push_raw(&RawFeatures::from_packet(packet));
         }
         let arena = extractor.vectors.as_ptr();
         extractor.clear();
         assert_eq!(extractor.packet_count(), 0);
         // The destination counter starts over: the second address of the
         // first run is the first of this one.
-        assert_eq!(extractor.push(&packets[1]).dst_ip_counter, 1);
+        assert_eq!(
+            extractor
+                .push_raw(&RawFeatures::from_packet(&packets[1]))
+                .dst_ip_counter,
+            1
+        );
         assert_eq!(extractor.vectors.as_ptr(), arena, "arena was reallocated");
         assert_eq!(extractor.finish(), extract(&packets[1..]));
     }
@@ -230,7 +239,9 @@ mod tests {
         let mut extractor = FeatureExtractor::new();
         let mut returned = Vec::new();
         for (i, packet) in packets.iter().enumerate() {
-            let vector = extractor.push(packet).clone();
+            let vector = extractor
+                .push_raw(&RawFeatures::from_packet(packet))
+                .clone();
             // Stored or not, the caller sees the offered packet's vector.
             let counter = if i == 2 { 2 } else { 1 };
             assert_eq!(vector, FeatureVector::from_packet(packet, counter));
@@ -249,7 +260,7 @@ mod tests {
         let packet = udp_to(Ipv4Addr::new(192, 168, 0, 1), 53, 0);
         let mut extractor = FeatureExtractor::new();
         for _ in 0..256 {
-            extractor.push(&packet);
+            extractor.push_raw(&RawFeatures::from_packet(&packet));
         }
         assert_eq!(extractor.packet_count(), 256);
         assert_eq!(extractor.vectors.len(), 1);

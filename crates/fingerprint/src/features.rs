@@ -103,8 +103,9 @@ pub struct FeatureVector {
 }
 
 impl FeatureVector {
-    /// Extracts the features of one packet, through the same
-    /// [`RawFeatures`] record the wire scan emits.
+    /// Extracts the features of one decoded packet, through
+    /// [`RawFeatures::from_packet`]: a reference for tests, as
+    /// [`crate::extract`] is.
     ///
     /// `dst_ip_counter` carries per-fingerprint state and is therefore
     /// supplied by the caller (see [`crate::FeatureExtractor`]).
@@ -112,8 +113,7 @@ impl FeatureVector {
         Self::from_raw(&RawFeatures::from_packet(packet), dst_ip_counter)
     }
 
-    /// Builds the features from a wire-scan record (the zero-copy fast
-    /// path). Equivalent to [`FeatureVector::from_packet`] on the decoded
+    /// Builds the features from a wire-scan record. Equivalent to [`FeatureVector::from_packet`] on the decoded
     /// frame — the contract `sentinel_netproto::scan` certifies.
     pub(crate) fn from_raw(raw: &RawFeatures, dst_ip_counter: u32) -> Self {
         FeatureVector {

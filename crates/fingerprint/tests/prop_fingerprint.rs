@@ -237,7 +237,7 @@ proptest! {
     #[test]
     fn incremental_push_matches_independent_counter_model(dsts in proptest::collection::vec(proptest::option::of(0u8..6), 0..40)) {
         use sentinel_fingerprint::FeatureExtractor;
-        use sentinel_netproto::{AppPayload, Timestamp};
+        use sentinel_netproto::{AppPayload, RawFeatures, Timestamp};
         use std::net::Ipv4Addr;
 
         let mac = MacAddr::new([7, 7, 7, 7, 7, 7]);
@@ -287,7 +287,7 @@ proptest! {
         let mut extractor = FeatureExtractor::new();
         let streamed: Vec<u32> = packets
             .iter()
-            .map(|p| extractor.push(p).dst_ip_counter)
+            .map(|p| extractor.push_raw(&RawFeatures::from_packet(p)).dst_ip_counter)
             .collect();
         prop_assert_eq!(&streamed, &expected);
         prop_assert_eq!(extractor.packet_count(), packets.len());

@@ -325,7 +325,7 @@ impl DhcpMessage {
 
     /// Wire length of the encoded message: the fixed BOOTP portion,
     /// plus — for DHCP — the cookie, every option and the end marker.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         if !self.dhcp {
             return FIXED_LEN;
         }

@@ -105,7 +105,7 @@ impl EapolPacket {
     }
 
     /// Wire length of the encoded frame.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         HEADER_LEN + self.body.len()
     }
 

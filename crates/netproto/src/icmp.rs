@@ -84,7 +84,7 @@ impl IcmpMessage {
     }
 
     /// Wire length of the encoded message.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         HEADER_LEN + self.payload.len()
     }
 

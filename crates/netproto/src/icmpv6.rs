@@ -99,7 +99,7 @@ impl Icmpv6Message {
     }
 
     /// Wire length of the encoded message.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         HEADER_LEN + self.body.len()
     }
 

@@ -71,7 +71,7 @@ impl AppPayload {
     }
 
     /// Encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             AppPayload::Dhcp(m) => m.wire_len(),
             AppPayload::Dns(m) => m.wire_len(),
@@ -199,7 +199,7 @@ impl Transport {
     }
 
     /// Encoded length in bytes: the IP payload length.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             Transport::Tcp { header, payload } => header.header_len() + payload.wire_len(),
             Transport::Udp { payload, .. } => crate::udp::HEADER_LEN + payload.wire_len(),

@@ -22,14 +22,15 @@ const MAX_SNAPLEN: u32 = 262_144;
 ///
 /// ```
 /// use sentinel_netproto::pcap::{PcapReader, PcapWriter};
-/// use sentinel_netproto::{MacAddr, Packet};
+/// use sentinel_netproto::{stream::FrameSource, MacAddr, Packet, RawFeatures};
 ///
 /// # fn main() -> Result<(), sentinel_netproto::ParseError> {
 /// let mut buf = Vec::new();
 /// let mut writer = PcapWriter::new(&mut buf)?;
 /// writer.write_packet(&Packet::dhcp_discover(MacAddr::ZERO, 1, 0))?;
-/// let packets = PcapReader::new(buf.as_slice())?.read_all()?;
-/// assert_eq!(packets[0].ports(), Some((68, 67)));
+/// let (mut reader, mut frame) = (PcapReader::new(buf.as_slice())?, Vec::new());
+/// assert!(reader.next_frame_into(&mut frame)?.is_some());
+/// assert_eq!(RawFeatures::from_frame(&frame)?.dst_port, Some(67));
 /// # Ok(())
 /// # }
 /// ```
@@ -185,7 +186,8 @@ impl<R: Read> PcapReader<R> {
         Ok(Some(Timestamp::from_pcap_parts(secs, micros)))
     }
 
-    /// Reads and parses all remaining packets.
+    /// Reads and decodes all remaining packets: a reference for tests.
+    /// Callers read frames ([`FrameSource`](crate::stream::FrameSource)).
     ///
     /// # Errors
     ///

@@ -78,8 +78,8 @@ pub struct RawFeatures {
 
 impl RawFeatures {
     /// Derives the same record from a fully decoded packet: the
-    /// reference the scanner is held to, and the way in for callers that
-    /// already hold a [`Packet`].
+    /// reference the scanner is held to, public only for other crates'
+    /// tests (callers scan frames: [`RawFeatures::from_frame`]).
     pub fn from_packet(packet: &Packet) -> Self {
         use crate::packet::PacketBody;
         let (padding, router_alert) = match &packet.body {

@@ -1,11 +1,10 @@
 //! Frame-stream abstraction for continuous capture ingestion.
 //!
-//! The batch pipeline reads a whole capture into a `Vec<Packet>` before
-//! doing anything with it. Streaming consumers (the `sentinel-stream`
-//! onboarding runtime) instead pull timestamped raw frames through
-//! [`FrameSource`], so a multi-gigabyte capture — or a live tap — never
-//! has to be resident in memory, and no [`Packet`] is built for a frame
-//! the wire scanner ([`crate::WireScan`]) can certify.
+//! Capture consumers (the `sentinel-stream` onboarding runtime, the
+//! `sentinel` CLI) pull timestamped raw frames through [`FrameSource`],
+//! so a multi-gigabyte capture — or a live tap — never has to be
+//! resident in memory, and no [`Packet`] is built for a frame the wire
+//! scanner ([`crate::WireScan`]) can certify.
 //! [`PcapReader`] implements the trait directly,
 //! and [`MemoryFrameSource`] serves an in-memory frame list — or, through
 //! [`MemoryFrameSource::from_packets`], encodes a packet list (e.g. a

@@ -84,7 +84,7 @@ impl TlsRecord {
     }
 
     /// Wire length of the encoded record.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         HEADER_LEN + self.payload.len()
     }
 

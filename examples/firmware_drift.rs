@@ -13,7 +13,7 @@
 //! ```
 
 use iot_sentinel::devicesim::{catalog, Testbed};
-use iot_sentinel::fingerprint::{extract, FixedFingerprint};
+use iot_sentinel::fingerprint::{extract_frames, FixedFingerprint};
 use iot_sentinel::ml::{crossval::stratified_k_fold, Dataset, ForestConfig, RandomForest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +33,8 @@ fn main() {
     for run in 0..20 {
         for (version, profile) in [(0usize, &v1), (1usize, &v2)] {
             let trace = testbed.setup_run(profile, run + version as u64 * 1000);
-            let full = extract(&trace.packets);
+            let frames: Vec<_> = trace.packets.iter().map(|p| p.encode()).collect();
+            let full = extract_frames(&frames).expect("simulated frames are well-formed");
             let fixed = FixedFingerprint::from_fingerprint(&full);
             data.push(fixed.as_slice(), version);
         }

@@ -9,7 +9,8 @@
 //! ```
 
 use iot_sentinel::devicesim::{catalog, Testbed};
-use iot_sentinel::fingerprint::{extract, FixedFingerprint};
+use iot_sentinel::fingerprint::{extract_frames, FixedFingerprint};
+use iot_sentinel::netproto::Packet;
 use iot_sentinel::prelude::*;
 
 fn main() {
@@ -24,10 +25,11 @@ fn main() {
         bank.n_types()
     );
 
-    // The kettle ships. A gateway sees its setup traffic.
+    // The kettle ships. A gateway sees its setup traffic's frames.
     let kettle = &devices[26];
     let trace = Testbed::new(99).setup_run(&kettle.profile, 0);
-    let full = extract(&trace.packets);
+    let frames: Vec<_> = trace.packets.iter().map(Packet::encode).collect();
+    let full = extract_frames(&frames).expect("simulated frames are well-formed");
     let fixed = FixedFingerprint::from_fingerprint(&full);
     let matches = bank.matches(&fixed);
     println!(
@@ -52,7 +54,8 @@ fn main() {
 
     // A fresh setup run of the kettle now matches.
     let trace = Testbed::new(100).setup_run(&kettle.profile, 1);
-    let full = extract(&trace.packets);
+    let frames: Vec<_> = trace.packets.iter().map(Packet::encode).collect();
+    let full = extract_frames(&frames).expect("simulated frames are well-formed");
     let fixed = FixedFingerprint::from_fingerprint(&full);
     let matches = bank.matches(&fixed);
     println!(

@@ -1,15 +1,16 @@
 //! Pcap interoperability: export a simulated setup capture to a pcap
-//! file (what the paper's tcpdump produced), read it back, and run the
-//! identification pipeline on the parsed packets — demonstrating the
-//! pipeline also works on real captures.
+//! file (what the paper's tcpdump produced), scan its frames back as the
+//! gateway does, and run the identification pipeline on them —
+//! demonstrating the pipeline also works on real captures.
 //!
 //! ```text
 //! cargo run --release --example pcap_pipeline
 //! ```
 
 use iot_sentinel::devicesim::{catalog, Testbed};
-use iot_sentinel::fingerprint::{extract, FixedFingerprint};
+use iot_sentinel::fingerprint::{FeatureExtractor, FixedFingerprint};
 use iot_sentinel::netproto::pcap::{PcapReader, PcapWriter};
+use iot_sentinel::netproto::{stream::FrameSource, RawFeatures};
 use iot_sentinel::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,11 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Re-read the capture exactly as the gateway would ingest tcpdump
-    // output, and fingerprint it.
+    // output (frame by frame, scanned in place), and fingerprint it.
     let mut reader = PcapReader::new(std::fs::File::open(&path)?)?;
-    let packets = reader.read_all()?;
-    assert_eq!(packets, trace.packets, "lossless pcap roundtrip");
-    let full = extract(&packets);
+    let (mut extractor, mut frame) = (FeatureExtractor::new(), Vec::new());
+    while reader.next_frame_into(&mut frame)?.is_some() {
+        extractor.push_raw(&RawFeatures::from_frame(&frame)?);
+    }
+    assert_eq!(extractor.packet_count(), trace.packets.len());
+    let full = extractor.finish();
     let fixed = FixedFingerprint::from_fingerprint(&full);
     println!(
         "extracted fingerprint: {} packet columns, F' = {} dimensions",

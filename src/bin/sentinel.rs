@@ -27,9 +27,9 @@ use sentinel_core::{
     TrainedModel,
 };
 use sentinel_devicesim::{catalog, interleave, Testbed};
-use sentinel_fingerprint::{extract, FixedFingerprint, FEATURE_NAMES};
-use sentinel_netproto::pcap::PcapReader;
+use sentinel_fingerprint::{FeatureExtractor, FixedFingerprint};
 use sentinel_netproto::stream::{FrameSource, MemoryFrameSource};
+use sentinel_netproto::{pcap::PcapReader, RawFeatures};
 use sentinel_snapshot::Snapshot;
 use sentinel_stream::{StreamConfig, StreamRuntime};
 
@@ -154,18 +154,23 @@ fn simulate(
     Ok(())
 }
 
-fn read_capture(path: &str) -> Result<Vec<sentinel_netproto::Packet>, Box<dyn std::error::Error>> {
+/// Scans a capture's frames as the gateway does; a bad frame fails it with `Packet::parse`'s error.
+fn scan_pcap(path: &str) -> Result<FeatureExtractor, Box<dyn std::error::Error>> {
     let mut reader = PcapReader::new(std::fs::File::open(path)?)?;
-    Ok(reader.read_all()?)
+    let (mut extractor, mut frame) = (FeatureExtractor::new(), Vec::new());
+    while reader.next_frame_into(&mut frame)?.is_some() {
+        extractor.push_raw(&RawFeatures::from_frame(&frame)?);
+    }
+    Ok(extractor)
 }
 
 fn fingerprint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let [path] = args else {
         return Err("usage: sentinel fingerprint <capture.pcap>".into());
     };
-    let packets = read_capture(path)?;
-    println!("{}: {} packets", path, packets.len());
-    let full = extract(&packets);
+    let extractor = scan_pcap(path)?;
+    println!("{}: {} packets", path, extractor.packet_count());
+    let full = extractor.finish();
     let fixed = FixedFingerprint::from_fingerprint(&full);
     println!(
         "fingerprint F: {} packet columns (consecutive duplicates removed)",
@@ -186,7 +191,6 @@ fn fingerprint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if full.len() > 12 {
         println!("  … {} more columns", full.len() - 12);
     }
-    let _ = FEATURE_NAMES; // (feature order documented in sentinel-fingerprint)
     Ok(())
 }
 
@@ -294,9 +298,8 @@ fn identify(
     let [path] = args else {
         return Err("usage: sentinel identify <capture.pcap>".into());
     };
-    let packets = read_capture(path)?;
+    let full = scan_pcap(path)?.finish();
     let service = build_service(load, runs, seed)?;
-    let full = extract(&packets);
     let fixed = FixedFingerprint::from_fingerprint(&full);
     let response = service.assess(&full, &fixed);
     println!("identification: {}", response.identification);
