@@ -126,11 +126,12 @@ fn migrate_one<S: SecurityService>(
     });
     let fixed = FixedFingerprint::from_fingerprint(&full);
     let response: ServiceResponse = service.assess(&full, &fixed);
+    // A verdict's own rule, except where the PSK policy overrides it.
     let (outcome, rule) = match response.verdict.isolation {
         IsolationLevel::Trusted => match (device.rekey, policy) {
             (RekeySupport::Wps, _) => (
                 MigrationOutcome::MovedToTrusted,
-                Some(EnforcementRule::trusted(device.mac)),
+                Some(response.rule_for(device.mac)),
             ),
             (RekeySupport::None, PskPolicy::Retain) => (
                 MigrationOutcome::RemainsUntrusted(UntrustedReason::NoRekeySupport),
@@ -142,14 +143,11 @@ fn migrate_one<S: SecurityService>(
         },
         IsolationLevel::Restricted => (
             MigrationOutcome::RemainsUntrusted(UntrustedReason::KnownVulnerabilities),
-            Some(EnforcementRule::restricted(
-                device.mac,
-                response.verdict.permitted_endpoints.iter().copied(),
-            )),
+            Some(response.rule_for(device.mac)),
         ),
         IsolationLevel::Strict => (
             MigrationOutcome::RemainsUntrusted(UntrustedReason::UnknownType),
-            Some(EnforcementRule::strict(device.mac)),
+            Some(response.rule_for(device.mac)),
         ),
     };
     let isolation = rule.as_ref().map(|r| r.level);

@@ -6,8 +6,7 @@
 
 use std::net::Ipv4Addr;
 
-use crate::{MacAddr, ParseError};
-use bytes::BufMut;
+use crate::{MacAddr, ParseError, PutBe};
 
 /// Wire length of an Ethernet/IPv4 ARP packet.
 pub(crate) const PACKET_LEN: usize = 28;
@@ -103,16 +102,16 @@ impl ArpPacket {
     }
 
     /// Appends the 28 packet bytes to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(1); // htype: Ethernet
         buf.put_u16(0x0800); // ptype: IPv4
-        buf.put_u8(6); // hlen
-        buf.put_u8(4); // plen
+        buf.push(6); // hlen
+        buf.push(4); // plen
         buf.put_u16(self.op.to_u16());
-        buf.put_slice(&self.sender_mac.octets());
-        buf.put_slice(&self.sender_ip.octets());
-        buf.put_slice(&self.target_mac.octets());
-        buf.put_slice(&self.target_ip.octets());
+        buf.extend_from_slice(&self.sender_mac.octets());
+        buf.extend_from_slice(&self.sender_ip.octets());
+        buf.extend_from_slice(&self.target_mac.octets());
+        buf.extend_from_slice(&self.target_ip.octets());
     }
 
     /// Parses an Ethernet/IPv4 ARP packet.

@@ -8,8 +8,7 @@
 
 use std::net::Ipv4Addr;
 
-use crate::{MacAddr, ParseError};
-use bytes::BufMut;
+use crate::{MacAddr, ParseError, PutBe};
 
 /// Minimum (fixed-portion) length of a BOOTP message.
 pub(crate) const FIXED_LEN: usize = 236;
@@ -135,53 +134,53 @@ impl DhcpOption {
         }
     }
 
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             DhcpOption::MessageType(t) => {
-                buf.put_u8(53);
-                buf.put_u8(1);
-                buf.put_u8(t.to_u8());
+                buf.push(53);
+                buf.push(1);
+                buf.push(t.to_u8());
             }
             DhcpOption::RequestedIp(ip) => {
-                buf.put_u8(50);
-                buf.put_u8(4);
-                buf.put_slice(&ip.octets());
+                buf.push(50);
+                buf.push(4);
+                buf.extend_from_slice(&ip.octets());
             }
             DhcpOption::ServerId(ip) => {
-                buf.put_u8(54);
-                buf.put_u8(4);
-                buf.put_slice(&ip.octets());
+                buf.push(54);
+                buf.push(4);
+                buf.extend_from_slice(&ip.octets());
             }
             DhcpOption::ParameterRequestList(params) => {
-                buf.put_u8(55);
-                buf.put_u8(params.len() as u8);
-                buf.put_slice(params);
+                buf.push(55);
+                buf.push(params.len() as u8);
+                buf.extend_from_slice(params);
             }
             DhcpOption::HostName(name) => {
-                buf.put_u8(12);
-                buf.put_u8(name.len() as u8);
-                buf.put_slice(name.as_bytes());
+                buf.push(12);
+                buf.push(name.len() as u8);
+                buf.extend_from_slice(name.as_bytes());
             }
             DhcpOption::VendorClassId(id) => {
-                buf.put_u8(60);
-                buf.put_u8(id.len() as u8);
-                buf.put_slice(id.as_bytes());
+                buf.push(60);
+                buf.push(id.len() as u8);
+                buf.extend_from_slice(id.as_bytes());
             }
             DhcpOption::ClientId(mac) => {
-                buf.put_u8(61);
-                buf.put_u8(7);
-                buf.put_u8(1); // hardware type: Ethernet
-                buf.put_slice(&mac.octets());
+                buf.push(61);
+                buf.push(7);
+                buf.push(1); // hardware type: Ethernet
+                buf.extend_from_slice(&mac.octets());
             }
             DhcpOption::MaxMessageSize(size) => {
-                buf.put_u8(57);
-                buf.put_u8(2);
+                buf.push(57);
+                buf.push(2);
                 buf.put_u16(*size);
             }
             DhcpOption::Other { code, data } => {
-                buf.put_u8(*code);
-                buf.put_u8(data.len() as u8);
-                buf.put_slice(data);
+                buf.push(*code);
+                buf.push(data.len() as u8);
+                buf.extend_from_slice(data);
             }
         }
     }
@@ -298,28 +297,28 @@ impl DhcpMessage {
     }
 
     /// Appends the message bytes to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.op.to_u8());
-        buf.put_u8(1); // htype: Ethernet
-        buf.put_u8(6); // hlen
-        buf.put_u8(0); // hops
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.op.to_u8());
+        buf.push(1); // htype: Ethernet
+        buf.push(6); // hlen
+        buf.push(0); // hops
         buf.put_u32(self.xid);
         buf.put_u16(self.secs);
         buf.put_u16(if self.broadcast { 0x8000 } else { 0 });
-        buf.put_slice(&self.ciaddr.octets());
-        buf.put_slice(&self.yiaddr.octets());
-        buf.put_slice(&self.siaddr.octets());
-        buf.put_slice(&self.giaddr.octets());
-        buf.put_slice(&self.chaddr.octets());
-        buf.put_slice(&[0u8; 10]); // chaddr padding
-        buf.put_slice(&[0u8; 64]); // sname
-        buf.put_slice(&[0u8; 128]); // file
+        buf.extend_from_slice(&self.ciaddr.octets());
+        buf.extend_from_slice(&self.yiaddr.octets());
+        buf.extend_from_slice(&self.siaddr.octets());
+        buf.extend_from_slice(&self.giaddr.octets());
+        buf.extend_from_slice(&self.chaddr.octets());
+        buf.extend_from_slice(&[0u8; 10]); // chaddr padding
+        buf.extend_from_slice(&[0u8; 64]); // sname
+        buf.extend_from_slice(&[0u8; 128]); // file
         if self.dhcp {
-            buf.put_slice(&MAGIC_COOKIE);
+            buf.extend_from_slice(&MAGIC_COOKIE);
             for option in &self.options {
                 option.encode(buf);
             }
-            buf.put_u8(255); // end option
+            buf.push(255); // end option
         }
     }
 

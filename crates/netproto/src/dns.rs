@@ -5,8 +5,7 @@
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use crate::ParseError;
-use bytes::BufMut;
+use crate::{ParseError, PutBe};
 
 /// Length of the DNS message header.
 pub(crate) const HEADER_LEN: usize = 12;
@@ -235,7 +234,7 @@ impl DnsMessage {
     }
 
     /// Appends the message bytes to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(self.id);
         let mut flags = 0u16;
         if self.response {
@@ -269,16 +268,16 @@ impl DnsMessage {
             buf.put_u32(rr.ttl);
             buf.put_u16(rr.rdata_len() as u16);
             match &rr.data {
-                RecordData::A(ip) => buf.put_slice(&ip.octets()),
-                RecordData::Aaaa(ip) => buf.put_slice(&ip.octets()),
+                RecordData::A(ip) => buf.extend_from_slice(&ip.octets()),
+                RecordData::Aaaa(ip) => buf.extend_from_slice(&ip.octets()),
                 RecordData::Ptr(name) => encode_name(name, buf),
                 RecordData::Txt(strings) => {
                     for s in strings {
-                        buf.put_u8(s.len() as u8);
-                        buf.put_slice(s.as_bytes());
+                        buf.push(s.len() as u8);
+                        buf.extend_from_slice(s.as_bytes());
                     }
                 }
-                RecordData::Raw { data, .. } => buf.put_slice(data),
+                RecordData::Raw { data, .. } => buf.extend_from_slice(data),
             }
         }
     }
@@ -357,13 +356,13 @@ fn labels(name: &[u8]) -> impl Iterator<Item = &[u8]> {
     name.split(|&b| b == b'.').filter(|l| !l.is_empty())
 }
 
-fn encode_name(name: &str, buf: &mut impl BufMut) {
+fn encode_name(name: &str, buf: &mut Vec<u8>) {
     for label in labels(name.as_bytes()) {
         debug_assert!(label.len() < 64, "dns label too long in {name}");
-        buf.put_u8(label.len() as u8);
-        buf.put_slice(label);
+        buf.push(label.len() as u8);
+        buf.extend_from_slice(label);
     }
-    buf.put_u8(0);
+    buf.push(0);
 }
 
 /// Encoded length of the labels of `name`: a length byte and the text.

@@ -5,8 +5,7 @@
 //! capture — the paper lists EAPoL among its network-layer protocol
 //! features (Table I).
 
-use crate::ParseError;
-use bytes::{BufMut, Bytes};
+use crate::{ParseError, PutBe};
 
 /// Length of the fixed EAPoL header.
 pub(crate) const HEADER_LEN: usize = 4;
@@ -68,12 +67,12 @@ pub struct EapolPacket {
     /// Packet type.
     pub packet_type: EapolType,
     /// Opaque body (key descriptors are not interpreted by the gateway).
-    pub body: Bytes,
+    pub body: Box<[u8]>,
 }
 
 impl EapolPacket {
     /// Creates an EAPoL frame with the given type and body.
-    pub fn new(packet_type: EapolType, body: impl Into<Bytes>) -> Self {
+    pub fn new(packet_type: EapolType, body: impl Into<Box<[u8]>>) -> Self {
         EapolPacket {
             version: 2,
             packet_type,
@@ -97,11 +96,11 @@ impl EapolPacket {
     }
 
     /// Appends the frame bytes (header + body) to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.version);
-        buf.put_u8(self.packet_type.to_u8());
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.version);
+        buf.push(self.packet_type.to_u8());
         buf.put_u16(self.body.len() as u16);
-        buf.put_slice(&self.body);
+        buf.extend_from_slice(&self.body);
     }
 
     /// Wire length of the encoded frame.
@@ -120,7 +119,7 @@ impl EapolPacket {
         Ok(EapolPacket {
             version: bytes[0],
             packet_type: EapolType::from_u8(bytes[1]),
-            body: Bytes::copy_from_slice(&bytes[HEADER_LEN..total]),
+            body: bytes[HEADER_LEN..total].into(),
         })
     }
 }

@@ -1,7 +1,6 @@
 //! Ethernet II framing.
 
-use crate::{MacAddr, ParseError};
-use bytes::BufMut;
+use crate::{MacAddr, ParseError, PutBe};
 
 /// Length of an Ethernet II header in bytes.
 pub(crate) const HEADER_LEN: usize = 14;
@@ -87,9 +86,9 @@ impl EthernetHeader {
     }
 
     /// Appends the 14 header bytes to `buf`.
-    pub(crate) fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_slice(&self.dst.octets());
-        buf.put_slice(&self.src.octets());
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.dst.octets());
+        buf.extend_from_slice(&self.src.octets());
         buf.put_u16(self.ethertype.to_u16());
     }
 
@@ -119,13 +118,12 @@ impl EthernetHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     impl EthernetHeader {
         fn to_bytes(self) -> Vec<u8> {
-            let mut buf = BytesMut::with_capacity(HEADER_LEN);
+            let mut buf = Vec::with_capacity(HEADER_LEN);
             self.encode(&mut buf);
-            buf.to_vec()
+            buf
         }
     }
 

@@ -12,7 +12,6 @@
 //! method token) however many fields it carries.
 
 use crate::ParseError;
-use bytes::{BufMut, Bytes};
 
 /// An HTTP request method (including the SSDP extension methods, which use
 /// HTTP framing over UDP).
@@ -107,7 +106,7 @@ pub enum HttpMessage {
         /// Header fields in order.
         headers: Headers,
         /// Message body.
-        body: Bytes,
+        body: Box<[u8]>,
     },
     /// A response.
     Response {
@@ -118,7 +117,7 @@ pub enum HttpMessage {
         /// Header fields in order.
         headers: Headers,
         /// Message body.
-        body: Bytes,
+        body: Box<[u8]>,
     },
 }
 
@@ -129,12 +128,16 @@ impl HttpMessage {
             method: Method::Get,
             target: target.into(),
             headers: Headers::from_iter([("Host", host.as_ref())]),
-            body: Bytes::new(),
+            body: Box::default(),
         }
     }
 
     /// A POST request with a body.
-    pub fn post(host: impl AsRef<str>, target: impl Into<String>, body: impl Into<Bytes>) -> Self {
+    pub fn post(
+        host: impl AsRef<str>,
+        target: impl Into<String>,
+        body: impl Into<Box<[u8]>>,
+    ) -> Self {
         let body = body.into();
         let length = body.len().to_string();
         HttpMessage::Request {
@@ -162,33 +165,33 @@ impl HttpMessage {
     }
 
     /// The message body.
-    pub fn body(&self) -> &Bytes {
+    pub fn body(&self) -> &[u8] {
         match self {
             HttpMessage::Request { body, .. } | HttpMessage::Response { body, .. } => body,
         }
     }
 
     /// Appends the serialized message to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             HttpMessage::Request { method, target, .. } => {
-                buf.put_slice(method.as_str().as_bytes());
-                buf.put_slice(b" ");
-                buf.put_slice(target.as_bytes());
-                buf.put_slice(REQUEST_LINE_TAIL);
+                buf.extend_from_slice(method.as_str().as_bytes());
+                buf.extend_from_slice(b" ");
+                buf.extend_from_slice(target.as_bytes());
+                buf.extend_from_slice(REQUEST_LINE_TAIL);
             }
             HttpMessage::Response { status, reason, .. } => {
-                buf.put_slice(STATUS_LINE_HEAD);
+                buf.extend_from_slice(STATUS_LINE_HEAD);
                 let (digits, start) = status_digits(*status);
-                buf.put_slice(&digits[start..]);
-                buf.put_slice(b" ");
-                buf.put_slice(reason.as_bytes());
-                buf.put_slice(CRLF.as_bytes());
+                buf.extend_from_slice(&digits[start..]);
+                buf.extend_from_slice(b" ");
+                buf.extend_from_slice(reason.as_bytes());
+                buf.extend_from_slice(CRLF.as_bytes());
             }
         }
-        buf.put_slice(self.headers().lines.as_bytes());
-        buf.put_slice(CRLF.as_bytes());
-        buf.put_slice(self.body());
+        buf.extend_from_slice(self.headers().lines.as_bytes());
+        buf.extend_from_slice(CRLF.as_bytes());
+        buf.extend_from_slice(self.body());
     }
 
     /// Wire length of the serialized message: start line, header lines,
@@ -235,7 +238,7 @@ impl HttpMessage {
                 HeaderLines::Field(name, value) => headers.push(name, value),
             }
         })?;
-        let body = Bytes::copy_from_slice(body);
+        let body = body.into();
         Ok(match StartLine::parse(start)? {
             StartLine::Request { method, target } => HttpMessage::Request {
                 method: Method::from_token(method),
@@ -779,7 +782,7 @@ mod tests {
         let msg = HttpMessage::post("api.example", "/register", b"id=42".as_slice());
         assert_eq!(msg.header("Content-Length"), Some("5"));
         let parsed = HttpMessage::parse(&msg.to_bytes()).unwrap();
-        assert_eq!(parsed.body().as_ref(), b"id=42");
+        assert_eq!(parsed.body(), b"id=42");
     }
 
     #[test]
@@ -788,7 +791,7 @@ mod tests {
             status: 200,
             reason: "OK".into(),
             headers: Headers::from_iter([("Server", "lighttpd")]),
-            body: Bytes::from_static(b"<xml/>"),
+            body: b"<xml/>".as_slice().into(),
         };
         assert_eq!(HttpMessage::parse(&msg.to_bytes()).unwrap(), msg);
     }
@@ -800,7 +803,7 @@ mod tests {
             status,
             reason: if status < 100 { "" } else { "Odd Status" }.into(),
             headers: Headers::from_iter([("Server", "lighttpd"), ("X", "")]),
-            body: Bytes::from(vec![b'x'; status as usize % 9]),
+            body: vec![b'x'; status as usize % 9].into(),
         });
         let requests = [
             HttpMessage::get("fw.vendor.example", "/check?v=1.2"),
@@ -809,7 +812,7 @@ mod tests {
                 method: Method::Other("PATCH".into()),
                 target: "*".into(),
                 headers: Headers::default(),
-                body: Bytes::new(),
+                body: Box::default(),
             },
         ];
         for msg in responses.into_iter().chain(requests) {
@@ -830,7 +833,7 @@ mod tests {
                 status,
                 reason: "OK".into(),
                 headers: Headers::default(),
-                body: Bytes::new(),
+                body: Box::default(),
             };
             assert_eq!(msg.to_bytes(), line.as_bytes());
         }

@@ -1,8 +1,7 @@
 //! ICMPv4 (RFC 792) messages.
 
 use crate::ipv4::internet_checksum;
-use crate::ParseError;
-use bytes::{BufMut, Bytes};
+use crate::{ParseError, PutBe};
 
 /// Length of the fixed ICMP header (type, code, checksum, rest-of-header).
 pub(crate) const HEADER_LEN: usize = 8;
@@ -66,12 +65,12 @@ pub struct IcmpMessage {
     /// The 4 "rest of header" bytes (identifier/sequence for echo).
     pub rest: [u8; 4],
     /// Message payload.
-    pub payload: Bytes,
+    pub payload: Box<[u8]>,
 }
 
 impl IcmpMessage {
     /// An echo request with the given identifier, sequence and payload.
-    pub fn echo_request(identifier: u16, sequence: u16, payload: impl Into<Bytes>) -> Self {
+    pub fn echo_request(identifier: u16, sequence: u16, payload: impl Into<Box<[u8]>>) -> Self {
         let mut rest = [0u8; 4];
         rest[..2].copy_from_slice(&identifier.to_be_bytes());
         rest[2..].copy_from_slice(&sequence.to_be_bytes());
@@ -88,17 +87,17 @@ impl IcmpMessage {
         HEADER_LEN + self.payload.len()
     }
 
-    /// Appends the message bytes (with computed checksum) to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        let mut raw = Vec::with_capacity(self.wire_len());
-        raw.put_u8(self.icmp_type.to_u8());
-        raw.put_u8(self.code);
-        raw.put_u16(0);
-        raw.put_slice(&self.rest);
-        raw.put_slice(&self.payload);
-        let checksum = internet_checksum(&raw);
-        raw[2..4].copy_from_slice(&checksum.to_be_bytes());
-        buf.put_slice(&raw);
+    /// Appends the message bytes to `buf`, then patches the checksum
+    /// over them in place.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        buf.push(self.icmp_type.to_u8());
+        buf.push(self.code);
+        buf.put_u16(0); // checksum, patched below
+        buf.extend_from_slice(&self.rest);
+        buf.extend_from_slice(&self.payload);
+        let checksum = internet_checksum(&buf[start..]);
+        buf[start + 2..start + 4].copy_from_slice(&checksum.to_be_bytes());
     }
 
     /// Parses an ICMPv4 message.
@@ -114,7 +113,7 @@ impl IcmpMessage {
             code: bytes[1],
             // In bounds: `check` proved `HEADER_LEN` (8) bytes are present.
             rest: [bytes[4], bytes[5], bytes[6], bytes[7]],
-            payload: Bytes::copy_from_slice(&bytes[HEADER_LEN..]),
+            payload: bytes[HEADER_LEN..].into(),
         })
     }
 }

@@ -1,9 +1,10 @@
 //! ICMPv6 (RFC 4443) including the Neighbor Discovery and MLD message
 //! types IoT devices emit while bringing up their IPv6 stack.
 
-use crate::ipv4::internet_checksum;
-use crate::ParseError;
-use bytes::{BufMut, Bytes};
+use std::net::Ipv6Addr;
+
+use crate::ipv4::{fold_checksum, word_sum};
+use crate::{ParseError, PutBe};
 
 /// Length of the fixed ICMPv6 header.
 pub(crate) const HEADER_LEN: usize = 4;
@@ -71,12 +72,12 @@ pub struct Icmpv6Message {
     /// Message code.
     pub code: u8,
     /// Message body (after the checksum).
-    pub body: Bytes,
+    pub body: Box<[u8]>,
 }
 
 impl Icmpv6Message {
     /// Creates a message.
-    pub fn new(icmp_type: Icmpv6Type, code: u8, body: impl Into<Bytes>) -> Self {
+    pub fn new(icmp_type: Icmpv6Type, code: u8, body: impl Into<Box<[u8]>>) -> Self {
         Icmpv6Message {
             icmp_type,
             code,
@@ -103,23 +104,23 @@ impl Icmpv6Message {
         HEADER_LEN + self.body.len()
     }
 
-    /// Appends the message bytes to `buf` with a checksum over the given
-    /// IPv6 pseudo-header fields.
-    pub fn encode(&self, buf: &mut impl BufMut, src: std::net::Ipv6Addr, dst: std::net::Ipv6Addr) {
-        let mut raw = Vec::with_capacity(self.wire_len());
-        raw.put_u8(self.icmp_type.to_u8());
-        raw.put_u8(self.code);
-        raw.put_u16(0);
-        raw.put_slice(&self.body);
-        let mut pseudo = Vec::with_capacity(40 + raw.len());
-        pseudo.extend_from_slice(&src.octets());
-        pseudo.extend_from_slice(&dst.octets());
-        pseudo.put_u32(raw.len() as u32);
-        pseudo.put_u32(58); // next header
-        pseudo.extend_from_slice(&raw);
-        let checksum = internet_checksum(&pseudo);
-        raw[2..4].copy_from_slice(&checksum.to_be_bytes());
-        buf.put_slice(&raw);
+    /// Appends the message bytes to `buf`, then patches in place the
+    /// checksum over them and the IPv6 pseudo-header of `src` and `dst`.
+    pub fn encode(&self, buf: &mut Vec<u8>, src: Ipv6Addr, dst: Ipv6Addr) {
+        let start = buf.len();
+        buf.push(self.icmp_type.to_u8());
+        buf.push(self.code);
+        buf.put_u16(0); // checksum, patched below
+        buf.extend_from_slice(&self.body);
+        // The pseudo-header is 40 bytes, an even length, so its sum adds
+        // to the message's.
+        let mut pseudo = [0u8; 40];
+        pseudo[..16].copy_from_slice(&src.octets());
+        pseudo[16..32].copy_from_slice(&dst.octets());
+        pseudo[32..36].copy_from_slice(&(self.wire_len() as u32).to_be_bytes());
+        pseudo[39] = 58; // next header
+        let checksum = fold_checksum(word_sum(&pseudo) + word_sum(&buf[start..]));
+        buf[start + 2..start + 4].copy_from_slice(&checksum.to_be_bytes());
     }
 
     /// Parses an ICMPv6 message (checksum not verified here; the packet
@@ -133,7 +134,7 @@ impl Icmpv6Message {
         Ok(Icmpv6Message {
             icmp_type: Icmpv6Type::from_u8(bytes[0]),
             code: bytes[1],
-            body: Bytes::copy_from_slice(&bytes[HEADER_LEN..]),
+            body: bytes[HEADER_LEN..].into(),
         })
     }
 }
@@ -150,11 +151,10 @@ pub(crate) fn check(bytes: &[u8]) -> Result<(), ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Ipv6Addr;
 
     impl Icmpv6Message {
         /// A neighbor solicitation for duplicate address detection.
-        fn neighbor_solicitation(target: std::net::Ipv6Addr) -> Self {
+        fn neighbor_solicitation(target: Ipv6Addr) -> Self {
             let mut body = vec![0u8; 4];
             body.extend_from_slice(&target.octets());
             Icmpv6Message::new(Icmpv6Type::NeighborSolicitation, 0, body)

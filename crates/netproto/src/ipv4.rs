@@ -3,8 +3,7 @@
 
 use std::net::Ipv4Addr;
 
-use crate::ParseError;
-use bytes::BufMut;
+use crate::{ParseError, PutBe};
 
 /// Length of an IPv4 header without options.
 pub(crate) const MIN_HEADER_LEN: usize = 20;
@@ -108,19 +107,19 @@ impl Ipv4Option {
         }
     }
 
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Ipv4Option::EndOfOptions => buf.put_u8(END_OF_OPTIONS),
-            Ipv4Option::Nop => buf.put_u8(NOP),
+            Ipv4Option::EndOfOptions => buf.push(END_OF_OPTIONS),
+            Ipv4Option::Nop => buf.push(NOP),
             Ipv4Option::RouterAlert(value) => {
-                buf.put_u8(ROUTER_ALERT);
-                buf.put_u8(4);
+                buf.push(ROUTER_ALERT);
+                buf.push(4);
                 buf.put_u16(*value);
             }
             Ipv4Option::Other { kind, data } => {
-                buf.put_u8(*kind);
-                buf.put_u8(2 + data.len() as u8);
-                buf.put_slice(data);
+                buf.push(*kind);
+                buf.push(2 + data.len() as u8);
+                buf.extend_from_slice(data);
             }
         }
     }
@@ -182,36 +181,28 @@ impl Ipv4Header {
     }
 
     /// Appends the header bytes to `buf`, computing length and checksum for
-    /// a payload of `payload_len` bytes. The checksum is summed over the
-    /// fields before anything is written, so the header goes straight
-    /// into `buf` with no staging copy.
-    pub fn encode(&self, buf: &mut impl BufMut, payload_len: usize) {
+    /// a payload of `payload_len` bytes. The header is written with a zero
+    /// checksum, which is then patched in place.
+    pub fn encode(&self, buf: &mut Vec<u8>, payload_len: usize) {
+        let start = buf.len();
         let header_len = self.header_len();
-        let mut fixed = [0u8; MIN_HEADER_LEN];
-        fixed[0] = 0x40 | (header_len / 4) as u8;
-        fixed[1] = self.dscp_ecn;
-        fixed[2..4].copy_from_slice(&((header_len + payload_len) as u16).to_be_bytes());
-        fixed[4..6].copy_from_slice(&self.identification.to_be_bytes());
-        fixed[6] = if self.dont_fragment { 0x40 } else { 0 };
-        fixed[8] = self.ttl;
-        fixed[9] = self.protocol.to_u8();
-        fixed[12..16].copy_from_slice(&self.src.octets());
-        fixed[16..20].copy_from_slice(&self.dst.octets());
-        // The end-of-options padding is zeros and adds nothing to the sum.
-        let mut sum = ChecksumSink::default();
-        sum.put_slice(&fixed);
-        for opt in &self.options {
-            opt.encode(&mut sum);
-        }
-        fixed[10..12].copy_from_slice(&sum.checksum().to_be_bytes());
-        buf.put_slice(&fixed);
+        buf.push(0x40 | (header_len / 4) as u8);
+        buf.push(self.dscp_ecn);
+        buf.put_u16((header_len + payload_len) as u16);
+        buf.put_u16(self.identification);
+        buf.push(if self.dont_fragment { 0x40 } else { 0 });
+        buf.push(0); // fragment offset
+        buf.push(self.ttl);
+        buf.push(self.protocol.to_u8());
+        buf.put_u16(0); // checksum, patched below
+        buf.extend_from_slice(&self.src.octets());
+        buf.extend_from_slice(&self.dst.octets());
         for opt in &self.options {
             opt.encode(buf);
         }
-        let options: usize = self.options.iter().map(Ipv4Option::encoded_len).sum();
-        for _ in MIN_HEADER_LEN + options..header_len {
-            buf.put_u8(0); // end-of-options padding to 32-bit boundary
-        }
+        buf.resize(start + header_len, 0); // end-of-options padding to 32-bit boundary
+        let checksum = internet_checksum(&buf[start..]);
+        buf[start + 10..start + 12].copy_from_slice(&checksum.to_be_bytes());
     }
 
     /// Parses a header, returning it and the payload slice delimited by the
@@ -343,6 +334,13 @@ pub(crate) fn scan_options(header: &[u8]) -> Result<(usize, bool, bool), ParseEr
 
 /// RFC 1071 internet checksum over `data`.
 pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
+    fold_checksum(word_sum(data))
+}
+
+/// The sum of `data`'s big-endian 16-bit words, an odd last byte
+/// padded with zero: what [`fold_checksum`] folds. Two sums add when
+/// the first covers an even number of bytes.
+pub(crate) fn word_sum(data: &[u8]) -> u32 {
     let mut sum = 0u32;
     let mut chunks = data.chunks_exact(2);
     for chunk in &mut chunks {
@@ -351,47 +349,15 @@ pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
     if let [last] = chunks.remainder() {
         sum += (*last as u32) << 8;
     }
-    fold_checksum(sum)
+    sum
 }
 
 /// Folds the carries of a 16-bit one's-complement sum and complements it.
-fn fold_checksum(mut sum: u32) -> u16 {
+pub(crate) fn fold_checksum(mut sum: u32) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
     !(sum as u16)
-}
-
-/// The RFC 1071 sum of whatever an encoder writes into it, so a header's
-/// checksum can be known before the header is written anywhere.
-#[derive(Default)]
-struct ChecksumSink {
-    sum: u32,
-    /// The high byte of a 16-bit word whose low byte has not arrived.
-    pending: Option<u8>,
-}
-
-impl ChecksumSink {
-    fn checksum(self) -> u16 {
-        fold_checksum(self.sum + self.pending.map_or(0, |last| (last as u32) << 8))
-    }
-}
-
-impl BufMut for ChecksumSink {
-    fn put_slice(&mut self, mut data: &[u8]) {
-        if let (Some(high), [low, rest @ ..]) = (self.pending, data) {
-            self.sum += u16::from_be_bytes([high, *low]) as u32;
-            self.pending = None;
-            data = rest;
-        }
-        let mut words = data.chunks_exact(2);
-        for word in &mut words {
-            self.sum += u16::from_be_bytes([word[0], word[1]]) as u32;
-        }
-        if let [last] = words.remainder() {
-            self.pending = Some(*last);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -481,25 +447,6 @@ mod tests {
         // RFC 1071 example data.
         let data = [0x00u8, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         assert_eq!(internet_checksum(&data), !0xddf2);
-    }
-
-    #[test]
-    fn checksum_sink_agrees_however_the_bytes_arrive() {
-        // Odd and even lengths, cut into three writes at every pair of
-        // positions: a word may straddle any write boundary.
-        let data = [0x45u8, 0x00, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7, 0x94];
-        for len in [8, 9] {
-            let data = &data[..len];
-            for first in 0..=len {
-                for second in first..=len {
-                    let mut sink = ChecksumSink::default();
-                    sink.put_slice(&data[..first]);
-                    sink.put_slice(&data[first..second]);
-                    sink.put_slice(&data[second..]);
-                    assert_eq!(sink.checksum(), internet_checksum(data), "{first} {second}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 use std::net::Ipv6Addr;
 
 use crate::ipv4::IpProtocol;
-use crate::ParseError;
-use bytes::BufMut;
+use crate::{ParseError, PutBe};
 
 /// Length of the fixed IPv6 header.
 pub(crate) const HEADER_LEN: usize = 40;
@@ -81,25 +80,23 @@ impl HopByHopOption {
         }
     }
 
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            HopByHopOption::Pad1 => buf.put_u8(PAD1),
+            HopByHopOption::Pad1 => buf.push(PAD1),
             HopByHopOption::PadN(n) => {
-                buf.put_u8(PADN);
-                buf.put_u8(*n);
-                for _ in 0..*n {
-                    buf.put_u8(0);
-                }
+                buf.push(PADN);
+                buf.push(*n);
+                buf.resize(buf.len() + *n as usize, 0);
             }
             HopByHopOption::RouterAlert(value) => {
-                buf.put_u8(ROUTER_ALERT);
-                buf.put_u8(2);
+                buf.push(ROUTER_ALERT);
+                buf.push(2);
                 buf.put_u16(*value);
             }
             HopByHopOption::Other { kind, data } => {
-                buf.put_u8(*kind);
-                buf.put_u8(data.len() as u8);
-                buf.put_slice(data);
+                buf.push(*kind);
+                buf.push(data.len() as u8);
+                buf.extend_from_slice(data);
             }
         }
     }
@@ -183,7 +180,7 @@ impl Ipv6Header {
     /// Appends the header (and extension header) bytes for a payload of
     /// `payload_len` bytes. Extension headers follow the RFC 8200
     /// recommended order: Hop-by-Hop first, then Fragment.
-    pub fn encode(&self, buf: &mut impl BufMut, payload_len: usize) {
+    pub fn encode(&self, buf: &mut Vec<u8>, payload_len: usize) {
         let hbh_len = self.hbh_len();
         let frag_len = fragment_len(self.atomic_fragment);
         // Next-header chain: fixed header → hop-by-hop → fragment → transport.
@@ -196,25 +193,22 @@ impl Ipv6Header {
         let first = 0x6000_0000 | ((self.traffic_class as u32) << 20) | (self.flow_label & 0xfffff);
         buf.put_u32(first);
         buf.put_u16((hbh_len + frag_len + payload_len) as u16);
-        buf.put_u8(first_next);
-        buf.put_u8(self.hop_limit);
-        buf.put_slice(&self.src.octets());
-        buf.put_slice(&self.dst.octets());
+        buf.push(first_next);
+        buf.push(self.hop_limit);
+        buf.extend_from_slice(&self.src.octets());
+        buf.extend_from_slice(&self.dst.octets());
         if hbh_len > 0 {
-            let mut ext = Vec::with_capacity(hbh_len);
-            ext.put_u8(after_hbh);
-            ext.put_u8((hbh_len / 8 - 1) as u8);
+            let start = buf.len();
+            buf.push(after_hbh);
+            buf.push((hbh_len / 8 - 1) as u8);
             for opt in &self.hop_by_hop {
-                opt.encode(&mut ext);
+                opt.encode(buf);
             }
-            while ext.len() < hbh_len {
-                ext.put_u8(0); // Pad1 filler
-            }
-            buf.put_slice(&ext);
+            buf.resize(start + hbh_len, 0); // Pad1 filler
         }
         if let Some(identification) = self.atomic_fragment {
-            buf.put_u8(self.protocol.to_u8());
-            buf.put_u8(0); // reserved
+            buf.push(self.protocol.to_u8());
+            buf.push(0); // reserved
             buf.put_u16(0); // fragment offset 0, M clear (atomic)
             buf.put_u32(identification);
         }

@@ -68,3 +68,26 @@ pub use mac::MacAddr;
 pub use packet::{AppPayload, Packet, PacketBody, Transport};
 pub use scan::{RawFeatures, ScanOutcome, WireScan};
 pub use timestamp::Timestamp;
+
+/// The big-endian writers the encoders append fields with. Every
+/// encoder writes into the one `Vec<u8>` a frame is built in, so a
+/// checksum is patched into the bytes already written.
+pub(crate) trait PutBe {
+    fn put_u16(&mut self, value: u16);
+    fn put_u32(&mut self, value: u32);
+    fn put_u64(&mut self, value: u64);
+}
+
+impl PutBe for Vec<u8> {
+    fn put_u16(&mut self, value: u16) {
+        self.extend_from_slice(&value.to_be_bytes());
+    }
+
+    fn put_u32(&mut self, value: u32) {
+        self.extend_from_slice(&value.to_be_bytes());
+    }
+
+    fn put_u64(&mut self, value: u64) {
+        self.extend_from_slice(&value.to_be_bytes());
+    }
+}

@@ -6,7 +6,6 @@
 //! bridge-capable devices) emit them during setup.
 
 use crate::ParseError;
-use bytes::BufMut;
 
 /// Length of the basic (8-bit control) LLC header.
 pub(crate) const HEADER_LEN: usize = 3;
@@ -54,10 +53,10 @@ impl LlcHeader {
     }
 
     /// Appends the 3 header bytes to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.dsap);
-        buf.put_u8(self.ssap);
-        buf.put_u8(self.control);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.dsap);
+        buf.push(self.ssap);
+        buf.push(self.control);
     }
 
     /// Parses an LLC header, returning it and the remaining payload.

@@ -5,8 +5,7 @@
 //! reliable setup-phase marker — it is one of the eight application-layer
 //! features in the paper's Table I.
 
-use crate::ParseError;
-use bytes::BufMut;
+use crate::{ParseError, PutBe};
 
 /// Length of a basic NTP packet (no extensions).
 pub(crate) const PACKET_LEN: usize = 48;
@@ -79,12 +78,12 @@ impl NtpPacket {
     }
 
     /// Appends the 48 packet bytes to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8((self.version << 3) | self.mode.to_u8());
-        buf.put_u8(self.stratum);
-        buf.put_i8(self.poll);
-        buf.put_i8(self.precision);
-        buf.put_slice(&[0u8; 36]); // root delay/dispersion, ref id, ref/orig/recv timestamps
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push((self.version << 3) | self.mode.to_u8());
+        buf.push(self.stratum);
+        buf.push(self.poll as u8);
+        buf.push(self.precision as u8);
+        buf.extend_from_slice(&[0u8; 36]); // root delay/dispersion, ref id, ref/orig/recv timestamps
         buf.put_u64(self.transmit_timestamp);
     }
 

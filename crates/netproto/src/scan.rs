@@ -1,6 +1,6 @@
 //! Zero-copy single-pass wire scan for feature extraction.
 //!
-//! [`WireScan::scan`] walks one Ethernet frame **in place** — no `Bytes`
+//! [`WireScan::scan`] walks one Ethernet frame **in place** — no byte
 //! copies, no owned header structs, no payload buffers — and emits the
 //! tiny [`RawFeatures`] record that Table I of the paper actually needs:
 //! protocol-presence flags, the two IP-option flags, the re-encoded
@@ -294,7 +294,6 @@ mod tests {
     use super::*;
     use crate::packet::AppPayload;
     use crate::{ports, Timestamp};
-    use bytes::Bytes;
 
     fn mac(n: u8) -> MacAddr {
         MacAddr::new([2, 0, 0, 0, 0, n])
@@ -336,7 +335,7 @@ mod tests {
             peer,
             49_153,
             ports::NTP,
-            AppPayload::Raw(Bytes::copy_from_slice(&[0u8; 48])),
+            AppPayload::Raw(vec![0u8; 48].into()),
         ));
     }
 
@@ -386,7 +385,7 @@ mod tests {
             std::net::Ipv4Addr::new(10, 0, 0, 2),
             ports::DNS,
             49_000,
-            AppPayload::Raw(Bytes::copy_from_slice(&payload)),
+            AppPayload::Raw(payload[..].into()),
         );
         let mut frame = packet.encode();
         assert_eq!(&frame[frame.len() - total..], &payload[..]);

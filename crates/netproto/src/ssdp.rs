@@ -21,7 +21,7 @@ pub fn m_search(search_target: &str) -> HttpMessage {
             ("MX", "3"),
             ("ST", search_target),
         ]),
-        body: bytes::Bytes::new(),
+        body: Box::default(),
     }
 }
 
@@ -39,7 +39,7 @@ pub fn notify_alive(device_type: &str, location: &str) -> HttpMessage {
             ("NTS", "ssdp:alive"),
             ("USN", format!("uuid::{device_type}").as_str()),
         ]),
-        body: bytes::Bytes::new(),
+        body: Box::default(),
     }
 }
 

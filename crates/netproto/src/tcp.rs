@@ -1,7 +1,6 @@
 //! TCP segment headers.
 
-use crate::ParseError;
-use bytes::BufMut;
+use crate::{ParseError, PutBe};
 
 /// Length of a TCP header without options.
 pub(crate) const MIN_HEADER_LEN: usize = 20;
@@ -135,20 +134,20 @@ impl TcpHeader {
 
     /// Appends the header bytes to `buf` (checksum left zero; the
     /// simulation does not verify transport checksums).
-    pub fn encode(&self, buf: &mut impl BufMut) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         let header_len = self.header_len();
         buf.put_u16(self.src_port);
         buf.put_u16(self.dst_port);
         buf.put_u32(self.seq);
         buf.put_u32(self.ack);
-        buf.put_u8(((header_len / 4) as u8) << 4);
-        buf.put_u8(self.flags.bits());
+        buf.push(((header_len / 4) as u8) << 4);
+        buf.push(self.flags.bits());
         buf.put_u16(self.window);
         buf.put_u16(0); // checksum (not modeled)
         buf.put_u16(0); // urgent pointer
-        buf.put_slice(&self.options);
+        buf.extend_from_slice(&self.options);
         for _ in self.options.len()..(header_len - MIN_HEADER_LEN) {
-            buf.put_u8(0x01); // NOP padding
+            buf.push(0x01); // NOP padding
         }
     }
 

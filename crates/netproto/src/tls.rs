@@ -5,8 +5,7 @@
 //! modeled only to the extent needed to synthesize realistically-sized
 //! HTTPS setup traffic (ClientHello etc.) and classify it.
 
-use crate::ParseError;
-use bytes::{BufMut, Bytes};
+use crate::{ParseError, PutBe};
 
 /// Length of the TLS record header.
 pub(crate) const HEADER_LEN: usize = 5;
@@ -58,12 +57,12 @@ pub struct TlsRecord {
     /// Protocol version bytes (0x0303 for TLS 1.2).
     pub version: u16,
     /// Opaque record payload.
-    pub payload: Bytes,
+    pub payload: Box<[u8]>,
 }
 
 impl TlsRecord {
     /// Creates a record.
-    pub fn new(content_type: ContentType, payload: impl Into<Bytes>) -> Self {
+    pub fn new(content_type: ContentType, payload: impl Into<Box<[u8]>>) -> Self {
         TlsRecord {
             content_type,
             version: 0x0303,
@@ -89,11 +88,11 @@ impl TlsRecord {
     }
 
     /// Appends the record bytes to `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.content_type.to_u8());
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.content_type.to_u8());
         buf.put_u16(self.version);
         buf.put_u16(self.payload.len() as u16);
-        buf.put_slice(&self.payload);
+        buf.extend_from_slice(&self.payload);
     }
 
     /// Parses a TLS record.
@@ -107,7 +106,7 @@ impl TlsRecord {
         Ok(TlsRecord {
             content_type: ContentType::from_u8(bytes[0]),
             version: u16::from_be_bytes([bytes[1], bytes[2]]),
-            payload: Bytes::copy_from_slice(&bytes[HEADER_LEN..total]),
+            payload: bytes[HEADER_LEN..total].into(),
         })
     }
 }

@@ -1,7 +1,6 @@
 //! UDP datagram headers.
 
-use crate::ParseError;
-use bytes::BufMut;
+use crate::{ParseError, PutBe};
 
 /// Length of a UDP header.
 pub(crate) const HEADER_LEN: usize = 8;
@@ -22,7 +21,7 @@ impl UdpHeader {
     }
 
     /// Appends the 8 header bytes for a payload of `payload_len` bytes.
-    pub fn encode(&self, buf: &mut impl BufMut, payload_len: usize) {
+    pub fn encode(&self, buf: &mut Vec<u8>, payload_len: usize) {
         buf.put_u16(self.src_port);
         buf.put_u16(self.dst_port);
         buf.put_u16((HEADER_LEN + payload_len) as u16);

@@ -4,7 +4,9 @@
 //! field of the message, not one per header line, label or option, and
 //! never a buffer grown by doubling. The data plane decodes every packet
 //! it enforces, so an allocation here is paid (and freed) per packet, and
-//! a LAN host chooses how many lines or options its frames carry.
+//! a LAN host chooses how many lines or options its frames carry. The
+//! encoder is held to its one buffer: a checksummed message is written
+//! into it and patched there, with no staging copy.
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide.
@@ -15,10 +17,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sentinel_netproto::dhcp::{DhcpMessage, DhcpOption};
 use sentinel_netproto::dns::{DnsMessage, Question, RecordData, ResourceRecord};
+use sentinel_netproto::icmp::IcmpMessage;
+use sentinel_netproto::icmpv6::Icmpv6Message;
+use sentinel_netproto::ipv4::{IpProtocol, Ipv4Header};
+use sentinel_netproto::ipv6::Ipv6Header;
+use sentinel_netproto::llc::LlcHeader;
 use sentinel_netproto::ntp::NtpPacket;
 use sentinel_netproto::tcp::{TcpFlags, TcpHeader};
 use sentinel_netproto::tls::TlsRecord;
-use sentinel_netproto::{ssdp, AppPayload, Packet, Timestamp};
+use sentinel_netproto::{ssdp, AppPayload, Packet, PacketBody, Timestamp, Transport};
 
 mod common;
 use common::*;
@@ -52,16 +59,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The decoded frame, and the `(allocations, bytes)` decoding it cost.
-fn decode(frame: &[u8], timestamp: Timestamp) -> (Packet, usize, usize) {
+/// What `f` returns, and the `(allocations, bytes)` running it cost.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let before = (
         ALLOCATIONS.load(Ordering::Relaxed),
         ALLOCATED_BYTES.load(Ordering::Relaxed),
     );
-    let packet = Packet::parse(frame, timestamp).expect("a well-formed frame");
+    let out = f();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
     let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before.1;
-    (packet, allocations, bytes)
+    (out, allocations, bytes)
+}
+
+/// The decoded frame, and the `(allocations, bytes)` decoding it cost.
+fn decode(frame: &[u8], timestamp: Timestamp) -> (Packet, usize, usize) {
+    counted(|| Packet::parse(frame, timestamp).expect("a well-formed frame"))
 }
 
 fn udp(sport: u16, dport: u16, payload: AppPayload) -> Packet {
@@ -163,6 +175,55 @@ fn decoding_reserves_once_per_owned_field() {
             allocations <= at_most,
             "{what}: {allocations} allocations, at most {at_most} expected"
         );
+    }
+
+    // A raw payload owns exactly its bytes: 48 of them, with no shared
+    // buffer's header beside them.
+    let raw = udp(20_002, 20_002, AppPayload::Raw(vec![0x80; 48].into()));
+    let (_, allocations, bytes) = decode(&raw.encode(), ts);
+    assert_eq!((allocations, bytes), (1, 48), "raw udp payload");
+
+    // An empty payload owns nothing, at every layer that keeps one.
+    let empty = [
+        PacketBody::Other {
+            ethertype: 0x9100,
+            payload: Box::default(),
+        },
+        PacketBody::Llc {
+            header: LlcHeader::unnumbered(0x42),
+            payload: Box::default(),
+        },
+        PacketBody::Ipv4 {
+            header: Ipv4Header::new(v4(8), v4(1), IpProtocol::Igmp),
+            transport: Transport::Other {
+                protocol: 2,
+                payload: Box::default(),
+            },
+        },
+    ];
+    for body in empty {
+        let packet = Packet::new(ts, mac(6), mac(0xfe), body);
+        let (decoded, allocations, _) = decode(&packet.encode(), ts);
+        assert_eq!(decoded, packet);
+        assert_eq!(allocations, 0, "empty payload: {packet:?}");
+    }
+
+    // Encoding patches each checksum into the bytes already written, so
+    // an ICMP echo and an ICMPv6 MLD report go into a buffer with room
+    // without a staging buffer.
+    let echo = PacketBody::Ipv4 {
+        header: Ipv4Header::new(v4(7), v4(1), IpProtocol::Icmp),
+        transport: Transport::Icmp(IcmpMessage::echo_request(7, 1, vec![0xaa; 12])),
+    };
+    let mld = PacketBody::Ipv6 {
+        header: Ipv6Header::new(v6(9), "ff02::16".parse().unwrap(), IpProtocol::Icmpv6),
+        transport: Transport::Icmpv6(Icmpv6Message::mld2_report(2)),
+    };
+    let mut buf = Vec::with_capacity(1_500);
+    for body in [echo, mld] {
+        let packet = Packet::new(ts, mac(9), mac(0xfe), body);
+        let ((), allocations, _) = counted(|| packet.encode_into(&mut buf));
+        assert_eq!(allocations, 0, "encoding {packet:?}");
     }
 
     // The mDNS answer a device announces itself with: a PTR record and

@@ -65,8 +65,6 @@ use crate::table::{Probe, SessionTable};
 pub struct StreamConfig {
     /// Setup-phase end detection ([`Session::offer`] applies it).
     pub detector: SetupDetector,
-    /// Hosts whose traffic is never monitored.
-    pub ignored: Vec<MacAddr>,
     /// Bound on concurrently monitored devices (at least one: see
     /// [`StreamConfig::effective_capacity`]); a full table sheds its
     /// least recently active session to admit a new one.
@@ -94,7 +92,6 @@ impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             detector: SetupDetector::default(),
-            ignored: Vec::new(),
             max_sessions: 4096,
             shards: 1,
             threads: 0,
@@ -337,12 +334,10 @@ impl<S: SecurityService> StreamRuntime<S> {
             let mac = MacAddr::new(source);
             let seq = self.next_seq;
             self.next_seq += 1;
-            // An ignored MAC never opens a session, so it is never
-            // resident: the list is only consulted for unknown MACs.
             let resident = match self.table.probe(mac) {
                 Probe::Resident(slot) => Some(slot),
-                Probe::Absent if !self.config.ignored.contains(&mac) => None,
-                Probe::Absent | Probe::Onboarded => {
+                Probe::Absent => None,
+                Probe::Onboarded => {
                     self.stats.packets_in += 1;
                     self.stats.packets_ignored += 1;
                     continue;
@@ -930,24 +925,6 @@ mod tests {
         assert_eq!(deferred.stats(), inline.stats());
         deferred.flush_deferred(&mut completions);
         assert_eq!((deferred.resident_sessions(), completions.len()), (0, 6));
-    }
-
-    #[test]
-    fn ignored_macs_never_open_sessions() {
-        let traces = traces(2);
-        let stream = interleave(&traces, Duration::from_millis(5));
-        let mut runtime = runtime(StreamConfig {
-            ignored: vec![traces[0].mac],
-            ..StreamConfig::default()
-        });
-        let reports = run_packets(&mut runtime, &stream);
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].mac, traces[1].mac);
-        assert!(runtime.enforcement().cache().get(traces[0].mac).is_none());
-        assert_eq!(
-            runtime.stats().packets_ignored,
-            traces[0].packets.len() as u64
-        );
     }
 
     #[test]

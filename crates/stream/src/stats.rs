@@ -17,7 +17,7 @@ use crate::session::CompletionReason;
 pub struct StreamStats {
     /// Well-formed frames consumed from the source.
     pub packets_in: u64,
-    /// Packets skipped: ignored MACs or devices already onboarded.
+    /// Packets skipped: frames from devices already onboarded.
     pub packets_ignored: u64,
     /// Raw frames dropped because even the lenient decoder would reject
     /// them (or too short to carry an Ethernet header).

@@ -154,12 +154,22 @@ fn simulate(
     Ok(())
 }
 
-/// Scans a capture's frames as the gateway does; a bad frame fails it with `Packet::parse`'s error.
+/// Scans a capture's frames as the gateway does: a frame the scan
+/// rejects is skipped, and the skips are counted on one stderr line. A
+/// capture the reader cannot read fails with its error.
 fn scan_pcap(path: &str) -> Result<FeatureExtractor, Box<dyn std::error::Error>> {
     let mut reader = PcapReader::new(std::fs::File::open(path)?)?;
-    let (mut extractor, mut frame) = (FeatureExtractor::new(), Vec::new());
+    let (mut extractor, mut frame, mut skipped) = (FeatureExtractor::new(), Vec::new(), 0);
     while reader.next_frame_into(&mut frame)?.is_some() {
-        extractor.push_raw(&RawFeatures::from_frame(&frame)?);
+        match RawFeatures::from_frame(&frame) {
+            Ok(raw) => {
+                extractor.push_raw(&raw);
+            }
+            Err(_) => skipped += 1,
+        }
+    }
+    if skipped > 0 {
+        eprintln!("{path}: skipped malformed frames: {skipped}");
     }
     Ok(extractor)
 }

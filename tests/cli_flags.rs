@@ -2,8 +2,9 @@
 //! rejects an unknown flag: one stderr line naming the flag and exit
 //! code 2, never a panic. `sentinel fingerprint` reads a capture's frames
 //! through the wire scan: it prints what `extract` gives on the packets
-//! the capture was written from, and a capture it cannot read is one
-//! `error:` line and exit code 1.
+//! the capture was written from, skips a frame the scan rejects as the
+//! gateway does, and a capture it cannot read is one `error:` line and
+//! exit code 1.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -133,7 +134,7 @@ fn fails_as_decoding_does(name: &str, capture: &[u8]) {
 }
 
 #[test]
-fn a_capture_the_scan_rejects_is_one_error_line() {
+fn an_unreadable_capture_fails_and_a_frame_the_scan_rejects_is_skipped() {
     let devices = catalog();
     let testbed = Testbed::new(42);
     let trace = testbed.setup_run(&devices[0].profile, 0);
@@ -144,7 +145,8 @@ fn a_capture_the_scan_rejects_is_one_error_line() {
     fails_as_decoding_does("cut", &capture[..capture.len() - 30]);
 
     // A frame whose IPv4 header checksum is wrong, after the good ones:
-    // the scan rejects it with the decoder's own error.
+    // the scan rejects it with the decoder's own error, and the command
+    // skips it as the gateway does, saying so on one stderr line.
     let ipv4 = trace
         .packets
         .iter()
@@ -154,8 +156,19 @@ fn a_capture_the_scan_rejects_is_one_error_line() {
     bad[24] ^= 0xff;
     let parse_error = Packet::parse(&bad, ipv4.timestamp).expect_err("a bad checksum");
     assert_eq!(RawFeatures::from_frame(&bad).err(), Some(parse_error));
+    let file = TempCapture::new("bad-frame");
+    std::fs::write(&file.0, &capture).unwrap();
+    let clean = sentinel(&["fingerprint", file.path()]);
+    assert!(clean.status.success());
+    assert!(clean.stderr.is_empty());
     let len = (bad.len() as u32).to_le_bytes();
     capture.extend([[0; 4], [0; 4], len, len].as_flattened());
     capture.extend_from_slice(&bad);
-    fails_as_decoding_does("bad-frame", &capture);
+    std::fs::write(&file.0, &capture).unwrap();
+    let output = sentinel(&["fingerprint", file.path()]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    let skipped = format!("{}: skipped malformed frames: 1", file.path());
+    assert_eq!(stderr.lines().collect::<Vec<_>>(), [skipped]);
+    assert_eq!(output.stdout, clean.stdout);
 }
