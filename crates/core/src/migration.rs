@@ -189,7 +189,7 @@ mod tests {
     use sentinel_devicesim::{catalog, Testbed};
     use sentinel_fingerprint::Fingerprint;
     use sentinel_sdn::overlay::Overlay;
-    use sentinel_sdn::Destination;
+    use sentinel_sdn::{Destination, Whitelist};
     use std::sync::Arc;
 
     /// Scripted service: identifies everything as the given fixture.
@@ -211,7 +211,7 @@ mod tests {
                 },
                 verdict: Arc::new(TypeVerdict {
                     isolation: self.isolation,
-                    permitted_endpoints: vec![],
+                    permitted_endpoints: Whitelist::default(),
                     user_notification: None,
                 }),
             }

@@ -1,14 +1,13 @@
 //! Result types of the identification and onboarding pipeline.
 
 use std::fmt;
-use std::net::IpAddr;
 use std::ops::Deref;
 use std::sync::Arc;
 
 use serde::{Serialize, Value};
 
 use sentinel_netproto::MacAddr;
-use sentinel_sdn::{EnforcementRule, IsolationLevel};
+use sentinel_sdn::{EnforcementRule, IsolationLevel, Whitelist};
 
 /// A device-type name, shared rather than copied: the identifier keeps
 /// one per label and every [`Outcome::Identified`] clones the pointer.
@@ -171,14 +170,15 @@ impl fmt::Display for Identification {
 ///
 /// The service builds one per known label plus one for an unknown
 /// type, and every [`ServiceResponse`] shares its type's through an
-/// `Arc`.
+/// `Arc`; every rule made from it shares its whitelist in turn.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypeVerdict {
     /// Isolation level to enforce.
     pub isolation: IsolationLevel,
     /// Permitted remote endpoints (non-empty only for
-    /// [`IsolationLevel::Restricted`]).
-    pub permitted_endpoints: Vec<IpAddr>,
+    /// [`IsolationLevel::Restricted`]), built once per type: every
+    /// rule [`ServiceResponse::rule_for`] makes points at this list.
+    pub permitted_endpoints: Whitelist,
     /// Sect. III-C.3 user notification: set when isolation cannot contain
     /// the device (vulnerable type with an uncontrollable external
     /// channel) and the user must remove it.
@@ -205,12 +205,13 @@ impl ServiceResponse {
     /// The enforcement rule this verdict calls for on device `mac` — the
     /// one place an onboarding verdict becomes a rule, installed by the
     /// gateway (`sentinel_stream::StreamRuntime`) for every device it
-    /// onboards.
+    /// onboards. It allocates nothing: a restricted rule shares its
+    /// type's whitelist.
     pub fn rule_for(&self, mac: MacAddr) -> EnforcementRule {
         match self.verdict.isolation {
             IsolationLevel::Strict => EnforcementRule::strict(mac),
             IsolationLevel::Restricted => {
-                EnforcementRule::restricted(mac, self.verdict.permitted_endpoints.iter().copied())
+                EnforcementRule::restricted(mac, self.verdict.permitted_endpoints.clone())
             }
             IsolationLevel::Trusted => EnforcementRule::trusted(mac),
         }
@@ -225,7 +226,7 @@ impl Serialize for ServiceResponse {
             ("isolation".to_string(), verdict.isolation.to_value()),
             (
                 "permitted_endpoints".to_string(),
-                verdict.permitted_endpoints.to_value(),
+                verdict.permitted_endpoints[..].to_value(),
             ),
             (
                 "user_notification".to_string(),
@@ -354,7 +355,7 @@ mod tests {
                 },
                 verdict: Arc::new(TypeVerdict {
                     isolation: IsolationLevel::Strict,
-                    permitted_endpoints: vec![],
+                    permitted_endpoints: Whitelist::default(),
                     user_notification: None,
                 }),
             },

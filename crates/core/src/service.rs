@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint};
-use sentinel_sdn::IsolationLevel;
+use sentinel_sdn::{IsolationLevel, Whitelist};
 
 use crate::identify::{AssessKey, ClassifyScratch};
 use crate::report::{Identification, ServiceResponse, TypeVerdict};
@@ -233,9 +233,9 @@ fn verdict_of(vulndb: &StaticVulnDb, device_type: Option<&str>) -> Arc<TypeVerdi
     let isolation = vulndb.assess(device_type);
     let permitted_endpoints = match device_type {
         Some(name) if isolation == IsolationLevel::Restricted => {
-            vulndb.vendor_endpoints(name).to_vec()
+            Whitelist::from(vulndb.vendor_endpoints(name).iter().copied())
         }
-        _ => Vec::new(),
+        _ => Whitelist::default(),
     };
     Arc::new(TypeVerdict {
         isolation,
@@ -451,7 +451,7 @@ mod tests {
             *unknown.verdict,
             TypeVerdict {
                 isolation: IsolationLevel::Strict,
-                permitted_endpoints: vec![],
+                permitted_endpoints: Whitelist::default(),
                 user_notification: None,
             }
         );
@@ -473,7 +473,7 @@ mod tests {
         assert_eq!(verdict.isolation, db.assess(Some("EdnetGateway")));
         assert_eq!(verdict.isolation, IsolationLevel::Restricted);
         assert_eq!(
-            verdict.permitted_endpoints,
+            &*verdict.permitted_endpoints,
             db.vendor_endpoints("EdnetGateway")
         );
         assert_eq!(

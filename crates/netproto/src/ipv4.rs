@@ -8,6 +8,9 @@ use crate::{ParseError, PutBe};
 /// Length of an IPv4 header without options.
 pub(crate) const MIN_HEADER_LEN: usize = 20;
 
+/// Length of an IPv4 header with the most options its IHL can count.
+const MAX_HEADER_LEN: usize = 60;
+
 /// IP protocol numbers carried in the IPv4 `protocol` / IPv6 `next header`
 /// field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,6 +121,8 @@ impl Ipv4Option {
             }
             Ipv4Option::Other { kind, data } => {
                 buf.push(*kind);
+                // `Ipv4Header::encode` has checked that the options fit in
+                // 40 bytes, so the length byte cannot wrap.
                 buf.push(2 + data.len() as u8);
                 buf.extend_from_slice(data);
             }
@@ -183,12 +188,28 @@ impl Ipv4Header {
     /// Appends the header bytes to `buf`, computing length and checksum for
     /// a payload of `payload_len` bytes. The header is written with a zero
     /// checksum, which is then patched in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the options encode to more than 40 bytes (the IHL field
+    /// counts at most 60 header bytes, which also bounds every option's
+    /// length byte) or if header and payload exceed the 65 535 bytes the
+    /// total-length field counts: the wire cannot carry such a header,
+    /// and writing it would wrap a field into a frame
+    /// [`Ipv4Header::parse`] rejects.
     pub fn encode(&self, buf: &mut Vec<u8>, payload_len: usize) {
         let start = buf.len();
         let header_len = self.header_len();
+        assert!(
+            header_len <= MAX_HEADER_LEN,
+            "IPv4 options take at most {} bytes",
+            MAX_HEADER_LEN - MIN_HEADER_LEN
+        );
+        let total_len = u16::try_from(header_len + payload_len)
+            .expect("an IPv4 datagram is at most 65 535 bytes");
         buf.push(0x40 | (header_len / 4) as u8);
         buf.push(self.dscp_ecn);
-        buf.put_u16((header_len + payload_len) as u16);
+        buf.put_u16(total_len);
         buf.put_u16(self.identification);
         buf.push(if self.dont_fragment { 0x40 } else { 0 });
         buf.push(0); // fragment offset
@@ -412,6 +433,40 @@ mod tests {
         hdr.encode(&mut buf, 0);
         let (parsed, _) = Ipv4Header::parse(&buf).unwrap();
         assert!(parsed.has_padding_option());
+    }
+
+    #[test]
+    fn encode_refuses_a_header_the_wire_cannot_carry() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let other = |len: usize| Ipv4Option::Other {
+            kind: 130,
+            data: vec![0x5a; len],
+        };
+        let encodes = |hdr: &Ipv4Header, payload_len: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut buf = Vec::new();
+                hdr.encode(&mut buf, payload_len);
+                buf
+            }))
+            .is_ok()
+        };
+        // 40 option bytes are the most the IHL counts: a 15-word header
+        // that parses back to itself.
+        let widest = sample().with_option(other(38));
+        assert_eq!(widest.header_len(), 60);
+        let mut buf = Vec::new();
+        widest.encode(&mut buf, 0);
+        assert_eq!(buf[0], 0x4f);
+        assert_eq!(Ipv4Header::parse(&buf).unwrap().0, widest);
+        // 44 option bytes would write IHL 16 into the version nibble,
+        // and a 254-byte option would wrap its length byte.
+        assert!(!encodes(&sample().with_option(other(42)), 0));
+        assert!(!encodes(&sample().with_option(other(254)), 0));
+        // The total length counts 65 535 bytes and no more.
+        assert!(encodes(&sample(), 65_535 - 20));
+        assert!(!encodes(&sample(), 65_536 - 20));
+        assert!(encodes(&widest, 65_535 - 60));
+        assert!(!encodes(&widest, 65_536 - 60));
     }
 
     #[test]

@@ -393,6 +393,11 @@ impl Packet {
     }
 
     /// Encodes the packet to wire bytes (Ethernet frame, no FCS).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an IPv4 header the wire cannot carry, as
+    /// [`Ipv4Header::encode`] does.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.encode_into(&mut buf);
@@ -404,7 +409,8 @@ impl Packet {
     /// most one allocation, none once the buffer has seen a frame this
     /// long — and handed down: every length field on the way (LLC
     /// length, IP total length, UDP length) is what remains of it at
-    /// that layer. Produces exactly the bytes of [`Packet::encode`].
+    /// that layer. Produces exactly the bytes of [`Packet::encode`],
+    /// and panics where it does.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let body_len = self.wire_len() - crate::ethernet::HEADER_LEN;
         buf.clear();

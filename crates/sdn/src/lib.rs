@@ -7,7 +7,8 @@
 //!
 //! * [`EnforcementRule`] / [`IsolationLevel`] — the per-device rules of
 //!   Fig. 2, keyed by MAC address, with the three isolation levels of
-//!   Fig. 3 (*strict*, *restricted*, *trusted*).
+//!   Fig. 3 (*strict*, *restricted*, *trusted*); a restricted type's
+//!   [`Whitelist`] is built once and shared by its devices' rules.
 //! * [`RuleCache`] — the hash-table enforcement-rule cache whose memory
 //!   footprint Fig. 6c measures.
 //! * [`FlowTable`] / [`OvsSwitch`] — an OpenFlow-style switch with
@@ -48,5 +49,5 @@ pub mod topology;
 pub use cache::RuleCache;
 pub use controller::{Destination, EnforcementModule, Verdict};
 pub use flow::{FlowAction, FlowKey, FlowTable};
-pub use rule::{EnforcementRule, IsolationLevel};
+pub use rule::{EnforcementRule, IsolationLevel, Whitelist};
 pub use switch::{OvsSwitch, SwitchDecision};

@@ -2,6 +2,8 @@
 
 use std::fmt;
 use std::net::IpAddr;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -38,8 +40,10 @@ impl fmt::Display for IsolationLevel {
 /// the permitted remote endpoints supplied by the IoT Security Service.
 ///
 /// A rule is 16 bytes: the whitelist and port filter live behind one
-/// optional box that exists only when one of them is set, so the strict
-/// and trusted rules most devices get never allocate.
+/// optional shared pointer that exists only when one of them is set, so
+/// the strict and trusted rules most devices get never allocate, and a
+/// rule made from a [`Whitelist`] shares its policy instead of copying
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnforcementRule {
     /// The device the rule applies to.
@@ -49,14 +53,53 @@ pub struct EnforcementRule {
     /// `None` exactly when the whitelist is empty and no port filter is
     /// set, so the derived `Eq` compares the same policies it did when
     /// both were stored inline.
-    remote: Option<Box<RemotePolicy>>,
+    remote: Option<Arc<RemotePolicy>>,
 }
 
 /// The remote half of a rule: whitelist and optional port filter.
+/// Immutable once shared: [`EnforcementRule::with_port_filter`] copies
+/// it on write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RemotePolicy {
     endpoints: Box<[IpAddr]>,
     ports: Option<Box<[u16]>>,
+}
+
+/// A restricted type's permitted remote endpoints, built once and
+/// shared: every rule [`EnforcementRule::restricted`] makes from it
+/// points at the same policy, so giving a device its type's whitelist
+/// copies no endpoint and allocates nothing.
+///
+/// One pointer, and no allocation when empty. It reads as a slice of
+/// addresses (`Deref`) and debug-prints as one. Any iterator of
+/// addresses converts into one (`From`).
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Whitelist(Option<Arc<RemotePolicy>>);
+
+impl<I: IntoIterator<Item = IpAddr>> From<I> for Whitelist {
+    fn from(endpoints: I) -> Self {
+        let endpoints: Box<[IpAddr]> = endpoints.into_iter().collect();
+        Whitelist((!endpoints.is_empty()).then(|| {
+            Arc::new(RemotePolicy {
+                endpoints,
+                ports: None,
+            })
+        }))
+    }
+}
+
+impl Deref for Whitelist {
+    type Target = [IpAddr];
+
+    fn deref(&self) -> &[IpAddr] {
+        self.0.as_ref().map_or(&[], |r| &r.endpoints)
+    }
+}
+
+impl fmt::Debug for Whitelist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 impl EnforcementRule {
@@ -70,32 +113,31 @@ impl EnforcementRule {
     }
 
     /// A rule placing `mac` under restricted isolation with the given
-    /// endpoint whitelist.
-    pub fn restricted(mac: MacAddr, endpoints: impl IntoIterator<Item = IpAddr>) -> Self {
-        let endpoints: Box<[IpAddr]> = endpoints.into_iter().collect();
+    /// endpoint whitelist: any iterator of addresses, which the rule
+    /// then owns, or a shared [`Whitelist`], whose policy the rule
+    /// shares.
+    pub fn restricted(mac: MacAddr, endpoints: impl Into<Whitelist>) -> Self {
         EnforcementRule {
             mac,
             level: IsolationLevel::Restricted,
-            remote: (!endpoints.is_empty()).then(|| {
-                Box::new(RemotePolicy {
-                    endpoints,
-                    ports: None,
-                })
-            }),
+            remote: endpoints.into().0,
         }
     }
 
     /// Refines the rule to specific remote ports (builder style) — e.g.
     /// "this camera may only speak TLS (443) to its cloud".
+    ///
+    /// A shared policy is copied on write, so the type's whitelist and
+    /// every other rule made from it keep no port filter.
     #[must_use]
     pub fn with_port_filter(mut self, ports: impl IntoIterator<Item = u16>) -> Self {
         let remote = self.remote.get_or_insert_with(|| {
-            Box::new(RemotePolicy {
+            Arc::new(RemotePolicy {
                 endpoints: Box::default(),
                 ports: None,
             })
         });
-        remote.ports = Some(ports.into_iter().collect());
+        Arc::make_mut(remote).ports = Some(ports.into_iter().collect());
         self
     }
 
@@ -199,7 +241,14 @@ impl EnforcementRule {
 
     /// Approximate in-memory footprint of the rule in bytes, used by the
     /// Fig. 6c memory accounting: the rule itself plus, when present, its
-    /// boxed remote policy and the two slices it owns.
+    /// remote policy and the two slices that policy owns (16 + 32 + 17
+    /// B per IPv4 or IPv6 endpoint, + 2 B per filtered port).
+    ///
+    /// This is the modelled per-rule cost, not the heap this process
+    /// holds: rules made from one [`Whitelist`] share a single policy,
+    /// so the heap keeps one per restricted type, while the counter
+    /// still charges the policy to every rule, as a gateway that
+    /// stored each rule on its own would pay.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.remote.as_deref().map_or(0, |remote| {
@@ -324,14 +373,56 @@ mod tests {
     #[test]
     fn size_is_pinned() {
         assert_eq!(std::mem::size_of::<EnforcementRule>(), 16);
-        // Fig. 6c counts the box only where one exists: 16 B + a 32-byte
-        // policy + one 17-byte `IpAddr`.
+        assert_eq!(std::mem::size_of::<Whitelist>(), 8);
+        // Fig. 6c counts the policy only where one exists: 16 B + a
+        // 32-byte policy + one 17-byte `IpAddr`, whether the rule owns
+        // the policy or shares it.
         assert_eq!(EnforcementRule::strict(mac()).memory_bytes(), 16);
         let cloud: IpAddr = "52.29.100.7".parse().unwrap();
         assert_eq!(
             EnforcementRule::restricted(mac(), [cloud]).memory_bytes(),
             65
         );
+        let whitelist = Whitelist::from([cloud]);
+        assert_eq!(
+            EnforcementRule::restricted(mac(), whitelist).memory_bytes(),
+            65
+        );
+    }
+
+    #[test]
+    fn rules_made_from_one_whitelist_share_it_until_a_port_filter() {
+        let v4: IpAddr = "52.29.100.7".parse().unwrap();
+        let v6: IpAddr = "2001:db8::7".parse().unwrap();
+        let whitelist = Whitelist::from([v4, v6]);
+        let other: MacAddr = "13-73-74-7E-A9-C3".parse().unwrap();
+        let a = EnforcementRule::restricted(mac(), whitelist.clone());
+        let b = EnforcementRule::restricted(other, whitelist.clone());
+        assert!(std::ptr::eq(a.permitted_endpoints(), &*whitelist));
+        assert!(std::ptr::eq(b.permitted_endpoints(), &*whitelist));
+        // A shared rule is the rule that owns a copy: same identity,
+        // same rendering, same modelled footprint.
+        let owned = EnforcementRule::restricted(mac(), [v4, v6]);
+        assert_eq!(a, owned);
+        assert_eq!(a.hash_value(), owned.hash_value());
+        assert_eq!(a.to_string(), owned.to_string());
+        assert_eq!(a.memory_bytes(), owned.memory_bytes());
+        // Refining one rule copies the policy, leaving the whitelist and
+        // the other rule unfiltered.
+        let filtered = a.with_port_filter([443]);
+        assert!(!std::ptr::eq(filtered.permitted_endpoints(), &*whitelist));
+        assert_eq!(filtered.permitted_endpoints(), &[v4, v6]);
+        assert_eq!(filtered.permitted_remote_ports(), Some(&[443][..]));
+        assert_eq!(b.permitted_remote_ports(), None);
+        assert_eq!(
+            filtered,
+            EnforcementRule::restricted(mac(), [v4, v6]).with_port_filter([443])
+        );
+        // The whitelist reads and prints as its addresses.
+        assert_eq!(&*whitelist, &[v4, v6]);
+        assert_eq!(format!("{whitelist:?}"), format!("{:?}", vec![v4, v6]));
+        assert!(Whitelist::from([]).is_empty());
+        assert_eq!(Whitelist::from([]), Whitelist::default());
     }
 
     #[test]

@@ -535,7 +535,7 @@ mod tests {
     use sentinel_devicesim::{catalog, interleave, Testbed};
     use sentinel_fingerprint::Fingerprint;
     use sentinel_netproto::stream::MemoryFrameSource;
-    use sentinel_sdn::FlowAction;
+    use sentinel_sdn::{FlowAction, Whitelist};
     use std::collections::HashSet;
     use std::net::Ipv4Addr;
     use std::sync::Arc;
@@ -561,7 +561,7 @@ mod tests {
                 },
                 verdict: Arc::new(TypeVerdict {
                     isolation: self.isolation,
-                    permitted_endpoints: vec![],
+                    permitted_endpoints: Whitelist::default(),
                     user_notification: None,
                 }),
             }
