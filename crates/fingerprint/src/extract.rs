@@ -42,7 +42,7 @@ impl FeatureExtractor {
     }
 
     /// Creates an extractor with room for `capacity` columns of `F`
-    /// (16 bytes each) reserved; it grows past that by `Vec` doubling.
+    /// (12 bytes each) reserved; it grows past that by `Vec` doubling.
     ///
     /// A caller that knows its packet count (batch [`extract_frames`]) passes it
     /// and never reallocates; a long-lived per-device extractor should

@@ -1,5 +1,7 @@
 //! The 23 per-packet features of the paper's Table I.
 
+use std::fmt;
+
 use sentinel_netproto::{Packet, Protocol, ProtocolSet, RawFeatures};
 
 /// Number of features extracted per packet (Table I).
@@ -72,37 +74,76 @@ impl PortClass {
             PortClass::Dynamic => 3,
         }
     }
+
+    /// The class whose encoding is the low two bits of `bits`.
+    const fn from_bits(bits: u8) -> Self {
+        const CLASSES: [PortClass; 4] = [
+            PortClass::NoPort,
+            PortClass::WellKnown,
+            PortClass::Registered,
+            PortClass::Dynamic,
+        ];
+        CLASSES[(bits & 0b11) as usize]
+    }
 }
 
 /// The 23-feature representation of one packet (one column of the paper's
-/// fingerprint matrix `F`).
+/// fingerprint matrix `F`), 12 bytes.
 ///
-/// Equality is exact equality of all 23 features — the paper's criterion
-/// both for discarding consecutive duplicates and for character equality
-/// in the edit-distance comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The three flags and two port classes of Table I share one byte, so
+/// read them through their accessors; the packing is a bijection, so
+/// the derived equality is still exact equality of all 23 features — the
+/// paper's criterion both for discarding consecutive duplicates and for
+/// character equality in the edit-distance comparison.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct FeatureVector {
     /// The 16 binary protocol indicators.
     pub protocols: ProtocolSet,
-    /// IP header option: padding present.
-    pub ip_option_padding: bool,
-    /// IP header option: Router Alert present.
-    pub ip_option_router_alert: bool,
+    /// Bits 0–2: `ip_option_padding`, `ip_option_router_alert`,
+    /// `raw_data`; bits 3–4: the source port class; bits 5–6: the
+    /// destination port class.
+    packed: u8,
     /// Frame size in bytes.
     pub packet_size: u32,
-    /// Uninterpreted payload data present.
-    pub raw_data: bool,
     /// Destination-IP counter: `k` if the destination address was the
     /// `k`-th distinct address this device contacted (1-based), 0 if the
     /// packet has no IP destination.
     pub dst_ip_counter: u32,
-    /// Source port class.
-    pub src_port_class: PortClass,
-    /// Destination port class.
-    pub dst_port_class: PortClass,
 }
 
+// Bit positions in `FeatureVector::packed`.
+const PADDING_BIT: u32 = 0;
+const ROUTER_ALERT_BIT: u32 = 1;
+const RAW_DATA_BIT: u32 = 2;
+const SRC_PORT_SHIFT: u32 = 3;
+const DST_PORT_SHIFT: u32 = 5;
+
 impl FeatureVector {
+    /// Builds a vector from its features in Table I order.
+    #[allow(clippy::too_many_arguments)]
+    pub const fn new(
+        protocols: ProtocolSet,
+        ip_option_padding: bool,
+        ip_option_router_alert: bool,
+        packet_size: u32,
+        raw_data: bool,
+        dst_ip_counter: u32,
+        src_port_class: PortClass,
+        dst_port_class: PortClass,
+    ) -> Self {
+        let packed = (ip_option_padding as u8) << PADDING_BIT
+            | (ip_option_router_alert as u8) << ROUTER_ALERT_BIT
+            | (raw_data as u8) << RAW_DATA_BIT
+            | src_port_class.to_u8() << SRC_PORT_SHIFT
+            | dst_port_class.to_u8() << DST_PORT_SHIFT;
+        FeatureVector {
+            protocols,
+            packed,
+            packet_size,
+            dst_ip_counter,
+        }
+    }
+
     /// Extracts the features of one decoded packet, through
     /// [`RawFeatures::from_packet`]: a reference for tests, as
     /// [`crate::extract`] is.
@@ -116,36 +157,76 @@ impl FeatureVector {
     /// Builds the features from a wire-scan record. Equivalent to [`FeatureVector::from_packet`] on the decoded
     /// frame — the contract `sentinel_netproto::scan` certifies.
     pub(crate) fn from_raw(raw: &RawFeatures, dst_ip_counter: u32) -> Self {
-        FeatureVector {
-            protocols: raw.protocols,
-            ip_option_padding: raw.ip_option_padding,
-            ip_option_router_alert: raw.ip_option_router_alert,
-            packet_size: raw.packet_size,
-            raw_data: raw.raw_data,
+        Self::new(
+            raw.protocols,
+            raw.ip_option_padding,
+            raw.ip_option_router_alert,
+            raw.packet_size,
+            raw.raw_data,
             dst_ip_counter,
-            src_port_class: PortClass::from_port(raw.src_port),
-            dst_port_class: PortClass::from_port(raw.dst_port),
-        }
+            PortClass::from_port(raw.src_port),
+            PortClass::from_port(raw.dst_port),
+        )
+    }
+
+    /// IP header option: padding present.
+    pub const fn ip_option_padding(&self) -> bool {
+        self.packed >> PADDING_BIT & 1 != 0
+    }
+
+    /// IP header option: Router Alert present.
+    pub const fn ip_option_router_alert(&self) -> bool {
+        self.packed >> ROUTER_ALERT_BIT & 1 != 0
+    }
+
+    /// Uninterpreted payload data present.
+    pub const fn raw_data(&self) -> bool {
+        self.packed >> RAW_DATA_BIT & 1 != 0
+    }
+
+    /// Source port class.
+    pub const fn src_port_class(&self) -> PortClass {
+        PortClass::from_bits(self.packed >> SRC_PORT_SHIFT)
+    }
+
+    /// Destination port class.
+    pub const fn dst_port_class(&self) -> PortClass {
+        PortClass::from_bits(self.packed >> DST_PORT_SHIFT)
     }
 
     /// The vector in Table I order, for consumption by numeric classifiers.
     pub(crate) fn to_array(&self) -> [f64; FEATURE_COUNT] {
         let mut out = [0.0; FEATURE_COUNT];
         for (i, protocol) in Protocol::ALL.into_iter().enumerate() {
-            out[i] = if self.protocols.contains(protocol) {
-                1.0
-            } else {
-                0.0
-            };
+            out[i] = f64::from(u8::from(self.protocols.contains(protocol)));
         }
-        out[16] = self.ip_option_padding as u8 as f64;
-        out[17] = self.ip_option_router_alert as u8 as f64;
-        out[18] = self.packet_size as f64;
-        out[19] = self.raw_data as u8 as f64;
-        out[20] = self.dst_ip_counter as f64;
-        out[21] = self.src_port_class.to_u8() as f64;
-        out[22] = self.dst_port_class.to_u8() as f64;
+        let packed = self.packed;
+        out[16] = f64::from(packed >> PADDING_BIT & 1);
+        out[17] = f64::from(packed >> ROUTER_ALERT_BIT & 1);
+        out[18] = f64::from(self.packet_size);
+        out[19] = f64::from(packed >> RAW_DATA_BIT & 1);
+        out[20] = f64::from(self.dst_ip_counter);
+        out[21] = f64::from(packed >> SRC_PORT_SHIFT & 0b11);
+        out[22] = f64::from(packed >> DST_PORT_SHIFT & 0b11);
         out
+    }
+}
+
+/// All 23 features by their Table I names.
+impl fmt::Debug for FeatureVector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = f.debug_struct("FeatureVector");
+        for (name, protocol) in FEATURE_NAMES.into_iter().zip(Protocol::ALL) {
+            out.field(name, &self.protocols.contains(protocol));
+        }
+        out.field("ip_option_padding", &self.ip_option_padding())
+            .field("ip_option_router_alert", &self.ip_option_router_alert())
+            .field("packet_size", &self.packet_size)
+            .field("raw_data", &self.raw_data())
+            .field("dst_ip_counter", &self.dst_ip_counter)
+            .field("src_port_class", &self.src_port_class())
+            .field("dst_port_class", &self.dst_port_class())
+            .finish()
     }
 }
 
@@ -208,7 +289,7 @@ mod tests {
         assert_eq!(array[0], 1.0, "arp");
         assert_eq!(array[2], 0.0, "no ip layer");
         assert_eq!(array[20], 0.0, "no dst ip counter");
-        assert_eq!(features.src_port_class, PortClass::NoPort);
+        assert_eq!(features.src_port_class(), PortClass::NoPort);
     }
 
     #[test]
@@ -234,8 +315,8 @@ mod tests {
             },
         );
         let features = FeatureVector::from_packet(&packet, 1);
-        assert!(features.ip_option_router_alert);
-        assert!(features.ip_option_padding);
+        assert!(features.ip_option_router_alert());
+        assert!(features.ip_option_padding());
     }
 
     #[test]
@@ -256,6 +337,93 @@ mod tests {
         assert_eq!(a, b, "timestamps and xid do not affect features");
         let c = FeatureVector::from_packet(&Packet::dhcp_discover(mac(), 1, 0), 2);
         assert_ne!(a, c, "dst ip counter is a feature");
+    }
+
+    #[test]
+    fn size_is_pinned() {
+        // A session reserves 16 of these; every byte here is 16 per session.
+        assert_eq!(std::mem::size_of::<FeatureVector>(), 12);
+    }
+
+    /// Every combination of the five packed features, at the given sizes
+    /// and counters and at three protocol sets, beside its Table I array
+    /// written field by field.
+    fn combinations(sizes: &[u32], counters: &[u32]) -> Vec<(FeatureVector, [f64; FEATURE_COUNT])> {
+        const CLASSES: [PortClass; 4] = [
+            PortClass::NoPort,
+            PortClass::WellKnown,
+            PortClass::Registered,
+            PortClass::Dynamic,
+        ];
+        let mut out = Vec::new();
+        for bits in [0, 0x8001, u16::MAX] {
+            for &size in sizes {
+                for &counter in counters {
+                    for flags in 0u8..8 {
+                        for (src, src_class) in CLASSES.into_iter().enumerate() {
+                            for (dst, dst_class) in CLASSES.into_iter().enumerate() {
+                                let vector = FeatureVector::new(
+                                    ProtocolSet::from_bits(bits),
+                                    flags & 1 != 0,
+                                    flags & 2 != 0,
+                                    size,
+                                    flags & 4 != 0,
+                                    counter,
+                                    src_class,
+                                    dst_class,
+                                );
+                                let mut array = [0.0; FEATURE_COUNT];
+                                for (i, cell) in array[..16].iter_mut().enumerate() {
+                                    *cell = f64::from(bits >> i & 1);
+                                }
+                                array[16] = f64::from(flags & 1);
+                                array[17] = f64::from(flags >> 1 & 1);
+                                array[18] = f64::from(size);
+                                array[19] = f64::from(flags >> 2 & 1);
+                                array[20] = f64::from(counter);
+                                array[21] = src as f64;
+                                array[22] = dst as f64;
+                                out.push((vector, array));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn packing_is_a_bijection_on_the_features() {
+        let bounds = [0, 1, u32::MAX];
+        for (vector, array) in combinations(&bounds, &bounds) {
+            assert_eq!(vector.to_array(), array, "{vector:?}");
+            assert_eq!(vector.ip_option_padding(), array[16] == 1.0);
+            assert_eq!(vector.ip_option_router_alert(), array[17] == 1.0);
+            assert_eq!(f64::from(vector.packet_size), array[18]);
+            assert_eq!(vector.raw_data(), array[19] == 1.0);
+            assert_eq!(f64::from(vector.dst_ip_counter), array[20]);
+            assert_eq!(f64::from(vector.src_port_class().to_u8()), array[21]);
+            assert_eq!(f64::from(vector.dst_port_class().to_u8()), array[22]);
+            let text = format!("{vector:?}");
+            for (name, value) in FEATURE_NAMES.into_iter().zip(array) {
+                let shown = match name {
+                    "packet_size" => vector.packet_size.to_string(),
+                    "dst_ip_counter" => vector.dst_ip_counter.to_string(),
+                    "src_port_class" => format!("{:?}", vector.src_port_class()),
+                    "dst_port_class" => format!("{:?}", vector.dst_port_class()),
+                    _ => (value == 1.0).to_string(),
+                };
+                assert!(text.contains(&format!(" {name}: {shown}")), "{text}");
+            }
+        }
+        // Two vectors are equal exactly when all their features are.
+        let pairs = combinations(&[0, u32::MAX], &[1, u32::MAX]);
+        for (a, array_a) in &pairs {
+            for (b, array_b) in &pairs {
+                assert_eq!(a == b, array_a == array_b);
+            }
+        }
     }
 
     proptest! {

@@ -23,6 +23,10 @@ const FRAGMENT: u8 = 44;
 /// Length of the Fragment extension header.
 const FRAGMENT_LEN: usize = 8;
 
+/// Longest Hop-by-Hop header: its length byte counts up to 255 8-byte
+/// units past the first.
+const MAX_HBH_LEN: usize = 256 * 8;
+
 const PAD1: u8 = 0;
 const PADN: u8 = 1;
 const ROUTER_ALERT: u8 = 5;
@@ -95,7 +99,10 @@ impl HopByHopOption {
             }
             HopByHopOption::Other { kind, data } => {
                 buf.push(*kind);
-                buf.push(data.len() as u8);
+                buf.push(
+                    u8::try_from(data.len())
+                        .expect("a hop-by-hop option carries at most 255 data bytes"),
+                );
                 buf.extend_from_slice(data);
             }
         }
@@ -180,9 +187,25 @@ impl Ipv6Header {
     /// Appends the header (and extension header) bytes for a payload of
     /// `payload_len` bytes. Extension headers follow the RFC 8200
     /// recommended order: Hop-by-Hop first, then Fragment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`HopByHopOption::Other`] carries more than 255 data
+    /// bytes (its length byte), if the Hop-by-Hop header would exceed
+    /// 2 048 bytes (its length byte counts 8-byte units past the first)
+    /// or if extension headers and payload exceed the 65 535 bytes the
+    /// payload-length field counts: the wire cannot carry such a header,
+    /// and writing it would wrap a field into a frame
+    /// [`Ipv6Header::parse`] reads differently or rejects.
     pub fn encode(&self, buf: &mut Vec<u8>, payload_len: usize) {
         let hbh_len = self.hbh_len();
+        assert!(
+            hbh_len <= MAX_HBH_LEN,
+            "a hop-by-hop header is at most {MAX_HBH_LEN} bytes"
+        );
         let frag_len = fragment_len(self.atomic_fragment);
+        let ipv6_payload_len = u16::try_from(hbh_len + frag_len + payload_len)
+            .expect("IPv6 extension headers and payload are at most 65 535 bytes");
         // Next-header chain: fixed header → hop-by-hop → fragment → transport.
         let after_hbh = if frag_len > 0 {
             FRAGMENT
@@ -192,7 +215,7 @@ impl Ipv6Header {
         let first_next = if hbh_len > 0 { HOP_BY_HOP } else { after_hbh };
         let first = 0x6000_0000 | ((self.traffic_class as u32) << 20) | (self.flow_label & 0xfffff);
         buf.put_u32(first);
-        buf.put_u16((hbh_len + frag_len + payload_len) as u16);
+        buf.put_u16(ipv6_payload_len);
         buf.push(first_next);
         buf.push(self.hop_limit);
         buf.extend_from_slice(&self.src.octets());
@@ -200,7 +223,7 @@ impl Ipv6Header {
         if hbh_len > 0 {
             let start = buf.len();
             buf.push(after_hbh);
-            buf.push((hbh_len / 8 - 1) as u8);
+            buf.push((hbh_len / 8 - 1) as u8); // ≤ 255: checked above
             for opt in &self.hop_by_hop {
                 opt.encode(buf);
             }
@@ -411,6 +434,54 @@ mod tests {
             "ff02::fb".parse().unwrap(),
             IpProtocol::Udp,
         )
+    }
+
+    #[test]
+    fn encode_refuses_a_header_the_wire_cannot_carry() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let other = |len: usize| HopByHopOption::Other {
+            kind: 0x3e,
+            data: vec![0x5a; len],
+        };
+        let encodes = |hdr: &Ipv6Header, payload_len: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut buf = Vec::new();
+                hdr.encode(&mut buf, payload_len);
+                buf
+            }))
+            .is_ok()
+        };
+        let roundtrips = |hdr: &Ipv6Header| {
+            let mut buf = Vec::new();
+            hdr.encode(&mut buf, 0);
+            assert_eq!(&Ipv6Header::parse(&buf).unwrap().0, hdr);
+        };
+        // An option's length byte counts 255 data bytes and no more
+        // (PadN(3) fills the header to its 8-byte boundary).
+        roundtrips(
+            &sample()
+                .with_hop_by_hop(other(255))
+                .with_hop_by_hop(HopByHopOption::PadN(3)),
+        );
+        assert!(!encodes(&sample().with_hop_by_hop(other(256)), 0));
+        // The hop-by-hop length byte counts 2 048 bytes: seven 257-byte
+        // options and one of 247 fill it, one Pad1 more needs 2 056.
+        let widest = (0..7)
+            .fold(sample(), |hdr, _| hdr.with_hop_by_hop(other(255)))
+            .with_hop_by_hop(other(245));
+        assert_eq!(widest.hbh_len(), 2_048);
+        roundtrips(&widest);
+        assert!(!encodes(
+            &widest.clone().with_hop_by_hop(HopByHopOption::Pad1),
+            0
+        ));
+        // The payload length counts extension headers and payload up to
+        // 65 535 bytes.
+        assert!(encodes(&sample(), 65_535));
+        assert!(!encodes(&sample(), 65_536));
+        let longest = widest.with_atomic_fragment(7);
+        assert!(encodes(&longest, 65_535 - 2_048 - 8));
+        assert!(!encodes(&longest, 65_536 - 2_048 - 8));
     }
 
     #[test]

@@ -246,7 +246,8 @@ pub(crate) fn decode_bank(bytes: &[u8]) -> Result<ClassifierBank, SnapshotError>
 
 // ------------------------------------------------------------ references
 
-/// One interned feature vector: 16 bytes, fixed layout.
+/// One interned feature vector: a 16-byte record on disk, fixed layout
+/// (the [`FeatureVector`] it decodes to is 12 bytes in memory).
 ///
 /// ```text
 /// offset  size  field
@@ -263,12 +264,12 @@ const VECTOR_RECORD_SIZE: usize = 16;
 
 fn put_vector(out: &mut Writer, vector: &FeatureVector) {
     out.put_u16(vector.protocols.bits());
-    let flags = u8::from(vector.ip_option_padding)
-        | u8::from(vector.ip_option_router_alert) << 1
-        | u8::from(vector.raw_data) << 2;
+    let flags = u8::from(vector.ip_option_padding())
+        | u8::from(vector.ip_option_router_alert()) << 1
+        | u8::from(vector.raw_data()) << 2;
     out.put_u8(flags);
-    out.put_u8(vector.src_port_class.to_u8());
-    out.put_u8(vector.dst_port_class.to_u8());
+    out.put_u8(vector.src_port_class().to_u8());
+    out.put_u8(vector.dst_port_class().to_u8());
     out.put_bytes(&[0u8; 3]);
     out.put_u32(vector.packet_size);
     out.put_u32(vector.dst_ip_counter);
@@ -297,16 +298,18 @@ fn get_vector(reader: &mut Reader) -> Result<FeatureVector, SnapshotError> {
     if reader.array::<3>()? != [0u8; 3] {
         return Err(reader.decode_err("nonzero padding in feature-vector record"));
     }
-    Ok(FeatureVector {
+    let packet_size = reader.u32()?;
+    let dst_ip_counter = reader.u32()?;
+    Ok(FeatureVector::new(
         protocols,
-        ip_option_padding: flags & 0b001 != 0,
-        ip_option_router_alert: flags & 0b010 != 0,
-        packet_size: reader.u32()?,
-        raw_data: flags & 0b100 != 0,
-        dst_ip_counter: reader.u32()?,
+        flags & 0b001 != 0,
+        flags & 0b010 != 0,
+        packet_size,
+        flags & 0b100 != 0,
+        dst_ip_counter,
         src_port_class,
         dst_port_class,
-    })
+    ))
 }
 
 /// Encodes the stage-2 reference fingerprints with interning: the pool

@@ -51,16 +51,16 @@ fn leaf() -> DecisionTree {
 }
 
 fn vector(bits: u16, size: u32, counter: u32) -> FeatureVector {
-    FeatureVector {
-        protocols: ProtocolSet::from_bits(bits),
-        ip_option_padding: bits & 1 != 0,
-        ip_option_router_alert: false,
-        packet_size: size,
-        raw_data: bits & 2 != 0,
-        dst_ip_counter: counter,
-        src_port_class: PortClass::Dynamic,
-        dst_port_class: PortClass::WellKnown,
-    }
+    FeatureVector::new(
+        ProtocolSet::from_bits(bits),
+        bits & 1 != 0,
+        false,
+        size,
+        bits & 2 != 0,
+        counter,
+        PortClass::Dynamic,
+        PortClass::WellKnown,
+    )
 }
 
 /// The pinned two-type model plus a small vulnerability tier.

@@ -27,7 +27,7 @@
 //! * [`Session`] — per-device setup monitoring that feeds each frame's
 //!   features straight into the incremental feature extractor, so raw
 //!   frames are never retained; a session holds the columns of `F` its
-//!   setup has sent so far (16 B each, a small reservation that grows),
+//!   setup has sent so far (12 B each, a small reservation that grows),
 //!   bounded by the detector's packet cap.
 //! * The session table (private) — a capacity-bounded session slab
 //!   behind a one-probe MAC index, with deterministic LRU shedding as the

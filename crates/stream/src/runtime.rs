@@ -70,10 +70,10 @@ pub struct StreamConfig {
     /// least recently active session to admit a new one.
     ///
     /// A slot costs what its device's setup has sent: typically
-    /// ≈ 0.3–0.4 KiB of heap (a 16-column reservation and the list of
+    /// ≈ 0.25–0.33 KiB of heap (a 16-column reservation and the list of
     /// distinct destinations) beside its ≈ 0.1 KiB slab entry and MAC
-    /// index entry, at worst `detector.max_packets × 16 B` of columns
-    /// (4 KiB at the default cap) once some occupant sent that many
+    /// index entry, at worst `detector.max_packets × 12 B` of columns
+    /// (3 KiB at the default cap) once some occupant sent that many
     /// distinct packets — a shed slot keeps what it grew to.
     pub max_sessions: usize,
     /// Not consulted: a gateway keeps one session table. Kept because

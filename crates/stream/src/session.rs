@@ -2,12 +2,12 @@
 //!
 //! A [`Session`] never buffers raw packets: it feeds every observed
 //! frame's [`RawFeatures`] straight into an incremental
-//! [`FeatureExtractor`] and keeps only the columns of `F` so far (16
+//! [`FeatureExtractor`] and keeps only the columns of `F` so far (12
 //! bytes each, consecutive duplicates dropped on arrival) plus the time
 //! and stream sequence of the last frame it absorbed. Memory per
 //! monitored device follows what its setup sent: a small reservation
 //! that grows by doubling, bounded by the identification window (the
-//! detector's packet cap × 16 B) instead of the device's chattiness. [`Session::offer`] is the one place the
+//! detector's packet cap × 12 B) instead of the device's chattiness. [`Session::offer`] is the one place the
 //! setup-window rule of [`SetupDetector`] is applied.
 
 use sentinel_fingerprint::setup::SetupDetector;
@@ -49,7 +49,7 @@ pub struct Session {
     last_seq: u64,
 }
 
-/// Columns of `F` a new session reserves (256 B). Sixteen covers `F'`'s
+/// Columns of `F` a new session reserves (192 B). Sixteen covers `F'`'s
 /// 12 unique packets and the simulator's mean setup (14.6 frames, 10.6
 /// columns); `Vec` doubling takes the rare long setup to the
 /// `max_packets` worst case, and what a slot has grown to it keeps.

@@ -194,8 +194,8 @@ fn fingerprint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             vector.protocols,
             vector.packet_size,
             vector.dst_ip_counter,
-            vector.src_port_class.to_u8(),
-            vector.dst_port_class.to_u8(),
+            vector.src_port_class().to_u8(),
+            vector.dst_port_class().to_u8(),
         );
     }
     if full.len() > 12 {
