@@ -20,9 +20,9 @@ use sentinel_ml::ForestConfig;
 
 fn main() {
     let args = Args::from_env();
-    let runs: u64 = args.get("runs", 20);
+    let runs: u64 = args.get_at_least("runs", 20, 1);
     let seed: u64 = args.get("seed", 42);
-    let trees: usize = args.get("trees", 100);
+    let trees: usize = args.get_at_least("trees", 100, 1);
 
     print!(
         "{}",

@@ -21,12 +21,14 @@ fn main() {
     } else {
         EvalConfig::default()
     };
-    config.runs = args.get("runs", config.runs);
-    config.folds = args.get("folds", config.folds);
-    config.repetitions = args.get("reps", config.repetitions);
-    config.trees = args.get("trees", config.trees);
+    // Cross-validation needs two folds, a repetition and, per type, a run
+    // on each side of a fold; a forest needs a tree and `F'` a packet.
+    config.runs = args.get_at_least("runs", config.runs, 2);
+    config.folds = args.get_at_least("folds", config.folds, 2);
+    config.repetitions = args.get_at_least("reps", config.repetitions, 1);
+    config.trees = args.get_at_least("trees", config.trees, 1);
     config.negative_ratio = args.get("neg-ratio", config.negative_ratio);
-    config.packets = args.get("packets", config.packets);
+    config.packets = args.get_at_least("packets", config.packets, 1);
     config.references = args.get("refs", config.references);
     config.seed = args.get("seed", config.seed);
     config.workers = args.get("workers", config.workers);

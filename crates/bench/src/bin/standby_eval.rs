@@ -22,7 +22,7 @@ use sentinel_devicesim::catalog;
 
 fn main() {
     let args = Args::from_env();
-    let runs: u64 = args.get("runs", 20);
+    let runs: u64 = args.get_at_least("runs", 20, 2);
     let cycles: u32 = args.get("cycles", 3);
     let seed: u64 = args.get("seed", 42);
     let mut config = if args.switch("quick") {
@@ -32,8 +32,8 @@ fn main() {
     };
     config.runs = runs;
     config.seed = seed;
-    config.repetitions = args.get("reps", config.repetitions);
-    config.trees = args.get("trees", config.trees);
+    config.repetitions = args.get_at_least("reps", config.repetitions, 1);
+    config.trees = args.get_at_least("trees", config.trees, 1);
     config.workers = args.get("workers", config.workers);
 
     print!(

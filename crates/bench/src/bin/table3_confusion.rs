@@ -20,9 +20,9 @@ fn main() {
     } else {
         EvalConfig::default()
     };
-    config.runs = args.get("runs", config.runs);
-    config.repetitions = args.get("reps", config.repetitions);
-    config.trees = args.get("trees", config.trees);
+    config.runs = args.get_at_least("runs", config.runs, 2);
+    config.repetitions = args.get_at_least("reps", config.repetitions, 1);
+    config.trees = args.get_at_least("trees", config.trees, 1);
     config.seed = args.get("seed", config.seed);
     config.workers = args.get("workers", config.workers);
 

@@ -1,8 +1,9 @@
 //! Minimal `--flag value` argument parsing shared by the reproduction
 //! binaries (kept dependency-free on purpose).
 //!
-//! A flag given without its value or with a value that does not parse
-//! is a usage error: [`Args::get`] and [`Args::get_str`] print one
+//! A flag given without its value, with a value that does not parse, or
+//! with one below what [`Args::get_at_least`] accepts is a usage error:
+//! [`Args::get`], [`Args::get_at_least`] and [`Args::get_str`] print one
 //! stderr line naming the flag and exit with code 2, as `sentinel`
 //! does, from the typed [`FlagError`] their crate-private `try_` twins
 //! return.
@@ -27,7 +28,7 @@ pub enum FlagError {
         /// The flag's name, without the dashes.
         flag: String,
     },
-    /// The flag's value does not parse.
+    /// The flag's value does not parse, or is below its minimum.
     InvalidValue {
         /// The flag's name, without the dashes.
         flag: String,
@@ -123,6 +124,39 @@ impl Args {
         }
     }
 
+    /// [`Args::get`], refusing a given value below `min` (a fold count of
+    /// one, a forest of no trees): the library asserts those bounds, and
+    /// a flag must not reach an assert. A usage error exits the process
+    /// (see the module docs).
+    pub fn get_at_least<T>(&self, name: &str, default: T, min: T) -> T
+    where
+        T: std::str::FromStr + PartialOrd + fmt::Display,
+    {
+        self.try_get_at_least(name, default, &min)
+            .unwrap_or_else(|error| usage_error(format!("{error} (at least {min})")))
+    }
+
+    /// [`Args::try_get`], refusing a given value below `min`.
+    ///
+    /// # Errors
+    ///
+    /// [`FlagError`] as [`Args::try_get`], and
+    /// [`FlagError::InvalidValue`] for a value below `min`.
+    pub(crate) fn try_get_at_least<T: std::str::FromStr + PartialOrd>(
+        &self,
+        name: &str,
+        default: T,
+        min: &T,
+    ) -> Result<T, FlagError> {
+        match self.try_get_str(name)? {
+            None => Ok(default),
+            Some(raw) => match raw.parse() {
+                Ok(value) if value >= *min => Ok(value),
+                _ => Err(FlagError::invalid(name, raw)),
+            },
+        }
+    }
+
     /// The raw string value of `--name`, if present. A flag without its
     /// value exits the process (see the module docs).
     pub fn get_str(&self, name: &str) -> Option<&str> {
@@ -178,5 +212,15 @@ mod tests {
             assert_eq!(args.try_get_str("runs"), Err(missing));
         }
         assert_eq!(parse(&["--quick"]).try_get("runs", 5u64), Ok(5));
+        let below = parse(&["--folds", "1"]);
+        assert_eq!(
+            below.try_get_at_least("folds", 10usize, &2),
+            Err(FlagError::invalid("folds", "1"))
+        );
+        assert_eq!(
+            parse(&["--folds", "2"]).try_get_at_least("folds", 10, &2),
+            Ok(2)
+        );
+        assert_eq!(parse(&[]).try_get_at_least("folds", 10usize, &2), Ok(10));
     }
 }

@@ -32,7 +32,8 @@ pub struct FleetConfig {
     pub tick: Duration,
     /// Every `roam_every`-th home contributes one device that roams to
     /// the next home mid-setup (`0` disables roaming). Ignored when the
-    /// fleet has fewer than two homes.
+    /// fleet has fewer than two homes or no devices per home: a home
+    /// with no device has none to send away.
     pub roam_every: usize,
     /// Every `leave_every`-th onboarded device leaves its home one tick
     /// after onboarding, removing its enforcement rule (`0` disables
@@ -83,6 +84,6 @@ impl FleetConfig {
 
     /// Whether roaming is active under this config.
     pub(crate) fn roaming_enabled(&self) -> bool {
-        self.roam_every > 0 && self.homes >= 2
+        self.roam_every > 0 && self.homes >= 2 && self.devices_per_home > 0
     }
 }

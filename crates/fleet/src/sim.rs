@@ -310,4 +310,22 @@ mod tests {
         }
         assert!(saw_roamer, "config produced no roaming device");
     }
+
+    /// Homes with no devices onboard nobody: no roam destination
+    /// re-derives a roamer from a slot its neighbour does not have.
+    #[test]
+    fn homes_without_devices_onboard_nobody() {
+        let service = trained_service();
+        let config = FleetConfig {
+            homes: 6,
+            devices_per_home: 0,
+            threads: 1,
+            ..FleetConfig::default()
+        };
+        let stats = run_fleet(&service, &config).stats;
+        assert_eq!(
+            (stats.onboarded, stats.roams, stats.rules_installed),
+            (0, 0, 0)
+        );
+    }
 }
